@@ -11,9 +11,10 @@ Two claims of the sharding PR are measured here:
   over the single-process path; the target is >= 2x at 10,000 particles
   with >= 4 workers (only assessable on a >= 4-core host — ``cpu_count``
   is recorded so trend checks can judge the baseline's provenance).
-* **Batched forecasting** — ``forecast_from_posterior`` through the scalar
-  per-particle task path vs the sharded batched path (both single-process,
-  so the ratio isolates batching, not parallelism).
+* **Batched forecasting** — the per-particle scalar restart oracle
+  (:func:`repro.testing.restart_oracle`, the same checkpoints and seeds a
+  forecast restarts) vs ``forecast_from_posterior``'s sharded batched path
+  (both single-process, so the ratio isolates batching, not parallelism).
 
 Emits ``BENCH_sharding.json`` with per-path timings and speedups
 (``benchmarks/check_trend.py`` gates every ``speedup`` entry in CI).
@@ -36,7 +37,10 @@ from repro.core import Particle, ParticleEnsemble
 from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
                        simulate_groups)
 from repro.inference import forecast_from_posterior
-from repro.seir import BatchedBinomialLeapEngine, DiseaseParameters
+from repro.inference.forecast import _forecast_entries
+from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
+                        ParameterOverride)
+from repro.testing import restart_oracle
 
 DEFAULT_SIZES = (2_000, 10_000)
 DEFAULT_SHARDS = (1, 2, 4, 8)
@@ -86,24 +90,27 @@ def make_posterior(params: DiseaseParameters, n: int, seed: int,
 
 def run_forecast_bench(params: DiseaseParameters, n_particles: int,
                        horizon: int, seed: int, repeats: int) -> dict:
-    """Scalar vs batched forecast timings (both single-process)."""
+    """Scalar-oracle vs batched forecast timings (both single-process)."""
     posterior = make_posterior(params, n_particles, seed)
-    scalar_s, scalar_fc = time_best(
-        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed,
-                                        path="scalar"), repeats)
+    entries, seeds = _forecast_entries(posterior, seed, 1)
+    end_day = posterior[0].checkpoint.day + horizon
+    scalar_s, scalar_trajectories = time_best(
+        lambda: restart_oracle([p.checkpoint for p in entries],
+                               [ParameterOverride(seed=s) for s in seeds],
+                               end_day), repeats)
     batched_s, batched_fc = time_best(
-        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed,
-                                        path="batched"), repeats)
-    mean_total = lambda fc: float(np.mean(  # noqa: E731
-        [t.infections.sum() for t in fc.trajectories]))
+        lambda: forecast_from_posterior(posterior, horizon, base_seed=seed),
+        repeats)
+    mean_total = lambda trajectories: float(np.mean(  # noqa: E731
+        [t.infections.sum() for t in trajectories]))
     return {
         "n_particles": n_particles,
         "horizon_days": horizon,
         "scalar_seconds": scalar_s,
         "batched_seconds": batched_s,
         "speedup": scalar_s / batched_s,
-        "scalar_mean_total_infections": mean_total(scalar_fc),
-        "batched_mean_total_infections": mean_total(batched_fc),
+        "scalar_mean_total_infections": mean_total(scalar_trajectories),
+        "batched_mean_total_infections": mean_total(batched_fc.trajectories),
     }
 
 

@@ -1,11 +1,11 @@
 """Throughput benchmark of the window-simulation hot path.
 
 Simulates one calibration window (14 days by default) for an ensemble of
-particles through both simulation paths the sequential calibrator offers:
+particles two ways:
 
 * **scalar** — one :class:`~repro.seir.StochasticSEIRModel` per particle,
-  exactly the per-task work of ``_run_first_window_task`` (engine
-  construction, day loop, checkpoint ``to_dict`` round-trip), and
+  the per-particle work of the scalar reference oracle plus a checkpoint
+  ``to_dict`` round-trip (engine construction, day loop), and
 * **batched** — one :class:`~repro.seir.BatchedBinomialLeapEngine` stepping
   the whole cloud as a ``(n_particles, n_compartments)`` state matrix,
   including the per-particle ``Trajectory``/checkpoint extraction the

@@ -24,11 +24,11 @@ Subpackages
 ``repro.seir``
     Stochastic SEIR simulator: three engines, checkpointing, parameters.
 ``repro.hpc``
-    Executors, MPI-like collectives, partitioning, schedulers, stores.
+    Executors, sharded batched dispatch, fault tolerance, stores.
 ``repro.data``
     Time series, schedules, observation streams, synthetic observations.
 ``repro.sim``
-    Ground-truth factory, ensemble sweeps, trajectory cache.
+    Ground-truth factory.
 ``repro.inference``
     High-level ``calibrate()`` / forecasting API.
 ``repro.baselines``

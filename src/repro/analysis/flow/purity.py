@@ -78,7 +78,6 @@ _FS_METHODS = frozenset({
 _DECLARED_STORE_SUFFIXES = (
     ("service", "artifacts.py"),
     ("hpc", "checkpoint_io.py"),
-    ("sim", "cache.py"),
 )
 
 #: The sanctioned RNG construction site: everything inside it is the seed

@@ -16,9 +16,10 @@ import numpy as np
 
 from ..core.particle import Particle, ParticleEnsemble
 from ..core.priors import IndependentProduct
-from ..core.smc import BIAS_PARAM, _FirstWindowTask, _run_first_window_task
+from ..core.smc import BIAS_PARAM
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
+from ..hpc.sharding import resolve_shard_layout, simulate_members
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 
@@ -79,12 +80,15 @@ def abc_rejection(observations: ObservationSet,
                   n_proposals: int = 1000,
                   tolerance: float | None = None,
                   accept_quantile: float = 0.05,
-                  engine: str = "binomial_leap",
                   engine_options: dict | None = None,
                   param_map: dict[str, str] | None = None,
                   base_seed: int = 20240215,
                   executor: Executor | None = None) -> ABCResult:
     """Rejection ABC on the case stream over ``[start_day, end_day)``.
+
+    Proposals are simulated from day 0 as one sharded batched dispatch
+    (:func:`~repro.hpc.sharding.simulate_members`, one shard per executor
+    worker); ``engine_options`` are the batched engine's keywords.
 
     Parameters
     ----------
@@ -105,21 +109,19 @@ def abc_rejection(observations: ObservationSet,
     seeds = bank.common_replicate_seeds(n_proposals)
     cases_obs = observations["cases"].series.window(start_day, end_day)
 
-    tasks = []
-    for i in range(n_proposals):
-        draw = {name: float(draws[name][i]) for name in prior.names}
-        params = base_params.with_updates(
+    draw_dicts = [{name: float(draws[name][i]) for name in prior.names}
+                  for i in range(n_proposals)]
+    trajectories = simulate_members(
+        executor,
+        [base_params.with_updates(
             **{fld: draw[name] for name, fld in param_map.items()})
-        tasks.append(_FirstWindowTask(
-            params_payload=params.to_dict(), seed=seeds[i], end_day=end_day,
-            start_day=0, engine=engine,
-            engine_options=dict(engine_options or {})))
-    outputs = executor.map(_run_first_window_task, tasks)
+         for draw in draw_dicts],
+        seeds, end_day=end_day, start_day=0, engine_options=engine_options,
+        **resolve_shard_layout(executor))
 
     distances = np.empty(n_proposals)
     particles = []
-    for i, (trajectory, _cp) in enumerate(outputs):
-        draw = {name: float(draws[name][i]) for name in prior.names}
+    for i, (draw, trajectory) in enumerate(zip(draw_dicts, trajectories)):
         true_counts = trajectory.series("cases").window(start_day, end_day)
         rho = draw[BIAS_PARAM]
         thinned = rng_thin.binomial(

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.observation import ObservationModel
-from ..core.smc import _FirstWindowTask, _run_first_window_task
 from ..core.weights import logsumexp
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
+from ..hpc.sharding import resolve_shard_layout, simulate_members
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 
@@ -66,7 +66,6 @@ def grid_posterior(observations: ObservationSet,
                    theta_grid: np.ndarray,
                    rho_grid: np.ndarray,
                    n_replicates: int = 5,
-                   engine: str = "binomial_leap",
                    engine_options: dict | None = None,
                    base_seed: int = 20240215,
                    executor: Executor | None = None) -> GridPosterior:
@@ -74,7 +73,9 @@ def grid_posterior(observations: ObservationSet,
 
     The likelihood at each node is the log-mean-exp over ``n_replicates``
     common-seed trajectories — the same pseudo-marginal estimate the other
-    methods use, so comparisons are apples-to-apples.
+    methods use, so comparisons are apples-to-apples.  Every node's
+    replicates are simulated from day 0 in one sharded batched dispatch
+    (:func:`~repro.hpc.sharding.simulate_members`).
     """
     theta_values = np.asarray(theta_grid, dtype=np.float64)
     rho_values = np.asarray(rho_grid, dtype=np.float64)
@@ -87,21 +88,17 @@ def grid_posterior(observations: ObservationSet,
     window_obs = observations.window(start_day, end_day)
 
     # Simulation depends on theta only; rho enters through the bias model.
-    tasks = []
-    for theta in theta_values:
-        payload = base_params.with_updates(transmission_rate=float(theta)).to_dict()
-        for seed in seeds:
-            tasks.append(_FirstWindowTask(
-                params_payload=payload, seed=seed, end_day=end_day,
-                start_day=0, engine=engine,
-                engine_options=dict(engine_options or {})))
-    outputs = executor.map(_run_first_window_task, tasks)
+    node_params = [base_params.with_updates(transmission_rate=float(theta))
+                   for theta in theta_values]
+    outputs = simulate_members(
+        executor, [params for params in node_params for _ in seeds],
+        seeds * len(node_params), end_day=end_day, start_day=0,
+        engine_options=engine_options, **resolve_shard_layout(executor))
 
     n_theta, n_rho = len(theta_values), len(rho_values)
     log_lik = np.empty((n_theta, n_rho))
     for i in range(n_theta):
-        trajectories = [outputs[i * n_replicates + r][0]
-                        for r in range(n_replicates)]
+        trajectories = outputs[i * n_replicates:(i + 1) * n_replicates]
         for j, rho in enumerate(rho_values):
             reps = np.array([
                 observation_model.loglik(window_obs, traj, float(rho), rng_bias)

@@ -20,10 +20,11 @@ from ..core.observation import ObservationModel
 from ..core.particle import Particle, ParticleEnsemble
 from ..core.priors import IndependentProduct
 from ..core.resampling import get_resampler
-from ..core.smc import BIAS_PARAM, _FirstWindowTask, _run_first_window_task
+from ..core.smc import BIAS_PARAM
 from ..core.weights import normalize_log_weights
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
+from ..hpc.sharding import resolve_shard_layout, simulate_members
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 
@@ -68,7 +69,6 @@ def single_shot_importance_sampling(
         n_parameter_draws: int = 500,
         n_replicates: int = 5,
         resample_size: int = 500,
-        engine: str = "binomial_leap",
         engine_options: dict | None = None,
         param_map: dict[str, str] | None = None,
         base_seed: int = 20240215,
@@ -78,6 +78,8 @@ def single_shot_importance_sampling(
     Mirrors the first-window step of the sequential calibrator but scores
     every observed day at once.  Parameters are held constant across the
     horizon — exactly the restriction that hurts when the truth varies.
+    Trajectories are simulated from day 0 in one sharded batched dispatch
+    (:func:`~repro.hpc.sharding.simulate_members`).
     """
     executor = executor or SerialExecutor()
     param_map = dict(param_map or {"theta": "transmission_rate"})
@@ -90,24 +92,22 @@ def single_shot_importance_sampling(
     seeds = bank.common_replicate_seeds(n_replicates)
     window_obs = observations.window(start_day, end_day)
 
-    tasks, meta = [], []
+    members, member_params = [], []
     for i in range(n_parameter_draws):
         draw = {name: float(draws[name][i]) for name in prior.names}
         params = base_params.with_updates(
             **{fld: draw[name] for name, fld in param_map.items()})
-        payload = params.to_dict()
         for seed in seeds:
-            tasks.append(_FirstWindowTask(
-                params_payload=payload, seed=seed, end_day=end_day,
-                start_day=0, engine=engine,
-                engine_options=dict(engine_options or {})))
-            meta.append((i, seed))
-    outputs = executor.map(_run_first_window_task, tasks)
+            members.append((draw, seed))
+            member_params.append(params)
+    outputs = simulate_members(
+        executor, member_params, [seed for _draw, seed in members],
+        end_day=end_day, start_day=0, engine_options=engine_options,
+        **resolve_shard_layout(executor))
 
-    log_weights = np.empty(len(tasks))
+    log_weights = np.empty(len(members))
     particles = []
-    for k, ((i, seed), (trajectory, _cp)) in enumerate(zip(meta, outputs)):
-        draw = {name: float(draws[name][i]) for name in prior.names}
+    for k, ((draw, seed), trajectory) in enumerate(zip(members, outputs)):
         ll = observation_model.loglik(window_obs, trajectory,
                                       draw[BIAS_PARAM], rng_bias)
         log_weights[k] = ll

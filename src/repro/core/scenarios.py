@@ -529,21 +529,13 @@ class ScenarioSweep:
                    line_members: list[list[str]]) -> list[WindowResult]:
         """Compute one window for every world-line (reps only).
 
-        Batched configs flatten every line's group specs into one
-        :func:`~repro.hpc.sharding.simulate_group_sets` dispatch; scalar
-        configs fall back to per-line ``step_window`` (still deduplicated,
-        just not co-dispatched).
+        Every line's group specs are flattened into one
+        :func:`~repro.hpc.sharding.simulate_group_sets` dispatch.
         """
         reps = [members[0] for members in line_members]
         posteriors: list[ParticleEnsemble | None] = [
             results[rep][-1].posterior if index > 0 else None
             for rep in reps]
-        if not self.config.uses_batched_simulation:
-            return [
-                self.calibrators[rep].step_window(
-                    index, window, observations, posterior,
-                    n_proposals=plans[rep][0], resample_size=plans[rep][1])
-                for rep, posterior in zip(reps, posteriors)]
         pendings: list[PendingWindow] = []
         for rep, posterior in zip(reps, posteriors):
             pendings.append(self.calibrators[rep].propose_window(

@@ -1,5 +1,5 @@
-"""HPC execution substrate: executors, MPI-like collectives, partitioning,
-and sharded dispatch of batched ensemble simulation."""
+"""HPC execution substrate: executors, shard partitioning, fault-tolerant
+sharded dispatch of batched ensemble simulation, and checkpoint stores."""
 
 from .checkpoint_io import (CheckpointStore, StoreManifest,
                             write_json_atomic)
@@ -9,16 +9,10 @@ from .executor import (Executor, ProcessExecutor, SerialExecutor,
 from .faults import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
                      Fault, FaultPlan, RetryPolicy, ShardFailure,
                      ShardRetryError)
-from .mpi_like import REDUCE_OPS, MpiLikeComm, SpmdError, run_spmd
-from .partition import (block_partition, chunk_sizes, cyclic_partition,
-                        lpt_partition, partition_bounds, shard_bounds)
+from .partition import chunk_sizes, partition_bounds, shard_bounds
 from .sharding import (GroupShards, GroupSpec, ShardResult, ShardTask,
                        dispatch_shards, run_shard, simulate_groups,
-                       structural_groups)
-from .reduce import (allreduce_sum, logsumexp_pair, merge_logsumexp,
-                     merge_weighted_mean, tree_reduce)
-from .scheduler import (ScheduleResult, compare_policies, simulate_static,
-                        simulate_work_stealing)
+                       simulate_members, structural_groups)
 
 __all__ = [
     "Executor", "SerialExecutor", "ProcessExecutor", "ThreadExecutor",
@@ -26,14 +20,9 @@ __all__ = [
     "RetryPolicy", "ShardFailure", "ShardRetryError",
     "Fault", "FaultPlan", "ChaosExecutor", "ChaosInjectedError",
     "CorruptedResult",
-    "MpiLikeComm", "run_spmd", "SpmdError", "REDUCE_OPS",
-    "block_partition", "cyclic_partition", "chunk_sizes",
-    "lpt_partition", "partition_bounds", "shard_bounds",
+    "chunk_sizes", "partition_bounds", "shard_bounds",
     "GroupSpec", "GroupShards", "ShardTask", "ShardResult",
-    "run_shard", "dispatch_shards", "simulate_groups", "structural_groups",
-    "tree_reduce", "logsumexp_pair", "merge_logsumexp",
-    "merge_weighted_mean", "allreduce_sum",
-    "ScheduleResult", "simulate_static", "simulate_work_stealing",
-    "compare_policies",
+    "run_shard", "dispatch_shards", "simulate_groups", "simulate_members",
+    "structural_groups",
     "CheckpointStore", "StoreManifest", "write_json_atomic",
 ]

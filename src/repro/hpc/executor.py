@@ -8,8 +8,8 @@ debugging), process pools (multi-core laptops / single cluster nodes), and
 thread pools (useful when the mapped function releases the GIL).
 
 An mpi4py-backed executor would satisfy the same protocol via
-``MPIPoolExecutor.map``; the adapter seam is documented in DESIGN.md.  The
-in-repo MPI-style communicator lives in :mod:`repro.hpc.mpi_like`.
+``MPIPoolExecutor.map``.  The calibrator dispatches only shard tasks through
+this protocol (:mod:`repro.hpc.sharding`).
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class ProcessExecutor(Executor):
     """``concurrent.futures.ProcessPoolExecutor`` with sensible chunking.
 
     The mapped function and task payloads must be picklable, which is why
-    every simulation task in :mod:`repro.sim` is a module-level function fed
-    with plain tuples/dicts.
+    the shard task (:func:`repro.hpc.sharding.run_shard`) is a module-level
+    function fed with a frozen, array-backed dataclass.
     """
 
     def __init__(self, max_workers: int | None = None,
@@ -239,9 +239,8 @@ class ThreadExecutor(Executor):
     """Thread-pool execution.
 
     numpy's binomial/multinomial samplers hold the GIL, so this backend only
-    pays off for I/O-bound tasks (checkpoint writes); it mainly exists so the
-    executor matrix in the scaling bench can show *why* process pools are the
-    right backend for this workload.
+    pays off for I/O-bound tasks (checkpoint writes); it mainly exists to
+    show *why* process pools are the right backend for this workload.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:

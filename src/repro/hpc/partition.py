@@ -1,19 +1,13 @@
-"""Work partitioning utilities for distributing ensembles over ranks.
+"""Block partitioning of an ordered batch into contiguous shards.
 
-These mirror the decompositions an MPI implementation of the paper's
-framework would use: block and cyclic index partitions for homogeneous
-simulation tasks, and a longest-processing-time (LPT) partition for
-heterogeneous ones (late-epidemic windows cost more than early ones because
-event counts scale with prevalence).
+The sharded dispatch (:mod:`repro.hpc.sharding`) splits each structural
+group's members into contiguous, evenly sized blocks; these helpers compute
+the block sizes and half-open bounds.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import numpy.typing as npt
-
-__all__ = ["block_partition", "cyclic_partition", "chunk_sizes",
-           "lpt_partition", "partition_bounds", "shard_bounds"]
+__all__ = ["chunk_sizes", "partition_bounds", "shard_bounds"]
 
 
 def _validate(n_items: int, n_parts: int) -> None:
@@ -82,42 +76,3 @@ def shard_bounds(n_items: int, *, shard_size: int | None = None,
         n_parts = n_shards if n_shards is not None else 1
     return partition_bounds(n_items, min(n_parts, n_items))
 
-
-def block_partition(n_items: int, n_parts: int) -> list[np.ndarray]:
-    """Contiguous index blocks, one per part (possibly empty)."""
-    return [np.arange(lo, hi) for lo, hi in partition_bounds(n_items, n_parts)]
-
-
-def cyclic_partition(n_items: int, n_parts: int) -> list[np.ndarray]:
-    """Round-robin index assignment (part ``p`` gets ``p, p+P, p+2P, ...``).
-
-    Cyclic assignment statistically balances task-cost gradients (e.g. prior
-    draws sorted by transmission rate) without needing cost estimates.
-    """
-    _validate(n_items, n_parts)
-    return [np.arange(p, n_items, n_parts) for p in range(n_parts)]
-
-
-def lpt_partition(costs: npt.ArrayLike, n_parts: int) -> list[np.ndarray]:
-    """Longest-processing-time-first assignment by estimated task cost.
-
-    Greedy 4/3-approximate makespan minimisation: sort tasks by decreasing
-    cost, repeatedly assign to the currently lightest part.  Returns index
-    arrays per part (each sorted ascending for deterministic downstream
-    iteration).
-    """
-    cost_arr = np.asarray(costs, dtype=np.float64)
-    if cost_arr.ndim != 1:
-        raise ValueError("costs must be 1-d")
-    if np.any(cost_arr < 0):
-        raise ValueError("costs must be non-negative")
-    _validate(len(cost_arr), n_parts)
-
-    order = np.argsort(-cost_arr, kind="stable")
-    loads = np.zeros(n_parts)
-    buckets: list[list[int]] = [[] for _ in range(n_parts)]
-    for idx in order:
-        target = int(np.argmin(loads))
-        buckets[target].append(int(idx))
-        loads[target] += cost_arr[idx]
-    return [np.array(sorted(b), dtype=np.int64) for b in buckets]

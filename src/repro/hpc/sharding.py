@@ -40,9 +40,11 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..core.contracts import check_shaped
-from ..seir.batch_engine import BatchTrajectory, leap_particle_snapshot
+from ..seir.batch_engine import (BatchedBinomialLeapEngine, BatchTrajectory,
+                                 leap_particle_snapshot)
 from ..seir.checkpoint import StackedLeapState, stack_leap_snapshots
 from ..seir.model import batch_engine_class
+from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import batch_generator_for
 from ..seir.tauleap import transition_table_key
@@ -52,7 +54,7 @@ from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "structural_groups", "build_group_specs",
+           "simulate_group_sets", "simulate_members", "structural_groups", "build_group_specs",
            "validate_shard_policy", "resolve_shard_layout"]
 
 
@@ -99,9 +101,7 @@ def structural_groups(params_list: Sequence[DiseaseParameters]) -> list[list[int
     transmission rate is carried per member.  With the calibrator's default
     ``param_map`` (theta only) there is exactly one group.  A ``param_map``
     targeting a *structural* field with a continuous jitter makes every
-    particle its own group, degrading the batched path to serial singleton
-    engines — for such maps prefer a scalar engine plus a parallel
-    executor.
+    particle its own group, degrading each group to a singleton batch.
     """
     groups: dict[tuple, list[int]] = {}
     for idx, params in enumerate(params_list):
@@ -463,6 +463,38 @@ def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
                 return_state=return_state))
         placements.append(task_ids)
     return layouts, placements
+
+
+def simulate_members(executor: Executor,
+                     params_list: Sequence[DiseaseParameters],
+                     seeds: Sequence[int], *, end_day: int,
+                     start_day: int | None = None,
+                     snapshots: Sequence[dict] | None = None,
+                     engine_options: dict | None = None,
+                     shard_size: int | None = None,
+                     n_shards: int | None = None) -> list[Trajectory]:
+    """One trajectory per member, simulated as a single batched dispatch.
+
+    The front door for callers that want plain per-member trajectories
+    (forecasts and the baselines) rather than checkpoints: groups the
+    members structurally, builds their specs (fresh starts at ``start_day``
+    or restarts from ``snapshots``, exactly as :func:`build_group_specs`),
+    runs :func:`simulate_groups` without returning engine state, and reads
+    each member's row back in input order.
+    """
+    groups = structural_groups(params_list)
+    specs = build_group_specs(groups, params_list, seeds,
+                              start_day=start_day, snapshots=snapshots)
+    shards = simulate_groups(executor, specs, end_day=end_day,
+                             engine=BatchedBinomialLeapEngine.name,
+                             engine_options=engine_options,
+                             shard_size=shard_size, n_shards=n_shards,
+                             return_state=False)
+    trajectories: list[Trajectory | None] = [None] * len(params_list)
+    for indices, group in zip(groups, shards):
+        for member, result, row in group.member_items():
+            trajectories[indices[member]] = result.batch.trajectory(row)
+    return trajectories  # type: ignore[return-value]
 
 
 def simulate_group_sets(executor: Executor,

@@ -10,6 +10,7 @@ model) on demand, so scripts and benches configure runs declaratively.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 from ..core.diagnostics import DEGENERACY_THRESHOLD
 from ..core.observation import ObservationModel, paper_observation_model
@@ -54,12 +55,11 @@ class CalibrationConfig:
     sigma: float = 1.0
     bias_mode: str = "sample"
     resampler: str = "multinomial"
-    #: "binomial_leap_batched" steps each window's whole ensemble as stacked
-    #: state matrices, sharded across the executor; any scalar engine name
-    #: restores the per-particle executor path.
-    engine: str = "binomial_leap_batched"
+    #: Read-only: every window's whole ensemble is stepped as stacked state
+    #: matrices by the batched engine, sharded across the executor.
+    engine: ClassVar[str] = SMCConfig.engine
     steps_per_day: int = 4
-    #: Batched-path shard layout: members per shard, or an explicit shard
+    #: Shard layout: members per shard, or an explicit shard
     #: count; the default "auto" policy cuts one shard per executor worker
     #: (see repro.hpc.sharding).
     shard_size: int | None = None
@@ -141,11 +141,7 @@ class CalibrationConfig:
             resample_size=self.resample_size,
             n_continuations=self.n_continuations,
             resampler=self.resampler,
-            engine=self.engine,
-            engine_options=({"steps_per_day": self.steps_per_day}
-                            if self.engine in ("binomial_leap",
-                                               "binomial_leap_batched")
-                            else {}),
+            engine_options={"steps_per_day": self.steps_per_day},
             shard_size=self.shard_size,
             n_shards=self.n_shards,
             base_seed=self.base_seed,

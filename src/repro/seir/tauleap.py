@@ -16,14 +16,15 @@ The engine simulates **one trajectory per instance** with its own
 ``numpy`` generator derived from the particle seed.  That preserves the
 paper's central invariant — ``(theta, s)`` maps one-to-one to a trajectory —
 which vectorised multi-trajectory batching with a *shared* RNG cannot: each
-member's draws would depend on the batch composition.  Ensemble concurrency
-across scalar instances is provided by :mod:`repro.hpc`; alternatively
-:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` steps the whole
-particle cloud as one ``(n_particles, n_compartments)`` state matrix under a
-relaxed, batch-level RNG contract (bit-reproducible given the *ordered* seed
-vector via :func:`~repro.seir.seeding.batch_generator_for`; equal to this
-engine in distribution, not bit-for-bit).  This scalar engine remains the
-reference oracle the batched engine is cross-checked against.
+member's draws would depend on the batch composition.  The calibrator
+instead steps ensembles on
+:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, which advances
+the whole particle cloud as one ``(n_particles, n_compartments)`` state
+matrix under a relaxed, batch-level RNG contract (bit-reproducible given the
+*ordered* seed vector via :func:`~repro.seir.seeding.batch_generator_for`;
+equal to this engine in distribution, not bit-for-bit).  This scalar engine
+remains the reference oracle the batched engine is cross-checked against
+(:func:`repro.testing.restart_oracle`).
 
 Within a trajectory the update is fully vectorised over compartments: the
 per-substep cost is one vectorised binomial draw for all exits plus one

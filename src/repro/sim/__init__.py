@@ -1,11 +1,7 @@
-"""Simulation orchestration: ground truth, ensemble sweeps, caching."""
+"""Simulation orchestration: ground-truth epidemics."""
 
-from .cache import CacheStats, TrajectoryCache
-from .ensemble import EnsembleResult, EnsembleSpec, common_seed_grid, run_ensemble
 from .groundtruth import GroundTruth, make_fig2_ground_truth, make_ground_truth
 
 __all__ = [
     "GroundTruth", "make_ground_truth", "make_fig2_ground_truth",
-    "EnsembleSpec", "EnsembleResult", "run_ensemble", "common_seed_grid",
-    "TrajectoryCache", "CacheStats",
 ]

@@ -1,9 +1,12 @@
-"""Reusable test scaffolding: bitwise parity oracles and fixtures.
+"""Reusable test scaffolding: bitwise parity oracles, the scalar restart
+oracle, and fixtures.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'
 own suites, not just this repository's.
 """
+
+from .oracle import restart_oracle, window_oracle
 
 from .parity import (assert_ensembles_identical, assert_particles_identical,
                      assert_runs_identical, assert_trajectories_identical,
@@ -22,4 +25,6 @@ __all__ = [
     "parity_config",
     "parity_calibrator",
     "parity_sweep",
+    "restart_oracle",
+    "window_oracle",
 ]

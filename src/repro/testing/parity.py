@@ -169,14 +169,13 @@ def parity_truth(population: int = 50_000, horizon: int = 35,
 
 
 def parity_config(base_seed: int = 17, **config_kwargs) -> SMCConfig:
-    """Small batched config with the fixed shard layout the oracles pin.
+    """Small config with the fixed shard layout the oracles pin.
 
     ``n_shards=3`` (unless overridden) keeps shard boundaries identical
     across serial and pooled executors, so cross-executor comparisons are
     bitwise rather than merely statistical.
     """
     config_kwargs.setdefault("n_shards", 3)
-    config_kwargs.setdefault("engine", "binomial_leap_batched")
     return SMCConfig(n_parameter_draws=30, n_replicates=2, resample_size=40,
                      base_seed=base_seed, **config_kwargs)
 

@@ -26,10 +26,11 @@ GOOD = FLOW_FIXTURES / "good"
 #: Executor protocol; every one must carry a pure certificate.
 SHIPPED_DISPATCH_TARGETS = {
     "repro.hpc.sharding.run_shard",
-    "repro.sim.ensemble._run_member_task",
-    "repro.core.smc._run_first_window_task",
-    "repro.core.smc._run_continuation_task",
 }
+
+#: Dispatch sites on the shipped tree: the executor-internal map/submit
+#: calls plus the two ``run_shard`` dispatches in ``hpc/sharding.py``.
+SHIPPED_DISPATCH_SITES = 6
 
 
 class TestPR1CrossFile:
@@ -131,6 +132,15 @@ class TestSelfApplication:
         for target in SHIPPED_DISPATCH_TARGETS:
             assert target in by_target, sorted(by_target)
             assert all(c["pure"] for c in by_target[target])
+
+    def test_shipped_tree_dispatches_only_shards(self):
+        """One production path: every resolved dispatch target is
+        ``run_shard``, every site is pure, and the count is pinned."""
+        _, certs = run_flow([SRC])
+        assert len(certs) == SHIPPED_DISPATCH_SITES, certs
+        assert all(c["pure"] for c in certs)
+        resolved = {c["target"] for c in certs} - {"<unresolved>"}
+        assert resolved == SHIPPED_DISPATCH_TARGETS
 
     def test_certificates_declare_their_soundness_boundary(self):
         """Dynamic engine construction must show up as unresolved calls,

@@ -1,10 +1,13 @@
 """Tests for the batched simulation path of the sequential calibrator.
 
-The scalar engine path is the reference oracle; the batched path must agree
-with it *distributionally* (overlapping per-window credible intervals, the
-PR-1 weighting precedent) while bypassing the executor and the per-task
-dict/JSON checkpoint round-trips entirely.
+The per-particle scalar restart (:func:`repro.testing.window_oracle`) is
+the reference oracle; a batched continuation window must agree with it
+*distributionally* (overlapping credible intervals of the window totals and
+of the weighted posteriors) when both restart the same parents with the
+same parameters and seeds.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from repro.core import (Beta, IndependentProduct, JointJitter,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import SerialExecutor
+from repro.inference import CalibrationConfig
 from repro.seir import Checkpoint, DiseaseParameters
 from repro.sim import make_ground_truth
+from repro.testing import window_oracle
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +33,7 @@ def small_truth():
                              rho_schedule=PiecewiseConstant.constant(0.7))
 
 
-def calibrator(schedule, truth, engine, *, base_seed=17, executor=None,
+def calibrator(schedule, truth, *, base_seed=17, executor=None,
                param_map=None, prior=None, jitter=None, n_continuations=1):
     return SequentialCalibrator(
         base_params=truth.params,
@@ -38,7 +43,7 @@ def calibrator(schedule, truth, engine, *, base_seed=17, executor=None,
         schedule=schedule,
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,
-                         engine=engine, n_continuations=n_continuations),
+                         n_continuations=n_continuations),
         executor=executor,
         param_map=param_map)
 
@@ -46,57 +51,93 @@ def calibrator(schedule, truth, engine, *, base_seed=17, executor=None,
 class TestConfig:
     def test_batched_engine_is_default(self):
         assert SMCConfig().engine == "binomial_leap_batched"
-        assert SMCConfig().uses_batched_simulation
+        assert CalibrationConfig().engine == "binomial_leap_batched"
+        # A class constant, not a settable field.
+        assert "engine" not in {f.name for f in dataclasses.fields(SMCConfig)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SMCConfig().engine = "binomial_leap"  # type: ignore[misc]
 
     def test_scalar_engines_not_batched(self):
-        assert not SMCConfig(engine="binomial_leap").uses_batched_simulation
-        assert not SMCConfig(engine="gillespie").uses_batched_simulation
+        """Scalar engines no longer configure the calibrator: they are
+        test oracles only."""
+        for name in ("binomial_leap", "gillespie"):
+            with pytest.raises(TypeError, match="engine"):
+                SMCConfig(engine=name)
+            with pytest.raises(TypeError, match="engine"):
+                CalibrationConfig(engine=name)
 
     def test_unknown_engine_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             SMCConfig(engine="bogus_engine")
 
 
 class TestScalarBatchedParity:
-    """Acceptance: batched posteriors overlap the scalar run's intervals."""
+    """Acceptance: one continuation window, restarted batched and through
+    the per-particle scalar oracle from the same parents with the same
+    parameters and seeds, agrees in distribution."""
 
     @pytest.fixture(scope="class")
     def runs(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])
+        return calibrator(schedule, small_truth).run(
+            small_truth.observations())
+
+    @pytest.fixture(scope="class")
+    def window(self, small_truth, runs):
+        """Window 1 proposed from the real window-0 posterior, then
+        simulated both ways and weighed against the same observations."""
+        calib = calibrator(WindowSchedule.from_breaks([10, 20, 30]),
+                           small_truth)
         obs = small_truth.observations()
-        results = {}
-        for engine in ("binomial_leap", "binomial_leap_batched"):
-            calib = calibrator(schedule, small_truth, engine)
-            results[engine] = calib.run(obs)
-        return results
+        window1 = list(calib.schedule)[1]
+        pending = calib.propose_window(1, window1, runs[0].posterior)
+        batched = calib.assemble_window(pending,
+                                        calib._simulate_pending(pending))
+        oracle = window_oracle(pending)
+        return {name: (ensemble, calib.weigh_window(
+                    1, window1, ensemble, obs,
+                    sim_days=pending.sim_days).posterior)
+                for name, ensemble in (("batched", batched),
+                                       ("oracle", oracle))}
 
-    def test_per_window_credible_intervals_overlap(self, runs):
-        for w in range(2):
-            for name in ("theta", "rho"):
-                lo_s, hi_s = runs["binomial_leap"][w].posterior \
-                    .credible_interval(name, 0.9)
-                lo_b, hi_b = runs["binomial_leap_batched"][w].posterior \
-                    .credible_interval(name, 0.9)
-                assert lo_b <= hi_s and lo_s <= hi_b, (
-                    f"window {w} {name}: scalar [{lo_s:.3f}, {hi_s:.3f}] vs "
-                    f"batched [{lo_b:.3f}, {hi_b:.3f}] do not overlap")
+    @staticmethod
+    def totals(ensemble, channel):
+        return np.array([p.segment.series(channel).values.sum()
+                         for p in ensemble])
 
-    def test_posterior_means_close(self, runs):
-        for w in range(2):
-            t_s = runs["binomial_leap"][w].posterior.weighted_mean("theta")
-            t_b = runs["binomial_leap_batched"][w].posterior \
-                .weighted_mean("theta")
-            assert t_b == pytest.approx(t_s, abs=0.08)
+    def test_per_window_credible_intervals_overlap(self, window):
+        for channel in ("cases", "deaths"):
+            lo_s, hi_s = np.quantile(
+                self.totals(window["oracle"][0], channel), [0.05, 0.95])
+            lo_b, hi_b = np.quantile(
+                self.totals(window["batched"][0], channel), [0.05, 0.95])
+            assert lo_b <= hi_s and lo_s <= hi_b, (
+                f"{channel} totals: oracle [{lo_s:.0f}, {hi_s:.0f}] vs "
+                f"batched [{lo_b:.0f}, {hi_b:.0f}] do not overlap")
+        for name in ("theta", "rho"):
+            lo_s, hi_s = window["oracle"][1].credible_interval(name, 0.9)
+            lo_b, hi_b = window["batched"][1].credible_interval(name, 0.9)
+            assert lo_b <= hi_s and lo_s <= hi_b, (
+                f"{name}: oracle [{lo_s:.3f}, {hi_s:.3f}] vs "
+                f"batched [{lo_b:.3f}, {hi_b:.3f}] do not overlap")
+
+    def test_posterior_means_close(self, window):
+        cases_s = self.totals(window["oracle"][0], "cases").mean()
+        cases_b = self.totals(window["batched"][0], "cases").mean()
+        assert cases_b == pytest.approx(cases_s, rel=0.15)
+        t_s = window["oracle"][1].weighted_mean("theta")
+        t_b = window["batched"][1].weighted_mean("theta")
+        assert t_b == pytest.approx(t_s, abs=0.08)
 
     def test_batched_particles_carry_scalar_checkpoints(self, runs):
-        for result in runs["binomial_leap_batched"]:
+        for result in runs:
             for p in result.posterior.particles[:5]:
                 assert isinstance(p.checkpoint, Checkpoint)
                 assert p.checkpoint.engine_name == "binomial_leap"
                 assert p.checkpoint.day == result.window.end_day
 
     def test_batched_histories_contiguous(self, runs):
-        final = runs["binomial_leap_batched"][-1].posterior
+        final = runs[-1].posterior
         for p in final.particles[:10]:
             assert p.history.start_day == 0
             assert p.history.end_day == 30
@@ -107,10 +148,8 @@ class TestBatchedRunBehaviour:
     def test_reproducible_given_base_seed(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20])
         obs = small_truth.observations()
-        r1 = calibrator(schedule, small_truth,
-                        "binomial_leap_batched").run(obs)
-        r2 = calibrator(schedule, small_truth,
-                        "binomial_leap_batched").run(obs)
+        r1 = calibrator(schedule, small_truth).run(obs)
+        r2 = calibrator(schedule, small_truth).run(obs)
         assert np.array_equal(r1[0].posterior.values("theta"),
                               r2[0].posterior.values("theta"))
         assert np.array_equal(r1[0].posterior.values("rho"),
@@ -129,28 +168,31 @@ class TestBatchedRunBehaviour:
 
         schedule = WindowSchedule.from_breaks([10, 20, 30])
         spy = SpyExecutor()
-        calibrator(schedule, small_truth, "binomial_leap_batched",
-                   executor=spy).run(small_truth.observations())
+        calibrator(schedule, small_truth, executor=spy).run(
+            small_truth.observations())
         # Two windows (first + one continuation), one structural group each.
         assert SpyExecutor.task_counts == [1, 1]
 
     def test_burn_in_start_honoured_by_both_paths(self, small_truth):
-        """Scalar and batched first windows must share the burn-in clock."""
+        """The fused step and the split propose/simulate/assemble phases
+        share the burn-in clock."""
         obs = small_truth.observations()
-        histories = {}
-        for engine in ("binomial_leap", "binomial_leap_batched"):
-            schedule = WindowSchedule.from_breaks([12, 22], burn_in_start=4)
-            result = calibrator(schedule, small_truth, engine).run(obs)[0]
-            p = result.posterior[0]
-            histories[engine] = p.history
+        schedule = WindowSchedule.from_breaks([12, 22], burn_in_start=4)
+        calib = calibrator(schedule, small_truth)
+        window0 = list(schedule)[0]
+        fused = calib.step_window(0, window0, obs).posterior[0]
+        pending = calib.propose_window(0, window0)
+        assert pending.sim_days == 18
+        split = calib.assemble_window(pending,
+                                      calib._simulate_pending(pending))[0]
+        for p in (fused, split):
             assert p.history.start_day == 4
             assert p.segment.start_day == 12
-        assert histories["binomial_leap"].end_day == \
-            histories["binomial_leap_batched"].end_day
+            assert p.history.end_day == 22
 
     def test_multiple_continuations(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])
-        results = calibrator(schedule, small_truth, "binomial_leap_batched",
+        results = calibrator(schedule, small_truth,
                              n_continuations=2).run(
             small_truth.observations())
         assert len(results[-1].posterior) == 60
@@ -170,8 +212,7 @@ class TestBatchedRunBehaviour:
             base_params=small_truth.params, prior=prior, jitter=jitter,
             observation_model=paper_observation_model(), schedule=schedule,
             config=SMCConfig(n_parameter_draws=8, n_replicates=2,
-                             resample_size=12, base_seed=5,
-                             engine="binomial_leap_batched"),
+                             resample_size=12, base_seed=5),
             param_map={"theta": "transmission_rate",
                        "mild": "mild_fraction"})
         result = calib.run(small_truth.observations())[0]
@@ -185,30 +226,25 @@ class TestBatchedRunBehaviour:
 
 
 class TestContinuationPayloadCache:
-    def test_parent_checkpoints_serialised_once_per_window(self, small_truth,
-                                                           monkeypatch):
-        """Scalar path: to_dict once per distinct parent, not per task."""
+    def test_parents_never_serialised(self, small_truth, monkeypatch):
+        """Continuations stack parent snapshots into one state matrix per
+        group; no parent checkpoint is ever round-tripped through
+        ``to_dict``."""
         schedule = WindowSchedule.from_breaks([10, 20, 30])
-        calib = calibrator(schedule, small_truth, "binomial_leap",
-                           n_continuations=3)
+        calib = calibrator(schedule, small_truth, n_continuations=3)
         obs = small_truth.observations()
         window0, window1 = list(calib.schedule)
-        posterior = calib._weigh_and_resample(
-            0, window0, calib._first_window_ensemble(window0), obs).posterior
+        posterior = calib.step_window(0, window0, obs).posterior
 
-        parent_ids = {id(p.checkpoint) for p in posterior}
-        counts = {"parent_to_dict": 0}
+        calls = {"to_dict": 0}
         original = Checkpoint.to_dict
 
         def counting_to_dict(self):
-            if id(self) in parent_ids:
-                counts["parent_to_dict"] += 1
+            calls["to_dict"] += 1
             return original(self)
 
         monkeypatch.setattr(Checkpoint, "to_dict", counting_to_dict)
-        ensemble = calib._continuation_ensemble(window1, 1, posterior)
-        # 60 parents x 3 continuations = 180 tasks, but each distinct parent
-        # checkpoint object (resampling duplicates share one) is serialised
-        # exactly once.
-        assert len(ensemble) == 180
-        assert counts["parent_to_dict"] == len(parent_ids)
+        result = calib.step_window(1, window1, obs, posterior)
+        # 60 parents x 3 continuations = 180 restarts.
+        assert result.diagnostics.n_particles == 180
+        assert calls["to_dict"] == 0

@@ -44,7 +44,7 @@ def make_calibrator(truth, *, executor=None, base_seed=17,
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=30, n_replicates=2,
                          resample_size=40, base_seed=base_seed,
-                         engine="binomial_leap_batched", **config_kwargs),
+                         **config_kwargs),
         executor=executor, progress=progress)
 
 
@@ -87,6 +87,50 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="retry"):
             SMCConfig(retry=3)
         assert SMCConfig(retry=RetryPolicy()).retry.max_attempts == 3
+
+
+class TestResumeCompatibility:
+    """Stores written when ``engine`` and ``weighting`` were settable
+    fields must still resume: the fingerprint keeps both as constants."""
+
+    #: ``run_fingerprint()`` of the default ``CalibrationConfig`` calibrator
+    #: on a serial executor, as recorded by earlier releases.
+    DEFAULT_FINGERPRINT = {
+        "format_version": 1,
+        "base_seed": 20240215,
+        "engine": "binomial_leap_batched",
+        "engine_options": {"steps_per_day": 4},
+        "shard_layout": {"n_shards": 1},
+        "n_parameter_draws": 500,
+        "n_replicates": 5,
+        "resample_size": 500,
+        "n_continuations": 1,
+        "resampler": "multinomial",
+        "weighting": "batched",
+        "size_policy": "fixed",
+        "size_policy_options": {},
+        "resample_size_policy": "fixed",
+        "resample_size_policy_options": {},
+        "temper": [False, 0.05, 0.5, "systematic"],
+        "schedule": ["Days 20-33", "Days 34-47", "Days 48-61",
+                     "Days 62-75"],
+        "burn_in_start": 0,
+        "param_map": {"theta": "transmission_rate"},
+    }
+
+    def test_default_fingerprint_pinned(self, tmp_path):
+        from repro.inference import CalibrationConfig
+        config = CalibrationConfig()
+        calib = SequentialCalibrator(
+            base_params=config.disease_params(None), prior=config.prior(),
+            jitter=config.jitter(),
+            observation_model=config.observation_model(),
+            schedule=config.schedule(), config=config.smc_config(),
+            executor=SerialExecutor())
+        assert calib.run_fingerprint() == self.DEFAULT_FINGERPRINT
+        store = CheckpointStore(tmp_path)
+        store.validate_run_meta(self.DEFAULT_FINGERPRINT)
+        store.validate_run_meta(calib.run_fingerprint())
 
 
 class TestChaosCalibration:

@@ -7,8 +7,9 @@ Oracle guarantees under test (``docs/scenarios.md``):
 (b) scenario *k* calibrated inside a multi-scenario sweep is
     **bit-identical** to scenario *k* calibrated alone — on the serial
     executor AND a process pool, under the pinned shard layout;
-(c) a scenario's batched posterior agrees **distributionally** with the
-    scalar-engine oracle run of the same scenario.
+(c) a scenario's batched continuation window agrees **distributionally**
+    with the per-particle scalar restart oracle over the same parents,
+    effective parameters and seeds.
 
 Plus the world-line deduplication contract: scenarios sharing streams and
 effective parameters through a window prefix share those windows' result
@@ -29,7 +30,8 @@ from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
                                 simulate_groups, structural_groups)
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.testing import (assert_ensembles_identical, assert_runs_identical,
-                           parity_calibrator, parity_sweep, parity_truth)
+                           parity_calibrator, parity_sweep, parity_truth,
+                           window_oracle)
 
 # Mid-run overrides aligned with the parity breaks (8, 16, 24, 32):
 # continuation windows start at days 16 and 24.
@@ -279,19 +281,45 @@ class TestParityOracles:
 
     def test_oracle_c_scalar_engine_distributional_parity(self, truth,
                                                           sweep_and_results):
-        """Batched scenario posteriors overlap the scalar oracle's 90% CIs
-        (the engines share no bitstream, so parity is distributional)."""
+        """The window where mild16's override lands (day 16), restarted
+        batched and through the scalar restart oracle, overlaps in its
+        window totals and weighted posteriors (the engines share no
+        bitstream, so parity is distributional).  The oracle re-asserts
+        the scenario pin on every restart from baseline checkpoints."""
         _sweep, results = sweep_and_results
-        scalar = parity_calibrator(
-            truth, scenario=MILD16, engine="binomial_leap",
-            executor=SerialExecutor()).run(truth.observations())
-        for w, (ws, wb) in enumerate(zip(scalar, results["mild16"])):
-            for name in ("theta", "rho"):
-                lo_s, hi_s = ws.posterior.credible_interval(name, 0.9)
-                lo_b, hi_b = wb.posterior.credible_interval(name, 0.9)
-                assert lo_b <= hi_s and lo_s <= hi_b, (
-                    f"window {w} {name}: scalar [{lo_s:.3f}, {hi_s:.3f}] vs "
-                    f"batched [{lo_b:.3f}, {hi_b:.3f}] do not overlap")
+        calib = parity_calibrator(truth, scenario=MILD16)
+        obs = truth.observations()
+        window1 = list(calib.schedule)[1]
+        assert window1.start_day == 16
+        pending = calib.propose_window(1, window1,
+                                       results["mild16"][0].posterior)
+        assert all(p.mild_fraction == 0.97 for p in pending.member_params)
+        assert all(parent.checkpoint.params.mild_fraction != 0.97
+                   for parent in pending.parents)
+        batched = calib.assemble_window(pending,
+                                        calib._simulate_pending(pending))
+        oracle = window_oracle(pending)
+
+        def ci90_of_totals(ensemble, channel):
+            totals = [p.segment.series(channel).values.sum()
+                      for p in ensemble]
+            return np.quantile(totals, [0.05, 0.95])
+
+        for channel in ("cases", "deaths"):
+            lo_s, hi_s = ci90_of_totals(oracle, channel)
+            lo_b, hi_b = ci90_of_totals(batched, channel)
+            assert lo_b <= hi_s and lo_s <= hi_b, (
+                f"{channel} totals: oracle [{lo_s:.0f}, {hi_s:.0f}] vs "
+                f"batched [{lo_b:.0f}, {hi_b:.0f}] do not overlap")
+        ws, wb = (calib.weigh_window(1, window1, ensemble, obs,
+                                     sim_days=pending.sim_days)
+                  for ensemble in (oracle, batched))
+        for name in ("theta", "rho"):
+            lo_s, hi_s = ws.posterior.credible_interval(name, 0.9)
+            lo_b, hi_b = wb.posterior.credible_interval(name, 0.9)
+            assert lo_b <= hi_s and lo_s <= hi_b, (
+                f"{name}: scalar [{lo_s:.3f}, {hi_s:.3f}] vs "
+                f"batched [{lo_b:.3f}, {hi_b:.3f}] do not overlap")
 
 
 class TestWorldLineDedup:
@@ -435,21 +463,3 @@ class TestSimulateGroupSets:
         assert simulate_group_sets(SerialExecutor(), [], end_day=8,
                                    engine="binomial_leap_batched") == []
 
-
-class TestScalarConfigSweep:
-    """Scalar (non-batched) configs still dedupe — via per-line
-    ``step_window`` instead of the flattened dispatch."""
-
-    def test_scalar_sweep_matches_standalone_and_dedupes(self, truth):
-        sweep = parity_sweep(truth, ["baseline", MILD16],
-                             engine="binomial_leap")
-        results = sweep.run(truth.observations(include_deaths=True))
-        assert sweep.computed_windows == 5  # shared w0, split from day 16
-        assert sweep.reused_windows == 1
-        for name in sweep.names:
-            alone = parity_calibrator(
-                truth, scenario=get_scenario(name) if name == "baseline"
-                else MILD16, engine="binomial_leap")
-            assert_runs_identical(
-                alone.run(truth.observations(include_deaths=True)),
-                results[name], f"scalar scenario {name!r}")

@@ -4,8 +4,9 @@ Contract under test (see ``repro/hpc/sharding.py``):
 
 * bit-reproducibility given a fixed ``(base_seed, shard layout)``,
   including across executors (serial vs process pool);
-* distributional invariance to the shard layout (1 shard vs many overlap
-  the scalar oracle's credible intervals);
+* distributional invariance to the shard layout (1, 3 and many shards
+  overlap each other's credible intervals; the scalar oracle is compared
+  window by window in ``test_batched_simulation.py``);
 * ordered reassembly of the :class:`ParticleEnsemble` even when an
   executor returns shard results out of order.
 """
@@ -31,7 +32,7 @@ def small_truth():
                              rho_schedule=PiecewiseConstant.constant(0.7))
 
 
-def run_calibration(truth, *, executor=None, engine="binomial_leap_batched",
+def run_calibration(truth, *, executor=None,
                     shard_size=None, n_shards="auto", base_seed=17,
                     breaks=(10, 20, 30), **config_kwargs):
     calib = SequentialCalibrator(
@@ -42,7 +43,7 @@ def run_calibration(truth, *, executor=None, engine="binomial_leap_batched",
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,
-                         engine=engine, shard_size=shard_size,
+                         shard_size=shard_size,
                          n_shards=n_shards, **config_kwargs),
         executor=executor)
     return calib.run(truth.observations())
@@ -161,14 +162,14 @@ class TestShardInvariance:
     @pytest.fixture(scope="class")
     def runs(self, small_truth):
         return {
-            "scalar": run_calibration(small_truth, engine="binomial_leap"),
+            "three_shards": run_calibration(small_truth, n_shards=3),
             "one_shard": run_calibration(small_truth, n_shards=1),
             "many_shards": run_calibration(small_truth, shard_size=9),
         }
 
     @pytest.mark.parametrize("pair", [("one_shard", "many_shards"),
-                                      ("scalar", "many_shards"),
-                                      ("scalar", "one_shard")])
+                                      ("three_shards", "many_shards"),
+                                      ("three_shards", "one_shard")])
     def test_credible_intervals_overlap(self, runs, pair):
         left, right = (runs[p] for p in pair)
         for w in range(2):

@@ -1,10 +1,8 @@
 """Unit tests for partitioning utilities."""
 
-import numpy as np
 import pytest
 
-from repro.hpc import (block_partition, chunk_sizes, cyclic_partition,
-                       lpt_partition, partition_bounds)
+from repro.hpc import chunk_sizes, partition_bounds
 
 
 class TestChunkSizes:
@@ -27,64 +25,22 @@ class TestChunkSizes:
             chunk_sizes(5, 0)
 
 
-def assert_partition_complete(parts, n):
-    """Every index appears exactly once across parts."""
-    merged = np.concatenate([p for p in parts]) if parts else np.array([])
-    assert sorted(merged.tolist()) == list(range(n))
-
-
 class TestBlockPartition:
+    """``partition_bounds`` is the block partition, in half-open bounds."""
+
     def test_complete_and_disjoint(self):
-        assert_partition_complete(block_partition(17, 4), 17)
+        covered = [i for lo, hi in partition_bounds(17, 4)
+                   for i in range(lo, hi)]
+        assert covered == list(range(17))
 
     def test_blocks_contiguous(self):
-        for p in block_partition(12, 3):
-            if len(p) > 1:
-                assert np.all(np.diff(p) == 1)
+        bounds = partition_bounds(12, 3)
+        assert bounds[0][0] == 0 and bounds[-1][1] == 12
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_bounds_consistent(self):
         bounds = partition_bounds(10, 3)
         assert bounds == [(0, 4), (4, 7), (7, 10)]
-
-
-class TestCyclicPartition:
-    def test_complete_and_disjoint(self):
-        assert_partition_complete(cyclic_partition(17, 4), 17)
-
-    def test_round_robin_stride(self):
-        parts = cyclic_partition(10, 3)
-        assert list(parts[0]) == [0, 3, 6, 9]
-        assert list(parts[1]) == [1, 4, 7]
-
-    def test_single_part(self):
-        parts = cyclic_partition(5, 1)
-        assert list(parts[0]) == [0, 1, 2, 3, 4]
-
-
-class TestLptPartition:
-    def test_complete_and_disjoint(self):
-        costs = np.arange(1.0, 14.0)
-        assert_partition_complete(lpt_partition(costs, 4), 13)
-
-    def test_balances_skewed_costs(self):
-        """LPT must beat block partitioning on a sorted cost gradient."""
-        costs = np.linspace(1, 20, 16)
-        lpt_loads = [costs[p].sum() for p in lpt_partition(costs, 4)]
-        block_loads = [costs[p].sum() for p in block_partition(16, 4)]
-        assert max(lpt_loads) < max(block_loads)
-
-    def test_lpt_within_4_3_of_ideal(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        costs = rng.uniform(1, 10, size=40)
-        loads = [costs[p].sum() for p in lpt_partition(costs, 4)]
-        ideal = costs.sum() / 4
-        assert max(loads) <= (4 / 3) * ideal + costs.max() / 4 + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lpt_partition(np.array([[1.0]]), 2)
-        with pytest.raises(ValueError):
-            lpt_partition(np.array([-1.0]), 2)
 
 
 class TestShardBounds:

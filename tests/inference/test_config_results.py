@@ -23,10 +23,13 @@ class TestCalibrationConfig:
                           "Days 62-75"]
 
     def test_engine_options_only_for_leap(self):
-        leap = CalibrationConfig(engine="binomial_leap", steps_per_day=2)
+        """The engine is always the batched leap, so steps_per_day always
+        reaches it; naming another engine is refused."""
+        leap = CalibrationConfig(steps_per_day=2)
         assert leap.smc_config().engine_options == {"steps_per_day": 2}
-        ssa = CalibrationConfig(engine="gillespie")
-        assert ssa.smc_config().engine_options == {}
+        assert "engine" not in leap.to_dict()
+        with pytest.raises(TypeError, match="engine"):
+            CalibrationConfig(engine="gillespie")
 
     def test_disease_overrides_applied(self):
         cfg = CalibrationConfig(disease_overrides={"population": 1000,

@@ -1,14 +1,17 @@
 """Unit tests for posterior predictive forecasting."""
 
+import numpy as np
 import pytest
 
 from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
-from repro.inference import forecast_from_posterior
-from repro.seir import DiseaseParameters
+from repro.inference import Forecast, forecast_from_posterior
+from repro.inference.forecast import _forecast_entries
+from repro.seir import DiseaseParameters, ParameterOverride
 from repro.sim import make_ground_truth
+from repro.testing import restart_oracle
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +53,12 @@ class TestForecast:
         assert rib.n_days == 5
 
     def test_deterministic_given_base_seed(self, posterior):
-        import numpy as np
         a = forecast_from_posterior(posterior, 5, base_seed=1)
         b = forecast_from_posterior(posterior, 5, base_seed=1)
         assert np.array_equal(a.trajectories[0].infections,
                               b.trajectories[0].infections)
 
     def test_different_base_seed_differs(self, posterior):
-        import numpy as np
         a = forecast_from_posterior(posterior, 8, base_seed=1)
         b = forecast_from_posterior(posterior, 8, base_seed=2)
         different = any(
@@ -78,8 +79,9 @@ class TestForecast:
             forecast_from_posterior(bare, 5)
 
     def test_path_validation(self, posterior):
-        with pytest.raises(ValueError, match="path"):
-            forecast_from_posterior(posterior, 5, path="warp")
+        """There is one forecast path; the old selector is gone."""
+        with pytest.raises(TypeError, match="path"):
+            forecast_from_posterior(posterior, 5, path="scalar")
 
 
 class TestShardedBatchedForecast:
@@ -104,22 +106,32 @@ class TestShardedBatchedForecast:
         assert SpyExecutor.task_counts == [1]
 
     def test_batched_is_the_auto_path(self, posterior):
-        """Calibrator checkpoints are leap-format, so auto == batched."""
-        import numpy as np
-        auto = forecast_from_posterior(posterior, 6, base_seed=3)
-        batched = forecast_from_posterior(posterior, 6, base_seed=3,
-                                          path="batched")
-        for a, b in zip(auto.trajectories, batched.trajectories):
+        """The forecast is exactly one shared-helper batched dispatch over
+        the stacked checkpoints."""
+        from repro.hpc import SerialExecutor, simulate_members
+        fc = forecast_from_posterior(posterior, 6, base_seed=3)
+        entries, seeds = _forecast_entries(posterior, 3, 1)
+        direct = simulate_members(
+            SerialExecutor(), [p.checkpoint.params for p in entries], seeds,
+            end_day=fc.start_day + 6,
+            snapshots=[p.checkpoint.snapshot for p in entries], n_shards=1)
+        for a, b in zip(fc.trajectories, direct):
             assert np.array_equal(a.infections, b.infections)
+            assert np.array_equal(a.deaths, b.deaths)
 
     def test_scalar_batched_distributional_parity(self, posterior):
-        """Acceptance: batched forecast overlaps the scalar oracle's
-        credible intervals (paths share seeds but not draw order)."""
-        import numpy as np
-        scalar = forecast_from_posterior(posterior, 10, base_seed=3,
-                                         path="scalar", n_per_particle=3)
+        """Acceptance: the batched forecast overlaps the per-particle
+        restart oracle's credible intervals (same checkpoints and seeds,
+        different draw order)."""
         batched = forecast_from_posterior(posterior, 10, base_seed=3,
-                                          path="batched", n_per_particle=3)
+                                          n_per_particle=3)
+        entries, seeds = _forecast_entries(posterior, 3, 3)
+        scalar = Forecast(
+            start_day=batched.start_day, horizon_days=10,
+            trajectories=tuple(restart_oracle(
+                [p.checkpoint for p in entries],
+                [ParameterOverride(seed=seed) for seed in seeds],
+                batched.start_day + 10)))
         for channel in ("cases", "deaths"):
             rib_s = scalar.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
             rib_b = batched.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
@@ -133,7 +145,6 @@ class TestShardedBatchedForecast:
             assert (med_gap <= spread).all()
 
     def test_bit_identical_across_executors_for_fixed_layout(self, posterior):
-        import numpy as np
         from repro.hpc import ProcessExecutor, SerialExecutor
         serial = forecast_from_posterior(posterior, 6, base_seed=5,
                                          shard_size=7,
@@ -147,7 +158,6 @@ class TestShardedBatchedForecast:
 
     def test_shard_layout_only_rekeys_streams(self, posterior):
         """Different layouts give different bits but the same start/shape."""
-        import numpy as np
         one = forecast_from_posterior(posterior, 6, base_seed=5, n_shards=1)
         many = forecast_from_posterior(posterior, 6, base_seed=5,
                                        shard_size=3)
@@ -165,7 +175,7 @@ class TestShardedBatchedForecast:
 
     def test_explicit_batched_rejects_schedule_checkpoints(self):
         """A transmission schedule cannot ride the batched restart; the
-        explicit path refuses instead of silently dropping it."""
+        forecast refuses instead of silently dropping it."""
         from repro.core import Particle, ParticleEnsemble
         from repro.data import PiecewiseConstant
         from repro.seir import DiseaseParameters, StochasticSEIRModel
@@ -182,14 +192,10 @@ class TestShardedBatchedForecast:
                                       checkpoint=model.checkpoint()))
         posterior = ParticleEnsemble(particles)
         with pytest.raises(ValueError, match="transmission schedule"):
-            forecast_from_posterior(posterior, 4, path="batched")
-        # auto falls back to the scalar path, which honours the schedule.
-        fc = forecast_from_posterior(posterior, 4)
-        assert len(fc) == 2
+            forecast_from_posterior(posterior, 4)
 
-    def test_auto_falls_back_to_scalar_for_mixed_day_checkpoints(self):
-        """Checkpoints at different days can't share a batch clock; auto
-        must keep forecasting them via the scalar path."""
+    def test_mixed_day_checkpoints_rejected(self):
+        """Checkpoints at different days can't share a batch clock."""
         from repro.core import Particle, ParticleEnsemble
         from repro.seir import DiseaseParameters, StochasticSEIRModel
 
@@ -202,39 +208,31 @@ class TestShardedBatchedForecast:
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
         posterior = ParticleEnsemble(particles)
-        fc = forecast_from_posterior(posterior, horizon_days=4)
-        assert len(fc) == 2
         with pytest.raises(ValueError, match="sharing one day"):
-            forecast_from_posterior(posterior, 4, path="batched")
+            forecast_from_posterior(posterior, 4)
 
-    def test_auto_falls_back_to_scalar_for_non_leap_checkpoints(self):
-        """Non-leap checkpoints (e.g. event-driven) still forecast."""
-        import numpy as np
+    def test_gillespie_checkpoints_rejected(self):
+        """Only binomial-leap checkpoints restart on the batched engine; a
+        Gillespie checkpoint is refused, not mis-restarted."""
         from repro.core import Particle, ParticleEnsemble
         from repro.seir import DiseaseParameters, StochasticSEIRModel
 
         params = DiseaseParameters(population=3000, initial_exposed=20)
         particles = []
-        for seed in (1, 2, 3):
-            model = StochasticSEIRModel(params, seed, engine="event_driven")
+        for seed in (1, 2):
+            model = StochasticSEIRModel(params, seed, engine="gillespie")
             model.run_until(5)
             particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
-        posterior = ParticleEnsemble(particles)
-        fc = forecast_from_posterior(posterior, horizon_days=4)
-        assert len(fc) == 3
-        assert fc.start_day == 5
-        for traj in fc.trajectories:
-            assert len(traj) == 4
-            assert np.all(np.isfinite(traj.infections))
+        with pytest.raises(ValueError, match="binomial_leap"):
+            forecast_from_posterior(ParticleEnsemble(particles), 4)
 
 
 class TestForecastScenarios:
     """forecast_scenarios: CRN fan-out over per-scenario posteriors."""
 
     def test_crn_identical_posteriors_identical_forecasts(self, posterior):
-        import numpy as np
         from repro.inference import forecast_scenarios
         fcs = forecast_scenarios({"a": posterior, "b": posterior},
                                  horizon_days=6, base_seed=4)
@@ -251,7 +249,6 @@ class TestForecastScenarios:
         assert list(fcs) == ["alpha", "mid", "zeta"]
 
     def test_matches_single_scenario_call(self, posterior):
-        import numpy as np
         from repro.inference import forecast_scenarios
         alone = forecast_from_posterior(posterior, 5, base_seed=9)
         swept = forecast_scenarios({"only": posterior}, 5, base_seed=9)

@@ -119,13 +119,13 @@ class TestParallelEquivalence:
     def test_process_pool_matches_serial(self, varying_truth, town_params):
         """The executor must not change the statistics, only the speed.
 
-        Pinned to the scalar engine: the batched engine simulates in-process
-        and bypasses (and warns about) a multi-worker executor.
+        The shard layout is pinned: under ``n_shards="auto"`` a serial and
+        a two-worker executor would cut the cloud into different shards,
+        which re-keys the per-shard streams.
         """
         cfg = CalibrationConfig(window_breaks=(10, 20),
                                 n_parameter_draws=20, n_replicates=2,
-                                resample_size=25, base_seed=13,
-                                engine="binomial_leap")
+                                resample_size=25, base_seed=13, n_shards=2)
         serial = calibrate(varying_truth.observations(), cfg,
                            base_params=town_params)
         with ProcessExecutor(max_workers=2) as ex:

@@ -11,8 +11,7 @@ from repro.core import (effective_sample_size, logsumexp,
                         normalize_log_weights, weighted_quantile)
 from repro.core.resampling import RESAMPLERS
 from repro.data import TimeSeries, concat
-from repro.hpc import (block_partition, chunk_sizes, cyclic_partition,
-                       lpt_partition, merge_logsumexp, tree_reduce)
+from repro.hpc import chunk_sizes, partition_bounds
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 log_weight_arrays = hnp.arrays(np.float64, st.integers(1, 60),
@@ -70,45 +69,18 @@ class TestResamplerInvariants:
         assert np.all(raw_w[idx] > 0)
 
 
-class TestReductionInvariants:
-    @given(st.lists(st.floats(min_value=-500, max_value=10,
-                              allow_nan=False), min_size=1, max_size=40))
-    def test_merge_logsumexp_matches_global(self, values):
-        merged = merge_logsumexp(values)
-        expected = float(np.logaddexp.reduce(np.asarray(values)))
-        assert abs(merged - expected) < 1e-9
-
-    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=50))
-    def test_tree_reduce_sum_matches_fold(self, items):
-        assert tree_reduce(items, lambda a, b: a + b) == sum(items)
-
-
 class TestPartitionInvariants:
     @given(st.integers(0, 200), st.integers(1, 16))
     def test_block_partition_complete_disjoint(self, n, parts):
-        out = block_partition(n, parts)
-        merged = np.concatenate(out) if out else np.array([])
-        assert sorted(merged.tolist()) == list(range(n))
-
-    @given(st.integers(0, 200), st.integers(1, 16))
-    def test_cyclic_partition_complete_disjoint(self, n, parts):
-        out = cyclic_partition(n, parts)
-        merged = np.concatenate(out)
-        assert sorted(merged.tolist()) == list(range(n))
+        covered = [i for lo, hi in partition_bounds(n, parts)
+                   for i in range(lo, hi)]
+        assert covered == list(range(n))
 
     @given(st.integers(0, 200), st.integers(1, 16))
     def test_chunk_sizes_sum(self, n, parts):
         sizes = chunk_sizes(n, parts)
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
-
-    @given(hnp.arrays(np.float64, st.integers(1, 40),
-                      elements=st.floats(min_value=0, max_value=100)),
-           st.integers(1, 8))
-    def test_lpt_partition_complete(self, costs, parts):
-        out = lpt_partition(costs, parts)
-        merged = np.concatenate(out)
-        assert sorted(merged.tolist()) == list(range(len(costs)))
 
 
 class TestSeriesInvariants:

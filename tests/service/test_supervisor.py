@@ -45,8 +45,7 @@ def make_calibrator(truth, base_seed=11):
         observation_model=paper_observation_model(),
         schedule=WindowSchedule.from_breaks(list(BREAKS)),
         config=SMCConfig(n_parameter_draws=10, n_replicates=2,
-                         resample_size=12, base_seed=base_seed, n_shards=2,
-                         engine="binomial_leap_batched"))
+                         resample_size=12, base_seed=base_seed, n_shards=2))
 
 
 def make_service(truth, root, *, plan=None, config=None, base_seed=11,
