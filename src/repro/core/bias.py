@@ -45,7 +45,6 @@ the stream relative to the batched path.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..data.series import TimeSeries
 
@@ -151,6 +150,7 @@ class BinomialBiasModel:
         n = np.rint(np.asarray(true_counts, dtype=np.float64)).astype(np.int64)
         if y.shape != n.shape:
             raise ValueError("observed and true counts must share a shape")
+        from scipy import stats
         return np.asarray(stats.binom.logpmf(y, n, rho))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

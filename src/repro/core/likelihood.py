@@ -10,6 +10,9 @@ log-likelihoods add.
 :class:`NegativeBinomialLikelihood` are provided for the likelihood ablation,
 and :class:`MultiSourceLikelihood` implements the product over named sources
 (cases alone for Fig 3/4; cases + deaths for Fig 5).
+
+The ablation families import ``scipy.stats`` inside their methods, so only
+a run that uses them pays its import cost.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from abc import ABC, abstractmethod
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from ..data.series import TimeSeries
 from .transforms import SQRT, Transform
@@ -143,6 +145,7 @@ class PoissonLikelihood(Likelihood):
     def loglik(self, observed: np.ndarray, simulated: np.ndarray) -> float:
         y, eta = _check_shapes(observed, simulated)
         lam = np.maximum(eta, self.epsilon)
+        from scipy import stats
         return float(np.sum(stats.poisson.logpmf(np.rint(y).astype(np.int64), lam)))
 
     def loglik_batch(self, observed: np.ndarray,
@@ -150,6 +153,7 @@ class PoissonLikelihood(Likelihood):
         y, eta = _check_batch_shapes(observed, simulated)
         lam = np.maximum(eta, self.epsilon)
         counts = np.rint(y).astype(np.int64)[None, :]
+        from scipy import stats
         return np.sum(stats.poisson.logpmf(counts, lam), axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -176,6 +180,7 @@ class NegativeBinomialLikelihood(Likelihood):
         m = np.maximum(eta, self.epsilon)
         k = self.dispersion
         p = k / (k + m)
+        from scipy import stats
         return float(np.sum(stats.nbinom.logpmf(np.rint(y).astype(np.int64), k, p)))
 
     def loglik_batch(self, observed: np.ndarray,
@@ -185,6 +190,7 @@ class NegativeBinomialLikelihood(Likelihood):
         k = self.dispersion
         p = k / (k + m)
         counts = np.rint(y).astype(np.int64)[None, :]
+        from scipy import stats
         return np.sum(stats.nbinom.logpmf(counts, k, p), axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,7 +9,9 @@ The paper's first-window priors (section V-B) are
 The module provides a small distribution toolkit (sampling + log-density +
 support) sufficient for the SIS weight algebra, plus an independent product
 prior over named parameters.  Everything samples through an injected
-``numpy`` generator so runs are reproducible end to end.
+``numpy`` generator so runs are reproducible end to end.  The Beta,
+LogNormal and TruncatedNormal densities and TruncatedNormal sampling import
+``scipy.stats`` on first call; sampling the paper's prior never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Mapping
 
 import numpy as np
 import numpy.typing as npt
-from scipy import stats
 
 __all__ = ["Distribution", "Uniform", "Beta", "LogNormal", "TruncatedNormal",
            "Dirac", "IndependentProduct", "paper_first_window_prior"]
@@ -96,6 +97,7 @@ class Beta(Distribution):
 
     def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
+        from scipy import stats
         return np.asarray(stats.beta.logpdf(arr, self.a, self.b))
 
     @property
@@ -123,6 +125,7 @@ class LogNormal(Distribution):
 
     def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
+        from scipy import stats
         return np.asarray(stats.lognorm.logpdf(arr, s=self.sigma,
                                                scale=np.exp(self.mu)))
 
@@ -151,11 +154,13 @@ class TruncatedNormal(Distribution):
         self._b = (self.high - self.mu) / self.sigma
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        from scipy import stats
         frozen = stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
         return np.asarray(frozen.rvs(size=n, random_state=rng))
 
     def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
+        from scipy import stats
         return np.asarray(stats.truncnorm.logpdf(arr, self._a, self._b,
                                                  loc=self.mu, scale=self.sigma))
 
@@ -164,6 +169,7 @@ class TruncatedNormal(Distribution):
         return (self.low, self.high)
 
     def mean(self) -> float:
+        from scipy import stats
         frozen = stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
         return float(frozen.mean())
 

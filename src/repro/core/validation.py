@@ -18,7 +18,6 @@ utilities measure whether the produced posteriors actually are calibrated:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["posterior_rank", "sbc_ranks_uniformity", "interval_coverage",
            "crps"]
@@ -52,6 +51,10 @@ def sbc_ranks_uniformity(ranks: np.ndarray, n_posterior: int,
     -------
     dict with ``statistic``, ``p_value``, ``bin_counts``, and a boolean
     ``calibrated`` at the 1% level (lenient: SBC is a screening tool).
+
+    The ``n_posterior + 1`` possible ranks need not split evenly across the
+    bins, so each bin expects ``ranks.size`` times the share of possible
+    ranks it holds.
     """
     r = np.asarray(ranks, dtype=np.int64)
     if r.ndim != 1 or r.size == 0:
@@ -62,8 +65,10 @@ def sbc_ranks_uniformity(ranks: np.ndarray, n_posterior: int,
         raise ValueError("n_bins must be in [2, n_posterior + 1]")
     edges = np.linspace(0, n_posterior + 1, n_bins + 1)
     counts, _ = np.histogram(r, bins=edges)
-    expected = r.size / n_bins
+    ranks_per_bin, _ = np.histogram(np.arange(n_posterior + 1), bins=edges)
+    expected = r.size * ranks_per_bin / (n_posterior + 1)
     statistic = float(np.sum((counts - expected) ** 2 / expected))
+    from scipy import stats
     p_value = float(stats.chi2.sf(statistic, df=n_bins - 1))
     return {"statistic": statistic, "p_value": p_value,
             "bin_counts": counts.tolist(), "calibrated": p_value > 0.01}

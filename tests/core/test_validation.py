@@ -41,6 +41,17 @@ class TestSbcUniformity:
         out = sbc_ranks_uniformity(ranks, n_posterior=100)
         assert not out["calibrated"]
 
+    @pytest.mark.parametrize("n_posterior", [10, 19, 625])
+    def test_exactly_uniform_ranks_score_zero(self, n_posterior):
+        # Every possible rank equally often: a perfect score even when the
+        # n_posterior + 1 ranks do not split evenly across the bins.
+        ranks = np.repeat(np.arange(n_posterior + 1), 200)
+        out = sbc_ranks_uniformity(ranks, n_posterior=n_posterior, n_bins=10)
+        assert out["statistic"] == 0.0
+        assert out["p_value"] == 1.0
+        assert out["calibrated"]
+        assert sum(out["bin_counts"]) == ranks.size
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             sbc_ranks_uniformity(np.array([200]), n_posterior=100)
