@@ -680,8 +680,11 @@ class SequentialCalibrator:
         shard layout is recorded in *resolved* form — ``n_shards="auto"``
         depends on the executor's worker count, and that resolution (not
         the config string) is what keys the per-shard RNG streams.
-        ``"weighting"`` is a literal: it keeps stores written when the
-        weighting path was still configurable resumable.
+        ``"weighting"`` is a literal left from when the weighting path was
+        configurable.  ``"format_version"`` is the store layout: 2 is one
+        columnar ``checkpoints.npz`` per window, so a store written in the
+        older per-particle layout (1) is refused instead of silently
+        restarting from window 0.
         """
         cfg = self.config
 
@@ -692,7 +695,7 @@ class SequentialCalibrator:
             return {str(k): d[k] for k in sorted(d)}
 
         fingerprint = {
-            "format_version": 1,
+            "format_version": 2,
             "base_seed": cfg.base_seed,
             "engine": cfg.engine,
             "engine_options": sorted_dict(cfg.engine_options),
@@ -725,9 +728,9 @@ class SequentialCalibrator:
                         result: WindowResult) -> None:
         """Durably persist one completed window's resampled posterior.
 
-        Checkpoints land as individual particle files; parameters, seeds,
-        ancestry, and diagnostics ride in the window's ``state.json``; the
-        completion marker is written strictly last (see
+        Checkpoints land as the columns of one ``checkpoints.npz``;
+        parameters, seeds, ancestry, and diagnostics ride in the window's
+        ``state.json``; the completion marker is written strictly last (see
         :meth:`~repro.hpc.checkpoint_io.CheckpointStore.save_window_state`),
         so a crash mid-persist leaves a torn — and therefore skipped —
         window, never a corrupt restart point.

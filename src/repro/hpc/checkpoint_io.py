@@ -1,25 +1,48 @@
-"""Parallel checkpoint storage: per-rank files plus a run manifest.
+"""Checkpoint storage: one sealed columnar file per window plus a manifest.
 
-The paper checkpoints every posterior trajectory between calibration windows.
-At HPC scale that is thousands of snapshot files per window, written
-concurrently.  :class:`CheckpointStore` provides the directory layout,
-atomic per-particle writes (safe under concurrent writers on a shared file
-system), a JSON manifest for restart discovery, and bulk load of a window's
-particle population.
+The paper checkpoints every posterior trajectory between calibration windows
+so the next window restarts instead of re-simulating (section III-B).  A
+window's posterior is hundreds of same-day binomial-leap restart
+checkpoints; :class:`CheckpointStore` stacks them into the columns of one
+``checkpoints.npz`` per window, so persisting a window publishes a fixed
+handful of files whatever its particle count, and loading it reads each
+column once.
+
+Columns of ``checkpoints.npz`` (``n`` particles, one row each)::
+
+    counts             (n, 20) int64   compartment occupancy
+    cum_infections     (n,)    int64
+    cum_deaths         (n,)    int64
+    seed               (n,)    int64
+    day                ()      int64   the window's shared clock
+    steps_per_day      ()      int64
+    param_<field>      (n,)            one per DiseaseParameters field,
+                                       in that field's own dtype
+
+Only *restart* checkpoints fit these columns: ``binomial_leap`` snapshots
+on one ``(day, steps_per_day)`` clock, with no theta schedule (each
+particle's theta is its ``transmission_rate``) and no recorded RNG state (a
+restart checkpoint's stream is its seed's fresh generator; see
+:func:`~repro.seir.batch_engine.leap_particle_snapshot`).
+:meth:`CheckpointStore.save_window_state` refuses anything else before it
+writes a file.
 
 Durability contract
 -------------------
 Every file is published with write-to-temp + ``fsync`` + ``os.replace``,
 so a reader never sees a torn file.  Window *completeness* is a separate
-concern from file atomicity: a crash mid-window leaves some particles
-written and others missing, all individually valid.  The store therefore
-writes a ``COMPLETE.json`` marker — recording the expected particle count —
-strictly *after* a window's full population (and optional ``state.json``
-metadata) has landed.  :meth:`latest_restart_point` and
-:meth:`load_window_state` only trust marked windows whose expected count is
-actually on disk, so an interrupted run can never resume from a torn
-window.  ``run_meta.json`` pins the run's config/seed fingerprint so a
-store can refuse to mix checkpoints from differently-configured runs.
+concern: the data file and ``state.json`` land first, the window
+directory is fsync'd, and only then is the ``COMPLETE.json`` marker —
+recording the particle count — published and the directory fsync'd again.
+POSIX does not order two renames on disk without that first directory
+fsync, so after a power loss the marker could otherwise be durable while
+the data file's rename is not.  A window counts as complete only when its
+marker parses and its data file exists, and :meth:`load_window_state`
+refuses a data file whose row count disagrees with the marker, so an
+interrupted run can never resume from a torn window.  ``run_meta.json``
+pins the run's config/seed fingerprint — including the store's
+``format_version`` — so a store refuses checkpoints from a differently
+configured run or an older layout.
 
 Layout::
 
@@ -27,10 +50,8 @@ Layout::
       manifest.json
       run_meta.json
       window_000/
-        particle_000000.ckpt.json
-        particle_000001.ckpt.json
-        ...
-        state.json         # optional window metadata (posterior, diagnostics)
+        checkpoints.npz    # the window's restart checkpoints, as columns
+        state.json         # window metadata (posterior, diagnostics)
         COMPLETE.json      # {"n_particles": N}, written last
       window_001/
         ...
@@ -42,11 +63,17 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Callable, Sequence
 
-from ..seir.checkpoint import Checkpoint, CheckpointError
+import numpy as np
+
+from ..seir.batch_engine import leap_particle_snapshot
+from ..seir.checkpoint import Checkpoint, CheckpointError, stack_leap_snapshots
+from ..seir.compartments import N_COMPARTMENTS
+from ..seir.parameters import DiseaseParameters
 
 __all__ = ["CheckpointStore", "StoreManifest", "write_json_atomic"]
 
@@ -54,6 +81,29 @@ _MANIFEST_NAME = "manifest.json"
 _RUN_META_NAME = "run_meta.json"
 _COMPLETE_NAME = "COMPLETE.json"
 _STATE_NAME = "state.json"
+_DATA_NAME = "checkpoints.npz"
+_PARAM_FIELDS = tuple(f.name for f in fields(DiseaseParameters))
+_PARAM_PREFIX = "param_"
+_STATE_COLUMNS = ("counts", "cum_infections", "cum_deaths", "seed",
+                  "day", "steps_per_day")
+_COLUMNS = frozenset(_STATE_COLUMNS) | {_PARAM_PREFIX + name
+                                        for name in _PARAM_FIELDS}
+
+
+def _publish_atomic(dest: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``dest`` via a same-directory temp file, ``fsync`` it, then
+    ``os.replace`` it into place; the temp file is unlinked on any failure."""
+    fd, tmp = tempfile.mkstemp(dir=dest.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, dest)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_json_atomic(path: str | os.PathLike, payload: dict, *,
@@ -71,17 +121,96 @@ def write_json_atomic(path: str | os.PathLike, payload: dict, *,
     """
     dest = Path(path)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dest.parent, suffix=".tmp")
+    text = json.dumps(payload, sort_keys=sort_keys)
+    _publish_atomic(dest, lambda fh: fh.write(text.encode()))
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make the renames already done inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=sort_keys)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, dest)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _window_columns(checkpoints: Sequence[Checkpoint]) -> dict[str, np.ndarray]:
+    """Stack restart checkpoints into the columns of ``checkpoints.npz``.
+
+    Raises :class:`CheckpointError` for any checkpoint that is not a
+    restart checkpoint (see the module docstring).
+    """
+    for i, cp in enumerate(checkpoints):
+        if cp.theta_schedule is not None:
+            raise CheckpointError(
+                f"checkpoint {i} carries a theta schedule; the store holds "
+                "restart checkpoints only (theta in transmission_rate)")
+        if "rng_state" in cp.snapshot:
+            raise CheckpointError(
+                f"checkpoint {i} records a mid-stream rng_state; the store "
+                "holds restart checkpoints only (stream derived from seed)")
+    stacked = stack_leap_snapshots([cp.snapshot for cp in checkpoints])
+    columns = {"counts": stacked.counts,
+               "cum_infections": stacked.cum_infections,
+               "cum_deaths": stacked.cum_deaths, "seed": stacked.seeds,
+               "day": np.asarray(stacked.day, dtype=np.int64),
+               "steps_per_day": np.asarray(stacked.steps_per_day,
+                                           dtype=np.int64)}
+    for name in _PARAM_FIELDS:
+        columns[_PARAM_PREFIX + name] = np.array(
+            [getattr(cp.params, name) for cp in checkpoints])
+    return columns
+
+
+def _read_window_columns(path: Path, n_particles: int
+                         ) -> dict[str, np.ndarray]:
+    """Read and validate every column of one window's data file."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            columns = {name: npz[name] for name in npz.files}
+    except FileNotFoundError as exc:
+        raise CheckpointError(f"missing checkpoint data {path}") from exc
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint data {path}: {exc}") from exc
+    if set(columns) != _COLUMNS:
+        raise CheckpointError(
+            f"{path} columns differ from the window layout: "
+            f"{sorted(set(columns) ^ _COLUMNS)}")
+    rows = columns["counts"].shape[0] if columns["counts"].ndim else 0
+    if rows != n_particles:
+        raise CheckpointError(
+            f"{path} holds {rows} rows but the completion marker promises "
+            f"{n_particles}")
+    for name, array in columns.items():
+        shape = {"counts": (n_particles, N_COMPARTMENTS), "day": (),
+                 "steps_per_day": ()}.get(name, (n_particles,))
+        kinds = "i" if name in _STATE_COLUMNS else "iuf"
+        if array.shape != shape or array.dtype.kind not in kinds:
+            raise CheckpointError(
+                f"{path} column {name!r} is {array.dtype}{list(array.shape)}, "
+                f"expected kind {kinds!r} with shape {list(shape)}")
+    return columns
+
+
+def _checkpoints_from_columns(columns: dict[str, np.ndarray]
+                              ) -> list[Checkpoint]:
+    """Rebuild the window's :class:`Checkpoint` objects bit for bit."""
+    day, steps = int(columns["day"]), int(columns["steps_per_day"])
+    counts = columns["counts"]
+    cum_inf = columns["cum_infections"].tolist()
+    cum_dead = columns["cum_deaths"].tolist()
+    seeds = columns["seed"].tolist()
+    param_rows = zip(*(columns[_PARAM_PREFIX + name].tolist()
+                       for name in _PARAM_FIELDS))
+    try:
+        return [Checkpoint(
+            params=DiseaseParameters(**dict(zip(_PARAM_FIELDS, row))),
+            snapshot=leap_particle_snapshot(day, counts[i], cum_inf[i],
+                                            cum_dead[i], steps, seeds[i]))
+            for i, row in enumerate(param_rows)]
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid stored parameters: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -90,7 +219,7 @@ class StoreManifest:
 
     run_id: str
     windows: dict[int, int]
-    """Mapping window index -> number of particles stored."""
+    """Mapping window index -> number of particles its marker promises."""
     complete: dict[int, bool] = field(default_factory=dict)
     """Mapping window index -> whether its completion marker validates."""
 
@@ -116,7 +245,7 @@ class StoreManifest:
 
 
 class CheckpointStore:
-    """File-backed store of per-particle checkpoints, grouped by window."""
+    """File-backed store of restart checkpoints, one sealed file per window."""
 
     def __init__(self, root: str | os.PathLike, run_id: str = "run") -> None:
         self._root = Path(root)
@@ -137,15 +266,6 @@ class CheckpointStore:
             raise ValueError("window_index must be >= 0")
         return self._root / f"window_{window_index:03d}"
 
-    def _particle_path(self, window_index: int, particle_index: int) -> Path:
-        if particle_index < 0:
-            raise ValueError("particle_index must be >= 0")
-        return self._window_dir(window_index) / f"particle_{particle_index:06d}.ckpt.json"
-
-    def _write_json_atomic(self, path: Path, payload: dict) -> None:
-        """Durably publish a JSON file (temp + fsync + atomic rename)."""
-        write_json_atomic(path, payload)
-
     @staticmethod
     def _read_json(path: Path) -> dict | None:
         """Parse a JSON file; ``None`` when missing or unreadable.
@@ -164,44 +284,33 @@ class CheckpointStore:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def save(self, window_index: int, particle_index: int,
-             checkpoint: Checkpoint) -> Path:
-        """Atomically persist one particle checkpoint."""
-        path = self._particle_path(window_index, particle_index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        checkpoint.save(path)
-        return path
-
-    def save_window(self, window_index: int, checkpoints: list[Checkpoint]) -> None:
-        """Persist a window's population, mark it complete, refresh manifest."""
-        self.save_window_state(window_index, checkpoints, meta=None)
-
     def save_window_state(self, window_index: int,
-                          checkpoints: list[Checkpoint],
-                          meta: dict | None = None) -> None:
-        """Persist a window's full population plus optional metadata.
+                          checkpoints: Sequence[Checkpoint],
+                          meta: dict) -> None:
+        """Persist a window's full population plus its metadata.
 
-        Crash-safe write order: particles, then ``state.json``, then the
-        ``COMPLETE.json`` marker, then the manifest.  A crash at any point
-        before the marker leaves the window unmarked, so restart discovery
-        treats it as torn and falls back to the previous complete window.
+        Crash-safe write order: ``checkpoints.npz`` and ``state.json``,
+        a directory fsync, the ``COMPLETE.json`` marker, a second directory
+        fsync, then the manifest.  A crash at any point before the marker
+        leaves the window unmarked, so restart discovery treats it as torn
+        and falls back to the previous complete window.  Every checkpoint
+        must be a restart checkpoint (see the module docstring); the
+        window is refused with :class:`CheckpointError` before any file is
+        written otherwise.
         """
         if not checkpoints:
             raise ValueError("cannot persist an empty window")
-        for i, cp in enumerate(checkpoints):
-            self.save(window_index, i, cp)
-        if meta is not None:
-            self._write_json_atomic(self._window_dir(window_index) / _STATE_NAME,
-                                    meta)
-        self.mark_complete(window_index, len(checkpoints))
+        directory = self._window_dir(window_index)
+        columns = _window_columns(checkpoints)
+        directory.mkdir(parents=True, exist_ok=True)
+        _publish_atomic(directory / _DATA_NAME,
+                        lambda fh: np.savez(fh, **columns))
+        write_json_atomic(directory / _STATE_NAME, meta)
+        _fsync_dir(directory)
+        write_json_atomic(directory / _COMPLETE_NAME,
+                          {"n_particles": len(checkpoints)})
+        _fsync_dir(directory)
         self.write_manifest()
-
-    def mark_complete(self, window_index: int, n_particles: int) -> None:
-        """Publish the completion marker recording the expected count."""
-        if n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        self._write_json_atomic(self._window_dir(window_index) / _COMPLETE_NAME,
-                                {"n_particles": int(n_particles)})
 
     def expected_count(self, window_index: int) -> int | None:
         """Particle count promised by the completion marker (None = unmarked)."""
@@ -214,31 +323,14 @@ class CheckpointStore:
             return None
 
     def window_complete(self, window_index: int) -> bool:
-        """Whether the window is marked complete *and* all files exist.
+        """Whether the window is marked complete *and* its data file exists.
 
-        The marker alone is necessary but not sufficient: expected-count
-        validation catches a marked window that later lost particle files
-        (partial deletion, failed copy between file systems).
+        The marker alone is necessary but not sufficient: a marked window
+        can later lose its data file (partial deletion, failed copy between
+        file systems).
         """
-        expected = self.expected_count(window_index)
-        if expected is None:
-            return False
-        return all(self._particle_path(window_index, i).exists()
-                   for i in range(expected))
-
-    def load(self, window_index: int, particle_index: int) -> Checkpoint:
-        path = self._particle_path(window_index, particle_index)
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint {path}")
-        return Checkpoint.load(path)
-
-    def load_window(self, window_index: int) -> list[Checkpoint]:
-        """Load all checkpoints of a window, ordered by particle index."""
-        directory = self._window_dir(window_index)
-        if not directory.is_dir():
-            raise CheckpointError(f"no checkpoints stored for window {window_index}")
-        paths = sorted(directory.glob("particle_*.ckpt.json"))
-        return [Checkpoint.load(p) for p in paths]
+        return self.expected_count(window_index) is not None and \
+            (self._window_dir(window_index) / _DATA_NAME).is_file()
 
     def load_window_meta(self, window_index: int) -> dict[str, Any]:
         """The window's ``state.json`` metadata payload."""
@@ -252,23 +344,26 @@ class CheckpointStore:
                           ) -> tuple[list[Checkpoint], dict[str, Any]]:
         """Load a *complete* window's checkpoints and metadata.
 
-        Unlike :meth:`load_window` (which globs whatever files exist),
-        this refuses torn windows: the completion marker must be present
-        and every promised particle file must load.
+        Refuses torn windows: the completion marker must be present and
+        ``checkpoints.npz`` must hold exactly the promised rows.  A missing,
+        truncated or malformed data file raises :class:`CheckpointError`.
         """
+        directory = self._window_dir(window_index)
+        if not directory.is_dir():
+            raise CheckpointError(
+                f"no checkpoints stored for window {window_index}")
         expected = self.expected_count(window_index)
         if expected is None:
             raise CheckpointError(
                 f"window {window_index} has no completion marker; "
                 "refusing to load a possibly torn window")
-        checkpoints = [self.load(window_index, i) for i in range(expected)]
-        return checkpoints, self.load_window_meta(window_index)
+        columns = _read_window_columns(directory / _DATA_NAME, expected)
+        return (_checkpoints_from_columns(columns),
+                self.load_window_meta(window_index))
 
     def particle_count(self, window_index: int) -> int:
-        directory = self._window_dir(window_index)
-        if not directory.is_dir():
-            return 0
-        return len(list(directory.glob("particle_*.ckpt.json")))
+        """Particles the window's marker promises; 0 for an unmarked window."""
+        return self.expected_count(window_index) or 0
 
     def stored_windows(self) -> list[int]:
         """Indices of all windows with a directory, complete or not."""
@@ -305,7 +400,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     def write_run_meta(self, fingerprint: dict) -> None:
         """Durably record the run's config/seed fingerprint."""
-        self._write_json_atomic(self._root / _RUN_META_NAME, fingerprint)
+        write_json_atomic(self._root / _RUN_META_NAME, fingerprint)
 
     def read_run_meta(self) -> dict | None:
         """The stored fingerprint, or ``None`` for a fresh store."""
@@ -343,8 +438,7 @@ class CheckpointStore:
             complete[index] = self.window_complete(index)
         manifest = StoreManifest(run_id=self._run_id, windows=windows,
                                  complete=complete)
-        self._write_json_atomic(self._root / _MANIFEST_NAME,
-                                manifest.to_dict())
+        write_json_atomic(self._root / _MANIFEST_NAME, manifest.to_dict())
         return manifest
 
     def read_manifest(self) -> StoreManifest:
@@ -353,18 +447,3 @@ class CheckpointStore:
             return StoreManifest(run_id=self._run_id, windows={})
         with open(path) as fh:
             return StoreManifest.from_dict(json.load(fh))
-
-    def latest_restart_point(self) -> tuple[int, list[Checkpoint]] | None:
-        """Most recent *complete* window for resuming an interrupted run.
-
-        Walks stored windows newest-first and skips any without a
-        validating completion marker, so a window torn by the crash being
-        recovered from is never mistaken for a restart point.
-        """
-        self.write_manifest()
-        for index in sorted(self.stored_windows(), reverse=True):
-            if self.window_complete(index):
-                expected = self.expected_count(index)
-                assert expected is not None
-                return index, [self.load(index, i) for i in range(expected)]
-        return None

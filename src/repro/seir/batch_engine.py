@@ -56,9 +56,12 @@ Therefore
 
 Checkpoints are exported *per particle* in the scalar ``binomial_leap``
 snapshot format, so resampling, forecasting and scalar restarts consume
-them unchanged; the recorded RNG state is the fresh per-seed stream of
-:func:`~repro.seir.seeding.generator_for` (a batch stream cannot be
-partitioned per member).  A batched restart from per-particle checkpoints
+them unchanged.  They record no RNG state (a batch stream cannot be
+partitioned per member): a scalar restart without a seed override derives
+the fresh per-seed stream of :func:`~repro.seir.seeding.generator_for`
+from the snapshot's ``seed``, which is also what lets a checkpoint store
+hold a window as pure columns (:mod:`repro.hpc.checkpoint_io`).  A
+batched restart from per-particle checkpoints
 (:meth:`BatchedBinomialLeapEngine.from_particle_snapshots`) always starts a
 fresh batch stream from its new seed vector.
 """
@@ -74,8 +77,8 @@ from .compartments import (Compartment, HOSPITAL_COMPARTMENTS,
                            ICU_COMPARTMENTS, N_COMPARTMENTS)
 from .outputs import Trajectory
 from .parameters import DiseaseParameters
-from .seeding import (batch_generator_for, generator_for,
-                      rng_from_jsonable, rng_state_to_jsonable)
+from .seeding import (batch_generator_for, rng_from_jsonable,
+                      rng_state_to_jsonable)
 from .tauleap import compiled_transitions_for
 
 __all__ = ["BatchedBinomialLeapEngine", "BatchTrajectory",
@@ -92,10 +95,12 @@ def leap_particle_snapshot(day: int, counts_row, cum_infections: int,
 
     The interchange format between batched state (rows of a stacked count
     matrix, wherever it lives — an engine in this process or a shard result
-    shipped back from a worker) and the scalar checkpoint machinery.  The
-    recorded RNG state is the member seed's fresh :func:`generator_for`
-    stream: a shared batch stream has no per-member marginal, and every
-    calibrator restart overrides the seed anyway.
+    shipped back from a worker) and the scalar checkpoint machinery.  No
+    RNG state is recorded: a shared batch stream has no per-member
+    marginal, every calibrator restart overrides the seed anyway, and a
+    scalar restart without an override derives the seed's fresh
+    :func:`~repro.seir.seeding.generator_for` stream itself
+    (:meth:`~repro.seir.tauleap.BinomialLeapEngine.from_snapshot`).
     """
     return {
         "engine": "binomial_leap",
@@ -105,8 +110,9 @@ def leap_particle_snapshot(day: int, counts_row, cum_infections: int,
         "cum_deaths": int(cum_deaths),
         "steps_per_day": int(steps_per_day),
         "seed": int(seed),
-        "rng_state": rng_state_to_jsonable(generator_for(int(seed))),
     }
+
+
 _HOSP_COLS = np.array([int(c) for c in HOSPITAL_COMPARTMENTS], dtype=np.int64)
 _ICU_COLS = np.array([int(c) for c in ICU_COMPARTMENTS], dtype=np.int64)
 

@@ -342,7 +342,10 @@ class BinomialLeapEngine:
         """Rebuild an engine from a snapshot, optionally re-seeded.
 
         If ``seed`` is given the RNG starts a *fresh* stream (the paper's
-        restart knob 1); otherwise the serialised stream continues bit-exactly.
+        restart knob 1); otherwise the serialised stream continues
+        bit-exactly.  A snapshot without ``rng_state`` (the restart
+        checkpoints of the batched engine) resumes on its seed's fresh
+        :func:`~repro.seir.seeding.generator_for` stream.
         """
         engine = cls.__new__(cls)
         engine.params = params
@@ -362,7 +365,9 @@ class BinomialLeapEngine:
             engine._rng = generator_for(int(seed))
         else:
             engine.seed = int(snapshot["seed"])
-            engine._rng = rng_from_jsonable(snapshot["rng_state"])
+            engine._rng = (rng_from_jsonable(snapshot["rng_state"])
+                           if "rng_state" in snapshot
+                           else generator_for(engine.seed))
         return engine
 
 

@@ -90,13 +90,14 @@ class TestConfigValidation:
 
 
 class TestResumeCompatibility:
-    """Stores written when ``engine`` and ``weighting`` were settable
-    fields must still resume: the fingerprint keeps both as constants."""
+    """The fingerprint is pinned: a change to it makes every existing store
+    unresumable, so it changes only with a deliberate ``format_version``
+    bump (``engine`` and ``weighting`` stay constants for that reason)."""
 
     #: ``run_fingerprint()`` of the default ``CalibrationConfig`` calibrator
-    #: on a serial executor, as recorded by earlier releases.
+    #: on a serial executor, for the one-file-per-window store layout.
     DEFAULT_FINGERPRINT = {
-        "format_version": 1,
+        "format_version": 2,
         "base_seed": 20240215,
         "engine": "binomial_leap_batched",
         "engine_options": {"steps_per_day": 4},
@@ -131,6 +132,15 @@ class TestResumeCompatibility:
         store = CheckpointStore(tmp_path)
         store.validate_run_meta(self.DEFAULT_FINGERPRINT)
         store.validate_run_meta(calib.run_fingerprint())
+
+    def test_per_particle_layout_store_refused(self, tmp_path):
+        """A store written in the per-particle layout (format 1) fails
+        loudly instead of resuming from window 0 over its old windows."""
+        store = CheckpointStore(tmp_path)
+        store.write_run_meta({**self.DEFAULT_FINGERPRINT, "format_version": 1})
+        with pytest.raises(CheckpointError,
+                           match=r"differing keys: \['format_version'\]"):
+            store.validate_run_meta(self.DEFAULT_FINGERPRINT)
 
 
 class TestChaosCalibration:

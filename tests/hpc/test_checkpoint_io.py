@@ -1,53 +1,84 @@
-"""Unit tests for the parallel checkpoint store."""
+"""Unit tests for the checkpoint store (one sealed columnar file per window)."""
 
+import dataclasses
+import os
+import stat
+
+import numpy as np
 import pytest
 
+from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore
-from repro.seir import CheckpointError, StochasticSEIRModel
+from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
+                        StochasticSEIRModel)
+
+META = {"window_index": 0, "params": [[0.3, 0.7]]}
+WINDOW_FILES = ["COMPLETE.json", "checkpoints.npz", "state.json"]
+
+
+def leap_checkpoints(params, n, *, seed0=0):
+    """``n`` restart checkpoints at day 10, each with its own theta."""
+    engine = BatchedBinomialLeapEngine(params, np.arange(n) + seed0,
+                                       thetas=np.linspace(0.25, 0.35, n))
+    engine.run_until(10)
+    return [engine.particle_checkpoint(i) for i in range(n)]
 
 
 @pytest.fixture
 def checkpoints(small_params):
-    out = []
-    for seed in range(3):
-        model = StochasticSEIRModel(small_params, seed)
-        model.run_until(10)
-        out.append(model.checkpoint())
-    return out
+    return leap_checkpoints(small_params, 3)
+
+
+def window_file(store, index, name="checkpoints.npz"):
+    return store.root / f"window_{index:03d}" / name
+
+
+def unseal(store, index):
+    """A window as a crash before its marker leaves it."""
+    window_file(store, index, "COMPLETE.json").unlink()
 
 
 class TestCheckpointStore:
     def test_save_and_load_particle(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path, run_id="test")
-        store.save(0, 0, checkpoints[0])
-        loaded = store.load(0, 0)
-        assert loaded.day == checkpoints[0].day
-        assert loaded.seed == checkpoints[0].seed
+        store.save_window_state(0, checkpoints, META)
+        loaded, _ = store.load_window_state(0)
+        assert loaded[0] == checkpoints[0]
+        assert loaded[0].day == 10 and loaded[0].seed == checkpoints[0].seed
 
     def test_save_window_bulk(self, tmp_path, checkpoints):
+        """The round trip rebuilds every checkpoint bit for bit, each
+        parameter in its own Python type."""
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
+        store.save_window_state(0, checkpoints, META)
         assert store.particle_count(0) == 3
-        loaded = store.load_window(0)
-        assert [c.seed for c in loaded] == [c.seed for c in checkpoints]
+        loaded, _ = store.load_window_state(0)
+        assert loaded == checkpoints
+        for before, after in zip(checkpoints, loaded):
+            assert [type(v) for v in after.params.to_dict().values()] == \
+                [type(v) for v in before.params.to_dict().values()]
+            assert after.snapshot == before.snapshot
+            assert list(after.snapshot) == list(before.snapshot)
 
-    def test_load_missing_particle(self, tmp_path):
+    def test_load_missing_particle(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
+        store.save_window_state(0, checkpoints, META)
+        window_file(store, 0).unlink()
         with pytest.raises(CheckpointError, match="missing"):
-            store.load(0, 0)
+            store.load_window_state(0)
 
     def test_load_missing_window(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError, match="no checkpoints"):
-            store.load_window(5)
+            store.load_window_state(5)
 
     def test_particle_count_empty(self, tmp_path):
         assert CheckpointStore(tmp_path).particle_count(2) == 0
 
     def test_manifest_tracks_windows(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path, run_id="runA")
-        store.save_window(0, checkpoints[:2])
-        store.save_window(1, checkpoints)
+        store.save_window_state(0, checkpoints[:2], META)
+        store.save_window_state(1, checkpoints, META)
         manifest = store.read_manifest()
         assert manifest.run_id == "runA"
         assert manifest.windows == {0: 2, 1: 3}
@@ -60,55 +91,166 @@ class TestCheckpointStore:
 
     def test_latest_restart_point(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        assert store.latest_restart_point() is None
-        store.save_window(0, checkpoints)
-        store.save_window(1, checkpoints[:1])
-        window, cps = store.latest_restart_point()
-        assert window == 1
+        assert store.write_manifest().latest_complete_window() is None
+        store.save_window_state(0, checkpoints, META)
+        store.save_window_state(1, checkpoints[:1], META)
+        assert store.read_manifest().latest_complete_window() == 1
+        cps, _ = store.load_window_state(1)
         assert len(cps) == 1
 
-    def test_restart_from_stored_checkpoint_runs(self, tmp_path, checkpoints,
-                                                 small_params):
+    def test_restart_from_stored_checkpoint_runs(self, tmp_path, checkpoints):
+        """A stored checkpoint carries no RNG state, and a restart from it
+        without a seed override replays the in-memory one bit for bit."""
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
-        loaded = store.load(0, 0)
-        model = StochasticSEIRModel.from_checkpoint(loaded)
-        traj = model.run_until(15)
+        store.save_window_state(0, checkpoints, META)
+        loaded, _ = store.load_window_state(0)
+        traj = StochasticSEIRModel.from_checkpoint(loaded[0]).run_until(15)
         assert traj.start_day == 10
+        direct = StochasticSEIRModel.from_checkpoint(
+            checkpoints[0]).run_until(15)
+        assert np.array_equal(traj.infections, direct.infections)
 
     def test_negative_indices_rejected(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError):
-            store.save(-1, 0, checkpoints[0])
+            store.save_window_state(-1, checkpoints, META)
         with pytest.raises(ValueError):
-            store.save(0, -1, checkpoints[0])
+            store.load_window_state(-1)
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_window_is_three_files_whatever_its_size(self, tmp_path,
+                                                     small_params, n):
+        store = CheckpointStore(tmp_path)
+        store.save_window_state(0, leap_checkpoints(small_params, n), META)
+        assert sorted(p.name for p in (tmp_path / "window_000").iterdir()) \
+            == WINDOW_FILES
 
 
 class TestDurability:
-    """Atomic, fsync'd publication of checkpoints and store metadata."""
+    """Atomic, fsync'd publication of the window file and store metadata."""
 
     def test_save_leaves_no_temp_files(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
+        store.save_window_state(0, checkpoints, META)
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
 
-    def test_torn_write_never_observed(self, tmp_path, checkpoints):
-        """Overwriting an existing checkpoint is all-or-nothing: a reader
-        racing the writer sees the old payload or the new one, never a
-        truncated file."""
+    def test_torn_write_never_observed(self, tmp_path, checkpoints,
+                                       small_params):
+        """Re-persisting a window replaces its population whole: a reader
+        sees the old population or the new one, never a mix (a torn data
+        file fails loudly; see TestCorruptWindowFile)."""
         store = CheckpointStore(tmp_path)
-        path = store.save(0, 0, checkpoints[0])
-        before = store.load(0, 0)
-        store.save(0, 0, checkpoints[1])
-        after = store.load(0, 0)
-        assert before.seed == checkpoints[0].seed
-        assert after.seed == checkpoints[1].seed
-        # A torn file on disk fails loudly instead of parsing partially.
-        payload = path.read_text()
-        path.write_text(payload[: len(payload) // 2])
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            store.load(0, 0)
+        store.save_window_state(0, checkpoints, META)
+        before, _ = store.load_window_state(0)
+        replacement = leap_checkpoints(small_params, 3, seed0=100)
+        store.save_window_state(0, replacement, META)
+        after, _ = store.load_window_state(0)
+        assert before == checkpoints and after == replacement
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_publish_order_fsyncs_window_directory(self, tmp_path,
+                                                   checkpoints, monkeypatch):
+        """Data, then a directory fsync, then the marker, then another:
+        without the first, POSIX may persist the marker's rename before
+        the data file's."""
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(os.path.basename(dst))
+
+        def fsync(fd):
+            real_fsync(fd)
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append("fsync(dir)")
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        CheckpointStore(tmp_path).save_window_state(0, checkpoints, META)
+        assert events == ["checkpoints.npz", "state.json", "fsync(dir)",
+                          "COMPLETE.json", "fsync(dir)", "manifest.json"]
+
+
+def truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def rewrite(path, edit):
+    with np.load(path, allow_pickle=False) as npz:
+        columns = {name: npz[name] for name in npz.files}
+    edit(columns)
+    with open(path, "wb") as fh:
+        np.savez(fh, **columns)
+
+
+def object_column(columns):
+    columns["seed"] = np.array(list(columns["seed"]), dtype=object)
+
+
+def short_rows(columns):
+    for name, array in columns.items():
+        if array.ndim:
+            columns[name] = array[:2]
+
+
+def missing_column(columns):
+    del columns["cum_deaths"]
+
+
+def float_counts(columns):
+    columns["counts"] = columns["counts"].astype(np.float64)
+
+
+class TestCorruptWindowFile:
+    """A damaged ``checkpoints.npz`` raises CheckpointError, never the
+    underlying BadZipFile/KeyError/ValueError."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (truncate, "unreadable"),
+        (lambda path: rewrite(path, object_column), "unreadable"),
+        (lambda path: rewrite(path, short_rows), "2 rows.*promises 3"),
+        (lambda path: rewrite(path, missing_column), "cum_deaths"),
+        (lambda path: rewrite(path, float_counts), "'counts'"),
+    ], ids=["truncated", "object-array", "rows-disagree-with-marker",
+            "missing-column", "float-counts"])
+    def test_damaged_data_file_refused(self, tmp_path, checkpoints, damage,
+                                       message):
+        store = CheckpointStore(tmp_path)
+        store.save_window_state(0, checkpoints, META)
+        damage(window_file(store, 0))
+        with pytest.raises(CheckpointError, match=message):
+            store.load_window_state(0)
+
+
+class TestRefusesNonRestartCheckpoints:
+    """Only restart checkpoints fit a window's columns; anything else is
+    refused before a single file is written."""
+
+    @pytest.mark.parametrize("kind", ["engine", "schedule", "day", "steps",
+                                      "rng_state"])
+    def test_refused_before_any_write(self, tmp_path, checkpoints,
+                                      small_params, kind):
+        good = checkpoints[0]
+        if kind == "rng_state":
+            model = StochasticSEIRModel(small_params, 7)
+            model.run_until(10)
+            bad = model.checkpoint()
+        elif kind == "schedule":
+            bad = dataclasses.replace(
+                good, theta_schedule=PiecewiseConstant.constant(0.3))
+        else:
+            key, value = {"engine": ("engine", "gillespie"),
+                          "day": ("day", 11),
+                          "steps": ("steps_per_day", 8)}[kind]
+            bad = dataclasses.replace(
+                good, snapshot={**good.snapshot, key: value})
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(CheckpointError):
+            store.save_window_state(0, [*checkpoints, bad], META)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWindowCompleteness:
@@ -116,63 +258,67 @@ class TestWindowCompleteness:
 
     def test_unmarked_window_is_incomplete(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])  # particles, but no marker
+        store.save_window_state(0, checkpoints, META)
+        unseal(store, 0)  # data on disk, but no marker
         assert not store.window_complete(0)
         assert store.expected_count(0) is None
 
     def test_marker_with_missing_particles_is_incomplete(self, tmp_path,
                                                          checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
-        (store.root / "window_000" / "particle_000001.ckpt.json").unlink()
+        store.save_window_state(0, checkpoints, META)
+        window_file(store, 0).unlink()
         assert not store.window_complete(0)
 
     def test_restart_point_skips_torn_window(self, tmp_path, checkpoints):
         """Regression: a crash mid-window used to be offered as a restart
         point; now only the previous *complete* window is."""
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
-        store.save(1, 0, checkpoints[0])  # window 1 torn: no marker
-        window, cps = store.latest_restart_point()
-        assert window == 0
+        store.save_window_state(0, checkpoints, META)
+        store.save_window_state(1, checkpoints[:1], META)
+        unseal(store, 1)
+        assert store.write_manifest().latest_complete_window() == 0
+        cps, _ = store.load_window_state(0)
         assert len(cps) == 3
 
     def test_restart_point_none_when_all_torn(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
-        assert store.latest_restart_point() is None
+        store.save_window_state(0, checkpoints, META)
+        unseal(store, 0)
+        assert store.write_manifest().latest_complete_window() is None
 
     def test_load_window_state_refuses_torn_window(self, tmp_path,
                                                    checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, checkpoints[0])
+        store.save_window_state(0, checkpoints, META)
+        unseal(store, 0)
         with pytest.raises(CheckpointError, match="torn"):
             store.load_window_state(0)
 
     def test_save_window_state_round_trip(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        meta = {"window_index": 0, "params": [[0.3, 0.7]]}
-        store.save_window_state(0, checkpoints, meta=meta)
+        store.save_window_state(0, checkpoints, meta=META)
         cps, loaded_meta = store.load_window_state(0)
         assert [c.seed for c in cps] == [c.seed for c in checkpoints]
-        assert loaded_meta == meta
+        assert loaded_meta == META
 
     def test_empty_window_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError, match="empty window"):
-            store.save_window(0, [])
+            store.save_window_state(0, [], META)
 
     def test_corrupt_marker_treated_as_absent(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
-        (store.root / "window_000" / "COMPLETE.json").write_text("{trunc")
+        store.save_window_state(0, checkpoints, META)
+        window_file(store, 0, "COMPLETE.json").write_text("{trunc")
         assert not store.window_complete(0)
-        assert store.latest_restart_point() is None
+        assert store.write_manifest().latest_complete_window() is None
 
     def test_manifest_records_completeness(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        store.save_window(0, checkpoints)
-        store.save(1, 0, checkpoints[0])
+        store.save_window_state(0, checkpoints, META)
+        store.save_window_state(1, checkpoints, META)
+        unseal(store, 1)
         manifest = store.write_manifest()
         assert manifest.complete == {0: True, 1: False}
         assert manifest.latest_complete_window() == 0
@@ -203,7 +349,7 @@ class TestRunMeta:
 
 class TestPrune:
     def seal(self, store, index, checkpoints):
-        store.save_window(index, checkpoints)
+        store.save_window_state(index, checkpoints, META)
 
     def test_prune_keeps_newest_sealed(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
@@ -219,8 +365,9 @@ class TestPrune:
         store = CheckpointStore(tmp_path)
         self.seal(store, 0, checkpoints)
         self.seal(store, 1, checkpoints)
-        # Window 2 is torn: particles on disk but no completion marker.
-        store.save(2, 0, checkpoints[0])
+        # Window 2 is torn: data on disk but no completion marker.
+        self.seal(store, 2, checkpoints)
+        unseal(store, 2)
         assert store.prune(keep_last=1) == [0]
         assert store.stored_windows() == [1, 2]
         assert store.window_complete(1)

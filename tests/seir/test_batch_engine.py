@@ -16,7 +16,9 @@ from repro.data import PiecewiseConstant
 from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
                         CheckpointError, Compartment, DiseaseParameters,
                         SeedSequenceBank, StochasticSEIRModel,
-                        batch_generator_for, stack_leap_snapshots)
+                        batch_generator_for, generator_for,
+                        stack_leap_snapshots)
+from repro.seir.seeding import rng_state_to_jsonable
 
 
 @pytest.fixture
@@ -251,6 +253,23 @@ class TestSnapshots:
         assert scalar.cumulative_infections == batch.cumulative_infections[4]
         seg = scalar.run_until(16)
         assert seg.start_day == 12 and len(seg) == 4
+
+    def test_particle_snapshot_stream_derives_from_seed(self, small_params,
+                                                        batch):
+        """A batched snapshot records no RNG state; the scalar restart
+        derives the seed's fresh stream, which is exactly the state the
+        snapshot used to record."""
+        batch.run_until(12)
+        snap = batch.particle_snapshot(4)
+        assert "rng_state" not in snap
+        recorded = {**snap, "rng_state": rng_state_to_jsonable(
+            generator_for(snap["seed"]))}
+        derived = BinomialLeapEngine.from_snapshot(snap, small_params)
+        replayed = BinomialLeapEngine.from_snapshot(recorded, small_params)
+        a, b = derived.run_until(30), replayed.run_until(30)
+        assert np.array_equal(a.infections, b.infections)
+        assert np.array_equal(a.deaths, b.deaths)
+        assert np.array_equal(derived.counts, replayed.counts)
 
     def test_particle_checkpoint_carries_member_theta(self, small_params):
         thetas = np.linspace(0.2, 0.4, 10)
