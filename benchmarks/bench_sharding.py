@@ -37,7 +37,7 @@ from repro.core import Particle, ParticleEnsemble
 from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
                        simulate_groups)
 from repro.inference import forecast_from_posterior
-from repro.inference.forecast import _forecast_entries
+from repro.inference.forecast import _forecast_seeds
 from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
                         ParameterOverride)
 from repro.testing import restart_oracle
@@ -92,11 +92,12 @@ def run_forecast_bench(params: DiseaseParameters, n_particles: int,
                        horizon: int, seed: int, repeats: int) -> dict:
     """Scalar-oracle vs batched forecast timings (both single-process)."""
     posterior = make_posterior(params, n_particles, seed)
-    entries, seeds = _forecast_entries(posterior, seed, 1)
-    end_day = posterior[0].checkpoint.day + horizon
+    seeds = _forecast_seeds(posterior, seed, 1)
+    end_day = posterior.restart.day + horizon
+    checkpoints = [p.checkpoint for p in posterior]
     scalar_s, scalar_trajectories = time_best(
-        lambda: restart_oracle([p.checkpoint for p in entries],
-                               [ParameterOverride(seed=s) for s in seeds],
+        lambda: restart_oracle(checkpoints,
+                               [ParameterOverride(seed=int(s)) for s in seeds],
                                end_day), repeats)
     batched_s, batched_fc = time_best(
         lambda: forecast_from_posterior(posterior, horizon, base_seed=seed),

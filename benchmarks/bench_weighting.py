@@ -83,6 +83,9 @@ def run_weighting_bench(n_particles: int = DEFAULT_PARTICLES,
         "repeats": repeats,
         "modes": {},
     }
+    # The scalar reference loops over per-particle records, built once
+    # outside the timed region.
+    particles = ensemble.particles
     for mode in ("mean", "sample"):
         om = paper_observation_model(bias_mode=mode)
 
@@ -90,7 +93,7 @@ def run_weighting_bench(n_particles: int = DEFAULT_PARTICLES,
             r = bank.ancillary_generator(1, window_index=0)
             return np.array([om.loglik(observations, p.segment,
                                        p.params["rho"], r)
-                             for p in ensemble])
+                             for p in particles])
 
         def batched():
             r = bank.ancillary_generator(1, window_index=0)

@@ -40,8 +40,11 @@ __all__ = ["classify_path", "iter_source_files", "main", "run_lint",
 #: Subsystem directories in which determinism hazards (REPRO2xx) are errors.
 _DETERMINISTIC_PARTS = {"core", "seir", "hpc", "service", "inference"}
 #: Subsystem directories whose signatures must be fully annotated
-#: (REPRO4xx); ``seir/seeding.py`` joins them as the mypy-gated file.
+#: (REPRO4xx); the mypy-gated ``seir`` files below join them.
 _TYPED_PARTS = {"core", "hpc"}
+#: ``seir`` files in the typed core: the seed-domain contract surface and
+#: the restart-state format's home (the state and the engine that reads it).
+_TYPED_SEIR_FILES = {"seeding.py", "checkpoint.py", "batch_engine.py"}
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 #: Rule-id prefixes the per-file lint owns.  REPRO5xx belongs to the
@@ -61,7 +64,8 @@ def classify_path(path: Path) -> FileContext:
     parts = path.parts
     rng_allowed = path.name == "seeding.py" and "seir" in parts
     deterministic = any(p in _DETERMINISTIC_PARTS for p in parts)
-    typed = rng_allowed or any(p in _TYPED_PARTS for p in parts)
+    typed = any(p in _TYPED_PARTS for p in parts) or (
+        "seir" in parts and path.name in _TYPED_SEIR_FILES)
     return FileContext(path=str(path), rng_allowed=rng_allowed,
                        deterministic=deterministic, typed=typed)
 

@@ -269,6 +269,17 @@ def _fault_config_kwargs(args) -> dict:
                 checkpoint_keep_last=args.checkpoint_keep_last)
 
 
+def _run_config(**kwargs) -> CalibrationConfig:
+    """The run's configuration, validated before anything runs: a bad
+    value exits with its message instead of a traceback."""
+    try:
+        cfg = CalibrationConfig(**kwargs)
+        cfg.smc_config()
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from None
+    return cfg
+
+
 def _requested_scenarios(args) -> list[str] | None:
     """Resolve --scenario/--scenario-set into registered names (or None)."""
     chosen = getattr(args, "scenario", None)
@@ -343,7 +354,7 @@ def _cmd_fig3(args) -> int:
 
 def _sequential(args, include_deaths: bool, label: str) -> int:
     truth = make_fig2_ground_truth(seed=777, horizon=76)
-    cfg = CalibrationConfig(
+    cfg = _run_config(
         window_breaks=(20, 34, 48, 62, 76),
         n_parameter_draws=args.draws, n_replicates=args.replicates,
         resample_size=args.resample, theta_jitter_width=0.16,
@@ -401,7 +412,7 @@ def _sequential_sweep(args, cfg, include_deaths: bool, label: str,
 
 def _cmd_forecast(args) -> int:
     truth = make_fig2_ground_truth(seed=777, horizon=48)
-    cfg = CalibrationConfig(
+    cfg = _run_config(
         window_breaks=(20, 34, 48), n_parameter_draws=args.draws,
         n_replicates=args.replicates, resample_size=args.resample,
         base_seed=args.seed, executor=args.executor,
@@ -497,7 +508,7 @@ def _cmd_serve(args) -> int:
     if args.keep_last is not None and args.keep_last < 1:
         raise SystemExit("--keep-last must be >= 1")
 
-    cfg = CalibrationConfig(
+    cfg = _run_config(
         window_breaks=breaks, n_parameter_draws=args.draws,
         n_replicates=args.replicates, resample_size=args.resample,
         base_seed=args.seed, executor=args.executor,

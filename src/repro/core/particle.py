@@ -1,20 +1,28 @@
-"""Particles: weighted trajectory hypotheses.
+"""Particles: weighted trajectory hypotheses, stored as columns.
 
 A particle in this framework is richer than a parameter vector — it is the
 tuple the paper calibrates: parameters ``theta``, reporting probability
 ``rho``, the random seed ``s`` (a first-class coordinate, section IV), the
 stored simulator state (checkpoint) at the end of the last calibrated
 window, and the trajectory history it has generated so far.
+
+Algorithm 1 weighs, resamples and restarts whole clouds of these, so
+:class:`ParticleEnsemble` is a struct of columns: ``(n,)`` parameter,
+seed, log-weight and ancestor arrays, the restart state as the
+:class:`~repro.seir.checkpoint.StackedLeapState` the checkpoint store
+writes, and segments and histories kept by genealogy (each window's
+trajectories plus the ancestor rows they continue), stacked when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..seir.checkpoint import Checkpoint
+from ..seir.batch_engine import BatchTrajectory
+from ..seir.checkpoint import Checkpoint, CheckpointError, StackedLeapState
 from ..seir.outputs import Trajectory
 from .weights import (effective_sample_size, normalize_log_weights,
                       weighted_mean, weighted_quantile)
@@ -24,26 +32,14 @@ __all__ = ["Particle", "ParticleEnsemble"]
 
 @dataclass(frozen=True)
 class Particle:
-    """One weighted trajectory hypothesis.
+    """One weighted trajectory hypothesis: a :class:`ParticleEnsemble` row
+    view, or a hand-built record for its ingress.
 
-    Attributes
-    ----------
-    params:
-        Calibration parameters, e.g. ``{"theta": 0.31, "rho": 0.62}``.
-    seed:
-        The random seed that generated :attr:`segment`.
-    log_weight:
-        Unnormalised importance log-weight from the current window.
-    segment:
-        Trajectory of the most recent calibration window.
-    history:
-        Full trajectory from simulation start through the current window
-        (used for posterior ribbons across the whole horizon).
-    checkpoint:
-        Simulator state at the end of the current window, for restart.
-    ancestor:
-        Index of the parent particle in the previous window's posterior
-        (-1 for first-window particles); exposes lineage for diagnostics.
+    ``params`` are the calibration parameters (e.g. ``{"theta": 0.31,
+    "rho": 0.62}``), ``seed`` generated ``segment`` (the latest window's
+    trajectory), ``history`` runs from simulation start, ``checkpoint`` is
+    the restart state at the window's end, and ``ancestor`` is the parent's
+    index in the previous posterior (-1 for first-window particles).
     """
 
     params: dict[str, float]
@@ -68,61 +64,198 @@ class Particle:
         return replace(self, log_weight=float(log_weight))
 
 
+def _stack_trajectories(trajectories: Sequence[Trajectory | None]
+                        ) -> BatchTrajectory | None:
+    """Hand-built particles' trajectories as one batch (``None`` if none)."""
+    present = [t for t in trajectories if t is not None]
+    if present and len(present) != len(trajectories):
+        raise ValueError("particles disagree on carrying trajectories")
+    return BatchTrajectory.from_trajectories(present) if present else None
+
+
+class _Lineage:
+    """Stacked trajectories by genealogy, gathered only when read: row
+    ``i`` is row ``head_rows[i]`` of the ``head`` lineage (if any) followed
+    by row ``tail_rows[i]`` of ``tail``, so resampling and continuing a
+    cloud compose index vectors instead of copying ancestors' trajectories.
+    """
+
+    def __init__(self, tail: BatchTrajectory, head: "_Lineage | None" = None,
+                 tail_rows: np.ndarray | None = None,
+                 head_rows: np.ndarray | None = None) -> None:
+        self.tail, self.head = tail, head
+        self.tail_rows = np.arange(tail.n_particles) if tail_rows is None \
+            else tail_rows
+        self.head_rows = self.tail_rows if head_rows is None else head_rows
+
+    def __len__(self) -> int:
+        return len(self.tail_rows)
+
+    def take(self, index: np.ndarray) -> "_Lineage":
+        """Rows ``index``; the tail keeps only the rows still read, so a
+        resampled cloud holds just its distinct ancestors."""
+        keep, rows = np.unique(self.tail_rows[index], return_inverse=True)
+        tail = self.tail if len(keep) == self.tail.n_particles \
+            else self.tail.take(keep)
+        return _Lineage(tail, self.head, rows.reshape(-1),
+                        self.head_rows[index])
+
+    def rows(self, index: np.ndarray | slice = slice(None)
+             ) -> BatchTrajectory:
+        """The stacked trajectories of rows ``index`` (all by default)."""
+        tail = self.tail.take(self.tail_rows[index])
+        if self.head is None:
+            return tail
+        return self.head.rows(self.head_rows[index]).extended_by(tail)
+
+
 class ParticleEnsemble:
-    """An ordered collection of particles with weight-aware summaries."""
+    """An ordered, column-stored collection of particles.
+
+    ``ParticleEnsemble(particles)`` is the validating ingress for
+    hand-built :class:`Particle` records (they must agree on parameter
+    names, trajectory day ranges and restart clock); the calibrator builds
+    ensembles straight from columns (:meth:`from_columns`).
+    """
 
     def __init__(self, particles: Sequence[Particle]) -> None:
         if not particles:
             raise ValueError("ensemble must contain at least one particle")
-        self._particles = list(particles)
-        names = set(self._particles[0].params)
-        for p in self._particles:
-            if set(p.params) != names:
-                raise ValueError("particles disagree on parameter names")
+        names = list(particles[0].params)
+        if any(set(p.params) != set(names) for p in particles):
+            raise ValueError("particles disagree on parameter names")
+        checkpoints = [p.checkpoint for p in particles
+                       if p.checkpoint is not None]
+        restart = None
+        if checkpoints:
+            if len(checkpoints) != len(particles):
+                raise ValueError("particles disagree on carrying checkpoints")
+            try:
+                restart = StackedLeapState.from_checkpoints(checkpoints)
+            except CheckpointError as exc:
+                raise ValueError(
+                    f"particles carry no batch restart state: {exc}") from exc
+        self._init_columns(
+            {name: [p.params[name] for p in particles] for name in names},
+            [p.seed for p in particles],
+            [p.log_weight for p in particles], [p.ancestor for p in particles],
+            _stack_trajectories([p.segment for p in particles]),
+            _stack_trajectories([p.history for p in particles]),
+            restart)
+
+    @classmethod
+    def from_columns(cls, params: Mapping[str, np.ndarray],
+                     seeds: np.ndarray, *,
+                     log_weights: np.ndarray | None = None,
+                     ancestors: np.ndarray | None = None,
+                     segments: BatchTrajectory | _Lineage | None = None,
+                     histories: BatchTrajectory | _Lineage | None = None,
+                     restart: StackedLeapState | None = None
+                     ) -> "ParticleEnsemble":
+        """An ensemble over existing columns, one row per seed.
+
+        Log-weights default to zero and ancestors to ``-1`` (no parent).
+        """
+        ensemble = cls.__new__(cls)
+        ensemble._init_columns(
+            params, seeds,
+            np.zeros(len(seeds)) if log_weights is None else log_weights,
+            np.full(len(seeds), -1) if ancestors is None else ancestors,
+            segments, histories, restart)
+        return ensemble
+
+    def _init_columns(self, params: Mapping[str, Sequence[float]],
+                      seeds: Sequence[int], log_weights: Sequence[float],
+                      ancestors: Sequence[int],
+                      segments: BatchTrajectory | _Lineage | None,
+                      histories: BatchTrajectory | _Lineage | None,
+                      restart: StackedLeapState | None) -> None:
+        self._params = {name: np.asarray(c, dtype=np.float64)
+                        for name, c in params.items()}
+        self._seeds = np.asarray(seeds, dtype=np.int64)
+        self._log_weights = np.asarray(log_weights, dtype=np.float64)
+        self._ancestors = np.asarray(ancestors, dtype=np.int64)
+        self.restart = restart
+        self._segments, self._history = (
+            _Lineage(c) if isinstance(c, BatchTrajectory) else c
+            for c in (segments, histories))
+        n = len(self._seeds)
+        rows = {len(c) for c in (*self._params.values(), self._log_weights,
+                                 self._ancestors)}
+        rows |= {len(c) for c in (self._segments, self._history)
+                 if c is not None}
+        rows |= set() if restart is None else {restart.n_particles}
+        if n < 1 or not self._params or rows != {n}:
+            raise ValueError(f"need one or more particles and parameter "
+                             f"columns of one length, got {n} seeds and "
+                             f"column lengths {sorted(rows)}")
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._particles)
+        return len(self._seeds)
 
     def __iter__(self) -> Iterator[Particle]:
-        return iter(self._particles)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, index: int) -> Particle:
-        return self._particles[index]
+        """Row ``index`` as a read-only :class:`Particle` view."""
+        i = range(len(self))[index]
+        seg, hist = (None if c is None else c.rows(np.array([i])).trajectory(0)
+                     for c in (self._segments, self._history))
+        return Particle(
+            {name: float(c[i]) for name, c in self._params.items()},
+            int(self._seeds[i]), float(self._log_weights[i]), seg, hist,
+            None if self.restart is None else self.restart.checkpoint(i),
+            int(self._ancestors[i]))
 
     @property
     def particles(self) -> list[Particle]:
-        return list(self._particles)
+        return list(self)
+
+    @property
+    def segments(self) -> BatchTrajectory | None:
+        """Every particle's latest-window segment, stacked."""
+        return None if self._segments is None else self._segments.rows()
+
+    @property
+    def histories(self) -> BatchTrajectory | None:
+        """Every particle's full history, stacked from its genealogy."""
+        return None if self._history is None else self._history.rows()
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._particles[0].params))
+        return tuple(sorted(self._params))
 
     # ------------------------------------------------------------------ #
     def values(self, name: str) -> np.ndarray:
         """Array of one named parameter across the ensemble."""
-        return np.array([p.params[name] for p in self._particles])
+        return self._params[name].copy()
 
     def seeds(self) -> np.ndarray:
-        return np.array([p.seed for p in self._particles], dtype=np.int64)
+        return self._seeds.copy()
 
     def log_weights(self) -> np.ndarray:
-        return np.array([p.log_weight for p in self._particles])
+        return self._log_weights.copy()
+
+    def ancestors(self) -> np.ndarray:
+        """Parent index of every particle (-1 for first-window particles)."""
+        return self._ancestors.copy()
 
     def normalized_weights(self) -> np.ndarray:
         """Normalised weights (uniform if all log-weights are equal)."""
-        return normalize_log_weights(self.log_weights())
+        return normalize_log_weights(self._log_weights)
 
     def effective_sample_size(self) -> float:
         return effective_sample_size(self.normalized_weights())
 
     # ------------------------------------------------------------------ #
     def weighted_mean(self, name: str) -> float:
-        return weighted_mean(self.values(name), self.normalized_weights())
+        return weighted_mean(self._params[name], self.normalized_weights())
 
     def weighted_quantile(self, name: str,
                           q: float | np.ndarray) -> np.ndarray | float:
-        return weighted_quantile(self.values(name), self.normalized_weights(), q)
+        return weighted_quantile(self._params[name], self.normalized_weights(),
+                                 q)
 
     def credible_interval(self, name: str, level: float = 0.9) -> tuple[float, float]:
         """Equal-tailed credible interval at the given level."""
@@ -133,84 +266,92 @@ class ParticleEnsemble:
         return float(lo), float(hi)
 
     # ------------------------------------------------------------------ #
+    def with_log_weights(self, log_weights: np.ndarray) -> "ParticleEnsemble":
+        """The same particles under new log-weights (columns shared)."""
+        return ParticleEnsemble.from_columns(
+            self._params, self._seeds, log_weights=log_weights,
+            ancestors=self._ancestors, segments=self._segments,
+            histories=self._history, restart=self.restart)
+
+    def continued(self, params: Mapping[str, np.ndarray], seeds: np.ndarray,
+                  segments: BatchTrajectory,
+                  restart: StackedLeapState) -> "ParticleEnsemble":
+        """The next window's ensemble, row ``i`` continuing row ``i`` here:
+        its history is this one's followed by its own segment."""
+        return ParticleEnsemble.from_columns(
+            params, seeds, segments=segments, restart=restart,
+            histories=_Lineage(segments, self._history))
+
     def select(self, indices: Sequence[int] | np.ndarray) -> "ParticleEnsemble":
         """Sub-ensemble by ancestor indices (weights reset to uniform).
 
         This is the post-resampling constructor: resampled particles are
         equally weighted draws from the weighted ensemble, and each records
-        which ancestor it came from.
+        which ancestor it came from.  Every index must lie in ``[0, n)``;
+        ``-1`` in particular is the "no parent" ancestor, not the last row.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        chosen = [replace(self._particles[int(i)], log_weight=0.0,
-                          ancestor=int(i)) for i in idx]
-        return ParticleEnsemble(chosen)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise ValueError(
+                f"indices must lie in [0, {len(self)}), got "
+                f"[{idx.min()}, {idx.max()}]")
+
+        def take(column: Any) -> Any:
+            return None if column is None else column.take(idx)
+        return ParticleEnsemble.from_columns(
+            {name: c[idx] for name, c in self._params.items()},
+            self._seeds[idx], ancestors=idx, segments=take(self._segments),
+            histories=take(self._history), restart=take(self.restart))
 
     def unique_ancestors(self) -> int:
         """Number of distinct ancestor indices (post-resampling diversity)."""
-        return len({p.ancestor for p in self._particles})
+        return int(np.unique(self._ancestors).size)
+
+    def trajectory_batch(self, which: str = "segment") -> BatchTrajectory:
+        """The stacked ``segment`` or ``history`` trajectories."""
+        if which not in ("segment", "history"):
+            raise ValueError("which must be 'segment' or 'history'")
+        batch = self.segments if which == "segment" else self.histories
+        if batch is None:
+            raise ValueError(f"particle missing {which} trajectory")
+        return batch
 
     def trajectories(self, which: str = "segment") -> list[Trajectory]:
         """Collect per-particle trajectories (``segment`` or ``history``)."""
-        if which not in ("segment", "history"):
-            raise ValueError("which must be 'segment' or 'history'")
-        out = []
-        for p in self._particles:
-            traj = p.segment if which == "segment" else p.history
-            if traj is None:
-                raise ValueError(f"particle missing {which} trajectory")
-            out.append(traj)
-        return out
+        return self.trajectory_batch(which).trajectories()
 
     def segment_matrix(self, channel: str, start_day: int | None = None,
                        end_day: int | None = None) -> np.ndarray:
-        """Stack one segment channel into an ``(n_particles, n_days)`` matrix.
+        """One segment channel as an ``(n_particles, n_days)`` matrix (a copy).
 
-        The batched weighting path extracts every particle's window segment
-        in a single pass instead of building per-particle TimeSeries objects.
-        ``start_day``/``end_day`` window each segment to ``[start_day,
-        end_day)`` (defaulting to the first particle's full segment range);
-        every segment must cover the requested range.
+        ``start_day``/``end_day`` window the segments to ``[start_day,
+        end_day)`` (defaulting to their full range), which they must cover.
         """
-        first = self._particles[0].segment
-        if first is None:
-            raise ValueError("particle missing segment trajectory")
-        lo = first.start_day if start_day is None else int(start_day)
-        hi = first.end_day if end_day is None else int(end_day)
+        seg = self.trajectory_batch("segment")
+        lo = seg.start_day if start_day is None else int(start_day)
+        hi = seg.end_day if end_day is None else int(end_day)
         if hi < lo:
             raise ValueError("window end before start")
-        out = np.empty((len(self._particles), hi - lo), dtype=np.float64)
-        for i, p in enumerate(self._particles):
-            seg = p.segment
-            if seg is None:
-                raise ValueError("particle missing segment trajectory")
-            if seg.start_day > lo or seg.end_day < hi:
-                raise ValueError(
-                    f"segment [{seg.start_day}, {seg.end_day}) does not cover "
-                    f"requested window [{lo}, {hi})")
-            values = seg.channel_values(channel)
-            out[i] = values[lo - seg.start_day:hi - seg.start_day]
-        return out
+        if seg.start_day > lo or seg.end_day < hi:
+            raise ValueError(
+                f"segment [{seg.start_day}, {seg.end_day}) does not cover "
+                f"requested window [{lo}, {hi})")
+        values = seg.channel_matrix(channel)
+        return np.array(values[:, lo - seg.start_day:hi - seg.start_day],
+                        order="C")
+
+    def param_rows(self) -> list[dict[str, float]]:
+        """Every particle's parameters as a plain dict (the JSON shape)."""
+        names = list(self._params)
+        return [dict(zip(names, row)) for row in
+                zip(*(self._params[name].tolist() for name in names))]
 
     def params_matrix(self) -> np.ndarray:
         """(n_particles, n_params) matrix, columns in :attr:`param_names` order."""
-        names = self.param_names
-        return np.column_stack([self.values(n) for n in names])
+        return np.column_stack([self._params[n] for n in self.param_names])
 
     @classmethod
     def from_param_arrays(cls, params: Mapping[str, np.ndarray],
                           seeds: np.ndarray) -> "ParticleEnsemble":
         """Build an unweighted ensemble from name-keyed parameter arrays."""
-        names = list(params)
-        if not names:
-            raise ValueError("need at least one parameter array")
-        n = len(np.asarray(params[names[0]]))
-        seeds_arr = np.asarray(seeds, dtype=np.int64)
-        if seeds_arr.shape != (n,):
-            raise ValueError("seeds must match parameter array length")
-        particles = [
-            Particle(params={name: float(np.asarray(params[name])[i])
-                             for name in names},
-                     seed=int(seeds_arr[i]))
-            for i in range(n)
-        ]
-        return cls(particles)
+        return cls.from_columns(params, seeds)

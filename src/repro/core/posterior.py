@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..seir.batch_engine import BatchTrajectory
 from ..seir.outputs import Trajectory
 from .weights import weighted_quantile
 
@@ -70,33 +71,34 @@ class TrajectoryRibbon:
         return float(inside.mean())
 
 
-def trajectory_ribbon(trajectories: Sequence[Trajectory], channel: str,
+def trajectory_ribbon(trajectories: Sequence[Trajectory] | BatchTrajectory,
+                      channel: str,
                       quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                       weights: np.ndarray | None = None) -> TrajectoryRibbon:
     """Per-day (optionally weighted) quantiles over trajectory ensemble.
 
-    All trajectories must share a day range; posterior ensembles do by
-    construction.  Default quantiles give the paper's 50% (0.25-0.75) and
-    90% (0.05-0.95) ribbons plus the median.
+    ``trajectories`` is a sequence of trajectories sharing a day range or
+    one stacked :class:`~repro.seir.batch_engine.BatchTrajectory` (a
+    posterior ensemble's segments or histories, used whole).  Default
+    quantiles give the paper's 50% (0.25-0.75) and 90% (0.05-0.95) ribbons
+    plus the median.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
     qs = tuple(float(q) for q in quantiles)
+    if not isinstance(trajectories, BatchTrajectory):
+        if not trajectories:
+            raise ValueError("need at least one trajectory")
+        trajectories = BatchTrajectory.from_trajectories(trajectories)
+    start = trajectories.start_day
+    stack = np.ascontiguousarray(trajectories.channel_matrix(channel))
     if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
         raise ValueError("quantiles must be ascending values in [0, 1]")
-    start = trajectories[0].start_day
-    n_days = len(trajectories[0])
-    stack = np.empty((len(trajectories), n_days))
-    for i, traj in enumerate(trajectories):
-        if traj.start_day != start or len(traj) != n_days:
-            raise ValueError("trajectories must share one day range")
-        stack[i] = traj.series(channel).values
+    n_days = stack.shape[1]
 
     if weights is None:
         bands = np.quantile(stack, qs, axis=0)
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(trajectories),):
+        if w.shape != (stack.shape[0],):
             raise ValueError("weights must have one entry per trajectory")
         bands = np.empty((len(qs), n_days))
         for d in range(n_days):

@@ -27,61 +27,32 @@ Each window runs one production path, four phases long
 (:meth:`~SequentialCalibrator.propose_window`), *simulate* it as stacked
 ``(n_particles, n_compartments)`` state matrices on the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, *assemble* the
-:class:`ParticleEnsemble` directly from the stacked day-by-day outputs
+columnar :class:`ParticleEnsemble` from the concatenated shard outputs
 (:meth:`~SequentialCalibrator.assemble_window`), and *weigh* it
 (:meth:`~SequentialCalibrator.weigh_window`).  Particles whose structural
 parameters differ (anything beyond the transmission rate, e.g. a
 ``param_map`` targeting ``mild_fraction``) are grouped by structural
-identity and each group is stepped as its own batch.  Weighting stacks the
+identity and each group is stepped as its own batch.  Weighting slices the
 segments once per source (``ParticleEnsemble.segment_matrix``), thins them
 with one binomial call (``BinomialBiasModel.apply_batch``) and scores them
 with one vectorised likelihood evaluation per source
 (``ObservationModel.loglik_ensemble``).  All per-window ancillary randomness
 (jitter, bias thinning, resampling) draws from window-indexed streams of the
 :class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
-a random stream.  The per-particle scalar engines are not on this path;
-they survive as the reference oracle of :mod:`repro.testing`.
+a random stream.  No per-particle object is built on this path: resampling
+gathers columns by index, continuations restart the gathered parents'
+restart rows, and the checkpoint store writes those rows as they are.
 
-The ensemble size itself can adapt between windows
-(``SMCConfig.size_policy``): after each window's weighting, an
-:class:`~repro.core.ensemble_control.EnsembleSizePolicy` maps the window's
-diagnostics to the *next* window's proposal count — growing the cloud when
-the ESS collapses, shrinking it when the posterior has converged.  The
-resampled *posterior* size is policy-driven too
-(``SMCConfig.resample_size_policy``): consulted per window with the
-pre-resampling weight diagnostics, it decides how many particles survive the
-resampling pass instead of pinning every window to a fixed
-``resample_size``.  Proposals flow through the same machinery at any size
-(see :meth:`SequentialCalibrator._propose_continuation`), and the shard
-layout is recomputed per window from whatever size arrives.
-
-Degenerate windows can be rescued in place
-(``SMCConfig.temper_degenerate``): when a window's ESS fraction falls below
-``temper_threshold``, the single resampling pass is replaced by the staged
-tempered bridge of :func:`repro.core.adaptive.temper_and_resample` — the
-likelihood is raised through adaptively chosen exponents, reweighting and
-resampling among the window's already-simulated trajectories so each
-bridging step keeps the incremental ESS above ``temper_ess_floor`` (no
-re-simulation).  The bridge draws from the same window-indexed resampling
-stream as the plain pass, preserving bit-reproducibility per ``(base_seed,
-shard layout)``, and the realised exponent schedule and per-stage ESS are
-recorded in the window's diagnostics for audit.
-
-Batched simulation is *sharded* across the executor
-(:mod:`repro.hpc.sharding`): each structural group is split into
-contiguous, evenly chunked sub-batches (``SMCConfig.shard_size`` /
-``n_shards``; ``"auto"`` matches the executor's worker count), the shards
-are fanned out as one executor map per window, and the stacked shard
-outputs are stitched back into the ensemble in order.  A
-:class:`~repro.hpc.executor.SerialExecutor` under the auto policy gets
-exactly one shard per group — the in-process fast path with zero pickling.
+Window sizes adapt through the size policies (``SMCConfig.size_policy``
+for the next proposal cloud, ``SMCConfig.resample_size_policy`` for the
+posterior), degenerate windows can be rescued by the tempered bridge of
+:func:`repro.core.adaptive.temper_and_resample`
+(``SMCConfig.temper_degenerate``), and simulation is sharded across the
+executor (:mod:`repro.hpc.sharding`); :class:`SMCConfig` documents each.
 Every shard draws from its own batch stream keyed by the ordered seed
-vector of its slice
-(:meth:`~repro.seir.seeding.SeedSequenceBank.shard_simulation_generators`),
-so a run is bit-reproducible given ``(base_seed, shard layout)`` and
-identical across executors for the same layout; different layouts agree in
-distribution only (see the batch RNG contract in
-:mod:`repro.seir.batch_engine`).
+vector of its slice, so a run is bit-reproducible given ``(base_seed,
+shard layout)`` and identical across executors for the same layout (see
+the batch RNG contract in :mod:`repro.seir.batch_engine`).
 """
 
 from __future__ import annotations
@@ -96,10 +67,11 @@ from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import RetryPolicy, ShardFailure
 from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
-                            resolve_shard_layout, simulate_groups,
-                            structural_groups, validate_shard_policy)
+                            reassemble, resolve_shard_layout,
+                            simulate_groups, structural_groups,
+                            validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
-from ..seir.checkpoint import Checkpoint, CheckpointError
+from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.parameters import DiseaseParameters, ParameterOverride
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
@@ -108,7 +80,7 @@ from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
 from .ensemble_control import (BudgetPolicy, EnsembleSizePolicy, FixedSize,
                                resolve_size_policy)
 from .observation import ObservationModel
-from .particle import Particle, ParticleEnsemble
+from .particle import ParticleEnsemble
 from .priors import IndependentProduct
 from .proposals import JointJitter
 from .resampling import get_resampler
@@ -329,24 +301,16 @@ class WindowResult:
 class PendingWindow:
     """One window's proposal cloud, built but not yet simulated.
 
-    The parent-side handle of the split-phase batched window API
-    (:meth:`SequentialCalibrator.propose_window` /
-    :meth:`~SequentialCalibrator.assemble_window` /
-    :meth:`~SequentialCalibrator.weigh_window`): it carries everything the
-    proposal phase decided — the per-member parameter draws, seeds, and
-    effective :class:`~repro.seir.parameters.DiseaseParameters`, the
-    structural grouping, and the ready-to-dispatch
-    :class:`~repro.hpc.sharding.GroupSpec` list — so a multi-scenario
-    driver can pool many windows' specs into **one** flattened shard
-    dispatch (:func:`~repro.hpc.sharding.simulate_group_sets`) and
-    reassemble each window independently.  All per-window randomness is
-    consumed while *building* a pending window (prior/jitter draws, seed
-    derivations); simulation randomness is keyed by the seed vectors inside
-    the specs, so dispatching pending windows together or apart is
-    bit-identical.
-
-    ``parents`` is ``None`` for window 0 (fresh starts from burn-in) and
-    the per-member parent particles for continuations.
+    Everything the proposal phase of the split-phase window API decided:
+    the members' parameter-draw columns, seeds and effective
+    :class:`~repro.seir.parameters.DiseaseParameters`, their structural
+    grouping and ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec`
+    list, and (for continuations; ``None`` for window 0) the previous
+    posterior gathered by member as ``parents``.  All per-window randomness
+    is consumed while building it and simulation streams are keyed by the
+    specs' seed vectors, so a multi-scenario sweep can pool many windows'
+    specs into one flattened dispatch
+    (:func:`~repro.hpc.sharding.simulate_group_sets`) bit-identically.
     """
 
     index: int
@@ -354,10 +318,10 @@ class PendingWindow:
     sim_days: int
     groups: list[list[int]]
     specs: list[GroupSpec]
-    member_draws: list[dict[str, float]]
-    member_seeds: list[int]
+    member_draws: dict[str, np.ndarray]
+    member_seeds: np.ndarray
     member_params: list[DiseaseParameters]
-    parents: list[Particle] | None = None
+    parents: ParticleEnsemble | None = None
 
     @property
     def n_members(self) -> int:
@@ -728,7 +692,7 @@ class SequentialCalibrator:
                         result: WindowResult) -> None:
         """Durably persist one completed window's resampled posterior.
 
-        Checkpoints land as the columns of one ``checkpoints.npz``;
+        The posterior's restart columns land as one ``checkpoints.npz``;
         parameters, seeds, ancestry, and diagnostics ride in the window's
         ``state.json``; the completion marker is written strictly last (see
         :meth:`~repro.hpc.checkpoint_io.CheckpointStore.save_window_state`),
@@ -736,23 +700,20 @@ class SequentialCalibrator:
         window, never a corrupt restart point.
         """
         posterior = result.posterior
-        checkpoints = []
-        for particle in posterior:
-            if particle.checkpoint is None:
-                raise ValueError(
-                    "cannot persist a posterior whose particles carry no "
-                    "checkpoints")
-            checkpoints.append(particle.checkpoint)
+        if posterior.restart is None:
+            raise ValueError(
+                "cannot persist a posterior whose particles carry no "
+                "checkpoints")
         meta = {
             "format_version": 1,
             "window_index": result.index,
             "window_label": result.window.label(),
-            "params": [particle.params for particle in posterior],
-            "seeds": [int(particle.seed) for particle in posterior],
-            "ancestors": [int(particle.ancestor) for particle in posterior],
+            "params": posterior.param_rows(),
+            "seeds": posterior.seeds().tolist(),
+            "ancestors": posterior.ancestors().tolist(),
             "diagnostics": result.diagnostics.to_dict(),
         }
-        store.save_window_state(result.index, checkpoints, meta)
+        store.save_window_state(result.index, posterior.restart, meta)
 
     def _restore_results(self, store: CheckpointStore,
                          windows: list[TimeWindow]) -> list[WindowResult]:
@@ -798,23 +759,23 @@ class SequentialCalibrator:
         if not len(params) == len(seeds) == len(ancestors):
             raise CheckpointError(
                 f"window {index} metadata arrays disagree on length")
-        checkpoints: list[Checkpoint] | None = None
+        restart: StackedLeapState | None = None
         if with_checkpoints:
-            checkpoints, _ = store.load_window_state(index)
-            if len(checkpoints) != len(params):
+            restart, _ = store.load_window_state(index)
+            if restart.n_particles != len(params):
                 raise CheckpointError(
-                    f"window {index} stores {len(checkpoints)} "
+                    f"window {index} stores {restart.n_particles} "
                     f"checkpoints but {len(params)} posterior samples")
-        particles = []
-        for i in range(len(params)):
-            particles.append(Particle(
-                params={k: float(v) for k, v in dict(params[i]).items()},
-                seed=int(seeds[i]), ancestor=int(ancestors[i]),
-                checkpoint=checkpoints[i] if checkpoints is not None
-                else None))
+        names = list(params[0]) if params else []
+        if any(set(row) != set(names) for row in params):
+            raise CheckpointError(
+                f"window {index} posterior samples disagree on parameters")
+        posterior = ParticleEnsemble.from_columns(
+            {name: [float(row[name]) for row in params] for name in names},
+            np.array(seeds, dtype=np.int64), ancestors=np.array(ancestors),
+            restart=restart)
         return WindowResult(
-            index=index, window=window,
-            posterior=ParticleEnsemble(particles),
+            index=index, window=window, posterior=posterior,
             diagnostics=WindowDiagnostics.from_dict(
                 dict(meta["diagnostics"])))
 
@@ -931,30 +892,28 @@ class SequentialCalibrator:
         rng_prior = self._bank.ancillary_generator(_PURPOSE_PRIOR)
         draws = self.prior.sample(cfg.n_parameter_draws, rng_prior)
         seeds = self._bank.common_replicate_seeds(cfg.n_replicates)
-        draw_dicts = [{name: float(draws[name][i]) for name in self.prior.names}
-                      for i in range(cfg.n_parameter_draws)]
         # Draw-major, replicate-minor member order.
-        entry_draws: list[dict[str, float]] = []
-        entry_params: list[DiseaseParameters] = []
-        entry_seeds: list[int] = []
-        for draw in draw_dicts:
-            params = self._params_for_draw(draw, base)
-            for seed in seeds:
-                entry_draws.append(draw)
-                entry_params.append(params)
-                entry_seeds.append(seed)
-        groups = structural_groups(entry_params)
-        specs = build_group_specs(groups, entry_params, entry_seeds,
+        member_draws = {name: np.repeat(draws[name], cfg.n_replicates)
+                        for name in self.prior.names}
+        member_seeds = np.tile(np.asarray(seeds, dtype=np.int64),
+                               cfg.n_parameter_draws)
+        draw_params = [self._params_for_draw(
+            {name: float(draws[name][i]) for name in self.prior.names}, base)
+            for i in range(cfg.n_parameter_draws)]
+        member_params = [p for p in draw_params
+                         for _ in range(cfg.n_replicates)]
+        groups = structural_groups(member_params)
+        specs = build_group_specs(groups, member_params, member_seeds,
                                   start_day=self.schedule.burn_in_start)
-        self._progress(f"window 0: batch-simulating {len(entry_seeds)} prior "
+        self._progress(f"window 0: batch-simulating {len(member_seeds)} prior "
                        f"trajectories ({len(groups)} structural group(s), "
                        f"{self.executor.workers} worker(s))")
         return PendingWindow(
             index=0, window=window,
             sim_days=window.end_day - self.schedule.burn_in_start,
-            groups=groups, specs=specs, member_draws=entry_draws,
-            member_seeds=[int(s) for s in entry_seeds],
-            member_params=entry_params, parents=None)
+            groups=groups, specs=specs, member_draws=member_draws,
+            member_seeds=member_seeds, member_params=member_params,
+            parents=None)
 
     def _propose_continuation(self, index: int, window: TimeWindow,
                               posterior: ParticleEnsemble, *,
@@ -979,30 +938,30 @@ class SequentialCalibrator:
         base = self._window_base_params(window)
         rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
                                                     window_index=index)
-        parent_idx = np.arange(n) % len(posterior)
-        centers = {name: posterior.values(name)[parent_idx]
-                   for name in self.prior.names}
-        proposal = self.jitter.propose(centers, rng_jitter)
-        proposed_params = [{name: float(proposal[name][i])
-                            for name in self.prior.names} for i in range(n)]
-        seeds = [self._bank.window_draw_seed(index, i) for i in range(n)]
-        parents = [posterior[int(j)] for j in parent_idx]
-        params_list = [self._params_for_draw(draw, base)
-                       for draw in proposed_params]
+        if posterior.restart is None:
+            raise ValueError(f"window {index} needs a posterior whose "
+                             "particles carry checkpoints")
+        parents = posterior.select(np.arange(n) % len(posterior))
+        proposal = self.jitter.propose(
+            {name: parents.values(name) for name in self.prior.names},
+            rng_jitter)
+        member_draws = {name: np.asarray(proposal[name], dtype=np.float64)
+                        for name in self.prior.names}
+        seeds = np.array([self._bank.window_draw_seed(index, i)
+                          for i in range(n)], dtype=np.int64)
+        params_list = [self._params_for_draw(
+            {name: float(member_draws[name][i]) for name in self.prior.names},
+            base) for i in range(n)]
         groups = structural_groups(params_list)
-        for parent in parents:
-            assert parent.checkpoint is not None
-        specs = build_group_specs(
-            groups, params_list, seeds,
-            snapshots=[p.checkpoint.snapshot for p in parents])
+        specs = build_group_specs(groups, params_list, seeds,
+                                  state=parents.restart)
         self._progress(
-            f"window {index}: batch-restarting {len(parents)} "
+            f"window {index}: batch-restarting {n} "
             f"checkpoints ({window.label()})")
         return PendingWindow(
             index=index, window=window, sim_days=window.n_days,
-            groups=groups, specs=specs, member_draws=proposed_params,
-            member_seeds=[int(s) for s in seeds], member_params=params_list,
-            parents=parents)
+            groups=groups, specs=specs, member_draws=member_draws,
+            member_seeds=seeds, member_params=params_list, parents=parents)
 
     def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
         cfg = self.config
@@ -1016,37 +975,27 @@ class SequentialCalibrator:
 
     def assemble_window(self, pending: PendingWindow,
                         shards: list[GroupShards]) -> ParticleEnsemble:
-        """Reassemble a dispatched :class:`PendingWindow` into particles.
+        """Reassemble a dispatched :class:`PendingWindow` into an ensemble.
 
         ``shards`` is the per-group result list for exactly
         ``pending.specs`` (e.g. one element of a
-        :func:`~repro.hpc.sharding.simulate_group_sets` return).  Window 0
-        turns each whole trajectory into history+segment; continuations
-        splice each parent's history with its restarted segment.
+        :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
+        outputs and restart states are concatenated and put back in member
+        order.  Window 0's whole trajectories become the histories, sliced
+        to the window for the segments; a continuation's segments continue
+        its gathered parents' histories (by genealogy, not by copying).
         """
-        first_window = pending.parents is None
-        particles: list[Particle | None] = [None] * pending.n_members
-        for indices, group in zip(pending.groups, shards):
-            for member, result, row in group.member_items():
-                idx = indices[member]
-                checkpoint = Checkpoint(
-                    params=pending.member_params[idx],
-                    snapshot=result.particle_snapshot(row))
-                if first_window:
-                    history = result.batch.trajectory(row)
-                    segment = history.window(pending.window.start_day,
-                                             pending.window.end_day)
-                else:
-                    segment = result.batch.trajectory(row)
-                    assert pending.parents is not None
-                    parent = pending.parents[idx]
-                    history = parent.history.extended_by(segment) \
-                        if parent.history is not None else segment
-                particles[idx] = Particle(
-                    params=pending.member_draws[idx],
-                    seed=pending.member_seeds[idx],
-                    segment=segment, history=history, checkpoint=checkpoint)
-        return ParticleEnsemble(particles)
+        batch, state = reassemble(pending.groups, shards)
+        assert state is not None, "window shards must return their state"
+        restart = state.with_parameters(pending.member_params)
+        if pending.parents is not None:
+            return pending.parents.continued(
+                pending.member_draws, pending.member_seeds, batch, restart)
+        return ParticleEnsemble.from_columns(
+            pending.member_draws, pending.member_seeds,
+            segments=batch.window(pending.window.start_day,
+                                  pending.window.end_day),
+            histories=batch, restart=restart)
 
     def weigh_window(self, index: int, window: TimeWindow,
                      ensemble: ParticleEnsemble,
@@ -1077,8 +1026,7 @@ class SequentialCalibrator:
                                                   window_index=index)
         log_weights = self.observation_model.loglik_ensemble(
             window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
-        weighted_ensemble = ParticleEnsemble(
-            [p.with_weight(ll) for p, ll in zip(ensemble, log_weights)])
+        weighted_ensemble = ensemble.with_log_weights(log_weights)
 
         normalized = normalize_log_weights(log_weights)
         particle_steps = len(ensemble) * int(sim_days)

@@ -1,8 +1,7 @@
 """HPC execution substrate: executors, shard partitioning, fault-tolerant
 sharded dispatch of batched ensemble simulation, and checkpoint stores."""
 
-from .checkpoint_io import (CheckpointStore, StoreManifest,
-                            write_json_atomic)
+from .checkpoint_io import CheckpointStore, write_json_atomic
 from .executor import (Executor, ProcessExecutor, SerialExecutor,
                        TaskOutcome, ThreadExecutor, default_executor,
                        make_executor)
@@ -24,5 +23,5 @@ __all__ = [
     "GroupSpec", "GroupShards", "ShardTask", "ShardResult",
     "run_shard", "dispatch_shards", "simulate_groups", "simulate_members",
     "structural_groups",
-    "CheckpointStore", "StoreManifest", "write_json_atomic",
+    "CheckpointStore", "write_json_atomic",
 ]

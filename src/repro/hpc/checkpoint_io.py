@@ -1,12 +1,10 @@
-"""Checkpoint storage: one sealed columnar file per window plus a manifest.
+"""Checkpoint storage: one sealed columnar file per window.
 
 The paper checkpoints every posterior trajectory between calibration windows
-so the next window restarts instead of re-simulating (section III-B).  A
-window's posterior is hundreds of same-day binomial-leap restart
-checkpoints; :class:`CheckpointStore` stacks them into the columns of one
-``checkpoints.npz`` per window, so persisting a window publishes a fixed
-handful of files whatever its particle count, and loading it reads each
-column once.
+so the next window restarts instead of re-simulating (section III-B).
+:class:`CheckpointStore` writes a window's restart state — one
+:class:`~repro.seir.checkpoint.StackedLeapState` of same-day binomial-leap
+rows — as the columns of one ``checkpoints.npz`` and reads it back whole.
 
 Columns of ``checkpoints.npz`` (``n`` particles, one row each)::
 
@@ -19,35 +17,26 @@ Columns of ``checkpoints.npz`` (``n`` particles, one row each)::
     param_<field>      (n,)            one per DiseaseParameters field,
                                        in that field's own dtype
 
-Only *restart* checkpoints fit these columns: ``binomial_leap`` snapshots
-on one ``(day, steps_per_day)`` clock, with no theta schedule (each
-particle's theta is its ``transmission_rate``) and no recorded RNG state (a
-restart checkpoint's stream is its seed's fresh generator; see
-:func:`~repro.seir.batch_engine.leap_particle_snapshot`).
-:meth:`CheckpointStore.save_window_state` refuses anything else before it
-writes a file.
+The store's input is a restart state by type, so only restart rows reach
+it; per-particle checkpoints are validated into that form by
+:meth:`~repro.seir.checkpoint.StackedLeapState.from_checkpoints`.
 
 Durability contract
 -------------------
 Every file is published with write-to-temp + ``fsync`` + ``os.replace``,
-so a reader never sees a torn file.  Window *completeness* is a separate
-concern: the data file and ``state.json`` land first, the window
-directory is fsync'd, and only then is the ``COMPLETE.json`` marker —
+so a reader never sees a torn file.  The data file and ``state.json`` land
+first, the window directory is fsync'd (POSIX does not order two renames
+on disk without it), and only then is the ``COMPLETE.json`` marker —
 recording the particle count — published and the directory fsync'd again.
-POSIX does not order two renames on disk without that first directory
-fsync, so after a power loss the marker could otherwise be durable while
-the data file's rename is not.  A window counts as complete only when its
-marker parses and its data file exists, and :meth:`load_window_state`
-refuses a data file whose row count disagrees with the marker, so an
-interrupted run can never resume from a torn window.  ``run_meta.json``
-pins the run's config/seed fingerprint — including the store's
-``format_version`` — so a store refuses checkpoints from a differently
-configured run or an older layout.
+A window counts as complete only when its marker parses and its data file
+exists, and :meth:`load_window_state` refuses a data file whose row count
+disagrees with the marker.  ``run_meta.json`` pins the run's fingerprint,
+including the store's ``format_version``, so a store refuses checkpoints
+from a differently configured run or an older layout.
 
 Layout::
 
     <root>/
-      manifest.json
       run_meta.json
       window_000/
         checkpoints.npz    # the window's restart checkpoints, as columns
@@ -64,20 +53,18 @@ import os
 import shutil
 import tempfile
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
-from ..seir.batch_engine import leap_particle_snapshot
-from ..seir.checkpoint import Checkpoint, CheckpointError, stack_leap_snapshots
+from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.compartments import N_COMPARTMENTS
 from ..seir.parameters import DiseaseParameters
 
-__all__ = ["CheckpointStore", "StoreManifest", "write_json_atomic"]
+__all__ = ["CheckpointStore", "write_json_atomic"]
 
-_MANIFEST_NAME = "manifest.json"
 _RUN_META_NAME = "run_meta.json"
 _COMPLETE_NAME = "COMPLETE.json"
 _STATE_NAME = "state.json"
@@ -134,36 +121,24 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _window_columns(checkpoints: Sequence[Checkpoint]) -> dict[str, np.ndarray]:
-    """Stack restart checkpoints into the columns of ``checkpoints.npz``.
-
-    Raises :class:`CheckpointError` for any checkpoint that is not a
-    restart checkpoint (see the module docstring).
-    """
-    for i, cp in enumerate(checkpoints):
-        if cp.theta_schedule is not None:
-            raise CheckpointError(
-                f"checkpoint {i} carries a theta schedule; the store holds "
-                "restart checkpoints only (theta in transmission_rate)")
-        if "rng_state" in cp.snapshot:
-            raise CheckpointError(
-                f"checkpoint {i} records a mid-stream rng_state; the store "
-                "holds restart checkpoints only (stream derived from seed)")
-    stacked = stack_leap_snapshots([cp.snapshot for cp in checkpoints])
-    columns = {"counts": stacked.counts,
-               "cum_infections": stacked.cum_infections,
-               "cum_deaths": stacked.cum_deaths, "seed": stacked.seeds,
-               "day": np.asarray(stacked.day, dtype=np.int64),
-               "steps_per_day": np.asarray(stacked.steps_per_day,
+def _window_columns(state: StackedLeapState) -> dict[str, np.ndarray]:
+    """The columns of ``checkpoints.npz`` for one window's restart state."""
+    missing = set(_PARAM_FIELDS) - set(state.params)
+    if missing:
+        raise CheckpointError(
+            f"restart state lacks parameter columns {sorted(missing)}")
+    columns = {"counts": state.counts,
+               "cum_infections": state.cum_infections,
+               "cum_deaths": state.cum_deaths, "seed": state.seeds,
+               "day": np.asarray(state.day, dtype=np.int64),
+               "steps_per_day": np.asarray(state.steps_per_day,
                                            dtype=np.int64)}
-    for name in _PARAM_FIELDS:
-        columns[_PARAM_PREFIX + name] = np.array(
-            [getattr(cp.params, name) for cp in checkpoints])
+    columns.update({_PARAM_PREFIX + name: state.params[name]
+                    for name in _PARAM_FIELDS})
     return columns
 
 
-def _read_window_columns(path: Path, n_particles: int
-                         ) -> dict[str, np.ndarray]:
+def _read_window_state(path: Path, n_particles: int) -> StackedLeapState:
     """Read and validate every column of one window's data file."""
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -190,75 +165,22 @@ def _read_window_columns(path: Path, n_particles: int
             raise CheckpointError(
                 f"{path} column {name!r} is {array.dtype}{list(array.shape)}, "
                 f"expected kind {kinds!r} with shape {list(shape)}")
-    return columns
-
-
-def _checkpoints_from_columns(columns: dict[str, np.ndarray]
-                              ) -> list[Checkpoint]:
-    """Rebuild the window's :class:`Checkpoint` objects bit for bit."""
-    day, steps = int(columns["day"]), int(columns["steps_per_day"])
-    counts = columns["counts"]
-    cum_inf = columns["cum_infections"].tolist()
-    cum_dead = columns["cum_deaths"].tolist()
-    seeds = columns["seed"].tolist()
-    param_rows = zip(*(columns[_PARAM_PREFIX + name].tolist()
-                       for name in _PARAM_FIELDS))
-    try:
-        return [Checkpoint(
-            params=DiseaseParameters(**dict(zip(_PARAM_FIELDS, row))),
-            snapshot=leap_particle_snapshot(day, counts[i], cum_inf[i],
-                                            cum_dead[i], steps, seeds[i]))
-            for i, row in enumerate(param_rows)]
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"invalid stored parameters: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class StoreManifest:
-    """Summary of what a checkpoint store currently contains."""
-
-    run_id: str
-    windows: dict[int, int]
-    """Mapping window index -> number of particles its marker promises."""
-    complete: dict[int, bool] = field(default_factory=dict)
-    """Mapping window index -> whether its completion marker validates."""
-
-    def latest_window(self) -> int | None:
-        return max(self.windows) if self.windows else None
-
-    def latest_complete_window(self) -> int | None:
-        done = [w for w, ok in self.complete.items() if ok]
-        return max(done) if done else None
-
-    def to_dict(self) -> dict:
-        return {"run_id": self.run_id,
-                "windows": {str(k): v for k, v in self.windows.items()},
-                "complete": {str(k): v for k, v in self.complete.items()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StoreManifest":
-        return cls(run_id=str(d.get("run_id", "")),
-                   windows={int(k): int(v)
-                            for k, v in dict(d.get("windows", {})).items()},
-                   complete={int(k): bool(v)
-                             for k, v in dict(d.get("complete", {})).items()})
+    return StackedLeapState(
+        int(columns["day"]), int(columns["steps_per_day"]),
+        *(columns[name] for name in _STATE_COLUMNS[:4]),
+        params={name: columns[_PARAM_PREFIX + name] for name in _PARAM_FIELDS})
 
 
 class CheckpointStore:
     """File-backed store of restart checkpoints, one sealed file per window."""
 
-    def __init__(self, root: str | os.PathLike, run_id: str = "run") -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self._root = Path(root)
-        self._run_id = str(run_id)
         self._root.mkdir(parents=True, exist_ok=True)
 
     @property
     def root(self) -> Path:
         return self._root
-
-    @property
-    def run_id(self) -> str:
-        return self._run_id
 
     # ------------------------------------------------------------------ #
     def _window_dir(self, window_index: int) -> Path:
@@ -284,33 +206,24 @@ class CheckpointStore:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def save_window_state(self, window_index: int,
-                          checkpoints: Sequence[Checkpoint],
+    def save_window_state(self, window_index: int, state: StackedLeapState,
                           meta: dict) -> None:
-        """Persist a window's full population plus its metadata.
-
-        Crash-safe write order: ``checkpoints.npz`` and ``state.json``,
-        a directory fsync, the ``COMPLETE.json`` marker, a second directory
-        fsync, then the manifest.  A crash at any point before the marker
-        leaves the window unmarked, so restart discovery treats it as torn
-        and falls back to the previous complete window.  Every checkpoint
-        must be a restart checkpoint (see the module docstring); the
-        window is refused with :class:`CheckpointError` before any file is
-        written otherwise.
-        """
-        if not checkpoints:
+        """Persist a window's full restart state plus its metadata, in the
+        crash-safe order of the module's durability contract.  A state
+        without its full set of parameter columns is refused with
+        :class:`CheckpointError` before any file is written."""
+        if state.n_particles < 1:
             raise ValueError("cannot persist an empty window")
         directory = self._window_dir(window_index)
-        columns = _window_columns(checkpoints)
+        columns = _window_columns(state)
         directory.mkdir(parents=True, exist_ok=True)
         _publish_atomic(directory / _DATA_NAME,
                         lambda fh: np.savez(fh, **columns))
         write_json_atomic(directory / _STATE_NAME, meta)
         _fsync_dir(directory)
         write_json_atomic(directory / _COMPLETE_NAME,
-                          {"n_particles": len(checkpoints)})
+                          {"n_particles": state.n_particles})
         _fsync_dir(directory)
-        self.write_manifest()
 
     def expected_count(self, window_index: int) -> int | None:
         """Particle count promised by the completion marker (None = unmarked)."""
@@ -341,8 +254,8 @@ class CheckpointStore:
         return payload
 
     def load_window_state(self, window_index: int
-                          ) -> tuple[list[Checkpoint], dict[str, Any]]:
-        """Load a *complete* window's checkpoints and metadata.
+                          ) -> tuple[StackedLeapState, dict[str, Any]]:
+        """Load a *complete* window's restart state and metadata.
 
         Refuses torn windows: the completion marker must be present and
         ``checkpoints.npz`` must hold exactly the promised rows.  A missing,
@@ -357,8 +270,7 @@ class CheckpointStore:
             raise CheckpointError(
                 f"window {window_index} has no completion marker; "
                 "refusing to load a possibly torn window")
-        columns = _read_window_columns(directory / _DATA_NAME, expected)
-        return (_checkpoints_from_columns(columns),
+        return (_read_window_state(directory / _DATA_NAME, expected),
                 self.load_window_meta(window_index))
 
     def particle_count(self, window_index: int) -> int:
@@ -393,8 +305,6 @@ class CheckpointStore:
         doomed = sealed[:-keep_last]
         for index in doomed:
             shutil.rmtree(self._window_dir(index))
-        if doomed:
-            self.write_manifest()
         return doomed
 
     # ------------------------------------------------------------------ #
@@ -427,23 +337,3 @@ class CheckpointStore:
                 "checkpoint store was produced by a different run "
                 f"configuration (differing keys: {differing}); resuming "
                 "would not be bit-identical — use a fresh --checkpoint-dir")
-
-    # ------------------------------------------------------------------ #
-    def write_manifest(self) -> StoreManifest:
-        """Scan the store and atomically rewrite the manifest."""
-        windows: dict[int, int] = {}
-        complete: dict[int, bool] = {}
-        for index in self.stored_windows():
-            windows[index] = self.particle_count(index)
-            complete[index] = self.window_complete(index)
-        manifest = StoreManifest(run_id=self._run_id, windows=windows,
-                                 complete=complete)
-        write_json_atomic(self._root / _MANIFEST_NAME, manifest.to_dict())
-        return manifest
-
-    def read_manifest(self) -> StoreManifest:
-        path = self._root / _MANIFEST_NAME
-        if not path.exists():
-            return StoreManifest(run_id=self._run_id, windows={})
-        with open(path) as fh:
-            return StoreManifest.from_dict(json.load(fh))

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..core.contracts import check_shaped
-from ..seir.batch_engine import (BatchedBinomialLeapEngine, BatchTrajectory,
-                                 leap_particle_snapshot)
-from ..seir.checkpoint import StackedLeapState, stack_leap_snapshots
+from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
+from ..seir.checkpoint import StackedLeapState
 from ..seir.model import batch_engine_class
 from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
@@ -54,8 +53,9 @@ from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "simulate_members", "structural_groups", "build_group_specs",
-           "validate_shard_policy", "resolve_shard_layout"]
+           "simulate_group_sets", "simulate_members", "structural_groups",
+           "build_group_specs", "reassemble", "validate_shard_policy",
+           "resolve_shard_layout"]
 
 
 def validate_shard_policy(shard_size: int | None,
@@ -157,15 +157,6 @@ class ShardResult:
     shard_id: int
     batch: BatchTrajectory
     state: StackedLeapState | None
-
-    def particle_snapshot(self, j: int) -> dict:
-        """Member ``j``'s final state as a scalar ``binomial_leap`` snapshot."""
-        if self.state is None:
-            raise ValueError("shard was run with return_state=False")
-        s = self.state
-        return leap_particle_snapshot(s.day, s.counts[j], s.cum_infections[j],
-                                      s.cum_deaths[j], s.steps_per_day,
-                                      s.seeds[j])
 
 
 def run_shard(task: ShardTask) -> ShardResult:
@@ -333,29 +324,26 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
 # --------------------------------------------------------------------------- #
 def build_group_specs(groups: Sequence[Sequence[int]],
                       params_list: Sequence[DiseaseParameters],
-                      seeds: Sequence[int], *,
+                      seeds: Sequence[int] | np.ndarray, *,
                       start_day: int | None = None,
-                      snapshots: Sequence[dict] | None = None
+                      state: StackedLeapState | None = None
                       ) -> list["GroupSpec"]:
-    """One :class:`GroupSpec` per structural group over parallel arrays.
+    """One :class:`GroupSpec` per :func:`structural_groups` group.
 
-    ``groups`` is :func:`structural_groups` output over ``params_list``;
-    ``seeds`` is the matching per-member seed list.  Fresh starts pass
-    ``start_day``; restarts pass ``snapshots`` (per-member scalar leap
-    snapshot dicts, stacked **once per group** here and sliced per shard
-    downstream).  Every member's theta rides in from its own params.
+    Fresh starts pass ``start_day``; restarts pass ``state``, the members'
+    restart rows, gathered once per group (engine columns only).  Every
+    member's theta rides in from its own params.
     """
+    seeds_arr = np.asarray(seeds, dtype=np.int64)
     specs = []
     for indices in groups:
-        state = None
-        if snapshots is not None:
-            state = stack_leap_snapshots([snapshots[i] for i in indices])
+        idx = np.asarray(indices, dtype=np.int64)
         specs.append(GroupSpec(
-            params=params_list[indices[0]],
-            seeds=np.array([seeds[i] for i in indices], dtype=np.int64),
+            params=params_list[indices[0]], seeds=seeds_arr[idx],
             thetas=np.array([params_list[i].transmission_rate
                              for i in indices]),
-            start_day=start_day, state=state))
+            start_day=start_day,
+            state=None if state is None else state.take(idx, params=False)))
     return specs
 
 
@@ -383,11 +371,22 @@ class GroupShards:
     bounds: list[tuple[int, int]]
     results: list[ShardResult]
 
-    def member_items(self) -> Iterator[tuple[int, ShardResult, int]]:
-        """Yield ``(member_index_within_group, shard_result, row)`` in order."""
-        for (lo, hi), result in zip(self.bounds, self.results):
-            for j in range(hi - lo):
-                yield lo + j, result, j
+
+def reassemble(groups: Sequence[Sequence[int]],
+               shards: Sequence[GroupShards]
+               ) -> tuple[BatchTrajectory, StackedLeapState | None]:
+    """Every group's stacked shard outputs (and restart states, if the
+    shards returned them) concatenated back into member order."""
+    results = [r for group in shards for r in group.results]
+    batch = BatchTrajectory.concatenate([r.batch for r in results])
+    states = [r.state for r in results if r.state is not None]
+    state = StackedLeapState.concatenate(states) if states else None
+    if len(groups) > 1:
+        # Rows arrive group by group; put them back in member order.
+        rows = np.argsort(np.concatenate(groups))
+        batch = batch.take(rows)
+        state = None if state is None else state.take(rows)
+    return batch, state
 
 
 def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
@@ -408,93 +407,37 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
     are returned per group in member order.  ``retry``/``on_failure``
     enable fault-tolerant dispatch (see :func:`dispatch_shards`).
     """
-    tasks: list[ShardTask] = []
-    layouts, placements = _plan_group_tasks(
-        specs, tasks, end_day=end_day, engine=engine,
+    return simulate_group_sets(
+        executor, [specs], end_day=end_day, engine=engine,
         engine_options=engine_options, shard_size=shard_size,
-        n_shards=n_shards, return_state=return_state)
-    results = dispatch_shards(executor, tasks, retry=retry,
-                              on_failure=on_failure)
-    return [GroupShards(bounds=layouts[g],
-                        results=[results[t] for t in placements[g]])
-            for g in range(len(specs))]
-
-
-def _plan_group_tasks(specs: Sequence[GroupSpec], tasks: list[ShardTask], *,
-                      end_day: int, engine: str,
-                      engine_options: dict | None,
-                      shard_size: int | None, n_shards: int | None,
-                      return_state: bool
-                      ) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
-    """Shard ``specs`` into :class:`ShardTask`\\ s appended onto ``tasks``.
-
-    Returns ``(layouts, placements)``: per group, its shard bounds and the
-    task ids of its shards within the shared ``tasks`` list.  Shard ids are
-    positions in that list — per-shard RNG streams are keyed by the seed
-    slice alone, never by the id, so planning several spec sets into one
-    list (``simulate_group_sets``) leaves every shard's bits unchanged.
-    """
-    layouts: list[list[tuple[int, int]]] = []
-    placements: list[list[int]] = []  # per group: task ids of its shards
-    for spec in specs:
-        seeds = np.asarray(spec.seeds, dtype=np.int64)
-        thetas = np.asarray(spec.thetas, dtype=np.float64)
-        bounds = shard_bounds(len(seeds), shard_size=shard_size,
-                              n_shards=n_shards)
-        layouts.append(bounds)
-        task_ids = []
-        for lo, hi in bounds:
-            state = None
-            if spec.state is not None:
-                s = spec.state
-                state = StackedLeapState(
-                    day=s.day, steps_per_day=s.steps_per_day,
-                    counts=s.counts[lo:hi],
-                    cum_infections=s.cum_infections[lo:hi],
-                    cum_deaths=s.cum_deaths[lo:hi], seeds=s.seeds[lo:hi])
-            task_ids.append(len(tasks))
-            tasks.append(ShardTask(
-                shard_id=len(tasks), params=spec.params,
-                seeds=seeds[lo:hi], thetas=thetas[lo:hi], end_day=end_day,
-                engine=engine,
-                engine_options=(dict(engine_options or {})
-                                if spec.start_day is not None else {}),
-                start_day=spec.start_day, state=state,
-                return_state=return_state))
-        placements.append(task_ids)
-    return layouts, placements
+        n_shards=n_shards, return_state=return_state, retry=retry,
+        on_failures=[on_failure])[0]
 
 
 def simulate_members(executor: Executor,
                      params_list: Sequence[DiseaseParameters],
-                     seeds: Sequence[int], *, end_day: int,
+                     seeds: Sequence[int] | np.ndarray, *, end_day: int,
                      start_day: int | None = None,
-                     snapshots: Sequence[dict] | None = None,
+                     state: StackedLeapState | None = None,
                      engine_options: dict | None = None,
                      shard_size: int | None = None,
                      n_shards: int | None = None) -> list[Trajectory]:
     """One trajectory per member, simulated as a single batched dispatch.
 
-    The front door for callers that want plain per-member trajectories
-    (forecasts and the baselines) rather than checkpoints: groups the
-    members structurally, builds their specs (fresh starts at ``start_day``
-    or restarts from ``snapshots``, exactly as :func:`build_group_specs`),
-    runs :func:`simulate_groups` without returning engine state, and reads
-    each member's row back in input order.
+    The front door for forecasts and the baselines: fresh starts at
+    ``start_day`` or restarts from the members' ``state`` rows (as in
+    :func:`build_group_specs`), returned in input order without engine
+    state.
     """
     groups = structural_groups(params_list)
     specs = build_group_specs(groups, params_list, seeds,
-                              start_day=start_day, snapshots=snapshots)
+                              start_day=start_day, state=state)
     shards = simulate_groups(executor, specs, end_day=end_day,
                              engine=BatchedBinomialLeapEngine.name,
                              engine_options=engine_options,
                              shard_size=shard_size, n_shards=n_shards,
                              return_state=False)
-    trajectories: list[Trajectory | None] = [None] * len(params_list)
-    for indices, group in zip(groups, shards):
-        for member, result, row in group.member_items():
-            trajectories[indices[member]] = result.batch.trajectory(row)
-    return trajectories  # type: ignore[return-value]
+    return reassemble(groups, shards)[0].trajectories()
 
 
 def simulate_group_sets(executor: Executor,
@@ -528,18 +471,30 @@ def simulate_group_sets(executor: Executor,
         raise ValueError(
             f"on_failures has {len(on_failures)} entries for "
             f"{len(spec_sets)} spec sets")
+    # Shard ids are positions in one flat task list, never RNG keys.
     tasks: list[ShardTask] = []
-    set_layouts: list[list[list[tuple[int, int]]]] = []
-    set_placements: list[list[list[int]]] = []
     task_owner: list[int] = []  # task id -> spec-set index
+    plans: list[list[tuple[list[tuple[int, int]], list[int]]]] = []
     for set_index, specs in enumerate(spec_sets):
-        layouts, placements = _plan_group_tasks(
-            specs, tasks, end_day=end_day, engine=engine,
-            engine_options=engine_options, shard_size=shard_size,
-            n_shards=n_shards, return_state=return_state)
-        set_layouts.append(layouts)
-        set_placements.append(placements)
-        task_owner.extend([set_index] * (len(tasks) - len(task_owner)))
+        plans.append([])
+        for spec in specs:
+            seeds = np.asarray(spec.seeds, dtype=np.int64)
+            thetas = np.asarray(spec.thetas, dtype=np.float64)
+            bounds = shard_bounds(len(seeds), shard_size=shard_size,
+                                  n_shards=n_shards)
+            plans[-1].append((bounds, list(range(len(tasks),
+                                                 len(tasks) + len(bounds)))))
+            for lo, hi in bounds:
+                task_owner.append(set_index)
+                tasks.append(ShardTask(
+                    shard_id=len(tasks), params=spec.params,
+                    seeds=seeds[lo:hi], thetas=thetas[lo:hi],
+                    end_day=end_day, engine=engine,
+                    engine_options=(dict(engine_options or {})
+                                    if spec.start_day is not None else {}),
+                    start_day=spec.start_day, return_state=return_state,
+                    state=None if spec.state is None
+                    else spec.state.take(slice(lo, hi))))
 
     on_failure: Callable[[ShardFailure], None] | None = None
     if on_failures is not None:
@@ -552,8 +507,5 @@ def simulate_group_sets(executor: Executor,
 
     results = dispatch_shards(executor, tasks, retry=retry,
                               on_failure=on_failure)
-    return [[GroupShards(bounds=set_layouts[s][g],
-                         results=[results[t]
-                                  for t in set_placements[s][g]])
-             for g in range(len(spec_sets[s]))]
-            for s in range(len(spec_sets))]
+    return [[GroupShards(bounds=bounds, results=[results[t] for t in ids])
+             for bounds, ids in plan] for plan in plans]

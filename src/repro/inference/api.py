@@ -156,9 +156,7 @@ def calibrate_scenarios(observations: ObservationSet,
     stores = None
     if config.checkpoint_dir is not None:
         root = Path(config.checkpoint_dir)
-        stores = {name: CheckpointStore(root / name,
-                                        run_id=f"seed{config.base_seed}")
-                  for name in sweep.names}
+        stores = {name: CheckpointStore(root / name) for name in sweep.names}
     # repro-allow: REPRO201 sweep wall time is reporting metadata, never an input to any draw
     started = time.perf_counter()
     try:

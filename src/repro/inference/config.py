@@ -169,8 +169,7 @@ class CalibrationConfig:
         """The configured durable window store (None = no persistence)."""
         if self.checkpoint_dir is None:
             return None
-        return CheckpointStore(self.checkpoint_dir,
-                               run_id=f"seed{self.base_seed}")
+        return CheckpointStore(self.checkpoint_dir)
 
     def make_executor(self) -> Executor:
         return make_executor(self.executor, max_workers=self.max_workers)

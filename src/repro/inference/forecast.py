@@ -8,17 +8,13 @@ particle is restarted from its stored state with a fresh seed (parameters
 held at their posterior values) and simulated ``horizon_days`` forward; the
 ensemble of continuations is the posterior predictive.
 
-The restart runs on the **sharded batched path**: the posterior's
-checkpoints are stacked per structural group, split into contiguous shards,
-and advanced by the
+The restart runs on the **sharded batched path**: the posterior's restart
+columns are tiled once per continuation and advanced by the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` across the
-executor's workers (:func:`repro.hpc.sharding.simulate_members`) — one
-batched engine per shard.  Per-shard streams are keyed by each shard's
-slice of the forecast seed vector, so a forecast is bit-reproducible given
-``(base_seed, shard layout)`` and identical across executors for the same
-layout.  Checkpoints the batched engine cannot restart (non-leap engines,
-an active transmission schedule, or mixed days) are refused with a
-``ValueError``; the per-particle restart survives only as the test oracle
+executor's workers (:func:`repro.hpc.sharding.simulate_members`), each
+shard on a stream keyed by its slice of the forecast seed vector — so a
+forecast is bit-reproducible given ``(base_seed, shard layout)``.  The
+per-particle restart survives only as the test oracle
 :func:`repro.testing.restart_oracle`.
 """
 
@@ -27,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.particle import Particle, ParticleEnsemble
+import numpy as np
+
+from ..core.particle import ParticleEnsemble
 from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
 from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
@@ -63,37 +61,14 @@ class Forecast:
         return len(self.trajectories)
 
 
-def _forecast_entries(posterior: ParticleEnsemble, base_seed: int,
-                      n_per_particle: int) -> tuple[list[Particle], list[int]]:
-    """Replicate-major forecast entries and their continuation seeds."""
-    entries: list[Particle] = []
-    seeds: list[int] = []
-    for rep in range(n_per_particle):
-        for j, particle in enumerate(posterior):
-            if particle.checkpoint is None:
-                raise ValueError("posterior particles carry no checkpoints")
-            entries.append(particle)
-            seeds.append(mix_seed(base_seed, _FORECAST_STREAM, rep, j,
-                                  particle.seed))
-    return entries, seeds
-
-
-def _batchable(posterior: ParticleEnsemble) -> bool:
-    """True when every checkpoint can restart on the batched leap engine.
-
-    Requires leap-format snapshots with no active transmission schedule,
-    all sitting at one shared day and ``steps_per_day`` (a batch advances
-    on a single clock).
-    """
-    cps = [p.checkpoint for p in posterior]
-    if any(cp is None or cp.engine_name != "binomial_leap"
-           or cp.theta_schedule is not None for cp in cps):
-        return False
-    first = cps[0].snapshot
-    day = first.get("day")
-    steps = first.get("steps_per_day")
-    return all(cp.snapshot.get("day") == day
-               and cp.snapshot.get("steps_per_day") == steps for cp in cps)
+def _forecast_seeds(posterior: ParticleEnsemble, base_seed: int,
+                   n_per_particle: int) -> np.ndarray:
+    """Continuation seeds, replicate-major: entry ``rep * n + j`` restarts
+    particle ``j`` for the ``rep``-th time."""
+    seeds = posterior.seeds().tolist()
+    return np.array([mix_seed(base_seed, _FORECAST_STREAM, rep, j, seed)
+                     for rep in range(n_per_particle)
+                     for j, seed in enumerate(seeds)], dtype=np.int64)
 
 
 def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
@@ -107,9 +82,8 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     Parameters
     ----------
     posterior:
-        A (typically final-window) posterior ensemble whose particles carry
-        ``binomial_leap`` checkpoints at one shared day, with no active
-        transmission schedule (what the calibrator produces); anything else
+        A (typically final-window) posterior ensemble carrying restart
+        columns (what the calibrator produces); one without checkpoints
         raises ``ValueError``.
     horizon_days:
         Days to simulate beyond the checkpoint day.
@@ -133,24 +107,17 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     layout = resolve_shard_layout(executor, shard_size=shard_size,
                                   n_shards=n_shards)
 
-    first_cp = posterior[0].checkpoint if len(posterior) else None
-    if first_cp is None:
+    restart = posterior.restart
+    if restart is None:
         raise ValueError("posterior particles carry no checkpoints")
-    start_day = first_cp.day
-    end_day = start_day + horizon_days
-
-    entries, seeds = _forecast_entries(posterior, base_seed, n_per_particle)
-    if not _batchable(posterior):
-        # Silently dropping a transmission schedule (or mis-restarting a
-        # non-leap engine) would skew the forecast; refuse loudly instead.
-        raise ValueError(
-            "forecasting requires binomial_leap checkpoints sharing one "
-            "day and steps_per_day, with no active transmission schedule")
+    rows = np.tile(np.arange(len(posterior)), n_per_particle)
+    params = restart.parameters()
     trajectories = simulate_members(
-        executor, [p.checkpoint.params for p in entries], seeds,
-        end_day=end_day, snapshots=[p.checkpoint.snapshot for p in entries],
-        **layout)
-    return Forecast(start_day=start_day, horizon_days=horizon_days,
+        executor, [params[j] for j in rows],
+        _forecast_seeds(posterior, base_seed, n_per_particle),
+        end_day=restart.day + horizon_days,
+        state=restart.take(rows, params=False), **layout)
+    return Forecast(start_day=restart.day, horizon_days=horizon_days,
                     trajectories=tuple(trajectories))
 
 

@@ -110,15 +110,17 @@ class CalibrationResult:
         every surviving particle carries its complete history from simulation
         start, so the ribbon spans burn-in through the last window.
         """
-        return trajectory_ribbon(self.final_posterior.trajectories("history"),
-                                 channel, quantiles)
+        return trajectory_ribbon(
+            self.final_posterior.trajectory_batch("history"), channel,
+            quantiles)
 
     def window_ribbon(self, index: int, channel: str = CASES,
                       quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                       ) -> TrajectoryRibbon:
         """Ribbon over one window's posterior segment trajectories."""
-        return trajectory_ribbon(self.windows[index].posterior.trajectories("segment"),
-                                 channel, quantiles)
+        return trajectory_ribbon(
+            self.windows[index].posterior.trajectory_batch("segment"),
+            channel, quantiles)
 
     def final_histories(self) -> list[Trajectory]:
         return self.final_posterior.trajectories("history")

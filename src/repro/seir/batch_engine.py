@@ -54,25 +54,22 @@ Therefore
 * changing the shard layout re-keys every shard's stream — results across
   layouts agree in distribution only, exactly as scalar vs batched do.
 
-Checkpoints are exported *per particle* in the scalar ``binomial_leap``
-snapshot format, so resampling, forecasting and scalar restarts consume
-them unchanged.  They record no RNG state (a batch stream cannot be
-partitioned per member): a scalar restart without a seed override derives
-the fresh per-seed stream of :func:`~repro.seir.seeding.generator_for`
-from the snapshot's ``seed``, which is also what lets a checkpoint store
-hold a window as pure columns (:mod:`repro.hpc.checkpoint_io`).  A
-batched restart from per-particle checkpoints
-(:meth:`BatchedBinomialLeapEngine.from_particle_snapshots`) always starts a
-fresh batch stream from its new seed vector.
+Restart state is columnar: a batch's rows travel as one
+:class:`~repro.seir.checkpoint.StackedLeapState` with no RNG state (a batch
+stream cannot be partitioned per member), and
+:meth:`BatchedBinomialLeapEngine.from_particle_snapshots` restarts a whole
+cloud from it on a fresh batch stream keyed by the new seed vector.
 """
 
 from __future__ import annotations
+
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..core.contracts import shaped
 from ..data.schedule import PiecewiseConstant
-from .checkpoint import Checkpoint, StackedLeapState, stack_leap_snapshots
+from .checkpoint import Checkpoint, StackedLeapState, leap_particle_snapshot
 from .compartments import (Compartment, HOSPITAL_COMPARTMENTS,
                            ICU_COMPARTMENTS, N_COMPARTMENTS)
 from .outputs import Trajectory
@@ -82,35 +79,10 @@ from .seeding import (batch_generator_for, rng_from_jsonable,
 from .tauleap import compiled_transitions_for
 
 __all__ = ["BatchedBinomialLeapEngine", "BatchTrajectory",
-           "leap_particle_snapshot", "stack_channel_tensor"]
+           "stack_channel_tensor"]
 
 _S = int(Compartment.S)
 _E = int(Compartment.E)
-
-
-def leap_particle_snapshot(day: int, counts_row, cum_infections: int,
-                           cum_deaths: int, steps_per_day: int,
-                           seed: int) -> dict:
-    """One ensemble member's state as a scalar ``binomial_leap`` snapshot.
-
-    The interchange format between batched state (rows of a stacked count
-    matrix, wherever it lives — an engine in this process or a shard result
-    shipped back from a worker) and the scalar checkpoint machinery.  No
-    RNG state is recorded: a shared batch stream has no per-member
-    marginal, every calibrator restart overrides the seed anyway, and a
-    scalar restart without an override derives the seed's fresh
-    :func:`~repro.seir.seeding.generator_for` stream itself
-    (:meth:`~repro.seir.tauleap.BinomialLeapEngine.from_snapshot`).
-    """
-    return {
-        "engine": "binomial_leap",
-        "day": int(day),
-        "counts": np.asarray(counts_row, dtype=np.int64).tolist(),
-        "cum_infections": int(cum_infections),
-        "cum_deaths": int(cum_deaths),
-        "steps_per_day": int(steps_per_day),
-        "seed": int(seed),
-    }
 
 
 _HOSP_COLS = np.array([int(c) for c in HOSPITAL_COMPARTMENTS], dtype=np.int64)
@@ -122,9 +94,9 @@ class BatchTrajectory:
 
     Channel matrices are ``(n_particles, n_days)`` float64, row ``i`` being
     member ``i``'s record.  :meth:`trajectory` materialises a per-particle
-    :class:`~repro.seir.outputs.Trajectory` on demand, which is how the
-    calibrator builds its :class:`~repro.core.particle.ParticleEnsemble`
-    directly from the stacked outputs.
+    :class:`~repro.seir.outputs.Trajectory` on demand; the calibrator's
+    :class:`~repro.core.particle.ParticleEnsemble` keeps its segments and
+    histories in this stacked form, gathered and extended whole.
     """
 
     def __init__(self, start_day: int, infections: np.ndarray,
@@ -183,6 +155,46 @@ class BatchTrajectory:
                                self.hospital_census[:, lo:hi],
                                self.icu_census[:, lo:hi])
 
+    def _channels(self) -> tuple[np.ndarray, ...]:
+        return (self.infections, self.deaths, self.hospital_census,
+                self.icu_census)
+
+    @staticmethod
+    def from_trajectories(trajectories: Sequence[Trajectory]
+                          ) -> "BatchTrajectory":
+        """Stack per-member trajectories over one shared day range."""
+        first = trajectories[0]
+        if any((t.start_day, len(t)) != (first.start_day, len(first))
+               for t in trajectories):
+            raise ValueError("trajectories must share one day range")
+        return BatchTrajectory(first.start_day, *(
+            np.vstack([getattr(t, name) for t in trajectories])
+            for name in ("infections", "deaths", "hospital_census",
+                         "icu_census")))
+
+    def take(self, index: np.ndarray | Sequence[int]) -> "BatchTrajectory":
+        """The members at ``index``, in that order (copies)."""
+        idx = np.asarray(index, dtype=np.int64)
+        return BatchTrajectory(self.start_day,
+                               *(m[idx] for m in self._channels()))
+
+    @staticmethod
+    def concatenate(batches: "Sequence[BatchTrajectory]"
+                    ) -> "BatchTrajectory":
+        """Stack batches over one day range member-wise (copies)."""
+        return BatchTrajectory(batches[0].start_day, *(
+            np.concatenate(mats) for mats in
+            zip(*(b._channels() for b in batches))))
+
+    def extended_by(self, other: "BatchTrajectory") -> "BatchTrajectory":
+        """Row ``i`` of ``other`` appended to row ``i`` of ``self``."""
+        if other.start_day != self.end_day:
+            raise ValueError(f"continuation starts at day {other.start_day}, "
+                             f"expected {self.end_day}")
+        return BatchTrajectory(self.start_day, *(
+            np.concatenate([a, b], axis=1)
+            for a, b in zip(self._channels(), other._channels())))
+
 
 @shaped(returns="(n_scenarios, n_particles, n_days) float64")
 def stack_channel_tensor(batches: "list[BatchTrajectory]",
@@ -240,8 +252,10 @@ class BatchedBinomialLeapEngine:
 
     name = "binomial_leap_batched"
 
-    def __init__(self, params: DiseaseParameters, seeds, *,
-                 thetas=None, steps_per_day: int = 4,
+    def __init__(self, params: DiseaseParameters,
+                 seeds: Sequence[int] | np.ndarray, *,
+                 thetas: Sequence[float] | np.ndarray | None = None,
+                 steps_per_day: int = 4,
                  theta_schedule: PiecewiseConstant | None = None,
                  start_day: int = 0,
                  rng: np.random.Generator | None = None) -> None:
@@ -268,7 +282,8 @@ class BatchedBinomialLeapEngine:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def _set_thetas(self, thetas, n: int) -> None:
+    def _set_thetas(self, thetas: Sequence[float] | np.ndarray | None,
+                    n: int) -> None:
         if thetas is None:
             self._thetas = np.full(n, float(self.params.transmission_rate))
         else:
@@ -431,8 +446,10 @@ class BatchedBinomialLeapEngine:
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, params: DiseaseParameters, *,
-                      seeds=None, thetas=None,
+    def from_snapshot(cls, snapshot: dict[str, Any],
+                      params: DiseaseParameters, *,
+                      seeds: Sequence[int] | np.ndarray | None = None,
+                      thetas: Sequence[float] | np.ndarray | None = None,
                       theta_schedule: PiecewiseConstant | None = None,
                       ) -> "BatchedBinomialLeapEngine":
         """Rebuild a batch engine from a whole-batch snapshot.
@@ -500,38 +517,38 @@ class BatchedBinomialLeapEngine:
                           theta_schedule=None)
 
     @classmethod
-    def from_particle_snapshots(cls, snapshots, params: DiseaseParameters, *,
-                                seeds, thetas=None,
-                                theta_schedule: PiecewiseConstant | None = None,
+    def from_particle_snapshots(cls, state: StackedLeapState,
+                                params: DiseaseParameters, *,
+                                seeds: Sequence[int] | np.ndarray,
+                                thetas: Sequence[float] | np.ndarray
+                                | None = None,
+                                theta_schedule: PiecewiseConstant
+                                | None = None,
                                 rng: np.random.Generator | None = None,
                                 ) -> "BatchedBinomialLeapEngine":
-        """Restart a batch from per-particle scalar snapshots.
+        """Restart a batch from the stacked per-particle rows of ``state``.
 
-        ``snapshots`` may be a sequence of scalar ``binomial_leap`` snapshot
-        dicts or an already-stacked
-        :class:`~repro.seir.checkpoint.StackedLeapState`.  ``seeds`` is the
-        *new* seed vector (one per member, in batch order): the restart
-        always begins a fresh batch stream keyed by it (or uses ``rng`` if
-        supplied).
+        ``seeds`` is the *new* seed vector (one per row, in batch order):
+        the restart always begins a fresh batch stream keyed by it (or uses
+        ``rng`` if supplied).  Per-particle snapshot dicts stack through
+        :func:`~repro.seir.checkpoint.stack_leap_snapshots` first.
         """
-        stacked = (snapshots if isinstance(snapshots, StackedLeapState)
-                   else stack_leap_snapshots(list(snapshots)))
-        if stacked.steps_per_day < 1:
+        if state.steps_per_day < 1:
             raise ValueError("stacked steps_per_day must be >= 1")
         seeds_arr = np.array(seeds, dtype=np.int64)
-        if seeds_arr.shape != (stacked.n_particles,):
+        if seeds_arr.shape != (state.n_particles,):
             raise ValueError("seeds must provide one entry per snapshot")
         engine = cls.__new__(cls)
         engine.params = params
-        engine.steps_per_day = stacked.steps_per_day
+        engine.steps_per_day = state.steps_per_day
         engine.theta_schedule = theta_schedule
         engine.seeds = seeds_arr
-        engine._set_thetas(thetas, stacked.n_particles)
+        engine._set_thetas(thetas, state.n_particles)
         engine._prepare_tables()
         engine._rng = rng if rng is not None else batch_generator_for(seeds_arr)
-        engine._day = stacked.day
-        engine._counts = stacked.counts.astype(np.int64, copy=True)
-        engine._cum_infections = stacked.cum_infections.astype(np.int64,
-                                                               copy=True)
-        engine._cum_deaths = stacked.cum_deaths.astype(np.int64, copy=True)
+        engine._day = state.day
+        engine._counts = state.counts.astype(np.int64, copy=True)
+        engine._cum_infections = state.cum_infections.astype(np.int64,
+                                                             copy=True)
+        engine._cum_deaths = state.cum_deaths.astype(np.int64, copy=True)
         return engine

@@ -12,12 +12,10 @@ trajectory can be continued "along a new trajectory" with an updated
 transmission rate and a fresh random seed — the mechanism that makes
 window-to-window sequential calibration O(window) instead of O(history).
 
-Batch snapshots: :func:`stack_leap_snapshots` validates a set of scalar
-binomial-leap snapshots taken at the same day and stacks their state into
-the arrays the batched ensemble engine
-(:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`) restarts
-from, so a whole posterior's continuation needs no per-particle engine
-objects or JSON round-trips.
+:class:`StackedLeapState` is the columnar form of many same-day
+binomial-leap restart checkpoints and the one restart-state format from
+shard to disk; a scalar :class:`Checkpoint` is built from one of its rows
+only on request.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from ..data.schedule import PiecewiseConstant
 from .parameters import DiseaseParameters, ParameterOverride
 
 __all__ = ["Checkpoint", "CheckpointError", "StackedLeapState",
-           "stack_leap_snapshots"]
+           "leap_particle_snapshot", "stack_leap_snapshots"]
 
 _FORMAT_VERSION = 1
 
@@ -77,7 +75,7 @@ class Checkpoint:
 
     # ------------------------------------------------------------------ #
     def restart(self, override: ParameterOverride | None = None,
-                theta_schedule: PiecewiseConstant | None = None):
+                theta_schedule: PiecewiseConstant | None = None) -> Any:
         """Build a resumed engine, optionally re-parameterised.
 
         Parameters
@@ -169,15 +167,36 @@ class Checkpoint:
 
 
 # --------------------------------------------------------------------------- #
-# Batch snapshots
+# Restart state: the columnar form of many same-day leap checkpoints
 # --------------------------------------------------------------------------- #
+def leap_particle_snapshot(day: int, counts_row: Sequence[int] | np.ndarray,
+                           cum_infections: int, cum_deaths: int,
+                           steps_per_day: int, seed: int) -> dict:
+    """One :class:`StackedLeapState` row as a scalar ``binomial_leap``
+    snapshot.  It records no RNG state: a scalar restart without a seed
+    override derives the seed's fresh
+    :func:`~repro.seir.seeding.generator_for` stream itself."""
+    return {"engine": "binomial_leap", "day": int(day),
+            "counts": np.asarray(counts_row, dtype=np.int64).tolist(),
+            "cum_infections": int(cum_infections),
+            "cum_deaths": int(cum_deaths),
+            "steps_per_day": int(steps_per_day), "seed": int(seed)}
+
+
+_PARAM_FIELDS = tuple(f.name for f in fields(DiseaseParameters))
+_ROW_COLUMNS = ("counts", "cum_infections", "cum_deaths", "seeds")
+
+
 @dataclass(frozen=True)
 class StackedLeapState:
-    """Column-stacked state of many same-day binomial-leap snapshots.
+    """Column-stacked restart state of many same-day binomial-leap members.
 
-    The interchange format between per-particle checkpoints (what the
-    calibrator stores and resamples) and the batched ensemble engine (which
-    restarts a whole particle cloud at once).
+    A shard returns it, a particle ensemble carries it and the checkpoint
+    store writes it as one ``checkpoints.npz``.  A row is a *restart*
+    checkpoint: theta is its ``transmission_rate`` and its RNG stream is
+    its seed's fresh generator.  ``params`` maps every
+    :class:`DiseaseParameters` field to its ``(n,)`` column in the field's
+    own dtype; it is empty in the engine-only state a shard ships.
     """
 
     day: int
@@ -186,10 +205,73 @@ class StackedLeapState:
     cum_infections: np.ndarray    # (n_particles,) int64
     cum_deaths: np.ndarray        # (n_particles,) int64
     seeds: np.ndarray             # (n_particles,) int64
+    params: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_particles(self) -> int:
         return int(self.counts.shape[0])
+
+    def take(self, index: np.ndarray | Sequence[int] | slice, *,
+             params: bool = True) -> "StackedLeapState":
+        """The rows at ``index``, in that order (``params=False`` drops the
+        parameter columns, e.g. for a lean shard payload)."""
+        idx = index if isinstance(index, slice) else \
+            np.asarray(index, dtype=np.int64)
+        return StackedLeapState(
+            self.day, self.steps_per_day,
+            *(getattr(self, name)[idx] for name in _ROW_COLUMNS),
+            params=({name: column[idx] for name, column in self.params.items()}
+                    if params else {}))
+
+    @staticmethod
+    def concatenate(states: Sequence["StackedLeapState"]
+                    ) -> "StackedLeapState":
+        """Stack same-clock states row-wise (engine columns only)."""
+        return StackedLeapState(
+            states[0].day, states[0].steps_per_day,
+            *(np.concatenate([getattr(s, name) for s in states])
+              for name in _ROW_COLUMNS))
+
+    def with_parameters(self, params: Sequence[DiseaseParameters]
+                        ) -> "StackedLeapState":
+        """This state with one parameter column per field, row ``i`` from
+        ``params[i]``."""
+        return replace(self, params={
+            name: np.array([getattr(p, name) for p in params])
+            for name in _PARAM_FIELDS})
+
+    def parameters(self) -> list[DiseaseParameters]:
+        """Row ``i``'s :class:`DiseaseParameters`, for every row."""
+        try:
+            rows = zip(*(self.params[name].tolist() for name in _PARAM_FIELDS))
+            return [DiseaseParameters(**dict(zip(_PARAM_FIELDS, row)))
+                    for row in rows]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"invalid stored parameters: {exc}") from exc
+
+    def checkpoint(self, i: int) -> Checkpoint:
+        """Row ``i`` as a scalar :class:`Checkpoint` (the per-particle view)."""
+        params = self.take([i]).parameters()[0]
+        return Checkpoint(params=params, snapshot=leap_particle_snapshot(
+            self.day, self.counts[i], self.cum_infections[i],
+            self.cum_deaths[i], self.steps_per_day, self.seeds[i]))
+
+    @classmethod
+    def from_checkpoints(cls, checkpoints: Sequence[Checkpoint]
+                         ) -> "StackedLeapState":
+        """Validate and stack per-particle restart checkpoints; a non-leap
+        engine, a mixed clock, a theta schedule or a recorded ``rng_state``
+        raises :class:`CheckpointError`."""
+        stacked = stack_leap_snapshots([cp.snapshot for cp in checkpoints])
+        for i, cp in enumerate(checkpoints):
+            why = ("carries an active transmission schedule"
+                   if cp.theta_schedule is not None else
+                   "records a mid-stream rng_state"
+                   if "rng_state" in cp.snapshot else None)
+            if why is not None:
+                raise CheckpointError(f"checkpoint {i} {why}, so it is not "
+                                      "a restart checkpoint")
+        return stacked.with_parameters([cp.params for cp in checkpoints])
 
 
 def stack_leap_snapshots(snapshots: Sequence[dict]) -> StackedLeapState:
@@ -204,25 +286,15 @@ def stack_leap_snapshots(snapshots: Sequence[dict]) -> StackedLeapState:
     """
     if not snapshots:
         raise CheckpointError("cannot stack an empty snapshot list")
-    first = snapshots[0]
-    try:
-        day = int(first["day"])
-        steps = int(first["steps_per_day"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed leap snapshot: {exc}") from exc
-    if steps < 1:
-        raise CheckpointError(f"snapshot steps_per_day must be >= 1, got {steps}")
-    counts_rows = []
-    cum_inf = np.empty(len(snapshots), dtype=np.int64)
-    cum_dead = np.empty(len(snapshots), dtype=np.int64)
-    seeds = np.empty(len(snapshots), dtype=np.int64)
     for i, snap in enumerate(snapshots):
         engine = str(snap.get("engine", ""))
         if engine != "binomial_leap":
             raise CheckpointError(
                 f"snapshot {i} is from engine {engine!r}; batch restart "
                 "requires binomial_leap snapshots")
-        try:
+    try:
+        day, steps = int(snapshots[0]["day"]), int(snapshots[0]["steps_per_day"])
+        for i, snap in enumerate(snapshots):
             if int(snap["day"]) != day:
                 raise CheckpointError(
                     f"snapshot {i} is at day {snap['day']}, expected {day}; "
@@ -231,14 +303,15 @@ def stack_leap_snapshots(snapshots: Sequence[dict]) -> StackedLeapState:
                 raise CheckpointError(
                     f"snapshot {i} uses steps_per_day={snap['steps_per_day']}, "
                     f"expected {steps}")
-            counts_rows.append(np.asarray(snap["counts"], dtype=np.int64))
-            cum_inf[i] = int(snap["cum_infections"])
-            cum_dead[i] = int(snap["cum_deaths"])
-            seeds[i] = int(snap["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed leap snapshot {i}: {exc}") from exc
-    counts = np.vstack(counts_rows)
-    return StackedLeapState(day=day, steps_per_day=steps, counts=counts,
-                            cum_infections=cum_inf, cum_deaths=cum_dead,
-                            seeds=seeds)
+
+        def column(key: str) -> np.ndarray:
+            return np.array([snap[key] for snap in snapshots], dtype=np.int64)
+        state = StackedLeapState(
+            day=day, steps_per_day=steps, counts=column("counts"),
+            cum_infections=column("cum_infections"),
+            cum_deaths=column("cum_deaths"), seeds=column("seed"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed leap snapshot: {exc}") from exc
+    if steps < 1:
+        raise CheckpointError(f"snapshot steps_per_day must be >= 1, got {steps}")
+    return state

@@ -8,15 +8,14 @@ own suites, not just this repository's.
 
 from .oracle import restart_oracle, window_oracle
 
-from .parity import (assert_ensembles_identical, assert_particles_identical,
-                     assert_runs_identical, assert_trajectories_identical,
+from .parity import (assert_ensembles_identical, assert_runs_identical,
+                     assert_trajectories_identical,
                      assert_window_results_identical, parity_calibrator,
                      parity_config, parity_sweep, parity_truth,
                      statistical_diagnostics)
 
 __all__ = [
     "assert_trajectories_identical",
-    "assert_particles_identical",
     "assert_ensembles_identical",
     "assert_window_results_identical",
     "assert_runs_identical",

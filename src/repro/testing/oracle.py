@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.particle import Particle, ParticleEnsemble
-from ..seir import Checkpoint, ParameterOverride, StochasticSEIRModel, Trajectory
+from ..core.particle import ParticleEnsemble
+from ..seir import (BatchTrajectory, Checkpoint, ParameterOverride,
+                    StochasticSEIRModel, Trajectory)
 
 __all__ = ["restart_oracle", "window_oracle"]
 
@@ -44,14 +45,14 @@ def window_oracle(pending) -> ParticleEnsemble:
     if pending.parents is None:
         raise ValueError("window_oracle needs a continuation window")
     fields = ParameterOverride._PARAM_FIELDS
-    overrides = [ParameterOverride(seed=seed, **{name: getattr(params, name)
-                                                 for name in fields})
+    overrides = [ParameterOverride(seed=int(seed),
+                                   **{name: getattr(params, name)
+                                      for name in fields})
                  for params, seed in zip(pending.member_params,
                                          pending.member_seeds)]
     segments = restart_oracle(
         [parent.checkpoint for parent in pending.parents], overrides,
         pending.window.end_day)
-    return ParticleEnsemble([
-        Particle(params=draw, seed=seed, segment=segment)
-        for draw, seed, segment in zip(pending.member_draws,
-                                       pending.member_seeds, segments)])
+    return ParticleEnsemble.from_columns(
+        pending.member_draws, pending.member_seeds,
+        segments=BatchTrajectory.from_trajectories(segments))

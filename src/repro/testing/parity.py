@@ -22,9 +22,7 @@ shard layout — so oracle suites across files exercise identical inputs.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from numpy import array_equal, generic, ndarray
+from numpy import array_equal
 
 from ..core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                     paper_first_window_prior, paper_observation_model,
@@ -36,7 +34,6 @@ from ..sim import make_ground_truth
 
 __all__ = [
     "assert_trajectories_identical",
-    "assert_particles_identical",
     "assert_ensembles_identical",
     "assert_window_results_identical",
     "assert_runs_identical",
@@ -59,24 +56,12 @@ def _where(context: str) -> str:
     return f" ({context})" if context else ""
 
 
-def _normalised(value):
-    """Recursively convert numpy containers so ``==`` is bitwise equality."""
-    if isinstance(value, ndarray):
-        return value.tolist()
-    if isinstance(value, generic):
-        return value.item()
-    if isinstance(value, Mapping):
-        return {key: _normalised(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalised(item) for item in value]
-    return value
-
-
 # --------------------------------------------------------------------- #
 # assertions
 # --------------------------------------------------------------------- #
 def assert_trajectories_identical(a, b, context: str = "") -> None:
-    """Bitwise equality of two trajectories (or both absent)."""
+    """Bitwise equality of two trajectories or trajectory batches (or both
+    absent)."""
     where = _where(context)
     if a is None or b is None:
         assert a is None and b is None, f"trajectory presence differs{where}"
@@ -89,35 +74,39 @@ def assert_trajectories_identical(a, b, context: str = "") -> None:
             f"channel {channel!r} differs{where}")
 
 
-def assert_particles_identical(a, b, context: str = "") -> None:
-    """Bitwise equality of two particles including their checkpoints."""
-    where = _where(context)
-    assert a.params == b.params, (
-        f"params differ{where}: {a.params} != {b.params}")
-    assert a.seed == b.seed, f"seeds differ{where}: {a.seed} != {b.seed}"
-    assert a.log_weight == b.log_weight, (
-        f"log-weights differ{where}: {a.log_weight} != {b.log_weight}")
-    assert a.ancestor == b.ancestor, (
-        f"ancestors differ{where}: {a.ancestor} != {b.ancestor}")
-    assert_trajectories_identical(a.segment, b.segment,
-                                  f"{context} segment".strip())
-    assert_trajectories_identical(a.history, b.history,
-                                  f"{context} history".strip())
-    if a.checkpoint is None or b.checkpoint is None:
-        assert a.checkpoint is None and b.checkpoint is None, (
-            f"checkpoint presence differs{where}")
-        return
-    assert (_normalised(a.checkpoint.to_dict())
-            == _normalised(b.checkpoint.to_dict())), (
-        f"checkpoints differ{where}")
-
-
 def assert_ensembles_identical(a, b, context: str = "") -> None:
-    """Bitwise equality of two particle ensembles, member by member."""
+    """Bitwise equality of two particle ensembles, column by column:
+    parameters, seeds, log-weights, ancestry, trajectories and the restart
+    state that checkpoints every particle."""
+    where = _where(context)
     assert len(a) == len(b), (
-        f"ensemble sizes differ{_where(context)}: {len(a)} != {len(b)}")
-    for i, (pa, pb) in enumerate(zip(a, b)):
-        assert_particles_identical(pa, pb, f"{context} particle {i}".strip())
+        f"ensemble sizes differ{where}: {len(a)} != {len(b)}")
+    assert a.param_names == b.param_names, (
+        f"parameter names differ{where}: {a.param_names} != {b.param_names}")
+    columns = [("seeds", a.seeds(), b.seeds()),
+               ("log-weights", a.log_weights(), b.log_weights()),
+               ("ancestors", a.ancestors(), b.ancestors())]
+    columns += [(f"param {name!r}", a.values(name), b.values(name))
+                for name in a.param_names]
+    ra, rb = a.restart, b.restart
+    assert (ra is None) == (rb is None), f"checkpoint presence differs{where}"
+    if ra is not None and rb is not None:
+        assert (ra.day, ra.steps_per_day) == (rb.day, rb.steps_per_day), (
+            f"checkpoint clocks differ{where}")
+        columns += [(f"checkpoint {name}", getattr(ra, name), getattr(rb, name))
+                    for name in ("counts", "cum_infections", "cum_deaths",
+                                 "seeds")]
+        assert list(ra.params) == list(rb.params), (
+            f"checkpoint parameter fields differ{where}")
+        columns += [(f"checkpoint {name}", ra.params[name], rb.params[name])
+                    for name in ra.params]
+    for what, left, right in columns:
+        assert left.shape == right.shape and array_equal(left, right), (
+            f"{what} differ{where}")
+    assert_trajectories_identical(a.segments, b.segments,
+                                  f"{context} segments".strip())
+    assert_trajectories_identical(a.histories, b.histories,
+                                  f"{context} histories".strip())
 
 
 def statistical_diagnostics(diagnostics) -> dict:

@@ -106,6 +106,11 @@ class TestPathClassification:
         ctx = classify_path(Path("src/repro/core/weights.py"))
         assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
 
+    def test_restart_state_home_is_typed(self):
+        for name in ("checkpoint.py", "batch_engine.py"):
+            ctx = classify_path(Path("src/repro/seir") / name)
+            assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+
     def test_seir_is_deterministic_but_not_typed(self):
         ctx = classify_path(Path("src/repro/seir/tauleap.py"))
         assert not ctx.rng_allowed and ctx.deterministic and not ctx.typed

@@ -12,6 +12,8 @@ Acceptance properties under test (see docs/fault_tolerance.md):
   under a different configuration is refused.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,21 @@ class TestKillAndResume:
         calib = make_calibrator(small_truth)
         with pytest.raises(ValueError, match="requires a checkpoint store"):
             calib.run(small_truth.observations(), resume=True)
+
+    def test_inconsistent_stored_samples_refused(self, small_truth,
+                                                 tmp_path):
+        """A window whose stored samples disagree on parameter names (a
+        hand-edited or damaged state.json) is refused on resume."""
+        store = CheckpointStore(tmp_path)
+        make_calibrator(small_truth, breaks=(8, 16)).run(
+            small_truth.observations(), store=store)
+        path = tmp_path / "window_000" / "state.json"
+        meta = json.loads(path.read_text())
+        del meta["params"][0]["rho"]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError, match="disagree on parameters"):
+            make_calibrator(small_truth, breaks=(8, 16)).run(
+                small_truth.observations(), store=store, resume=True)
 
     def test_mismatched_configuration_refused(self, small_truth, tmp_path):
         store = CheckpointStore(tmp_path)

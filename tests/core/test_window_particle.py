@@ -132,6 +132,10 @@ class TestParticleEnsemble:
         assert out[0].params["theta"] == 0.2
         assert out[0].ancestor == 1
         assert out.unique_ancestors() == 2
+        # -1 is the window-0 "no parent" ancestor, never the last row.
+        for bad in ([-1], [0, 2]):
+            with pytest.raises(ValueError, match="indices must lie"):
+                ens.select(bad)
 
     def test_trajectories_accessor(self):
         ens = ParticleEnsemble([particle(), particle()])

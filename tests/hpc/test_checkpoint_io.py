@@ -10,7 +10,7 @@ import pytest
 from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore
 from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
-                        StochasticSEIRModel)
+                        StackedLeapState, StochasticSEIRModel)
 
 META = {"window_index": 0, "params": [[0.3, 0.7]]}
 WINDOW_FILES = ["COMPLETE.json", "checkpoints.npz", "state.json"]
@@ -24,9 +24,20 @@ def leap_checkpoints(params, n, *, seed0=0):
     return [engine.particle_checkpoint(i) for i in range(n)]
 
 
+def leap_state(params, n, *, seed0=0):
+    """The restart state of :func:`leap_checkpoints`."""
+    return StackedLeapState.from_checkpoints(
+        leap_checkpoints(params, n, seed0=seed0))
+
+
+def rows(state):
+    """Every row of a restart state as a scalar checkpoint."""
+    return [state.checkpoint(i) for i in range(state.n_particles)]
+
+
 @pytest.fixture
 def checkpoints(small_params):
-    return leap_checkpoints(small_params, 3)
+    return leap_state(small_params, 3)
 
 
 def window_file(store, index, name="checkpoints.npz"):
@@ -40,21 +51,30 @@ def unseal(store, index):
 
 class TestCheckpointStore:
     def test_save_and_load_particle(self, tmp_path, checkpoints):
-        store = CheckpointStore(tmp_path, run_id="test")
+        store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         loaded, _ = store.load_window_state(0)
-        assert loaded[0] == checkpoints[0]
-        assert loaded[0].day == 10 and loaded[0].seed == checkpoints[0].seed
+        assert loaded.checkpoint(0) == checkpoints.checkpoint(0)
+        assert loaded.day == 10 and loaded.seeds[0] == checkpoints.seeds[0]
 
     def test_save_window_bulk(self, tmp_path, checkpoints):
-        """The round trip rebuilds every checkpoint bit for bit, each
-        parameter in its own Python type."""
+        """The round trip rebuilds every column bit for bit in its own
+        dtype, and every row's checkpoint with each parameter in its own
+        Python type."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         assert store.particle_count(0) == 3
         loaded, _ = store.load_window_state(0)
-        assert loaded == checkpoints
-        for before, after in zip(checkpoints, loaded):
+        for name in ("counts", "cum_infections", "cum_deaths", "seeds"):
+            before, after = getattr(checkpoints, name), getattr(loaded, name)
+            assert after.dtype == before.dtype
+            assert np.array_equal(after, before)
+        assert list(loaded.params) == list(checkpoints.params)
+        for name, column in checkpoints.params.items():
+            assert loaded.params[name].dtype == column.dtype
+            assert np.array_equal(loaded.params[name], column)
+        assert rows(loaded) == rows(checkpoints)
+        for before, after in zip(rows(checkpoints), rows(loaded)):
             assert [type(v) for v in after.params.to_dict().values()] == \
                 [type(v) for v in before.params.to_dict().values()]
             assert after.snapshot == before.snapshot
@@ -75,28 +95,24 @@ class TestCheckpointStore:
     def test_particle_count_empty(self, tmp_path):
         assert CheckpointStore(tmp_path).particle_count(2) == 0
 
-    def test_manifest_tracks_windows(self, tmp_path, checkpoints):
-        store = CheckpointStore(tmp_path, run_id="runA")
-        store.save_window_state(0, checkpoints[:2], META)
-        store.save_window_state(1, checkpoints, META)
-        manifest = store.read_manifest()
-        assert manifest.run_id == "runA"
-        assert manifest.windows == {0: 2, 1: 3}
-        assert manifest.latest_window() == 1
-
-    def test_manifest_empty(self, tmp_path):
-        manifest = CheckpointStore(tmp_path).read_manifest()
-        assert manifest.windows == {}
-        assert manifest.latest_window() is None
-
     def test_latest_restart_point(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
-        assert store.write_manifest().latest_complete_window() is None
+        assert store.stored_windows() == []
         store.save_window_state(0, checkpoints, META)
-        store.save_window_state(1, checkpoints[:1], META)
-        assert store.read_manifest().latest_complete_window() == 1
+        store.save_window_state(1, checkpoints.take([0]), META)
+        assert [w for w in store.stored_windows()
+                if store.window_complete(w)] == [0, 1]
         cps, _ = store.load_window_state(1)
-        assert len(cps) == 1
+        assert cps.n_particles == 1
+
+    def test_store_root_holds_no_manifest(self, tmp_path, checkpoints):
+        """Saving and pruning write window directories only: the store
+        keeps no manifest next to them."""
+        store = CheckpointStore(tmp_path)
+        for w in range(3):
+            store.save_window_state(w, checkpoints, META)
+        store.prune(keep_last=1)
+        assert [p.name for p in tmp_path.iterdir()] == ["window_002"]
 
     def test_restart_from_stored_checkpoint_runs(self, tmp_path, checkpoints):
         """A stored checkpoint carries no RNG state, and a restart from it
@@ -104,10 +120,12 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         loaded, _ = store.load_window_state(0)
-        traj = StochasticSEIRModel.from_checkpoint(loaded[0]).run_until(15)
+        assert "rng_state" not in loaded.checkpoint(0).snapshot
+        traj = StochasticSEIRModel.from_checkpoint(
+            loaded.checkpoint(0)).run_until(15)
         assert traj.start_day == 10
         direct = StochasticSEIRModel.from_checkpoint(
-            checkpoints[0]).run_until(15)
+            checkpoints.checkpoint(0)).run_until(15)
         assert np.array_equal(traj.infections, direct.infections)
 
     def test_negative_indices_rejected(self, tmp_path, checkpoints):
@@ -121,7 +139,7 @@ class TestCheckpointStore:
     def test_window_is_three_files_whatever_its_size(self, tmp_path,
                                                      small_params, n):
         store = CheckpointStore(tmp_path)
-        store.save_window_state(0, leap_checkpoints(small_params, n), META)
+        store.save_window_state(0, leap_state(small_params, n), META)
         assert sorted(p.name for p in (tmp_path / "window_000").iterdir()) \
             == WINDOW_FILES
 
@@ -143,10 +161,11 @@ class TestDurability:
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         before, _ = store.load_window_state(0)
-        replacement = leap_checkpoints(small_params, 3, seed0=100)
+        replacement = leap_state(small_params, 3, seed0=100)
         store.save_window_state(0, replacement, META)
         after, _ = store.load_window_state(0)
-        assert before == checkpoints and after == replacement
+        assert rows(before) == rows(checkpoints)
+        assert rows(after) == rows(replacement)
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_publish_order_fsyncs_window_directory(self, tmp_path,
@@ -170,7 +189,7 @@ class TestDurability:
         monkeypatch.setattr(os, "fsync", fsync)
         CheckpointStore(tmp_path).save_window_state(0, checkpoints, META)
         assert events == ["checkpoints.npz", "state.json", "fsync(dir)",
-                          "COMPLETE.json", "fsync(dir)", "manifest.json"]
+                          "COMPLETE.json", "fsync(dir)"]
 
 
 def truncate(path):
@@ -226,13 +245,14 @@ class TestCorruptWindowFile:
 
 
 class TestRefusesNonRestartCheckpoints:
-    """Only restart checkpoints fit a window's columns; anything else is
-    refused before a single file is written."""
+    """Only restart checkpoints fit a window's columns: anything else is
+    refused on its way into a restart state, so it never reaches the store
+    and no file is written."""
 
     @pytest.mark.parametrize("kind", ["engine", "schedule", "day", "steps",
                                       "rng_state"])
-    def test_refused_before_any_write(self, tmp_path, checkpoints,
-                                      small_params, kind):
+    def test_refused_before_any_write(self, tmp_path, small_params, kind):
+        checkpoints = leap_checkpoints(small_params, 3)
         good = checkpoints[0]
         if kind == "rng_state":
             model = StochasticSEIRModel(small_params, 7)
@@ -249,7 +269,19 @@ class TestRefusesNonRestartCheckpoints:
                 good, snapshot={**good.snapshot, key: value})
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError):
-            store.save_window_state(0, [*checkpoints, bad], META)
+            store.save_window_state(
+                0, StackedLeapState.from_checkpoints([*checkpoints, bad]),
+                META)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_state_without_parameter_columns_refused(self, tmp_path,
+                                                     checkpoints):
+        """An engine-only state (what a shard ships) cannot be persisted:
+        the parameter columns are part of the window's restart format."""
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(CheckpointError, match="parameter columns"):
+            store.save_window_state(
+                0, dataclasses.replace(checkpoints, params={}), META)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -275,17 +307,19 @@ class TestWindowCompleteness:
         point; now only the previous *complete* window is."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
-        store.save_window_state(1, checkpoints[:1], META)
+        store.save_window_state(1, checkpoints.take([0]), META)
         unseal(store, 1)
-        assert store.write_manifest().latest_complete_window() == 0
+        assert [w for w in store.stored_windows()
+                if store.window_complete(w)] == [0]
         cps, _ = store.load_window_state(0)
-        assert len(cps) == 3
+        assert cps.n_particles == 3
 
     def test_restart_point_none_when_all_torn(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         unseal(store, 0)
-        assert store.write_manifest().latest_complete_window() is None
+        assert store.stored_windows() == [0]
+        assert not store.window_complete(0)
 
     def test_load_window_state_refuses_torn_window(self, tmp_path,
                                                    checkpoints):
@@ -299,30 +333,20 @@ class TestWindowCompleteness:
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, meta=META)
         cps, loaded_meta = store.load_window_state(0)
-        assert [c.seed for c in cps] == [c.seed for c in checkpoints]
+        assert cps.seeds.tolist() == checkpoints.seeds.tolist()
         assert loaded_meta == META
 
-    def test_empty_window_rejected(self, tmp_path):
+    def test_empty_window_rejected(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError, match="empty window"):
-            store.save_window_state(0, [], META)
+            store.save_window_state(0, checkpoints.take([]), META)
 
     def test_corrupt_marker_treated_as_absent(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         window_file(store, 0, "COMPLETE.json").write_text("{trunc")
         assert not store.window_complete(0)
-        assert store.write_manifest().latest_complete_window() is None
-
-    def test_manifest_records_completeness(self, tmp_path, checkpoints):
-        store = CheckpointStore(tmp_path)
-        store.save_window_state(0, checkpoints, META)
-        store.save_window_state(1, checkpoints, META)
-        unseal(store, 1)
-        manifest = store.write_manifest()
-        assert manifest.complete == {0: True, 1: False}
-        assert manifest.latest_complete_window() == 0
-        assert store.read_manifest().complete == {0: True, 1: False}
+        assert store.expected_count(0) is None
 
 
 class TestRunMeta:
@@ -358,8 +382,6 @@ class TestPrune:
         assert store.prune(keep_last=2) == [0, 1]
         assert store.stored_windows() == [2, 3]
         assert store.window_complete(2) and store.window_complete(3)
-        manifest = store.read_manifest()
-        assert sorted(manifest.windows) == [2, 3]
 
     def test_prune_never_deletes_unsealed(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)

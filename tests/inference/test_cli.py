@@ -103,6 +103,14 @@ class TestCommands:
         assert "theta" in payload
         assert 0 < payload["ess_fraction"] <= 1
 
+    def test_invalid_config_exits_with_message(self, tmp_path):
+        """A bad numeric knob exits naming the field, not with a
+        traceback from deep inside the calibrator."""
+        with pytest.raises(SystemExit,
+                           match="invalid configuration: n_parameter_draws"):
+            main(["fig4", "--out", str(tmp_path), "--draws", "0"])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScenarioFlags:
     def test_scenario_flags_parse(self):

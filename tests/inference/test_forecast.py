@@ -8,7 +8,7 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
-from repro.inference.forecast import _forecast_entries
+from repro.inference.forecast import _forecast_seeds
 from repro.seir import DiseaseParameters, ParameterOverride
 from repro.sim import make_ground_truth
 from repro.testing import restart_oracle
@@ -110,11 +110,10 @@ class TestShardedBatchedForecast:
         the stacked checkpoints."""
         from repro.hpc import SerialExecutor, simulate_members
         fc = forecast_from_posterior(posterior, 6, base_seed=3)
-        entries, seeds = _forecast_entries(posterior, 3, 1)
         direct = simulate_members(
-            SerialExecutor(), [p.checkpoint.params for p in entries], seeds,
-            end_day=fc.start_day + 6,
-            snapshots=[p.checkpoint.snapshot for p in entries], n_shards=1)
+            SerialExecutor(), [p.checkpoint.params for p in posterior],
+            _forecast_seeds(posterior, 3, 1), end_day=fc.start_day + 6,
+            state=posterior.restart, n_shards=1)
         for a, b in zip(fc.trajectories, direct):
             assert np.array_equal(a.infections, b.infections)
             assert np.array_equal(a.deaths, b.deaths)
@@ -125,12 +124,12 @@ class TestShardedBatchedForecast:
         different draw order)."""
         batched = forecast_from_posterior(posterior, 10, base_seed=3,
                                           n_per_particle=3)
-        entries, seeds = _forecast_entries(posterior, 3, 3)
+        seeds = _forecast_seeds(posterior, 3, 3)
         scalar = Forecast(
             start_day=batched.start_day, horizon_days=10,
             trajectories=tuple(restart_oracle(
-                [p.checkpoint for p in entries],
-                [ParameterOverride(seed=seed) for seed in seeds],
+                [p.checkpoint for p in posterior] * 3,
+                [ParameterOverride(seed=int(seed)) for seed in seeds],
                 batched.start_day + 10)))
         for channel in ("cases", "deaths"):
             rib_s = scalar.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
@@ -175,7 +174,8 @@ class TestShardedBatchedForecast:
 
     def test_explicit_batched_rejects_schedule_checkpoints(self):
         """A transmission schedule cannot ride the batched restart; the
-        forecast refuses instead of silently dropping it."""
+        ensemble a forecast starts from refuses it instead of silently
+        dropping it."""
         from repro.core import Particle, ParticleEnsemble
         from repro.data import PiecewiseConstant
         from repro.seir import DiseaseParameters, StochasticSEIRModel
@@ -190,9 +190,8 @@ class TestShardedBatchedForecast:
             particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
-        posterior = ParticleEnsemble(particles)
-        with pytest.raises(ValueError, match="transmission schedule"):
-            forecast_from_posterior(posterior, 4)
+        with pytest.raises(ValueError, match="active transmission schedule"):
+            forecast_from_posterior(ParticleEnsemble(particles), 4)
 
     def test_mixed_day_checkpoints_rejected(self):
         """Checkpoints at different days can't share a batch clock."""
@@ -207,9 +206,8 @@ class TestShardedBatchedForecast:
             particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
-        posterior = ParticleEnsemble(particles)
-        with pytest.raises(ValueError, match="sharing one day"):
-            forecast_from_posterior(posterior, 4)
+        with pytest.raises(ValueError, match="share one clock"):
+            forecast_from_posterior(ParticleEnsemble(particles), 4)
 
     def test_gillespie_checkpoints_rejected(self):
         """Only binomial-leap checkpoints restart on the batched engine; a
@@ -225,7 +223,7 @@ class TestShardedBatchedForecast:
             particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
                                       seed=seed,
                                       checkpoint=model.checkpoint()))
-        with pytest.raises(ValueError, match="binomial_leap"):
+        with pytest.raises(ValueError, match="requires binomial_leap"):
             forecast_from_posterior(ParticleEnsemble(particles), 4)
 
 

@@ -290,7 +290,8 @@ class TestBatchRestartRoundTrip:
         eng.run_until(14)
         snaps = [eng.particle_snapshot(i) for i in range(30)]
         restarted = BatchedBinomialLeapEngine.from_particle_snapshots(
-            snaps, small_params, seeds=np.arange(30) + 500)
+            stack_leap_snapshots(snaps), small_params,
+            seeds=np.arange(30) + 500)
         assert restarted.day == 14
         assert np.array_equal(restarted.counts, eng.counts)
         assert np.array_equal(restarted.cumulative_infections,
@@ -302,7 +303,8 @@ class TestBatchRestartRoundTrip:
     def test_restart_is_deterministic_in_new_seeds(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(20))
         eng.run_until(10)
-        snaps = [eng.particle_snapshot(i) for i in range(20)]
+        snaps = stack_leap_snapshots(
+            [eng.particle_snapshot(i) for i in range(20)])
         new_seeds = np.arange(20) + 77
         a = BatchedBinomialLeapEngine.from_particle_snapshots(
             snaps, small_params, seeds=new_seeds).run_until(20)
@@ -315,7 +317,7 @@ class TestBatchRestartRoundTrip:
         engines = [BinomialLeapEngine(small_params, seed=s) for s in range(8)]
         for e in engines:
             e.run_until(10)
-        snaps = [e.state_snapshot() for e in engines]
+        snaps = stack_leap_snapshots([e.state_snapshot() for e in engines])
         restarted = BatchedBinomialLeapEngine.from_particle_snapshots(
             snaps, small_params, seeds=np.arange(8))
         assert np.array_equal(restarted.counts,
