@@ -381,9 +381,12 @@ def _sequential(args, include_deaths: bool, label: str) -> int:
     posts = ", ".join(str(int(n)) for n in result.resample_sizes())
     print(f"  per-window posterior sizes: {posts}")
     tempered = result.tempered_windows()
+    cut = [wr.index for wr in result.windows if wr.diagnostics.temper_truncated]
     if tempered:
         print(f"  tempered rescue bridged windows: "
-              f"{', '.join(str(w) for w in tempered)}")
+              f"{', '.join(str(w) for w in tempered)}" + (
+                  f" (truncated at the stage cap: "
+                  f"{', '.join(str(w) for w in cut)})" if cut else ""))
     print(f"\nwrote {args.out / (label + '_summary.json')}")
     return 0
 

@@ -1,8 +1,7 @@
 """Core SMC/SIS framework — the paper's primary contribution."""
 
 from .adaptive import (TemperedResult, adaptive_jitter_width,
-                       ess_triggered_resample, temper_and_resample,
-                       tempered_weight_schedule)
+                       ess_triggered_resample, temper_and_resample)
 from .bias import BinomialBiasModel
 from .diagnostics import WindowDiagnostics, assess, compute_diagnostics
 from .ensemble_control import (SIZE_POLICY_NAMES, BudgetPolicy,
@@ -39,7 +38,7 @@ from .weights import (effective_sample_size, ess_fraction, logsumexp,
 from .window import TimeWindow, WindowSchedule, paper_window_schedule
 
 __all__ = [
-    "TemperedResult", "tempered_weight_schedule", "temper_and_resample",
+    "TemperedResult", "temper_and_resample",
     "adaptive_jitter_width", "ess_triggered_resample",
     "SMCConfig", "WindowResult", "SequentialCalibrator", "PendingWindow",
     "BIAS_PARAM", "DEFAULT_PARAM_MAP",

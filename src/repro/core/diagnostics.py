@@ -61,6 +61,9 @@ class WindowDiagnostics:
     temper_stage_ess:
         Per-stage incremental ESS realised along ``temper_schedule``
         (same length; empty when no tempering ran).
+    temper_truncated:
+        True when the bridge's stage cap forced the last jump to
+        ``beta = 1`` below the ESS floor.
     shard_failures:
         Recovered shard-dispatch failures while producing this window's
         cloud (each is one failed attempt of one shard that was retried to
@@ -84,6 +87,7 @@ class WindowDiagnostics:
     particle_steps: int = 0
     temper_schedule: tuple[float, ...] = ()
     temper_stage_ess: tuple[float, ...] = ()
+    temper_truncated: bool = False
     shard_failures: int = 0
     shard_failure_causes: tuple[str, ...] = ()
 
@@ -103,6 +107,10 @@ class WindowDiagnostics:
         return len(self.temper_schedule)
 
     def to_dict(self) -> dict:
+        # Written only for tempered windows: untempered stores and sealed
+        # artifacts keep the bytes they had before the flag existed.
+        cut = {"temper_truncated": self.temper_truncated} if self.tempered \
+            else {}
         return {
             "n_particles": self.n_particles,
             "ess": self.ess,
@@ -115,6 +123,7 @@ class WindowDiagnostics:
             "particle_steps": self.particle_steps,
             "temper_schedule": list(self.temper_schedule),
             "temper_stage_ess": list(self.temper_stage_ess),
+            **cut,
             "shard_failures": self.shard_failures,
             "shard_failure_causes": list(self.shard_failure_causes),
         }
@@ -133,6 +142,7 @@ class WindowDiagnostics:
                        float(b) for b in d.get("temper_schedule", ())),
                    temper_stage_ess=tuple(
                        float(e) for e in d.get("temper_stage_ess", ())),
+                   temper_truncated=bool(d.get("temper_truncated", False)),
                    shard_failures=int(d.get("shard_failures", 0)),
                    shard_failure_causes=tuple(
                        str(c) for c in d.get("shard_failure_causes", ())))

@@ -161,25 +161,22 @@ class SMCConfig:
     whatever posterior size arrives, restart seeds are keyed by
     ``(window, draw_index)``).
 
-    ``temper_degenerate`` routes degenerate windows through the tempered
-    bridge of :func:`repro.core.adaptive.temper_and_resample` instead of a
-    single resampling pass: when a window's pre-resampling ESS fraction
-    falls below ``temper_threshold`` (default: the
-    :data:`~repro.core.diagnostics.DEGENERACY_THRESHOLD` that flags a
-    window as degenerate), the likelihood is raised through an adaptive
-    exponent schedule — resampling among the already-simulated trajectories
-    at each stage, no re-simulation — chosen so every bridging step keeps
-    the incremental ESS above ``temper_ess_floor``.  The bridge draws from
-    the same window-indexed resampling stream as the plain pass, so runs
-    stay bit-reproducible per ``(base_seed, shard layout)`` and identical
-    across executors; the realised schedule is recorded in the window's
-    :class:`~repro.core.diagnostics.WindowDiagnostics`.
-    ``temper_resampler`` is the resampler used *inside* the bridge (default
-    ``"systematic"``, independent of the plain pass's ``resampler``): the
-    bridge resamples at every stage, so its variance-reduction depends on a
-    stratified, low-variance scheme — a multinomial bridge compounds
-    resampling noise across stages and can end up noisier than the single
-    pass it replaces.
+    ``temper_degenerate`` routes a window whose pre-resampling ESS
+    fraction falls below ``temper_threshold`` (default: the
+    :data:`~repro.core.diagnostics.DEGENERACY_THRESHOLD`) through the
+    tempered bridge of :func:`repro.core.adaptive.temper_and_resample`
+    instead of one resampling pass.  The bridge raises the likelihood
+    through exponents, resampling the already-simulated trajectories at
+    each stage; each exponent is the largest that keeps the incremental
+    ESS of the population the previous stage resampled at or above
+    ``temper_ess_floor``, and the bridge ends once the remaining jump to 1
+    meets that floor.  It draws from the window's resampling stream, so
+    runs stay bit-reproducible per ``(base_seed, shard layout)``; the
+    window's :class:`~repro.core.diagnostics.WindowDiagnostics` records the
+    schedule, and ``temper_truncated`` if the stage cap forced the last
+    jump.  ``temper_resampler`` (default ``"systematic"``) resamples inside
+    the bridge: it resamples at every stage, so a multinomial scheme
+    compounds noise and can end up noisier than the single pass.
 
     ``retry`` (a :class:`~repro.hpc.faults.RetryPolicy`, default ``None`` =
     the legacy fail-fast behaviour) makes every window's sharded
@@ -1053,8 +1050,7 @@ class SequentialCalibrator:
 
         rng_resample = self._bank.ancillary_generator(_PURPOSE_RESAMPLE,
                                                       window_index=index)
-        schedule: tuple[float, ...] = ()
-        stage_ess: tuple[float, ...] = ()
+        tempered = None
         if cfg.temper_degenerate and \
                 pre_diag.ess_fraction < cfg.temper_threshold:
             tempered = temper_and_resample(
@@ -1062,10 +1058,10 @@ class SequentialCalibrator:
                 ess_floor_fraction=cfg.temper_ess_floor,
                 resampler=cfg.temper_resampler)
             indices = tempered.indices
-            schedule, stage_ess = tempered.schedule, tempered.stage_ess
+            cut = ", truncated" if tempered.truncated else ""
             self._progress(
                 f"window {index}: tempered rescue bridged "
-                f"{tempered.n_stages} stage(s) (ESS fraction "
+                f"{tempered.n_stages} stage(s){cut} (ESS fraction "
                 f"{pre_diag.ess_fraction:.3f} < {cfg.temper_threshold})")
         else:
             indices = get_resampler(cfg.resampler)(normalized, n_out,
@@ -1078,8 +1074,9 @@ class SequentialCalibrator:
         failures = self._window_shard_failures
         diagnostics = replace(
             pre_diag, unique_ancestors=int(posterior.unique_ancestors()),
-            temper_schedule=tuple(float(b) for b in schedule),
-            temper_stage_ess=tuple(float(e) for e in stage_ess),
+            temper_schedule=tempered.schedule if tempered else (),
+            temper_stage_ess=tempered.stage_ess if tempered else (),
+            temper_truncated=bool(tempered and tempered.truncated),
             shard_failures=len(failures),
             shard_failure_causes=tuple(f.cause for f in failures))
         return WindowResult(

@@ -78,7 +78,9 @@ class CalibrationConfig:
     #: Tempered rescue of degenerate windows: when enabled, a window whose
     #: pre-resampling ESS fraction drops below temper_threshold is resampled
     #: through the staged tempered bridge (repro.core.adaptive) instead of a
-    #: single pass; temper_ess_floor is the per-stage incremental ESS floor.
+    #: single pass; temper_ess_floor is the incremental ESS floor each stage
+    #: keeps on the population the previous stage resampled.  A bridge cut
+    #: short by its stage cap is flagged temper_truncated in diagnostics.
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5

@@ -5,30 +5,44 @@ import pytest
 
 from repro.core import (adaptive_jitter_width, effective_sample_size,
                         ess_triggered_resample, normalize_log_weights,
-                        temper_and_resample, tempered_weight_schedule)
+                        temper_and_resample)
+
+
+def _schedule(ll, floor=0.5, **kw):
+    """One bridge over ``ll`` whose posterior keeps the ensemble size."""
+    ll = np.asarray(ll, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(0))
+    return temper_and_resample(ll, max(1, ll.size), rng,
+                               ess_floor_fraction=floor, **kw)
+
+
+def _fig5_like_loglik():
+    """1,250 members whose plain ESS fraction is below 1%, like the fig5
+    windows (0.2-0.6%)."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    return -rng.gamma(2.0, 300.0, size=1250)
 
 
 class TestTemperingSchedule:
     def test_flat_likelihood_single_stage(self):
-        schedule = tempered_weight_schedule(np.full(100, -3.0))
-        assert schedule == [1.0]
+        assert _schedule(np.full(100, -3.0)).schedule == (1.0,)
 
     def test_mildly_peaked_single_stage(self):
         rng = np.random.Generator(np.random.PCG64(1))
         ll = rng.normal(-10, 0.1, size=200)
-        assert tempered_weight_schedule(ll) == [1.0]
+        assert _schedule(ll).schedule == (1.0,)
 
     def test_sharp_likelihood_multiple_stages(self):
         ll = np.full(200, -1000.0)
         ll[:3] = 0.0  # three dominant particles
-        schedule = tempered_weight_schedule(ll, ess_floor_fraction=0.5)
-        assert len(schedule) > 1
-        assert schedule[-1] == 1.0
+        out = _schedule(ll, floor=0.5)
+        assert out.n_stages > 1
+        assert out.schedule[-1] == 1.0
 
     def test_schedule_strictly_increasing(self):
         rng = np.random.Generator(np.random.PCG64(2))
         ll = -0.5 * rng.exponential(50, size=300)
-        schedule = tempered_weight_schedule(ll)
+        schedule = _schedule(ll).schedule
         assert all(b2 > b1 for b1, b2 in zip(schedule, schedule[1:]))
         assert schedule[-1] == 1.0
 
@@ -36,50 +50,53 @@ class TestTemperingSchedule:
         rng = np.random.Generator(np.random.PCG64(3))
         ll = -0.5 * rng.exponential(80, size=400)
         floor = 0.5
-        schedule = tempered_weight_schedule(ll, ess_floor_fraction=floor)
-        beta_prev = 0.0
-        for beta in schedule[:-1]:  # last stage may be the forced jump to 1
-            w = normalize_log_weights((beta - beta_prev) * ll)
-            assert effective_sample_size(w) >= floor * ll.size * 0.98
-            beta_prev = beta
+        out = _schedule(ll, floor=floor)
+        assert out.n_stages > 1
+        assert not out.truncated
+        assert all(e >= floor * ll.size for e in out.stage_ess)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tempered_weight_schedule(np.zeros(5), ess_floor_fraction=0.0)
+            _schedule(np.zeros(5), floor=0.0)
         with pytest.raises(ValueError):
-            tempered_weight_schedule(np.array([]))
+            _schedule(np.zeros(5), floor=1.0)
+        with pytest.raises(ValueError):
+            _schedule(np.array([]))
 
     def test_max_stages_exhaustion_still_terminates_at_one(self):
-        """A pathological likelihood cannot keep the ESS above the floor at
-        any exponent; the schedule must exhaust its stage allowance and
+        """A likelihood that needs more stages than the cap allows must
         force the final jump to 1.0 (the only stage allowed to violate the
-        floor) instead of looping forever."""
-        ll = np.full(200, -1e9)
-        ll[0] = 0.0  # a single totally dominant particle
-        schedule = tempered_weight_schedule(ll, ess_floor_fraction=0.9,
-                                            max_stages=3)
-        assert len(schedule) == 4  # max_stages tiny steps + the forced 1.0
-        assert schedule[-1] == 1.0
-        assert all(b2 > b1 for b1, b2 in zip(schedule, schedule[1:]))
-        # every stage before the forced jump made the guaranteed progress
-        assert all(b >= 1e-4 for b in schedule[:-1])
+        floor) and flag the bridge truncated, instead of looping on."""
+        ll = _fig5_like_loglik()
+        floor = 0.5
+        assert _schedule(ll, floor=floor).n_stages > 3
+        out = _schedule(ll, floor=floor, max_stages=3)
+        assert out.truncated
+        assert out.n_stages == 3
+        assert out.schedule[-1] == 1.0
+        assert all(b2 > b1 for b1, b2 in zip(out.schedule, out.schedule[1:]))
+        assert all(e >= floor * ll.size for e in out.stage_ess[:-1])
+        assert out.stage_ess[-1] < floor * ll.size
+        assert out.indices.shape == (ll.size,)
 
     def test_all_equal_loglik_is_single_stage(self):
         """Equal log-likelihoods mean uniform incremental weights at every
         exponent — one stage, however extreme the common value."""
         for value in (0.0, -3.0, -1e8, -1e308):
-            assert tempered_weight_schedule(np.full(64, value)) == [1.0]
+            assert _schedule(np.full(64, value)).schedule == (1.0,)
 
     def test_neg_inf_entries_tolerated(self):
         """Particles with zero likelihood (log-lik -inf) must not poison the
         bisection with NaNs; the survivors carry the schedule."""
         ll = np.zeros(100)
         ll[:30] = -np.inf  # 30% of the cloud missed the data entirely
-        schedule = tempered_weight_schedule(ll, ess_floor_fraction=0.5)
-        assert schedule == [1.0]  # 70 equally weighted survivors >= floor
+        out = _schedule(ll, floor=0.5)
+        assert out.schedule == (1.0,)  # 70 equally weighted survivors >= floor
+        assert np.all(out.indices >= 30)
 
-        ll = np.concatenate([np.full(50, -np.inf), -0.5 * np.linspace(0, 40, 150) ** 2])
-        schedule = tempered_weight_schedule(ll, ess_floor_fraction=0.6)
+        ll = np.concatenate([np.full(50, -np.inf),
+                             -0.5 * np.linspace(0, 40, 150) ** 2])
+        schedule = _schedule(ll, floor=0.6).schedule
         assert np.all(np.isfinite(schedule))
         assert schedule[-1] == 1.0
         assert all(b2 > b1 for b1, b2 in zip(schedule, schedule[1:]))
@@ -87,7 +104,33 @@ class TestTemperingSchedule:
     def test_all_neg_inf_raises_cleanly(self):
         """A cloud with zero total weight is a hard failure, not a NaN."""
         with pytest.raises(ValueError, match="zero weight"):
-            tempered_weight_schedule(np.full(10, -np.inf))
+            _schedule(np.full(10, -np.inf))
+
+
+class TestScheduleOnResampledPopulation:
+    """Each exponent is picked on the population the previous stage
+    resampled, so a bridge over a fig5-like peaked likelihood needs a
+    handful of stages, not the stage cap."""
+
+    def test_peaked_loglik_finishes_well_below_the_cap(self):
+        ll = _fig5_like_loglik()
+        assert effective_sample_size(normalize_log_weights(ll)) < 0.01 * ll.size
+        floor, max_stages = 0.5, 64
+        out = temper_and_resample(ll, 625, np.random.Generator(
+            np.random.PCG64(7)), ess_floor_fraction=floor,
+            max_stages=max_stages)
+        assert out.n_stages < max_stages
+        assert all(e >= floor * ll.size for e in out.stage_ess)
+        assert not out.truncated
+        assert out.schedule[-1] == 1.0
+        assert out.indices.shape == (625,)
+
+    def test_later_stages_take_larger_steps(self):
+        """After a resample the population is tighter, so the next step can
+        be longer; a schedule picked on the full ensemble takes equal
+        steps."""
+        steps = np.diff((0.0,) + _schedule(_fig5_like_loglik()).schedule)
+        assert steps[1] > 1.5 * steps[0]
 
 
 class TestTemperAndResample:

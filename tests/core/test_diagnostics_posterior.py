@@ -1,5 +1,7 @@
 """Unit tests for diagnostics and posterior summaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ class TestDiagnostics:
         restored = WindowDiagnostics.from_dict(payload)
         assert not restored.tempered
         assert restored.temper_stages == 0
+
+    def test_round_trip_truncated_flag(self):
+        """A bridge cut short by its stage cap round-trips its flag; the key
+        is written only for tempered windows and defaults to False for
+        payloads written before the flag existed."""
+        lw = np.linspace(-4, 0, 10)
+        d = replace(compute_diagnostics(lw, normalize_log_weights(lw), 3,
+                                        temper_schedule=(0.25, 1.0),
+                                        temper_stage_ess=(6.0, 1.5)),
+                    temper_truncated=True)
+        assert WindowDiagnostics.from_dict(d.to_dict()) == d
+        payload = d.to_dict()
+        del payload["temper_truncated"]
+        assert not WindowDiagnostics.from_dict(payload).temper_truncated
+        assert "temper_truncated" not in self._diag(np.zeros(10)).to_dict()
 
     def test_temper_fields_must_align(self):
         lw = np.zeros(4)

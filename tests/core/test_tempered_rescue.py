@@ -57,6 +57,7 @@ def assert_runs_identical(a, b):
                                   rb.posterior.values(name))
         assert ra.diagnostics.temper_schedule == rb.diagnostics.temper_schedule
         assert ra.diagnostics.temper_stage_ess == rb.diagnostics.temper_stage_ess
+        assert ra.diagnostics.temper_truncated == rb.diagnostics.temper_truncated
 
 
 class TestTemperedRescueWiring:
@@ -72,6 +73,7 @@ class TestTemperedRescueWiring:
             assert d.ess_fraction < SMCConfig().temper_threshold
             assert d.temper_schedule[-1] == 1.0
             assert len(d.temper_stage_ess) == d.temper_stages
+            assert not d.temper_truncated  # finished below the stage cap
             assert all(b2 > b1 for b1, b2 in zip(d.temper_schedule,
                                                  d.temper_schedule[1:]))
             assert len(r.posterior) == 60  # n_out honoured through the bridge

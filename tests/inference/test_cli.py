@@ -112,6 +112,25 @@ class TestCommands:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_summary_names_truncated_bridges(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A bridge cut short by its stage cap is named next to the
+        bridged-windows line (a two-stage cap forces the truncation)."""
+        import functools
+
+        import repro.core.smc as smc
+        monkeypatch.setattr(smc, "temper_and_resample", functools.partial(
+            smc.temper_and_resample, max_stages=2))
+        code = main(["fig4", "--out", str(tmp_path), "--draws", "10",
+                     "--replicates", "2", "--resample", "20",
+                     "--temper", "--temper-threshold", "0.99",
+                     "--temper-floor", "0.9"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tempered rescue bridged windows: " in out
+        assert "(truncated at the stage cap: 0" in out
+
+
 class TestScenarioFlags:
     def test_scenario_flags_parse(self):
         args = build_parser().parse_args(

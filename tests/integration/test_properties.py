@@ -123,7 +123,7 @@ class TestBatchedWeightingInvariants:
         np.float64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
         elements=st.floats(min_value=0, max_value=5_000))
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(count_matrices, st.data())
     def test_batched_logliks_match_scalar(self, eta, data):
         from repro.core import (GaussianTransformLikelihood,
