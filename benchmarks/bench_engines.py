@@ -1,13 +1,13 @@
-"""Engine ablation — binomial-leap vs exact SSA vs event-driven vs batched.
+"""Engine ablation — binomial-leap vs the exact SSA oracle vs batched.
 
-A DESIGN.md design choice: the paper's CMS simulator is event-driven; our
-workhorse is the vectorised binomial leap.  This bench validates that choice
-by measuring (a) distributional agreement of attack rates and deaths on a
-small population where the exact SSA is feasible, and (b) the throughput gap
-that makes the leap engine the only viable option at Chicago scale.  A third
-test sweeps the batched ensemble engine across ensemble sizes against the
-scalar leap loop and emits a machine-readable comparison matrix alongside
-the existing ablation outputs.
+The paper's CMS simulator is event-driven; our workhorse is the vectorised
+binomial leap.  This bench validates that choice by measuring (a)
+distributional agreement of attack rates and deaths with the exact SSA
+(:class:`repro.testing.GillespieEngine`) on a small population where it is
+feasible, and (b) the throughput gap that makes the leap engine the only
+viable option at Chicago scale.  A third test sweeps the batched ensemble
+engine across ensemble sizes against the scalar leap loop and emits a
+machine-readable comparison matrix alongside the ablation outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from _bench_util import once
 from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        DiseaseParameters, EventDrivenEngine, GillespieEngine)
+                        DiseaseParameters)
+from repro.testing import GillespieEngine
 from repro.viz import write_json
 
 SMALL = DiseaseParameters(population=3_000, initial_exposed=30,
@@ -43,15 +44,14 @@ def _stats(engine_cls, **kwargs):
 
 def test_engine_agreement_and_throughput(benchmark, output_dir):
     ssa = _stats(GillespieEngine)
-    event = _stats(EventDrivenEngine, infection_slices_per_day=8)
     leap = once(benchmark, lambda: _stats(BinomialLeapEngine, steps_per_day=8))
 
     summary = {"population": SMALL.population, "horizon": HORIZON,
                "replicates": N_REPS,
-               "binomial_leap": leap, "gillespie": ssa, "event_driven": event}
+               "binomial_leap": leap, "gillespie": ssa}
     write_json(output_dir / "engines_ablation.json", summary)
     print("\nengine ablation (3k population, 50 days):")
-    for name in ("binomial_leap", "gillespie", "event_driven"):
+    for name in ("binomial_leap", "gillespie"):
         row = summary[name]
         print(f"  {name}: attack {row['attack_mean']:.3f} "
               f"(sd {row['attack_sd']:.3f}), "
@@ -59,8 +59,6 @@ def test_engine_agreement_and_throughput(benchmark, output_dir):
 
     # Distributional agreement with the exact law.
     np.testing.assert_allclose(leap["attack_mean"], ssa["attack_mean"],
-                               rtol=0.2)
-    np.testing.assert_allclose(event["attack_mean"], ssa["attack_mean"],
                                rtol=0.2)
     # Throughput: the leap engine's per-run cost must not scale with the
     # event count the way the SSA does (at 3k pop SSA is already slower).

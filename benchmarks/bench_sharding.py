@@ -46,7 +46,6 @@ DEFAULT_SIZES = (2_000, 10_000)
 DEFAULT_SHARDS = (1, 2, 4, 8)
 DEFAULT_DAYS = 14
 STEPS_PER_DAY = 4
-ENGINE = "binomial_leap_batched"
 TARGET = {"n_particles": 10_000, "min_speedup": 2.0, "min_workers": 4}
 
 
@@ -68,7 +67,7 @@ def run_window(executor: Executor, params: DiseaseParameters,
     """One sharded window simulation; returns mean total infections."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
     [group] = simulate_groups(
-        executor, [spec], end_day=n_days, engine=ENGINE,
+        executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards)
     totals = np.concatenate([r.batch.infections.sum(axis=1)
                              for r in group.results])

@@ -54,7 +54,7 @@ def run_scalar(params: DiseaseParameters, seeds: np.ndarray,
     for i, (seed, theta) in enumerate(zip(seeds, thetas)):
         model = StochasticSEIRModel(
             params.with_updates(transmission_rate=float(theta)), int(seed),
-            engine="binomial_leap", steps_per_day=STEPS_PER_DAY)
+            steps_per_day=STEPS_PER_DAY)
         trajectory = model.run_until(n_days)
         model.checkpoint().to_dict()
         totals[i] = trajectory.total_infections()

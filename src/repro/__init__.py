@@ -22,7 +22,8 @@ Subpackages
     The SMC/SIS framework (particles, weights, resampling, priors,
     proposals, likelihoods, bias model, windows, calibrator).
 ``repro.seir``
-    Stochastic SEIR simulator: three engines, checkpointing, parameters.
+    Stochastic SEIR simulator: the scalar and batched binomial-leap
+    engines, checkpointing, parameters.
 ``repro.hpc``
     Executors, sharded batched dispatch, fault tolerance, stores.
 ``repro.data``
@@ -32,7 +33,7 @@ Subpackages
 ``repro.inference``
     High-level ``calibrate()`` / forecasting API.
 ``repro.baselines``
-    Single-shot IS, ABC rejection, pseudo-marginal MCMC, grid posterior.
+    Single-shot IS and pseudo-marginal MCMC.
 ``repro.viz``
     ASCII charts and CSV export of every figure's data.
 """

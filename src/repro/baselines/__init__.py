@@ -1,13 +1,9 @@
 """Baseline calibration methods the sequential scheme is compared against."""
 
-from .abc import ABCResult, abc_rejection, sqrt_count_distance
-from .grid import GridPosterior, grid_posterior
 from .mcmc import MCMCResult, random_walk_metropolis
 from .single_shot import SingleShotResult, single_shot_importance_sampling
 
 __all__ = [
     "SingleShotResult", "single_shot_importance_sampling",
-    "ABCResult", "abc_rejection", "sqrt_count_distance",
     "MCMCResult", "random_walk_metropolis",
-    "GridPosterior", "grid_posterior",
 ]

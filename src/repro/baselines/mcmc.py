@@ -62,14 +62,14 @@ def _estimate_loglik(draw: dict[str, float], base_params: DiseaseParameters,
                      observation_model: ObservationModel,
                      window_obs: ObservationSet, param_map: dict[str, str],
                      seeds: list[int], end_day: int, start_day: int,
-                     rng_bias: np.random.Generator, engine: str,
+                     rng_bias: np.random.Generator,
                      engine_options: dict) -> float:
     """Monte-Carlo likelihood estimate averaged over replicate seeds."""
     params = base_params.with_updates(
         **{fld: draw[name] for name, fld in param_map.items()})
     logliks = []
     for seed in seeds:
-        model = StochasticSEIRModel(params, seed, engine=engine, **engine_options)
+        model = StochasticSEIRModel(params, seed, **engine_options)
         trajectory = model.run_until(end_day)
         logliks.append(observation_model.loglik(
             window_obs, trajectory, draw[BIAS_PARAM], rng_bias))
@@ -89,7 +89,6 @@ def random_walk_metropolis(observations: ObservationSet,
                            n_burn_in: int | None = None,
                            n_replicates: int = 3,
                            step_sizes: dict[str, float] | None = None,
-                           engine: str = "binomial_leap",
                            engine_options: dict | None = None,
                            param_map: dict[str, str] | None = None,
                            base_seed: int = 20240215) -> MCMCResult:
@@ -119,7 +118,7 @@ def random_walk_metropolis(observations: ObservationSet,
                for name in names}
     current_ll = _estimate_loglik(current, base_params, observation_model,
                                   window_obs, param_map, seeds, end_day,
-                                  start_day, rng_bias, engine, engine_options)
+                                  start_day, rng_bias, engine_options)
     current_lp = float(np.sum(prior.logpdf({k: np.array([v])
                                             for k, v in current.items()})))
 
@@ -138,8 +137,7 @@ def random_walk_metropolis(observations: ObservationSet,
         if np.isfinite(prop_lp):
             prop_ll = _estimate_loglik(proposal, base_params, observation_model,
                                        window_obs, param_map, seeds, end_day,
-                                       start_day, rng_bias, engine,
-                                       engine_options)
+                                       start_day, rng_bias, engine_options)
             log_alpha = (prop_ll + prop_lp) - (current_ll + current_lp)
             if np.log(rng.uniform()) < log_alpha:
                 current, current_ll, current_lp = proposal, prop_ll, prop_lp

@@ -1,7 +1,6 @@
 """Core SMC/SIS framework — the paper's primary contribution."""
 
-from .adaptive import (TemperedResult, adaptive_jitter_width,
-                       ess_triggered_resample, temper_and_resample)
+from .adaptive import TemperedResult, temper_and_resample
 from .bias import BinomialBiasModel
 from .diagnostics import WindowDiagnostics, assess, compute_diagnostics
 from .ensemble_control import (SIZE_POLICY_NAMES, BudgetPolicy,
@@ -18,8 +17,6 @@ from .priors import (Beta, Dirac, Distribution, IndependentProduct, LogNormal,
                      TruncatedNormal, Uniform, paper_first_window_prior)
 from .proposals import (JitterKernel, JointJitter, NoJitter, UniformJitter,
                         paper_window_jitter)
-from .reproduction_number import (cori_rt, discretised_serial_interval,
-                                  mean_infectious_days, model_rt)
 from .resampling import (RESAMPLERS, get_resampler, multinomial_resample,
                          residual_resample, stratified_resample,
                          systematic_resample)
@@ -39,7 +36,6 @@ from .window import TimeWindow, WindowSchedule, paper_window_schedule
 
 __all__ = [
     "TemperedResult", "temper_and_resample",
-    "adaptive_jitter_width", "ess_triggered_resample",
     "SMCConfig", "WindowResult", "SequentialCalibrator", "PendingWindow",
     "BIAS_PARAM", "DEFAULT_PARAM_MAP",
     "ScenarioOverride", "ScenarioSpec", "ScenarioRegistry", "ScenarioSweep",
@@ -67,7 +63,5 @@ __all__ = [
     "WindowDiagnostics", "compute_diagnostics", "assess",
     "TrajectoryRibbon", "trajectory_ribbon", "marginal_histogram",
     "joint_density_grid", "hpd_region_mass",
-    "model_rt", "cori_rt", "mean_infectious_days",
-    "discretised_serial_interval",
     "posterior_rank", "sbc_ranks_uniformity", "interval_coverage", "crps",
 ]

@@ -3,7 +3,7 @@
 The discussion section flags two operational risks of the plain SIS scheme:
 weights "concentrating on just a few draws", and posteriors drifting away
 from reality when proposals cannot reach it.  This module implements the
-standard SMC counter-measures as composable utilities:
+standard SMC counter-measure for the first:
 
 * :func:`temper_and_resample` — likelihood tempering *within* a window:
   instead of one jump from prior to posterior, the likelihood is raised
@@ -13,13 +13,6 @@ standard SMC counter-measures as composable utilities:
   short by its stage cap is flagged ``truncated``.  (No re-simulation is
   needed: the tempering reuses the window's simulated trajectories,
   reweighting and resampling among them.)
-* :func:`adaptive_jitter_width` — scales the next window's jitter kernels to
-  the current posterior spread (a Silverman-style rule), so proposals widen
-  automatically when the posterior is diffuse and sharpen when it has
-  converged.
-* :func:`ess_triggered_resample` — classic conditional resampling: only
-  resample when the ESS fraction drops below a threshold, otherwise carry
-  weights forward (reduces unnecessary resampling noise).
 """
 
 from __future__ import annotations
@@ -31,8 +24,7 @@ import numpy as np
 from .resampling import get_resampler
 from .weights import effective_sample_size, normalize_log_weights
 
-__all__ = ["TemperedResult", "temper_and_resample", "adaptive_jitter_width",
-           "ess_triggered_resample"]
+__all__ = ["TemperedResult", "temper_and_resample"]
 
 
 @dataclass(frozen=True)
@@ -109,60 +101,3 @@ def temper_and_resample(log_lik: np.ndarray, n_out: int,
     return TemperedResult(indices=current, schedule=tuple(schedule),
                           stage_ess=tuple(stage_ess),
                           truncated=last and stage_ess[-1] < target)
-
-
-def adaptive_jitter_width(posterior_values: np.ndarray, *,
-                          floor: float = 1e-3,
-                          scale: float = 1.0) -> float:
-    """Jitter half-width from the posterior sample spread.
-
-    Uses the Silverman-style bandwidth ``1.06 sigma n^{-1/5}`` (with the
-    robust sigma = min(sd, IQR/1.34)), multiplied by ``scale``.  A diffuse
-    posterior explores widely next window; a concentrated one refines.
-    """
-    v = np.asarray(posterior_values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("need at least two posterior values")
-    sd = float(np.std(v))
-    q75, q25 = np.percentile(v, [75, 25])
-    robust = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-    width = 1.06 * robust * v.size ** (-0.2) * scale
-    return max(float(width), floor)
-
-
-def ess_triggered_resample(log_weights: np.ndarray, n_out: int,
-                           rng: np.random.Generator, *,
-                           threshold_fraction: float = 0.5,
-                           resampler: str = "systematic",
-                           ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Resample only when ESS drops below the threshold.
-
-    Returns ``(indices, new_log_weights, resampled)``: when the ESS is
-    healthy, indices are the identity and the log-weights pass through so
-    they keep accumulating across windows; when degenerate, the ensemble is
-    resampled and weights reset to zero (uniform).
-
-    Because a healthy ensemble passes through untouched, the output size is
-    necessarily ``len(log_weights)`` in that case; asking for a different
-    ``n_out`` is a contract violation (it would force a resample the ESS
-    does not justify) and raises ``ValueError`` instead of silently
-    resampling.  Callers that need to change the ensemble size regardless of
-    weight health should resample explicitly via
-    :func:`~repro.core.resampling.get_resampler` or
-    :func:`temper_and_resample`.
-    """
-    if not 0 < threshold_fraction <= 1:
-        raise ValueError("threshold_fraction must be in (0, 1]")
-    lw = np.asarray(log_weights, dtype=np.float64)
-    w = normalize_log_weights(lw)
-    ess = effective_sample_size(w)
-    if ess >= threshold_fraction * lw.size:
-        if n_out != lw.size:
-            raise ValueError(
-                f"ESS {ess:.1f} is above the resampling threshold, so the "
-                f"ensemble passes through at its current size {lw.size}; "
-                f"resampling it to {n_out} is not a conditional-resampling "
-                "decision — resample explicitly instead")
-        return np.arange(lw.size), lw.copy(), False
-    indices = get_resampler(resampler)(w, n_out, rng)
-    return indices, np.zeros(n_out), True

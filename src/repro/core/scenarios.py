@@ -546,7 +546,7 @@ class ScenarioSweep:
         layout = self.calibrators[reps[0]]._shard_layout_kwargs()
         shard_sets = simulate_group_sets(
             self.executor, [p.specs for p in pendings],
-            end_day=window.end_day, engine=self.config.engine,
+            end_day=window.end_day,
             engine_options=self.config.engine_options,
             retry=self.config.retry,
             on_failures=[self.calibrators[rep]._on_shard_failure

@@ -964,7 +964,6 @@ class SequentialCalibrator:
         cfg = self.config
         return simulate_groups(self.executor, pending.specs,
                                end_day=pending.window.end_day,
-                               engine=cfg.engine,
                                engine_options=cfg.engine_options,
                                retry=cfg.retry,
                                on_failure=self._on_shard_failure,

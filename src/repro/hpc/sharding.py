@@ -42,7 +42,6 @@ import numpy as np
 from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
-from ..seir.model import batch_engine_class
 from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import batch_generator_for
@@ -131,7 +130,6 @@ class ShardTask:
     seeds: np.ndarray
     thetas: np.ndarray
     end_day: int
-    engine: str
     engine_options: dict = field(default_factory=dict)
     start_day: int | None = None
     state: StackedLeapState | None = None
@@ -170,17 +168,16 @@ def run_shard(task: ShardTask) -> ShardResult:
     the one function, which is what makes shard results a pure function of
     the task payload regardless of which process runs them).
     """
-    engine_cls = batch_engine_class(task.engine)
     seeds = np.asarray(task.seeds, dtype=np.int64)
     thetas = np.asarray(task.thetas, dtype=np.float64)
     rng = batch_generator_for(seeds)
     if task.state is not None:
-        engine = engine_cls.from_particle_snapshots(
+        engine = BatchedBinomialLeapEngine.from_particle_snapshots(
             task.state, task.params, seeds=seeds, thetas=thetas, rng=rng)
     else:
-        engine = engine_cls(task.params, seeds, thetas=thetas,
-                            start_day=task.start_day, rng=rng,
-                            **dict(task.engine_options))
+        engine = BatchedBinomialLeapEngine(
+            task.params, seeds, thetas=thetas, start_day=task.start_day,
+            rng=rng, **dict(task.engine_options))
     batch = engine.run_until(task.end_day)
     state = None
     if task.return_state:
@@ -390,7 +387,9 @@ def reassemble(groups: Sequence[Sequence[int]],
 
 
 def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
-                    end_day: int, engine: str, engine_options: dict | None = None,
+                    end_day: int,
+                    engine: str = BatchedBinomialLeapEngine.name,
+                    engine_options: dict | None = None,
                     shard_size: int | None = None, n_shards: int | None = None,
                     return_state: bool = True,
                     retry: RetryPolicy | None = None,
@@ -406,9 +405,18 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
     workers stay busy even when group sizes are uneven, and the results
     are returned per group in member order.  ``retry``/``on_failure``
     enable fault-tolerant dispatch (see :func:`dispatch_shards`).
+
+    Every shard runs
+    :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`; ``engine``
+    only accepts that engine's name (callers that echo
+    ``SMCConfig.engine`` keep working) and raises ``ValueError`` on any
+    other.
     """
+    if engine != BatchedBinomialLeapEngine.name:
+        raise ValueError(f"unknown batch engine {engine!r}; only "
+                         f"{BatchedBinomialLeapEngine.name!r} runs shards")
     return simulate_group_sets(
-        executor, [specs], end_day=end_day, engine=engine,
+        executor, [specs], end_day=end_day,
         engine_options=engine_options, shard_size=shard_size,
         n_shards=n_shards, return_state=return_state, retry=retry,
         on_failures=[on_failure])[0]
@@ -433,7 +441,6 @@ def simulate_members(executor: Executor,
     specs = build_group_specs(groups, params_list, seeds,
                               start_day=start_day, state=state)
     shards = simulate_groups(executor, specs, end_day=end_day,
-                             engine=BatchedBinomialLeapEngine.name,
                              engine_options=engine_options,
                              shard_size=shard_size, n_shards=n_shards,
                              return_state=False)
@@ -442,7 +449,7 @@ def simulate_members(executor: Executor,
 
 def simulate_group_sets(executor: Executor,
                         spec_sets: Sequence[Sequence[GroupSpec]], *,
-                        end_day: int, engine: str,
+                        end_day: int,
                         engine_options: dict | None = None,
                         shard_size: int | None = None,
                         n_shards: int | None = None,
@@ -489,7 +496,7 @@ def simulate_group_sets(executor: Executor,
                 tasks.append(ShardTask(
                     shard_id=len(tasks), params=spec.params,
                     seeds=seeds[lo:hi], thetas=thetas[lo:hi],
-                    end_day=end_day, engine=engine,
+                    end_day=end_day,
                     engine_options=(dict(engine_options or {})
                                     if spec.start_day is not None else {}),
                     start_day=spec.start_day, return_state=return_state,

@@ -6,10 +6,7 @@ from .checkpoint import (Checkpoint, CheckpointError, StackedLeapState,
                          stack_leap_snapshots)
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
-from .events import EventDrivenEngine, ScheduledEvent
-from .gillespie import GillespieEngine
-from .model import (BATCH_ENGINE_NAMES, ENGINE_NAMES, StochasticSEIRModel,
-                    batch_engine_class, engine_class)
+from .model import StochasticSEIRModel
 from .outputs import Trajectory, TrajectoryBuilder
 from .parameters import DiseaseParameters, ParameterOverride, chicago_defaults
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
@@ -23,12 +20,11 @@ __all__ = [
     "DiseaseParameters", "ParameterOverride", "chicago_defaults",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
     "Trajectory", "TrajectoryBuilder",
-    "BinomialLeapEngine", "GillespieEngine", "EventDrivenEngine",
+    "BinomialLeapEngine",
     "BatchedBinomialLeapEngine", "BatchTrajectory", "stack_channel_tensor",
-    "ScheduledEvent", "CompiledTransitions", "compiled_transitions_for",
+    "CompiledTransitions", "compiled_transitions_for",
     "transition_table_key",
     "Checkpoint", "CheckpointError", "StackedLeapState",
     "stack_leap_snapshots",
-    "StochasticSEIRModel", "engine_class", "ENGINE_NAMES",
-    "batch_engine_class", "BATCH_ENGINE_NAMES",
+    "StochasticSEIRModel",
 ]

@@ -1,10 +1,10 @@
 """Checkpoint / restart of simulator state (paper section III-B).
 
 A :class:`Checkpoint` captures everything needed to continue a trajectory
-from an intermediate day: the disease parameterisation, the engine-specific
-state snapshot (compartment occupancy, clock, cumulative outputs, RNG stream,
-and — for the event-driven engine — the pending future-transition events),
-and the optional transmission schedule.
+from an intermediate day: the disease parameterisation, the binomial-leap
+engine's state snapshot (compartment occupancy, clock, cumulative outputs
+and, for scalar runs, the RNG stream), and the optional transmission
+schedule.
 
 Restarting accepts a :class:`~repro.seir.parameters.ParameterOverride`
 covering exactly the six knobs the paper allows, so a stored posterior
@@ -30,6 +30,7 @@ import numpy as np
 
 from ..data.schedule import PiecewiseConstant
 from .parameters import DiseaseParameters, ParameterOverride
+from .tauleap import BinomialLeapEngine
 
 __all__ = ["Checkpoint", "CheckpointError", "StackedLeapState",
            "leap_particle_snapshot", "stack_leap_snapshots"]
@@ -89,10 +90,15 @@ class Checkpoint:
 
         Returns
         -------
-        A fresh engine instance positioned at :attr:`day`.
+        A fresh :class:`~repro.seir.tauleap.BinomialLeapEngine` positioned
+        at :attr:`day`.  A snapshot from any other engine raises
+        :class:`CheckpointError`.
         """
-        from .model import engine_class  # local import to avoid cycle
-
+        if self.engine_name != BinomialLeapEngine.name:
+            raise CheckpointError(
+                f"cannot restart a checkpoint from engine "
+                f"{self.engine_name!r}; restart requires "
+                f"{BinomialLeapEngine.name} snapshots")
         params = self.params
         seed: int | None = None
         if override is not None:
@@ -103,9 +109,8 @@ class Checkpoint:
                 and theta_schedule is None:
             # An explicit transmission-rate override supersedes a stale schedule.
             schedule = None
-        cls = engine_class(self.engine_name)
-        return cls.from_snapshot(self.snapshot, params, seed=seed,
-                                 theta_schedule=schedule)
+        return BinomialLeapEngine.from_snapshot(
+            self.snapshot, params, seed=seed, theta_schedule=schedule)
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:

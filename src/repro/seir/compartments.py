@@ -13,8 +13,9 @@ This module is the single source of truth for:
 * per-compartment infectiousness weights (:func:`infectiousness_weights`),
 * output channel definitions (which fluxes/censuses the simulator reports).
 
-All three simulation engines (binomial-leap, Gillespie, event-driven) consume
-the same table, which is what makes their distributional agreement testable.
+The scalar and batched binomial-leap engines and the exact-SSA test oracle
+(:class:`repro.testing.GillespieEngine`) consume the same table, which is
+what makes their distributional agreement testable.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class TransitionSpec:
     destinations:
         ``((compartment, probability), ...)``; probabilities sum to 1.
     label:
-        Human-readable tag used in diagnostics and the event-driven engine.
+        Human-readable tag used in diagnostics.
     """
 
     src: Compartment

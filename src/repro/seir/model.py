@@ -1,64 +1,22 @@
-"""Facade over the three simulation engines.
+"""Facade over the scalar binomial-leap engine.
 
-:class:`StochasticSEIRModel` is the object the rest of the library talks to:
-construct it from parameters and a seed (or from a checkpoint plus override),
-advance it window by window, and snapshot it between windows.  The engine
-choice is a string so configuration files and benchmark matrices can sweep it.
+:class:`StochasticSEIRModel` is the one-trajectory object ground truths and
+the examples talk to: construct it from parameters and a seed (or from a
+checkpoint plus override), advance it window by window, and snapshot it
+between windows.  Calibration itself runs the batched engine
+(:mod:`repro.seir.batch_engine`) through :mod:`repro.hpc.sharding`.
 """
 
 from __future__ import annotations
 
-from typing import Type
-
 from ..data.schedule import PiecewiseConstant
-from .batch_engine import BatchedBinomialLeapEngine
 from .checkpoint import Checkpoint
 from .compartments import Compartment
-from .events import EventDrivenEngine
-from .gillespie import GillespieEngine
 from .outputs import Trajectory
 from .parameters import DiseaseParameters, ParameterOverride
 from .tauleap import BinomialLeapEngine
 
-__all__ = ["StochasticSEIRModel", "engine_class", "ENGINE_NAMES",
-           "batch_engine_class", "BATCH_ENGINE_NAMES"]
-
-_ENGINES: dict[str, Type] = {
-    BinomialLeapEngine.name: BinomialLeapEngine,
-    GillespieEngine.name: GillespieEngine,
-    EventDrivenEngine.name: EventDrivenEngine,
-}
-
-ENGINE_NAMES = tuple(sorted(_ENGINES))
-
-#: Ensemble engines stepping many trajectories per instance.  They live in
-#: their own registry because their constructor contract differs (a seed
-#: *vector* plus per-member thetas) and because the per-trajectory facade
-#: below cannot wrap them.
-_BATCH_ENGINES: dict[str, Type] = {
-    BatchedBinomialLeapEngine.name: BatchedBinomialLeapEngine,
-}
-
-BATCH_ENGINE_NAMES = tuple(sorted(_BATCH_ENGINES))
-
-
-def engine_class(name: str) -> Type:
-    """Resolve a scalar (one-trajectory) engine name to its class."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {ENGINE_NAMES}") from None
-
-
-def batch_engine_class(name: str) -> Type:
-    """Resolve a batched (whole-ensemble) engine name to its class."""
-    try:
-        return _BATCH_ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown batch engine {name!r}; available: "
-            f"{BATCH_ENGINE_NAMES}") from None
+__all__ = ["StochasticSEIRModel"]
 
 
 class StochasticSEIRModel:
@@ -70,21 +28,18 @@ class StochasticSEIRModel:
         Disease parameterisation.
     seed:
         Trajectory seed; together with ``params`` it determines the run.
-    engine:
-        ``"binomial_leap"`` (default), ``"gillespie"`` or ``"event_driven"``.
     theta_schedule:
         Optional piecewise transmission schedule (ground-truth runs).
     engine_options:
-        Extra engine keyword arguments (e.g. ``steps_per_day``).
+        Extra :class:`~repro.seir.tauleap.BinomialLeapEngine` keyword
+        arguments (e.g. ``steps_per_day``).
     """
 
     def __init__(self, params: DiseaseParameters, seed: int, *,
-                 engine: str = "binomial_leap",
                  theta_schedule: PiecewiseConstant | None = None,
                  **engine_options) -> None:
-        cls = engine_class(engine)
-        self._engine = cls(params, seed, theta_schedule=theta_schedule,
-                           **engine_options)
+        self._engine = BinomialLeapEngine(
+            params, seed, theta_schedule=theta_schedule, **engine_options)
         self._history: Trajectory | None = None
 
     # ------------------------------------------------------------------ #
@@ -111,10 +66,6 @@ class StochasticSEIRModel:
     @property
     def seed(self) -> int:
         return self._engine.seed
-
-    @property
-    def engine_name(self) -> str:
-        return self._engine.name
 
     def count_of(self, compartment: Compartment) -> int:
         return self._engine.count_of(compartment)

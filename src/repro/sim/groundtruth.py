@@ -101,14 +101,13 @@ def make_ground_truth(params: DiseaseParameters | None = None,
                       seed: int = _DEFAULT_SEED,
                       theta_schedule: PiecewiseConstant = FIG2_THETA_SCHEDULE,
                       rho_schedule: PiecewiseConstant = FIG2_RHO_SCHEDULE,
-                      engine: str = "binomial_leap",
                       **engine_options) -> GroundTruth:
     """Simulate a truth epidemic and its biased observation stream."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     base = params if params is not None else chicago_defaults()
-    model = StochasticSEIRModel(base, seed, engine=engine,
-                                theta_schedule=theta_schedule, **engine_options)
+    model = StochasticSEIRModel(base, seed, theta_schedule=theta_schedule,
+                                **engine_options)
     trajectory = model.run_until(horizon)
     # Thinning uses a stream independent of the simulation stream so the
     # truth trajectory is identical whether or not observations are drawn.

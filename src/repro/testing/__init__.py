@@ -1,11 +1,12 @@
 """Reusable test scaffolding: bitwise parity oracles, the scalar restart
-oracle, and fixtures.
+oracle, the exact-SSA engine, and fixtures.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'
 own suites, not just this repository's.
 """
 
+from .gillespie import GillespieEngine
 from .oracle import restart_oracle, window_oracle
 
 from .parity import (assert_ensembles_identical, assert_runs_identical,
@@ -26,4 +27,5 @@ __all__ = [
     "parity_sweep",
     "restart_oracle",
     "window_oracle",
+    "GillespieEngine",
 ]

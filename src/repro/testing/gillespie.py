@@ -1,11 +1,13 @@
-"""Exact stochastic simulation (Gillespie SSA) engine.
+"""Exact stochastic simulation (Gillespie SSA) test oracle.
 
 The direct-method SSA simulates every transition event individually with
 exponential waiting times, making it the exact reference law for the
 compartment topology.  Cost scales with the total number of events, so this
-engine is intended for small populations: distributional validation of the
-binomial-leap engine (see ``tests/seir/test_engine_agreement.py`` and
-``benchmarks/bench_engines.py``) and for pedagogical examples.
+engine is meant for small populations and is on no calibration path: it is
+the law the binomial-leap engine is checked against in distribution (see
+``tests/seir/test_engine_agreement.py`` and ``benchmarks/bench_engines.py``).
+Its snapshots carry the ``"gillespie"`` engine tag, which every restart
+path refuses.
 
 Time-varying transmission is handled by restricting each SSA step to the
 current integer day: rates are constant within a day (the schedule is
@@ -18,12 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schedule import PiecewiseConstant
-from .compartments import Compartment, N_COMPARTMENTS
-from .outputs import Trajectory, TrajectoryBuilder
-from .parameters import DiseaseParameters
-from .seeding import (generator_for, rng_from_jsonable,
-                      rng_state_to_jsonable)
-from .tauleap import _theta_function, compiled_transitions_for
+from ..seir.compartments import Compartment, N_COMPARTMENTS
+from ..seir.outputs import Trajectory, TrajectoryBuilder
+from ..seir.parameters import DiseaseParameters
+from ..seir.seeding import (generator_for, rng_from_jsonable,
+                            rng_state_to_jsonable)
+from ..seir.tauleap import _theta_function, compiled_transitions_for
 
 __all__ = ["GillespieEngine"]
 

@@ -143,12 +143,29 @@ class TestSelfApplication:
         assert resolved == SHIPPED_DISPATCH_TARGETS
 
     def test_certificates_declare_their_soundness_boundary(self):
-        """Dynamic engine construction must show up as unresolved calls,
-        not be silently absorbed into a 'pure' verdict."""
+        """Calls the pass cannot resolve (numpy methods on arrays) must
+        show up as unresolved calls, not be silently absorbed into a
+        'pure' verdict."""
         _, certs = run_flow([SRC])
         shard = next(c for c in certs
                      if c["target"] == "repro.hpc.sharding.run_shard")
         assert shard["unresolved_calls"], shard
+
+    def test_shard_certificates_cover_the_batched_kernel(self):
+        """``run_shard`` constructs the batched engine by name, so the
+        purity proof reaches into the kernel instead of stopping at a
+        dynamic engine lookup."""
+        _, certs = run_flow([SRC])
+        shards = [c for c in certs
+                  if c["target"] == "repro.hpc.sharding.run_shard"]
+        assert len(shards) == 2, shards
+        engine = "repro.seir.batch_engine.BatchedBinomialLeapEngine"
+        for cert in shards:
+            assert cert["pure"] and cert["effects"] == [], cert
+            assert f"{engine}.run_until" in cert["closure"], cert["closure"]
+            assert f"{engine}._substep" in cert["closure"], cert["closure"]
+            assert not [u for u in cert["unresolved_calls"]
+                        if u["call"] == "engine_cls"], cert["unresolved_calls"]
 
 
 class TestWaivers:

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (abc_rejection, grid_posterior,
-                             random_walk_metropolis,
-                             single_shot_importance_sampling,
-                             sqrt_count_distance)
+from repro.baselines import (random_walk_metropolis,
+                             single_shot_importance_sampling)
 from repro.core import paper_first_window_prior, paper_observation_model
 from repro.data import PiecewiseConstant
 from repro.seir import DiseaseParameters
@@ -44,45 +42,6 @@ class TestSingleShot:
         assert p.segment.start_day == 10
 
 
-class TestABC:
-    def test_distance_properties(self):
-        y = np.array([100.0, 200.0])
-        assert sqrt_count_distance(y, y) == 0.0
-        assert sqrt_count_distance(y, y * 2) > 0
-
-    def test_distance_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sqrt_count_distance(np.zeros(2), np.zeros(3))
-
-    def test_rejection_quantile_acceptance(self, truth):
-        res = abc_rejection(truth.observations(), truth.params,
-                            paper_first_window_prior(), start_day=10,
-                            end_day=24, n_proposals=40,
-                            accept_quantile=0.25, base_seed=2)
-        assert res.n_proposals == 40
-        assert res.n_accepted == pytest.approx(10, abs=2)
-        assert res.acceptance_rate == pytest.approx(0.25, abs=0.06)
-        assert res.posterior is not None
-
-    def test_explicit_tolerance(self, truth):
-        res = abc_rejection(truth.observations(), truth.params,
-                            paper_first_window_prior(), start_day=10,
-                            end_day=24, n_proposals=30, tolerance=1e9)
-        assert res.n_accepted == 30  # everything within a huge ball
-
-    def test_accepted_distances_below_tolerance(self, truth):
-        res = abc_rejection(truth.observations(), truth.params,
-                            paper_first_window_prior(), start_day=10,
-                            end_day=24, n_proposals=30, accept_quantile=0.2)
-        assert np.sum(res.distances <= res.tolerance) == res.n_accepted
-
-    def test_invalid_quantile(self, truth):
-        with pytest.raises(ValueError):
-            abc_rejection(truth.observations(), truth.params,
-                          paper_first_window_prior(), start_day=10,
-                          end_day=24, n_proposals=5, accept_quantile=0.0)
-
-
 class TestMCMC:
     def test_chain_shape_and_acceptance(self, truth):
         res = random_walk_metropolis(
@@ -118,44 +77,3 @@ class TestMCMC:
                 paper_first_window_prior(),
                 paper_observation_model(), start_day=10, end_day=20,
                 n_steps=1)
-
-
-class TestGridPosterior:
-    def test_posterior_normalised(self, truth):
-        grid = grid_posterior(
-            truth.observations(), truth.params, paper_observation_model(
-                bias_mode="mean"),
-            start_day=10, end_day=20,
-            theta_grid=np.linspace(0.15, 0.45, 5),
-            rho_grid=np.linspace(0.4, 1.0, 4),
-            n_replicates=2, base_seed=6)
-        assert grid.posterior.sum() == pytest.approx(1.0)
-        assert grid.posterior.shape == (5, 4)
-
-    def test_mode_near_truth(self, truth):
-        grid = grid_posterior(
-            truth.observations(), truth.params, paper_observation_model(
-                bias_mode="mean"),
-            start_day=10, end_day=24,
-            theta_grid=np.linspace(0.1, 0.5, 9),
-            rho_grid=np.linspace(0.3, 1.0, 8),
-            n_replicates=3, base_seed=7)
-        theta_mode, _rho_mode = grid.mode()
-        assert theta_mode == pytest.approx(0.30, abs=0.1)
-
-    def test_marginals_sum_to_one(self, truth):
-        grid = grid_posterior(
-            truth.observations(), truth.params, paper_observation_model(
-                bias_mode="mean"),
-            start_day=10, end_day=20,
-            theta_grid=np.linspace(0.2, 0.4, 3),
-            rho_grid=np.linspace(0.5, 0.9, 3), n_replicates=1)
-        assert grid.marginal_theta().sum() == pytest.approx(1.0)
-        assert grid.marginal_rho().sum() == pytest.approx(1.0)
-
-    def test_grid_validation(self, truth):
-        with pytest.raises(ValueError):
-            grid_posterior(truth.observations(), truth.params,
-                           paper_observation_model(), start_day=10,
-                           end_day=20, theta_grid=np.zeros((2, 2)),
-                           rho_grid=np.linspace(0, 1, 3))

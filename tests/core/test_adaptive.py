@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (adaptive_jitter_width, effective_sample_size,
-                        ess_triggered_resample, normalize_log_weights,
+from repro.core import (effective_sample_size, normalize_log_weights,
                         temper_and_resample)
 
 
@@ -205,63 +204,3 @@ class TestTemperAndResample:
         tempered = len(np.unique(
             temper_and_resample(ll, 500, rng, ess_floor_fraction=0.7).indices))
         assert tempered >= plain
-
-
-class TestAdaptiveJitterWidth:
-    def test_scales_with_spread(self, rng):
-        narrow = adaptive_jitter_width(rng.normal(0.3, 0.01, 500))
-        wide = adaptive_jitter_width(rng.normal(0.3, 0.1, 500))
-        assert wide > narrow
-
-    def test_floor_applied(self):
-        width = adaptive_jitter_width(np.full(100, 0.3) + 1e-12,
-                                      floor=0.005)
-        assert width == 0.005
-
-    def test_scale_multiplier(self, rng):
-        v = rng.normal(0.3, 0.05, 400)
-        assert adaptive_jitter_width(v, scale=2.0) == pytest.approx(
-            2 * adaptive_jitter_width(v))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_jitter_width(np.array([0.3]))
-
-
-class TestEssTriggeredResample:
-    def test_healthy_weights_pass_through(self, rng):
-        lw = np.zeros(100)
-        idx, new_lw, resampled = ess_triggered_resample(lw, 100, rng)
-        assert not resampled
-        assert np.array_equal(idx, np.arange(100))
-        assert np.array_equal(new_lw, lw)
-
-    def test_degenerate_weights_resampled(self, rng):
-        lw = np.full(100, -1000.0)
-        lw[0] = 0.0
-        idx, new_lw, resampled = ess_triggered_resample(lw, 100, rng)
-        assert resampled
-        assert np.all(idx == 0)
-        assert np.all(new_lw == 0.0)
-
-    def test_healthy_size_change_rejected_not_silently_resampled(self, rng):
-        """Regression: a healthy ensemble must pass through unchanged — a
-        caller requesting a different size is a contract violation, not a
-        silent excuse to resample (the old behaviour)."""
-        lw = np.zeros(100)
-        with pytest.raises(ValueError, match="above the resampling threshold"):
-            ess_triggered_resample(lw, 50, rng)
-
-    def test_degenerate_size_change_resamples(self, rng):
-        lw = np.full(100, -1000.0)
-        lw[:2] = 0.0
-        idx, new_lw, resampled = ess_triggered_resample(lw, 50, rng)
-        assert resampled
-        assert idx.shape == (50,)
-        assert np.all(idx < 2)
-        assert np.all(new_lw == 0.0)
-
-    def test_threshold_validated(self, rng):
-        with pytest.raises(ValueError):
-            ess_triggered_resample(np.zeros(10), 10, rng,
-                                   threshold_fraction=0.0)

@@ -176,8 +176,7 @@ class TestLibraryContracts:
         from repro.seir.parameters import DiseaseParameters
 
         params = DiseaseParameters(population=1000, initial_exposed=5)
-        kwargs = dict(shard_id=0, params=params, end_day=5,
-                      engine="binomial_leap", start_day=0)
+        kwargs = dict(shard_id=0, params=params, end_day=5, start_day=0)
         ShardTask(seeds=np.array([1, 2], dtype=np.int64),
                   thetas=np.array([0.1, 0.2]), **kwargs)
         if contracts_active():

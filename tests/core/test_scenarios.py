@@ -438,12 +438,11 @@ class TestSimulateGroupSets:
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]
         merged = simulate_group_sets(SerialExecutor(), sets, end_day=12,
-                                     engine="binomial_leap_batched",
                                      n_shards=2)
         assert len(merged) == len(sets)
         for spec_set, got in zip(sets, merged):
             lone = simulate_groups(SerialExecutor(), spec_set, end_day=12,
-                                   engine="binomial_leap_batched", n_shards=2)
+                                   n_shards=2)
             for ga, gb in zip(lone, got):
                 assert ga.bounds == gb.bounds
                 for ra, rb in zip(ga.results, gb.results):
@@ -454,10 +453,7 @@ class TestSimulateGroupSets:
         sets = [self._spec_set(100)]
         with pytest.raises(ValueError, match="on_failures"):
             simulate_group_sets(SerialExecutor(), sets, end_day=8,
-                                engine="binomial_leap_batched",
                                 on_failures=[None, None])
 
     def test_empty_sets_allowed(self):
-        assert simulate_group_sets(SerialExecutor(), [], end_day=8,
-                                   engine="binomial_leap_batched") == []
-
+        assert simulate_group_sets(SerialExecutor(), [], end_day=8) == []

@@ -105,8 +105,24 @@ class TestConfigKnobs:
         params = DiseaseParameters(population=1000, initial_exposed=5)
         with pytest.raises(ValueError, match="start_day/state"):
             ShardTask(shard_id=0, params=params, seeds=np.array([1]),
-                      thetas=np.array([0.3]), end_day=5,
-                      engine="binomial_leap_batched")
+                      thetas=np.array([0.3]), end_day=5)
+
+    def test_simulate_groups_accepts_only_the_batched_engine(self):
+        """``engine=smc.engine`` still works; any other name is refused
+        rather than silently run on the batched engine."""
+        from repro.hpc.sharding import GroupSpec, simulate_groups
+
+        spec = GroupSpec(params=DiseaseParameters(population=1000,
+                                                  initial_exposed=5),
+                         seeds=np.array([1, 2], dtype=np.int64),
+                         thetas=np.array([0.3, 0.3]), start_day=0)
+        [group] = simulate_groups(SerialExecutor(), [spec], end_day=3,
+                                  engine=SMCConfig.engine)
+        assert group.results[0].batch.n_particles == 2
+        for name in ("binomial_leap", "gillespie", "event_driven"):
+            with pytest.raises(ValueError, match="unknown batch engine"):
+                simulate_groups(SerialExecutor(), [spec], end_day=3,
+                                engine=name)
 
 
 class TestFixedLayoutReproducibility:
@@ -289,8 +305,7 @@ class TestDispatchRobustness:
         params = DiseaseParameters(population=2000, initial_exposed=10)
         return [ShardTask(shard_id=i, params=params,
                           seeds=np.array([100 + i]),
-                          thetas=np.array([0.3]), end_day=3,
-                          engine="binomial_leap_batched", start_day=0)
+                          thetas=np.array([0.3]), end_day=3, start_day=0)
                 for i in range(n_shards)]
 
     def test_dropped_shard_detected(self):

@@ -38,7 +38,6 @@ def make_tasks(n_shards=3, members=4, end_day=6):
         tasks.append(ShardTask(
             shard_id=s, params=params, seeds=seeds,
             thetas=np.full(members, 0.3), end_day=end_day,
-            engine="binomial_leap_batched",
             engine_options={"steps_per_day": 2}, start_day=0))
     return tasks
 

@@ -213,16 +213,18 @@ class TestShardedBatchedForecast:
         """Only binomial-leap checkpoints restart on the batched engine; a
         Gillespie checkpoint is refused, not mis-restarted."""
         from repro.core import Particle, ParticleEnsemble
-        from repro.seir import DiseaseParameters, StochasticSEIRModel
+        from repro.seir import Checkpoint, DiseaseParameters
+        from repro.testing import GillespieEngine
 
         params = DiseaseParameters(population=3000, initial_exposed=20)
         particles = []
         for seed in (1, 2):
-            model = StochasticSEIRModel(params, seed, engine="gillespie")
-            model.run_until(5)
+            engine = GillespieEngine(params, seed)
+            engine.run_until(5)
+            checkpoint = Checkpoint(params=params,
+                                    snapshot=engine.state_snapshot())
             particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
-                                      seed=seed,
-                                      checkpoint=model.checkpoint()))
+                                      seed=seed, checkpoint=checkpoint))
         with pytest.raises(ValueError, match="requires binomial_leap"):
             forecast_from_posterior(ParticleEnsemble(particles), 4)
 

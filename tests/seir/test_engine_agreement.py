@@ -1,4 +1,4 @@
-"""Cross-engine distributional agreement (leap vs exact SSA vs event-driven).
+"""Cross-engine distributional agreement (leap vs the exact SSA oracle).
 
 The binomial-leap engine is an approximation; the Gillespie engine is exact
 for the compartment topology.  On a small population their attack-rate and
@@ -9,8 +9,8 @@ statistical tests with fixed seeds and generous tolerances.
 import numpy as np
 import pytest
 
-from repro.seir import (BinomialLeapEngine, EventDrivenEngine, GillespieEngine,
-                        DiseaseParameters)
+from repro.seir import BinomialLeapEngine, DiseaseParameters
+from repro.testing import GillespieEngine
 
 N_REPS = 12
 HORIZON = 60
@@ -37,8 +37,6 @@ def rates(agreement_params):
         "leap": attack_rates(BinomialLeapEngine, agreement_params,
                              steps_per_day=8),
         "ssa": attack_rates(GillespieEngine, agreement_params),
-        "event": attack_rates(EventDrivenEngine, agreement_params,
-                              infection_slices_per_day=8),
     }
 
 
@@ -50,10 +48,6 @@ class TestEngineAgreement:
     def test_leap_matches_exact_attack_rate(self, rates):
         assert rates["leap"].mean() == pytest.approx(rates["ssa"].mean(),
                                                      rel=0.2)
-
-    def test_event_matches_exact_attack_rate(self, rates):
-        assert rates["event"].mean() == pytest.approx(rates["ssa"].mean(),
-                                                      rel=0.2)
 
     def test_dispersion_same_order(self, rates):
         """Engines must agree on variability scale, not just the mean."""

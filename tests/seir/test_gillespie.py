@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.seir import Compartment, GillespieEngine
+from repro.seir import Compartment
+from repro.testing import GillespieEngine
 
 
 class TestGillespie:

@@ -3,22 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.seir import ENGINE_NAMES, StochasticSEIRModel, engine_class
+from repro.seir import BinomialLeapEngine, StochasticSEIRModel
 
 
 class TestFacade:
-    def test_engine_registry(self):
-        assert set(ENGINE_NAMES) == {"binomial_leap", "gillespie", "event_driven"}
-        for name in ENGINE_NAMES:
-            assert engine_class(name).name == name
-
-    def test_unknown_engine_rejected(self, small_params):
-        with pytest.raises(ValueError, match="unknown engine"):
-            StochasticSEIRModel(small_params, 1, engine="quantum")
-
     def test_default_engine_is_binomial_leap(self, small_params):
         model = StochasticSEIRModel(small_params, 1)
-        assert model.engine_name == "binomial_leap"
+        assert isinstance(model._engine, BinomialLeapEngine)
+        assert model.checkpoint().engine_name == "binomial_leap"
 
     def test_engine_options_forwarded(self, small_params):
         model = StochasticSEIRModel(small_params, 1, steps_per_day=2)
@@ -51,7 +43,6 @@ class TestFacade:
         assert model.population_conserved()
 
     def test_facade_matches_engine_output(self, small_params):
-        from repro.seir import BinomialLeapEngine
         direct = BinomialLeapEngine(small_params, seed=5).run_until(30)
         via_model = StochasticSEIRModel(small_params, 5).run_until(30)
         assert np.array_equal(direct.infections, via_model.infections)

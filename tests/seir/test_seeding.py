@@ -188,7 +188,7 @@ class TestStreamDomainRegistry:
     PINNED_ANCILLARY_TAGS = {
         "smc_prior": 0, "smc_bias": 1, "smc_resample": 2, "smc_jitter": 3,
         "groundtruth_thinning": 10, "mcmc_chain": 20, "mcmc_bias": 21,
-        "grid_bias": 30, "chaos_faults": 40,
+        "chaos_faults": 40,
     }
 
     def test_bank_tags_pinned(self):
@@ -201,7 +201,6 @@ class TestStreamDomainRegistry:
             assert tags.get(name) == tag, (name, tags.get(name))
 
     def test_ancillary_tags_pinned(self):
-        import repro.baselines.grid  # noqa: F401
         import repro.baselines.mcmc  # noqa: F401
         import repro.core.smc  # noqa: F401
         import repro.hpc.faults  # noqa: F401
