@@ -101,16 +101,16 @@ def run_forecast_bench(params: DiseaseParameters, n_particles: int,
     batched_s, batched_fc = time_best(
         lambda: forecast_from_posterior(posterior, horizon, base_seed=seed),
         repeats)
-    mean_total = lambda trajectories: float(np.mean(  # noqa: E731
-        [t.infections.sum() for t in trajectories]))
+    scalar_totals = [t.infections.sum() for t in scalar_trajectories]
     return {
         "n_particles": n_particles,
         "horizon_days": horizon,
         "scalar_seconds": scalar_s,
         "batched_seconds": batched_s,
         "speedup": scalar_s / batched_s,
-        "scalar_mean_total_infections": mean_total(scalar_trajectories),
-        "batched_mean_total_infections": mean_total(batched_fc.trajectories),
+        "scalar_mean_total_infections": float(np.mean(scalar_totals)),
+        "batched_mean_total_infections": float(
+            batched_fc.batch.infections.sum(axis=1).mean()),
     }
 
 

@@ -25,7 +25,7 @@ from ..core.weights import normalize_log_weights
 from ..data.sources import ObservationSet
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.sharding import resolve_shard_layout, simulate_members
-from ..seir.parameters import DiseaseParameters
+from ..seir.parameters import DiseaseParameters, parameter_columns
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 
 __all__ = ["SingleShotResult", "single_shot_importance_sampling"]
@@ -92,18 +92,16 @@ def single_shot_importance_sampling(
     seeds = bank.common_replicate_seeds(n_replicates)
     window_obs = observations.window(start_day, end_day)
 
-    members, member_params = [], []
-    for i in range(n_parameter_draws):
-        draw = {name: float(draws[name][i]) for name in prior.names}
-        params = base_params.with_updates(
-            **{fld: draw[name] for name, fld in param_map.items()})
-        for seed in seeds:
-            members.append((draw, seed))
-            member_params.append(params)
+    members = [({name: float(draws[name][i]) for name in prior.names}, seed)
+               for i in range(n_parameter_draws) for seed in seeds]
+    columns = parameter_columns(
+        base_params, len(members),
+        {fld: np.repeat(draws[name], n_replicates)
+         for name, fld in param_map.items()})
     outputs = simulate_members(
-        executor, member_params, [seed for _draw, seed in members],
+        executor, columns, [seed for _draw, seed in members],
         end_day=end_day, start_day=0, engine_options=engine_options,
-        **resolve_shard_layout(executor))
+        **resolve_shard_layout(executor)).trajectories()
 
     log_weights = np.empty(len(members))
     particles = []

@@ -39,9 +39,11 @@ with one vectorised likelihood evaluation per source
 (``ObservationModel.loglik_ensemble``).  All per-window ancillary randomness
 (jitter, bias thinning, resampling) draws from window-indexed streams of the
 :class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
-a random stream.  No per-particle object is built on this path: resampling
-gathers columns by index, continuations restart the gathered parents'
-restart rows, and the checkpoint store writes those rows as they are.
+a random stream.  No per-particle object is built on this path: proposals
+are parameter columns and seed vectors (one ``DiseaseParameters`` per
+structural group), resampling gathers columns by index, continuations
+restart the gathered parents' restart rows, and the checkpoint store writes
+those rows as they are.
 
 Window sizes adapt through the size policies (``SMCConfig.size_policy``
 for the next proposal cloud, ``SMCConfig.resample_size_policy`` for the
@@ -72,7 +74,8 @@ from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
                             validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.checkpoint import CheckpointError, StackedLeapState
-from ..seir.parameters import DiseaseParameters, ParameterOverride
+from ..seir.parameters import (DiseaseParameters, ParameterOverride,
+                               parameter_columns)
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
@@ -299,8 +302,10 @@ class PendingWindow:
     """One window's proposal cloud, built but not yet simulated.
 
     Everything the proposal phase of the split-phase window API decided:
-    the members' parameter-draw columns, seeds and effective
-    :class:`~repro.seir.parameters.DiseaseParameters`, their structural
+    the members' parameter-draw columns, seeds and effective simulator
+    parameters (``member_columns``: one column per
+    :class:`~repro.seir.parameters.DiseaseParameters` field, the window's
+    base parameters broadcast under the mapped draws), their structural
     grouping and ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec`
     list, and (for continuations; ``None`` for window 0) the previous
     posterior gathered by member as ``parents``.  All per-window randomness
@@ -313,11 +318,11 @@ class PendingWindow:
     index: int
     window: TimeWindow
     sim_days: int
-    groups: list[list[int]]
+    groups: list[np.ndarray]
     specs: list[GroupSpec]
     member_draws: dict[str, np.ndarray]
     member_seeds: np.ndarray
-    member_params: list[DiseaseParameters]
+    member_columns: dict[str, np.ndarray]
     parents: ParticleEnsemble | None = None
 
     @property
@@ -835,10 +840,25 @@ class SequentialCalibrator:
             return self.base_params
         return self.scenario.params_at(window.start_day, self.base_params)
 
-    def _params_for_draw(self, draw: Mapping[str, float],
-                         base: DiseaseParameters) -> DiseaseParameters:
-        updates = {fld: float(draw[name]) for name, fld in self.param_map.items()}
-        return base.with_updates(**updates)
+    def _pending(self, index: int, window: TimeWindow, sim_days: int,
+                 member_draws: dict[str, np.ndarray], member_seeds: np.ndarray,
+                 parents: ParticleEnsemble | None) -> PendingWindow:
+        """A proposed cloud's parameter columns (the window's base
+        parameters broadcast, the ``param_map`` draws written over them),
+        structural groups and group specs.  Window 0 (no ``parents``)
+        starts at burn-in; a continuation restarts its parents' rows."""
+        columns = parameter_columns(
+            self._window_base_params(window), len(member_seeds),
+            {fld: member_draws[name] for name, fld in self.param_map.items()})
+        groups = structural_groups(columns)
+        specs = build_group_specs(
+            groups, columns, member_seeds,
+            start_day=self.schedule.burn_in_start if parents is None else None,
+            state=None if parents is None else parents.restart)
+        return PendingWindow(
+            index=index, window=window, sim_days=sim_days, groups=groups,
+            specs=specs, member_draws=member_draws, member_seeds=member_seeds,
+            member_columns=columns, parents=parents)
 
     def _shard_layout_kwargs(self) -> dict:
         """Resolve the configured shard policy against the executor.
@@ -885,7 +905,6 @@ class SequentialCalibrator:
 
     def _propose_first_window(self, window: TimeWindow) -> PendingWindow:
         cfg = self.config
-        base = self._window_base_params(window)
         rng_prior = self._bank.ancillary_generator(_PURPOSE_PRIOR)
         draws = self.prior.sample(cfg.n_parameter_draws, rng_prior)
         seeds = self._bank.common_replicate_seeds(cfg.n_replicates)
@@ -894,23 +913,13 @@ class SequentialCalibrator:
                         for name in self.prior.names}
         member_seeds = np.tile(np.asarray(seeds, dtype=np.int64),
                                cfg.n_parameter_draws)
-        draw_params = [self._params_for_draw(
-            {name: float(draws[name][i]) for name in self.prior.names}, base)
-            for i in range(cfg.n_parameter_draws)]
-        member_params = [p for p in draw_params
-                         for _ in range(cfg.n_replicates)]
-        groups = structural_groups(member_params)
-        specs = build_group_specs(groups, member_params, member_seeds,
-                                  start_day=self.schedule.burn_in_start)
+        pending = self._pending(
+            0, window, window.end_day - self.schedule.burn_in_start,
+            member_draws, member_seeds, parents=None)
         self._progress(f"window 0: batch-simulating {len(member_seeds)} prior "
-                       f"trajectories ({len(groups)} structural group(s), "
-                       f"{self.executor.workers} worker(s))")
-        return PendingWindow(
-            index=0, window=window,
-            sim_days=window.end_day - self.schedule.burn_in_start,
-            groups=groups, specs=specs, member_draws=member_draws,
-            member_seeds=member_seeds, member_params=member_params,
-            parents=None)
+                       f"trajectories ({len(pending.groups)} structural "
+                       f"group(s), {self.executor.workers} worker(s))")
+        return pending
 
     def _propose_continuation(self, index: int, window: TimeWindow,
                               posterior: ParticleEnsemble, *,
@@ -924,15 +933,14 @@ class SequentialCalibrator:
         size is a multiple of it, subsamples an exchangeable prefix when
         shrinking, and revisits parents when growing.  Each draw's restart
         seed is keyed by ``(window, draw_index)`` alone
-        (:meth:`~repro.seir.seeding.SeedSequenceBank.window_draw_seed`), so
-        the seed vector is prefix-stable under size changes.
+        (:meth:`~repro.seir.seeding.SeedSequenceBank.window_draw_seeds`),
+        so the seed vector is prefix-stable under size changes.
         """
         cfg = self.config
         n = int(n_proposals) if n_proposals is not None \
             else cfg.continuation_ensemble_size
         if n < 1:
             raise ValueError("n_proposals must be >= 1")
-        base = self._window_base_params(window)
         rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
                                                     window_index=index)
         if posterior.restart is None:
@@ -944,21 +952,12 @@ class SequentialCalibrator:
             rng_jitter)
         member_draws = {name: np.asarray(proposal[name], dtype=np.float64)
                         for name in self.prior.names}
-        seeds = np.array([self._bank.window_draw_seed(index, i)
-                          for i in range(n)], dtype=np.int64)
-        params_list = [self._params_for_draw(
-            {name: float(member_draws[name][i]) for name in self.prior.names},
-            base) for i in range(n)]
-        groups = structural_groups(params_list)
-        specs = build_group_specs(groups, params_list, seeds,
-                                  state=parents.restart)
         self._progress(
             f"window {index}: batch-restarting {n} "
             f"checkpoints ({window.label()})")
-        return PendingWindow(
-            index=index, window=window, sim_days=window.n_days,
-            groups=groups, specs=specs, member_draws=member_draws,
-            member_seeds=seeds, member_params=params_list, parents=parents)
+        return self._pending(index, window, window.n_days, member_draws,
+                             self._bank.window_draw_seeds(index, n),
+                             parents=parents)
 
     def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
         cfg = self.config
@@ -977,13 +976,15 @@ class SequentialCalibrator:
         ``pending.specs`` (e.g. one element of a
         :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
         outputs and restart states are concatenated and put back in member
-        order.  Window 0's whole trajectories become the histories, sliced
-        to the window for the segments; a continuation's segments continue
-        its gathered parents' histories (by genealogy, not by copying).
+        order, and the members' parameter columns are attached to the
+        restart state as they are.  Window 0's whole trajectories become the
+        histories, sliced to the window for the segments; a continuation's
+        segments continue its gathered parents' histories (by genealogy,
+        not by copying).
         """
         batch, state = reassemble(pending.groups, shards)
         assert state is not None, "window shards must return their state"
-        restart = state.with_parameters(pending.member_params)
+        restart = state.with_parameters(pending.member_columns)
         if pending.parents is not None:
             return pending.parents.continued(
                 pending.member_draws, pending.member_seeds, batch, restart)

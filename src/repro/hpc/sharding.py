@@ -35,17 +35,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
-from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import batch_generator_for
-from ..seir.tauleap import transition_table_key
 from .executor import CAUSE_EXCEPTION, Executor, TaskOutcome
 from .faults import CAUSE_CORRUPT, RetryPolicy, ShardFailure, ShardRetryError
 from .partition import shard_bounds
@@ -55,6 +53,9 @@ __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "simulate_group_sets", "simulate_members", "structural_groups",
            "build_group_specs", "reassemble", "validate_shard_policy",
            "resolve_shard_layout"]
+
+
+_THETA = "transmission_rate"
 
 
 def validate_shard_policy(shard_size: int | None,
@@ -92,22 +93,29 @@ def resolve_shard_layout(executor: Executor, *, shard_size: int | None = None,
     return {"n_shards": n_shards}
 
 
-def structural_groups(params_list: Sequence[DiseaseParameters]) -> list[list[int]]:
-    """Index groups sharing one batched-engine structure.
+def structural_groups(columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """Member index groups sharing one batched-engine structure, in order
+    of first occurrence.
 
-    Members of a batch must agree on everything the engine compiles or
-    initialises from (population, seeding, stage structure); only the
-    transmission rate is carried per member.  With the calibrator's default
-    ``param_map`` (theta only) there is exactly one group.  A ``param_map``
+    ``columns`` maps every :class:`DiseaseParameters` field to its ``(n,)``
+    member column.  Members of a batch must agree on everything the engine
+    compiles or initialises from (population, seeding, stage structure);
+    only the transmission rate is carried per member, so groups are keyed
+    by the other columns that vary.  With the calibrator's default
+    ``param_map`` (theta only) none varies: one group.  A ``param_map``
     targeting a *structural* field with a continuous jitter makes every
-    particle its own group, degrading each group to a singleton batch.
+    member its own group, degrading each group to a singleton batch.
     """
-    groups: dict[tuple, list[int]] = {}
-    for idx, params in enumerate(params_list):
-        key = (params.population, params.initial_exposed,
-               transition_table_key(params))
-        groups.setdefault(key, []).append(idx)
-    return list(groups.values())
+    n = len(columns[_THETA])
+    varying = [column for name, column in columns.items()
+               if name != _THETA and np.any(column != column[:1])]
+    if not varying:
+        return [np.arange(n)] if n else []
+    _, first, inverse = np.unique(np.column_stack(varying), axis=0,
+                                  return_index=True, return_inverse=True)
+    group_of = np.argsort(np.argsort(first))[inverse.ravel()]
+    members = np.argsort(group_of, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(group_of))[:-1])
 
 
 # --------------------------------------------------------------------------- #
@@ -319,27 +327,30 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
 # --------------------------------------------------------------------------- #
 # Group-level front door
 # --------------------------------------------------------------------------- #
-def build_group_specs(groups: Sequence[Sequence[int]],
-                      params_list: Sequence[DiseaseParameters],
+def build_group_specs(groups: Sequence[np.ndarray],
+                      columns: Mapping[str, np.ndarray],
                       seeds: Sequence[int] | np.ndarray, *,
                       start_day: int | None = None,
                       state: StackedLeapState | None = None
                       ) -> list["GroupSpec"]:
-    """One :class:`GroupSpec` per :func:`structural_groups` group.
+    """One :class:`GroupSpec` per :func:`structural_groups` group, its
+    :class:`DiseaseParameters` built from the first member's ``columns``
+    row.
 
     Fresh starts pass ``start_day``; restarts pass ``state``, the members'
     restart rows, gathered once per group (engine columns only).  Every
-    member's theta rides in from its own params.
+    member's theta rides in from the ``transmission_rate`` column.
     """
     seeds_arr = np.asarray(seeds, dtype=np.int64)
+    thetas = np.asarray(columns[_THETA], dtype=np.float64)
     specs = []
     for indices in groups:
         idx = np.asarray(indices, dtype=np.int64)
         specs.append(GroupSpec(
-            params=params_list[indices[0]], seeds=seeds_arr[idx],
-            thetas=np.array([params_list[i].transmission_rate
-                             for i in indices]),
-            start_day=start_day,
+            params=DiseaseParameters.from_dict(
+                {name: column[idx[0]].item()
+                 for name, column in columns.items()}),
+            seeds=seeds_arr[idx], thetas=thetas[idx], start_day=start_day,
             state=None if state is None else state.take(idx, params=False)))
     return specs
 
@@ -369,7 +380,7 @@ class GroupShards:
     results: list[ShardResult]
 
 
-def reassemble(groups: Sequence[Sequence[int]],
+def reassemble(groups: Sequence[np.ndarray],
                shards: Sequence[GroupShards]
                ) -> tuple[BatchTrajectory, StackedLeapState | None]:
     """Every group's stacked shard outputs (and restart states, if the
@@ -423,28 +434,28 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
 
 
 def simulate_members(executor: Executor,
-                     params_list: Sequence[DiseaseParameters],
+                     columns: Mapping[str, np.ndarray],
                      seeds: Sequence[int] | np.ndarray, *, end_day: int,
                      start_day: int | None = None,
                      state: StackedLeapState | None = None,
                      engine_options: dict | None = None,
                      shard_size: int | None = None,
-                     n_shards: int | None = None) -> list[Trajectory]:
-    """One trajectory per member, simulated as a single batched dispatch.
+                     n_shards: int | None = None) -> BatchTrajectory:
+    """Every member's trajectory, simulated as a single batched dispatch.
 
     The front door for forecasts and the baselines: fresh starts at
     ``start_day`` or restarts from the members' ``state`` rows (as in
-    :func:`build_group_specs`), returned in input order without engine
+    :func:`build_group_specs`), stacked in input order without engine
     state.
     """
-    groups = structural_groups(params_list)
-    specs = build_group_specs(groups, params_list, seeds,
+    groups = structural_groups(columns)
+    specs = build_group_specs(groups, columns, seeds,
                               start_day=start_day, state=state)
     shards = simulate_groups(executor, specs, end_day=end_day,
                              engine_options=engine_options,
                              shard_size=shard_size, n_shards=n_shards,
                              return_state=False)
-    return reassemble(groups, shards)[0].trajectories()
+    return reassemble(groups, shards)[0]
 
 
 def simulate_group_sets(executor: Executor,

@@ -9,11 +9,13 @@ held at their posterior values) and simulated ``horizon_days`` forward; the
 ensemble of continuations is the posterior predictive.
 
 The restart runs on the **sharded batched path**: the posterior's restart
-columns are tiled once per continuation and advanced by the
-:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` across the
-executor's workers (:func:`repro.hpc.sharding.simulate_members`), each
-shard on a stream keyed by its slice of the forecast seed vector — so a
-forecast is bit-reproducible given ``(base_seed, shard layout)``.  The
+columns, parameter columns included, are tiled once per continuation and
+advanced by the :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`
+across the executor's workers (:func:`repro.hpc.sharding.simulate_members`),
+each shard on a stream keyed by its slice of the forecast seed vector
+(mixed in one vectorised pass) — so a forecast is bit-reproducible given
+``(base_seed, shard layout)``.  No per-member parameter, seed or
+trajectory object is built: the ribbons read the stacked batch.  The
 per-particle restart survives only as the test oracle
 :func:`repro.testing.restart_oracle`.
 """
@@ -30,8 +32,9 @@ from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
 from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.sharding import resolve_shard_layout, simulate_members
-from ..seir.outputs import Trajectory
-from ..seir.seeding import mix_seed, register_stream_tag
+from ..seir.batch_engine import BatchTrajectory
+from ..seir.parameters import check_parameter_columns
+from ..seir.seeding import mix_seeds, register_stream_tag
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_scenarios"]
 
@@ -45,30 +48,33 @@ _FORECAST_STREAM = register_stream_tag(
 
 @dataclass(frozen=True)
 class Forecast:
-    """Posterior predictive trajectory ensemble."""
+    """Posterior predictive trajectory ensemble: ``batch`` row ``rep * n +
+    j`` continues particle ``j`` for the ``rep``-th time."""
 
     start_day: int
     horizon_days: int
-    trajectories: tuple[Trajectory, ...]
+    batch: BatchTrajectory
 
     def ribbon(self, channel: str = CASES,
                quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                ) -> TrajectoryRibbon:
         """Per-day forecast quantile bands."""
-        return trajectory_ribbon(list(self.trajectories), channel, quantiles)
+        return trajectory_ribbon(self.batch, channel, quantiles)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.batch.n_particles
 
 
 def _forecast_seeds(posterior: ParticleEnsemble, base_seed: int,
                    n_per_particle: int) -> np.ndarray:
     """Continuation seeds, replicate-major: entry ``rep * n + j`` restarts
     particle ``j`` for the ``rep``-th time."""
-    seeds = posterior.seeds().tolist()
-    return np.array([mix_seed(base_seed, _FORECAST_STREAM, rep, j, seed)
-                     for rep in range(n_per_particle)
-                     for j, seed in enumerate(seeds)], dtype=np.int64)
+    seeds = posterior.seeds()
+    n = len(seeds)
+    return mix_seeds(base_seed, _FORECAST_STREAM,
+                     np.repeat(np.arange(n_per_particle), n),
+                     np.tile(np.arange(n), n_per_particle),
+                     np.tile(seeds, n_per_particle))
 
 
 def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
@@ -110,15 +116,14 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     restart = posterior.restart
     if restart is None:
         raise ValueError("posterior particles carry no checkpoints")
-    rows = np.tile(np.arange(len(posterior)), n_per_particle)
-    params = restart.parameters()
-    trajectories = simulate_members(
-        executor, [params[j] for j in rows],
+    check_parameter_columns(restart.params)
+    tiled = restart.take(np.tile(np.arange(len(posterior)), n_per_particle))
+    batch = simulate_members(
+        executor, tiled.params,
         _forecast_seeds(posterior, base_seed, n_per_particle),
-        end_day=restart.day + horizon_days,
-        state=restart.take(rows, params=False), **layout)
+        end_day=restart.day + horizon_days, state=tiled, **layout)
     return Forecast(start_day=restart.day, horizon_days=horizon_days,
-                    trajectories=tuple(trajectories))
+                    batch=batch)
 
 
 def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",

@@ -8,9 +8,11 @@ from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
 from .model import StochasticSEIRModel
 from .outputs import Trajectory, TrajectoryBuilder
-from .parameters import DiseaseParameters, ParameterOverride, chicago_defaults
+from .parameters import (DiseaseParameters, ParameterOverride,
+                         chicago_defaults, check_parameter_columns,
+                         parameter_columns)
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
-                      mix_seed)
+                      mix_seed, mix_seeds)
 from .tauleap import (BinomialLeapEngine, CompiledTransitions,
                       compiled_transitions_for, transition_table_key)
 
@@ -18,7 +20,9 @@ __all__ = [
     "Compartment", "N_COMPARTMENTS", "TransitionSpec",
     "build_transitions", "infectiousness_weights",
     "DiseaseParameters", "ParameterOverride", "chicago_defaults",
+    "check_parameter_columns", "parameter_columns",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
+    "mix_seeds",
     "Trajectory", "TrajectoryBuilder",
     "BinomialLeapEngine",
     "BatchedBinomialLeapEngine", "BatchTrajectory", "stack_channel_tensor",

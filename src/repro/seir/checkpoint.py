@@ -237,13 +237,12 @@ class StackedLeapState:
             *(np.concatenate([getattr(s, name) for s in states])
               for name in _ROW_COLUMNS))
 
-    def with_parameters(self, params: Sequence[DiseaseParameters]
+    def with_parameters(self, columns: Mapping[str, np.ndarray]
                         ) -> "StackedLeapState":
-        """This state with one parameter column per field, row ``i`` from
-        ``params[i]``."""
-        return replace(self, params={
-            name: np.array([getattr(p, name) for p in params])
-            for name in _PARAM_FIELDS})
+        """This state with one ``(n,)`` parameter column per
+        :class:`DiseaseParameters` field, taken from ``columns``."""
+        return replace(self, params={name: columns[name]
+                                     for name in _PARAM_FIELDS})
 
     def parameters(self) -> list[DiseaseParameters]:
         """Row ``i``'s :class:`DiseaseParameters`, for every row."""
@@ -276,7 +275,9 @@ class StackedLeapState:
             if why is not None:
                 raise CheckpointError(f"checkpoint {i} {why}, so it is not "
                                       "a restart checkpoint")
-        return stacked.with_parameters([cp.params for cp in checkpoints])
+        return stacked.with_parameters({
+            name: np.array([getattr(cp.params, name) for cp in checkpoints])
+            for name in _PARAM_FIELDS})
 
 
 def stack_leap_snapshots(snapshots: Sequence[dict]) -> StackedLeapState:

@@ -22,21 +22,53 @@ checkpoint time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar, Mapping
 
-__all__ = ["DiseaseParameters", "ParameterOverride", "chicago_defaults"]
+import numpy as np
+
+__all__ = ["DiseaseParameters", "ParameterOverride", "chicago_defaults",
+           "check_parameter_columns", "parameter_columns"]
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+_PERIOD_FIELDS = ("latent_period_days", "presymptomatic_period_days",
+                  "asymptomatic_period_days", "mild_period_days",
+                  "severe_period_days", "hospital_period_days",
+                  "icu_period_days", "post_icu_period_days",
+                  "detection_delay_days")
+_FRACTION_FIELDS = ("exposed_to_presymptomatic_fraction", "mild_fraction",
+                    "critical_fraction", "death_fraction",
+                    "detection_prob_asymptomatic",
+                    "detection_prob_presymptomatic", "detection_prob_mild",
+                    "detection_prob_severe", "asymptomatic_rel_infectiousness",
+                    "detected_rel_infectiousness")
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0 or not math.isfinite(value):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def check_parameter_columns(columns: Mapping[str, Any]) -> None:
+    """The :class:`DiseaseParameters` rules, over scalars or ``(n,)``
+    columns alike (their one home): a column set raises the ``ValueError``
+    its first invalid row would raise as a ``DiseaseParameters``."""
+    c = {name: np.asarray(value) for name, value in columns.items()}
+    pop, exposed = c["population"], c["initial_exposed"]
+    rules = [(pop < 1, "population", "population must be >= 1"),
+             (~((0 <= exposed) & (exposed <= pop)), "initial_exposed",
+              "initial_exposed must be in [0, population]"),
+             (c["transmission_rate"] < 0, "transmission_rate",
+              "transmission_rate must be >= 0")]
+    rules += [(~(c[name] > 0.0) | ~np.isfinite(c[name]), name,
+               f"{name} must be positive and finite, got {{}}")
+              for name in _PERIOD_FIELDS]
+    rules += [(~((0.0 <= c[name]) & (c[name] <= 1.0)), name,
+               f"{name} must be in [0, 1], got {{}}")
+              for name in _FRACTION_FIELDS]
+    bad = np.stack(np.broadcast_arrays(
+        *(mask for mask, _, _ in rules))).reshape(len(rules), -1).T
+    if not bad.any():
+        return
+    row = int(bad.any(axis=1).argmax())
+    _, name, message = rules[int(bad[row].argmax())]
+    value = np.broadcast_to(c[name], bad.shape[:1]).ravel()[row].item()
+    raise ValueError(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -112,25 +144,7 @@ class DiseaseParameters:
     detected_rel_infectiousness: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if not 0 <= self.initial_exposed <= self.population:
-            raise ValueError("initial_exposed must be in [0, population]")
-        if self.transmission_rate < 0:
-            raise ValueError("transmission_rate must be >= 0")
-        for name in ("latent_period_days", "presymptomatic_period_days",
-                     "asymptomatic_period_days", "mild_period_days",
-                     "severe_period_days", "hospital_period_days",
-                     "icu_period_days", "post_icu_period_days",
-                     "detection_delay_days"):
-            _check_positive(name, getattr(self, name))
-        for name in ("exposed_to_presymptomatic_fraction", "mild_fraction",
-                     "critical_fraction", "death_fraction",
-                     "detection_prob_asymptomatic", "detection_prob_presymptomatic",
-                     "detection_prob_mild", "detection_prob_severe",
-                     "asymptomatic_rel_infectiousness",
-                     "detected_rel_infectiousness"):
-            _check_fraction(name, getattr(self, name))
+        check_parameter_columns(self.to_dict())
 
     # ------------------------------------------------------------------ #
     def with_updates(self, **updates: Any) -> "DiseaseParameters":
@@ -168,6 +182,20 @@ class DiseaseParameters:
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
         return cls(**dict(d))
+
+
+def parameter_columns(base: DiseaseParameters, n: int,
+                      updates: Mapping[str, Any] | None = None
+                      ) -> dict[str, np.ndarray]:
+    """``n`` rows of ``base`` as one ``(n,)`` column per field, each in its
+    field's dtype, with ``updates`` (``field -> (n,)`` values) written over
+    their fields as float64 and every row validated."""
+    columns = {name: np.full(n, value)
+               for name, value in base.to_dict().items()}
+    columns.update({name: np.array(values, dtype=np.float64)
+                    for name, values in (updates or {}).items()})
+    check_parameter_columns(columns)
+    return columns
 
 
 def chicago_defaults(**updates: Any) -> DiseaseParameters:

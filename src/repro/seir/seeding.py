@@ -27,13 +27,13 @@ silently return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.typing
 
 __all__ = ["SeedSequenceBank", "generator_for", "batch_generator_for",
-           "mix_seed", "StreamDomain", "StreamDomainRegistry",
+           "mix_seed", "mix_seeds", "StreamDomain", "StreamDomainRegistry",
            "STREAM_DOMAINS", "register_stream_tag",
            "register_ancillary_purpose", "rng_state_to_jsonable",
            "rng_from_jsonable"]
@@ -202,15 +202,87 @@ def batch_generator_for(seeds: np.typing.ArrayLike) -> np.random.Generator:
         entropy=entropy)))
 
 
+# ``SeedSequence``'s hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK63 = 0xFFFFFFFF, 0x7FFFFFFFFFFFFFFF
+
+
 def mix_seed(*components: int) -> int:
     """Deterministically mix integer components into a single 63-bit seed.
 
     Used to derive per-(window, particle) restart seeds without collisions:
     ``mix_seed(base, window_index, particle_index)``.
     """
-    ss = np.random.SeedSequence(entropy=[int(c) & 0x7FFFFFFFFFFFFFFF
+    ss = np.random.SeedSequence(entropy=[int(c) & _MASK63
                                          for c in components])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
+    return int(ss.generate_state(1, dtype=np.uint64)[0] & _MASK63)
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``SeedSequence``'s keyed hash: each call advances its constant."""
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hash_words
+
+
+def _mix_words(words: np.ndarray) -> np.ndarray:
+    """Row ``i``'s ``SeedSequence(entropy=words[i]).generate_state(1,
+    np.uint64)`` for an ``(m, L)`` uint32 entropy-word matrix, in uint32
+    array arithmetic: a pool of 4 words, hashed and cross-mixed."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(words), dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < words.shape[1] else zero)
+            for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(4, words.shape[1]):
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(words[:, i_src]))
+    # generate_state: pool words 0 and 1 become the low and high halves.
+    output = _hasher(_INIT_B, _MULT_B)
+    low, high = (output(word).astype(np.uint64) for word in pool[:2])
+    return low | (high << np.uint64(32))
+
+
+def mix_seeds(*components: int | np.ndarray) -> np.ndarray:
+    """:func:`mix_seed` over rows: entry ``i`` is ``mix_seed(c0[i], c1[i],
+    ...)``, each component an int or an ``(n,)`` integer array.
+
+    ``SeedSequence`` hashes the concatenated 32-bit words of its entropy,
+    one word for a value below 2**32 (zero included) and two above, so rows
+    are grouped by their words-per-component layout and each group is
+    hashed as one uint32 word matrix.
+    """
+    if not components:
+        raise ValueError("mix_seeds needs at least one component")
+    columns = np.broadcast_arrays(*(
+        np.atleast_1d(np.uint64(int(c) & _MASK63) if np.ndim(c) == 0
+                      else np.asarray(c).astype(np.uint64) & _MASK63)
+        for c in components))
+    lo = [(v & np.uint64(_MASK32)).astype(np.uint32) for v in columns]
+    hi = [(v >> np.uint64(32)).astype(np.uint32) for v in columns]
+    layout = sum((h > 0).astype(np.int64) << k for k, h in enumerate(hi))
+    out = np.empty(len(columns[0]), dtype=np.uint64)
+    for code in np.unique(layout):
+        rows = np.flatnonzero(layout == code)
+        out[rows] = _mix_words(np.stack(
+            [w[rows] for k in range(len(columns))
+             for w in ((lo[k], hi[k]) if code >> k & 1 else (lo[k],))],
+            axis=1))
+    return (out & np.uint64(_MASK63)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -360,6 +432,14 @@ class SeedSequenceBank:
             raise ValueError("window_index and draw_index must be >= 0")
         return mix_seed(self.base_seed, _WINDOW_DRAW_STREAM, window_index,
                         draw_index)
+
+    def window_draw_seeds(self, window_index: int, n: int) -> np.ndarray:
+        """``[window_draw_seed(window_index, i) for i in range(n)]`` as one
+        int64 vector, mixed in a single vectorised pass."""
+        if window_index < 0 or n < 0:
+            raise ValueError("window_index and n must be >= 0")
+        return mix_seeds(self.base_seed, _WINDOW_DRAW_STREAM, window_index,
+                         np.arange(n))
 
 
 # --------------------------------------------------------------------------- #

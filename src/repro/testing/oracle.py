@@ -44,12 +44,12 @@ def window_oracle(pending) -> ParticleEnsemble:
     :meth:`~repro.core.smc.SequentialCalibrator.weigh_window`."""
     if pending.parents is None:
         raise ValueError("window_oracle needs a continuation window")
+    columns = pending.member_columns
     fields = ParameterOverride._PARAM_FIELDS
     overrides = [ParameterOverride(seed=int(seed),
-                                   **{name: getattr(params, name)
+                                   **{name: columns[name][i].item()
                                       for name in fields})
-                 for params, seed in zip(pending.member_params,
-                                         pending.member_seeds)]
+                 for i, seed in enumerate(pending.member_seeds)]
     segments = restart_oracle(
         [parent.checkpoint for parent in pending.parents], overrides,
         pending.window.end_day)

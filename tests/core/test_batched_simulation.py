@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (Beta, IndependentProduct, JointJitter,
+from repro.core import (Beta, Dirac, IndependentProduct, JointJitter,
                         SequentialCalibrator, SMCConfig, Uniform,
                         UniformJitter, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
@@ -223,6 +223,83 @@ class TestBatchedRunBehaviour:
                 p.params["mild"])
             assert p.checkpoint.params.transmission_rate == pytest.approx(
                 p.params["theta"])
+
+
+def structural_calibrator(truth, *, mild=None, theta=None):
+    """Theta and the (structural) mild fraction both calibrated, so each
+    window's cloud splits into many structural groups."""
+    prior = IndependentProduct({
+        "theta": theta or Uniform(0.1, 0.5),
+        "rho": Beta(4, 1),
+        "mild": mild or Uniform(0.85, 0.97),
+    })
+    jitter = JointJitter({
+        "theta": UniformJitter.symmetric(0.05, bounds=(0.0, 1.0)),
+        "rho": UniformJitter.symmetric(0.02, bounds=(0.05, 1.0)),
+        "mild": UniformJitter.symmetric(0.01, bounds=(0.0, 1.0))})
+    return SequentialCalibrator(
+        base_params=truth.params, prior=prior, jitter=jitter,
+        observation_model=paper_observation_model(),
+        schedule=WindowSchedule.from_breaks([10, 20, 30]),
+        config=SMCConfig(n_parameter_draws=8, n_replicates=2,
+                         resample_size=12, n_continuations=2, base_seed=5),
+        param_map={"theta": "transmission_rate", "mild": "mild_fraction"})
+
+
+class TestStructuralParamMapBits:
+    """Pinned bits of a calibration whose structural ``param_map`` gives
+    many groups per window.  The digests were recorded from the
+    per-member ``DiseaseParameters`` implementation; the columnar path
+    must reproduce them exactly."""
+
+    POSTERIOR_SHA256 = ("825c0a674b05813705ae9a1047b07499"
+                        "7d637084ee0e700ea34f5cc99e776eea")
+    FORECAST_SHA256 = ("2eb0f7d31173c6e7f9e83f3927d16a98"
+                       "a981349a5dd232b2f824877a7536dc69")
+
+    def test_posterior_and_forecast_digests(self, small_truth):
+        import hashlib
+
+        from repro.inference import forecast_from_posterior
+        calib = structural_calibrator(small_truth)
+        results = calib.run(small_truth.observations())
+        pending = calib.propose_window(1, list(calib.schedule)[1],
+                                       results[0].posterior)
+        assert len(pending.groups) > 1
+        h = hashlib.sha256()
+        for r in results:
+            post = r.posterior
+            for name in ("theta", "rho", "mild"):
+                h.update(np.asarray(post.values(name),
+                                    dtype=np.float64).tobytes())
+            h.update(np.asarray(post.seeds(), dtype=np.int64).tobytes())
+            h.update(np.asarray(post.ancestors(), dtype=np.int64).tobytes())
+            h.update(post.restart.counts.tobytes())
+            for name in sorted(post.restart.params):
+                column = post.restart.params[name]
+                h.update(name.encode() + str(column.dtype).encode()
+                         + column.tobytes())
+        assert h.hexdigest() == self.POSTERIOR_SHA256
+        forecast = forecast_from_posterior(results[-1].posterior, 6,
+                                           base_seed=3, n_per_particle=2)
+        assert hashlib.sha256(
+            forecast.batch.infections.tobytes()
+            + forecast.batch.deaths.tobytes()).hexdigest() \
+            == self.FORECAST_SHA256
+
+    @pytest.mark.parametrize("field, prior_name, value", [
+        ("transmission_rate", "theta", -0.1),
+        ("mild_fraction", "mild", 1.2)])
+    def test_invalid_draw_raises_the_scalar_message(self, small_truth,
+                                                    field, prior_name,
+                                                    value):
+        calib = structural_calibrator(small_truth,
+                                      **{prior_name: Dirac(value)})
+        with pytest.raises(ValueError) as scalar:
+            small_truth.params.with_updates(**{field: value})
+        with pytest.raises(ValueError) as columnar:
+            calib.run(small_truth.observations())
+        assert str(columnar.value) == str(scalar.value)
 
 
 class TestContinuationPayloadCache:

@@ -28,7 +28,7 @@ from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
 from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
                                 simulate_groups, structural_groups)
-from repro.seir import CheckpointError, DiseaseParameters
+from repro.seir import CheckpointError, DiseaseParameters, parameter_columns
 from repro.testing import (assert_ensembles_identical, assert_runs_identical,
                            parity_calibrator, parity_sweep, parity_truth,
                            window_oracle)
@@ -293,7 +293,7 @@ class TestParityOracles:
         assert window1.start_day == 16
         pending = calib.propose_window(1, window1,
                                        results["mild16"][0].posterior)
-        assert all(p.mild_fraction == 0.97 for p in pending.member_params)
+        assert np.all(pending.member_columns["mild_fraction"] == 0.97)
         assert all(parent.checkpoint.params.mild_fraction != 0.97
                    for parent in pending.parents)
         batched = calib.assemble_window(pending,
@@ -429,11 +429,11 @@ class TestSimulateGroupSets:
     @staticmethod
     def _spec_set(base_seed, n=6):
         params = DiseaseParameters(population=20_000, initial_exposed=40)
-        params_list = [params.with_updates(transmission_rate=0.2 + 0.01 * i)
-                       for i in range(n)]
+        columns = parameter_columns(
+            params, n, {"transmission_rate": 0.2 + 0.01 * np.arange(n)})
         seeds = [base_seed + i for i in range(n)]
-        groups = structural_groups(params_list)
-        return build_group_specs(groups, params_list, seeds, start_day=0)
+        groups = structural_groups(columns)
+        return build_group_specs(groups, columns, seeds, start_day=0)
 
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]

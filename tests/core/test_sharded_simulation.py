@@ -19,8 +19,9 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import (ProcessExecutor, SerialExecutor, ShardTask,
-                       dispatch_shards)
-from repro.seir import DiseaseParameters
+                       dispatch_shards, structural_groups)
+from repro.hpc.sharding import build_group_specs
+from repro.seir import DiseaseParameters, parameter_columns
 from repro.sim import make_ground_truth
 
 
@@ -318,3 +319,65 @@ class TestDispatchRobustness:
 
     def test_empty_task_list(self):
         assert dispatch_shards(SerialExecutor(), []) == []
+
+
+class TestStructuralGroups:
+    """Grouping over parameter columns, one DiseaseParameters per group."""
+
+    BASE = DiseaseParameters(population=20_000, initial_exposed=40)
+
+    @staticmethod
+    def object_groups(columns):
+        """The grouping by structural identity, spelled out per member."""
+        from repro.seir.tauleap import transition_table_key
+        n = len(columns["transmission_rate"])
+        groups = {}
+        for i in range(n):
+            params = DiseaseParameters(
+                **{name: column[i].item() for name, column in columns.items()})
+            key = (params.population, params.initial_exposed,
+                   transition_table_key(params))
+            groups.setdefault(key, []).append(i)
+        return list(groups.values())
+
+    def test_theta_only_columns_are_one_group(self):
+        columns = parameter_columns(
+            self.BASE, 6, {"transmission_rate": np.linspace(0.1, 0.6, 6)})
+        [group] = structural_groups(columns)
+        assert group.tolist() == list(range(6))
+
+    def test_first_occurrence_order(self):
+        columns = parameter_columns(self.BASE, 5, {
+            "transmission_rate": np.full(5, 0.3),
+            "mild_fraction": [0.9, 0.8, 0.9, 0.7, 0.8]})
+        groups = structural_groups(columns)
+        assert [g.tolist() for g in groups] == [[0, 2], [1, 4], [3]]
+
+    def test_empty(self):
+        assert structural_groups(parameter_columns(self.BASE, 0)) == []
+
+    def test_matches_per_member_grouping(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        columns = parameter_columns(self.BASE, n, {
+            "transmission_rate": rng.uniform(0.1, 0.5, n),
+            "mild_fraction": rng.choice([0.8, 0.9, 0.95], n),
+            "detected_rel_infectiousness": rng.choice([0.1, 0.2], n)})
+        columns["population"] = rng.choice([20_000, 30_000], n)
+        groups = structural_groups(columns)
+        assert [g.tolist() for g in groups] == self.object_groups(columns)
+        assert len(groups) > 1
+
+    def test_specs_take_params_and_thetas_from_columns(self):
+        thetas = np.array([0.2, 0.25, 0.3, 0.35])
+        columns = parameter_columns(self.BASE, 4, {
+            "transmission_rate": thetas,
+            "mild_fraction": [0.9, 0.8, 0.9, 0.8]})
+        groups = structural_groups(columns)
+        specs = build_group_specs(groups, columns, [11, 12, 13, 14],
+                                  start_day=0)
+        assert [s.seeds.tolist() for s in specs] == [[11, 13], [12, 14]]
+        assert [s.thetas.tolist() for s in specs] == [[0.2, 0.3],
+                                                      [0.25, 0.35]]
+        assert [s.params.mild_fraction for s in specs] == [0.9, 0.8]
+        assert specs[0].params.population == 20_000

@@ -9,7 +9,7 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds
-from repro.seir import DiseaseParameters, ParameterOverride
+from repro.seir import BatchTrajectory, DiseaseParameters, ParameterOverride
 from repro.sim import make_ground_truth
 from repro.testing import restart_oracle
 
@@ -37,9 +37,8 @@ class TestForecast:
         assert fc.start_day == 20
         assert fc.horizon_days == 8
         assert len(fc) == 20
-        for traj in fc.trajectories:
-            assert traj.start_day == 20
-            assert len(traj) == 8
+        assert fc.batch.start_day == 20
+        assert fc.batch.infections.shape == (20, 8)
 
     def test_multiple_continuations_per_particle(self, posterior):
         fc = forecast_from_posterior(posterior, horizon_days=5,
@@ -55,16 +54,12 @@ class TestForecast:
     def test_deterministic_given_base_seed(self, posterior):
         a = forecast_from_posterior(posterior, 5, base_seed=1)
         b = forecast_from_posterior(posterior, 5, base_seed=1)
-        assert np.array_equal(a.trajectories[0].infections,
-                              b.trajectories[0].infections)
+        assert np.array_equal(a.batch.infections, b.batch.infections)
 
     def test_different_base_seed_differs(self, posterior):
         a = forecast_from_posterior(posterior, 8, base_seed=1)
         b = forecast_from_posterior(posterior, 8, base_seed=2)
-        different = any(
-            not np.array_equal(x.infections, y.infections)
-            for x, y in zip(a.trajectories, b.trajectories))
-        assert different
+        assert not np.array_equal(a.batch.infections, b.batch.infections)
 
     def test_validation(self, posterior):
         with pytest.raises(ValueError):
@@ -111,12 +106,11 @@ class TestShardedBatchedForecast:
         from repro.hpc import SerialExecutor, simulate_members
         fc = forecast_from_posterior(posterior, 6, base_seed=3)
         direct = simulate_members(
-            SerialExecutor(), [p.checkpoint.params for p in posterior],
+            SerialExecutor(), posterior.restart.params,
             _forecast_seeds(posterior, 3, 1), end_day=fc.start_day + 6,
             state=posterior.restart, n_shards=1)
-        for a, b in zip(fc.trajectories, direct):
-            assert np.array_equal(a.infections, b.infections)
-            assert np.array_equal(a.deaths, b.deaths)
+        assert np.array_equal(fc.batch.infections, direct.infections)
+        assert np.array_equal(fc.batch.deaths, direct.deaths)
 
     def test_scalar_batched_distributional_parity(self, posterior):
         """Acceptance: the batched forecast overlaps the per-particle
@@ -127,7 +121,7 @@ class TestShardedBatchedForecast:
         seeds = _forecast_seeds(posterior, 3, 3)
         scalar = Forecast(
             start_day=batched.start_day, horizon_days=10,
-            trajectories=tuple(restart_oracle(
+            batch=BatchTrajectory.from_trajectories(restart_oracle(
                 [p.checkpoint for p in posterior] * 3,
                 [ParameterOverride(seed=int(seed)) for seed in seeds],
                 batched.start_day + 10)))
@@ -151,9 +145,8 @@ class TestShardedBatchedForecast:
         with ProcessExecutor(max_workers=2) as pool:
             pooled = forecast_from_posterior(posterior, 6, base_seed=5,
                                              shard_size=7, executor=pool)
-        for a, b in zip(serial.trajectories, pooled.trajectories):
-            assert np.array_equal(a.infections, b.infections)
-            assert np.array_equal(a.deaths, b.deaths)
+        assert np.array_equal(serial.batch.infections, pooled.batch.infections)
+        assert np.array_equal(serial.batch.deaths, pooled.batch.deaths)
 
     def test_shard_layout_only_rekeys_streams(self, posterior):
         """Different layouts give different bits but the same start/shape."""
@@ -161,8 +154,8 @@ class TestShardedBatchedForecast:
         many = forecast_from_posterior(posterior, 6, base_seed=5,
                                        shard_size=3)
         assert len(one) == len(many)
-        assert any(not np.array_equal(a.infections, b.infections)
-                   for a, b in zip(one.trajectories, many.trajectories))
+        assert one.batch.infections.shape == many.batch.infections.shape
+        assert not np.array_equal(one.batch.infections, many.batch.infections)
 
     def test_shard_knob_validation(self, posterior):
         with pytest.raises(ValueError, match="not both"):
@@ -237,9 +230,9 @@ class TestForecastScenarios:
         fcs = forecast_scenarios({"a": posterior, "b": posterior},
                                  horizon_days=6, base_seed=4)
         assert list(fcs) == ["a", "b"]
-        for ta, tb in zip(fcs["a"].trajectories, fcs["b"].trajectories):
-            assert np.array_equal(ta.infections, tb.infections)
-            assert np.array_equal(ta.deaths, tb.deaths)
+        assert np.array_equal(fcs["a"].batch.infections,
+                              fcs["b"].batch.infections)
+        assert np.array_equal(fcs["a"].batch.deaths, fcs["b"].batch.deaths)
 
     def test_canonical_sorted_order(self, posterior):
         from repro.inference import forecast_scenarios
@@ -252,5 +245,5 @@ class TestForecastScenarios:
         from repro.inference import forecast_scenarios
         alone = forecast_from_posterior(posterior, 5, base_seed=9)
         swept = forecast_scenarios({"only": posterior}, 5, base_seed=9)
-        for a, b in zip(alone.trajectories, swept["only"].trajectories):
-            assert np.array_equal(a.infections, b.infections)
+        assert np.array_equal(alone.batch.infections,
+                              swept["only"].batch.infections)

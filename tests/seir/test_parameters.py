@@ -1,8 +1,76 @@
 """Unit tests for disease parameters and the restart-override contract."""
 
+import numpy as np
 import pytest
 
-from repro.seir import DiseaseParameters, ParameterOverride, chicago_defaults
+from repro.seir import (DiseaseParameters, ParameterOverride, chicago_defaults,
+                        check_parameter_columns, parameter_columns)
+
+
+def scalar_error(**fields):
+    """The message ``DiseaseParameters(**fields)`` raises."""
+    with pytest.raises(ValueError) as info:
+        DiseaseParameters(**fields)
+    return str(info.value)
+
+
+class TestParameterColumns:
+    """Columns follow the DiseaseParameters rules, first bad row first."""
+
+    def test_base_broadcast_keeps_field_dtypes(self):
+        base = DiseaseParameters(population=50_000, initial_exposed=100)
+        columns = parameter_columns(base, 3)
+        assert list(columns) == list(base.to_dict())
+        assert columns["population"].dtype == np.int64
+        assert columns["mild_fraction"].dtype == np.float64
+        assert all(np.all(columns[name] == value)
+                   for name, value in base.to_dict().items())
+
+    def test_updates_overwrite_as_float64(self):
+        columns = parameter_columns(DiseaseParameters(), 2,
+                                    {"transmission_rate": [0.2, 0.4]})
+        assert columns["transmission_rate"].tolist() == [0.2, 0.4]
+        assert columns["transmission_rate"].dtype == np.float64
+
+    def test_negative_transmission_rate_message(self):
+        with pytest.raises(ValueError) as info:
+            parameter_columns(DiseaseParameters(), 3,
+                              {"transmission_rate": [0.3, -0.1, 0.2]})
+        assert str(info.value) == scalar_error(transmission_rate=-0.1)
+
+    def test_fraction_message_names_first_bad_value(self):
+        with pytest.raises(ValueError) as info:
+            parameter_columns(DiseaseParameters(), 4,
+                              {"mild_fraction": [0.9, 1.25, -0.5, 1.5]})
+        assert str(info.value) == scalar_error(mild_fraction=1.25)
+
+    def test_first_bad_row_wins_over_rule_order(self):
+        """Row 0 breaks a later rule than row 1: row 0's message wins, as a
+        per-member DiseaseParameters loop would raise it first."""
+        with pytest.raises(ValueError) as info:
+            parameter_columns(DiseaseParameters(), 2, {
+                "transmission_rate": [0.3, -1.0],
+                "detected_rel_infectiousness": [2.0, 0.1]})
+        assert str(info.value) == scalar_error(
+            detected_rel_infectiousness=2.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"population": 0}, {"initial_exposed": -1},
+        {"population": 10, "initial_exposed": 11},
+        {"latent_period_days": 0.0}, {"icu_period_days": float("inf")},
+        {"death_fraction": float("nan")}, {"critical_fraction": 1.01}])
+    def test_every_rule_matches_the_scalar_message(self, fields):
+        columns = {**DiseaseParameters().to_dict(), **fields}
+        with pytest.raises(ValueError) as info:
+            check_parameter_columns(
+                {name: np.array([value, value])
+                 for name, value in columns.items()})
+        assert str(info.value) == scalar_error(**fields)
+
+    def test_valid_columns_pass(self):
+        check_parameter_columns(parameter_columns(
+            DiseaseParameters(), 5,
+            {"mild_fraction": np.linspace(0.0, 1.0, 5)}))
 
 
 class TestDiseaseParameters:

@@ -2,8 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.seir import SeedSequenceBank, generator_for, mix_seed
+from repro.core import ParticleEnsemble
+from repro.inference.forecast import _FORECAST_STREAM, _forecast_seeds
+from repro.seir import SeedSequenceBank, generator_for, mix_seed, mix_seeds
+
+MASK63 = 2**63 - 1
+#: Word-count edges of SeedSequence's entropy coercion: 0 still takes one
+#: 32-bit word, 2**32 - 1 is the last one-word value, 2**32 the first
+#: two-word one; negatives are masked to 63 bits first.
+EDGE_VALUES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, -(2**63), -(2**32))
+int64s = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.integers(-(2**63), 2**63 - 1))
+
+
+def seed_sequence_reference(*entropy: int) -> int:
+    """The definition :func:`mix_seed` wraps, spelled out."""
+    state = np.random.SeedSequence(
+        entropy=[int(c) & MASK63 for c in entropy]).generate_state(
+            1, np.uint64)
+    return int(state[0]) & MASK63
+
+
+@st.composite
+def component_rows(draw):
+    """1-6 components, each a scalar or an (n,) int64 column, n in [0, 8]."""
+    n = draw(st.integers(0, 8))
+    components = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            components.append(draw(int64s))
+        else:
+            components.append(np.array(draw(st.lists(
+                int64s, min_size=n, max_size=n)), dtype=np.int64))
+    return n, components
 
 
 class TestGeneratorFor:
@@ -28,6 +62,55 @@ class TestMixSeed:
     def test_nonnegative_63bit(self):
         s = mix_seed(2**62, 17)
         assert 0 <= s < 2**63
+
+
+class TestMixSeeds:
+    """The vectorised mixer against SeedSequence, row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(component_rows())
+    def test_rows_match_seed_sequence(self, case):
+        n, components = case
+        got = mix_seeds(*components)
+        any_column = any(np.ndim(c) for c in components)
+        assert got.dtype == np.int64
+        assert got.shape == ((n,) if any_column else (1,))
+        for i, value in enumerate(got):
+            row = [c if np.ndim(c) == 0 else c[i] for c in components]
+            assert int(value) == seed_sequence_reference(*row)
+            assert int(value) == mix_seed(*row)
+
+    def test_scalar_beyond_int64_is_masked(self):
+        assert mix_seeds(2**64 + 5, 3)[0] == mix_seed(2**64 + 5, 3)
+
+    def test_empty_rows(self):
+        assert mix_seeds(1, 2, np.arange(0)).shape == (0,)
+
+    def test_needs_a_component(self):
+        with pytest.raises(ValueError):
+            mix_seeds()
+
+    @pytest.mark.parametrize("base_seed", [0, 7, 20240215, 2**40 + 3])
+    def test_window_draw_seeds_match_scalar(self, base_seed):
+        bank = SeedSequenceBank(base_seed)
+        for window in (0, 1, 5):
+            expected = [bank.window_draw_seed(window, i) for i in range(40)]
+            assert bank.window_draw_seeds(window, 40).tolist() == expected
+        assert bank.window_draw_seeds(2, 0).shape == (0,)
+
+    def test_window_draw_seeds_validation(self):
+        with pytest.raises(ValueError):
+            SeedSequenceBank(7).window_draw_seeds(-1, 3)
+        with pytest.raises(ValueError):
+            SeedSequenceBank(7).window_draw_seeds(0, -1)
+
+    def test_forecast_seeds_replicate_major(self):
+        seeds = np.array([5, 2**32, 2**62 + 11, 0], dtype=np.int64)
+        posterior = ParticleEnsemble.from_columns(
+            {"theta": np.full(4, 0.3)}, seeds)
+        expected = [mix_seed(9, _FORECAST_STREAM, rep, j, int(seed))
+                    for rep in range(3) for j, seed in enumerate(seeds)]
+        assert _forecast_seeds(posterior, 9, 3).tolist() == expected
 
 
 class TestSeedSequenceBank:

@@ -7,6 +7,12 @@ around whole.  This guard makes every per-particle constructor raise —
 :class:`~repro.core.particle.Particle`, :class:`~repro.seir.checkpoint.Checkpoint`
 and the leap-snapshot dict function — and then runs a checkpointed serial
 calibration, resumes it, and forecasts from its final posterior.
+
+Proposals and forecasts are columnar too: parameters travel as columns
+(one :class:`~repro.seir.parameters.DiseaseParameters` per structural
+group) and seeds are mixed as vectors.  A second guard counts
+``DiseaseParameters`` validations and ``SeedSequence`` constructions in
+each phase and checks they do not grow with the ensemble.
 """
 
 import dataclasses
@@ -18,7 +24,7 @@ import pytest
 
 from repro.core import Particle
 from repro.inference import CalibrationConfig, calibrate, forecast_from_posterior
-from repro.seir import Checkpoint
+from repro.seir import Checkpoint, DiseaseParameters
 from repro.sim import make_fig2_ground_truth
 
 
@@ -37,6 +43,67 @@ def no_per_particle_objects(monkeypatch):
         if name.split(".")[0] == "repro" and \
                 hasattr(module, "leap_particle_snapshot"):
             monkeypatch.setattr(module, "leap_particle_snapshot", snapshot)
+
+
+@pytest.fixture(scope="module")
+def fig2_observations():
+    return make_fig2_ground_truth(seed=777, horizon=34).observations()
+
+
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Live counts of DiseaseParameters validations and SeedSequences."""
+    counts = {"DiseaseParameters": 0, "SeedSequence": 0}
+    post_init = DiseaseParameters.__post_init__
+    seed_sequence = np.random.SeedSequence
+
+    def counting_post_init(self):
+        counts["DiseaseParameters"] += 1
+        post_init(self)
+
+    def counting_seed_sequence(*args, **kwargs):
+        counts["SeedSequence"] += 1
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(DiseaseParameters, "__post_init__",
+                        counting_post_init)
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    return counts
+
+
+def _phase_counts(observations, counts, root, scale):
+    """Constructions per phase (calibrate, resume, forecast) of a
+    checkpointed serial run whose draws and posterior scale with ``scale``."""
+    config = CalibrationConfig(window_breaks=(20, 27, 34),
+                               n_parameter_draws=8 * scale, n_replicates=2,
+                               resample_size=10 * scale, executor="serial",
+                               checkpoint_dir=str(root))
+    phases = {}
+
+    def measure(name, run):
+        before = dict(counts)
+        out = run()
+        phases[name] = {key: counts[key] - before[key] for key in counts}
+        return out
+
+    measure("calibrate", lambda: calibrate(observations, config))
+    shutil.rmtree(root / "window_001")
+    resumed = measure("resume", lambda: calibrate(
+        observations, dataclasses.replace(config, resume=True)))
+    measure("forecast", lambda: forecast_from_posterior(
+        resumed.final_posterior, horizon_days=5, base_seed=3,
+        n_per_particle=2))
+    return phases
+
+
+def test_constructions_do_not_grow_with_the_ensemble(
+        tmp_path, fig2_observations, construction_counts):
+    small = _phase_counts(fig2_observations, construction_counts,
+                          tmp_path / "small", scale=1)
+    large = _phase_counts(fig2_observations, construction_counts,
+                          tmp_path / "large", scale=2)
+    assert large == small
+    assert all(n > 0 for n in small["calibrate"].values())
 
 
 def test_calibrate_resume_forecast_without_per_particle_objects(
