@@ -3,7 +3,8 @@
 Regenerates the paper's first experiment: calibrate to reported case counts
 over days 20-33 only, with theta ~ U(0.1, 0.5) and rho ~ Beta(4, 1), common
 random seeds across parameter draws, the Gaussian likelihood on square-root
-counts (sigma = 1), and multinomial resampling to a posterior sample.
+counts (sigma = 1), and multinomial resampling to a posterior sample.  It is
+the sequential calibrator's first window, run as a one-window calibration.
 
 Paper shapes reproduced (Fig 3 panels):
 
@@ -21,10 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_util import once
-from repro.baselines import single_shot_importance_sampling
 from repro.core import (BinomialBiasModel, marginal_histogram,
-                        paper_first_window_prior, paper_observation_model,
-                        trajectory_ribbon)
+                        paper_first_window_prior, trajectory_ribbon)
+from repro.inference import CalibrationConfig, calibrate
 from repro.seir import Trajectory, chicago_defaults
 from repro.viz import write_json, write_ribbon_csv
 
@@ -49,14 +49,14 @@ def test_fig3_single_window_calibration(benchmark, scale, output_dir,
     prior = paper_first_window_prior()
 
     def run():
-        return single_shot_importance_sampling(
-            paper_truth.observations(), chicago_defaults(), prior,
-            paper_observation_model(),
-            start_day=WINDOW[0], end_day=WINDOW[1],
-            n_parameter_draws=scale.fig3_draws,
+        cfg = CalibrationConfig(
+            window_breaks=WINDOW, n_parameter_draws=scale.fig3_draws,
             n_replicates=scale.fig3_replicates,
-            resample_size=scale.fig3_resample,
-            base_seed=101, executor=executor)
+            resample_size=scale.fig3_resample, base_seed=101)
+        [window] = calibrate(paper_truth.observations(), cfg,
+                             base_params=chicago_defaults(),
+                             executor=executor).windows
+        return window
 
     result = once(benchmark, run)
     posterior = result.posterior

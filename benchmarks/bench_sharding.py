@@ -33,13 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.core import Particle, ParticleEnsemble
+from repro.core import ParticleEnsemble
 from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
                        simulate_groups)
 from repro.inference import forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds
 from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
-                        ParameterOverride)
+                        ParameterOverride, StackedLeapState,
+                        parameter_columns)
 from repro.testing import restart_oracle
 
 DEFAULT_SIZES = (2_000, 10_000)
@@ -81,10 +82,13 @@ def make_posterior(params: DiseaseParameters, n: int, seed: int,
     engine = BatchedBinomialLeapEngine(params, seeds, thetas=thetas,
                                        steps_per_day=STEPS_PER_DAY)
     engine.run_until(checkpoint_day)
-    return ParticleEnsemble([
-        Particle(params={"theta": float(thetas[i]), "rho": 0.7},
-                 seed=int(seeds[i]), checkpoint=engine.particle_checkpoint(i))
-        for i in range(n)])
+    restart = StackedLeapState(
+        day=engine.day, steps_per_day=engine.steps_per_day,
+        counts=engine.counts, cum_infections=engine.cumulative_infections,
+        cum_deaths=engine.cumulative_deaths, seeds=seeds).with_parameters(
+            parameter_columns(params, n, {"transmission_rate": thetas}))
+    return ParticleEnsemble.from_columns(
+        {"theta": thetas, "rho": np.full(n, 0.7)}, seeds, restart=restart)
 
 
 def run_forecast_bench(params: DiseaseParameters, n_particles: int,

@@ -32,6 +32,7 @@ import numpy as np
 from _bench_util import time_best, write_payload
 from repro.seir import (BatchedBinomialLeapEngine, Checkpoint,
                         DiseaseParameters, StochasticSEIRModel)
+from repro.seir.checkpoint import leap_particle_snapshot
 
 DEFAULT_SIZES = (250, 1000, 2000)
 DEFAULT_DAYS = 14
@@ -67,9 +68,13 @@ def run_batched(params: DiseaseParameters, seeds: np.ndarray,
     engine = BatchedBinomialLeapEngine(params, seeds, thetas=thetas,
                                        steps_per_day=STEPS_PER_DAY)
     batch = engine.run_until(n_days)
+    counts, infected, dead = (engine.counts, engine.cumulative_infections,
+                              engine.cumulative_deaths)
     for i in range(engine.n_particles):
         batch.trajectory(i)
-        Checkpoint(params=params, snapshot=engine.particle_snapshot(i))
+        Checkpoint(params=params, snapshot=leap_particle_snapshot(
+            engine.day, counts[i], infected[i], dead[i],
+            engine.steps_per_day, engine.seeds[i]))
     return float(batch.infections.sum(axis=1).mean())
 
 

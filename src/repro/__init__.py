@@ -33,7 +33,7 @@ Subpackages
 ``repro.inference``
     High-level ``calibrate()`` / forecasting API.
 ``repro.baselines``
-    Single-shot IS and pseudo-marginal MCMC.
+    Pseudo-marginal MCMC (single-shot IS is a one-window ``calibrate()``).
 ``repro.viz``
     ASCII charts and CSV export of every figure's data.
 """

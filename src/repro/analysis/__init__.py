@@ -4,8 +4,8 @@ The reproducibility guarantees this repo ships — bit-identical runs per
 ``(base_seed, shard layout)``, executor-independent results, documented seed
 domains for every random draw — are *conventions*, and two of them have
 already been broken by ordinary-looking patches (PR 1's cross-window
-ancillary stream reuse, PR 5's ``window_restart_seed``/``window_draw_seed``
-tag aliasing).  This package turns those conventions into machine-checked
+ancillary stream reuse, and the aliasing of the restart-seed and draw-seed
+stream tags).  This package turns those conventions into machine-checked
 rules over the AST, run locally and in CI::
 
     python -m repro.analysis.lint src/

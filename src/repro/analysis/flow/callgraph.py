@@ -52,8 +52,8 @@ GENERATOR_SOURCE_CALLS = frozenset({
 #: purpose: banks travel through parameters and dataclass fields where the
 #: receiver type is rarely statically visible.
 GENERATOR_METHOD_NAMES = frozenset({
-    "ancillary_generator", "batch_simulation_generator",
-    "generator_for", "batch_generator_for", "rng_from_jsonable",
+    "ancillary_generator", "generator_for", "batch_generator_for",
+    "rng_from_jsonable",
 })
 
 #: Canonical annotation spellings that denote a generator value.

@@ -4,7 +4,8 @@ Commands regenerate the paper experiments at a chosen scale and write their
 data products to an output directory:
 
 * ``fig2`` — simulated ground truth series;
-* ``fig3`` — single-window importance sampling summary;
+* ``fig3`` — single-window importance sampling summary (the first window
+  of ``fig4``, calibrated alone);
 * ``fig4`` — sequential calibration (cases only);
 * ``fig5`` — sequential calibration (cases + deaths);
 * ``forecast`` — calibrate then forecast beyond the data.
@@ -32,14 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import single_shot_importance_sampling
-from .core import paper_first_window_prior, paper_observation_model
 from .core.diagnostics import DEGENERACY_THRESHOLD
 from .core.scenarios import SCENARIO_SETS, SCENARIOS, scenario_set
-from .hpc import make_executor
 from .inference import (CalibrationConfig, calibrate, calibrate_scenarios,
                         forecast_from_posterior, forecast_scenarios)
-from .seir import chicago_defaults
 from .sim import make_fig2_ground_truth
 from .viz import write_json, write_series_csv
 
@@ -334,19 +331,16 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
+    """Importance sampling over days 20-33 alone: a one-window calibration,
+    so its posterior is bit for bit ``fig4``'s first window."""
     truth = make_fig2_ground_truth(seed=777, horizon=40)
-    executor = make_executor(args.executor, max_workers=args.workers)
-    try:
-        result = single_shot_importance_sampling(
-            truth.observations(), chicago_defaults(),
-            paper_first_window_prior(), paper_observation_model(),
-            start_day=20, end_day=34, n_parameter_draws=args.draws,
-            n_replicates=args.replicates, resample_size=args.resample,
-            base_seed=args.seed, executor=executor)
-    finally:
-        executor.close()
+    cfg = _run_config(
+        window_breaks=(20, 34), n_parameter_draws=args.draws,
+        n_replicates=args.replicates, resample_size=args.resample,
+        base_seed=args.seed, executor=args.executor, max_workers=args.workers)
+    result = calibrate(truth.observations(), cfg, verbose=True)
     args.out.mkdir(parents=True, exist_ok=True)
-    summary = result.summary()
+    summary = result.windows[0].summary()
     write_json(args.out / "fig3_summary.json", summary)
     print(json.dumps(summary, indent=2, default=float))
     return 0

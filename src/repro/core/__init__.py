@@ -7,8 +7,8 @@ from .ensemble_control import (SIZE_POLICY_NAMES, BudgetPolicy,
                                EnsembleSizePolicy, ESSTargetPolicy, FixedSize,
                                make_size_policy, resolve_size_policy)
 from .likelihood import (GaussianTransformLikelihood, Likelihood,
-                         MultiSourceLikelihood, NegativeBinomialLikelihood,
-                         PoissonLikelihood, paper_likelihood)
+                         NegativeBinomialLikelihood, PoissonLikelihood,
+                         paper_likelihood)
 from .observation import ObservationModel, SourceModel, paper_observation_model
 from .particle import Particle, ParticleEnsemble
 from .posterior import (TrajectoryRibbon, hpd_region_mass, joint_density_grid,
@@ -49,7 +49,7 @@ __all__ = [
     "JitterKernel", "UniformJitter", "NoJitter", "JointJitter",
     "paper_window_jitter",
     "Likelihood", "GaussianTransformLikelihood", "PoissonLikelihood",
-    "NegativeBinomialLikelihood", "MultiSourceLikelihood", "paper_likelihood",
+    "NegativeBinomialLikelihood", "paper_likelihood",
     "BinomialBiasModel",
     "ObservationModel", "SourceModel", "paper_observation_model",
     "TimeWindow", "WindowSchedule", "paper_window_schedule",

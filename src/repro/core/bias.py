@@ -135,23 +135,5 @@ class BinomialBiasModel:
         return TimeSeries(series.start_day, self.apply(series.values, rho, rng),
                           name=f"observed_{series.name}" if series.name else "observed")
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def log_pmf(observed: np.ndarray, true_counts: np.ndarray,
-                rho: float) -> np.ndarray:
-        """Exact elementwise ``log P(observed | true, rho)``.
-
-        Used by the exact-binomial likelihood ablation; ``-inf`` where
-        ``observed > true`` (an impossible thinning).
-        """
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"rho must be in (0, 1], got {rho}")
-        y = np.rint(np.asarray(observed, dtype=np.float64)).astype(np.int64)
-        n = np.rint(np.asarray(true_counts, dtype=np.float64)).astype(np.int64)
-        if y.shape != n.shape:
-            raise ValueError("observed and true counts must share a shape")
-        from scipy import stats
-        return np.asarray(stats.binom.logpmf(y, n, rho))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BinomialBiasModel(mode={self.mode!r})"

@@ -3,13 +3,13 @@
 The paper's observation model (eq. 2-4) is an independent Gaussian on
 (square-root transformed) counts per day, per data source; the multi-source
 posterior factorises as a product of per-source likelihoods (eq. 4), so the
-log-likelihoods add.
+log-likelihoods add (:class:`~repro.core.observation.ObservationModel` sums
+them over its named sources: cases alone for Fig 3/4, cases + deaths for
+Fig 5).
 
 :class:`GaussianTransformLikelihood` is the paper's choice (sqrt transform,
 ``sigma_t = 1``).  :class:`PoissonLikelihood` and
-:class:`NegativeBinomialLikelihood` are provided for the likelihood ablation,
-and :class:`MultiSourceLikelihood` implements the product over named sources
-(cases alone for Fig 3/4; cases + deaths for Fig 5).
+:class:`NegativeBinomialLikelihood` are provided for the likelihood ablation.
 
 The ablation families import ``scipy.stats`` inside their methods, so only
 a run that uses them pays its import cost.
@@ -18,7 +18,6 @@ a run that uses them pays its import cost.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from ..data.series import TimeSeries
 from .transforms import SQRT, Transform
 
 __all__ = ["Likelihood", "GaussianTransformLikelihood", "PoissonLikelihood",
-           "NegativeBinomialLikelihood", "MultiSourceLikelihood",
-           "paper_likelihood"]
+           "NegativeBinomialLikelihood", "paper_likelihood"]
 
 
 class Likelihood(ABC):
@@ -195,42 +193,6 @@ class NegativeBinomialLikelihood(Likelihood):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NegativeBinomialLikelihood(dispersion={self.dispersion})"
-
-
-class MultiSourceLikelihood:
-    """Product of independent per-source likelihoods (paper eq. 4).
-
-    Sources are named ("cases", "deaths", ...); each has its own likelihood
-    object so noise scales can differ per stream.
-    """
-
-    def __init__(self, sources: Mapping[str, Likelihood]) -> None:
-        if not sources:
-            raise ValueError("need at least one source likelihood")
-        self._sources = dict(sources)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._sources)
-
-    def source(self, name: str) -> Likelihood:
-        return self._sources[name]
-
-    def loglik(self, observed: Mapping[str, np.ndarray],
-               simulated: Mapping[str, np.ndarray]) -> float:
-        """Sum of per-source log-likelihoods; every source must be present."""
-        total = 0.0
-        for name, lik in self._sources.items():
-            if name not in observed:
-                raise KeyError(f"missing observed series for source {name!r}")
-            if name not in simulated:
-                raise KeyError(f"missing simulated series for source {name!r}")
-            total += lik.loglik(observed[name], simulated[name])
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._sources.items())
-        return f"MultiSourceLikelihood({inner})"
 
 
 def paper_likelihood(sigma: float = 1.0) -> GaussianTransformLikelihood:

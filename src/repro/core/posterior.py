@@ -19,8 +19,8 @@ from ..seir.batch_engine import BatchTrajectory
 from ..seir.outputs import Trajectory
 from .weights import weighted_quantile
 
-__all__ = ["TrajectoryRibbon", "trajectory_ribbon", "marginal_histogram",
-           "joint_density_grid", "hpd_region_mass"]
+__all__ = ["TrajectoryRibbon", "trajectory_ribbon", "check_quantiles",
+           "marginal_histogram", "joint_density_grid", "hpd_region_mass"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,14 @@ class TrajectoryRibbon:
         return float(inside.mean())
 
 
+def check_quantiles(quantiles: Sequence[float]) -> tuple[float, ...]:
+    """``quantiles`` as floats, if they are ascending levels in [0, 1]."""
+    qs = tuple(float(q) for q in quantiles)
+    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
+        raise ValueError("quantiles must be ascending values in [0, 1]")
+    return qs
+
+
 def trajectory_ribbon(trajectories: Sequence[Trajectory] | BatchTrajectory,
                       channel: str,
                       quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
@@ -83,15 +91,13 @@ def trajectory_ribbon(trajectories: Sequence[Trajectory] | BatchTrajectory,
     quantiles give the paper's 50% (0.25-0.75) and 90% (0.05-0.95) ribbons
     plus the median.
     """
-    qs = tuple(float(q) for q in quantiles)
+    qs = check_quantiles(quantiles)
     if not isinstance(trajectories, BatchTrajectory):
         if not trajectories:
             raise ValueError("need at least one trajectory")
         trajectories = BatchTrajectory.from_trajectories(trajectories)
     start = trajectories.start_day
     stack = np.ascontiguousarray(trajectories.channel_matrix(channel))
-    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
-        raise ValueError("quantiles must be ascending values in [0, 1]")
     n_days = stack.shape[1]
 
     if weights is None:

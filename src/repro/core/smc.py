@@ -86,7 +86,7 @@ from .observation import ObservationModel
 from .particle import ParticleEnsemble
 from .priors import IndependentProduct
 from .proposals import JointJitter
-from .resampling import get_resampler
+from .resampling import multinomial_resample
 from .weights import normalize_log_weights
 from .window import TimeWindow, WindowSchedule
 
@@ -177,9 +177,9 @@ class SMCConfig:
     runs stay bit-reproducible per ``(base_seed, shard layout)``; the
     window's :class:`~repro.core.diagnostics.WindowDiagnostics` records the
     schedule, and ``temper_truncated`` if the stage cap forced the last
-    jump.  ``temper_resampler`` (default ``"systematic"``) resamples inside
-    the bridge: it resamples at every stage, so a multinomial scheme
-    compounds noise and can end up noisier than the single pass.
+    jump.  The bridge resamples systematically: it resamples at every
+    stage, so a multinomial scheme would compound noise and could end up
+    noisier than the single multinomial pass.
 
     ``retry`` (a :class:`~repro.hpc.faults.RetryPolicy`, default ``None`` =
     the legacy fail-fast behaviour) makes every window's sharded
@@ -195,13 +195,11 @@ class SMCConfig:
     n_replicates: int = 5
     resample_size: int = 500
     n_continuations: int = 1
-    resampler: str = "multinomial"
     engine: ClassVar[str] = BatchedBinomialLeapEngine.name
     engine_options: dict = field(default_factory=dict)
     shard_size: int | None = None
     n_shards: int | str = "auto"
     base_seed: int = 20240215
-    keep_weighted_ensemble: bool = False
     size_policy: str | EnsembleSizePolicy = "fixed"
     size_policy_options: dict = field(default_factory=dict)
     resample_size_policy: str | EnsembleSizePolicy = "fixed"
@@ -209,7 +207,6 @@ class SMCConfig:
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5
-    temper_resampler: str = "systematic"
     retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -228,8 +225,6 @@ class SMCConfig:
         if not 0.0 < self.temper_ess_floor < 1.0:
             raise ValueError("temper_ess_floor must lie in (0, 1)")
         validate_shard_policy(self.shard_size, self.n_shards)
-        get_resampler(self.resampler)  # validate eagerly
-        get_resampler(self.temper_resampler)
 
     def size_policy_instance(self) -> EnsembleSizePolicy:
         """The configured ensemble-size controller, ready to consult."""
@@ -263,16 +258,12 @@ class WindowResult:
         Resampled, equally weighted posterior ensemble.
     diagnostics:
         Weight-degeneracy diagnostics of the pre-resampling ensemble.
-    weighted_ensemble:
-        The full weighted ensemble (kept only when
-        ``SMCConfig.keep_weighted_ensemble`` is set; memory-heavy).
     """
 
     index: int
     window: TimeWindow
     posterior: ParticleEnsemble
     diagnostics: WindowDiagnostics
-    weighted_ensemble: ParticleEnsemble | None = None
 
     def summary(self) -> dict:
         """Posterior parameter summary used by benches and examples."""
@@ -646,11 +637,13 @@ class SequentialCalibrator:
         shard layout is recorded in *resolved* form — ``n_shards="auto"``
         depends on the executor's worker count, and that resolution (not
         the config string) is what keys the per-shard RNG streams.
-        ``"weighting"`` is a literal left from when the weighting path was
-        configurable.  ``"format_version"`` is the store layout: 2 is one
-        columnar ``checkpoints.npz`` per window, so a store written in the
-        older per-particle layout (1) is refused instead of silently
-        restarting from window 0.
+        ``"weighting"``, ``"resampler"`` and the last ``"temper"`` entry
+        are literals left from when the weighting path and both resampling
+        schemes were configurable, so stores written then still resume.
+        ``"format_version"`` is the store layout: 2 is one columnar
+        ``checkpoints.npz`` per window, so a store written in the older
+        per-particle layout (1) is refused instead of silently restarting
+        from window 0.
         """
         cfg = self.config
 
@@ -670,7 +663,7 @@ class SequentialCalibrator:
             "n_replicates": cfg.n_replicates,
             "resample_size": cfg.resample_size,
             "n_continuations": cfg.n_continuations,
-            "resampler": cfg.resampler,
+            "resampler": "multinomial",
             "weighting": "batched",
             "size_policy": policy_tag(cfg.size_policy),
             "size_policy_options": sorted_dict(cfg.size_policy_options),
@@ -678,7 +671,7 @@ class SequentialCalibrator:
             "resample_size_policy_options":
                 sorted_dict(cfg.resample_size_policy_options),
             "temper": [cfg.temper_degenerate, cfg.temper_threshold,
-                       cfg.temper_ess_floor, cfg.temper_resampler],
+                       cfg.temper_ess_floor, "systematic"],
             "schedule": [w.label() for w in self.schedule],
             "burn_in_start": self.schedule.burn_in_start,
             "param_map": sorted_dict(self.param_map),
@@ -1023,7 +1016,6 @@ class SequentialCalibrator:
                                                   window_index=index)
         log_weights = self.observation_model.loglik_ensemble(
             window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
-        weighted_ensemble = ensemble.with_log_weights(log_weights)
 
         normalized = normalize_log_weights(log_weights)
         particle_steps = len(ensemble) * int(sim_days)
@@ -1055,8 +1047,7 @@ class SequentialCalibrator:
                 pre_diag.ess_fraction < cfg.temper_threshold:
             tempered = temper_and_resample(
                 log_weights, n_out, rng_resample,
-                ess_floor_fraction=cfg.temper_ess_floor,
-                resampler=cfg.temper_resampler)
+                ess_floor_fraction=cfg.temper_ess_floor)
             indices = tempered.indices
             cut = ", truncated" if tempered.truncated else ""
             self._progress(
@@ -1064,9 +1055,8 @@ class SequentialCalibrator:
                 f"{tempered.n_stages} stage(s){cut} (ESS fraction "
                 f"{pre_diag.ess_fraction:.3f} < {cfg.temper_threshold})")
         else:
-            indices = get_resampler(cfg.resampler)(normalized, n_out,
-                                                   rng_resample)
-        posterior = weighted_ensemble.select(indices)
+            indices = multinomial_resample(normalized, n_out, rng_resample)
+        posterior = ensemble.with_log_weights(log_weights).select(indices)
 
         # The weight statistics are unchanged since pre_diag; only the
         # realised ancestry, the tempering audit trail, and the window's
@@ -1081,6 +1071,4 @@ class SequentialCalibrator:
             shard_failure_causes=tuple(f.cause for f in failures))
         return WindowResult(
             index=index, window=window, posterior=posterior,
-            diagnostics=diagnostics,
-            weighted_ensemble=weighted_ensemble
-            if cfg.keep_weighted_ensemble else None)
+            diagnostics=diagnostics)

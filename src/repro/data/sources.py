@@ -16,7 +16,7 @@ from typing import Iterator, Mapping
 from .series import TimeSeries
 
 __all__ = ["ObservationSource", "ObservationSet", "CASES", "DEATHS",
-           "HOSPITAL_CENSUS", "ICU_CENSUS"]
+           "HOSPITAL_CENSUS", "ICU_CENSUS", "CHANNELS"]
 
 #: Canonical simulator output channel names.
 CASES = "cases"
@@ -24,7 +24,7 @@ DEATHS = "deaths"
 HOSPITAL_CENSUS = "hospital_census"
 ICU_CENSUS = "icu_census"
 
-_KNOWN_CHANNELS = frozenset({CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS})
+CHANNELS = frozenset({CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS})
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class ObservationSource:
     biased: bool = True
 
     def __post_init__(self) -> None:
-        if self.channel not in _KNOWN_CHANNELS:
+        if self.channel not in CHANNELS:
             raise ValueError(
-                f"unknown channel {self.channel!r}; expected one of {sorted(_KNOWN_CHANNELS)}"
+                f"unknown channel {self.channel!r}; expected one of {sorted(CHANNELS)}"
             )
         if not self.name:
             raise ValueError("source name must be non-empty")

@@ -13,7 +13,7 @@ Design contract
 ---------------
 * **Per-shard RNG** — every shard is its own batch: its stream is keyed by
   the ordered seed vector of its slice
-  (:meth:`~repro.seir.seeding.SeedSequenceBank.shard_simulation_generators`).
+  (:func:`~repro.seir.seeding.batch_generator_for` over the slice).
   Results are therefore bit-reproducible given ``(base_seed, shard
   layout)`` and independent of which executor (or process) runs each
   shard; different layouts agree in distribution only.
@@ -43,7 +43,6 @@ from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
 from ..seir.parameters import DiseaseParameters
-from ..seir.seeding import batch_generator_for
 from .executor import CAUSE_EXCEPTION, Executor, TaskOutcome
 from .faults import CAUSE_CORRUPT, RetryPolicy, ShardFailure, ShardRetryError
 from .partition import shard_bounds
@@ -168,24 +167,19 @@ class ShardResult:
 def run_shard(task: ShardTask) -> ShardResult:
     """Simulate one shard (worker-side entry point; picklable).
 
-    Builds the shard's own batch stream from its seed slice via
-    :func:`~repro.seir.seeding.batch_generator_for` — the same keying
-    function behind
-    :meth:`~repro.seir.seeding.SeedSequenceBank.shard_simulation_generators`
-    (the bank method is the parent-side front door; both sides delegate to
-    the one function, which is what makes shard results a pure function of
-    the task payload regardless of which process runs them).
+    The engine keys the shard's own batch stream by its seed slice
+    (:func:`~repro.seir.seeding.batch_generator_for`), so a shard's result
+    is a pure function of the task payload, whichever process runs it.
     """
     seeds = np.asarray(task.seeds, dtype=np.int64)
     thetas = np.asarray(task.thetas, dtype=np.float64)
-    rng = batch_generator_for(seeds)
     if task.state is not None:
         engine = BatchedBinomialLeapEngine.from_particle_snapshots(
-            task.state, task.params, seeds=seeds, thetas=thetas, rng=rng)
+            task.state, task.params, seeds=seeds, thetas=thetas)
     else:
         engine = BatchedBinomialLeapEngine(
             task.params, seeds, thetas=thetas, start_day=task.start_day,
-            rng=rng, **dict(task.engine_options))
+            **dict(task.engine_options))
     batch = engine.run_until(task.end_day)
     state = None
     if task.return_state:
@@ -443,7 +437,7 @@ def simulate_members(executor: Executor,
                      n_shards: int | None = None) -> BatchTrajectory:
     """Every member's trajectory, simulated as a single batched dispatch.
 
-    The front door for forecasts and the baselines: fresh starts at
+    The front door for forecasts: fresh starts at
     ``start_day`` or restarts from the members' ``state`` rows (as in
     :func:`build_group_specs`), stacked in input order without engine
     state.

@@ -54,7 +54,6 @@ class CalibrationConfig:
 
     sigma: float = 1.0
     bias_mode: str = "sample"
-    resampler: str = "multinomial"
     #: Read-only: every window's whole ensemble is stepped as stacked state
     #: matrices by the batched engine, sharded across the executor.
     engine: ClassVar[str] = SMCConfig.engine
@@ -84,16 +83,11 @@ class CalibrationConfig:
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5
-    #: Resampler used inside the bridge ("systematic" by default — a
-    #: low-variance scheme; a multinomial bridge compounds per-stage
-    #: resampling noise).
-    temper_resampler: str = "systematic"
 
     executor: str = "serial"
     max_workers: int | None = None
 
     base_seed: int = 20240215
-    keep_weighted_ensemble: bool = False
 
     disease_overrides: dict = field(default_factory=dict)
 
@@ -142,12 +136,10 @@ class CalibrationConfig:
             n_replicates=self.n_replicates,
             resample_size=self.resample_size,
             n_continuations=self.n_continuations,
-            resampler=self.resampler,
             engine_options={"steps_per_day": self.steps_per_day},
             shard_size=self.shard_size,
             n_shards=self.n_shards,
             base_seed=self.base_seed,
-            keep_weighted_ensemble=self.keep_weighted_ensemble,
             size_policy=self.size_policy,
             size_policy_options=dict(self.size_policy_options),
             resample_size_policy=self.resample_size_policy,
@@ -155,7 +147,6 @@ class CalibrationConfig:
             temper_degenerate=self.temper_degenerate,
             temper_threshold=self.temper_threshold,
             temper_ess_floor=self.temper_ess_floor,
-            temper_resampler=self.temper_resampler,
             retry=self.retry_policy(),
         )
 

@@ -157,7 +157,7 @@ class CalibrationResult:
         schedule needed more than one stage — the signature of a window
         degenerate enough to require actual bridging.  A single-stage
         bridge applied the full likelihood in one pass (like the plain
-        path, though drawn with ``temper_resampler``'s scheme); those
+        path, though drawn with the bridge's systematic scheme); those
         windows are visible via each diagnostics' ``tempered`` flag, and
         the realised schedules live in ``temper_schedule``.
         """

@@ -43,7 +43,7 @@ Per-shard extension (sharded dispatch)
 When a batch is split into contiguous shards to use several executor
 workers (:mod:`repro.hpc.sharding`), **each shard is its own batch**: its
 stream is keyed by the ordered seed vector of its slice alone
-(:meth:`~repro.seir.seeding.SeedSequenceBank.shard_simulation_generators`).
+(:func:`~repro.seir.seeding.batch_generator_for` over the slice).
 Therefore
 
 * a sharded run is bit-reproducible given ``(base_seed, shard layout)``
@@ -58,24 +58,24 @@ Restart state is columnar: a batch's rows travel as one
 :class:`~repro.seir.checkpoint.StackedLeapState` with no RNG state (a batch
 stream cannot be partitioned per member), and
 :meth:`BatchedBinomialLeapEngine.from_particle_snapshots` restarts a whole
-cloud from it on a fresh batch stream keyed by the new seed vector.
+cloud from it on a fresh batch stream keyed by the new seed vector.  One
+row becomes a scalar restart checkpoint through
+:meth:`~repro.seir.checkpoint.StackedLeapState.checkpoint`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.contracts import shaped
-from ..data.schedule import PiecewiseConstant
-from .checkpoint import Checkpoint, StackedLeapState, leap_particle_snapshot
+from .checkpoint import StackedLeapState
 from .compartments import (Compartment, HOSPITAL_COMPARTMENTS,
                            ICU_COMPARTMENTS, N_COMPARTMENTS)
 from .outputs import Trajectory
 from .parameters import DiseaseParameters
-from .seeding import (batch_generator_for, rng_from_jsonable,
-                      rng_state_to_jsonable)
+from .seeding import batch_generator_for
 from .tauleap import compiled_transitions_for
 
 __all__ = ["BatchedBinomialLeapEngine", "BatchTrajectory",
@@ -238,16 +238,10 @@ class BatchedBinomialLeapEngine:
         ``params.transmission_rate`` for every member.
     steps_per_day:
         Substeps per simulated day (leap accuracy knob; 4 by default).
-    theta_schedule:
-        Optional piecewise schedule applied to *all* members, overriding
-        ``thetas`` day by day (mirrors the scalar engine's precedence).
     start_day:
         Day index at which the batch clock begins.
-    rng:
-        Optional pre-built batch generator (e.g. from
-        :meth:`~repro.seir.seeding.SeedSequenceBank.batch_simulation_generator`);
-        defaults to :func:`batch_generator_for` over ``seeds``.  Callers
-        passing their own generator own the reproducibility contract.
+
+    The batch stream is :func:`batch_generator_for` over ``seeds``.
     """
 
     name = "binomial_leap_batched"
@@ -256,9 +250,7 @@ class BatchedBinomialLeapEngine:
                  seeds: Sequence[int] | np.ndarray, *,
                  thetas: Sequence[float] | np.ndarray | None = None,
                  steps_per_day: int = 4,
-                 theta_schedule: PiecewiseConstant | None = None,
-                 start_day: int = 0,
-                 rng: np.random.Generator | None = None) -> None:
+                 start_day: int = 0) -> None:
         if steps_per_day < 1:
             raise ValueError("steps_per_day must be >= 1")
         self.params = params
@@ -267,10 +259,9 @@ class BatchedBinomialLeapEngine:
             raise ValueError("seeds must be a non-empty 1-d vector")
         n = self.seeds.size
         self.steps_per_day = int(steps_per_day)
-        self.theta_schedule = theta_schedule
         self._set_thetas(thetas, n)
         self._prepare_tables()
-        self._rng = rng if rng is not None else batch_generator_for(self.seeds)
+        self._rng = batch_generator_for(self.seeds)
 
         self._day = int(start_day)
         self._counts = np.zeros((n, N_COMPARTMENTS), dtype=np.int64)
@@ -337,11 +328,6 @@ class BatchedBinomialLeapEngine:
     # ------------------------------------------------------------------ #
     # Dynamics
     # ------------------------------------------------------------------ #
-    def _day_thetas(self) -> np.ndarray:
-        if self.theta_schedule is None:
-            return self._thetas
-        return np.full(self.n_particles, float(self.theta_schedule(self._day)))
-
     @shaped(thetas="(n_members,) float64",
             returns=("(n_members,) int", "(n_members,) int"))
     def _substep(self, thetas: np.ndarray, dt: float
@@ -397,12 +383,11 @@ class BatchedBinomialLeapEngine:
     @shaped(returns=("(n_members,) int64", "(n_members,) int64"))
     def step_day(self) -> tuple[np.ndarray, np.ndarray]:
         """Simulate one day; return per-member (new_infections, new_deaths)."""
-        thetas = self._day_thetas()
         dt = 1.0 / self.steps_per_day
         day_inf = np.zeros(self.n_particles, dtype=np.int64)
         day_dead = np.zeros(self.n_particles, dtype=np.int64)
         for _ in range(self.steps_per_day):
-            inf, dead = self._substep(thetas, dt)
+            inf, dead = self._substep(self._thetas, dt)
             day_inf += inf
             day_dead += dead
         self._day += 1
@@ -429,108 +414,20 @@ class BatchedBinomialLeapEngine:
         return BatchTrajectory(start, infections, deaths, hosp, icu)
 
     # ------------------------------------------------------------------ #
-    # Snapshot support
+    # Restart from columnar state
     # ------------------------------------------------------------------ #
-    def state_snapshot(self) -> dict:
-        """JSON-safe whole-batch snapshot (bit-exact resume via from_snapshot)."""
-        return {
-            "engine": self.name,
-            "day": self._day,
-            "counts": self._counts.tolist(),
-            "cum_infections": self._cum_infections.tolist(),
-            "cum_deaths": self._cum_deaths.tolist(),
-            "steps_per_day": self.steps_per_day,
-            "seeds": self.seeds.tolist(),
-            "thetas": self._thetas.tolist(),
-            "rng_state": rng_state_to_jsonable(self._rng),
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict[str, Any],
-                      params: DiseaseParameters, *,
-                      seeds: Sequence[int] | np.ndarray | None = None,
-                      thetas: Sequence[float] | np.ndarray | None = None,
-                      theta_schedule: PiecewiseConstant | None = None,
-                      ) -> "BatchedBinomialLeapEngine":
-        """Rebuild a batch engine from a whole-batch snapshot.
-
-        With ``seeds=None`` the serialised batch stream continues bit-exactly
-        (and the stored thetas are kept unless overridden); passing a new
-        seed vector starts a *fresh* batch stream — the ensemble-wide
-        analogue of the paper's restart knob 1.
-        """
-        engine = cls.__new__(cls)
-        if str(snapshot.get("engine", "")) != cls.name:
-            raise ValueError(
-                f"snapshot is from engine {snapshot.get('engine')!r}, "
-                f"expected {cls.name!r}")
-        engine.params = params
-        engine.steps_per_day = int(snapshot["steps_per_day"])
-        if engine.steps_per_day < 1:
-            raise ValueError("snapshot steps_per_day must be >= 1")
-        engine.theta_schedule = theta_schedule
-        stored_seeds = np.asarray(snapshot["seeds"], dtype=np.int64)
-        n = stored_seeds.size
-        if seeds is None:
-            engine.seeds = stored_seeds
-            engine._rng = rng_from_jsonable(snapshot["rng_state"])
-        else:
-            engine.seeds = np.array(seeds, dtype=np.int64)
-            if engine.seeds.shape != (n,):
-                raise ValueError("replacement seeds must match batch size")
-            engine._rng = batch_generator_for(engine.seeds)
-        engine._set_thetas(
-            np.asarray(snapshot["thetas"], dtype=np.float64)
-            if thetas is None else thetas, n)
-        engine._prepare_tables()
-        engine._day = int(snapshot["day"])
-        engine._counts = np.asarray(snapshot["counts"], dtype=np.int64).copy()
-        if engine._counts.shape != (n, N_COMPARTMENTS):
-            raise ValueError("snapshot counts have wrong shape")
-        engine._cum_infections = np.asarray(snapshot["cum_infections"],
-                                            dtype=np.int64).copy()
-        engine._cum_deaths = np.asarray(snapshot["cum_deaths"],
-                                        dtype=np.int64).copy()
-        return engine
-
-    # ------------------------------------------------------------------ #
-    # Per-particle interchange (scalar-format snapshots / checkpoints)
-    # ------------------------------------------------------------------ #
-    def particle_snapshot(self, i: int) -> dict:
-        """Member ``i``'s state as a scalar ``binomial_leap`` snapshot.
-
-        Consumable by :class:`~repro.seir.tauleap.BinomialLeapEngine` and
-        :class:`~repro.seir.checkpoint.Checkpoint` unchanged; see
-        :func:`leap_particle_snapshot` for the format and RNG-state
-        convention.
-        """
-        return leap_particle_snapshot(self._day, self._counts[i],
-                                      self._cum_infections[i],
-                                      self._cum_deaths[i], self.steps_per_day,
-                                      self.seeds[i])
-
-    def particle_checkpoint(self, i: int) -> Checkpoint:
-        """Member ``i`` as a :class:`Checkpoint` carrying its own theta."""
-        params = self.params.with_updates(
-            transmission_rate=float(self._thetas[i]))
-        return Checkpoint(params=params, snapshot=self.particle_snapshot(i),
-                          theta_schedule=None)
-
     @classmethod
     def from_particle_snapshots(cls, state: StackedLeapState,
                                 params: DiseaseParameters, *,
                                 seeds: Sequence[int] | np.ndarray,
                                 thetas: Sequence[float] | np.ndarray
                                 | None = None,
-                                theta_schedule: PiecewiseConstant
-                                | None = None,
-                                rng: np.random.Generator | None = None,
                                 ) -> "BatchedBinomialLeapEngine":
         """Restart a batch from the stacked per-particle rows of ``state``.
 
         ``seeds`` is the *new* seed vector (one per row, in batch order):
-        the restart always begins a fresh batch stream keyed by it (or uses
-        ``rng`` if supplied).  Per-particle snapshot dicts stack through
+        the restart always begins a fresh batch stream keyed by it.
+        Per-particle snapshot dicts stack through
         :func:`~repro.seir.checkpoint.stack_leap_snapshots` first.
         """
         if state.steps_per_day < 1:
@@ -541,11 +438,10 @@ class BatchedBinomialLeapEngine:
         engine = cls.__new__(cls)
         engine.params = params
         engine.steps_per_day = state.steps_per_day
-        engine.theta_schedule = theta_schedule
         engine.seeds = seeds_arr
         engine._set_thetas(thetas, state.n_particles)
         engine._prepare_tables()
-        engine._rng = rng if rng is not None else batch_generator_for(seeds_arr)
+        engine._rng = batch_generator_for(seeds_arr)
         engine._day = state.day
         engine._counts = state.counts.astype(np.int64, copy=True)
         engine._cum_infections = state.cum_infections.astype(np.int64,

@@ -27,7 +27,7 @@ silently return.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.typing
@@ -157,8 +157,10 @@ _BATCH_STREAM = register_stream_tag(
     "batch", 2, description="batched whole-ensemble streams (entropy lead)")
 _WINDOW_DRAW_STREAM = register_stream_tag(
     "window_draw", 3, description="per-(window, draw) restart seeds")
+# Retired with its only method; stays registered so tag 4 is never reused.
 _WINDOW_RESTART_STREAM = register_stream_tag(
-    "window_restart", 4, description="per-(window, particle) restart seeds")
+    "window_restart", 4,
+    description="retired per-(window, particle) restart seeds (reserved)")
 _SCENARIO_STREAM = register_stream_tag(
     "scenario", 5, description="per-scenario independent stream roots")
 
@@ -335,65 +337,6 @@ class SeedSequenceBank:
         ss = np.random.SeedSequence(self.base_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))
 
-    def batch_simulation_generator(
-            self, seeds: np.typing.ArrayLike) -> np.random.Generator:
-        """The batch-engine stream for an ordered ensemble seed vector.
-
-        Thin, discoverable front door to :func:`batch_generator_for`: the
-        bank's ``base_seed`` is already folded into every seed the bank
-        hands out (:meth:`common_replicate_seeds`,
-        :meth:`window_restart_seed`), so the batch stream is fully
-        determined by ``(base_seed, seed vector, ensemble order)`` without
-        mixing the base seed in a second time.
-        """
-        return batch_generator_for(seeds)
-
-    def shard_simulation_generators(
-            self, seeds: np.typing.ArrayLike,
-            bounds: Sequence[tuple[int, int]]
-    ) -> list[np.random.Generator]:
-        """Per-shard batch streams for a sharded ensemble seed vector.
-
-        The sharded-dispatch RNG contract: shard ``k`` covering the
-        half-open slice ``bounds[k] = (lo, hi)`` of the ordered seed vector
-        draws from ``batch_generator_for(seeds[lo:hi])`` — each shard is
-        its own batch, keyed by its slice alone.  Consequences:
-
-        * results are **bit-reproducible given the shard layout** and
-          independent of the executor that runs the shards (workers rebuild
-          the same stream from the same slice),
-        * a single shard covering everything reproduces
-          :meth:`batch_simulation_generator` exactly (the serial fast
-          path), and
-        * different layouts re-key every stream, so results across shard
-          sizes agree in distribution only — the same relaxation as scalar
-          vs batched.
-
-        ``bounds`` is typically :func:`repro.hpc.partition.shard_bounds`
-        output.  Worker processes rebuild the identical streams by calling
-        :func:`batch_generator_for` on their task's seed slice
-        (:func:`repro.hpc.sharding.run_shard`); this method is the
-        parent-side contract surface, and the seeding tests pin the two
-        against each other so they cannot silently diverge.
-        """
-        seeds_arr = np.asarray(seeds, dtype=np.int64)
-        return [batch_generator_for(seeds_arr[lo:hi]) for lo, hi in bounds]
-
-    def window_restart_seed(self, original_seed: int, window_index: int,
-                            particle_index: int) -> int:
-        """Fresh seed for restarting a particle into a new window.
-
-        The paper re-parameterises a checkpoint with "1) the random seed" —
-        restarted trajectories get new randomness rather than replaying the
-        parent stream.  Mixing in the particle index keeps resampled
-        duplicates of the same ancestor from evolving identically.  The
-        method's stream tag sits in the reserved position right after the
-        base seed, so no ``original_seed`` value can steer these seeds into
-        :meth:`window_draw_seed`'s domain (or any other bank stream's).
-        """
-        return mix_seed(self.base_seed, _WINDOW_RESTART_STREAM, original_seed,
-                        window_index, particle_index)
-
     def scenario_base_seed(self, scenario_key: int) -> int:
         """Derived base seed rooting one scenario's *independent* streams.
 
@@ -425,8 +368,8 @@ class SeedSequenceBank:
         vector of a larger cloud extends the smaller one as a prefix), and
         resampled duplicates of one ancestor still diverge because their
         draw indices differ.  The stream tag, in the reserved position right
-        after the base seed, keeps these seeds disjoint from
-        :meth:`window_restart_seed` and every other bank stream.
+        after the base seed, keeps these seeds disjoint from every other
+        bank stream.
         """
         if window_index < 0 or draw_index < 0:
             raise ValueError("window_index and draw_index must be >= 0")

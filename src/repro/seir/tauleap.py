@@ -369,12 +369,3 @@ class BinomialLeapEngine:
                            if "rng_state" in snapshot
                            else generator_for(engine.seed))
         return engine
-
-
-# --------------------------------------------------------------------------- #
-# RNG state (de)serialisation now lives in :mod:`repro.seir.seeding` (the
-# only module allowed to construct RNG state); the old underscore names stay
-# importable for the other engine modules and any external snapshot tooling.
-# --------------------------------------------------------------------------- #
-_rng_state_to_jsonable = rng_state_to_jsonable
-_rng_from_jsonable = rng_from_jsonable

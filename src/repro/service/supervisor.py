@@ -47,9 +47,10 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ..core.posterior import check_quantiles
 from ..core.smc import SequentialCalibrator, WindowResult
 from ..core.window import TimeWindow
-from ..data.sources import ObservationSet
+from ..data.sources import CHANNELS, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.faults import RetryPolicy
 from ..inference.forecast import forecast_from_posterior
@@ -92,8 +93,13 @@ class ServiceConfig:
             raise ValueError("n_per_particle must be >= 1")
         if not self.forecast_channels:
             raise ValueError("at least one forecast channel is required")
+        unknown = sorted(set(self.forecast_channels) - CHANNELS)
+        if unknown:
+            raise ValueError(f"unknown forecast channel(s) {unknown}; "
+                             f"expected some of {sorted(CHANNELS)}")
         if not self.quantiles:
             raise ValueError("at least one forecast quantile is required")
+        check_quantiles(self.quantiles)
         if self.keep_last is not None and self.keep_last < 1:
             raise ValueError("keep_last must be >= 1 when set")
 

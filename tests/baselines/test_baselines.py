@@ -1,12 +1,16 @@
-"""Unit tests for the baseline calibration methods."""
+"""Unit tests for the baseline calibration methods.
+
+Single-shot importance sampling is the calibrator's first window: a
+one-window schedule run through :func:`repro.inference.calibrate`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (random_walk_metropolis,
-                             single_shot_importance_sampling)
+from repro.baselines import random_walk_metropolis
 from repro.core import paper_first_window_prior, paper_observation_model
 from repro.data import PiecewiseConstant
+from repro.inference import CalibrationConfig, calibrate
 from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
 
@@ -20,23 +24,26 @@ def truth():
         rho_schedule=PiecewiseConstant.constant(0.7))
 
 
+def single_shot(truth, start_day, end_day, **sizes):
+    """Importance sampling over ``[start_day, end_day)`` in one window."""
+    cfg = CalibrationConfig(window_breaks=(start_day, end_day), **sizes)
+    [window] = calibrate(truth.observations(), cfg,
+                         base_params=truth.params).windows
+    return window
+
+
 class TestSingleShot:
     def test_runs_and_summarises(self, truth):
-        res = single_shot_importance_sampling(
-            truth.observations(), truth.params, paper_first_window_prior(),
-            paper_observation_model(), start_day=10, end_day=24,
-            n_parameter_draws=20, n_replicates=2, resample_size=25,
-            base_seed=1)
+        res = single_shot(truth, 10, 24, n_parameter_draws=20,
+                          n_replicates=2, resample_size=25, base_seed=1)
         assert len(res.posterior) == 25
         s = res.summary()
         assert 0 < s["ess_fraction"] <= 1
         assert 0.1 <= s["theta"]["mean"] <= 0.5
 
     def test_histories_cover_burn_in(self, truth):
-        res = single_shot_importance_sampling(
-            truth.observations(), truth.params, paper_first_window_prior(),
-            paper_observation_model(), start_day=10, end_day=20,
-            n_parameter_draws=10, n_replicates=1, resample_size=10)
+        res = single_shot(truth, 10, 20, n_parameter_draws=10,
+                          n_replicates=1, resample_size=10)
         p = res.posterior[0]
         assert p.history.start_day == 0
         assert p.segment.start_day == 10

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (GaussianTransformLikelihood, MultiSourceLikelihood,
+from repro.core import (GaussianTransformLikelihood,
                         NegativeBinomialLikelihood, PoissonLikelihood,
                         paper_likelihood, IDENTITY)
 from repro.data import TimeSeries
@@ -95,30 +95,3 @@ class TestNegativeBinomial:
     def test_validation(self):
         with pytest.raises(ValueError):
             NegativeBinomialLikelihood(dispersion=0.0)
-
-
-class TestMultiSource:
-    def test_sum_of_sources(self):
-        lik = MultiSourceLikelihood({"cases": paper_likelihood(),
-                                     "deaths": paper_likelihood()})
-        obs = {"cases": np.array([10.0]), "deaths": np.array([1.0])}
-        sim = {"cases": np.array([12.0]), "deaths": np.array([1.0])}
-        total = lik.loglik(obs, sim)
-        parts = (paper_likelihood().loglik(obs["cases"], sim["cases"])
-                 + paper_likelihood().loglik(obs["deaths"], sim["deaths"]))
-        assert total == pytest.approx(parts)
-
-    def test_missing_source_rejected(self):
-        lik = MultiSourceLikelihood({"cases": paper_likelihood()})
-        with pytest.raises(KeyError):
-            lik.loglik({}, {"cases": np.array([1.0])})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MultiSourceLikelihood({})
-
-    def test_extra_observed_streams_ignored(self):
-        lik = MultiSourceLikelihood({"cases": paper_likelihood()})
-        out = lik.loglik({"cases": np.array([4.0]), "other": np.array([1.0])},
-                         {"cases": np.array([4.0])})
-        assert np.isfinite(out)

@@ -39,10 +39,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SMCConfig(resample_size=0)
 
-    def test_resampler_validated_eagerly(self):
-        with pytest.raises(ValueError):
-            SMCConfig(resampler="bogus")
-
     def test_ensemble_size_properties(self):
         cfg = SMCConfig(n_parameter_draws=10, n_replicates=3,
                         resample_size=7, n_continuations=2)
@@ -171,15 +167,6 @@ class TestSequentialRun:
         r2 = calibrator(schedule, small_truth).run(small_truth.observations())
         assert np.array_equal(r1[0].posterior.values("theta"),
                               r2[0].posterior.values("theta"))
-
-    def test_weighted_ensemble_kept_when_requested(self, small_truth):
-        schedule = WindowSchedule.from_breaks([10, 20])
-        cfg = SMCConfig(n_parameter_draws=10, n_replicates=2,
-                        resample_size=10, keep_weighted_ensemble=True)
-        res = calibrator(schedule, small_truth, config=cfg).run(
-            small_truth.observations())
-        assert res[0].weighted_ensemble is not None
-        assert len(res[0].weighted_ensemble) == 20
 
 
 class TestPerWindowRandomness:

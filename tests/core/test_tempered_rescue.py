@@ -124,8 +124,6 @@ class TestTemperedRescueWiring:
             SMCConfig(temper_ess_floor=0.0)
         with pytest.raises(ValueError, match="temper_ess_floor"):
             SMCConfig(temper_ess_floor=1.0)
-        with pytest.raises(ValueError, match="resampler"):
-            SMCConfig(temper_resampler="bogus")
 
     def test_summary_exposes_temper_stages(self, small_truth):
         results = run_calibration(small_truth, temper_degenerate=True)

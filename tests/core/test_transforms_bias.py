@@ -81,16 +81,3 @@ class TestBinomialBiasModel:
         out = m.apply_series(ts, 0.5, rng)
         assert out.start_day == 10
         assert out.name == "observed_cases"
-
-    def test_log_pmf_exact(self):
-        from scipy import stats
-        lp = BinomialBiasModel.log_pmf(np.array([3.0]), np.array([10.0]), 0.4)
-        assert lp[0] == pytest.approx(stats.binom.logpmf(3, 10, 0.4))
-
-    def test_log_pmf_impossible_thinning(self):
-        lp = BinomialBiasModel.log_pmf(np.array([11.0]), np.array([10.0]), 0.5)
-        assert lp[0] == -np.inf
-
-    def test_log_pmf_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            BinomialBiasModel.log_pmf(np.zeros(2), np.zeros(3), 0.5)

@@ -10,24 +10,25 @@ import pytest
 from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore
 from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
-                        StackedLeapState, StochasticSEIRModel)
+                        StackedLeapState, StochasticSEIRModel,
+                        parameter_columns)
 
 META = {"window_index": 0, "params": [[0.3, 0.7]]}
 WINDOW_FILES = ["COMPLETE.json", "checkpoints.npz", "state.json"]
 
 
-def leap_checkpoints(params, n, *, seed0=0):
-    """``n`` restart checkpoints at day 10, each with its own theta."""
-    engine = BatchedBinomialLeapEngine(params, np.arange(n) + seed0,
-                                       thetas=np.linspace(0.25, 0.35, n))
-    engine.run_until(10)
-    return [engine.particle_checkpoint(i) for i in range(n)]
-
-
 def leap_state(params, n, *, seed0=0):
-    """The restart state of :func:`leap_checkpoints`."""
-    return StackedLeapState.from_checkpoints(
-        leap_checkpoints(params, n, seed0=seed0))
+    """``n`` restart rows at day 10, each with its own theta."""
+    thetas = np.linspace(0.25, 0.35, n)
+    engine = BatchedBinomialLeapEngine(params, np.arange(n) + seed0,
+                                       thetas=thetas)
+    engine.run_until(10)
+    return StackedLeapState(
+        day=engine.day, steps_per_day=engine.steps_per_day,
+        counts=engine.counts, cum_infections=engine.cumulative_infections,
+        cum_deaths=engine.cumulative_deaths,
+        seeds=engine.seeds).with_parameters(
+            parameter_columns(params, n, {"transmission_rate": thetas}))
 
 
 def rows(state):
@@ -252,7 +253,7 @@ class TestRefusesNonRestartCheckpoints:
     @pytest.mark.parametrize("kind", ["engine", "schedule", "day", "steps",
                                       "rng_state"])
     def test_refused_before_any_write(self, tmp_path, small_params, kind):
-        checkpoints = leap_checkpoints(small_params, 3)
+        checkpoints = rows(leap_state(small_params, 3))
         good = checkpoints[0]
         if kind == "rng_state":
             model = StochasticSEIRModel(small_params, 7)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -106,10 +107,52 @@ class TestCommands:
     def test_invalid_config_exits_with_message(self, tmp_path):
         """A bad numeric knob exits naming the field, not with a
         traceback from deep inside the calibrator."""
-        with pytest.raises(SystemExit,
-                           match="invalid configuration: n_parameter_draws"):
-            main(["fig4", "--out", str(tmp_path), "--draws", "0"])
+        for command, flag, field in (
+                ("fig4", "--draws", "n_parameter_draws"),
+                ("fig3", "--draws", "n_parameter_draws"),
+                ("fig3", "--resample", "resample_size")):
+            with pytest.raises(SystemExit,
+                               match=f"invalid configuration: {field}"):
+                main([command, "--out", str(tmp_path), flag, "0",
+                      "--executor", "serial"])
         assert list(tmp_path.iterdir()) == []
+
+    def test_fig3_is_fig4_first_window(self, tmp_path, monkeypatch):
+        """``repro fig3`` calibrates fig4's first window alone: at the same
+        seed, sizes and executor its posterior (parameters, seeds and
+        ancestors) is fig4's window 0 bit for bit."""
+        import hashlib
+
+        import repro.cli as cli
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(calibrate(*args, **kwargs))
+            return runs[-1]
+
+        calibrate = cli.calibrate
+        monkeypatch.setattr(cli, "calibrate", recording)
+        sizes = ["--seed", "4242", "--draws", "40", "--replicates", "2",
+                 "--resample", "60", "--executor", "serial"]
+        for command in ("fig3", "fig4"):
+            assert main([command, "--out", str(tmp_path / command),
+                         *sizes]) == 0
+        fig3, fig4 = runs
+
+        def digest(result):
+            post = result.windows[0].posterior
+            h = hashlib.sha256()
+            for column in (post.values("theta"), post.values("rho"),
+                           post.seeds(), post.ancestors()):
+                h.update(np.ascontiguousarray(column).tobytes())
+            return h.hexdigest()
+
+        assert fig3.n_windows == 1 and fig4.n_windows == 4
+        assert digest(fig3) == digest(fig4)
+        summary = json.loads((tmp_path / "fig3" / "fig3_summary.json")
+                             .read_text())
+        assert summary["theta"]["mean"] == \
+            fig4.windows[0].summary()["theta"]["mean"]
 
 
     def test_summary_names_truncated_bridges(self, tmp_path, capsys,

@@ -44,7 +44,7 @@ class TestCalibrationConfig:
     def test_temper_and_resample_policy_round_trip(self):
         cfg = CalibrationConfig(
             temper_degenerate=True, temper_threshold=0.1,
-            temper_ess_floor=0.25, temper_resampler="stratified",
+            temper_ess_floor=0.25,
             resample_size_policy="ess",
             resample_size_policy_options={"target_low": 0.2,
                                           "target_high": 0.6})
@@ -54,7 +54,6 @@ class TestCalibrationConfig:
         assert smc.temper_degenerate
         assert smc.temper_threshold == 0.1
         assert smc.temper_ess_floor == 0.25
-        assert smc.temper_resampler == "stratified"
         assert smc.resample_size_policy == "ess"
 
     def test_scaled(self):

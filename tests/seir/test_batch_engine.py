@@ -7,17 +7,13 @@ composition, so bit-level agreement with the scalar oracle is out of scope
 by design.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.data import PiecewiseConstant
 from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
                         CheckpointError, Compartment, DiseaseParameters,
-                        SeedSequenceBank, StochasticSEIRModel,
-                        batch_generator_for, generator_for,
-                        stack_leap_snapshots)
+                        StackedLeapState, StochasticSEIRModel, generator_for,
+                        parameter_columns, stack_leap_snapshots)
 from repro.seir.seeding import rng_state_to_jsonable
 
 
@@ -25,6 +21,18 @@ from repro.seir.seeding import rng_state_to_jsonable
 def batch(small_params):
     return BatchedBinomialLeapEngine(small_params, np.arange(50),
                                      thetas=np.full(50, 0.3))
+
+
+def restart_state(engine):
+    """The batch's rows as restart state, each row's theta its
+    ``transmission_rate`` (what a shard returns and an ensemble carries)."""
+    return StackedLeapState(
+        day=engine.day, steps_per_day=engine.steps_per_day,
+        counts=engine.counts, cum_infections=engine.cumulative_infections,
+        cum_deaths=engine.cumulative_deaths,
+        seeds=engine.seeds).with_parameters(parameter_columns(
+            engine.params, engine.n_particles,
+            {"transmission_rate": engine.thetas}))
 
 
 class TestConstruction:
@@ -99,13 +107,6 @@ class TestDynamics:
         assert bt.infections[0].sum() == 0
         assert bt.infections[1:].sum() > 0
 
-    def test_schedule_overrides_thetas(self, small_params):
-        sched = PiecewiseConstant.constant(0.0)
-        eng = BatchedBinomialLeapEngine(small_params, np.arange(5),
-                                        thetas=np.full(5, 0.9),
-                                        theta_schedule=sched)
-        assert eng.run_until(15).infections.sum() == 0
-
     def test_run_until_past_day_raises(self, batch):
         batch.run_until(10)
         with pytest.raises(ValueError, match="before current day"):
@@ -129,12 +130,6 @@ class TestDeterminism:
         b = BatchedBinomialLeapEngine(small_params, seeds[::-1]).run_until(25)
         # Same member seed, different batch order -> different draws.
         assert not np.array_equal(a.infections[0], b.infections[29])
-
-    def test_bank_batch_stream_matches_module_function(self):
-        bank = SeedSequenceBank(7)
-        a = bank.batch_simulation_generator([1, 2, 3]).integers(0, 10**6, 8)
-        b = batch_generator_for([1, 2, 3]).integers(0, 10**6, 8)
-        assert np.array_equal(a, b)
 
 
 class TestScalarParity:
@@ -218,35 +213,22 @@ class TestBatchTrajectory:
 
 
 class TestSnapshots:
-    def test_batch_snapshot_restores_exact_stream(self, small_params):
-        eng = BatchedBinomialLeapEngine(small_params, np.arange(40))
-        eng.run_until(15)
-        snap = eng.state_snapshot()
-        continued = eng.run_until(30)
-        restored = BatchedBinomialLeapEngine.from_snapshot(snap, small_params)
-        replay = restored.run_until(30)
-        assert np.array_equal(continued.infections, replay.infections)
-        assert np.array_equal(continued.deaths, replay.deaths)
-        assert np.array_equal(continued.hospital_census,
-                              replay.hospital_census)
-
-    def test_batch_snapshot_is_json_safe(self, batch):
-        batch.run_until(5)
-        json.dumps(batch.state_snapshot())
+    """One row of a batch's restart state becomes a scalar restart
+    checkpoint through ``StackedLeapState.checkpoint``."""
 
     def test_reseeded_batch_restart_diverges(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(40))
         eng.run_until(15)
-        snap = eng.state_snapshot()
-        a = BatchedBinomialLeapEngine.from_snapshot(
-            snap, small_params).run_until(35)
-        b = BatchedBinomialLeapEngine.from_snapshot(
-            snap, small_params, seeds=np.arange(40) + 999).run_until(35)
+        state = restart_state(eng)
+        a = BatchedBinomialLeapEngine.from_particle_snapshots(
+            state, small_params, seeds=np.arange(40)).run_until(35)
+        b = BatchedBinomialLeapEngine.from_particle_snapshots(
+            state, small_params, seeds=np.arange(40) + 999).run_until(35)
         assert not np.array_equal(a.infections, b.infections)
 
     def test_particle_snapshot_feeds_scalar_engine(self, small_params, batch):
         batch.run_until(12)
-        snap = batch.particle_snapshot(4)
+        snap = restart_state(batch).checkpoint(4).snapshot
         scalar = BinomialLeapEngine.from_snapshot(snap, small_params)
         assert scalar.day == 12
         assert np.array_equal(scalar.counts, batch.counts[4])
@@ -260,7 +242,7 @@ class TestSnapshots:
         derives the seed's fresh stream, which is exactly the state the
         snapshot used to record."""
         batch.run_until(12)
-        snap = batch.particle_snapshot(4)
+        snap = restart_state(batch).checkpoint(4).snapshot
         assert "rng_state" not in snap
         recorded = {**snap, "rng_state": rng_state_to_jsonable(
             generator_for(snap["seed"]))}
@@ -276,7 +258,7 @@ class TestSnapshots:
         eng = BatchedBinomialLeapEngine(small_params, np.arange(10),
                                         thetas=thetas)
         eng.run_until(8)
-        cp = eng.particle_checkpoint(7)
+        cp = restart_state(eng).checkpoint(7)
         assert cp.params.transmission_rate == pytest.approx(thetas[7])
         assert cp.day == 8
         model = StochasticSEIRModel.from_checkpoint(cp)
@@ -288,7 +270,8 @@ class TestBatchRestartRoundTrip:
     def test_particle_snapshots_roundtrip_to_batch(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(30))
         eng.run_until(14)
-        snaps = [eng.particle_snapshot(i) for i in range(30)]
+        state = restart_state(eng)
+        snaps = [state.checkpoint(i).snapshot for i in range(30)]
         restarted = BatchedBinomialLeapEngine.from_particle_snapshots(
             stack_leap_snapshots(snaps), small_params,
             seeds=np.arange(30) + 500)
@@ -303,8 +286,9 @@ class TestBatchRestartRoundTrip:
     def test_restart_is_deterministic_in_new_seeds(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(20))
         eng.run_until(10)
+        state = restart_state(eng)
         snaps = stack_leap_snapshots(
-            [eng.particle_snapshot(i) for i in range(20)])
+            [state.checkpoint(i).snapshot for i in range(20)])
         new_seeds = np.arange(20) + 77
         a = BatchedBinomialLeapEngine.from_particle_snapshots(
             snaps, small_params, seeds=new_seeds).run_until(20)

@@ -145,39 +145,6 @@ class TestSeedSequenceBank:
         b = bank.ancillary_generator(1).integers(0, 2**62, size=4)
         assert not np.array_equal(a, b)
 
-    def test_window_restart_seed_varies_with_particle(self):
-        bank = SeedSequenceBank(7)
-        s1 = bank.window_restart_seed(100, 1, 0)
-        s2 = bank.window_restart_seed(100, 1, 1)
-        s3 = bank.window_restart_seed(100, 2, 0)
-        assert len({s1, s2, s3}) == 3
-
-    def test_window_restart_seed_reproducible(self):
-        assert (SeedSequenceBank(7).window_restart_seed(5, 1, 2)
-                == SeedSequenceBank(7).window_restart_seed(5, 1, 2))
-
-    def test_restart_and_draw_seed_domains_disjoint(self):
-        """Regression: ``window_restart_seed(original_seed=3, w, p)`` used
-        to reach the exact ``mix_seed`` tuple of ``window_draw_seed(w, p)``
-        (3 is the draw stream's tag), aliasing the two streams.  The
-        per-method tag in the reserved position after the base seed must
-        keep the domains disjoint for *every* original_seed — including the
-        stream-tag values themselves."""
-        bank = SeedSequenceBank(7)
-        draw_seeds = {bank.window_draw_seed(w, p)
-                      for w in range(4) for p in range(8)}
-        restart_seeds = {bank.window_restart_seed(orig, w, p)
-                         for orig in (0, 1, 2, 3, 4, 5, 7)
-                         for w in range(4) for p in range(8)}
-        assert not draw_seeds & restart_seeds
-        # the exact aliasing pair from the bug report
-        assert bank.window_restart_seed(3, 1, 2) != bank.window_draw_seed(1, 2)
-
-    def test_restart_seed_varies_with_original_seed(self):
-        bank = SeedSequenceBank(7)
-        assert (bank.window_restart_seed(1, 1, 0)
-                != bank.window_restart_seed(2, 1, 0))
-
 
 class TestWindowedAncillaryStreams:
     """Regression tests for the cross-window RNG stream reuse bug: every
@@ -219,37 +186,42 @@ class TestWindowedAncillaryStreams:
 
 
 class TestShardSimulationGenerators:
-    """Per-shard RNG contract of the sharded batched dispatch."""
+    """Per-shard RNG contract of the sharded batched dispatch: a shard's
+    batch stream is keyed by its own slice of the seed vector alone."""
 
-    def test_single_full_shard_matches_batch_stream(self):
-        bank = SeedSequenceBank(3)
+    @staticmethod
+    def shard(params, seeds):
+        from repro.hpc.sharding import ShardTask, run_shard
+        task = ShardTask(shard_id=0, params=params,
+                         seeds=np.asarray(seeds, dtype=np.int64),
+                         thetas=np.full(len(seeds), 0.3), end_day=12,
+                         start_day=0, return_state=False)
+        return run_shard(task).batch.infections
+
+    def test_single_full_shard_matches_batch_stream(self, small_params):
+        from repro.seir import BatchedBinomialLeapEngine
         seeds = [11, 22, 33, 44]
-        whole = bank.batch_simulation_generator(seeds)
-        [sharded] = bank.shard_simulation_generators(seeds, [(0, 4)])
-        assert np.array_equal(whole.integers(0, 2**31, size=8),
-                              sharded.integers(0, 2**31, size=8))
+        whole = BatchedBinomialLeapEngine(
+            small_params, seeds, thetas=np.full(4, 0.3)).run_until(12)
+        assert np.array_equal(self.shard(small_params, seeds),
+                              whole.infections)
 
-    def test_shard_stream_is_pure_function_of_slice(self):
+    def test_shard_stream_is_pure_function_of_slice(self, small_params):
         """Same slice contents -> same stream, wherever it is rebuilt."""
-        from repro.seir.seeding import batch_generator_for
-        bank = SeedSequenceBank(3)
-        seeds = [11, 22, 33, 44, 55]
-        a, b = bank.shard_simulation_generators(seeds, [(0, 2), (2, 5)])
-        assert np.array_equal(
-            a.integers(0, 2**31, size=6),
-            batch_generator_for([11, 22]).integers(0, 2**31, size=6))
-        assert np.array_equal(
-            b.integers(0, 2**31, size=6),
-            batch_generator_for([33, 44, 55]).integers(0, 2**31, size=6))
+        from repro.seir import BatchedBinomialLeapEngine
+        seeds = np.array([11, 22, 33, 44, 55])
+        for lo, hi in ((0, 2), (2, 5)):
+            alone = BatchedBinomialLeapEngine(
+                small_params, seeds[lo:hi].tolist(),
+                thetas=np.full(hi - lo, 0.3)).run_until(12)
+            assert np.array_equal(self.shard(small_params, seeds[lo:hi]),
+                                  alone.infections)
 
-    def test_different_layouts_rekey_streams(self):
-        bank = SeedSequenceBank(3)
+    def test_different_layouts_rekey_streams(self, small_params):
         seeds = [11, 22, 33, 44]
-        [whole] = bank.shard_simulation_generators(seeds, [(0, 4)])
-        first_half, _ = bank.shard_simulation_generators(seeds,
-                                                         [(0, 2), (2, 4)])
-        assert not np.array_equal(whole.integers(0, 2**31, size=6),
-                                  first_half.integers(0, 2**31, size=6))
+        whole = self.shard(small_params, seeds)
+        first_half = self.shard(small_params, seeds[:2])
+        assert not np.array_equal(whole[:2], first_half)
 
 
 class TestStreamDomainRegistry:
@@ -322,8 +294,8 @@ class TestStreamDomainRegistry:
 
 
 class TestRngStateHelpers:
-    """The serialisation helpers now live in seeding (the one sanctioned
-    RNG construction site); the tauleap aliases must stay in lockstep."""
+    """The serialisation helpers live in seeding (the one sanctioned RNG
+    construction site)."""
 
     def test_roundtrip(self):
         from repro.seir.seeding import (rng_from_jsonable,
@@ -333,11 +305,6 @@ class TestRngStateHelpers:
         clone = rng_from_jsonable(rng_state_to_jsonable(rng))
         assert np.array_equal(rng.integers(0, 2**31, size=16),
                               clone.integers(0, 2**31, size=16))
-
-    def test_tauleap_aliases_point_here(self):
-        from repro.seir import seeding, tauleap
-        assert tauleap._rng_state_to_jsonable is seeding.rng_state_to_jsonable
-        assert tauleap._rng_from_jsonable is seeding.rng_from_jsonable
 
 
 class TestScenarioStreams:
@@ -367,7 +334,6 @@ class TestScenarioStreams:
     def test_scenario_root_disjoint_from_window_streams(self):
         bank = SeedSequenceBank(9)
         assert bank.scenario_base_seed(3) != bank.window_draw_seed(3, 3)
-        assert bank.scenario_base_seed(3) != bank.window_restart_seed(3, 3, 3)
 
     def test_negative_scenario_key_rejected(self):
         with pytest.raises(ValueError, match="scenario_key"):
