@@ -30,11 +30,15 @@ import signal
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .core.diagnostics import DEGENERACY_THRESHOLD
-from .core.scenarios import SCENARIO_SETS, SCENARIOS, scenario_set
+from .core.scenarios import (SCENARIO_SETS, SCENARIOS, get_scenario,
+                             scenario_set)
+from .core.smc import DEFAULT_PARAM_MAP
+from .hpc.executor import EXECUTOR_SPECS
 from .inference import (CalibrationConfig, calibrate, calibrate_scenarios,
                         forecast_from_posterior, forecast_scenarios)
 from .sim import make_fig2_ground_truth
@@ -55,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: ./repro-output)")
         p.add_argument("--seed", type=int, default=20240215,
                        help="base seed for the whole run")
-        p.add_argument("--executor", choices=("serial", "process", "thread"),
+        p.add_argument("--executor", choices=EXECUTOR_SPECS,
                        default="process", help="parallel backend")
         p.add_argument("--workers", type=int, default=None,
                        help="worker count for pooled executors")
@@ -266,14 +270,23 @@ def _fault_config_kwargs(args) -> dict:
                 checkpoint_keep_last=args.checkpoint_keep_last)
 
 
-def _run_config(**kwargs) -> CalibrationConfig:
-    """The run's configuration, validated before anything runs: a bad
-    value exits with its message instead of a traceback."""
+def _invalid(problem: object) -> NoReturn:
+    raise SystemExit(f"invalid configuration: {problem}")
+
+
+def _run_config(scenarios: list[str] | None = None,
+                **kwargs) -> CalibrationConfig:
+    """The run's configuration, validated before anything runs (the
+    requested scenarios too, against its schedule): a bad value exits with
+    its message instead of a traceback."""
     try:
         cfg = CalibrationConfig(**kwargs)
         cfg.smc_config()
+        for name in scenarios or ():
+            get_scenario(name).check_schedule(cfg.schedule(),
+                                              DEFAULT_PARAM_MAP.values())
     except ValueError as exc:
-        raise SystemExit(f"invalid configuration: {exc}") from None
+        _invalid(exc)
     return cfg
 
 
@@ -333,11 +346,11 @@ def _cmd_fig2(args) -> int:
 def _cmd_fig3(args) -> int:
     """Importance sampling over days 20-33 alone: a one-window calibration,
     so its posterior is bit for bit ``fig4``'s first window."""
-    truth = make_fig2_ground_truth(seed=777, horizon=40)
     cfg = _run_config(
         window_breaks=(20, 34), n_parameter_draws=args.draws,
         n_replicates=args.replicates, resample_size=args.resample,
         base_seed=args.seed, executor=args.executor, max_workers=args.workers)
+    truth = make_fig2_ground_truth(seed=777, horizon=40)
     result = calibrate(truth.observations(), cfg, verbose=True)
     args.out.mkdir(parents=True, exist_ok=True)
     summary = result.windows[0].summary()
@@ -347,15 +360,15 @@ def _cmd_fig3(args) -> int:
 
 
 def _sequential(args, include_deaths: bool, label: str) -> int:
-    truth = make_fig2_ground_truth(seed=777, horizon=76)
+    scenario_names = _requested_scenarios(args)
     cfg = _run_config(
-        window_breaks=(20, 34, 48, 62, 76),
+        scenario_names, window_breaks=(20, 34, 48, 62, 76),
         n_parameter_draws=args.draws, n_replicates=args.replicates,
         resample_size=args.resample, theta_jitter_width=0.16,
         rho_jitter_width=0.04, n_continuations=2, base_seed=args.seed,
         executor=args.executor, max_workers=args.workers,
         **_adaptive_config_kwargs(args), **_fault_config_kwargs(args))
-    scenario_names = _requested_scenarios(args)
+    truth = make_fig2_ground_truth(seed=777, horizon=76)
     if scenario_names is not None:
         return _sequential_sweep(args, cfg, include_deaths, label,
                                  scenario_names, truth)
@@ -408,14 +421,16 @@ def _sequential_sweep(args, cfg, include_deaths: bool, label: str,
 
 
 def _cmd_forecast(args) -> int:
-    truth = make_fig2_ground_truth(seed=777, horizon=48)
-    cfg = _run_config(
-        window_breaks=(20, 34, 48), n_parameter_draws=args.draws,
-        n_replicates=args.replicates, resample_size=args.resample,
-        base_seed=args.seed, executor=args.executor,
-        max_workers=args.workers, **_adaptive_config_kwargs(args),
-        **_fault_config_kwargs(args))
+    if args.horizon_days < 1:
+        _invalid("horizon_days must be >= 1")
     scenario_names = _requested_scenarios(args)
+    cfg = _run_config(
+        scenario_names, window_breaks=(20, 34, 48),
+        n_parameter_draws=args.draws, n_replicates=args.replicates,
+        resample_size=args.resample, base_seed=args.seed,
+        executor=args.executor, max_workers=args.workers,
+        **_adaptive_config_kwargs(args), **_fault_config_kwargs(args))
+    truth = make_fig2_ground_truth(seed=777, horizon=48)
     if scenario_names is not None:
         return _forecast_sweep(args, cfg, scenario_names, truth)
     result = calibrate(truth.observations(include_deaths=True), cfg,

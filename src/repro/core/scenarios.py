@@ -32,14 +32,16 @@ one shared :class:`~repro.core.smc.SequentialCalibrator` configuration.
 Within each window it partitions the still-active scenarios into
 *world-lines* — groups whose upcoming window is provably bit-identical:
 same stream root, same effective window parameters, same lineage (they
-shared every previous window), same size plans.  Each line is computed
-once via the calibrator's split-phase API
-(:meth:`~repro.core.smc.SequentialCalibrator.propose_window` /
-``assemble_window`` / ``weigh_window``) with **all** lines' shards
-flattened into one :func:`~repro.hpc.sharding.simulate_group_sets`
-dispatch — the flattened scenario×group space.  Lines split when a
-scenario's override kicks in and never re-merge (diverged state stays
-diverged even if parameters re-converge).
+shared every previous window), same size plans.  The sweep is the
+calibrator's own window loop (:func:`~repro.core.smc.window_loop`) over
+one calibrator per scenario, keyed by world-line: each line is computed
+once, **all** lines' shards flattened into one
+:func:`~repro.hpc.sharding.simulate_group_sets` dispatch by
+:func:`~repro.core.smc.window_step` — the flattened scenario×group space.
+Lines split when a scenario's override kicks in and never re-merge
+(diverged state stays diverged even if parameters re-converge).  A plain
+:meth:`~repro.core.smc.SequentialCalibrator.run` is the same loop over one
+calibrator.
 """
 
 from __future__ import annotations
@@ -47,20 +49,17 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from ..data.schedule import PiecewiseConstant
 from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor
-from ..hpc.sharding import simulate_group_sets
 from ..seir.parameters import DiseaseParameters, ParameterOverride
 from .observation import ObservationModel
-from .particle import ParticleEnsemble
 from .priors import IndependentProduct
 from .proposals import JointJitter
-from .smc import (PendingWindow, SequentialCalibrator, SMCConfig,
-                  WindowResult)
+from .smc import SequentialCalibrator, SMCConfig, WindowResult, window_loop
 from .window import TimeWindow, WindowSchedule
 
 __all__ = ["ScenarioOverride", "ScenarioSpec", "ScenarioRegistry",
@@ -81,8 +80,8 @@ class ScenarioOverride:
     field.  A positive ``start_day`` models a mid-run change and must
     target a checkpoint-restart knob — the only fields the engine can
     change at a window boundary (schedule alignment itself is validated
-    against the run's :class:`~repro.core.window.WindowSchedule` by the
-    calibrator, which knows the boundaries).
+    against the run's :class:`~repro.core.window.WindowSchedule` by
+    :meth:`ScenarioSpec.check_schedule`).
     """
 
     field: str
@@ -214,6 +213,35 @@ class ScenarioSpec:
         """
         return tuple((o.field, o.start_day, o.value) for o in self.overrides
                      if o.start_day <= day)
+
+    def check_schedule(self, schedule: WindowSchedule,
+                       calibrated: Collection[str]) -> None:
+        """Check the overrides against a run's schedule and calibrated
+        fields; raises ``ValueError`` naming the first that cannot apply.
+
+        Calibrated fields belong to the sampler: an override of one would
+        be silently overwritten by every draw.  Mid-run overrides can only
+        take effect where the engine stops — simulation runs
+        window-at-a-time, so any override after day 0 must start exactly
+        at a continuation window's start day (and
+        :class:`ScenarioOverride` already restricts those to the
+        checkpoint-restart knobs).
+        """
+        continuation_starts = {w.start_day for w in list(schedule)[1:]}
+        for override in self.overrides:
+            if override.field in calibrated:
+                raise ValueError(
+                    f"scenario {self.name!r} overrides {override.field!r}, "
+                    "which param_map calibrates; a calibrated field cannot "
+                    "be scenario-pinned")
+            if override.start_day > 0 and \
+                    override.start_day not in continuation_starts:
+                raise ValueError(
+                    f"scenario {self.name!r} override of "
+                    f"{override.field!r} starts at day {override.start_day}, "
+                    "which is not a continuation window start "
+                    f"({sorted(continuation_starts)}); mid-run overrides "
+                    "can only take effect at a window boundary")
 
     def fingerprint_payload(self) -> dict[str, object]:
         """JSON-stable identity for run fingerprints (checkpoint stores)."""
@@ -363,6 +391,10 @@ class ScenarioSweep:
     and the world-line partition only ever merges windows that are
     provably identical.  ``computed_windows`` / ``reused_windows`` count
     how much the deduplication saved.
+
+    Progress lines carry a ``[scenario]`` prefix when there is more than
+    one scenario; a one-scenario sweep is a plain calibration and prints
+    what :meth:`~repro.core.smc.SequentialCalibrator.run` prints.
     """
 
     def __init__(self, base_params: DiseaseParameters,
@@ -380,16 +412,14 @@ class ScenarioSweep:
         self._progress = progress or (lambda _msg: None)
         self.calibrators: dict[str, SequentialCalibrator] = {}
         for spec in self.specs:
-            prefix = f"[{spec.name}] "
+            prefix = f"[{spec.name}] " if len(self.specs) > 1 else ""
             self.calibrators[spec.name] = SequentialCalibrator(
                 base_params=base_params, prior=prior, jitter=jitter,
                 observation_model=observation_model, schedule=schedule,
                 config=self.config, executor=executor, param_map=param_map,
                 progress=(lambda msg, _p=prefix: self._progress(_p + msg)),
                 scenario=spec)
-        first = self.calibrators[self.specs[0].name]
-        self.schedule = first.schedule
-        self.executor = first.executor
+        self.schedule = self.calibrators[self.specs[0].name].schedule
         #: Windows actually simulated vs windows served from another
         #: scenario's identical world-line; updated by :meth:`run`.
         self.computed_windows = 0
@@ -402,8 +432,7 @@ class ScenarioSweep:
         """Scenario names in canonical (execution) order."""
         return [spec.name for spec in self.specs]
 
-    def _line_key(self, spec: ScenarioSpec, calib: SequentialCalibrator,
-                  window_start: int, lineage: object,
+    def _line_key(self, name: str, window: TimeWindow, lineage: object,
                   plans: tuple[int, int]) -> tuple[object, ...]:
         """Hashable world-line identity for one scenario's next window.
 
@@ -414,11 +443,14 @@ class ScenarioSweep:
         every window so far — diverged lines never re-merge), same size
         plans.
         """
+        calib = self.calibrators[name]
+        spec = calib.scenario
+        assert spec is not None
         if spec.independent_streams:
             stream_root: tuple[object, ...] = ("independent", spec.stream_key)
         else:
             stream_root = ("shared",)
-        effective = spec.params_at(window_start, calib.base_params)
+        effective = spec.params_at(window.start_day, calib.base_params)
         return (stream_root, tuple(sorted(effective.to_dict().items())),
                 lineage, plans)
 
@@ -427,137 +459,19 @@ class ScenarioSweep:
             resume: bool = False) -> dict[str, list[WindowResult]]:
         """Calibrate every scenario; returns per-scenario window results.
 
-        With ``stores`` (scenario name -> :class:`CheckpointStore`), each
-        scenario persists/resumes exactly as a standalone
-        :meth:`SequentialCalibrator.run` would against its own store —
-        fingerprints include the scenario identity, so a store written for
-        one scenario refuses another.  Scenarios restored to different
-        depths rejoin the sweep at their own next window (restored
-        prefixes are conservatively never world-line-shared).
+        :func:`~repro.core.smc.window_loop` over the scenarios'
+        calibrators, keyed by world-line.  With ``stores`` (scenario name
+        -> :class:`CheckpointStore`), each scenario persists/resumes
+        exactly as a standalone :meth:`SequentialCalibrator.run` would
+        against its own store — fingerprints include the scenario
+        identity, so a store written for one scenario refuses another.
+        Scenarios restored to different depths rejoin the sweep at their
+        own next window (restored prefixes are conservatively never
+        world-line-shared).
         """
-        if resume and stores is None:
-            raise ValueError("resume=True requires per-scenario stores")
-        names = self.names
-        if stores is not None:
-            missing = [n for n in names if n not in stores]
-            if missing:
-                raise ValueError(f"no checkpoint store for scenarios "
-                                 f"{missing}")
-        for name in names:
-            self.calibrators[name]._check_coverage(observations)
-        windows = list(self.schedule)
-        results: dict[str, list[WindowResult]] = {n: [] for n in names}
-        start_index = {n: 0 for n in names}
-        plans: dict[str, tuple[int, int]] = {
-            n: (self.config.continuation_ensemble_size,
-                self.config.resample_size) for n in names}
-        lineage: dict[str, object] = {n: "fresh" for n in names}
-        self.resumed_from = {n: None for n in names}
-        self.computed_windows = 0
-        self.reused_windows = 0
-
-        if stores is not None:
-            for name in names:
-                calib = self.calibrators[name]
-                stores[name].validate_run_meta(calib.run_fingerprint())
-                if not resume:
-                    continue
-                restored = calib._restore_results(stores[name], windows)
-                if restored:
-                    results[name] = restored
-                    start_index[name] = len(restored)
-                    calib.resumed_from = restored[-1].index
-                    self.resumed_from[name] = restored[-1].index
-                    plans[name] = calib._replay_policies(restored, windows)
-                    # A restored posterior is this scenario's own object;
-                    # never line-share a window built on restored state.
-                    lineage[name] = ("restored", name)
-                    self._progress(
-                        f"[{name}] resuming after window "
-                        f"{restored[-1].index}")
-
-        for index, window in enumerate(windows):
-            active = [n for n in names if start_index[n] <= index]
-            if not active:
-                continue
-            lines: dict[tuple[object, ...], list[str]] = {}
-            for name in active:
-                key = self._line_key(
-                    self._spec_of(name), self.calibrators[name],
-                    window.start_day, lineage[name], plans[name])
-                lines.setdefault(key, []).append(name)
-            line_members = list(lines.values())
-            self._progress(
-                f"window {index}: {len(line_members)} world-line(s) for "
-                f"{len(active)} scenario(s)"
-                + (f", {len(active) - len(line_members)} reused"
-                   if len(active) > len(line_members) else ""))
-            line_results = self._run_lines(index, window, observations,
-                                           results, plans, line_members)
-            self.computed_windows += len(line_members)
-            self.reused_windows += len(active) - len(line_members)
-            for ordinal, members in enumerate(line_members):
-                result = line_results[ordinal]
-                for name in members:
-                    results[name].append(result)
-                    lineage[name] = (index, ordinal)
-                    if stores is not None:
-                        self.calibrators[name].persist_window(
-                            stores[name], result)
-                    if index + 1 < len(windows):
-                        plans[name] = self.calibrators[
-                            name].planned_sizes_after(
-                            result, next_window_days=windows[index + 1].n_days)
-                self._progress(
-                    f"[{members[0]}] window {index} ({window.label()}): "
-                    f"ESS {result.diagnostics.ess:.1f}/"
-                    f"{result.diagnostics.n_particles}"
-                    + (f" (shared by {', '.join(members[1:])})"
-                       if len(members) > 1 else ""))
+        results, self.computed_windows, self.reused_windows = window_loop(
+            self.calibrators, observations, stores=stores, resume=resume,
+            line_key=self._line_key, progress=self._progress)
+        self.resumed_from = {name: calib.resumed_from
+                             for name, calib in self.calibrators.items()}
         return results
-
-    def _spec_of(self, name: str) -> ScenarioSpec:
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
-    def _run_lines(self, index: int, window: TimeWindow,
-                   observations: ObservationSet,
-                   results: dict[str, list[WindowResult]],
-                   plans: dict[str, tuple[int, int]],
-                   line_members: list[list[str]]) -> list[WindowResult]:
-        """Compute one window for every world-line (reps only).
-
-        Every line's group specs are flattened into one
-        :func:`~repro.hpc.sharding.simulate_group_sets` dispatch.
-        """
-        reps = [members[0] for members in line_members]
-        posteriors: list[ParticleEnsemble | None] = [
-            results[rep][-1].posterior if index > 0 else None
-            for rep in reps]
-        pendings: list[PendingWindow] = []
-        for rep, posterior in zip(reps, posteriors):
-            pendings.append(self.calibrators[rep].propose_window(
-                index, window, posterior, n_proposals=plans[rep][0]))
-        # One flattened dispatch across every line; shard RNG is keyed by
-        # seed slices, so each line's shards are bit-identical to a lone
-        # dispatch.
-        layout = self.calibrators[reps[0]]._shard_layout_kwargs()
-        shard_sets = simulate_group_sets(
-            self.executor, [p.specs for p in pendings],
-            end_day=window.end_day,
-            engine_options=self.config.engine_options,
-            retry=self.config.retry,
-            on_failures=[self.calibrators[rep]._on_shard_failure
-                         for rep in reps],
-            **layout)
-        out: list[WindowResult] = []
-        for rep, pending, shards in zip(reps, pendings, shard_sets):
-            calib = self.calibrators[rep]
-            ensemble = calib.assemble_window(pending, shards)
-            out.append(calib.weigh_window(
-                index, window, ensemble, observations,
-                sim_days=pending.sim_days,
-                resample_size=plans[rep][1]))
-        return out

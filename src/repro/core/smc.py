@@ -1,12 +1,20 @@
 """Sequential importance sampling calibrator (paper Algorithm 1 + eq. 5).
 
-The driver implements the paper's two-loop structure:
+The paper's two loops are each coded once, over one or more calibrators
+sharing a schedule, config and executor:
 
-* **outer loop** over calibration windows, moving the epidemic forward in
-  time and carrying posterior particles (with their checkpoints) from one
-  window to the next;
-* **inner loop** per window: sample parameters, simulate trajectories in
-  parallel, weight them against the window's observations, and resample.
+* :func:`window_loop`, the **outer loop** over calibration windows, moves
+  the epidemic forward in time, carrying posterior particles (with their
+  checkpoints) from one window to the next, and persists/resumes them;
+* :func:`window_step`, the **inner step** per window: sample parameters,
+  simulate trajectories in parallel, weight them against the window's
+  observations, and resample.
+
+:meth:`SequentialCalibrator.run` is the loop over one calibrator,
+:meth:`SequentialCalibrator.step_window` (the streaming service's entry
+point) the step for one, and :class:`~repro.core.scenarios.ScenarioSweep`
+runs the loop over one calibrator per scenario, one step per window for
+all its world-lines.
 
 Window 1 draws ``n_parameter_draws`` parameter tuples from the prior and
 replicates each across a *common* seed set (``n_replicates`` trajectories per
@@ -22,8 +30,7 @@ the incremental weight is the likelihood of the *new* window's observations
 alone.  Because the jittered draws constitute the next window's prior (the
 paper's construction), no proposal-density correction is applied.
 
-Each window runs one production path, four phases long
-(:meth:`SequentialCalibrator.step_window`): *propose* the cloud
+The step is four phases long: *propose* the cloud
 (:meth:`~SequentialCalibrator.propose_window`), *simulate* it as stacked
 ``(n_particles, n_compartments)`` state matrices on the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, *assemble* the
@@ -60,7 +67,8 @@ the batch RNG contract in :mod:`repro.seir.batch_engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
+from typing import (TYPE_CHECKING, Callable, ClassVar, Hashable, Mapping,
+                    Sequence)
 
 import numpy as np
 
@@ -70,7 +78,7 @@ from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import RetryPolicy, ShardFailure
 from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
                             reassemble, resolve_shard_layout,
-                            simulate_groups, structural_groups,
+                            simulate_group_sets, structural_groups,
                             validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.checkpoint import CheckpointError, StackedLeapState
@@ -94,7 +102,8 @@ if TYPE_CHECKING:  # imported lazily to avoid a cycle with core.scenarios
     from .scenarios import ScenarioSpec
 
 __all__ = ["SMCConfig", "WindowResult", "PendingWindow",
-           "SequentialCalibrator", "BIAS_PARAM", "DEFAULT_PARAM_MAP"]
+           "SequentialCalibrator", "window_step", "window_loop",
+           "BIAS_PARAM", "DEFAULT_PARAM_MAP"]
 
 #: Reserved name of the reporting-bias parameter in priors/jitters.
 BIAS_PARAM = "rho"
@@ -442,37 +451,8 @@ class SequentialCalibrator:
             raise ValueError(
                 f"jitter kernels missing for parameters: {sorted(needed - jitter_names)}")
         if self.scenario is not None:
-            self._validate_scenario()
-
-    def _validate_scenario(self) -> None:
-        """Check the scenario's overrides against this run's schedule.
-
-        Calibrated fields belong to the sampler: a scenario overriding a
-        ``param_map`` target would be silently overwritten by every draw.
-        Mid-run overrides can only take effect where the engine stops —
-        simulation runs window-at-a-time, so any override after day 0 must
-        start exactly at a continuation window's start day (and
-        :class:`~repro.core.scenarios.ScenarioOverride` already restricts
-        those to the checkpoint-restart knobs).
-        """
-        assert self.scenario is not None
-        mapped = set(self.param_map.values())
-        windows = list(self.schedule)
-        continuation_starts = {w.start_day for w in windows[1:]}
-        for override in self.scenario.overrides:
-            if override.field in mapped:
-                raise ValueError(
-                    f"scenario {self.scenario.name!r} overrides "
-                    f"{override.field!r}, which param_map calibrates; "
-                    "a calibrated field cannot be scenario-pinned")
-            if override.start_day > 0 and \
-                    override.start_day not in continuation_starts:
-                raise ValueError(
-                    f"scenario {self.scenario.name!r} override of "
-                    f"{override.field!r} starts at day {override.start_day}, "
-                    "which is not a continuation window start "
-                    f"({sorted(continuation_starts)}); mid-run overrides "
-                    "can only take effect at a window boundary")
+            self.scenario.check_schedule(self.schedule,
+                                         self.param_map.values())
 
     # ------------------------------------------------------------------ #
     def run(self, observations: ObservationSet, *,
@@ -480,77 +460,26 @@ class SequentialCalibrator:
             resume: bool = False) -> list[WindowResult]:
         """Calibrate every window in the schedule against ``observations``.
 
-        After each window, the configured size policy maps the window's
-        diagnostics to the next window's proposal count (the fixed policy
-        keeps ``continuation_ensemble_size`` throughout); the size it
-        scales from is the window's **realised** cloud
-        (``diagnostics.n_particles`` — for window 0 the prior cloud of
-        ``n_parameter_draws * n_replicates``, not the planned continuation
-        size).  The resample-size policy is consulted inside each window's
-        weighting pass and drives the posterior size the same way.  The
-        realised per-window sizes are recorded in each result's
-        diagnostics and posterior.
+        :func:`window_loop` over this calibrator alone (a one-scenario
+        sweep).  After each window the size policy maps its diagnostics and
+        **realised** cloud size (for window 0, the prior cloud of
+        ``n_parameter_draws * n_replicates``) to the next window's
+        proposal count; the resample-size policy sets each posterior's
+        size inside the weighting pass.
 
-        With a ``store`` every completed window's resampled posterior
-        (checkpoints, parameters, seeds, ancestry, diagnostics) is durably
-        persisted, each window sealed by a completion marker only after
-        its full population is on disk.  ``resume=True`` restarts from the
-        last *complete* stored window: because all per-window randomness
-        is keyed by window index (window-indexed ancillary streams,
-        ``(window, draw_index)`` restart seeds) and the store pins the
-        run's config/seed fingerprint, the remaining windows are
-        bit-identical to an uninterrupted run.  Restored prefix windows
-        carry posterior samples, diagnostics, and (for the restart window)
-        checkpoints, but not trajectory segments/histories — recompute
-        ribbons from a full run if needed.
+        With a ``store`` every completed window's posterior (checkpoints,
+        parameters, seeds, ancestry, diagnostics) is durably persisted and
+        sealed.  ``resume=True`` restarts after the last *complete* stored
+        window: all per-window randomness is keyed by window index and the
+        store pins the run's fingerprint, so the remaining windows are
+        bit-identical to an uninterrupted run.  Restored windows carry
+        posterior samples, diagnostics and (the last one) checkpoints, but
+        no trajectory segments/histories.
         """
-        if resume and store is None:
-            raise ValueError("resume=True requires a checkpoint store")
-        self._check_coverage(observations)
-        results: list[WindowResult] = []
-        posterior: ParticleEnsemble | None = None
-        windows = list(self.schedule)
-        planned = self.config.continuation_ensemble_size
-        planned_resample = self.config.resample_size
-        self.resumed_from = None
-        start_index = 0
-        if store is not None:
-            store.validate_run_meta(self.run_fingerprint())
-            if resume:
-                results = self._restore_results(store, windows)
-                if results:
-                    posterior = results[-1].posterior
-                    start_index = len(results)
-                    self.resumed_from = results[-1].index
-                    planned, planned_resample = self._replay_policies(
-                        results, windows)
-                    self._progress(
-                        f"resuming after window {self.resumed_from} "
-                        f"({start_index}/{len(windows)} windows restored "
-                        f"from {store.root})")
-        for index, window in enumerate(windows):
-            if index < start_index:
-                continue
-            result = self.step_window(index, window, observations,
-                                      posterior, n_proposals=planned,
-                                      resample_size=planned_resample)
-            posterior = result.posterior
-            if store is not None:
-                self.persist_window(store, result)
-            self._progress(
-                f"window {index} ({window.label()}): "
-                f"ESS {result.diagnostics.ess:.1f}/{result.diagnostics.n_particles}")
-            results.append(result)
-            if index + 1 < len(windows):
-                proposed, planned_resample = self.planned_sizes_after(
-                    result, next_window_days=windows[index + 1].n_days)
-                if proposed != planned:
-                    self._progress(
-                        f"window {index}: size policy resized next cloud "
-                        f"{planned} -> {proposed} (ESS fraction "
-                        f"{result.diagnostics.ess_fraction:.2f})")
-                planned = proposed
-        return results
+        results, _computed, _reused = window_loop(
+            {"": self}, observations,
+            stores=None if store is None else {"": store}, resume=resume)
+        return results[""]
 
     def step_window(self, index: int, window: TimeWindow,
                     observations: ObservationSet,
@@ -559,34 +488,23 @@ class SequentialCalibrator:
                     resample_size: int | None = None) -> WindowResult:
         """Calibrate one window — the single-step entry point.
 
-        The body of :meth:`run`'s outer loop, exposed so a streaming driver
-        (the always-on service of :mod:`repro.service`) can advance the
-        calibration one window at a time as observations arrive.  Window 0
-        simulates the prior cloud from burn-in; every later window needs
-        the previous window's resampled ``posterior`` (its particles must
-        carry checkpoints).  ``n_proposals`` / ``resample_size`` are the
-        size-policy plans for this window (see :meth:`planned_sizes_after`;
-        defaults reproduce the classic fixed sizes).  ``observations`` only
-        needs to cover this window's day range, and all per-window
-        randomness is keyed by ``index``, so stepping windows one at a time
-        is bit-identical to a full :meth:`run` over the same schedule.
-
-        The window runs :meth:`propose_window` -> simulate ->
-        :meth:`assemble_window` -> :meth:`weigh_window`.
+        :func:`window_step` for this calibrator alone, exposed so a
+        streaming driver (the always-on service of :mod:`repro.service`)
+        can advance the calibration one window at a time as observations
+        arrive.  Window 0 simulates the prior cloud from burn-in; every
+        later window needs the previous window's resampled ``posterior``
+        (its particles must carry checkpoints).  ``n_proposals`` /
+        ``resample_size`` are the size-policy plans for this window (see
+        :meth:`planned_sizes_after`; defaults reproduce the classic fixed
+        sizes).  ``observations`` only needs to cover this window's day
+        range, and all per-window randomness is keyed by ``index``, so
+        stepping windows one at a time is bit-identical to a full
+        :meth:`run` over the same schedule.
         """
-        if observations.start_day > window.start_day or \
-                observations.end_day < window.end_day:
-            raise ValueError(
-                f"observations cover days [{observations.start_day}, "
-                f"{observations.end_day}) but window {index} needs "
-                f"[{window.start_day}, {window.end_day})")
-        pending = self.propose_window(index, window, posterior,
-                                      n_proposals=n_proposals)
-        ensemble = self.assemble_window(pending,
-                                        self._simulate_pending(pending))
-        return self.weigh_window(index, window, ensemble,
-                                 observations, sim_days=pending.sim_days,
-                                 resample_size=resample_size)
+        _require_days(observations, window.start_day, window.end_day,
+                      f"window {index}")
+        return window_step([self], index, window, observations,
+                           [posterior], [(n_proposals, resample_size)])[0]
 
     def planned_sizes_after(self, result: WindowResult, *,
                             next_window_days: int) -> tuple[int, int]:
@@ -610,14 +528,6 @@ class SequentialCalibrator:
                 f"size policy proposed a cloud of {proposed} "
                 f"particles after window {result.index}")
         return proposed, len(result.posterior)
-
-    def _check_coverage(self, observations: ObservationSet) -> None:
-        if observations.start_day > self.schedule.start_day or \
-                observations.end_day < self.schedule.end_day:
-            raise ValueError(
-                f"observations cover days [{observations.start_day}, "
-                f"{observations.end_day}) but the schedule needs "
-                f"[{self.schedule.start_day}, {self.schedule.end_day})")
 
     # ------------------------------------------------------------------ #
     # Fault tolerance: shard-failure reporting, persistence, resume.
@@ -710,25 +620,6 @@ class SequentialCalibrator:
         }
         store.save_window_state(result.index, posterior.restart, meta)
 
-    def _restore_results(self, store: CheckpointStore,
-                         windows: list[TimeWindow]) -> list[WindowResult]:
-        """Rebuild :class:`WindowResult`\\ s for the complete stored prefix.
-
-        Only a gapless prefix of complete windows is restored (a gap means
-        everything after it must be recomputed anyway).  Checkpoints are
-        loaded for the final restored window only — that is the posterior
-        the next window restarts from; earlier windows carry posterior
-        samples and diagnostics for reporting.
-        """
-        prefix: list[int] = []
-        for index in range(len(windows)):
-            if not store.window_complete(index):
-                break
-            prefix.append(index)
-        return [self._restore_window(store, index, windows[index],
-                                     with_checkpoints=(index == prefix[-1]))
-                for index in prefix]
-
     def _restore_window(self, store: CheckpointStore, index: int,
                         window: TimeWindow, *,
                         with_checkpoints: bool) -> WindowResult:
@@ -801,25 +692,6 @@ class SequentialCalibrator:
                                         with_checkpoints=True)
         return None
 
-    def _replay_policies(self, results: list[WindowResult],
-                         windows: list[TimeWindow]) -> tuple[int, int]:
-        """Replay the size policies over the restored prefix.
-
-        Size policies are stateless (frozen dataclasses of
-        :mod:`repro.core.ensemble_control`) and Markovian in the previous
-        window's outcome, so the last restored window alone recovers
-        exactly the ``planned`` / ``planned_resample`` values the
-        uninterrupted run would carry into the first recomputed window —
-        no policy state needs persisting.
-        """
-        last = results[-1]
-        if last.index + 1 >= len(windows):
-            # Everything restored; the plans are never consulted again.
-            return (self.config.continuation_ensemble_size,
-                    len(last.posterior))
-        return self.planned_sizes_after(
-            last, next_window_days=windows[last.index + 1].n_days)
-
     # ------------------------------------------------------------------ #
     def _window_base_params(self, window: TimeWindow) -> DiseaseParameters:
         """The scenario-effective base parameterisation for one window.
@@ -868,12 +740,12 @@ class SequentialCalibrator:
     # ------------------------------------------------------------------ #
     # Split-phase API: propose -> simulate -> assemble -> weigh.
     #
-    # ``step_window`` fuses the phases for a single scenario;
-    # :class:`~repro.core.scenarios.ScenarioSweep` calls them separately so
-    # that many scenarios' proposal clouds can be flattened into ONE shard
-    # dispatch (``simulate_group_sets``).  Because per-shard RNG streams are
-    # keyed by seed slices only — never by shard id — the flattened dispatch
-    # is bit-identical to dispatching each scenario alone.
+    # :func:`window_step` runs these phases for every world-line of a
+    # window, flattening all lines' proposal clouds into ONE shard dispatch
+    # (``simulate_group_sets``); drivers that time or interleave the phases
+    # (the perfbench tracer) call them directly.  Per-shard RNG streams are
+    # keyed by seed slices only — never by shard id — so either way each
+    # line's window is bit-identical to dispatching it alone.
     # ------------------------------------------------------------------ #
     def propose_window(self, index: int, window: TimeWindow,
                        posterior: ParticleEnsemble | None = None, *,
@@ -951,15 +823,6 @@ class SequentialCalibrator:
         return self._pending(index, window, window.n_days, member_draws,
                              self._bank.window_draw_seeds(index, n),
                              parents=parents)
-
-    def _simulate_pending(self, pending: PendingWindow) -> list[GroupShards]:
-        cfg = self.config
-        return simulate_groups(self.executor, pending.specs,
-                               end_day=pending.window.end_day,
-                               engine_options=cfg.engine_options,
-                               retry=cfg.retry,
-                               on_failure=self._on_shard_failure,
-                               **self._shard_layout_kwargs())
 
     def assemble_window(self, pending: PendingWindow,
                         shards: list[GroupShards]) -> ParticleEnsemble:
@@ -1072,3 +935,180 @@ class SequentialCalibrator:
         return WindowResult(
             index=index, window=window, posterior=posterior,
             diagnostics=diagnostics)
+
+
+# --------------------------------------------------------------------------- #
+# Algorithm 1's two loops, each coded once: the window step (propose ->
+# simulate -> assemble -> weigh) and the window loop around it.  A plain
+# run, the service's one-window step and a multi-scenario sweep all call
+# them, with one calibrator per world-line.
+# --------------------------------------------------------------------------- #
+#: ``line_key(name, window, lineage, plans)``: see :func:`window_loop`.
+LineKey = Callable[[str, TimeWindow, object, tuple[int, int]], Hashable]
+
+
+def _require_days(observations: ObservationSet, start_day: int,
+                  end_day: int, what: str) -> None:
+    if observations.start_day > start_day or observations.end_day < end_day:
+        raise ValueError(
+            f"observations cover days [{observations.start_day}, "
+            f"{observations.end_day}) but {what} needs "
+            f"[{start_day}, {end_day})")
+
+
+def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
+                window: TimeWindow, observations: ObservationSet,
+                posteriors: Sequence[ParticleEnsemble | None],
+                plans: Sequence[tuple[int | None, int | None]]
+                ) -> list[WindowResult]:
+    """Calibrate one window for each calibrator (one world-line each).
+
+    Each calibrator proposes its cloud from its ``posteriors`` entry at
+    its ``plans`` entry ``(n_proposals, resample_size)``; every cloud's
+    group specs go out as **one**
+    :func:`~repro.hpc.sharding.simulate_group_sets` map; then each cloud
+    is assembled and weighed.  Shard RNG streams are keyed by seed slices,
+    never by dispatch position, so every result is bit-identical to
+    stepping its calibrator alone.  The calibrators share one config and
+    executor, hence one shard layout and retry policy.
+    """
+    pendings = [calib.propose_window(index, window, posterior,
+                                     n_proposals=n_proposals)
+                for calib, posterior, (n_proposals, _) in zip(
+                    calibrators, posteriors, plans)]
+    first = calibrators[0]
+    shard_sets = simulate_group_sets(
+        first.executor, [pending.specs for pending in pendings],
+        end_day=window.end_day, engine_options=first.config.engine_options,
+        retry=first.config.retry,
+        on_failures=[calib._on_shard_failure for calib in calibrators],
+        **first._shard_layout_kwargs())
+    return [calib.weigh_window(index, window,
+                               calib.assemble_window(pending, shards),
+                               observations, sim_days=pending.sim_days,
+                               resample_size=resample_size)
+            for calib, pending, shards, (_, resample_size) in zip(
+                calibrators, pendings, shard_sets, plans)]
+
+
+def window_loop(calibrators: Mapping[str, SequentialCalibrator],
+                observations: ObservationSet, *,
+                stores: Mapping[str, CheckpointStore] | None = None,
+                resume: bool = False,
+                line_key: LineKey | None = None,
+                progress: Callable[[str], None] | None = None
+                ) -> tuple[dict[str, list[WindowResult]], int, int]:
+    """Calibrate every window of the calibrators' shared schedule.
+
+    The calibrators share one schedule, config and executor: a plain run
+    is one calibrator, a sweep one per scenario.  Returns each one's
+    window results, the number of windows computed, and the number served
+    from another calibrator's world-line.
+
+    With ``stores`` (name -> store) each calibrator checks its store
+    against its run fingerprint and persists every window it completes;
+    ``resume=True`` first restores each store's gapless prefix of complete
+    windows (setting ``resumed_from``) and replays the size policies from
+    the last one.  Each window, the calibrators still running split into
+    world-lines by ``line_key(name, window, lineage, plans)`` (default:
+    one line each; ``lineage`` is ``"fresh"``, ``("restored", name)`` or
+    the ``(window, ordinal)`` of the line last shared, ``plans`` the
+    ``(n_proposals, resample_size)``), and every line's first member
+    computes the window for the line in one :func:`window_step`.  That
+    member also reports the line through its own ``progress``;
+    ``progress`` gets the line count when more than one calibrator runs.
+    """
+    if resume and stores is None:
+        raise ValueError(
+            "resume=True requires a checkpoint store (no stores given)")
+    names = list(calibrators)
+    if stores is not None:
+        missing = [name for name in names if name not in stores]
+        if missing:
+            raise ValueError(f"no checkpoint store for scenarios {missing}")
+    first = calibrators[names[0]]
+    _require_days(observations, first.schedule.start_day,
+                  first.schedule.end_day, "the schedule")
+    windows = list(first.schedule)
+    results: dict[str, list[WindowResult]] = {name: [] for name in names}
+    plans = {name: (first.config.continuation_ensemble_size,
+                    first.config.resample_size) for name in names}
+    lineage: dict[str, object] = {name: "fresh" for name in names}
+    for name, calib in calibrators.items():
+        calib.resumed_from = None
+        if stores is None:
+            continue
+        store = stores[name]
+        store.validate_run_meta(calib.run_fingerprint())
+        # Only a gapless prefix of sealed windows restores (everything
+        # after a gap is recomputed anyway), with checkpoints for its last
+        # window alone: the posterior the next window restarts from.
+        n_sealed = next((i for i in range(len(windows))
+                         if not store.window_complete(i)),
+                        len(windows)) if resume else 0
+        restored = [calib._restore_window(store, i, windows[i],
+                                          with_checkpoints=i == n_sealed - 1)
+                    for i in range(n_sealed)]
+        if not restored:
+            continue
+        results[name] = restored
+        calib.resumed_from = restored[-1].index
+        lineage[name] = ("restored", name)
+        if len(restored) < len(windows):
+            plans[name] = calib.planned_sizes_after(
+                restored[-1], next_window_days=windows[len(restored)].n_days)
+        calib._progress(
+            f"resuming after window {calib.resumed_from} "
+            f"({len(restored)}/{len(windows)} windows restored "
+            f"from {store.root})")
+
+    computed = reused = 0
+    for index, window in enumerate(windows):
+        lines: dict[Hashable, list[str]] = {}
+        for name in names:
+            if len(results[name]) == index:
+                key = name if line_key is None else line_key(
+                    name, window, lineage[name], plans[name])
+                lines.setdefault(key, []).append(name)
+        if not lines:
+            continue
+        members = list(lines.values())
+        active = sum(len(line) for line in members)
+        if progress is not None and len(names) > 1:
+            progress(f"window {index}: {len(members)} world-line(s) for "
+                     f"{active} scenario(s)"
+                     + (f", {active - len(members)} reused"
+                        if active > len(members) else ""))
+        reps = [calibrators[line[0]] for line in members]
+        line_results = window_step(
+            reps, index, window, observations,
+            [results[line[0]][-1].posterior if index else None
+             for line in members],
+            [plans[line[0]] for line in members])
+        computed += len(members)
+        reused += active - len(members)
+        for ordinal, (line, rep, result) in enumerate(
+                zip(members, reps, line_results)):
+            for name in line:
+                results[name].append(result)
+                lineage[name] = (index, ordinal)
+                if stores is not None:
+                    calibrators[name].persist_window(stores[name], result)
+            rep._progress(
+                f"window {index} ({window.label()}): "
+                f"ESS {result.diagnostics.ess:.1f}/"
+                f"{result.diagnostics.n_particles}"
+                + (f" (shared by {', '.join(line[1:])})"
+                   if len(line) > 1 else ""))
+            if index + 1 < len(windows):
+                planned = plans[line[0]][0]
+                proposed, resample = rep.planned_sizes_after(
+                    result, next_window_days=windows[index + 1].n_days)
+                if proposed != planned:
+                    rep._progress(
+                        f"window {index}: size policy resized next cloud "
+                        f"{planned} -> {proposed} (ESS fraction "
+                        f"{result.diagnostics.ess_fraction:.2f})")
+                for name in line:
+                    plans[name] = (proposed, resample)
+    return results, computed, reused

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["Executor", "SerialExecutor", "ProcessExecutor", "ThreadExecutor",
-           "default_executor", "make_executor", "TaskOutcome",
+           "default_executor", "make_executor", "EXECUTOR_SPECS", "TaskOutcome",
            "CAUSE_EXCEPTION", "CAUSE_TIMEOUT", "CAUSE_POOL_BROKEN",
            "CAUSE_DROPPED"]
 
@@ -308,8 +308,12 @@ def default_executor(n_tasks_hint: int | None = None) -> Executor:
     return ProcessExecutor(max_workers=cores)
 
 
+#: The config strings :func:`make_executor` accepts.
+EXECUTOR_SPECS: tuple[str, ...] = ("serial", "process", "thread")
+
+
 def make_executor(spec: str, max_workers: int | None = None) -> Executor:
-    """Build an executor from a config string (``serial``/``process``/``thread``)."""
+    """Build an executor from a config string (one of :data:`EXECUTOR_SPECS`)."""
     if spec == "serial":
         return SerialExecutor()
     if spec == "process":
@@ -317,4 +321,4 @@ def make_executor(spec: str, max_workers: int | None = None) -> Executor:
     if spec == "thread":
         return ThreadExecutor(max_workers=max_workers)
     raise ValueError(f"unknown executor spec {spec!r}; "
-                     "expected 'serial', 'process', or 'thread'")
+                     f"expected one of {list(EXECUTOR_SPECS)}")

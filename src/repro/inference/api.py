@@ -1,20 +1,22 @@
 """Top-level convenience API: ``calibrate()`` in one call.
 
 Wires a :class:`~repro.inference.config.CalibrationConfig` into the core
-:class:`~repro.core.smc.SequentialCalibrator` and wraps the outcome in a
-:class:`~repro.inference.results.CalibrationResult`.  This is the function
-the examples and benches use; power users can assemble the core objects
-directly for full control.
+:class:`~repro.core.scenarios.ScenarioSweep` and wraps the outcome in
+:class:`~repro.inference.results.CalibrationResult`\\ s.  :func:`calibrate`
+is the one-scenario sweep whose store sits at the checkpoint root;
+:func:`calibrate_scenarios` gives each scenario a sub-store.  These are
+the functions the examples and benches use; power users can assemble the
+core objects directly for full control.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..core.scenarios import ScenarioSpec, ScenarioSweep, get_scenario
-from ..core.smc import SequentialCalibrator
+from ..core.scenarios import ScenarioSpec, ScenarioSweep
 from ..data.sources import ObservationSet
 from ..data.validation import validate_observations
 from ..hpc.checkpoint_io import CheckpointStore
@@ -68,51 +70,13 @@ def calibrate(observations: ObservationSet,
     CalibrationResult
         Per-window posteriors, diagnostics, and figure-regeneration helpers.
     """
-    validate_observations(observations)
     config = config or CalibrationConfig()
-    params = config.disease_params(base_params)
-    own_executor = executor is None
-    exec_backend = executor if executor is not None else config.make_executor()
-    progress = print if verbose else None
     if store is None:
         store = config.checkpoint_store()
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-
-    calibrator = SequentialCalibrator(
-        base_params=params,
-        prior=config.prior(),
-        jitter=config.jitter(),
-        observation_model=config.observation_model(),
-        schedule=config.schedule(),
-        config=config.smc_config(),
-        executor=exec_backend,
-        progress=progress,
-        scenario=spec,
-    )
-    # repro-allow: REPRO201 wall_time_seconds is reporting metadata, never an input to any draw
-    started = time.perf_counter()
-    try:
-        window_results = calibrator.run(observations, store=store,
-                                        resume=config.resume)
-    finally:
-        if own_executor:
-            exec_backend.close()
-    # repro-allow: REPRO201 wall_time_seconds is reporting metadata, never an input to any draw
-    elapsed = time.perf_counter() - started
-    if store is not None and config.checkpoint_keep_last is not None:
-        # Post-run retention GC only: pruning mid-run would break the
-        # gapless-prefix restore that batch resume performs.
-        pruned = store.prune(config.checkpoint_keep_last)
-        if pruned and verbose:
-            print(f"pruned {len(pruned)} old checkpoint window(s), "
-                  f"kept the newest {config.checkpoint_keep_last}")
-    return CalibrationResult(schedule=config.schedule(),
-                             windows=tuple(window_results),
-                             config_payload=config.to_dict(),
-                             wall_time_seconds=elapsed,
-                             resumed_from=calibrator.resumed_from,
-                             scenario=spec.name if spec is not None
-                             else "baseline")
+    sweep = _sweep(observations, config, base_params, executor, verbose,
+                   ["baseline" if scenario is None else scenario],
+                   None if store is None else (lambda _name: store))
+    return replace(sweep[0], wall_time_seconds=sweep.wall_time_seconds)
 
 
 def calibrate_scenarios(observations: ObservationSet,
@@ -135,50 +99,65 @@ def calibrate_scenarios(observations: ObservationSet,
     against its own sub-store (``<checkpoint_dir>/<scenario>``), honouring
     ``config.resume`` exactly like single-scenario runs.
     """
-    validate_observations(observations)
     config = config or CalibrationConfig()
-    params = config.disease_params(base_params)
+    root = config.checkpoint_dir
+    return _sweep(observations, config, base_params, executor, verbose,
+                  scenarios, None if root is None
+                  else (lambda name: CheckpointStore(Path(root) / name)))
+
+
+def _sweep(observations: ObservationSet, config: CalibrationConfig,
+           base_params: DiseaseParameters | None, executor: Executor | None,
+           verbose: bool, scenarios: Sequence[ScenarioSpec | str],
+           store_of: Callable[[str], CheckpointStore] | None
+           ) -> ScenarioSweepResult:
+    """Build, run and report the sweep both entry points share;
+    ``store_of(name)`` is a scenario's checkpoint store (None: no
+    persistence)."""
+    validate_observations(observations)
     own_executor = executor is None
     exec_backend = executor if executor is not None else config.make_executor()
-    progress = print if verbose else None
-
-    sweep = ScenarioSweep(
-        base_params=params,
-        prior=config.prior(),
-        jitter=config.jitter(),
-        observation_model=config.observation_model(),
-        schedule=config.schedule(),
-        scenarios=scenarios,
-        config=config.smc_config(),
-        executor=exec_backend,
-        progress=progress,
-    )
-    stores = None
-    if config.checkpoint_dir is not None:
-        root = Path(config.checkpoint_dir)
-        stores = {name: CheckpointStore(root / name) for name in sweep.names}
-    # repro-allow: REPRO201 sweep wall time is reporting metadata, never an input to any draw
-    started = time.perf_counter()
     try:
+        sweep = ScenarioSweep(
+            base_params=config.disease_params(base_params),
+            prior=config.prior(),
+            jitter=config.jitter(),
+            observation_model=config.observation_model(),
+            schedule=config.schedule(),
+            scenarios=scenarios,
+            config=config.smc_config(),
+            executor=exec_backend,
+            progress=print if verbose else None,
+        )
+        stores = None if store_of is None else {
+            name: store_of(name) for name in sweep.names}
+        # repro-allow: REPRO201 wall_time_seconds is reporting metadata, never an input to any draw
+        started = time.perf_counter()
         window_results = sweep.run(observations, stores=stores,
                                    resume=config.resume)
     finally:
         if own_executor:
             exec_backend.close()
-    # repro-allow: REPRO201 sweep wall time is reporting metadata, never an input to any draw
+    # repro-allow: REPRO201 wall_time_seconds is reporting metadata, never an input to any draw
     elapsed = time.perf_counter() - started
     if stores is not None and config.checkpoint_keep_last is not None:
-        for name_store in stores.values():
-            name_store.prune(config.checkpoint_keep_last)
-    results = tuple(
-        CalibrationResult(schedule=config.schedule(),
-                          windows=tuple(window_results[name]),
-                          config_payload=config.to_dict(),
-                          wall_time_seconds=float("nan"),
-                          resumed_from=sweep.resumed_from.get(name),
-                          scenario=name)
-        for name in sweep.names)
-    return ScenarioSweepResult(results=results,
-                               wall_time_seconds=elapsed,
-                               computed_windows=sweep.computed_windows,
-                               reused_windows=sweep.reused_windows)
+        # Post-run retention GC only: pruning mid-run would break the
+        # gapless-prefix restore that batch resume performs.
+        for name, name_store in stores.items():
+            pruned = name_store.prune(config.checkpoint_keep_last)
+            if pruned and verbose:
+                label = f"[{name}] " if len(stores) > 1 else ""
+                print(f"{label}pruned {len(pruned)} old checkpoint "
+                      f"window(s), kept the newest "
+                      f"{config.checkpoint_keep_last}")
+    return ScenarioSweepResult(
+        results=tuple(
+            CalibrationResult(schedule=config.schedule(),
+                              windows=tuple(window_results[name]),
+                              config_payload=config.to_dict(),
+                              resumed_from=sweep.resumed_from[name],
+                              scenario=name)
+            for name in sweep.names),
+        wall_time_seconds=elapsed,
+        computed_windows=sweep.computed_windows,
+        reused_windows=sweep.reused_windows)

@@ -19,7 +19,7 @@ from ..core.proposals import JointJitter, paper_window_jitter
 from ..core.smc import SMCConfig
 from ..core.window import WindowSchedule
 from ..hpc.checkpoint_io import CheckpointStore
-from ..hpc.executor import Executor, make_executor
+from ..hpc.executor import EXECUTOR_SPECS, Executor, make_executor
 from ..hpc.faults import RetryPolicy
 from ..seir.parameters import DiseaseParameters
 
@@ -109,6 +109,17 @@ class CalibrationConfig:
     #: everything).  Pruning runs post-run because batch resume restores a
     #: gapless window prefix; the streaming service prunes continuously.
     checkpoint_keep_last: int | None = None
+
+    def __post_init__(self) -> None:
+        # The executor is built only when the run starts, and a zero retry
+        # backoff never reaches RetryPolicy; check both up front.
+        if self.executor not in EXECUTOR_SPECS:
+            raise ValueError(f"executor must be one of "
+                             f"{list(EXECUTOR_SPECS)}, got {self.executor!r}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
 
     # ------------------------------------------------------------------ #
     def schedule(self) -> WindowSchedule:

@@ -19,10 +19,19 @@ from repro.core import (Beta, Dirac, IndependentProduct, JointJitter,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import SerialExecutor
+from repro.hpc.sharding import simulate_groups
 from repro.inference import CalibrationConfig
 from repro.seir import Checkpoint, DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing import window_oracle
+
+
+def _simulate(calib, pending):
+    """Dispatch a proposed window the way the calibrator's step does."""
+    return simulate_groups(calib.executor, pending.specs,
+                           end_day=pending.window.end_day,
+                           engine_options=calib.config.engine_options,
+                           **calib._shard_layout_kwargs())
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +100,7 @@ class TestScalarBatchedParity:
         obs = small_truth.observations()
         window1 = list(calib.schedule)[1]
         pending = calib.propose_window(1, window1, runs[0].posterior)
-        batched = calib.assemble_window(pending,
-                                        calib._simulate_pending(pending))
+        batched = calib.assemble_window(pending, _simulate(calib, pending))
         oracle = window_oracle(pending)
         return {name: (ensemble, calib.weigh_window(
                     1, window1, ensemble, obs,
@@ -183,8 +191,7 @@ class TestBatchedRunBehaviour:
         fused = calib.step_window(0, window0, obs).posterior[0]
         pending = calib.propose_window(0, window0)
         assert pending.sim_days == 18
-        split = calib.assemble_window(pending,
-                                      calib._simulate_pending(pending))[0]
+        split = calib.assemble_window(pending, _simulate(calib, pending))[0]
         for p in (fused, split):
             assert p.history.start_day == 4
             assert p.segment.start_day == 12

@@ -15,6 +15,7 @@ from repro.core import (BinomialBiasModel, GaussianTransformLikelihood,
                         ParticleEnsemble, PoissonLikelihood, SMCConfig,
                         paper_likelihood, paper_observation_model)
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
+from repro.hpc.sharding import simulate_groups
 from repro.seir import Trajectory
 
 ALL_FAMILIES = [paper_likelihood(), GaussianTransformLikelihood(sigma=2.5),
@@ -243,8 +244,10 @@ class TestCalibratorParity:
         window0, window1 = list(calib.schedule)
         posterior = calib.step_window(0, window0, obs).posterior
         pending = calib.propose_window(1, window1, posterior)
-        ensemble = calib.assemble_window(pending,
-                                         calib._simulate_pending(pending))
+        ensemble = calib.assemble_window(pending, simulate_groups(
+            calib.executor, pending.specs, end_day=window1.end_day,
+            engine_options=calib.config.engine_options,
+            **calib._shard_layout_kwargs()))
         return ensemble, obs.window(window1.start_day, window1.end_day)
 
     @staticmethod

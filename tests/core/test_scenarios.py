@@ -17,21 +17,24 @@ objects; lines split at divergence and never re-merge; independent-stream
 scenarios never share.
 """
 
+import hashlib
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   ScenarioRegistry, ScenarioSpec,
-                                  ScenarioSweep, get_scenario,
-                                  register_scenario, scenario_set)
+                                  get_scenario, register_scenario,
+                                  scenario_set)
 from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
 from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
                                 simulate_groups, structural_groups)
 from repro.seir import CheckpointError, DiseaseParameters, parameter_columns
-from repro.testing import (assert_ensembles_identical, assert_runs_identical,
-                           parity_calibrator, parity_sweep, parity_truth,
-                           window_oracle)
+from repro.testing import (assert_runs_identical, parity_calibrator,
+                           parity_sweep, parity_truth, window_oracle)
 
 # Mid-run overrides aligned with the parity breaks (8, 16, 24, 32):
 # continuation windows start at days 16 and 24.
@@ -53,6 +56,23 @@ def truth():
 def sweep_and_results(truth):
     sweep = parity_sweep(truth, ["baseline", MILD16, DETECT24])
     return sweep, sweep.run(truth.observations())
+
+
+def _posterior_digest(result):
+    """sha256 over every window posterior's columns, seeds and ancestors."""
+    h = hashlib.sha256()
+    for window in result.windows:
+        post = window.posterior
+        for column in (post.values("theta"), post.values("rho"),
+                       post.seeds(), post.ancestors()):
+            h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()
+
+
+def _store_bytes(root):
+    """Every file of a checkpoint store, by path relative to its root."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 # --------------------------------------------------------------------- #
@@ -249,13 +269,59 @@ class TestRunFingerprint:
 # parity oracles
 # --------------------------------------------------------------------- #
 class TestParityOracles:
-    def test_oracle_a_n1_sweep_matches_plain_batched(self, truth):
-        """N=1 tensor path == the pre-existing batched calibrator, bitwise."""
-        plain = parity_calibrator(truth).run(truth.observations())
-        sweep = parity_sweep(truth, ["baseline"])
-        results = sweep.run(truth.observations())
-        assert_runs_identical(plain, results["baseline"], "oracle a")
-        assert sweep.reused_windows == 0
+    #: Posterior digests of the oracle-a calibrations, recorded when
+    #: ``calibrate`` and ``calibrate_scenarios`` still ran separate loops.
+    ORACLE_A_DIGESTS = {
+        "baseline":
+            "fc71ac04159a3bdf14e8a966eeacccdfddd3e092d17e82534d0e834e680ddcbe",
+        "milder_variant_d34":
+            "a8b8564373d3202fad4730bb43f35d4b877957836fdc057bc4dc1d20f7e422a5",
+    }
+
+    @pytest.mark.parametrize("name", ["baseline", "milder_variant_d34"])
+    def test_oracle_a_n1_sweep_matches_plain_batched(self, tmp_path, name):
+        """N=1 sweep == plain calibration, bitwise, stores included.
+
+        ``calibrate(scenario=s)`` against a root store and
+        ``calibrate_scenarios([s])`` against its ``<dir>/<s>`` sub-store
+        give the same posteriors and byte-equal sealed stores, fresh and
+        resumed from stores cut back to two windows.  Both run the same
+        window loop, so the posteriors are also pinned to digests recorded
+        before they shared it."""
+        from repro.inference import (CalibrationConfig, calibrate,
+                                     calibrate_scenarios)
+        from repro.sim import make_fig2_ground_truth
+        obs = make_fig2_ground_truth(seed=777, horizon=76).observations()
+        config = CalibrationConfig(
+            n_parameter_draws=20, n_replicates=2, resample_size=30,
+            n_continuations=2, theta_jitter_width=0.16,
+            rho_jitter_width=0.04, base_seed=4242, n_shards=3)
+        roots = (tmp_path / "plain", tmp_path / "sweep" / name)
+
+        def run_both(resume):
+            plain = calibrate(obs, replace(config, resume=resume,
+                                           checkpoint_dir=str(roots[0])),
+                              scenario=name)
+            sweep = calibrate_scenarios(
+                obs, [name], replace(config, resume=resume,
+                                     checkpoint_dir=str(tmp_path / "sweep")))
+            assert sweep.names == [name]
+            return plain, sweep[name]
+
+        plain, swept = run_both(resume=False)
+        assert_runs_identical(plain.windows, swept.windows, "oracle a")
+        assert _posterior_digest(plain) == _posterior_digest(swept) == \
+            self.ORACLE_A_DIGESTS[name]
+        sealed = _store_bytes(roots[0])
+        assert len(sealed) == 13 and _store_bytes(roots[1]) == sealed
+
+        for root in roots:
+            for window in ("window_002", "window_003"):
+                shutil.rmtree(root / window)
+        for resumed in run_both(resume=True):
+            assert resumed.resumed_from == 1
+            assert _posterior_digest(resumed) == self.ORACLE_A_DIGESTS[name]
+        assert _store_bytes(roots[0]) == _store_bytes(roots[1]) == sealed
 
     def test_oracle_b_batch_member_matches_standalone(self, truth,
                                                       sweep_and_results):
@@ -296,8 +362,10 @@ class TestParityOracles:
         assert np.all(pending.member_columns["mild_fraction"] == 0.97)
         assert all(parent.checkpoint.params.mild_fraction != 0.97
                    for parent in pending.parents)
-        batched = calib.assemble_window(pending,
-                                        calib._simulate_pending(pending))
+        batched = calib.assemble_window(pending, simulate_groups(
+            calib.executor, pending.specs, end_day=window1.end_day,
+            engine_options=calib.config.engine_options,
+            **calib._shard_layout_kwargs()))
         oracle = window_oracle(pending)
 
         def ci90_of_totals(ensemble, channel):

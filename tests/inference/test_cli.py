@@ -107,14 +107,40 @@ class TestCommands:
     def test_invalid_config_exits_with_message(self, tmp_path):
         """A bad numeric knob exits naming the field, not with a
         traceback from deep inside the calibrator."""
-        for command, flag, field in (
-                ("fig4", "--draws", "n_parameter_draws"),
-                ("fig3", "--draws", "n_parameter_draws"),
-                ("fig3", "--resample", "resample_size")):
+        for command, flag, value, field in (
+                ("fig4", "--draws", "0", "n_parameter_draws"),
+                ("fig3", "--draws", "0", "n_parameter_draws"),
+                ("fig3", "--resample", "0", "resample_size"),
+                ("fig4", "--workers", "0", "max_workers"),
+                ("fig4", "--retry-backoff", "-1", "retry_backoff")):
             with pytest.raises(SystemExit,
                                match=f"invalid configuration: {field}"):
-                main([command, "--out", str(tmp_path), flag, "0",
+                main([command, "--out", str(tmp_path), flag, value,
                       "--executor", "serial"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["--horizon-days", "0"], "horizon_days must be >= 1"),
+        (["--scenario-set", "default"],
+         "scenario 'late_intervention_d48' override .* starts at day 48"),
+    ], ids=["horizon-days-0", "scenario-set-default"])
+    def test_forecast_rejects_inputs_before_calibrating(
+            self, tmp_path, monkeypatch, argv, problem):
+        """``repro forecast`` checks its horizon and its scenarios against
+        its (20, 34, 48) schedule before anything is simulated: there is
+        no continuation window at day 48 for a day-48 override."""
+        import repro.cli as cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking its inputs")
+
+        for name in ("calibrate", "calibrate_scenarios",
+                     "make_fig2_ground_truth"):
+            monkeypatch.setattr(cli, name, no_simulation)
+        with pytest.raises(SystemExit,
+                           match=f"^invalid configuration: {problem}"):
+            main(["forecast", "--out", str(tmp_path), "--executor", "serial",
+                  *argv])
         assert list(tmp_path.iterdir()) == []
 
     def test_fig3_is_fig4_first_window(self, tmp_path, monkeypatch):
