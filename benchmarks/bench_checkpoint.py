@@ -6,19 +6,26 @@ from the epidemic's onset."
 
 This bench quantifies the saving: continuing the final calibration window
 (days 62-76) from a day-62 checkpoint versus re-simulating from day 0, over
-a batch of restarts.  Warm restarts should cost roughly ``14/76`` of the
-cold runs — the asymptotic saving the sequential scheme relies on — and the
-bench also verifies the restart is statistically well-behaved (same day
-range, conserved population).
+a batch of restarts on the scalar engine.  The checkpoint is one
+:class:`~repro.seir.StackedLeapState` row read back from a
+:class:`~repro.hpc.CheckpointStore` and restarted through the scalar
+restart oracle (:func:`repro.testing.restart_oracle`) on fresh seeds.  Warm
+restarts should cost roughly ``14/76`` of the cold runs — the asymptotic
+saving the sequential scheme relies on — and the bench also verifies the
+restarts cover the right day range.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from _bench_util import once
-from repro.seir import (Checkpoint, ParameterOverride, StochasticSEIRModel,
-                        chicago_defaults)
+from repro.hpc import CheckpointStore
+from repro.seir import (BinomialLeapEngine, StackedLeapState,
+                        chicago_defaults, parameter_columns)
+from repro.testing import restart_oracle
 from repro.viz import write_json
 
 N_RESTARTS = 30
@@ -26,28 +33,28 @@ CHECKPOINT_DAY = 62
 END_DAY = 76
 
 
-def test_checkpoint_restart_saving(benchmark, output_dir):
+def test_checkpoint_restart_saving(benchmark, output_dir, tmp_path):
     params = chicago_defaults()
-    base = StochasticSEIRModel(params, seed=1234)
+    base = BinomialLeapEngine(params, seed=1234)
     base.run_until(CHECKPOINT_DAY)
-    checkpoint = base.checkpoint()
-    payload = checkpoint.to_dict()  # as stored on disk between windows
+    # As stored on disk between windows: one restart row.
+    store = CheckpointStore(tmp_path)
+    store.save_window_state(0, StackedLeapState(
+        day=base.day, steps_per_day=base.steps_per_day,
+        counts=base.counts[None],
+        cum_infections=np.array([base.cumulative_infections]),
+        cum_deaths=np.array([base.cumulative_deaths]),
+        seeds=np.array([base.seed])).with_parameters(
+            parameter_columns(params, 1)), {})
 
     def warm_batch():
-        out = []
-        for k in range(N_RESTARTS):
-            model = StochasticSEIRModel.from_checkpoint(
-                Checkpoint.from_dict(payload),
-                ParameterOverride(seed=k, transmission_rate=0.3))
-            out.append(model.run_until(END_DAY))
-        return out
+        state, _ = store.load_window_state(0)
+        return restart_oracle(state.take(np.zeros(N_RESTARTS, dtype=int)),
+                              np.arange(N_RESTARTS), END_DAY)
 
     def cold_batch():
-        out = []
-        for k in range(N_RESTARTS):
-            model = StochasticSEIRModel(params, seed=k)
-            out.append(model.run_until(END_DAY))
-        return out
+        return [BinomialLeapEngine(params, seed=k).run_until(END_DAY)
+                for k in range(N_RESTARTS)]
 
     t0 = time.perf_counter()
     cold = cold_batch()

@@ -12,7 +12,7 @@ Two claims of the sharding PR are measured here:
   with >= 4 workers (only assessable on a >= 4-core host — ``cpu_count``
   is recorded so trend checks can judge the baseline's provenance).
 * **Batched forecasting** — the per-particle scalar restart oracle
-  (:func:`repro.testing.restart_oracle`, the same checkpoints and seeds a
+  (:func:`repro.testing.restart_oracle`, the same restart rows and seeds a
   forecast restarts) vs ``forecast_from_posterior``'s sharded batched path
   (both single-process, so the ratio isolates batching, not parallelism).
 
@@ -39,8 +39,7 @@ from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
 from repro.inference import forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds
 from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
-                        ParameterOverride, StackedLeapState,
-                        parameter_columns)
+                        StackedLeapState, parameter_columns)
 from repro.testing import restart_oracle
 
 DEFAULT_SIZES = (2_000, 10_000)
@@ -77,7 +76,7 @@ def run_window(executor: Executor, params: DiseaseParameters,
 
 def make_posterior(params: DiseaseParameters, n: int, seed: int,
                    checkpoint_day: int = 10) -> ParticleEnsemble:
-    """A synthetic posterior with leap-format checkpoints to forecast from."""
+    """A synthetic posterior with restart state to forecast from."""
     seeds, thetas = _seeds_and_thetas(n, seed)
     engine = BatchedBinomialLeapEngine(params, seeds, thetas=thetas,
                                        steps_per_day=STEPS_PER_DAY)
@@ -97,11 +96,8 @@ def run_forecast_bench(params: DiseaseParameters, n_particles: int,
     posterior = make_posterior(params, n_particles, seed)
     seeds = _forecast_seeds(posterior, seed, 1)
     end_day = posterior.restart.day + horizon
-    checkpoints = [p.checkpoint for p in posterior]
     scalar_s, scalar_trajectories = time_best(
-        lambda: restart_oracle(checkpoints,
-                               [ParameterOverride(seed=int(s)) for s in seeds],
-                               end_day), repeats)
+        lambda: restart_oracle(posterior.restart, seeds, end_day), repeats)
     batched_s, batched_fc = time_best(
         lambda: forecast_from_posterior(posterior, horizon, base_seed=seed),
         repeats)

@@ -3,13 +3,13 @@
 Simulates one calibration window (14 days by default) for an ensemble of
 particles two ways:
 
-* **scalar** — one :class:`~repro.seir.StochasticSEIRModel` per particle,
-  the per-particle work of the scalar reference oracle plus a checkpoint
-  ``to_dict`` round-trip (engine construction, day loop), and
+* **scalar** — one :class:`~repro.seir.BinomialLeapEngine` per particle,
+  the per-particle work of the scalar reference oracle (engine
+  construction, day loop), and
 * **batched** — one :class:`~repro.seir.BatchedBinomialLeapEngine` stepping
   the whole cloud as a ``(n_particles, n_compartments)`` state matrix,
-  including the per-particle ``Trajectory``/checkpoint extraction the
-  calibrator performs when building its ensemble,
+  including per-particle ``Trajectory`` views and the columnar
+  :class:`~repro.seir.StackedLeapState` restart state a shard returns,
 
 at several ensemble sizes, and emits a ``BENCH_simulation.json`` baseline
 with per-path timings, particle throughput, the batched/scalar speedup, and
@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.seir import (BatchedBinomialLeapEngine, Checkpoint,
-                        DiseaseParameters, StochasticSEIRModel)
-from repro.seir.checkpoint import leap_particle_snapshot
+from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
+                        DiseaseParameters, StackedLeapState)
 
 DEFAULT_SIZES = (250, 1000, 2000)
 DEFAULT_DAYS = 14
@@ -53,12 +52,10 @@ def run_scalar(params: DiseaseParameters, seeds: np.ndarray,
     """Per-particle window simulation; returns mean total infections."""
     totals = np.empty(len(seeds))
     for i, (seed, theta) in enumerate(zip(seeds, thetas)):
-        model = StochasticSEIRModel(
+        engine = BinomialLeapEngine(
             params.with_updates(transmission_rate=float(theta)), int(seed),
             steps_per_day=STEPS_PER_DAY)
-        trajectory = model.run_until(n_days)
-        model.checkpoint().to_dict()
-        totals[i] = trajectory.total_infections()
+        totals[i] = engine.run_until(n_days).total_infections()
     return float(totals.mean())
 
 
@@ -68,13 +65,12 @@ def run_batched(params: DiseaseParameters, seeds: np.ndarray,
     engine = BatchedBinomialLeapEngine(params, seeds, thetas=thetas,
                                        steps_per_day=STEPS_PER_DAY)
     batch = engine.run_until(n_days)
-    counts, infected, dead = (engine.counts, engine.cumulative_infections,
-                              engine.cumulative_deaths)
     for i in range(engine.n_particles):
         batch.trajectory(i)
-        Checkpoint(params=params, snapshot=leap_particle_snapshot(
-            engine.day, counts[i], infected[i], dead[i],
-            engine.steps_per_day, engine.seeds[i]))
+    StackedLeapState(
+        day=engine.day, steps_per_day=engine.steps_per_day,
+        counts=engine.counts, cum_infections=engine.cumulative_infections,
+        cum_deaths=engine.cumulative_deaths, seeds=engine.seeds)
     return float(batch.infections.sum(axis=1).mean())
 
 

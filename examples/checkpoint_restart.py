@@ -1,10 +1,13 @@
 """Checkpoint/restart mechanics and counterfactual scenario branching.
 
-Demonstrates the machinery of paper section III-B directly:
+Demonstrates the machinery of paper section III-B directly, on the same
+columnar restart state the calibrator checkpoints between windows:
 
-1. run an epidemic to day 40 and serialise the full simulator state
-   (compartment occupancy, clock, RNG stream) to a JSON file;
-2. restart bit-exactly and verify the continuation is identical;
+1. run a batch of epidemic trajectories to day 40 and persist their state
+   (compartment occupancy, clock, cumulative outputs, seeds, parameters)
+   through a :class:`~repro.hpc.CheckpointStore`;
+2. restart from the file and verify that the same state and seeds give the
+   same bits as restarting from memory;
 3. branch *counterfactual scenarios* from the same day-40 state — e.g.
    "what if an intervention halves transmission?" — which is exactly how
    calibrated models support intervention planning (section VI);
@@ -17,71 +20,85 @@ from __future__ import annotations
 
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.seir import (Checkpoint, DiseaseParameters, ParameterOverride,
-                        StochasticSEIRModel)
+from repro.hpc import CheckpointStore
+from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
+                        StackedLeapState, parameter_columns)
 from repro.viz import multi_line_plot
+
+N_MEMBERS = 100
+
+
+def restart_state(engine: BatchedBinomialLeapEngine) -> StackedLeapState:
+    """The batch's rows as restart state, with their parameters attached."""
+    return StackedLeapState(
+        day=engine.day, steps_per_day=engine.steps_per_day,
+        counts=engine.counts, cum_infections=engine.cumulative_infections,
+        cum_deaths=engine.cumulative_deaths,
+        seeds=engine.seeds).with_parameters(
+            parameter_columns(engine.params, engine.n_particles))
 
 
 def main() -> None:
     params = DiseaseParameters(population=200_000, initial_exposed=400)
+    seeds = np.arange(N_MEMBERS)
 
     # --- 1. simulate and checkpoint ----------------------------------------
-    model = StochasticSEIRModel(params, seed=42)
-    model.run_until(40)
-    checkpoint = model.checkpoint()
+    engine = BatchedBinomialLeapEngine(params, seeds)
+    engine.run_until(40)
+    state = restart_state(engine)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "day40.ckpt.json"
-        checkpoint.save(path)
-        print(f"Checkpointed day-40 state to {path.name} "
-              f"({path.stat().st_size} bytes)")
-        restored = Checkpoint.load(path)
+        store = CheckpointStore(tmp)
+        store.save_window_state(0, state, {"day": state.day})
+        path = store.root / "window_000" / "checkpoints.npz"
+        print(f"Checkpointed {state.n_particles} day-40 states to "
+              f"{path.name} ({path.stat().st_size} bytes)")
+        restored, _ = store.load_window_state(0)
 
-    # --- 2. bit-exact resume -------------------------------------------------
-    continued = model.run_until(70)
-    replay = StochasticSEIRModel.from_checkpoint(restored).run_until(70)
-    identical = np.array_equal(continued.infections, replay.infections)
-    print(f"Bit-exact resume from file: {identical}")
+    # --- 2. same state and seeds, same bits ----------------------------------
+    new_seeds = seeds + 1_000
+    from_memory = BatchedBinomialLeapEngine.from_particle_snapshots(
+        state, params, seeds=new_seeds).run_until(70)
+    from_file = BatchedBinomialLeapEngine.from_particle_snapshots(
+        restored, params, seeds=new_seeds).run_until(70)
+    identical = np.array_equal(from_memory.infections, from_file.infections)
+    print(f"Restart from file equals restart from memory: {identical}")
+    assert identical
 
     # --- 3. counterfactual branching ----------------------------------------
-    scenarios = {
-        "no change": ParameterOverride(seed=1),
-        "intervention (theta x 0.5)": ParameterOverride(
-            seed=1, transmission_rate=params.transmission_rate * 0.5),
-        "new variant (theta x 1.5)": ParameterOverride(
-            seed=1, transmission_rate=params.transmission_rate * 1.5),
-    }
+    theta = params.transmission_rate
+    scenarios = {"no change": theta,
+                 "intervention (theta x 0.5)": theta * 0.5,
+                 "new variant (theta x 1.5)": theta * 1.5}
     print("\nBranching three scenarios from the same day-40 state:")
     curves = {}
-    for label, override in scenarios.items():
-        branch = StochasticSEIRModel.from_checkpoint(restored, override)
-        traj = branch.run_until(70)
-        curves[label] = traj.infections
-        print(f"  {label:28s} day-69 daily infections: "
-              f"{traj.infections[-1]:8.0f}   deaths to day 70: "
-              f"{traj.total_deaths():5.0f}")
+    for label, scenario_theta in scenarios.items():
+        branch = BatchedBinomialLeapEngine.from_particle_snapshots(
+            restored, params, seeds=new_seeds,
+            thetas=np.full(N_MEMBERS, scenario_theta)).run_until(70)
+        curves[label] = np.median(branch.infections, axis=0)
+        print(f"  {label:28s} day-69 median daily infections: "
+              f"{curves[label][-1]:8.0f}   mean deaths, days 40-69: "
+              f"{branch.deaths.sum(axis=1).mean():5.0f}")
     print()
     print(multi_line_plot(
         [np.maximum(c, 1) for c in curves.values()],
         markers=["o", "-", "+"], log_scale=True, height=12,
-        title="daily infections, day 40-70  (o: baseline, -: intervention, +: variant)"))
+        title="median daily infections, day 40-70  "
+              "(o: baseline, -: intervention, +: variant)"))
 
     # --- 4. the computational saving ----------------------------------------
-    n = 50
     t0 = time.perf_counter()
-    for k in range(n):
-        StochasticSEIRModel.from_checkpoint(
-            restored, ParameterOverride(seed=k)).run_until(54)
+    BatchedBinomialLeapEngine.from_particle_snapshots(
+        restored, params, seeds=new_seeds).run_until(54)
     warm = time.perf_counter() - t0
     t0 = time.perf_counter()
-    for k in range(n):
-        StochasticSEIRModel(params, seed=k).run_until(54)
+    BatchedBinomialLeapEngine(params, new_seeds).run_until(54)
     cold = time.perf_counter() - t0
-    print(f"\n{n} fourteen-day continuations: {warm:.2f}s from checkpoints "
-          f"vs {cold:.2f}s from day 0 ({cold / warm:.1f}x saving)")
+    print(f"\n{N_MEMBERS} fourteen-day continuations: {warm:.3f}s from the "
+          f"checkpoint vs {cold:.3f}s from day 0 ({cold / warm:.1f}x saving)")
 
 
 if __name__ == "__main__":

@@ -44,8 +44,7 @@ from .core import (SequentialCalibrator, SMCConfig, paper_first_window_prior,
 from .inference import (CalibrationConfig, CalibrationResult, Forecast,
                         calibrate, forecast_from_posterior,
                         paper_calibration_config)
-from .seir import (Checkpoint, DiseaseParameters, ParameterOverride,
-                   StochasticSEIRModel, chicago_defaults)
+from .seir import DiseaseParameters, chicago_defaults
 from .sim import GroundTruth, make_fig2_ground_truth, make_ground_truth
 
 __version__ = "1.0.0"
@@ -57,7 +56,6 @@ __all__ = [
     "paper_observation_model", "paper_likelihood", "paper_window_schedule",
     "calibrate", "CalibrationConfig", "paper_calibration_config",
     "CalibrationResult", "Forecast", "forecast_from_posterior",
-    "StochasticSEIRModel", "DiseaseParameters", "ParameterOverride",
-    "Checkpoint", "chicago_defaults",
+    "DiseaseParameters", "chicago_defaults",
     "GroundTruth", "make_ground_truth", "make_fig2_ground_truth",
 ]

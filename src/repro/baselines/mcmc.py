@@ -20,9 +20,9 @@ from ..core.priors import IndependentProduct
 from ..core.smc import BIAS_PARAM
 from ..core.weights import logsumexp
 from ..data.sources import ObservationSet
-from ..seir.model import StochasticSEIRModel
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..seir.tauleap import BinomialLeapEngine
 
 __all__ = ["MCMCResult", "random_walk_metropolis"]
 
@@ -69,8 +69,8 @@ def _estimate_loglik(draw: dict[str, float], base_params: DiseaseParameters,
         **{fld: draw[name] for name, fld in param_map.items()})
     logliks = []
     for seed in seeds:
-        model = StochasticSEIRModel(params, seed, **engine_options)
-        trajectory = model.run_until(end_day)
+        trajectory = BinomialLeapEngine(params, seed,
+                                        **engine_options).run_until(end_day)
         logliks.append(observation_model.loglik(
             window_obs, trajectory, draw[BIAS_PARAM], rng_bias))
     # Average in probability space: log mean exp (unbiased pseudo-marginal).

@@ -41,6 +41,7 @@ from .core.smc import DEFAULT_PARAM_MAP
 from .hpc.executor import EXECUTOR_SPECS
 from .inference import (CalibrationConfig, calibrate, calibrate_scenarios,
                         forecast_from_posterior, forecast_scenarios)
+from .seir.checkpoint import CheckpointError
 from .sim import make_fig2_ground_truth
 from .viz import write_json, write_series_csv
 
@@ -329,7 +330,10 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    truth = make_fig2_ground_truth(seed=args.seed, horizon=args.horizon)
+    try:
+        truth = make_fig2_ground_truth(seed=args.seed, horizon=args.horizon)
+    except ValueError as exc:
+        _invalid(exc)
     args.out.mkdir(parents=True, exist_ok=True)
     write_series_csv(args.out / "fig2_series.csv", {
         "true_cases": truth.true_cases,
@@ -599,20 +603,25 @@ def _cmd_serve(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fig2":
-        return _cmd_fig2(args)
-    if args.command == "fig3":
-        return _cmd_fig3(args)
-    if args.command == "fig4":
-        return _sequential(args, include_deaths=False, label="fig4")
-    if args.command == "fig5":
-        return _sequential(args, include_deaths=True, label="fig5")
-    if args.command == "forecast":
-        return _cmd_forecast(args)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
+    # A refused or unreadable checkpoint store (another run's fingerprint,
+    # a torn window) is the user's to fix: one line, not a traceback.
+    try:
+        if args.command == "fig2":
+            return _cmd_fig2(args)
+        if args.command == "fig3":
+            return _cmd_fig3(args)
+        if args.command == "fig4":
+            return _sequential(args, include_deaths=False, label="fig4")
+        if args.command == "fig5":
+            return _sequential(args, include_deaths=True, label="fig5")
+        if args.command == "forecast":
+            return _cmd_forecast(args)
+        if args.command == "scenarios":
+            return _cmd_scenarios(args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+    except CheckpointError as exc:
+        raise SystemExit(f"checkpoint error: {exc}") from None
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -16,13 +16,13 @@ trajectories plus the ancestor rows they continue), stacked when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..seir.batch_engine import BatchTrajectory
-from ..seir.checkpoint import Checkpoint, CheckpointError, StackedLeapState
+from ..seir.checkpoint import StackedLeapState
 from ..seir.outputs import Trajectory
 from .weights import (effective_sample_size, normalize_log_weights,
                       weighted_mean, weighted_quantile)
@@ -37,9 +37,10 @@ class Particle:
 
     ``params`` are the calibration parameters (e.g. ``{"theta": 0.31,
     "rho": 0.62}``), ``seed`` generated ``segment`` (the latest window's
-    trajectory), ``history`` runs from simulation start, ``checkpoint`` is
-    the restart state at the window's end, and ``ancestor`` is the parent's
-    index in the previous posterior (-1 for first-window particles).
+    trajectory), ``history`` runs from simulation start, and ``ancestor``
+    is the parent's index in the previous posterior (-1 for first-window
+    particles).  Restart state is columnar only
+    (:attr:`ParticleEnsemble.restart`).
     """
 
     params: dict[str, float]
@@ -47,7 +48,6 @@ class Particle:
     log_weight: float = 0.0
     segment: Trajectory | None = None
     history: Trajectory | None = None
-    checkpoint: Checkpoint | None = None
     ancestor: int = -1
 
     def __post_init__(self) -> None:
@@ -59,9 +59,6 @@ class Particle:
     def value(self, name: str) -> float:
         """Parameter value by name (KeyError if absent)."""
         return self.params[name]
-
-    def with_weight(self, log_weight: float) -> "Particle":
-        return replace(self, log_weight=float(log_weight))
 
 
 def _stack_trajectories(trajectories: Sequence[Trajectory | None]
@@ -114,8 +111,9 @@ class ParticleEnsemble:
 
     ``ParticleEnsemble(particles)`` is the validating ingress for
     hand-built :class:`Particle` records (they must agree on parameter
-    names, trajectory day ranges and restart clock); the calibrator builds
-    ensembles straight from columns (:meth:`from_columns`).
+    names and trajectory day ranges); it carries no restart state.  The
+    calibrator builds ensembles straight from columns
+    (:meth:`from_columns`), the one way restart state enters.
     """
 
     def __init__(self, particles: Sequence[Particle]) -> None:
@@ -124,24 +122,12 @@ class ParticleEnsemble:
         names = list(particles[0].params)
         if any(set(p.params) != set(names) for p in particles):
             raise ValueError("particles disagree on parameter names")
-        checkpoints = [p.checkpoint for p in particles
-                       if p.checkpoint is not None]
-        restart = None
-        if checkpoints:
-            if len(checkpoints) != len(particles):
-                raise ValueError("particles disagree on carrying checkpoints")
-            try:
-                restart = StackedLeapState.from_checkpoints(checkpoints)
-            except CheckpointError as exc:
-                raise ValueError(
-                    f"particles carry no batch restart state: {exc}") from exc
         self._init_columns(
             {name: [p.params[name] for p in particles] for name in names},
             [p.seed for p in particles],
             [p.log_weight for p in particles], [p.ancestor for p in particles],
             _stack_trajectories([p.segment for p in particles]),
-            _stack_trajectories([p.history for p in particles]),
-            restart)
+            _stack_trajectories([p.history for p in particles]), None)
 
     @classmethod
     def from_columns(cls, params: Mapping[str, np.ndarray],
@@ -205,7 +191,6 @@ class ParticleEnsemble:
         return Particle(
             {name: float(c[i]) for name, c in self._params.items()},
             int(self._seeds[i]), float(self._log_weights[i]), seg, hist,
-            None if self.restart is None else self.restart.checkpoint(i),
             int(self._ancestors[i]))
 
     @property
@@ -345,13 +330,3 @@ class ParticleEnsemble:
         names = list(self._params)
         return [dict(zip(names, row)) for row in
                 zip(*(self._params[name].tolist() for name in names))]
-
-    def params_matrix(self) -> np.ndarray:
-        """(n_particles, n_params) matrix, columns in :attr:`param_names` order."""
-        return np.column_stack([self._params[n] for n in self.param_names])
-
-    @classmethod
-    def from_param_arrays(cls, params: Mapping[str, np.ndarray],
-                          seeds: np.ndarray) -> "ParticleEnsemble":
-        """Build an unweighted ensemble from name-keyed parameter arrays."""
-        return cls.from_columns(params, seeds)

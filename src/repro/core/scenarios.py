@@ -7,7 +7,7 @@ A :class:`ScenarioSpec` is a small, validated, canonical description of
 (population, seeding, baseline rates); later overrides model mid-run
 events — a milder variant taking over, an intervention landing, detection
 practice changing — and are restricted to the paper's checkpoint-restart
-knobs (:attr:`~repro.seir.parameters.ParameterOverride._PARAM_FIELDS`)
+knobs (:data:`~repro.seir.parameters.RESTART_FIELDS`)
 starting exactly at a continuation window boundary, because that is where
 the engine stops and parameters can actually change.
 
@@ -51,11 +51,10 @@ import zlib
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
-from ..data.schedule import PiecewiseConstant
 from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor
-from ..seir.parameters import DiseaseParameters, ParameterOverride
+from ..seir.parameters import RESTART_FIELDS, DiseaseParameters
 from .observation import ObservationModel
 from .priors import IndependentProduct
 from .proposals import JointJitter
@@ -68,7 +67,7 @@ __all__ = ["ScenarioOverride", "ScenarioSpec", "ScenarioRegistry",
 
 _PARAM_FIELD_TYPES: dict[str, str] = {
     f.name: str(f.type) for f in dataclass_fields(DiseaseParameters)}
-_RESTART_FIELDS = frozenset(ParameterOverride._PARAM_FIELDS)
+_RESTART_FIELDS = frozenset(RESTART_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -154,24 +153,6 @@ class ScenarioSpec:
             seen.add(key)
         object.__setattr__(self, "overrides", ordered)
 
-    @classmethod
-    def from_field_schedule(cls, name: str, field: str,
-                            schedule: PiecewiseConstant, *,
-                            description: str = "",
-                            independent_streams: bool = False
-                            ) -> "ScenarioSpec":
-        """One override per step of a piecewise-constant field schedule."""
-        overrides = [ScenarioOverride(field=field,
-                                      value=float(schedule.values[0]),
-                                      start_day=0)]
-        overrides.extend(
-            ScenarioOverride(field=field, value=float(value),
-                             start_day=int(day))
-            for day, value in zip(schedule.breakpoints, schedule.values[1:]))
-        return cls(name=name, description=description,
-                   overrides=tuple(overrides),
-                   independent_streams=independent_streams)
-
     @property
     def is_baseline(self) -> bool:
         """True when the spec changes nothing about a scenario-less run."""
@@ -181,10 +162,6 @@ class ScenarioSpec:
     def stream_key(self) -> int:
         """Deterministic integer identity for independent-stream rooting."""
         return zlib.crc32(self.name.encode("utf-8"))
-
-    def override_days(self) -> tuple[int, ...]:
-        """Sorted distinct days at which some override takes effect."""
-        return tuple(sorted({o.start_day for o in self.overrides}))
 
     def params_at(self, day: int,
                   base: DiseaseParameters) -> DiseaseParameters:
@@ -201,18 +178,6 @@ class ScenarioSpec:
         if not updates:
             return base
         return base.with_updates(**updates)
-
-    def fingerprint_through(self, day: int
-                            ) -> tuple[tuple[str, int, float], ...]:
-        """Canonical identity of every override reached by ``day``.
-
-        Two shared-stream scenarios with equal prefixes through a window's
-        start day are *candidates* for sharing that window's world-line
-        (the sweep keys lines on effective parameters, which is stronger —
-        this is the cheap declarative form for audit and tests).
-        """
-        return tuple((o.field, o.start_day, o.value) for o in self.overrides
-                     if o.start_day <= day)
 
     def check_schedule(self, schedule: WindowSchedule,
                        calibrated: Collection[str]) -> None:

@@ -82,7 +82,7 @@ from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
                             validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.checkpoint import CheckpointError, StackedLeapState
-from ..seir.parameters import (DiseaseParameters, ParameterOverride,
+from ..seir.parameters import (RESTART_FIELDS, DiseaseParameters,
                                parameter_columns)
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
@@ -439,7 +439,7 @@ class SequentialCalibrator:
         unknown = set(self.param_map) - prior_names
         if unknown:
             raise ValueError(f"param_map names missing from prior: {sorted(unknown)}")
-        allowed_fields = set(ParameterOverride._PARAM_FIELDS)
+        allowed_fields = set(RESTART_FIELDS)
         bad = {f for f in self.param_map.values() if f not in allowed_fields}
         if bad:
             raise ValueError(

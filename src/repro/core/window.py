@@ -112,13 +112,6 @@ class WindowSchedule:
         """One past the last calibrated day."""
         return self.windows[-1].end_day
 
-    def window_of_day(self, day: int) -> int:
-        """Index of the window containing ``day``."""
-        for i, w in enumerate(self.windows):
-            if w.contains_day(day):
-                return i
-        raise ValueError(f"day {day} is not inside any calibration window")
-
     def to_dict(self) -> dict:
         return {"breaks": [self.windows[0].start_day,
                            *(w.end_day for w in self.windows)],

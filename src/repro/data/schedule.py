@@ -14,7 +14,6 @@ and by the synthetic-observation generator (time-varying reporting bias).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -58,19 +57,6 @@ class PiecewiseConstant:
         """A schedule that never changes."""
         return cls(breakpoints=(), values=(float(value),))
 
-    @classmethod
-    def from_segments(cls, segments: Sequence[tuple[int, float]]) -> "PiecewiseConstant":
-        """Build from ``[(start_day, value), ...]`` with the first start ignored.
-
-        Convenience mirroring how the paper tabulates the ground truth:
-        ``[(0, 0.30), (34, 0.27), (48, 0.25), (62, 0.40)]``.
-        """
-        if not segments:
-            raise ValueError("need at least one segment")
-        starts = [int(s) for s, _ in segments]
-        values = [float(v) for _, v in segments]
-        return cls(breakpoints=tuple(starts[1:]), values=tuple(values))
-
     def __call__(self, day) -> np.ndarray | float:
         """Evaluate at an integer day or an array of days."""
         day_arr = np.asarray(day)
@@ -79,23 +65,6 @@ class PiecewiseConstant:
         if np.isscalar(day) or day_arr.ndim == 0:
             return float(out)
         return out
-
-    def segment_index(self, day: int) -> int:
-        """Index of the segment containing ``day``."""
-        return int(np.searchsorted(np.asarray(self.breakpoints), day, side="right"))
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.values)
-
-    def segment_bounds(self, horizon: int) -> list[tuple[int, int]]:
-        """Day ranges ``[(start, end), ...]`` of each segment up to ``horizon``.
-
-        The first segment is reported as starting at day 0.
-        """
-        edges = [0, *self.breakpoints, horizon]
-        return [(edges[i], min(edges[i + 1], horizon))
-                for i in range(len(edges) - 1) if edges[i] < horizon]
 
     def to_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}

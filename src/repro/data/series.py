@@ -196,10 +196,6 @@ class TimeSeries:
     def min(self) -> float:
         return float(self.values.min())
 
-    def argmax_day(self) -> int:
-        """Day index at which the series attains its maximum."""
-        return int(self.start_day + int(np.argmax(self.values)))
-
     def cumulative(self) -> "TimeSeries":
         """Running sum (e.g. daily incidence -> cumulative cases)."""
         return TimeSeries(self.start_day, np.cumsum(self.values),
@@ -217,29 +213,6 @@ class TimeSeries:
         np.subtract(self.values[1:], self.values[:-1], out=vals[1:])
         return TimeSeries(self.start_day, vals,
                           name=f"diff_{self.name}" if self.name else "")
-
-    def rolling_mean(self, window: int) -> "TimeSeries":
-        """Centred-left rolling mean with partial windows at the start.
-
-        Day ``t`` receives the mean of days ``max(start, t-window+1) .. t`` —
-        the convention surveillance dashboards use for 7-day averages.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        csum = np.concatenate([[0.0], np.cumsum(self.values)])
-        n = len(self)
-        idx_hi = np.arange(1, n + 1)
-        idx_lo = np.maximum(idx_hi - window, 0)
-        out = (csum[idx_hi] - csum[idx_lo]) / (idx_hi - idx_lo)
-        return TimeSeries(self.start_day, out, name=self.name)
-
-    def clip_nonnegative(self) -> "TimeSeries":
-        """Clamp negative values to zero (guards subtraction artefacts)."""
-        return TimeSeries(self.start_day, np.maximum(self.values, 0.0), name=self.name)
-
-    def round_counts(self) -> "TimeSeries":
-        """Round to whole counts (used before binomial thinning)."""
-        return TimeSeries(self.start_day, np.rint(self.values), name=self.name)
 
     def shift(self, days: int) -> "TimeSeries":
         """Shift the day axis (positive = later) without touching values.

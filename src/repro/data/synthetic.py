@@ -8,7 +8,7 @@ true event is independently observed with probability ``rho_t``, so
 
 with ``rho_t`` following the piecewise-constant schedule of the experiment.
 This module implements that thinning, the deterministic mean-thinning variant
-(``observed_t = rho_t * true_t``), and an optional reporting-lag shift.
+(``observed_t = rho_t * true_t``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .schedule import PiecewiseConstant
 from .series import TimeSeries
 
-__all__ = ["binomial_thin", "mean_thin", "make_observed_series"]
+__all__ = ["binomial_thin", "mean_thin"]
 
 
 def _rho_per_day(series: TimeSeries, rho: float | PiecewiseConstant) -> np.ndarray:
@@ -53,36 +53,3 @@ def mean_thin(series: TimeSeries, rho: float | PiecewiseConstant) -> TimeSeries:
     rho_arr = _rho_per_day(series, rho)
     return TimeSeries(series.start_day, series.values * rho_arr,
                       name=f"observed_{series.name}" if series.name else "observed")
-
-
-def make_observed_series(true_series: TimeSeries,
-                         rho: float | PiecewiseConstant,
-                         rng: np.random.Generator,
-                         *,
-                         reporting_lag_days: int = 0,
-                         mode: str = "sample") -> TimeSeries:
-    """Produce an observed stream from a true stream.
-
-    Parameters
-    ----------
-    true_series:
-        The unobservable true counts (simulator output).
-    rho:
-        Reporting probability: scalar or piecewise schedule.
-    rng:
-        Source of randomness for the binomial draw.
-    reporting_lag_days:
-        Shift observations this many days later (0 in the paper experiments).
-    mode:
-        ``"sample"`` for a binomial draw (the paper's construction) or
-        ``"mean"`` for the deterministic expectation.
-    """
-    if mode == "sample":
-        obs = binomial_thin(true_series, rho, rng)
-    elif mode == "mean":
-        obs = mean_thin(true_series, rho)
-    else:
-        raise ValueError(f"mode must be 'sample' or 'mean', got {mode!r}")
-    if reporting_lag_days:
-        obs = obs.shift(reporting_lag_days)
-    return obs

@@ -17,9 +17,9 @@ Columns of ``checkpoints.npz`` (``n`` particles, one row each)::
     param_<field>      (n,)            one per DiseaseParameters field,
                                        in that field's own dtype
 
-The store's input is a restart state by type, so only restart rows reach
-it; per-particle checkpoints are validated into that form by
-:meth:`~repro.seir.checkpoint.StackedLeapState.from_checkpoints`.
+The store's input is a restart state by type — the one restart-state
+format, the same columns a shard returns and a particle ensemble carries —
+so only restart rows reach it and no per-particle form exists to convert.
 
 Durability contract
 -------------------

@@ -20,7 +20,6 @@ from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
 from ..core.smc import WindowResult
 from ..core.window import WindowSchedule
 from ..data.sources import CASES
-from ..seir.outputs import Trajectory
 
 __all__ = ["CalibrationResult", "ParameterTrack", "ScenarioSweepResult"]
 
@@ -113,17 +112,6 @@ class CalibrationResult:
         return trajectory_ribbon(
             self.final_posterior.trajectory_batch("history"), channel,
             quantiles)
-
-    def window_ribbon(self, index: int, channel: str = CASES,
-                      quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
-                      ) -> TrajectoryRibbon:
-        """Ribbon over one window's posterior segment trajectories."""
-        return trajectory_ribbon(
-            self.windows[index].posterior.trajectory_batch("segment"),
-            channel, quantiles)
-
-    def final_histories(self) -> list[Trajectory]:
-        return self.final_posterior.trajectories("history")
 
     # ------------------------------------------------------------------ #
     def ess_fractions(self) -> np.ndarray:

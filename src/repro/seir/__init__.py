@@ -2,13 +2,11 @@
 
 from .batch_engine import (BatchedBinomialLeapEngine, BatchTrajectory,
                            stack_channel_tensor)
-from .checkpoint import (Checkpoint, CheckpointError, StackedLeapState,
-                         stack_leap_snapshots)
+from .checkpoint import CheckpointError, StackedLeapState
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
-from .model import StochasticSEIRModel
 from .outputs import Trajectory, TrajectoryBuilder
-from .parameters import (DiseaseParameters, ParameterOverride,
+from .parameters import (RESTART_FIELDS, DiseaseParameters,
                          chicago_defaults, check_parameter_columns,
                          parameter_columns)
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
@@ -19,7 +17,7 @@ from .tauleap import (BinomialLeapEngine, CompiledTransitions,
 __all__ = [
     "Compartment", "N_COMPARTMENTS", "TransitionSpec",
     "build_transitions", "infectiousness_weights",
-    "DiseaseParameters", "ParameterOverride", "chicago_defaults",
+    "DiseaseParameters", "RESTART_FIELDS", "chicago_defaults",
     "check_parameter_columns", "parameter_columns",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
     "mix_seeds",
@@ -28,7 +26,5 @@ __all__ = [
     "BatchedBinomialLeapEngine", "BatchTrajectory", "stack_channel_tensor",
     "CompiledTransitions", "compiled_transitions_for",
     "transition_table_key",
-    "Checkpoint", "CheckpointError", "StackedLeapState",
-    "stack_leap_snapshots",
-    "StochasticSEIRModel",
+    "CheckpointError", "StackedLeapState",
 ]

@@ -58,9 +58,9 @@ Restart state is columnar: a batch's rows travel as one
 :class:`~repro.seir.checkpoint.StackedLeapState` with no RNG state (a batch
 stream cannot be partitioned per member), and
 :meth:`BatchedBinomialLeapEngine.from_particle_snapshots` restarts a whole
-cloud from it on a fresh batch stream keyed by the new seed vector.  One
-row becomes a scalar restart checkpoint through
-:meth:`~repro.seir.checkpoint.StackedLeapState.checkpoint`.
+cloud from it on a fresh batch stream keyed by the new seed vector.  The
+scalar oracle restarts one row of the same state
+(:meth:`~repro.seir.tauleap.BinomialLeapEngine.from_state_row`).
 """
 
 from __future__ import annotations
@@ -427,8 +427,6 @@ class BatchedBinomialLeapEngine:
 
         ``seeds`` is the *new* seed vector (one per row, in batch order):
         the restart always begins a fresh batch stream keyed by it.
-        Per-particle snapshot dicts stack through
-        :func:`~repro.seir.checkpoint.stack_leap_snapshots` first.
         """
         if state.steps_per_day < 1:
             raise ValueError("stacked steps_per_day must be >= 1")

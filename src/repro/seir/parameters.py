@@ -16,19 +16,29 @@ when restarting from a checkpoint to spawn a new trajectory:
 5. infectiousness of detected versus undetected infections;
 6. the rate of persons moving from S to E (the transmission rate).
 
-:class:`ParameterOverride` encodes that contract; anything else is fixed at
-checkpoint time.
+:data:`RESTART_FIELDS` names knobs 2-6 (the seed is a particle's own
+coordinate); every other field is fixed at checkpoint time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, ClassVar, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["DiseaseParameters", "ParameterOverride", "chicago_defaults",
+__all__ = ["DiseaseParameters", "RESTART_FIELDS", "chicago_defaults",
            "check_parameter_columns", "parameter_columns"]
+
+#: The :class:`DiseaseParameters` fields a checkpoint restart may rewrite
+#: (the paper's knobs 6, 2, 3, 4 and 5, in field order).
+RESTART_FIELDS: tuple[str, ...] = (
+    "transmission_rate",
+    "exposed_to_presymptomatic_fraction",
+    "mild_fraction",
+    "asymptomatic_rel_infectiousness",
+    "detected_rel_infectiousness",
+)
 
 
 _PERIOD_FIELDS = ("latent_period_days", "presymptomatic_period_days",
@@ -151,26 +161,6 @@ class DiseaseParameters:
         """Return a copy with named fields replaced (validated)."""
         return replace(self, **updates)
 
-    def basic_reproduction_number(self) -> float:
-        """Crude R0 estimate: theta times the mean infectious person-days.
-
-        Ignores detection (which reduces effective infectiousness), so this is
-        an upper bound; used for sanity checks and documentation, not inference.
-        """
-        p = self
-        sigma = p.exposed_to_presymptomatic_fraction
-        asym = (1.0 - sigma) * p.asymptomatic_rel_infectiousness * p.asymptomatic_period_days
-        presym = sigma * p.presymptomatic_period_days
-        mild = sigma * p.mild_fraction * p.mild_period_days
-        severe = sigma * (1.0 - p.mild_fraction) * p.severe_period_days
-        return p.transmission_rate * (asym + presym + mild + severe)
-
-    def infection_fatality_ratio(self) -> float:
-        """Expected deaths per infection implied by the pathway fractions."""
-        p = self
-        return (p.exposed_to_presymptomatic_fraction * (1.0 - p.mild_fraction)
-                * p.critical_fraction * p.death_fraction)
-
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -201,58 +191,3 @@ def parameter_columns(base: DiseaseParameters, n: int,
 def chicago_defaults(**updates: Any) -> DiseaseParameters:
     """The default Chicago-scale parameter set, optionally tweaked."""
     return DiseaseParameters().with_updates(**updates) if updates else DiseaseParameters()
-
-
-@dataclass(frozen=True)
-class ParameterOverride:
-    """Exactly the six quantities the paper allows when restarting a checkpoint.
-
-    Every field defaults to ``None`` meaning "keep the checkpointed value".
-    ``seed`` is consumed by the engine factory (it re-seeds the RNG stream);
-    the remaining five rewrite :class:`DiseaseParameters` fields.
-    """
-
-    seed: int | None = None
-    transmission_rate: float | None = None
-    exposed_to_presymptomatic_fraction: float | None = None
-    mild_fraction: float | None = None
-    asymptomatic_rel_infectiousness: float | None = None
-    detected_rel_infectiousness: float | None = None
-
-    _PARAM_FIELDS: ClassVar[tuple[str, ...]] = (
-        "transmission_rate",
-        "exposed_to_presymptomatic_fraction",
-        "mild_fraction",
-        "asymptomatic_rel_infectiousness",
-        "detected_rel_infectiousness",
-    )
-
-    def apply_to(self, params: DiseaseParameters) -> DiseaseParameters:
-        """Rewrite the overridden fields of ``params``."""
-        updates = {name: getattr(self, name) for name in self._PARAM_FIELDS
-                   if getattr(self, name) is not None}
-        return params.with_updates(**updates) if updates else params
-
-    def is_empty(self) -> bool:
-        return self.seed is None and all(
-            getattr(self, name) is None for name in self._PARAM_FIELDS)
-
-    def to_dict(self) -> dict:
-        d: dict[str, Any] = {}
-        if self.seed is not None:
-            d["seed"] = int(self.seed)
-        for name in self._PARAM_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = float(value)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ParameterOverride":
-        allowed = {"seed", *cls._PARAM_FIELDS}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(
-                f"override fields {sorted(unknown)} are not restartable; "
-                f"the paper permits only {sorted(allowed)}")
-        return cls(**dict(d))

@@ -23,7 +23,11 @@ the whole particle cloud as one ``(n_particles, n_compartments)`` state
 matrix under a relaxed, batch-level RNG contract (bit-reproducible given the
 *ordered* seed vector via :func:`~repro.seir.seeding.batch_generator_for`;
 equal to this engine in distribution, not bit-for-bit).  This scalar engine
-remains the reference oracle the batched engine is cross-checked against
+runs the ground truth (:mod:`repro.sim.groundtruth`, whose
+``theta_schedule`` only it supports) and is the reference oracle the
+batched engine is cross-checked against:
+:meth:`BinomialLeapEngine.from_state_row` restarts one row of a
+:class:`~repro.seir.checkpoint.StackedLeapState`
 (:func:`repro.testing.restart_oracle`).
 
 Within a trajectory the update is fully vectorised over compartments: the
@@ -35,9 +39,9 @@ Because the transition table depends only on the *structural* disease
 parameters — everything except ``population``, ``initial_exposed`` and
 ``transmission_rate``, which the leap update reads directly —
 :func:`compiled_transitions_for` memoises :class:`CompiledTransitions` by
-that identity.  Sequential calibration restarts tens of thousands of engines
-per window whose draws differ only in theta (and seed), so the table is
-built once per distinct structure instead of once per engine.
+that identity.  Engines that differ only in theta (and seed) share one
+table, so it is built once per distinct structure instead of once per
+engine.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ import numpy as np
 from ..data.schedule import PiecewiseConstant
 from .compartments import (Compartment, N_COMPARTMENTS, build_transitions,
                            infectiousness_weights)
+from .checkpoint import StackedLeapState
 from .outputs import Trajectory, TrajectoryBuilder
 from .parameters import DiseaseParameters
-from .seeding import (generator_for, rng_from_jsonable,
-                      rng_state_to_jsonable)
+from .seeding import generator_for
 
 __all__ = ["BinomialLeapEngine", "CompiledTransitions",
            "compiled_transitions_for", "transition_table_key"]
@@ -319,53 +323,21 @@ class BinomialLeapEngine:
         return builder.build()
 
     # ------------------------------------------------------------------ #
-    # Snapshot support (consumed by repro.seir.checkpoint)
+    # Restart
     # ------------------------------------------------------------------ #
-    def state_snapshot(self) -> dict:
-        """JSON-safe snapshot of everything needed to resume this engine."""
-        return {
-            "engine": self.name,
-            "day": self._day,
-            "counts": self._counts.tolist(),
-            "cum_infections": int(self._cum_infections),
-            "cum_deaths": int(self._cum_deaths),
-            "steps_per_day": self.steps_per_day,
-            "seed": self.seed,
-            "rng_state": rng_state_to_jsonable(self._rng),
-        }
-
     @classmethod
-    def from_snapshot(cls, snapshot: dict, params: DiseaseParameters, *,
-                      seed: int | None = None,
-                      theta_schedule: PiecewiseConstant | None = None,
-                      ) -> "BinomialLeapEngine":
-        """Rebuild an engine from a snapshot, optionally re-seeded.
+    def from_state_row(cls, state: StackedLeapState, i: int,
+                       seed: int) -> "BinomialLeapEngine":
+        """Restart row ``i`` of ``state`` under that row's parameters.
 
-        If ``seed`` is given the RNG starts a *fresh* stream (the paper's
-        restart knob 1); otherwise the serialised stream continues
-        bit-exactly.  A snapshot without ``rng_state`` (the restart
-        checkpoints of the batched engine) resumes on its seed's fresh
-        :func:`~repro.seir.seeding.generator_for` stream.
+        The engine continues from the row's clock, occupancy and cumulative
+        outputs on ``seed``'s fresh :func:`generator_for` stream (the
+        paper's restart knob 1); the row's own parameters must be attached
+        (:meth:`~repro.seir.checkpoint.StackedLeapState.with_parameters`).
         """
-        engine = cls.__new__(cls)
-        engine.params = params
-        engine.steps_per_day = int(snapshot["steps_per_day"])
-        engine.theta_schedule = theta_schedule
-        engine._theta_of = _theta_function(params, theta_schedule)
-        engine._table = compiled_transitions_for(params)
-        engine._prepare_fast_tables()
-        engine._day = int(snapshot["day"])
-        engine._counts = np.asarray(snapshot["counts"], dtype=np.int64).copy()
-        if engine._counts.shape != (N_COMPARTMENTS,):
-            raise ValueError("snapshot counts have wrong shape")
-        engine._cum_infections = int(snapshot["cum_infections"])
-        engine._cum_deaths = int(snapshot["cum_deaths"])
-        if seed is not None:
-            engine.seed = int(seed)
-            engine._rng = generator_for(int(seed))
-        else:
-            engine.seed = int(snapshot["seed"])
-            engine._rng = (rng_from_jsonable(snapshot["rng_state"])
-                           if "rng_state" in snapshot
-                           else generator_for(engine.seed))
+        engine = cls(state.take([i]).parameters()[0], int(seed),
+                     steps_per_day=state.steps_per_day, start_day=state.day)
+        engine._counts = state.counts[i].astype(np.int64, copy=True)
+        engine._cum_infections = int(state.cum_infections[i])
+        engine._cum_deaths = int(state.cum_deaths[i])
         return engine

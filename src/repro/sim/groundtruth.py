@@ -21,10 +21,10 @@ from ..data.schedule import (FIG2_RHO_SCHEDULE, FIG2_THETA_SCHEDULE,
 from ..data.series import TimeSeries
 from ..data.sources import CASES, DEATHS, ObservationSet, ObservationSource
 from ..data.synthetic import binomial_thin
-from ..seir.model import StochasticSEIRModel
 from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters, chicago_defaults
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..seir.tauleap import BinomialLeapEngine
 
 __all__ = ["GroundTruth", "make_ground_truth", "make_fig2_ground_truth"]
 
@@ -106,9 +106,9 @@ def make_ground_truth(params: DiseaseParameters | None = None,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     base = params if params is not None else chicago_defaults()
-    model = StochasticSEIRModel(base, seed, theta_schedule=theta_schedule,
-                                **engine_options)
-    trajectory = model.run_until(horizon)
+    trajectory = BinomialLeapEngine(
+        base, seed, theta_schedule=theta_schedule,
+        **engine_options).run_until(horizon)
     # Thinning uses a stream independent of the simulation stream so the
     # truth trajectory is identical whether or not observations are drawn.
     rng_thin = SeedSequenceBank(seed).ancillary_generator(

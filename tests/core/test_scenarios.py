@@ -28,7 +28,6 @@ from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   ScenarioRegistry, ScenarioSpec,
                                   get_scenario, register_scenario,
                                   scenario_set)
-from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
 from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
                                 simulate_groups, structural_groups)
@@ -147,7 +146,6 @@ class TestScenarioSpec:
             ScenarioOverride("mild_fraction", 0.99, start_day=24)))
         assert spec.params_at(16, base).mild_fraction == 0.95
         assert spec.params_at(24, base).mild_fraction == 0.99
-        assert spec.override_days() == (16, 24)
 
     def test_is_baseline(self):
         assert ScenarioSpec("plain").is_baseline
@@ -158,16 +156,7 @@ class TestScenarioSpec:
         assert ScenarioSpec("x").stream_key == ScenarioSpec("x").stream_key
         assert ScenarioSpec("x").stream_key != ScenarioSpec("y").stream_key
 
-    def test_from_field_schedule(self):
-        sched = PiecewiseConstant(breakpoints=(16, 24), values=(0.3, 0.25, 0.2))
-        spec = ScenarioSpec.from_field_schedule("taper", "transmission_rate",
-                                                sched)
-        assert [(o.start_day, o.value) for o in spec.overrides] == [
-            (0, 0.3), (16, 0.25), (24, 0.2)]
-
-    def test_fingerprint_through_is_prefix(self):
-        assert MILD16.fingerprint_through(0) == ()
-        assert MILD16.fingerprint_through(16) == (("mild_fraction", 16, 0.97),)
+    def test_fingerprint_payload(self):
         payload = MILD16.fingerprint_payload()
         assert payload["name"] == "mild16"
         assert payload["overrides"][0]["field"] == "mild_fraction"
@@ -360,8 +349,8 @@ class TestParityOracles:
         pending = calib.propose_window(1, window1,
                                        results["mild16"][0].posterior)
         assert np.all(pending.member_columns["mild_fraction"] == 0.97)
-        assert all(parent.checkpoint.params.mild_fraction != 0.97
-                   for parent in pending.parents)
+        assert np.all(
+            pending.parents.restart.params["mild_fraction"] != 0.97)
         batched = calib.assemble_window(pending, simulate_groups(
             calib.executor, pending.specs, end_day=window1.end_day,
             engine_options=calib.config.engine_options,

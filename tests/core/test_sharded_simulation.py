@@ -59,8 +59,8 @@ def assert_runs_identical(a, b):
                                   rb.posterior.values(name))
         for pa, pb in zip(ra.posterior, rb.posterior):
             assert np.array_equal(pa.segment.infections, pb.segment.infections)
-            assert pa.checkpoint.snapshot["counts"] == \
-                pb.checkpoint.snapshot["counts"]
+        assert np.array_equal(ra.posterior.restart.counts,
+                              rb.posterior.restart.counts)
 
 
 class OutOfOrderExecutor(SerialExecutor):

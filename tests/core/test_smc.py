@@ -111,9 +111,10 @@ class TestSingleWindowRun:
         assert np.all((rho >= 0.0) & (rho <= 1.0))
 
     def test_particles_carry_checkpoints_at_window_end(self, result):
-        for p in result.posterior:
-            assert p.checkpoint is not None
-            assert p.checkpoint.day == 24
+        restart = result.posterior.restart
+        assert restart is not None
+        assert restart.n_particles == len(result.posterior)
+        assert restart.day == 24
 
     def test_segments_cover_window(self, result):
         for p in result.posterior:
@@ -153,8 +154,8 @@ class TestSequentialRun:
             assert p.segment.start_day == 20
 
     def test_checkpoints_advance(self, results):
-        assert results[0].posterior[0].checkpoint.day == 20
-        assert results[1].posterior[0].checkpoint.day == 30
+        assert results[0].posterior.restart.day == 20
+        assert results[1].posterior.restart.day == 30
 
     def test_continuation_seeds_fresh(self, results):
         s0 = set(results[0].posterior.seeds().tolist())

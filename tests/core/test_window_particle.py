@@ -44,13 +44,6 @@ class TestWindowSchedule:
         with pytest.raises(ValueError, match="burn-in"):
             WindowSchedule.from_breaks([20, 34], burn_in_start=25)
 
-    def test_window_of_day(self):
-        s = WindowSchedule.from_breaks([20, 34, 48])
-        assert s.window_of_day(20) == 0
-        assert s.window_of_day(34) == 1
-        with pytest.raises(ValueError):
-            s.window_of_day(48)
-
     def test_round_trip(self):
         s = WindowSchedule.from_breaks([20, 34, 48], burn_in_start=5)
         restored = WindowSchedule.from_dict(s.to_dict())
@@ -78,10 +71,6 @@ class TestParticle:
         assert p.value("theta") == 0.25
         with pytest.raises(KeyError):
             p.value("zeta")
-
-    def test_with_weight(self):
-        p = particle().with_weight(-3.0)
-        assert p.log_weight == -3.0
 
 
 class TestParticleEnsemble:
@@ -149,23 +138,15 @@ class TestParticleEnsemble:
         with pytest.raises(ValueError, match="missing"):
             ens.trajectories("segment")
 
-    def test_params_matrix_column_order(self):
-        ens = ParticleEnsemble([particle(theta=0.1, rho=0.9)])
-        mat = ens.params_matrix()
-        # param_names sorted: rho first, theta second
-        assert mat.shape == (1, 2)
-        assert mat[0, 0] == 0.9
-        assert mat[0, 1] == 0.1
-
-    def test_from_param_arrays(self):
-        ens = ParticleEnsemble.from_param_arrays(
+    def test_from_columns(self):
+        ens = ParticleEnsemble.from_columns(
             {"theta": np.array([0.1, 0.2]), "rho": np.array([0.5, 0.6])},
             seeds=np.array([7, 8]))
         assert len(ens) == 2
         assert ens[1].seed == 8
         assert ens[1].params["rho"] == 0.6
 
-    def test_from_param_arrays_shape_mismatch(self):
+    def test_from_columns_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ParticleEnsemble.from_param_arrays(
+            ParticleEnsemble.from_columns(
                 {"theta": np.array([0.1, 0.2])}, seeds=np.array([1]))

@@ -11,7 +11,6 @@ class TestConstruction:
         s = PiecewiseConstant.constant(0.3)
         assert s(0) == 0.3
         assert s(1000) == 0.3
-        assert s.n_segments == 1
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="len"):
@@ -20,15 +19,6 @@ class TestConstruction:
     def test_non_increasing_breakpoints_raise(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewiseConstant(breakpoints=(10, 10), values=(1.0, 2.0, 3.0))
-
-    def test_from_segments(self):
-        s = PiecewiseConstant.from_segments([(0, 0.3), (34, 0.27), (48, 0.25)])
-        assert s.breakpoints == (34, 48)
-        assert s.values == (0.3, 0.27, 0.25)
-
-    def test_from_segments_empty_raises(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant.from_segments([])
 
 
 class TestEvaluation:
@@ -47,20 +37,6 @@ class TestEvaluation:
     def test_scalar_return_type(self):
         s = PiecewiseConstant.constant(0.5)
         assert isinstance(s(3), float)
-
-    def test_segment_index(self):
-        s = PiecewiseConstant(breakpoints=(34, 48), values=(1.0, 2.0, 3.0))
-        assert s.segment_index(0) == 0
-        assert s.segment_index(34) == 1
-        assert s.segment_index(100) == 2
-
-    def test_segment_bounds(self):
-        s = PiecewiseConstant(breakpoints=(34, 48), values=(1.0, 2.0, 3.0))
-        assert s.segment_bounds(60) == [(0, 34), (34, 48), (48, 60)]
-
-    def test_segment_bounds_truncated_horizon(self):
-        s = PiecewiseConstant(breakpoints=(34, 48), values=(1.0, 2.0, 3.0))
-        assert s.segment_bounds(40) == [(0, 34), (34, 40)]
 
 
 class TestSerialisation:

@@ -154,10 +154,6 @@ class TestAggregations:
         assert ts.max() == 3.0
         assert ts.min() == 1.0
 
-    def test_argmax_day(self):
-        ts = TimeSeries(5, [1.0, 9.0, 2.0])
-        assert ts.argmax_day() == 6
-
     def test_cumulative(self):
         out = make().cumulative()
         assert list(out.values) == [1.0, 3.0, 6.0]
@@ -166,27 +162,6 @@ class TestAggregations:
         ts = TimeSeries(0, [3.0, 1.0, 4.0, 1.0, 5.0])
         round_trip = ts.cumulative().diff()
         assert np.allclose(round_trip.values, ts.values)
-
-    def test_rolling_mean_window1_is_identity(self):
-        ts = make()
-        assert np.allclose(ts.rolling_mean(1).values, ts.values)
-
-    def test_rolling_mean_partial_start(self):
-        ts = TimeSeries(0, [2.0, 4.0, 6.0])
-        rm = ts.rolling_mean(2)
-        assert np.allclose(rm.values, [2.0, 3.0, 5.0])
-
-    def test_rolling_mean_invalid_window(self):
-        with pytest.raises(ValueError):
-            make().rolling_mean(0)
-
-    def test_clip_nonnegative(self):
-        ts = TimeSeries(0, [-1.0, 2.0])
-        assert list(ts.clip_nonnegative().values) == [0.0, 2.0]
-
-    def test_round_counts(self):
-        ts = TimeSeries(0, [1.4, 2.6])
-        assert list(ts.round_counts().values) == [1.0, 3.0]
 
     def test_shift(self):
         ts = make(start=0).shift(5)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (PiecewiseConstant, TimeSeries, binomial_thin,
-                        make_observed_series, mean_thin)
+from repro.data import PiecewiseConstant, TimeSeries, binomial_thin, mean_thin
 
 
 def counts(n=50, scale=100.0, start=0):
@@ -67,22 +66,3 @@ class TestMeanThin:
         sched = PiecewiseConstant(breakpoints=(2,), values=(0.5, 1.0))
         obs = mean_thin(ts, sched)
         assert list(obs.values) == [50.0, 50.0, 100.0, 100.0]
-
-
-class TestMakeObservedSeries:
-    def test_sample_mode(self, rng):
-        obs = make_observed_series(counts(), 0.5, rng, mode="sample")
-        assert np.all(obs.values <= counts().values)
-
-    def test_mean_mode(self, rng):
-        obs = make_observed_series(counts(), 0.5, rng, mode="mean")
-        assert np.allclose(obs.values, 0.5 * counts().values)
-
-    def test_reporting_lag_shifts_days(self, rng):
-        obs = make_observed_series(counts(start=0), 0.5, rng,
-                                   reporting_lag_days=3)
-        assert obs.start_day == 3
-
-    def test_unknown_mode_rejected(self, rng):
-        with pytest.raises(ValueError, match="mode"):
-            make_observed_series(counts(), 0.5, rng, mode="magic")

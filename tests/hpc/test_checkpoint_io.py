@@ -7,11 +7,9 @@ import stat
 import numpy as np
 import pytest
 
-from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore
-from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
-                        StackedLeapState, StochasticSEIRModel,
-                        parameter_columns)
+from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
+                        CheckpointError, StackedLeapState, parameter_columns)
 
 META = {"window_index": 0, "params": [[0.3, 0.7]]}
 WINDOW_FILES = ["COMPLETE.json", "checkpoints.npz", "state.json"]
@@ -32,8 +30,10 @@ def leap_state(params, n, *, seed0=0):
 
 
 def rows(state):
-    """Every row of a restart state as a scalar checkpoint."""
-    return [state.checkpoint(i) for i in range(state.n_particles)]
+    """Every row of a restart state: its engine columns and parameters."""
+    return list(zip(state.counts.tolist(), state.cum_infections.tolist(),
+                    state.cum_deaths.tolist(), state.seeds.tolist(),
+                    state.parameters()))
 
 
 @pytest.fixture
@@ -55,13 +55,12 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         loaded, _ = store.load_window_state(0)
-        assert loaded.checkpoint(0) == checkpoints.checkpoint(0)
+        assert rows(loaded)[0] == rows(checkpoints)[0]
         assert loaded.day == 10 and loaded.seeds[0] == checkpoints.seeds[0]
 
     def test_save_window_bulk(self, tmp_path, checkpoints):
         """The round trip rebuilds every column bit for bit in its own
-        dtype, and every row's checkpoint with each parameter in its own
-        Python type."""
+        dtype, and every row's parameters each in its own Python type."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         assert store.particle_count(0) == 3
@@ -75,11 +74,10 @@ class TestCheckpointStore:
             assert loaded.params[name].dtype == column.dtype
             assert np.array_equal(loaded.params[name], column)
         assert rows(loaded) == rows(checkpoints)
-        for before, after in zip(rows(checkpoints), rows(loaded)):
-            assert [type(v) for v in after.params.to_dict().values()] == \
-                [type(v) for v in before.params.to_dict().values()]
-            assert after.snapshot == before.snapshot
-            assert list(after.snapshot) == list(before.snapshot)
+        for before, after in zip(checkpoints.parameters(),
+                                 loaded.parameters()):
+            assert [type(v) for v in after.to_dict().values()] == \
+                [type(v) for v in before.to_dict().values()]
 
     def test_load_missing_particle(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
@@ -116,17 +114,16 @@ class TestCheckpointStore:
         assert [p.name for p in tmp_path.iterdir()] == ["window_002"]
 
     def test_restart_from_stored_checkpoint_runs(self, tmp_path, checkpoints):
-        """A stored checkpoint carries no RNG state, and a restart from it
-        without a seed override replays the in-memory one bit for bit."""
+        """A stored row restarted on a seed replays the in-memory row
+        restarted on the same seed bit for bit."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
         loaded, _ = store.load_window_state(0)
-        assert "rng_state" not in loaded.checkpoint(0).snapshot
-        traj = StochasticSEIRModel.from_checkpoint(
-            loaded.checkpoint(0)).run_until(15)
+        traj = BinomialLeapEngine.from_state_row(
+            loaded, 0, loaded.seeds[0]).run_until(15)
         assert traj.start_day == 10
-        direct = StochasticSEIRModel.from_checkpoint(
-            checkpoints.checkpoint(0)).run_until(15)
+        direct = BinomialLeapEngine.from_state_row(
+            checkpoints, 0, checkpoints.seeds[0]).run_until(15)
         assert np.array_equal(traj.infections, direct.infections)
 
     def test_negative_indices_rejected(self, tmp_path, checkpoints):
@@ -246,34 +243,8 @@ class TestCorruptWindowFile:
 
 
 class TestRefusesNonRestartCheckpoints:
-    """Only restart checkpoints fit a window's columns: anything else is
-    refused on its way into a restart state, so it never reaches the store
-    and no file is written."""
-
-    @pytest.mark.parametrize("kind", ["engine", "schedule", "day", "steps",
-                                      "rng_state"])
-    def test_refused_before_any_write(self, tmp_path, small_params, kind):
-        checkpoints = rows(leap_state(small_params, 3))
-        good = checkpoints[0]
-        if kind == "rng_state":
-            model = StochasticSEIRModel(small_params, 7)
-            model.run_until(10)
-            bad = model.checkpoint()
-        elif kind == "schedule":
-            bad = dataclasses.replace(
-                good, theta_schedule=PiecewiseConstant.constant(0.3))
-        else:
-            key, value = {"engine": ("engine", "gillespie"),
-                          "day": ("day", 11),
-                          "steps": ("steps_per_day", 8)}[kind]
-            bad = dataclasses.replace(
-                good, snapshot={**good.snapshot, key: value})
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(CheckpointError):
-            store.save_window_state(
-                0, StackedLeapState.from_checkpoints([*checkpoints, bad]),
-                META)
-        assert list(tmp_path.iterdir()) == []
+    """Only full restart states fit a window's columns: anything else is
+    refused before any file is written."""
 
     def test_state_without_parameter_columns_refused(self, tmp_path,
                                                      checkpoints):

@@ -107,17 +107,29 @@ class TestCommands:
     def test_invalid_config_exits_with_message(self, tmp_path):
         """A bad numeric knob exits naming the field, not with a
         traceback from deep inside the calibrator."""
-        for command, flag, value, field in (
-                ("fig4", "--draws", "0", "n_parameter_draws"),
-                ("fig3", "--draws", "0", "n_parameter_draws"),
-                ("fig3", "--resample", "0", "resample_size"),
-                ("fig4", "--workers", "0", "max_workers"),
-                ("fig4", "--retry-backoff", "-1", "retry_backoff")):
+        serial = ["--executor", "serial"]
+        for argv, field in (
+                (["fig4", "--draws", "0", *serial], "n_parameter_draws"),
+                (["fig3", "--draws", "0", *serial], "n_parameter_draws"),
+                (["fig3", "--resample", "0", *serial], "resample_size"),
+                (["fig4", "--workers", "0", *serial], "max_workers"),
+                (["fig4", "--retry-backoff", "-1", *serial], "retry_backoff"),
+                (["fig2", "--horizon", "0"], "horizon must be >= 1")):
             with pytest.raises(SystemExit,
                                match=f"invalid configuration: {field}"):
-                main([command, "--out", str(tmp_path), flag, value,
-                      "--executor", "serial"])
+                main([*argv, "--out", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []
+
+    def test_resume_of_another_runs_store_exits_with_message(self, tmp_path):
+        """Resuming a store another seed wrote exits with one line naming
+        the differing fingerprint keys, not a CheckpointError traceback."""
+        argv = ["fig4", "--out", str(tmp_path / "out"), "--draws", "8",
+                "--replicates", "1", "--resample", "10", "--executor",
+                "serial", "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main([*argv, "--seed", "1"]) == 0
+        with pytest.raises(SystemExit,
+                           match=r"differing keys: \['base_seed'\]"):
+            main([*argv, "--seed", "2", "--resume"])
 
     @pytest.mark.parametrize("argv, problem", [
         (["--horizon-days", "0"], "horizon_days must be >= 1"),

@@ -143,11 +143,6 @@ class TestCalibrationResult:
         assert rib.n_days == 30
         assert np.all(rib.band(0.05) <= rib.band(0.95))
 
-    def test_window_ribbon(self, result):
-        rib = result.window_ribbon(1, "cases")
-        assert rib.start_day == 20
-        assert rib.n_days == 10
-
     def test_summary_and_describe(self, result):
         s = result.summary()
         assert s["n_windows"] == 2

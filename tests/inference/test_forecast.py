@@ -9,7 +9,7 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds
-from repro.seir import BatchTrajectory, DiseaseParameters, ParameterOverride
+from repro.seir import BatchTrajectory, DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing import restart_oracle
 
@@ -122,9 +122,8 @@ class TestShardedBatchedForecast:
         scalar = Forecast(
             start_day=batched.start_day, horizon_days=10,
             batch=BatchTrajectory.from_trajectories(restart_oracle(
-                [p.checkpoint for p in posterior] * 3,
-                [ParameterOverride(seed=int(seed)) for seed in seeds],
-                batched.start_day + 10)))
+                posterior.restart.take(np.tile(np.arange(len(posterior)), 3)),
+                seeds, batched.start_day + 10)))
         for channel in ("cases", "deaths"):
             rib_s = scalar.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
             rib_b = batched.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
@@ -165,61 +164,16 @@ class TestShardedBatchedForecast:
         with pytest.raises(ValueError, match="shard_size"):
             forecast_from_posterior(posterior, 5, shard_size=0)
 
-    def test_explicit_batched_rejects_schedule_checkpoints(self):
-        """A transmission schedule cannot ride the batched restart; the
-        ensemble a forecast starts from refuses it instead of silently
-        dropping it."""
+    def test_hand_built_particles_carry_no_restart_state(self):
+        """Restart state enters an ensemble only as columns: one built from
+        hand-made particles has none to forecast from."""
         from repro.core import Particle, ParticleEnsemble
-        from repro.data import PiecewiseConstant
-        from repro.seir import DiseaseParameters, StochasticSEIRModel
-
-        params = DiseaseParameters(population=3000, initial_exposed=20)
-        schedule = PiecewiseConstant.constant(0.25)
-        particles = []
-        for seed in (1, 2):
-            model = StochasticSEIRModel(params, seed,
-                                        theta_schedule=schedule)
-            model.run_until(5)
-            particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
-                                      seed=seed,
-                                      checkpoint=model.checkpoint()))
-        with pytest.raises(ValueError, match="active transmission schedule"):
-            forecast_from_posterior(ParticleEnsemble(particles), 4)
-
-    def test_mixed_day_checkpoints_rejected(self):
-        """Checkpoints at different days can't share a batch clock."""
-        from repro.core import Particle, ParticleEnsemble
-        from repro.seir import DiseaseParameters, StochasticSEIRModel
-
-        params = DiseaseParameters(population=3000, initial_exposed=20)
-        particles = []
-        for seed, day in ((1, 5), (2, 7)):
-            model = StochasticSEIRModel(params, seed)
-            model.run_until(day)
-            particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
-                                      seed=seed,
-                                      checkpoint=model.checkpoint()))
-        with pytest.raises(ValueError, match="share one clock"):
-            forecast_from_posterior(ParticleEnsemble(particles), 4)
-
-    def test_gillespie_checkpoints_rejected(self):
-        """Only binomial-leap checkpoints restart on the batched engine; a
-        Gillespie checkpoint is refused, not mis-restarted."""
-        from repro.core import Particle, ParticleEnsemble
-        from repro.seir import Checkpoint, DiseaseParameters
-        from repro.testing import GillespieEngine
-
-        params = DiseaseParameters(population=3000, initial_exposed=20)
-        particles = []
-        for seed in (1, 2):
-            engine = GillespieEngine(params, seed)
-            engine.run_until(5)
-            checkpoint = Checkpoint(params=params,
-                                    snapshot=engine.state_snapshot())
-            particles.append(Particle(params={"theta": 0.3, "rho": 0.7},
-                                      seed=seed, checkpoint=checkpoint))
-        with pytest.raises(ValueError, match="requires binomial_leap"):
-            forecast_from_posterior(ParticleEnsemble(particles), 4)
+        particles = [Particle(params={"theta": 0.3, "rho": 0.7}, seed=seed)
+                     for seed in (1, 2)]
+        ensemble = ParticleEnsemble(particles)
+        assert ensemble.restart is None
+        with pytest.raises(ValueError, match="carry no checkpoints"):
+            forecast_from_posterior(ensemble, 4)
 
 
 class TestForecastScenarios:

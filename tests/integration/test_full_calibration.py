@@ -140,8 +140,9 @@ class TestParallelEquivalence:
 
 
 class TestCheckpointConsistency:
-    def test_final_histories_contiguous(self, cases_only_result):
-        for traj in cases_only_result.final_histories()[:10]:
+    def test_final_posterior_histories_contiguous(self, cases_only_result):
+        histories = cases_only_result.final_posterior.trajectories("history")
+        for traj in histories[:10]:
             assert traj.start_day == 0
             assert traj.end_day == 30
             assert np.all(traj.infections >= 0)

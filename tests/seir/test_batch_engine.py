@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        CheckpointError, Compartment, DiseaseParameters,
-                        StackedLeapState, StochasticSEIRModel, generator_for,
-                        parameter_columns, stack_leap_snapshots)
+                        Compartment, DiseaseParameters, StackedLeapState,
+                        generator_for, parameter_columns)
 from repro.seir.seeding import rng_state_to_jsonable
 
 
@@ -213,8 +212,8 @@ class TestBatchTrajectory:
 
 
 class TestSnapshots:
-    """One row of a batch's restart state becomes a scalar restart
-    checkpoint through ``StackedLeapState.checkpoint``."""
+    """One row of a batch's restart state restarts the scalar engine
+    through ``BinomialLeapEngine.from_state_row``."""
 
     def test_reseeded_batch_restart_diverges(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(40))
@@ -228,8 +227,8 @@ class TestSnapshots:
 
     def test_particle_snapshot_feeds_scalar_engine(self, small_params, batch):
         batch.run_until(12)
-        snap = restart_state(batch).checkpoint(4).snapshot
-        scalar = BinomialLeapEngine.from_snapshot(snap, small_params)
+        scalar = BinomialLeapEngine.from_state_row(restart_state(batch), 4,
+                                                   seed=4)
         assert scalar.day == 12
         assert np.array_equal(scalar.counts, batch.counts[4])
         assert scalar.cumulative_infections == batch.cumulative_infections[4]
@@ -238,43 +237,33 @@ class TestSnapshots:
 
     def test_particle_snapshot_stream_derives_from_seed(self, small_params,
                                                         batch):
-        """A batched snapshot records no RNG state; the scalar restart
-        derives the seed's fresh stream, which is exactly the state the
-        snapshot used to record."""
+        """Restart state records no RNG state; the scalar restart begins
+        the seed's fresh stream."""
         batch.run_until(12)
-        snap = restart_state(batch).checkpoint(4).snapshot
-        assert "rng_state" not in snap
-        recorded = {**snap, "rng_state": rng_state_to_jsonable(
-            generator_for(snap["seed"]))}
-        derived = BinomialLeapEngine.from_snapshot(snap, small_params)
-        replayed = BinomialLeapEngine.from_snapshot(recorded, small_params)
-        a, b = derived.run_until(30), replayed.run_until(30)
-        assert np.array_equal(a.infections, b.infections)
-        assert np.array_equal(a.deaths, b.deaths)
-        assert np.array_equal(derived.counts, replayed.counts)
+        state = restart_state(batch)
+        restarted = BinomialLeapEngine.from_state_row(state, 4, seed=123)
+        assert rng_state_to_jsonable(restarted._rng) == \
+            rng_state_to_jsonable(generator_for(123))
 
     def test_particle_checkpoint_carries_member_theta(self, small_params):
         thetas = np.linspace(0.2, 0.4, 10)
         eng = BatchedBinomialLeapEngine(small_params, np.arange(10),
                                         thetas=thetas)
         eng.run_until(8)
-        cp = restart_state(eng).checkpoint(7)
-        assert cp.params.transmission_rate == pytest.approx(thetas[7])
-        assert cp.day == 8
-        model = StochasticSEIRModel.from_checkpoint(cp)
-        model.run_until(12)
-        assert model.day == 12
+        scalar = BinomialLeapEngine.from_state_row(restart_state(eng), 7,
+                                                   seed=7)
+        assert scalar.params.transmission_rate == pytest.approx(thetas[7])
+        assert scalar.day == 8
+        scalar.run_until(12)
+        assert scalar.day == 12
 
 
 class TestBatchRestartRoundTrip:
     def test_particle_snapshots_roundtrip_to_batch(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(30))
         eng.run_until(14)
-        state = restart_state(eng)
-        snaps = [state.checkpoint(i).snapshot for i in range(30)]
         restarted = BatchedBinomialLeapEngine.from_particle_snapshots(
-            stack_leap_snapshots(snaps), small_params,
-            seeds=np.arange(30) + 500)
+            restart_state(eng), small_params, seeds=np.arange(30) + 500)
         assert restarted.day == 14
         assert np.array_equal(restarted.counts, eng.counts)
         assert np.array_equal(restarted.cumulative_infections,
@@ -287,53 +276,12 @@ class TestBatchRestartRoundTrip:
         eng = BatchedBinomialLeapEngine(small_params, np.arange(20))
         eng.run_until(10)
         state = restart_state(eng)
-        snaps = stack_leap_snapshots(
-            [state.checkpoint(i).snapshot for i in range(20)])
         new_seeds = np.arange(20) + 77
         a = BatchedBinomialLeapEngine.from_particle_snapshots(
-            snaps, small_params, seeds=new_seeds).run_until(20)
+            state, small_params, seeds=new_seeds).run_until(20)
         b = BatchedBinomialLeapEngine.from_particle_snapshots(
-            snaps, small_params, seeds=new_seeds).run_until(20)
+            state, small_params, seeds=new_seeds).run_until(20)
         assert np.array_equal(a.infections, b.infections)
-
-    def test_scalar_snapshots_feed_batch_restart(self, small_params):
-        """Scalar-engine checkpoints are valid batch-restart inputs."""
-        engines = [BinomialLeapEngine(small_params, seed=s) for s in range(8)]
-        for e in engines:
-            e.run_until(10)
-        snaps = stack_leap_snapshots([e.state_snapshot() for e in engines])
-        restarted = BatchedBinomialLeapEngine.from_particle_snapshots(
-            snaps, small_params, seeds=np.arange(8))
-        assert np.array_equal(restarted.counts,
-                              np.vstack([e.counts for e in engines]))
-        restarted.run_until(15)
-        assert restarted.population_conserved()
-
-
-class TestStackValidation:
-    def test_empty_rejected(self):
-        with pytest.raises(CheckpointError, match="empty"):
-            stack_leap_snapshots([])
-
-    def test_mixed_day_rejected(self, small_params):
-        a = BinomialLeapEngine(small_params, seed=1)
-        b = BinomialLeapEngine(small_params, seed=2)
-        a.run_until(5)
-        b.run_until(6)
-        with pytest.raises(CheckpointError, match="day"):
-            stack_leap_snapshots([a.state_snapshot(), b.state_snapshot()])
-
-    def test_wrong_engine_rejected(self, small_params):
-        snap = BinomialLeapEngine(small_params, seed=1).state_snapshot()
-        bad = dict(snap, engine="gillespie")
-        with pytest.raises(CheckpointError, match="engine"):
-            stack_leap_snapshots([bad])
-
-    def test_mixed_steps_rejected(self, small_params):
-        a = BinomialLeapEngine(small_params, seed=1, steps_per_day=4)
-        b = BinomialLeapEngine(small_params, seed=2, steps_per_day=8)
-        with pytest.raises(CheckpointError, match="steps_per_day"):
-            stack_leap_snapshots([a.state_snapshot(), b.state_snapshot()])
 
 
 class TestStackChannelTensor:

@@ -1,9 +1,9 @@
-"""Unit tests for disease parameters and the restart-override contract."""
+"""Unit tests for disease parameters and their column form."""
 
 import numpy as np
 import pytest
 
-from repro.seir import (DiseaseParameters, ParameterOverride, chicago_defaults,
+from repro.seir import (DiseaseParameters, chicago_defaults,
                         check_parameter_columns, parameter_columns)
 
 
@@ -117,65 +117,3 @@ class TestDiseaseParameters:
     def test_from_dict_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             DiseaseParameters.from_dict({"not_a_field": 1})
-
-    def test_r0_scales_with_theta(self):
-        lo = DiseaseParameters(transmission_rate=0.1).basic_reproduction_number()
-        hi = DiseaseParameters(transmission_rate=0.4).basic_reproduction_number()
-        assert hi == pytest.approx(4 * lo)
-
-    def test_r0_plausible_at_defaults(self):
-        r0 = DiseaseParameters().basic_reproduction_number()
-        assert 1.5 < r0 < 3.0
-
-    def test_ifr_small_positive(self):
-        ifr = DiseaseParameters().infection_fatality_ratio()
-        assert 0.001 < ifr < 0.05
-
-
-class TestParameterOverride:
-    def test_empty_override_is_identity(self):
-        p = DiseaseParameters()
-        o = ParameterOverride()
-        assert o.is_empty()
-        assert o.apply_to(p) == p
-
-    def test_transmission_override(self):
-        p = ParameterOverride(transmission_rate=0.42).apply_to(DiseaseParameters())
-        assert p.transmission_rate == 0.42
-
-    def test_all_paper_knobs_apply(self):
-        o = ParameterOverride(
-            seed=1,
-            transmission_rate=0.2,
-            exposed_to_presymptomatic_fraction=0.5,
-            mild_fraction=0.8,
-            asymptomatic_rel_infectiousness=0.3,
-            detected_rel_infectiousness=0.05,
-        )
-        p = o.apply_to(DiseaseParameters())
-        assert p.transmission_rate == 0.2
-        assert p.exposed_to_presymptomatic_fraction == 0.5
-        assert p.mild_fraction == 0.8
-        assert p.asymptomatic_rel_infectiousness == 0.3
-        assert p.detected_rel_infectiousness == 0.05
-
-    def test_seed_not_applied_to_params(self):
-        p = ParameterOverride(seed=99).apply_to(DiseaseParameters())
-        assert p == DiseaseParameters()
-
-    def test_round_trip(self):
-        o = ParameterOverride(seed=5, transmission_rate=0.3)
-        restored = ParameterOverride.from_dict(o.to_dict())
-        assert restored == o
-
-    def test_round_trip_empty(self):
-        assert ParameterOverride.from_dict({}).is_empty()
-
-    def test_non_restartable_field_rejected(self):
-        """The paper's contract: only the six listed knobs may change."""
-        with pytest.raises(ValueError, match="not restartable"):
-            ParameterOverride.from_dict({"latent_period_days": 5.0})
-
-    def test_override_still_validates_params(self):
-        with pytest.raises(ValueError):
-            ParameterOverride(mild_fraction=2.0).apply_to(DiseaseParameters())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import PiecewiseConstant
-from repro.seir import BinomialLeapEngine, Compartment
+from repro.seir import (BinomialLeapEngine, Compartment, StackedLeapState,
+                        parameter_columns)
 
 
 class TestBasicDynamics:
@@ -121,37 +122,32 @@ class TestStepsPerDay:
 
 
 class TestSnapshot:
-    def test_snapshot_restores_exact_stream(self, small_params):
-        eng = BinomialLeapEngine(small_params, seed=21)
-        eng.run_until(20)
-        snap = eng.state_snapshot()
-        continued = eng.run_until(40)
-        restored = BinomialLeapEngine.from_snapshot(snap, small_params)
-        replay = restored.run_until(40)
-        assert np.array_equal(continued.infections, replay.infections)
-        assert np.array_equal(continued.deaths, replay.deaths)
+    """Restart from one row of a :class:`StackedLeapState` snapshot."""
 
-    def test_snapshot_is_json_safe(self, small_params):
-        import json
-        eng = BinomialLeapEngine(small_params, seed=21)
-        eng.run_until(5)
-        json.dumps(eng.state_snapshot())
+    @staticmethod
+    def snapshot(engine):
+        return StackedLeapState(
+            day=engine.day, steps_per_day=engine.steps_per_day,
+            counts=engine.counts[None],
+            cum_infections=np.array([engine.cumulative_infections]),
+            cum_deaths=np.array([engine.cumulative_deaths]),
+            seeds=np.array([engine.seed])).with_parameters(
+                parameter_columns(engine.params, 1))
 
     def test_reseeded_restart_diverges(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=21)
         eng.run_until(20)
-        snap = eng.state_snapshot()
-        a = BinomialLeapEngine.from_snapshot(snap, small_params).run_until(45)
-        b = BinomialLeapEngine.from_snapshot(snap, small_params,
-                                             seed=999).run_until(45)
+        snap = self.snapshot(eng)
+        a = BinomialLeapEngine.from_state_row(snap, 0, 21).run_until(45)
+        b = BinomialLeapEngine.from_state_row(snap, 0, 999).run_until(45)
         assert not np.array_equal(a.infections, b.infections)
 
     def test_restart_day_continuity(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=3)
         eng.run_until(17)
-        snap = eng.state_snapshot()
-        restored = BinomialLeapEngine.from_snapshot(snap, small_params)
+        restored = BinomialLeapEngine.from_state_row(self.snapshot(eng), 0, 3)
         assert restored.day == 17
+        assert restored.steps_per_day == eng.steps_per_day
         seg = restored.run_until(20)
         assert seg.start_day == 17
         assert len(seg) == 3

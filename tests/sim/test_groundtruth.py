@@ -78,3 +78,20 @@ class TestFig2Defaults:
     def test_chicago_scale_defaults(self):
         truth = make_fig2_ground_truth(horizon=1)
         assert truth.params.population == 2_700_000
+
+    #: sha256 of the seed-777, 100-day Figure 2 truth (true cases, observed
+    #: cases and deaths, float64, concatenated), recorded when ground truth
+    #: ran through a one-trajectory model facade over the scalar engine;
+    #: running the engine directly must not move a bit.
+    FIG2_SHA256 = ("0b166041d38d39913c963e40b5603327"
+                   "a98231f673367e5941430cd5f03d7c41")
+
+    def test_fig2_truth_bits_pinned(self):
+        import hashlib
+        truth = make_fig2_ground_truth(seed=777, horizon=100)
+        series = np.concatenate([truth.true_cases.values,
+                                 truth.observed_cases.values,
+                                 truth.deaths.values])
+        assert series.dtype == np.float64
+        assert hashlib.sha256(series.tobytes()).hexdigest() == \
+            self.FIG2_SHA256

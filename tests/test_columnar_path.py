@@ -4,9 +4,10 @@ A calibration keeps its particles as columns from shard to disk: the
 ensemble, the parent gather of a continuation, the checkpoint store and the
 forecast all pass :class:`~repro.seir.checkpoint.StackedLeapState` rows
 around whole.  This guard makes every per-particle constructor raise —
-:class:`~repro.core.particle.Particle`, :class:`~repro.seir.checkpoint.Checkpoint`
-and the leap-snapshot dict function — and then runs a checkpointed serial
-calibration, resumes it, and forecasts from its final posterior.
+the :class:`~repro.core.particle.Particle` row view and the scalar
+:class:`~repro.seir.tauleap.BinomialLeapEngine` — and then runs a
+checkpointed serial calibration, resumes it, and forecasts from its final
+posterior.
 
 Proposals and forecasts are columnar too: parameters travel as columns
 (one :class:`~repro.seir.parameters.DiseaseParameters` per structural
@@ -17,14 +18,13 @@ each phase and checks they do not grow with the ensemble.
 
 import dataclasses
 import shutil
-import sys
 
 import numpy as np
 import pytest
 
 from repro.core import Particle
 from repro.inference import CalibrationConfig, calibrate, forecast_from_posterior
-from repro.seir import Checkpoint, DiseaseParameters
+from repro.seir import BinomialLeapEngine, DiseaseParameters
 from repro.sim import make_fig2_ground_truth
 
 
@@ -37,12 +37,8 @@ def _forbidden(name):
 @pytest.fixture
 def no_per_particle_objects(monkeypatch):
     monkeypatch.setattr(Particle, "__init__", _forbidden("Particle"))
-    monkeypatch.setattr(Checkpoint, "__init__", _forbidden("Checkpoint"))
-    snapshot = _forbidden("leap_particle_snapshot")
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "repro" and \
-                hasattr(module, "leap_particle_snapshot"):
-            monkeypatch.setattr(module, "leap_particle_snapshot", snapshot)
+    monkeypatch.setattr(BinomialLeapEngine, "__init__",
+                        _forbidden("BinomialLeapEngine"))
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +103,8 @@ def test_constructions_do_not_grow_with_the_ensemble(
 
 
 def test_calibrate_resume_forecast_without_per_particle_objects(
-        tmp_path, no_per_particle_objects):
-    truth = make_fig2_ground_truth(seed=777, horizon=34)
-    observations = truth.observations()
+        tmp_path, fig2_observations, no_per_particle_objects):
+    observations = fig2_observations
     config = CalibrationConfig(window_breaks=(20, 27, 34),
                                n_parameter_draws=8, n_replicates=2,
                                resample_size=10, executor="serial",
