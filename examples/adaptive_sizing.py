@@ -8,10 +8,9 @@ post-weighting ESS fraction and resizes the next window's proposal cloud:
 grow when the weights concentrate, shrink once the posterior has
 converged, always within ``[n_min, n_max]``.
 
-This example runs the same synthetic scenario three ways — fixed size, an
-ESS-target policy, and a particle-step budget — and prints each run's
-per-window cloud sizes, total particle-steps (particle-days of
-simulation), and posterior tracks.  Adaptive runs stay bit-reproducible:
+This example runs the same synthetic scenario two ways — fixed size and an
+ESS-target policy — and prints each run's per-window cloud sizes, total
+particle-steps (particle-days of simulation), and posterior tracks.  Adaptive runs stay bit-reproducible:
 rerunning with the same base seed, policy, and shard layout reproduces
 identical posteriors.
 
@@ -65,11 +64,6 @@ def main() -> None:
                    size_policy_options={"target_low": 0.05,
                                         "target_high": 0.2,
                                         "n_min": 100, "n_max": 1600})
-
-    # Hard cap: at most 2400 particle-days per window, whatever the ESS.
-    run(truth, "per-window particle-step budget (size_policy='budget')",
-        size_policy="budget",
-        size_policy_options={"step_budget": 2400, "n_min": 100})
 
     saved = 1 - adaptive.total_particle_steps() / fixed.total_particle_steps()
     print(f"\nESS-target run saved {saved:.0%} of the fixed baseline's "

@@ -1,4 +1,4 @@
-"""Tempered rescue of degenerate windows, and a policy-driven posterior size.
+"""Tempered rescue of degenerate windows.
 
 The paper's section VI warns that SIS weights can "concentrate on just a
 few draws".  When that happens inside a window, a single multinomial
@@ -13,10 +13,9 @@ systematic resampler keeping per-stage noise down.
 
 This example runs a deliberately degenerate scenario (a likelihood sharp
 enough that every window's ESS fraction collapses below the 5% degeneracy
-threshold) three ways — the plain pass, the tempered rescue, and the rescue
-composed with an ESS-driven ``resample_size_policy`` that grows the
-posterior on degenerate windows — and prints each run's per-window bridge
-schedules, unique ancestors, and theta tracks against the known truth.
+threshold) two ways — the plain pass and the tempered rescue — and prints
+each run's per-window bridge schedules, unique ancestors, and theta tracks
+against the known truth.
 Tempered runs stay bit-reproducible: the bridge draws from the same
 window-indexed resampling stream as the plain pass.
 
@@ -74,16 +73,6 @@ def main() -> None:
 
     tempered = run(truth, "tempered rescue (temper_degenerate=True)",
                    temper_degenerate=True, temper_ess_floor=0.25)
-
-    # Compose the bridge with a posterior-size policy: degenerate windows
-    # both bridge *and* grow the resampled posterior (free in
-    # particle-steps — the posterior is never re-simulated).
-    run(truth, "tempered rescue + ESS-driven resample_size_policy",
-        temper_degenerate=True, temper_ess_floor=0.25,
-        resample_size_policy="ess",
-        resample_size_policy_options={"target_low": 0.05,
-                                      "target_high": 0.5,
-                                      "n_min": 150, "n_max": 1200})
 
     assert plain.total_particle_steps() == tempered.total_particle_steps()
     print("\nThe rescue is free in particle-steps: both runs simulated "

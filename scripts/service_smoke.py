@@ -13,6 +13,11 @@ story and asserts the repo's acceptance property at the process level:
 4. every sealed forecast artifact of the killed-and-restarted run must
    be **byte-identical** to the reference run's.
 
+The spool also holds ``bad.csv``, a file that is not UTF-8: every daemon
+start must quarantine it as one ``malformed`` row and carry on, so the
+reference run's ``quarantine.jsonl`` holds exactly that one row (the
+killed-and-restarted run logs it once per start).
+
 Exit code 0 on success; non-zero with a diagnostic on any mismatch.
 Used by the ``service`` CI job; also runnable by hand:
 
@@ -20,6 +25,7 @@ Used by the ``service`` CI job; also runnable by hand:
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -52,6 +58,7 @@ def build_spool(workdir: Path) -> Path:
     tmp = spool / "cases.csv.part"
     write_series_csv(tmp, {"cases": truth.observed_cases})
     tmp.rename(spool / "cases.csv")  # write-then-rename spool contract
+    (spool / "bad.csv").write_bytes(b"day,series,value\n0,cases,\xff\n")
     return spool
 
 
@@ -111,6 +118,24 @@ def artifact_bytes(root: Path) -> dict:
     return out
 
 
+def quarantined(root: Path) -> list[dict]:
+    path = root / "art" / "quarantine.jsonl"
+    if not path.exists():
+        sys.exit(f"no quarantine log at {path}")
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def check_quarantine(root: Path, label: str, starts: int) -> None:
+    """The undecodable spool file is one ``malformed`` row per start."""
+    rows = quarantined(root)
+    expected = [("bad.csv", "malformed")] * starts
+    if [(r["source"], r["reason"]) for r in rows] != expected:
+        sys.exit(f"[{label}] quarantine.jsonl holds {rows}, expected "
+                 f"{expected}")
+    print(f"[{label}] quarantine.jsonl: {len(rows)} malformed row(s) for "
+          "bad.csv", flush=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", type=Path, default=None,
@@ -134,6 +159,8 @@ def main() -> int:
                      "differs from the straight-through run")
         print(f"window {index}: byte-identical "
               f"({len(reference[index])} bytes)", flush=True)
+    check_quarantine(workdir / "ref", "reference", starts=1)
+    check_quarantine(workdir / "killed", "killed+restarted", starts=2)
 
     if args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)

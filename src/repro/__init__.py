@@ -40,7 +40,7 @@ Subpackages
 
 from .core import (SequentialCalibrator, SMCConfig, paper_first_window_prior,
                    paper_likelihood, paper_observation_model,
-                   paper_window_jitter, paper_window_schedule)
+                   paper_window_jitter)
 from .inference import (CalibrationConfig, CalibrationResult, Forecast,
                         calibrate, forecast_from_posterior,
                         paper_calibration_config)
@@ -53,7 +53,7 @@ __all__ = [
     "__version__",
     "SequentialCalibrator", "SMCConfig",
     "paper_first_window_prior", "paper_window_jitter",
-    "paper_observation_model", "paper_likelihood", "paper_window_schedule",
+    "paper_observation_model", "paper_likelihood",
     "calibrate", "CalibrationConfig", "paper_calibration_config",
     "CalibrationResult", "Forecast", "forecast_from_posterior",
     "DiseaseParameters", "chicago_defaults",

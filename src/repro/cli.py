@@ -35,6 +35,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core.diagnostics import DEGENERACY_THRESHOLD
+from .core.ensemble_control import SIZE_POLICY_NAMES
 from .core.scenarios import (SCENARIO_SETS, SCENARIOS, get_scenario,
                              scenario_set)
 from .core.smc import DEFAULT_PARAM_MAP
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resample", type=int, default=1000,
                        help="posterior sample size (paper: 10000)")
         if name != "fig3":  # sequential commands can adapt the cloud size
-            p.add_argument("--size-policy", choices=("fixed", "ess", "budget"),
+            p.add_argument("--size-policy", choices=SIZE_POLICY_NAMES,
                            default="fixed",
                            help="adaptive ensemble-size policy between "
                                 "windows (default: fixed size)")
@@ -96,18 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="smallest cloud a policy may propose")
             p.add_argument("--size-max", type=int, default=100_000,
                            help="largest cloud a policy may propose")
-            p.add_argument("--step-budget", type=int, default=None,
-                           help="budget policy: particle-steps "
-                                "(particle-days) allowed per window")
-            p.add_argument("--resample-policy",
-                           choices=("fixed", "ess"),
-                           default="fixed",
-                           help="policy driving the resampled posterior "
-                                "size per window (shares the --ess-*/"
-                                "--size-* knobs; no budget choice — the "
-                                "posterior is never re-simulated, so a "
-                                "particle-step budget cannot bind it; "
-                                "default: fixed resample size)")
             p.add_argument("--temper", action="store_true",
                            help="route degenerate windows through the "
                                 "tempered resampling bridge instead of a "
@@ -221,33 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy_options(name: str, args, flag: str) -> dict:
-    """Translate the shared CLI knobs into a named policy's options."""
-    if name == "ess":
-        return {"target_low": args.ess_low, "target_high": args.ess_high,
-                "n_min": args.size_min, "n_max": args.size_max}
-    if name == "budget":
-        if args.step_budget is None:
-            raise SystemExit(f"{flag} budget requires --step-budget")
-        return {"step_budget": args.step_budget, "n_min": args.size_min,
-                "n_max": args.size_max}
-    return {}
-
-
-def _size_policy_options(args) -> dict:
-    return _policy_options(args.size_policy, args, "--size-policy")
-
-
-def _resample_policy_options(args) -> dict:
-    return _policy_options(args.resample_policy, args, "--resample-policy")
-
-
 def _adaptive_config_kwargs(args) -> dict:
     """The adaptive-resampling knobs shared by the sequential commands."""
+    options = ({"target_low": args.ess_low, "target_high": args.ess_high,
+                "n_min": args.size_min, "n_max": args.size_max}
+               if args.size_policy == "ess" else {})
     return dict(size_policy=args.size_policy,
-                size_policy_options=_size_policy_options(args),
-                resample_size_policy=args.resample_policy,
-                resample_size_policy_options=_resample_policy_options(args),
+                size_policy_options=options,
                 temper_degenerate=args.temper,
                 temper_threshold=args.temper_threshold,
                 temper_ess_floor=args.temper_floor)
@@ -277,14 +246,15 @@ def _invalid(problem: object) -> NoReturn:
 
 def _run_config(scenarios: list[str] | None = None,
                 **kwargs) -> CalibrationConfig:
-    """The run's configuration, validated before anything runs (the
-    requested scenarios too, against its schedule): a bad value exits with
-    its message instead of a traceback."""
+    """The run's configuration, validated before anything runs (its
+    schedule, and the requested scenarios against it, too): a bad value
+    exits with its message instead of a traceback."""
     try:
         cfg = CalibrationConfig(**kwargs)
         cfg.smc_config()
+        schedule = cfg.schedule()
         for name in scenarios or ():
-            get_scenario(name).check_schedule(cfg.schedule(),
+            get_scenario(name).check_schedule(schedule,
                                               DEFAULT_PARAM_MAP.values())
     except ValueError as exc:
         _invalid(exc)
@@ -506,7 +476,7 @@ def _cmd_serve(args) -> int:
     budget (restarting the daemon grants a fresh one).
     """
     from .core.smc import SequentialCalibrator
-    from .data.loaders import _DEFAULT_STREAMS
+    from .data.sources import _DEFAULT_STREAMS
     from .hpc import CheckpointStore, RetryPolicy
     from .service import (ArtifactStore, CalibrationService,
                           ObservationBuffer, ServiceConfig, SpoolIngest)
@@ -523,6 +493,8 @@ def _cmd_serve(args) -> int:
                          f"{sorted(_DEFAULT_STREAMS)}")
     if args.keep_last is not None and args.keep_last < 1:
         raise SystemExit("--keep-last must be >= 1")
+    if args.poll_seconds < 0:
+        _invalid("poll_seconds must be >= 0")
 
     cfg = _run_config(
         window_breaks=breaks, n_parameter_draws=args.draws,
@@ -530,13 +502,16 @@ def _cmd_serve(args) -> int:
         base_seed=args.seed, executor=args.executor,
         max_workers=args.workers, retry_attempts=args.retry_attempts,
         retry_timeout=args.retry_timeout, retry_backoff=args.retry_backoff)
+    try:
+        service_config = ServiceConfig(
+            restart=RetryPolicy(max_attempts=args.restart_attempts,
+                                timeout_seconds=args.deadline_seconds,
+                                backoff_seconds=args.restart_backoff),
+            horizon_days=args.horizon_days, forecast_seed=args.forecast_seed,
+            keep_last=args.keep_last)
+    except ValueError as exc:
+        _invalid(exc)
     executor = cfg.make_executor()
-    service_config = ServiceConfig(
-        restart=RetryPolicy(max_attempts=args.restart_attempts,
-                            timeout_seconds=args.deadline_seconds,
-                            backoff_seconds=args.restart_backoff),
-        horizon_days=args.horizon_days, forecast_seed=args.forecast_seed,
-        keep_last=args.keep_last)
     quarantine = (args.quarantine if args.quarantine is not None
                   else args.artifacts / "quarantine.jsonl")
 

@@ -3,9 +3,9 @@
 from .adaptive import TemperedResult, temper_and_resample
 from .bias import BinomialBiasModel
 from .diagnostics import WindowDiagnostics, assess, compute_diagnostics
-from .ensemble_control import (SIZE_POLICY_NAMES, BudgetPolicy,
-                               EnsembleSizePolicy, ESSTargetPolicy, FixedSize,
-                               make_size_policy, resolve_size_policy)
+from .ensemble_control import (SIZE_POLICY_NAMES, EnsembleSizePolicy,
+                               ESSTargetPolicy, FixedSize, make_size_policy,
+                               resolve_size_policy)
 from .likelihood import (GaussianTransformLikelihood, Likelihood,
                          NegativeBinomialLikelihood, PoissonLikelihood,
                          paper_likelihood)
@@ -15,7 +15,7 @@ from .posterior import (TrajectoryRibbon, hpd_region_mass, joint_density_grid,
                         marginal_histogram, trajectory_ribbon)
 from .priors import (Beta, Dirac, Distribution, IndependentProduct, LogNormal,
                      TruncatedNormal, Uniform, paper_first_window_prior)
-from .proposals import (JitterKernel, JointJitter, NoJitter, UniformJitter,
+from .proposals import (JitterKernel, JointJitter, UniformJitter,
                         paper_window_jitter)
 from .resampling import (RESAMPLERS, get_resampler, multinomial_resample,
                          residual_resample, stratified_resample,
@@ -26,13 +26,13 @@ from .scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
 from .smc import (BIAS_PARAM, DEFAULT_PARAM_MAP, PendingWindow,
                   SequentialCalibrator, SMCConfig, WindowResult)
 from .transforms import (ANSCOMBE, IDENTITY, LOG1P, SQRT, TRANSFORMS,
-                         Transform, get_transform)
+                         Transform)
 from .validation import (crps, interval_coverage, posterior_rank,
                          sbc_ranks_uniformity)
 from .weights import (effective_sample_size, ess_fraction, logsumexp,
                       normalize_log_weights, weight_entropy, weighted_mean,
-                      weighted_quantile, weighted_variance)
-from .window import TimeWindow, WindowSchedule, paper_window_schedule
+                      weighted_quantile)
+from .window import TimeWindow, WindowSchedule
 
 __all__ = [
     "TemperedResult", "temper_and_resample",
@@ -41,25 +41,23 @@ __all__ = [
     "ScenarioOverride", "ScenarioSpec", "ScenarioRegistry", "ScenarioSweep",
     "SCENARIOS", "SCENARIO_SETS", "register_scenario", "get_scenario",
     "scenario_set",
-    "EnsembleSizePolicy", "FixedSize", "ESSTargetPolicy", "BudgetPolicy",
+    "EnsembleSizePolicy", "FixedSize", "ESSTargetPolicy",
     "SIZE_POLICY_NAMES", "make_size_policy", "resolve_size_policy",
     "Particle", "ParticleEnsemble",
     "Distribution", "Uniform", "Beta", "LogNormal", "TruncatedNormal",
     "Dirac", "IndependentProduct", "paper_first_window_prior",
-    "JitterKernel", "UniformJitter", "NoJitter", "JointJitter",
+    "JitterKernel", "UniformJitter", "JointJitter",
     "paper_window_jitter",
     "Likelihood", "GaussianTransformLikelihood", "PoissonLikelihood",
     "NegativeBinomialLikelihood", "paper_likelihood",
     "BinomialBiasModel",
     "ObservationModel", "SourceModel", "paper_observation_model",
-    "TimeWindow", "WindowSchedule", "paper_window_schedule",
+    "TimeWindow", "WindowSchedule",
     "Transform", "SQRT", "LOG1P", "IDENTITY", "ANSCOMBE", "TRANSFORMS",
-    "get_transform",
     "RESAMPLERS", "get_resampler", "multinomial_resample",
     "systematic_resample", "stratified_resample", "residual_resample",
     "logsumexp", "normalize_log_weights", "effective_sample_size",
     "ess_fraction", "weight_entropy", "weighted_mean", "weighted_quantile",
-    "weighted_variance",
     "WindowDiagnostics", "compute_diagnostics", "assess",
     "TrajectoryRibbon", "trajectory_ribbon", "marginal_histogram",
     "joint_density_grid", "hpd_region_mass",

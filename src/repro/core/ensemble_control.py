@@ -24,9 +24,6 @@ whatever size arrives).  Concrete policies:
   below ``target_low``, shrink by ``shrink_factor`` when it rises above
   ``target_high``, hold inside the band; always clamped to
   ``[n_min, n_max]``.
-* :class:`BudgetPolicy` — caps any (optionally wrapped) policy at a
-  per-window particle-step budget, trading cloud size against window
-  length.
 
 All policies are deterministic pure functions of the window diagnostics, so
 adaptive runs stay bit-reproducible for a fixed ``(base_seed, policy, shard
@@ -43,8 +40,7 @@ from typing import Any, Mapping, Protocol, runtime_checkable
 from .diagnostics import WindowDiagnostics
 
 __all__ = ["EnsembleSizePolicy", "FixedSize", "ESSTargetPolicy",
-           "BudgetPolicy", "SIZE_POLICY_NAMES", "make_size_policy",
-           "resolve_size_policy"]
+           "SIZE_POLICY_NAMES", "make_size_policy", "resolve_size_policy"]
 
 
 @runtime_checkable
@@ -67,26 +63,20 @@ class EnsembleSizePolicy(Protocol):
         window_index:
             Index of the window just weighted.
         current_size:
-            The **realised** size of the cloud this decision scales from.
-            In the calibrator's proposal-size role this is the
-            just-weighted cloud (``== diagnostics.n_particles`` — for
-            window 0 the ``n_parameter_draws * n_replicates`` prior cloud,
-            *not* the planned continuation size, so a grow decision after
-            a degenerate first window multiplies the base the ESS fraction
-            was actually measured on); in the resample-size role it is the
-            previous window's realised posterior size (initially
-            ``SMCConfig.resample_size``).  A multiplicative policy should
+            The **realised** size of the just-weighted cloud
+            (``== diagnostics.n_particles`` — for window 0 the
+            ``n_parameter_draws * n_replicates`` prior cloud, *not* the
+            planned continuation size, so a grow decision after a
+            degenerate first window multiplies the base the ESS fraction
+            was actually measured on).  A multiplicative policy should
             scale ``current_size``; a pass-through "keep the classic size"
             policy must pin an explicit size instead (the calibrator pins
-            the default ``FixedSize()`` to ``continuation_ensemble_size``
-            for the proposal role).
+            the default ``FixedSize()`` to ``continuation_ensemble_size``).
         diagnostics:
             The just-weighted window's degeneracy diagnostics (ESS fraction,
             cloud size, particle-steps).
         next_window_days:
-            Length in days of the window the decision applies to (for the
-            resample-size role: the just-weighted window itself, whose
-            posterior is being sized).
+            Length in days of the window the decision applies to.
         """
         ...
 
@@ -100,9 +90,8 @@ class FixedSize:
     """The non-adaptive baseline: keep the current (realised) size.
 
     ``size=None`` (the default) passes ``current_size`` through.  The
-    calibrator pins the default instance to its classic fixed size for each
-    role (``resample_size * n_continuations`` for proposals,
-    ``resample_size`` for the posterior), so a ``"fixed"`` run stays
+    calibrator pins the default instance to its classic fixed size
+    (``resample_size * n_continuations``), so a ``"fixed"`` run stays
     bit-identical to one with no policy at all.  An explicit ``size`` pins
     every decision to that count.
     """
@@ -167,67 +156,16 @@ class ESSTargetPolicy:
         return _clamp(proposed, self.n_min, self.n_max)
 
 
-@dataclass(frozen=True)
-class BudgetPolicy:
-    """Cap a policy's output at a per-window particle-step budget.
-
-    ``step_budget`` is measured in particle-days: a window of ``d`` days can
-    afford at most ``step_budget // d`` particles.  ``base`` is the policy
-    whose decisions are being capped (default: :class:`FixedSize`, i.e. the
-    budget alone drives the size).  ``n_max`` (optional) is an absolute
-    ceiling on top of the budget; the floor ``n_min`` wins over both so a
-    long window can never starve the cloud below a usable size.
-    """
-
-    step_budget: int
-    base: EnsembleSizePolicy | None = None
-    n_min: int = 50
-    n_max: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
-        if self.n_min < 1:
-            raise ValueError("n_min must be >= 1")
-        if self.n_max is not None and self.n_max < self.n_min:
-            raise ValueError("need n_min <= n_max")
-
-    def next_size(self, *, window_index: int, current_size: int,
-                  diagnostics: WindowDiagnostics,
-                  next_window_days: int) -> int:
-        base = self.base if self.base is not None else FixedSize()
-        proposed = base.next_size(window_index=window_index,
-                                  current_size=current_size,
-                                  diagnostics=diagnostics,
-                                  next_window_days=next_window_days)
-        if next_window_days < 1:
-            raise ValueError("next_window_days must be >= 1")
-        affordable = self.step_budget // next_window_days
-        if self.n_max is not None:
-            affordable = min(affordable, self.n_max)
-        return max(self.n_min, min(int(proposed), affordable))
-
-
 #: Declarative policy names accepted by configs and the CLI.
-SIZE_POLICY_NAMES = ("fixed", "ess", "budget")
+SIZE_POLICY_NAMES = ("fixed", "ess")
 
 
 def make_size_policy(name: str, **options: Any) -> EnsembleSizePolicy:
-    """Build a policy from its declarative name and keyword options.
-
-    ``"budget"`` accepts a nested ``base`` spec — either a policy instance
-    or a dict like ``{"name": "ess", "target_high": 0.4}`` — so budget caps
-    compose with ESS control from pure-JSON configuration.
-    """
+    """Build a policy from its declarative name and keyword options."""
     if name == "fixed":
         return FixedSize(**options)
     if name == "ess":
         return ESSTargetPolicy(**options)
-    if name == "budget":
-        base = options.pop("base", None)
-        if isinstance(base, Mapping):
-            base = make_size_policy(**dict(base))
-        return BudgetPolicy(base=base, **options)
     raise ValueError(f"unknown size policy {name!r}; "
                      f"available: {SIZE_POLICY_NAMES}")
 

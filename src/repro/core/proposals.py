@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["JitterKernel", "UniformJitter", "NoJitter", "JointJitter",
+__all__ = ["JitterKernel", "UniformJitter", "JointJitter",
            "paper_window_jitter"]
 
 
@@ -106,18 +106,6 @@ class UniformJitter(JitterKernel):
         out = np.full(p.shape, -np.inf)
         out[inside] = -np.log(width)
         return out
-
-
-class NoJitter(JitterKernel):
-    """Identity kernel: propagate posterior atoms unchanged."""
-
-    def propose(self, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(centers, dtype=np.float64).copy()
-
-    def logpdf(self, proposed: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        p = np.asarray(proposed, dtype=np.float64)
-        c = np.asarray(centers, dtype=np.float64)
-        return np.where(p == c, 0.0, -np.inf)
 
 
 class JointJitter:

@@ -19,20 +19,13 @@ returning ancestor indices into the weighted ensemble.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["Resampler", "multinomial_resample", "systematic_resample",
+__all__ = ["multinomial_resample", "systematic_resample",
            "stratified_resample", "residual_resample", "get_resampler",
            "RESAMPLERS"]
-
-
-class Resampler(Protocol):
-    """Callable protocol all resampling schemes implement."""
-
-    def __call__(self, weights: np.ndarray, n_out: int,
-                 rng: np.random.Generator) -> np.ndarray: ...
 
 
 def _validated(weights: np.ndarray, n_out: int) -> np.ndarray:

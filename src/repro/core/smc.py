@@ -52,9 +52,9 @@ structural group), resampling gathers columns by index, continuations
 restart the gathered parents' restart rows, and the checkpoint store writes
 those rows as they are.
 
-Window sizes adapt through the size policies (``SMCConfig.size_policy``
-for the next proposal cloud, ``SMCConfig.resample_size_policy`` for the
-posterior), degenerate windows can be rescued by the tempered bridge of
+Proposal-cloud sizes adapt through the size policy
+(``SMCConfig.size_policy``; the posterior keeps ``resample_size``),
+degenerate windows can be rescued by the tempered bridge of
 :func:`repro.core.adaptive.temper_and_resample`
 (``SMCConfig.temper_degenerate``), and simulation is sharded across the
 executor (:mod:`repro.hpc.sharding`); :class:`SMCConfig` documents each.
@@ -88,7 +88,7 @@ from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
                           compute_diagnostics)
-from .ensemble_control import (BudgetPolicy, EnsembleSizePolicy, FixedSize,
+from .ensemble_control import (EnsembleSizePolicy, FixedSize,
                                resolve_size_policy)
 from .observation import ObservationModel
 from .particle import ParticleEnsemble
@@ -152,26 +152,18 @@ class SMCConfig:
     ``"ess"`` (:class:`~repro.core.ensemble_control.ESSTargetPolicy`: grow
     the cloud when the post-weighting ESS fraction falls below its target
     band, shrink it when the band is exceeded, clamped to
-    ``[n_min, n_max]``), ``"budget"``
-    (:class:`~repro.core.ensemble_control.BudgetPolicy`: cap the cloud at a
-    per-window particle-step budget), or any object implementing
+    ``[n_min, n_max]``), or any object implementing
     :class:`~repro.core.ensemble_control.EnsembleSizePolicy`.
     ``size_policy_options`` are the named policy's constructor keywords
     (e.g. ``{"target_high": 0.4, "n_min": 100}``).  Policies are
     deterministic, so adaptive runs remain bit-reproducible for a fixed
     ``(base_seed, size_policy, shard layout)`` and identical across
     executors; the first window always uses
-    ``n_parameter_draws * n_replicates`` prior draws.
-
-    ``resample_size_policy`` drives the *posterior* size the same way
-    ``size_policy`` drives the proposal cloud: it is consulted per window
-    with that window's pre-resampling weight diagnostics and decides how
-    many particles the resampled posterior keeps (``"fixed"``, the default,
-    keeps ``resample_size`` throughout).  Both policies compose — a grow
-    decision and a tempering pass can land on the same window — because
-    the continuation machinery is size-agnostic (parents are cycled from
-    whatever posterior size arrives, restart seeds are keyed by
-    ``(window, draw_index)``).
+    ``n_parameter_draws * n_replicates`` prior draws, and every posterior
+    keeps ``resample_size`` particles, as in the paper's Algorithm 1.  A
+    grow decision and a tempering pass can land on the same window: the
+    continuation machinery is size-agnostic (parents are cycled from the
+    posterior, restart seeds are keyed by ``(window, draw_index)``).
 
     ``temper_degenerate`` routes a window whose pre-resampling ESS
     fraction falls below ``temper_threshold`` (default: the
@@ -211,8 +203,6 @@ class SMCConfig:
     base_seed: int = 20240215
     size_policy: str | EnsembleSizePolicy = "fixed"
     size_policy_options: dict = field(default_factory=dict)
-    resample_size_policy: str | EnsembleSizePolicy = "fixed"
-    resample_size_policy_options: dict = field(default_factory=dict)
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5
@@ -227,8 +217,6 @@ class SMCConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         resolve_size_policy(self.size_policy, self.size_policy_options)
-        resolve_size_policy(self.resample_size_policy,
-                            self.resample_size_policy_options)
         if not 0.0 <= self.temper_threshold <= 1.0:
             raise ValueError("temper_threshold must lie in [0, 1]")
         if not 0.0 < self.temper_ess_floor < 1.0:
@@ -238,15 +226,6 @@ class SMCConfig:
     def size_policy_instance(self) -> EnsembleSizePolicy:
         """The configured ensemble-size controller, ready to consult."""
         return resolve_size_policy(self.size_policy, self.size_policy_options)
-
-    def resample_size_policy_instance(self) -> EnsembleSizePolicy:
-        """The configured posterior-size controller, ready to consult."""
-        return resolve_size_policy(self.resample_size_policy,
-                                   self.resample_size_policy_options)
-
-    @property
-    def first_window_ensemble_size(self) -> int:
-        return self.n_parameter_draws * self.n_replicates
 
     @property
     def continuation_ensemble_size(self) -> int:
@@ -400,14 +379,12 @@ class SequentialCalibrator:
         self._bank = SeedSequenceBank(bank_seed)
         # A default FixedSize() passes the realised size through, which for
         # window 0 would promote the (larger) prior cloud into every later
-        # window; pin it to each role's classic fixed size instead so
+        # window; pin it to the classic continuation size instead so
         # "fixed" stays bit-identical to a run with no policy at all.
-        self._size_policy = self._pin_fixed(
-            self.config.size_policy_instance(),
-            self.config.continuation_ensemble_size)
-        self._resample_policy = self._pin_fixed(
-            self.config.resample_size_policy_instance(),
-            self.config.resample_size)
+        policy = self.config.size_policy_instance()
+        if isinstance(policy, FixedSize) and policy.size is None:
+            policy = FixedSize(size=self.config.continuation_ensemble_size)
+        self._size_policy = policy
         #: Index of the last window restored from a checkpoint store by the
         #: most recent ``run(..., resume=True)``; None for fresh runs.
         self.resumed_from: int | None = None
@@ -415,19 +392,6 @@ class SequentialCalibrator:
         #: cloud; reset per window and folded into its diagnostics.
         self._window_shard_failures: list[ShardFailure] = []
         self._validate()
-
-    @classmethod
-    def _pin_fixed(cls, policy: EnsembleSizePolicy,
-                   classic_size: int) -> EnsembleSizePolicy:
-        if isinstance(policy, FixedSize) and policy.size is None:
-            return FixedSize(size=classic_size)
-        if isinstance(policy, BudgetPolicy) and (
-                policy.base is None or (isinstance(policy.base, FixedSize)
-                                        and policy.base.size is None)):
-            # A budget cap over the default pass-through base must cap the
-            # classic size, not whatever realised size window 0 produced.
-            return replace(policy, base=FixedSize(size=classic_size))
-        return policy
 
     def _validate(self) -> None:
         prior_names = set(self.prior.names)
@@ -464,8 +428,7 @@ class SequentialCalibrator:
         sweep).  After each window the size policy maps its diagnostics and
         **realised** cloud size (for window 0, the prior cloud of
         ``n_parameter_draws * n_replicates``) to the next window's
-        proposal count; the resample-size policy sets each posterior's
-        size inside the weighting pass.
+        proposal count.
 
         With a ``store`` every completed window's posterior (checkpoints,
         parameters, seeds, ancestry, diagnostics) is durably persisted and
@@ -511,7 +474,7 @@ class SequentialCalibrator:
         """The size plans ``(n_proposals, resample_size)`` for the window
         after ``result``.
 
-        Both policies are stateless and Markovian in the previous window's
+        The size policy is stateless and Markovian in the previous window's
         realised outcome: the proposal plan depends only on
         ``result.diagnostics`` and the realised cloud size, the resample
         plan is the realised posterior size.  This is what lets a resumed
@@ -547,9 +510,10 @@ class SequentialCalibrator:
         shard layout is recorded in *resolved* form — ``n_shards="auto"``
         depends on the executor's worker count, and that resolution (not
         the config string) is what keys the per-shard RNG streams.
-        ``"weighting"``, ``"resampler"`` and the last ``"temper"`` entry
-        are literals left from when the weighting path and both resampling
-        schemes were configurable, so stores written then still resume.
+        ``"weighting"``, ``"resampler"``, the last ``"temper"`` entry and
+        the two ``"resample_size_policy"`` entries are literals left from
+        when the weighting path, both resampling schemes and the posterior
+        size were configurable, so stores written then still resume.
         ``"format_version"`` is the store layout: 2 is one columnar
         ``checkpoints.npz`` per window, so a store written in the older
         per-particle layout (1) is refused instead of silently restarting
@@ -577,9 +541,8 @@ class SequentialCalibrator:
             "weighting": "batched",
             "size_policy": policy_tag(cfg.size_policy),
             "size_policy_options": sorted_dict(cfg.size_policy_options),
-            "resample_size_policy": policy_tag(cfg.resample_size_policy),
-            "resample_size_policy_options":
-                sorted_dict(cfg.resample_size_policy_options),
+            "resample_size_policy": "fixed",
+            "resample_size_policy_options": {},
             "temper": [cfg.temper_degenerate, cfg.temper_threshold,
                        cfg.temper_ess_floor, "systematic"],
             "schedule": [w.label() for w in self.schedule],
@@ -860,10 +823,7 @@ class SequentialCalibrator:
         The last phase of the split-phase API (after
         :meth:`propose_window` / :meth:`assemble_window`) — also the tail
         of every fused :meth:`step_window`.  ``resample_size`` is the
-        resample-size policy's running state (the
-        previous window's realised posterior size; default
-        ``SMCConfig.resample_size``): the policy maps it and the window's
-        pre-resampling weight diagnostics to this window's posterior count.
+        posterior's planned size (default ``SMCConfig.resample_size``).
         With ``temper_degenerate`` set, a window whose ESS fraction falls
         below ``temper_threshold`` is resampled through the staged tempered
         bridge instead of one multinomial pass — drawing from the same
@@ -882,26 +842,13 @@ class SequentialCalibrator:
 
         normalized = normalize_log_weights(log_weights)
         particle_steps = len(ensemble) * int(sim_days)
-        # The posterior-size decision needs this window's weight health, so
-        # the policy sees the pre-resampling diagnostics (ancestors unknown
-        # yet, hence 0); the recorded diagnostics are rebuilt below with the
-        # realised ancestry and tempering audit trail.
+        # The tempering decision needs this window's weight health (ancestors
+        # unknown yet, hence 0); the recorded diagnostics are rebuilt below
+        # with the realised ancestry and tempering audit trail.
         pre_diag = compute_diagnostics(log_weights, normalized, 0,
                                        particle_steps=particle_steps)
-        current_resample = int(resample_size if resample_size is not None
-                               else cfg.resample_size)
-        n_out = int(self._resample_policy.next_size(
-            window_index=index, current_size=current_resample,
-            diagnostics=pre_diag, next_window_days=window.n_days))
-        if n_out < 1:
-            raise ValueError(
-                f"resample size policy proposed a posterior of {n_out} "
-                f"particles for window {index}")
-        if n_out != current_resample:
-            self._progress(
-                f"window {index}: resample policy resized posterior "
-                f"{current_resample} -> {n_out} (ESS fraction "
-                f"{pre_diag.ess_fraction:.2f})")
+        n_out = int(resample_size if resample_size is not None
+                    else cfg.resample_size)
 
         rng_resample = self._bank.ancillary_generator(_PURPOSE_RESAMPLE,
                                                       window_index=index)

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = ["Transform", "SQRT", "LOG1P", "IDENTITY", "ANSCOMBE",
-           "get_transform", "TRANSFORMS"]
+           "TRANSFORMS"]
 
 
 class Transform:
@@ -60,13 +60,3 @@ ANSCOMBE = Transform(
 TRANSFORMS: dict[str, Transform] = {
     t.name: t for t in (SQRT, LOG1P, IDENTITY, ANSCOMBE)
 }
-
-
-def get_transform(name: str) -> Transform:
-    """Resolve a transform by configuration name."""
-    try:
-        return TRANSFORMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transform {name!r}; available: {sorted(TRANSFORMS)}"
-        ) from None

@@ -15,7 +15,7 @@ from .contracts import shaped
 
 __all__ = ["logsumexp", "normalize_log_weights", "effective_sample_size",
            "ess_fraction", "weight_entropy", "weighted_mean",
-           "weighted_quantile", "weighted_variance"]
+           "weighted_quantile"]
 
 
 def logsumexp(log_values: np.ndarray) -> float:
@@ -89,14 +89,6 @@ def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     if v.shape != w.shape:
         raise ValueError("values and weights must have the same shape")
     return float(np.sum(v * w))
-
-
-def weighted_variance(values: np.ndarray, weights: np.ndarray) -> float:
-    """Variance of ``values`` under normalised weights."""
-    mu = weighted_mean(values, weights)
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    return float(np.sum(w * (v - mu) ** 2))
 
 
 @shaped(values="(n_particles,)", weights="(n_particles,)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-__all__ = ["TimeWindow", "WindowSchedule", "paper_window_schedule"]
+__all__ = ["TimeWindow", "WindowSchedule"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class TimeWindow:
     @property
     def n_days(self) -> int:
         return self.end_day - self.start_day
-
-    def contains_day(self, day: int) -> bool:
-        return self.start_day <= day < self.end_day
 
     def label(self) -> str:
         """Human-readable label matching the paper's figures ("Days 20-33")."""
@@ -120,8 +117,3 @@ class WindowSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "WindowSchedule":
         return cls.from_breaks(d["breaks"], burn_in_start=int(d.get("burn_in_start", 0)))
-
-
-def paper_window_schedule() -> WindowSchedule:
-    """The four windows of Figures 4-5: days 20-33, 34-47, 48-61, 62-75."""
-    return WindowSchedule.from_breaks([20, 34, 48, 62, 76], burn_in_start=0)

@@ -11,7 +11,7 @@ window slicing the sequential calibrator performs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .series import TimeSeries
 
@@ -25,6 +25,12 @@ HOSPITAL_CENSUS = "hospital_census"
 ICU_CENSUS = "icu_census"
 
 CHANNELS = frozenset({CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS})
+
+#: Default stream -> (channel, biased) wiring matching the paper's setup.
+_DEFAULT_STREAMS: dict[str, tuple[str, bool]] = {
+    "cases": (CASES, True),
+    "deaths": (DEATHS, False),
+}
 
 
 @dataclass(frozen=True)
@@ -130,13 +136,6 @@ class ObservationSet:
         """Slice every stream to the same calibration window."""
         return ObservationSet(tuple(s.window(start_day, end_day)
                                     for s in self.sources))
-
-    def with_source(self, source: ObservationSource) -> "ObservationSet":
-        """Return a new set with ``source`` appended."""
-        return ObservationSet(self.sources + (source,))
-
-    def series_by_name(self) -> Mapping[str, TimeSeries]:
-        return {s.name: s.series for s in self.sources}
 
     def to_dict(self) -> dict:
         return {"sources": [s.to_dict() for s in self.sources]}

@@ -18,7 +18,7 @@ import numpy as np
 from .schedule import PiecewiseConstant
 from .series import TimeSeries
 
-__all__ = ["binomial_thin", "mean_thin"]
+__all__ = ["binomial_thin"]
 
 
 def _rho_per_day(series: TimeSeries, rho: float | PiecewiseConstant) -> np.ndarray:
@@ -45,11 +45,4 @@ def binomial_thin(series: TimeSeries, rho: float | PiecewiseConstant,
         raise ValueError("cannot thin negative counts")
     observed = rng.binomial(n, rho_arr)
     return TimeSeries(series.start_day, observed.astype(np.float64),
-                      name=f"observed_{series.name}" if series.name else "observed")
-
-
-def mean_thin(series: TimeSeries, rho: float | PiecewiseConstant) -> TimeSeries:
-    """Deterministic expectation of :func:`binomial_thin` (``rho * true``)."""
-    rho_arr = _rho_per_day(series, rho)
-    return TimeSeries(series.start_day, series.values * rho_arr,
                       name=f"observed_{series.name}" if series.name else "observed")

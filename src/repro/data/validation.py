@@ -1,12 +1,12 @@
-"""Observation quality checks shared by loaders, the API, and the service.
+"""Observation quality checks shared by the API and the service.
 
 Surveillance feeds are messy: NaN placeholders, negative "correction" rows,
 duplicated report dates, days arriving out of order.  Feeding any of those
 to the calibrator silently corrupts windowed likelihoods (a NaN poisons a
 whole window's weights; a negative count is impossible under every
 likelihood family in :mod:`repro.core.likelihood`).  This module is the one
-shared gate: the CSV loaders, :func:`repro.inference.calibrate`, and the
-streaming service intake all funnel observations through the same defect
+shared gate: :func:`repro.inference.calibrate` and the streaming service
+intake (the one CSV reader) funnel observations through the same defect
 detector, so a bad value is rejected with the same structured record
 everywhere.
 

@@ -3,8 +3,7 @@ sharded dispatch of batched ensemble simulation, and checkpoint stores."""
 
 from .checkpoint_io import CheckpointStore, write_json_atomic
 from .executor import (Executor, ProcessExecutor, SerialExecutor,
-                       TaskOutcome, ThreadExecutor, default_executor,
-                       make_executor)
+                       TaskOutcome, make_executor)
 from .faults import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
                      Fault, FaultPlan, RetryPolicy, ShardFailure,
                      ShardRetryError)
@@ -14,8 +13,8 @@ from .sharding import (GroupShards, GroupSpec, ShardResult, ShardTask,
                        simulate_members, structural_groups)
 
 __all__ = [
-    "Executor", "SerialExecutor", "ProcessExecutor", "ThreadExecutor",
-    "default_executor", "make_executor", "TaskOutcome",
+    "Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
+    "TaskOutcome",
     "RetryPolicy", "ShardFailure", "ShardRetryError",
     "Fault", "FaultPlan", "ChaosExecutor", "ChaosInjectedError",
     "CorruptedResult",

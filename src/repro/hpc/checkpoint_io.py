@@ -273,10 +273,6 @@ class CheckpointStore:
         return (_read_window_state(directory / _DATA_NAME, expected),
                 self.load_window_meta(window_index))
 
-    def particle_count(self, window_index: int) -> int:
-        """Particles the window's marker promises; 0 for an unmarked window."""
-        return self.expected_count(window_index) or 0
-
     def stored_windows(self) -> list[int]:
         """Indices of all windows with a directory, complete or not."""
         out = []

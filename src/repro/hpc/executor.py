@@ -4,8 +4,9 @@ The paper's framework "is designed to exploit the concurrency provided by HPC
 resources" (section I): every prior draw's simulation is independent, so the
 ensemble step is a parallel map.  The SMC driver is written once against the
 :class:`Executor` protocol; backends provide serial execution (tests,
-debugging), process pools (multi-core laptops / single cluster nodes), and
-thread pools (useful when the mapped function releases the GIL).
+debugging) and process pools (multi-core laptops / single cluster nodes).
+numpy's binomial and multinomial samplers hold the GIL, so a thread pool
+would run the kernel no faster than serial; there is no thread backend.
 
 An mpi4py-backed executor would satisfy the same protocol via
 ``MPIPoolExecutor.map``.  The calibrator dispatches only shard tasks through
@@ -16,15 +17,14 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["Executor", "SerialExecutor", "ProcessExecutor", "ThreadExecutor",
-           "default_executor", "make_executor", "EXECUTOR_SPECS", "TaskOutcome",
-           "CAUSE_EXCEPTION", "CAUSE_TIMEOUT", "CAUSE_POOL_BROKEN",
+__all__ = ["Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
+           "EXECUTOR_SPECS", "TaskOutcome", "CAUSE_EXCEPTION", "CAUSE_TIMEOUT", "CAUSE_POOL_BROKEN",
            "CAUSE_DROPPED"]
 
 # Failure causes surfaced by ``Executor.map_each`` (and reused by the retry
@@ -139,12 +139,10 @@ class ProcessExecutor(Executor):
     function fed with a frozen, array-backed dataclass.
     """
 
-    def __init__(self, max_workers: int | None = None,
-                 chunksize: int | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self._max_workers = max_workers or os.cpu_count() or 1
-        self._chunksize = chunksize
         self._pool: ProcessPoolExecutor | None = None
 
     @property
@@ -172,7 +170,7 @@ class ProcessExecutor(Executor):
         task_list: Sequence[Any] = list(tasks)
         if not task_list:
             return []
-        chunk = self._chunksize or _auto_chunksize(len(task_list), self._max_workers)
+        chunk = _auto_chunksize(len(task_list), self._max_workers)
         pool = self._ensure_pool()
         try:
             return list(pool.map(fn, task_list, chunksize=chunk))
@@ -235,81 +233,8 @@ class ProcessExecutor(Executor):
         return f"ProcessExecutor(max_workers={self._max_workers})"
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution.
-
-    numpy's binomial/multinomial samplers hold the GIL, so this backend only
-    pays off for I/O-bound tasks (checkpoint writes); it mainly exists to
-    show *why* process pools are the right backend for this workload.
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._max_workers = max_workers or (os.cpu_count() or 1)
-        self._pool: ThreadPoolExecutor | None = None
-
-    @property
-    def workers(self) -> int:
-        return self._max_workers
-
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
-        task_list = list(tasks)
-        if not task_list:
-            return []
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        return list(self._pool.map(fn, task_list))
-
-    def map_each(self, fn: Callable[[Any], Any], tasks: Iterable[Any],
-                 timeout: float | None = None) -> list[TaskOutcome]:
-        """Per-future dispatch; threads cannot die mid-task, so the only
-        failure modes are worker exceptions and timeouts (a timed-out
-        thread keeps running to completion in the background)."""
-        task_list = list(tasks)
-        if not task_list:
-            return []
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        futures = [self._pool.submit(fn, task) for task in task_list]
-        outcomes: list[TaskOutcome] = []
-        for future in futures:
-            try:
-                outcomes.append(TaskOutcome(value=future.result(timeout=timeout)))
-            except FuturesTimeoutError:
-                future.cancel()
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_TIMEOUT,
-                    error=f"no result within {timeout}s"))
-            except Exception as exc:
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_EXCEPTION,
-                    error=f"{type(exc).__name__}: {exc}"))
-        return outcomes
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadExecutor(max_workers={self._max_workers})"
-
-
-def default_executor(n_tasks_hint: int | None = None) -> Executor:
-    """Pick a backend for this machine.
-
-    Serial for tiny workloads (pool startup costs more than it saves),
-    otherwise a process pool over the available cores.
-    """
-    cores = os.cpu_count() or 1
-    if cores == 1 or (n_tasks_hint is not None and n_tasks_hint < 32):
-        return SerialExecutor()
-    return ProcessExecutor(max_workers=cores)
-
-
 #: The config strings :func:`make_executor` accepts.
-EXECUTOR_SPECS: tuple[str, ...] = ("serial", "process", "thread")
+EXECUTOR_SPECS: tuple[str, ...] = ("serial", "process")
 
 
 def make_executor(spec: str, max_workers: int | None = None) -> Executor:
@@ -318,7 +243,5 @@ def make_executor(spec: str, max_workers: int | None = None) -> Executor:
         return SerialExecutor()
     if spec == "process":
         return ProcessExecutor(max_workers=max_workers)
-    if spec == "thread":
-        return ThreadExecutor(max_workers=max_workers)
     raise ValueError(f"unknown executor spec {spec!r}; "
                      f"expected one of {list(EXECUTOR_SPECS)}")

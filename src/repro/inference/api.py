@@ -45,8 +45,7 @@ def calibrate(observations: ObservationSet,
     config:
         Run configuration; defaults to the paper's settings at laptop scale.
     base_params:
-        Disease parameterisation; config ``disease_overrides`` are applied
-        on top.
+        Disease parameterisation (default: ``DiseaseParameters()``).
     executor:
         Overrides the executor named in the config (useful for injecting a
         shared pool across several runs).

@@ -36,7 +36,6 @@ class CalibrationConfig:
     """
 
     window_breaks: tuple[int, ...] = (20, 34, 48, 62, 76)
-    burn_in_start: int = 0
 
     n_parameter_draws: int = 500
     n_replicates: int = 5
@@ -50,7 +49,6 @@ class CalibrationConfig:
 
     theta_jitter_width: float = 0.05
     rho_jitter_width: float = 0.02
-    rho_jitter_skew: float = 3.0
 
     sigma: float = 1.0
     bias_mode: str = "sample"
@@ -63,17 +61,12 @@ class CalibrationConfig:
     #: (see repro.hpc.sharding).
     shard_size: int | None = None
     n_shards: int | str = "auto"
-    #: Adaptive ensemble-size controller: "fixed" (classic behaviour),
-    #: "ess" (grow/shrink on the post-weighting ESS fraction), or "budget"
-    #: (per-window particle-step cap); options are the policy's constructor
-    #: keywords (see repro.core.ensemble_control).
+    #: Adaptive proposal-cloud size controller: "fixed" (classic
+    #: behaviour) or "ess" (grow/shrink on the post-weighting ESS
+    #: fraction); options are the policy's constructor keywords (see
+    #: repro.core.ensemble_control).  The posterior keeps resample_size.
     size_policy: str = "fixed"
     size_policy_options: dict = field(default_factory=dict)
-    #: Posterior-size controller (same policy names/options as size_policy):
-    #: decides per window how many particles the resampled posterior keeps;
-    #: "fixed" keeps resample_size throughout.
-    resample_size_policy: str = "fixed"
-    resample_size_policy_options: dict = field(default_factory=dict)
     #: Tempered rescue of degenerate windows: when enabled, a window whose
     #: pre-resampling ESS fraction drops below temper_threshold is resampled
     #: through the staged tempered bridge (repro.core.adaptive) instead of a
@@ -88,8 +81,6 @@ class CalibrationConfig:
     max_workers: int | None = None
 
     base_seed: int = 20240215
-
-    disease_overrides: dict = field(default_factory=dict)
 
     #: Fault-tolerant sharded dispatch (repro.hpc.faults): more than one
     #: attempt (or a per-shard timeout) builds a RetryPolicy — failed /
@@ -123,8 +114,7 @@ class CalibrationConfig:
 
     # ------------------------------------------------------------------ #
     def schedule(self) -> WindowSchedule:
-        return WindowSchedule.from_breaks(list(self.window_breaks),
-                                          burn_in_start=self.burn_in_start)
+        return WindowSchedule.from_breaks(list(self.window_breaks))
 
     def prior(self) -> IndependentProduct:
         return IndependentProduct({
@@ -134,8 +124,7 @@ class CalibrationConfig:
 
     def jitter(self) -> JointJitter:
         return paper_window_jitter(theta_width=self.theta_jitter_width,
-                                   rho_width=self.rho_jitter_width,
-                                   rho_skew=self.rho_jitter_skew)
+                                   rho_width=self.rho_jitter_width)
 
     def observation_model(self) -> ObservationModel:
         return paper_observation_model(sigma=self.sigma,
@@ -153,8 +142,6 @@ class CalibrationConfig:
             base_seed=self.base_seed,
             size_policy=self.size_policy,
             size_policy_options=dict(self.size_policy_options),
-            resample_size_policy=self.resample_size_policy,
-            resample_size_policy_options=dict(self.resample_size_policy_options),
             temper_degenerate=self.temper_degenerate,
             temper_threshold=self.temper_threshold,
             temper_ess_floor=self.temper_ess_floor,
@@ -180,10 +167,8 @@ class CalibrationConfig:
 
     def disease_params(self, base: DiseaseParameters | None = None,
                        ) -> DiseaseParameters:
-        params = base if base is not None else DiseaseParameters()
-        if self.disease_overrides:
-            params = params.with_updates(**self.disease_overrides)
-        return params
+        """``base``, or the default parameterisation when it is ``None``."""
+        return base if base is not None else DiseaseParameters()
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
@@ -198,22 +183,11 @@ class CalibrationConfig:
             payload["window_breaks"] = tuple(payload["window_breaks"])
         return cls(**payload)
 
-    def scaled(self, factor: float) -> "CalibrationConfig":
-        """Scale the ensemble sizes (e.g. ``factor=50`` approaches paper scale)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return CalibrationConfig(**{
-            **self.to_dict(),
-            "n_parameter_draws": max(1, int(self.n_parameter_draws * factor)),
-            "resample_size": max(1, int(self.resample_size * factor)),
-        })
-
 
 def paper_calibration_config(**overrides) -> CalibrationConfig:
     """The paper's experimental settings (section V) at laptop scale.
 
     Paper scale is ``n_parameter_draws=25_000, n_replicates=20,
-    resample_size=10_000``; pass those explicitly (or use
-    :meth:`CalibrationConfig.scaled`) on real hardware.
+    resample_size=10_000``; pass those explicitly on real hardware.
     """
     return CalibrationConfig(**overrides)

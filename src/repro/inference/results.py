@@ -128,12 +128,8 @@ class CalibrationResult:
                         dtype=np.int64)
 
     def resample_sizes(self) -> np.ndarray:
-        """Per-window resampled-posterior sizes.
-
-        Fixed at ``resample_size`` under the default policy; under an
-        adaptive ``resample_size_policy`` it records every posterior-size
-        decision the run actually took.
-        """
+        """Per-window resampled-posterior sizes (each is ``resample_size``;
+        restored windows report what their store holds)."""
         return np.array([len(wr.posterior) for wr in self.windows],
                         dtype=np.int64)
 

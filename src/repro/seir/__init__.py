@@ -1,7 +1,6 @@
 """Stochastic SEIR disease simulator substrate (paper sections III, V-A)."""
 
-from .batch_engine import (BatchedBinomialLeapEngine, BatchTrajectory,
-                           stack_channel_tensor)
+from .batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from .checkpoint import CheckpointError, StackedLeapState
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
@@ -23,7 +22,7 @@ __all__ = [
     "mix_seeds",
     "Trajectory", "TrajectoryBuilder",
     "BinomialLeapEngine",
-    "BatchedBinomialLeapEngine", "BatchTrajectory", "stack_channel_tensor",
+    "BatchedBinomialLeapEngine", "BatchTrajectory",
     "CompiledTransitions", "compiled_transitions_for",
     "transition_table_key",
     "CheckpointError", "StackedLeapState",

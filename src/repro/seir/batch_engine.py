@@ -78,8 +78,7 @@ from .parameters import DiseaseParameters
 from .seeding import batch_generator_for
 from .tauleap import compiled_transitions_for
 
-__all__ = ["BatchedBinomialLeapEngine", "BatchTrajectory",
-           "stack_channel_tensor"]
+__all__ = ["BatchedBinomialLeapEngine", "BatchTrajectory"]
 
 _S = int(Compartment.S)
 _E = int(Compartment.E)
@@ -194,31 +193,6 @@ class BatchTrajectory:
         return BatchTrajectory(self.start_day, *(
             np.concatenate([a, b], axis=1)
             for a, b in zip(self._channels(), other._channels())))
-
-
-@shaped(returns="(n_scenarios, n_particles, n_days) float64")
-def stack_channel_tensor(batches: "list[BatchTrajectory]",
-                         channel: str) -> np.ndarray:
-    """Stack per-scenario batches into one scenario-axis tensor (copies).
-
-    The scenario-tensor view of a sweep: element ``[s, i, d]`` is scenario
-    ``s``'s member ``i`` on day ``d``.  Every batch must cover the same
-    days with the same member count — scenarios are parameter worlds over
-    one shared cloud shape, so a shape mismatch means the inputs are not
-    one sweep's outputs.
-    """
-    if not batches:
-        raise ValueError("need at least one BatchTrajectory to stack")
-    first = batches[0]
-    for b in batches[1:]:
-        if (b.start_day, b.n_particles, b.n_days) != \
-                (first.start_day, first.n_particles, first.n_days):
-            raise ValueError(
-                f"scenario batches disagree on shape/coverage: "
-                f"(start_day={b.start_day}, n_particles={b.n_particles}, "
-                f"n_days={b.n_days}) vs (start_day={first.start_day}, "
-                f"n_particles={first.n_particles}, n_days={first.n_days})")
-    return np.stack([b.channel_matrix(channel) for b in batches], axis=0)
 
 
 class BatchedBinomialLeapEngine:

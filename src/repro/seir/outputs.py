@@ -121,9 +121,6 @@ class Trajectory:
     def total_deaths(self) -> float:
         return float(self.deaths.sum())
 
-    def peak_infection_day(self) -> int:
-        return self.start_day + int(np.argmax(self.infections))
-
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         return {

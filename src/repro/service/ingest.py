@@ -1,8 +1,9 @@
 """Supervised streaming intake: validate, quarantine, assemble windows.
 
 Observations reach the service as tidy ``day,series,value`` CSV files
-dropped into a spool directory (the format the batch loaders and
-:func:`repro.viz.export.write_series_csv` already speak).  Nothing in a
+dropped into a spool directory (the format
+:func:`repro.viz.export.write_series_csv` writes, so exported figure data
+round-trips).  This is the package's one CSV reader.  Nothing in a
 spool file is trusted: every row passes the shared defect detector of
 :mod:`repro.data.validation`, and rejected rows become structured
 :class:`IngestError` records appended to a quarantine JSONL log — a bad
@@ -38,9 +39,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..data.loaders import _DEFAULT_STREAMS
 from ..data.series import TimeSeries
-from ..data.sources import ObservationSet, ObservationSource
+from ..data.sources import _DEFAULT_STREAMS, ObservationSet, ObservationSource
 from ..data.validation import ObservationDefect, find_row_defects
 
 __all__ = ["IngestError", "ObservationBuffer", "SpoolIngest",
@@ -181,7 +181,7 @@ class ObservationBuffer:
         """The buffered observations for one window, as calibrator input.
 
         Requires full coverage (:meth:`covered`); the assembled set passes
-        through the loaders' stream wiring, so it is exactly what the
+        through the configured stream wiring, so it is exactly what the
         batch path would have built from the same rows.
         """
         if not self.covered(start_day, end_day):
@@ -212,8 +212,8 @@ class SpoolIngest:
     the write-then-rename spool contract).  Files are never consumed,
     renamed, or rewritten by the service, which is what makes a crash at
     any point recoverable by simply re-scanning everything against the
-    resumed frontier.  Unreadable files and invalid rows are quarantined,
-    not raised.
+    resumed frontier.  Unreadable files (including files that are not
+    UTF-8) and invalid rows are quarantined, not raised.
     """
 
     def __init__(self, spool_dir: str | os.PathLike,
@@ -254,7 +254,7 @@ class SpoolIngest:
         source = path.name
         by_stream: dict[str, list[tuple[object, object]]] = {}
         try:
-            with open(path, newline="") as fh:
+            with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
                 required = {"day", "series", "value"}
                 if reader.fieldnames is None or \
@@ -267,7 +267,7 @@ class SpoolIngest:
                     stream = row.get("series") or "<missing>"
                     by_stream.setdefault(stream, []).append(
                         (row.get("day"), row.get("value")))
-        except (OSError, csv.Error) as exc:
+        except (OSError, csv.Error, UnicodeDecodeError) as exc:
             return [IngestError(stream="<file>", day=None, reason="malformed",
                                 detail=f"unreadable spool file: {exc}",
                                 source=source)]

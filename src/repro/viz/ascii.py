@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["line_plot", "multi_line_plot", "histogram_plot", "ribbon_plot",
-           "density_grid_plot"]
+__all__ = ["line_plot", "multi_line_plot", "ribbon_plot", "density_grid_plot"]
 
 _DEFAULT_WIDTH = 72
 _DEFAULT_HEIGHT = 16
@@ -84,21 +83,6 @@ def multi_line_plot(series: Sequence[np.ndarray], *,
     lines.append(f"max {hi_label:,.1f}" + (" (log scale)" if log_scale else ""))
     lines.extend("|" + "".join(row) for row in grid)
     lines.append(f"min {lo_label:,.1f}")
-    return "\n".join(lines)
-
-
-def histogram_plot(edges, density, *, title: str = "",
-                   width: int = 40) -> str:
-    """Horizontal-bar histogram (one row per bin)."""
-    edges_arr = np.asarray(edges, dtype=np.float64)
-    dens = np.asarray(density, dtype=np.float64)
-    if edges_arr.shape[0] != dens.shape[0] + 1:
-        raise ValueError("need len(edges) == len(density) + 1")
-    top = dens.max() if dens.size and dens.max() > 0 else 1.0
-    lines = [title] if title else []
-    for i, d in enumerate(dens):
-        bar = "#" * int(round(d / top * width))
-        lines.append(f"{edges_arr[i]:8.3f}-{edges_arr[i + 1]:8.3f} |{bar}")
     return "\n".join(lines)
 
 

@@ -27,7 +27,9 @@ def write_series_csv(path: str | os.PathLike,
     """Tidy CSV of named day series: columns ``day, series, value``.
 
     Series may have different day ranges; every (day, name) pair present is
-    written.
+    written.  This is the layout the service's spool intake reads
+    (:class:`repro.service.ingest.SpoolIngest`), so exported series
+    round-trip through it.
     """
     if not series:
         raise ValueError("no series to write")

@@ -28,9 +28,10 @@ SHIPPED_DISPATCH_TARGETS = {
     "repro.hpc.sharding.run_shard",
 }
 
-#: Dispatch sites on the shipped tree: the executor-internal map/submit
-#: calls plus the two ``run_shard`` dispatches in ``hpc/sharding.py``.
-SHIPPED_DISPATCH_SITES = 6
+#: Dispatch sites on the shipped tree: ``ProcessExecutor``'s internal
+#: map/submit calls plus the two ``run_shard`` dispatches in
+#: ``hpc/sharding.py``.
+SHIPPED_DISPATCH_SITES = 4
 
 
 class TestPR1CrossFile:

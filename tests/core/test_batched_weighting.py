@@ -194,9 +194,9 @@ class TestLoglikEnsemble:
 
     def test_unconfigured_stream_rejected(self, rng):
         ens = make_ensemble(rng)
-        obs = make_observations(rng).with_source(ObservationSource(
-            "icu", TimeSeries(10, np.zeros(14)), channel="icu_census",
-            biased=False))
+        icu = ObservationSource("icu", TimeSeries(10, np.zeros(14)),
+                                channel="icu_census", biased=False)
+        obs = ObservationSet(make_observations(rng).sources + (icu,))
         om = paper_observation_model(bias_mode="mean")
         with pytest.raises(KeyError, match="no SourceModel"):
             om.loglik_ensemble(obs, ens, ens.values("rho"), rng)

@@ -12,9 +12,9 @@ cross-executor/shard invariance of adaptive runs lives in
 import numpy as np
 import pytest
 
-from repro.core import (BudgetPolicy, EnsembleSizePolicy, ESSTargetPolicy,
-                        FixedSize, SequentialCalibrator, SMCConfig,
-                        WindowSchedule, make_size_policy,
+from repro.core import (SIZE_POLICY_NAMES, EnsembleSizePolicy,
+                        ESSTargetPolicy, FixedSize, SequentialCalibrator,
+                        SMCConfig, WindowSchedule, make_size_policy,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter, resolve_size_policy)
 from repro.core.diagnostics import compute_diagnostics
@@ -103,52 +103,12 @@ class TestESSTargetPolicy:
             ESSTargetPolicy(n_min=100, n_max=50)
 
 
-class TestBudgetPolicy:
-    def test_caps_at_budget_over_window_days(self):
-        policy = BudgetPolicy(step_budget=7000, n_min=10)
-        assert next_size(policy, 0.5, current=1000, window_days=14) == 500
-
-    def test_budget_not_binding_keeps_base_size(self):
-        policy = BudgetPolicy(step_budget=1_000_000, n_min=10)
-        assert next_size(policy, 0.5, current=1000, window_days=14) == 1000
-
-    def test_floor_wins_over_budget(self):
-        policy = BudgetPolicy(step_budget=100, n_min=60)
-        assert next_size(policy, 0.5, current=1000, window_days=14) == 60
-
-    def test_composes_with_ess_base(self):
-        base = ESSTargetPolicy(target_low=0.2, target_high=0.5,
-                               growth_factor=4.0, n_min=10, n_max=100_000)
-        policy = BudgetPolicy(step_budget=28_000, base=base, n_min=10)
-        # ESS collapse wants 4000, the budget affords 28000/14 = 2000.
-        assert next_size(policy, 0.01, current=1000, window_days=14) == 2000
-
-    def test_n_max_caps_below_budget(self):
-        policy = BudgetPolicy(step_budget=1_000_000, n_min=10, n_max=300)
-        assert next_size(policy, 0.5, current=1000, window_days=14) == 300
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BudgetPolicy(step_budget=0)
-        with pytest.raises(ValueError):
-            BudgetPolicy(step_budget=10, n_min=0)
-        with pytest.raises(ValueError):
-            BudgetPolicy(step_budget=10, n_min=50, n_max=20)
-
-
 class TestFactoryAndResolution:
     def test_named_policies(self):
         assert isinstance(make_size_policy("fixed"), FixedSize)
         assert isinstance(make_size_policy("ess", target_high=0.4),
                           ESSTargetPolicy)
-        assert isinstance(make_size_policy("budget", step_budget=100),
-                          BudgetPolicy)
-
-    def test_budget_base_spec_nested(self):
-        policy = make_size_policy("budget", step_budget=100,
-                                  base={"name": "ess", "target_high": 0.4})
-        assert isinstance(policy.base, ESSTargetPolicy)
-        assert policy.base.target_high == 0.4
+        assert SIZE_POLICY_NAMES == ("fixed", "ess")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown size policy"):
@@ -233,15 +193,6 @@ class TestCalibratorWiring:
                                                 "n_max": 100_000})
         assert all(r.diagnostics.ess_fraction < 0.9 for r in results)
         assert [r.diagnostics.n_particles for r in results] == [60, 120, 240]
-
-    def test_budget_policy_default_base_pinned_across_window0(self, small_truth):
-        """A non-binding budget over the default pass-through base must keep
-        the classic continuation size (40), not promote window 0's realised
-        prior cloud (60) into every later window."""
-        results = self.run(small_truth, size_policy="budget",
-                           size_policy_options={"step_budget": 1_000_000,
-                                                "n_min": 10})
-        assert [r.diagnostics.n_particles for r in results] == [60, 40, 40]
 
     def test_explicit_fixed_instance_pinned_across_window0(self, small_truth):
         """A default FixedSize() passed as an instance is pinned to the

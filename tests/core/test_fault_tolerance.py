@@ -95,10 +95,12 @@ class TestConfigValidation:
 class TestResumeCompatibility:
     """The fingerprint is pinned: a change to it makes every existing store
     unresumable, so it changes only with a deliberate ``format_version``
-    bump (``engine`` and ``weighting`` stay constants for that reason)."""
+    bump (``engine``, ``weighting``, ``resampler`` and the two
+    ``resample_size_policy`` entries stay constants for that reason)."""
 
     #: ``run_fingerprint()`` of the default ``CalibrationConfig`` calibrator
-    #: on a serial executor, for the one-file-per-window store layout.
+    #: on a serial executor, for the one-file-per-window store layout, in
+    #: the key order ``run_meta.json`` is written in.
     DEFAULT_FINGERPRINT = {
         "format_version": 2,
         "base_seed": 20240215,
@@ -132,9 +134,14 @@ class TestResumeCompatibility:
             schedule=config.schedule(), config=config.smc_config(),
             executor=SerialExecutor())
         assert calib.run_fingerprint() == self.DEFAULT_FINGERPRINT
+        assert list(calib.run_fingerprint()) == list(self.DEFAULT_FINGERPRINT)
         store = CheckpointStore(tmp_path)
-        store.validate_run_meta(self.DEFAULT_FINGERPRINT)
         store.validate_run_meta(calib.run_fingerprint())
+        # Byte-identical run_meta.json: a store written before the
+        # posterior-size options were deleted still resumes.
+        assert (tmp_path / "run_meta.json").read_text() == \
+            json.dumps(self.DEFAULT_FINGERPRINT)
+        store.validate_run_meta(self.DEFAULT_FINGERPRINT)
 
     def test_per_particle_layout_store_refused(self, tmp_path):
         """A store written in the per-particle layout (format 1) fails

@@ -42,7 +42,6 @@ class TestConfigValidation:
     def test_ensemble_size_properties(self):
         cfg = SMCConfig(n_parameter_draws=10, n_replicates=3,
                         resample_size=7, n_continuations=2)
-        assert cfg.first_window_ensemble_size == 30
         assert cfg.continuation_ensemble_size == 14
 
 

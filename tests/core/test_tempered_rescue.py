@@ -1,4 +1,4 @@
-"""Calibrator wiring of the tempered rescue and policy-driven resample size.
+"""Calibrator wiring of the tempered rescue.
 
 Contract under test (see ``repro/core/smc.py``): with
 ``temper_degenerate`` set, a window whose pre-resampling ESS fraction falls
@@ -7,16 +7,15 @@ below ``temper_threshold`` is resampled through
 from the same window-indexed resampling stream as the plain pass — so runs
 stay bit-reproducible per ``(base_seed, shard layout)`` and identical across
 executors — and the realised schedule lands in the window's diagnostics.
-``resample_size_policy`` drives the resampled posterior's size per window
-the same way ``size_policy`` drives the proposal cloud, and the two compose.
+The bridge composes with the proposal-cloud size policy.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (FixedSize, SequentialCalibrator, SMCConfig,
-                        WindowSchedule, paper_first_window_prior,
-                        paper_observation_model, paper_window_jitter)
+from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
+                        paper_first_window_prior, paper_observation_model,
+                        paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
 from repro.seir import DiseaseParameters
@@ -132,61 +131,16 @@ class TestTemperedRescueWiring:
         assert s["resample_size"] == 60
 
 
-class TestResampleSizePolicy:
-    def test_pinned_policy_resizes_every_posterior(self, small_truth):
-        results = run_calibration(small_truth, sigma=1.0,
-                                  resample_size_policy=FixedSize(size=25))
-        assert [len(r.posterior) for r in results] == [25, 25, 25]
-        # the proposal cloud stays policy-driven by size_policy (fixed)
-        assert [r.diagnostics.n_particles for r in results] == [80, 60, 60]
-
-    def test_ess_policy_grows_posterior_from_resample_size(self, small_truth):
-        """An always-grow ESS policy must scale the *posterior* size from
-        the configured resample_size (its running realised state), window
-        by window, independent of the proposal-cloud size."""
-        results = run_calibration(
-            small_truth, sigma=1.0, resample_size_policy="ess",
-            resample_size_policy_options={"target_low": 0.9,
-                                          "target_high": 0.95,
-                                          "growth_factor": 2.0,
-                                          "n_min": 10, "n_max": 100_000})
-        assert all(r.diagnostics.ess_fraction < 0.9 for r in results)
-        assert [len(r.posterior) for r in results] == [120, 240, 480]
-        assert [r.diagnostics.n_particles for r in results] == [80, 60, 60]
-
-    def test_policy_output_validated(self, small_truth):
-        class BrokenPolicy:
-            def next_size(self, *, window_index, current_size, diagnostics,
-                          next_window_days):
-                return 0
-
-        with pytest.raises(ValueError, match="resample size policy"):
-            run_calibration(small_truth, sigma=1.0, breaks=(10, 20),
-                            resample_size_policy=BrokenPolicy())
-
+class TestSizePolicyComposition:
     def test_grow_and_temper_compose(self, small_truth):
-        """The ROADMAP composition requirement: a posterior-grow decision
-        and a tempering pass can land on the same window, and the grown
-        posterior feeds the next window's parent cycling unchanged."""
+        """A proposal-cloud grow decision and a tempering pass can land on
+        the same window, and the posterior keeps ``resample_size``."""
         results = run_calibration(
-            small_truth, temper_degenerate=True,
-            resample_size_policy="ess",
-            resample_size_policy_options={"target_low": 0.9,
-                                          "target_high": 0.95,
-                                          "growth_factor": 2.0,
-                                          "n_min": 10, "n_max": 100_000})
-        composed = [r for r in results
-                    if r.diagnostics.temper_stages > 1
-                    and len(r.posterior) > 60]
-        assert composed, "no window saw both a grow decision and a bridge"
-        assert [len(r.posterior) for r in results] == [120, 240, 480]
-        # downstream windows consumed the grown posteriors without incident
-        assert [r.diagnostics.n_particles for r in results] == [80, 60, 60]
-
-    def test_fixed_policy_bit_identical_to_classic_run(self, small_truth):
-        """resample_size_policy='fixed' (the default) must not perturb a
-        classic run in any way."""
-        classic = run_calibration(small_truth, sigma=1.0)
-        pinned = run_calibration(small_truth, sigma=1.0,
-                                 resample_size_policy="fixed")
-        assert_runs_identical(classic, pinned)
+            small_truth, temper_degenerate=True, size_policy="ess",
+            size_policy_options={"target_low": 0.9, "target_high": 0.95,
+                                 "growth_factor": 2.0, "n_min": 10,
+                                 "n_max": 100_000})
+        assert [r.diagnostics.n_particles for r in results] == [80, 160, 320]
+        assert any(r.diagnostics.temper_stages > 1
+                   for r in results[1:]), "no grown window was bridged"
+        assert [len(r.posterior) for r in results] == [60, 60, 60]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (ANSCOMBE, IDENTITY, LOG1P, SQRT, BinomialBiasModel,
-                        get_transform)
+from repro.core import ANSCOMBE, IDENTITY, LOG1P, SQRT, BinomialBiasModel
 from repro.data import TimeSeries
 
 
@@ -29,12 +28,6 @@ class TestTransforms:
         for lam in (10.0, 100.0, 1000.0):
             x = rng.poisson(lam, size=20_000)
             assert np.sqrt(x).var() == pytest.approx(0.25, rel=0.15)
-
-    def test_registry(self):
-        assert get_transform("sqrt") is SQRT
-        with pytest.raises(ValueError):
-            get_transform("cuberoot")
-
 
 class TestBinomialBiasModel:
     def test_invalid_mode(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (effective_sample_size, ess_fraction, logsumexp,
                         normalize_log_weights, weight_entropy, weighted_mean,
-                        weighted_quantile, weighted_variance)
+                        weighted_quantile)
 
 
 class TestLogSumExp:
@@ -94,11 +94,6 @@ class TestWeightedStats:
         v = np.array([1.0, 3.0])
         w = np.array([0.25, 0.75])
         assert weighted_mean(v, w) == pytest.approx(2.5)
-
-    def test_weighted_variance(self):
-        v = np.array([0.0, 1.0])
-        w = np.array([0.5, 0.5])
-        assert weighted_variance(v, w) == pytest.approx(0.25)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (Particle, ParticleEnsemble, TimeWindow, WindowSchedule,
-                        paper_window_schedule)
+from repro.core import Particle, ParticleEnsemble, TimeWindow, WindowSchedule
 from repro.seir import Trajectory
 
 
@@ -12,9 +11,6 @@ class TestTimeWindow:
     def test_basics(self):
         w = TimeWindow(20, 34)
         assert w.n_days == 14
-        assert w.contains_day(20)
-        assert w.contains_day(33)
-        assert not w.contains_day(34)
 
     def test_label_matches_paper_style(self):
         assert TimeWindow(20, 34).label() == "Days 20-33"
@@ -48,15 +44,6 @@ class TestWindowSchedule:
         s = WindowSchedule.from_breaks([20, 34, 48], burn_in_start=5)
         restored = WindowSchedule.from_dict(s.to_dict())
         assert restored == s
-
-    def test_paper_schedule(self):
-        """Figures 4-5: windows 20-33, 34-47, 48-61, 62-75 with burn-in 0."""
-        s = paper_window_schedule()
-        assert len(s) == 4
-        assert [w.label() for w in s] == ["Days 20-33", "Days 34-47",
-                                          "Days 48-61", "Days 62-75"]
-        assert s.burn_in_start == 0
-
 
 def particle(theta=0.3, rho=0.8, seed=1, lw=0.0, n_days=5, start=0):
     traj = Trajectory(start, np.ones(n_days), np.zeros(n_days),

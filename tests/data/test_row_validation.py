@@ -1,4 +1,4 @@
-"""Observation validation: defect detection, loader wiring, API gate."""
+"""Observation validation: defect detection and the API gate."""
 
 import math
 
@@ -9,7 +9,6 @@ from repro.data import (ObservationSet, ObservationSource, TimeSeries,
                         ObservationValidationError, find_defects,
                         find_row_defects, find_series_defects,
                         validate_observations)
-from repro.data.loaders import _series_from_pairs
 
 
 def series(values, start=0, name="cases"):
@@ -103,38 +102,6 @@ class TestFindRowDefects:
         assert accepted == [(3, 1.0)]
         assert [d.reason for d in defects] == [
             "nan_value", "negative_value", "non_finite_value"]
-
-
-class TestLoaderWiring:
-    def test_series_from_pairs_rejects_nan(self):
-        with pytest.raises(ObservationValidationError, match="nan_value"):
-            _series_from_pairs("cases", [(0, 1.0), (1, math.nan)],
-                               fill_gaps=None)
-
-    def test_series_from_pairs_rejects_negative(self):
-        with pytest.raises(ObservationValidationError, match="negative"):
-            _series_from_pairs("cases", [(0, -1.0)], fill_gaps=None)
-
-    def test_wide_csv_rejects_nan_cell(self, tmp_path):
-        from repro.data import load_wide_csv
-        path = tmp_path / "obs.csv"
-        path.write_text("day,cases\n0,5\n1,nan\n")
-        with pytest.raises(ObservationValidationError, match="nan_value"):
-            load_wide_csv(path)
-
-    def test_tidy_csv_rejects_negative(self, tmp_path):
-        from repro.data import load_series_csv
-        path = tmp_path / "obs.csv"
-        path.write_text("day,series,value\n0,cases,5\n1,cases,-2\n")
-        with pytest.raises(ObservationValidationError, match="negative"):
-            load_series_csv(path)
-
-    def test_clean_csv_still_loads(self, tmp_path):
-        from repro.data import observation_set_from_csv
-        path = tmp_path / "obs.csv"
-        path.write_text("day,cases,deaths\n0,5,1\n1,6,0\n")
-        obs = observation_set_from_csv(path)
-        assert obs.names == ("cases", "deaths")
 
 
 class TestApiGate:

@@ -80,16 +80,6 @@ class TestObservationSet:
         w = obs.window(2, 6)
         assert all(s.series.start_day == 2 and len(s.series) == 4 for s in w)
 
-    def test_with_source(self):
-        obs = ObservationSet.of(source())
-        obs2 = obs.with_source(source(name="deaths", channel=DEATHS))
-        assert len(obs) == 1  # original untouched
-        assert len(obs2) == 2
-
-    def test_series_by_name(self):
-        obs = ObservationSet.of(source())
-        assert set(obs.series_by_name()) == {"cases"}
-
     def test_round_trip(self):
         obs = ObservationSet.of(source(), source(name="deaths", channel=DEATHS))
         restored = ObservationSet.from_dict(obs.to_dict())

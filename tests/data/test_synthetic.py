@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import PiecewiseConstant, TimeSeries, binomial_thin, mean_thin
+from repro.data import PiecewiseConstant, TimeSeries, binomial_thin
 
 
 def counts(n=50, scale=100.0, start=0):
@@ -54,15 +54,3 @@ class TestBinomialThin:
     def test_name_prefixed(self, rng):
         assert binomial_thin(counts(), 0.5, rng).name == "observed_cases"
 
-
-class TestMeanThin:
-    def test_exact_expectation(self):
-        ts = counts()
-        obs = mean_thin(ts, 0.25)
-        assert np.allclose(obs.values, 0.25 * ts.values)
-
-    def test_scheduled(self):
-        ts = TimeSeries(0, np.full(4, 100.0))
-        sched = PiecewiseConstant(breakpoints=(2,), values=(0.5, 1.0))
-        obs = mean_thin(ts, sched)
-        assert list(obs.values) == [50.0, 50.0, 100.0, 100.0]

@@ -63,7 +63,7 @@ class TestCheckpointStore:
         dtype, and every row's parameters each in its own Python type."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
-        assert store.particle_count(0) == 3
+        assert store.expected_count(0) == 3
         loaded, _ = store.load_window_state(0)
         for name in ("counts", "cum_infections", "cum_deaths", "seeds"):
             before, after = getattr(checkpoints, name), getattr(loaded, name)
@@ -90,9 +90,6 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError, match="no checkpoints"):
             store.load_window_state(5)
-
-    def test_particle_count_empty(self, tmp_path):
-        assert CheckpointStore(tmp_path).particle_count(2) == 0
 
     def test_latest_restart_point(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)

@@ -4,10 +4,9 @@ import os
 
 import pytest
 
-from repro.hpc import (ProcessExecutor, SerialExecutor, ThreadExecutor,
-                       default_executor, make_executor)
+from repro.hpc import ProcessExecutor, SerialExecutor, make_executor
 from repro.hpc.executor import (CAUSE_EXCEPTION, CAUSE_POOL_BROKEN,
-                                _auto_chunksize)
+                                EXECUTOR_SPECS, _auto_chunksize)
 
 
 def square(x):
@@ -108,37 +107,16 @@ class TestProcessExecutorFaults:
         assert again[0].ok and again[0].value == 9
 
 
-class TestThreadExecutor:
-    def test_map(self):
-        with ThreadExecutor(max_workers=2) as ex:
-            assert ex.map(square, range(6)) == [x * x for x in range(6)]
-            assert ex.workers == 2
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=-1)
-
-
 class TestFactories:
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("process", max_workers=1),
                           ProcessExecutor)
-        assert isinstance(make_executor("thread", max_workers=1),
-                          ThreadExecutor)
+        assert EXECUTOR_SPECS == ("serial", "process")
 
     def test_make_executor_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
-
-    def test_default_small_workload_serial(self):
-        assert isinstance(default_executor(n_tasks_hint=4), SerialExecutor)
-
-    def test_default_large_workload_parallel_when_multicore(self):
-        ex = default_executor(n_tasks_hint=10_000)
-        if (os.cpu_count() or 1) > 1:
-            assert isinstance(ex, ProcessExecutor)
-        ex.close()
 
     def test_auto_chunksize(self):
         assert _auto_chunksize(1000, 2) == 125

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.hpc import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
-                       Fault, FaultPlan, RetryPolicy, SerialExecutor,
-                       ShardRetryError, ShardTask, TaskOutcome, ThreadExecutor,
-                       dispatch_shards)
+                       Fault, FaultPlan, ProcessExecutor, RetryPolicy,
+                       SerialExecutor, ShardRetryError, ShardTask,
+                       TaskOutcome, dispatch_shards)
 from repro.hpc.executor import (CAUSE_DROPPED, CAUSE_EXCEPTION, CAUSE_TIMEOUT)
 from repro.hpc.faults import CAUSE_CORRUPT, FAULT_KINDS
 from repro.hpc.sharding import _result_defect, run_shard
@@ -201,8 +201,8 @@ class TestMapEachSemantics:
         assert "boom" in out[1].error
         assert [o.value for o in out] == [1, None, 3]
 
-    def test_thread_timeout_surfaces(self):
-        with ThreadExecutor(max_workers=1) as ex:
+    def test_process_timeout_surfaces(self):
+        with ProcessExecutor(max_workers=1) as ex:
             out = ex.map_each(sleepy, [1], timeout=0.05)
         assert out[0].cause == CAUSE_TIMEOUT
 

@@ -27,33 +27,37 @@ class TestParser:
         assert args.resample == 60
         assert args.executor == "serial"
 
-    def test_temper_and_resample_policy_knobs(self):
+    def test_temper_knobs(self):
         args = build_parser().parse_args(
             ["fig4", "--temper", "--temper-threshold", "0.1",
-             "--temper-floor", "0.3", "--resample-policy", "ess",
+             "--temper-floor", "0.3", "--size-policy", "ess",
              "--ess-low", "0.05", "--ess-high", "0.4"])
         assert args.temper
         assert args.temper_threshold == 0.1
         assert args.temper_floor == 0.3
-        assert args.resample_policy == "ess"
+        from repro.cli import _adaptive_config_kwargs
+        kwargs = _adaptive_config_kwargs(args)
+        assert kwargs["size_policy"] == "ess"
+        assert kwargs["size_policy_options"] == {
+            "target_low": 0.05, "target_high": 0.4, "n_min": 50,
+            "n_max": 100_000}
 
     def test_temper_defaults_off(self):
         args = build_parser().parse_args(["fig5"])
         assert not args.temper
-        assert args.resample_policy == "fixed"
+        assert args.size_policy == "fixed"
 
-    def test_size_budget_policy_requires_step_budget(self):
-        args = build_parser().parse_args(
-            ["fig4", "--size-policy", "budget"])
-        from repro.cli import _size_policy_options
-        with pytest.raises(SystemExit, match="step-budget"):
-            _size_policy_options(args)
-
-    def test_resample_policy_rejects_budget(self):
-        """A particle-step budget cannot bind the posterior (it is never
-        re-simulated), so the CLI does not offer it for this role."""
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--size-policy", "budget"],
+        ["fig4", "--step-budget", "100"],
+        ["fig4", "--resample-policy", "ess"],
+        ["fig4", "--executor", "thread"],
+    ])
+    def test_deleted_options_rejected(self, argv):
+        """The posterior-size and budget controllers and the thread
+        executor are gone; their flags are usage errors."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig4", "--resample-policy", "budget"])
+            build_parser().parse_args(argv)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -108,13 +112,23 @@ class TestCommands:
         """A bad numeric knob exits naming the field, not with a
         traceback from deep inside the calibrator."""
         serial = ["--executor", "serial"]
+        serve = ["serve", *serial, "--spool", str(tmp_path / "spool"),
+                 "--artifacts", str(tmp_path / "art"),
+                 "--checkpoint-dir", str(tmp_path / "ckpt")]
         for argv, field in (
                 (["fig4", "--draws", "0", *serial], "n_parameter_draws"),
                 (["fig3", "--draws", "0", *serial], "n_parameter_draws"),
                 (["fig3", "--resample", "0", *serial], "resample_size"),
                 (["fig4", "--workers", "0", *serial], "max_workers"),
                 (["fig4", "--retry-backoff", "-1", *serial], "retry_backoff"),
-                (["fig2", "--horizon", "0"], "horizon must be >= 1")):
+                (["fig2", "--horizon", "0"], "horizon must be >= 1"),
+                ([*serve, "--restart-attempts", "0"], "max_attempts"),
+                ([*serve, "--restart-backoff", "-1"], "backoff_seconds"),
+                ([*serve, "--deadline-seconds", "0"], "timeout_seconds"),
+                ([*serve, "--horizon-days", "0"], "horizon_days"),
+                ([*serve, "--window-breaks", "34,20"],
+                 "window must have positive length"),
+                ([*serve, "--poll-seconds", "-1"], "poll_seconds")):
             with pytest.raises(SystemExit,
                                match=f"invalid configuration: {field}"):
                 main([*argv, "--out", str(tmp_path)])

@@ -31,41 +31,25 @@ class TestCalibrationConfig:
         with pytest.raises(TypeError, match="engine"):
             CalibrationConfig(engine="gillespie")
 
-    def test_disease_overrides_applied(self):
-        cfg = CalibrationConfig(disease_overrides={"population": 1000,
-                                                   "initial_exposed": 10})
-        assert cfg.disease_params().population == 1000
-
     def test_round_trip(self):
         cfg = CalibrationConfig(n_parameter_draws=7, sigma=2.0)
         restored = CalibrationConfig.from_dict(cfg.to_dict())
         assert restored == cfg
 
-    def test_temper_and_resample_policy_round_trip(self):
+    def test_temper_and_size_policy_round_trip(self):
         cfg = CalibrationConfig(
             temper_degenerate=True, temper_threshold=0.1,
-            temper_ess_floor=0.25,
-            resample_size_policy="ess",
-            resample_size_policy_options={"target_low": 0.2,
-                                          "target_high": 0.6})
+            temper_ess_floor=0.25, size_policy="ess",
+            size_policy_options={"target_low": 0.2, "target_high": 0.6})
         restored = CalibrationConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         smc = restored.smc_config()
         assert smc.temper_degenerate
         assert smc.temper_threshold == 0.1
         assert smc.temper_ess_floor == 0.25
-        assert smc.resample_size_policy == "ess"
-
-    def test_scaled(self):
-        cfg = CalibrationConfig(n_parameter_draws=100, resample_size=50)
-        big = cfg.scaled(10)
-        assert big.n_parameter_draws == 1000
-        assert big.resample_size == 500
-        assert big.n_replicates == cfg.n_replicates
-
-    def test_scaled_validation(self):
-        with pytest.raises(ValueError):
-            CalibrationConfig().scaled(0)
+        assert smc.size_policy == "ess"
+        assert smc.size_policy_options == {"target_low": 0.2,
+                                           "target_high": 0.6}
 
     def test_executor_construction(self):
         ex = CalibrationConfig(executor="serial").make_executor()

@@ -283,43 +283,3 @@ class TestBatchRestartRoundTrip:
             state, small_params, seeds=new_seeds).run_until(20)
         assert np.array_equal(a.infections, b.infections)
 
-
-class TestStackChannelTensor:
-    """The scenario-axis tensor view over per-scenario batch outputs."""
-
-    def _batches(self, small_params, thetas, n=12, days=10):
-        out = []
-        for theta in thetas:
-            eng = BatchedBinomialLeapEngine(small_params, np.arange(n),
-                                            thetas=np.full(n, theta))
-            out.append(eng.run_until(days))
-        return out
-
-    def test_shape_and_content(self, small_params):
-        from repro.data import CASES
-        from repro.seir import stack_channel_tensor
-        batches = self._batches(small_params, (0.25, 0.30, 0.35))
-        tensor = stack_channel_tensor(batches, CASES)
-        assert tensor.shape == (3, 12, 10)
-        for s, batch in enumerate(batches):
-            assert np.array_equal(tensor[s], batch.channel_matrix(CASES))
-
-    def test_single_scenario_is_trivial_stack(self, small_params):
-        from repro.data import CASES
-        from repro.seir import stack_channel_tensor
-        [batch] = self._batches(small_params, (0.3,))
-        tensor = stack_channel_tensor([batch], CASES)
-        assert tensor.shape == (1, 12, 10)
-        assert np.array_equal(tensor[0], batch.infections)
-
-    def test_empty_rejected(self):
-        from repro.seir import stack_channel_tensor
-        with pytest.raises(ValueError, match="at least one"):
-            stack_channel_tensor([], "cases")
-
-    def test_shape_mismatch_rejected(self, small_params):
-        from repro.seir import stack_channel_tensor
-        a = self._batches(small_params, (0.3,), n=12)[0]
-        b = self._batches(small_params, (0.3,), n=8)[0]
-        with pytest.raises(ValueError, match="disagree"):
-            stack_channel_tensor([a, b], "cases")

@@ -68,11 +68,10 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="continuation"):
             a.extended_by(b)
 
-    def test_totals_and_peak(self):
+    def test_totals(self):
         t = make_trajectory(n=5)
         assert t.total_infections() == 10.0
         assert t.total_deaths() == 0.0
-        assert t.peak_infection_day() == 4
 
     def test_round_trip(self):
         t = make_trajectory(start=2)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.data import TimeSeries
 from repro.service import IngestError, ObservationBuffer, SpoolIngest
 from repro.service.ingest import REASON_OUT_OF_ORDER, REASON_UNKNOWN_STREAM
+from repro.viz import write_series_csv
 
 CASES_ONLY = {"cases": ("cases", True)}
 
@@ -132,6 +134,40 @@ class TestSpoolIngest:
         assert len(errors) == 1
         assert errors[0].reason == "malformed"
         assert errors[0].source == "broken.csv"
+
+    def test_undecodable_file_is_quarantined_and_scan_continues(self,
+                                                                tmp_path):
+        """A file that is not UTF-8 is one ``malformed`` record, not a
+        crash, and a later good file in the same scan still lands."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "a_bad.csv").write_bytes(b"day,series,value\n0,cases,\xff\n")
+        write_spool(spool, "b_good.csv", [(d, "cases", 2.0) for d in range(3)])
+        quarantine = tmp_path / "rejects.jsonl"
+        buf = ObservationBuffer(CASES_ONLY)
+        errors = SpoolIngest(spool, buf, quarantine_path=quarantine).scan()
+        assert [(e.source, e.reason) for e in errors] == [
+            ("a_bad.csv", "malformed")]
+        records = [json.loads(line)
+                   for line in quarantine.read_text().splitlines()]
+        assert [(r["source"], r["reason"]) for r in records] == [
+            ("a_bad.csv", "malformed")]
+        assert buf.covered(0, 3)
+
+    def test_series_csv_export_round_trips(self, tmp_path):
+        """A ``write_series_csv`` export (the ``fig2`` layout) ingests with
+        no rejections and assembles back to the exported series."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        exported = {"cases": TimeSeries(2, [4.0, 5.0, 7.0], name="cases"),
+                    "deaths": TimeSeries(2, [0.0, 1.0, 0.0], name="deaths")}
+        write_series_csv(spool / "export.csv", exported)
+        buf = ObservationBuffer()
+        assert SpoolIngest(spool, buf).scan() == []
+        obs = buf.observation_set(2, 5)
+        for name, series in exported.items():
+            assert obs[name].series == series
+        assert obs["cases"].biased and not obs["deaths"].biased
 
     def test_missing_spool_dir_is_quietly_empty(self, tmp_path):
         ingest = SpoolIngest(tmp_path / "nope", ObservationBuffer(CASES_ONLY))

@@ -8,9 +8,9 @@ import pytest
 from repro.core import trajectory_ribbon
 from repro.data import TimeSeries
 from repro.seir import Trajectory
-from repro.viz import (density_grid_plot, histogram_plot, line_plot,
-                       multi_line_plot, ribbon_plot, write_density_csv,
-                       write_json, write_ribbon_csv, write_series_csv)
+from repro.viz import (density_grid_plot, line_plot, multi_line_plot,
+                       ribbon_plot, write_density_csv, write_json,
+                       write_ribbon_csv, write_series_csv)
 
 
 class TestAsciiPlots:
@@ -44,17 +44,6 @@ class TestAsciiPlots:
     def test_constant_series_no_crash(self):
         out = line_plot(np.full(10, 3.0))
         assert "3.0" in out
-
-    def test_histogram_rows(self):
-        edges = np.array([0.0, 0.5, 1.0])
-        dens = np.array([0.4, 1.6])
-        out = histogram_plot(edges, dens, title="h")
-        assert out.count("|") == 2
-        assert "#" in out
-
-    def test_histogram_validation(self):
-        with pytest.raises(ValueError):
-            histogram_plot(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
     def test_ribbon_plot_with_truth(self):
         days = np.arange(10)
