@@ -23,9 +23,8 @@ import numpy as np
 
 from _bench_util import once
 from repro.hpc import CheckpointStore
-from repro.seir import (BinomialLeapEngine, StackedLeapState,
-                        chicago_defaults, parameter_columns)
-from repro.testing import restart_oracle
+from repro.seir import StackedLeapState, chicago_defaults, parameter_columns
+from repro.testing import BinomialLeapEngine, restart_oracle
 from repro.viz import write_json
 
 N_RESTARTS = 30

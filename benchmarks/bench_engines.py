@@ -17,9 +17,8 @@ import time
 import numpy as np
 
 from _bench_util import once
-from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        DiseaseParameters)
-from repro.testing import GillespieEngine
+from repro.seir import BatchedBinomialLeapEngine, DiseaseParameters
+from repro.testing import BinomialLeapEngine, GillespieEngine
 from repro.viz import write_json
 
 SMALL = DiseaseParameters(population=3_000, initial_exposed=30,

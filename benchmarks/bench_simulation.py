@@ -3,7 +3,7 @@
 Simulates one calibration window (14 days by default) for an ensemble of
 particles two ways:
 
-* **scalar** — one :class:`~repro.seir.BinomialLeapEngine` per particle,
+* **scalar** — one :class:`~repro.testing.BinomialLeapEngine` per particle,
   the per-particle work of the scalar reference oracle (engine
   construction, day loop), and
 * **batched** — one :class:`~repro.seir.BatchedBinomialLeapEngine` stepping
@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        DiseaseParameters, StackedLeapState)
+from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
+                        StackedLeapState)
+from repro.testing import BinomialLeapEngine
 
 DEFAULT_SIZES = (250, 1000, 2000)
 DEFAULT_DAYS = 14

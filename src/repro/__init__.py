@@ -22,8 +22,9 @@ Subpackages
     The SMC/SIS framework (particles, weights, resampling, priors,
     proposals, likelihoods, bias model, windows, calibrator).
 ``repro.seir``
-    Stochastic SEIR simulator: the scalar and batched binomial-leap
-    engines, checkpointing, parameters.
+    Stochastic SEIR simulator: the batched binomial-leap engine (the one
+    engine every calibration, forecast and ground truth runs on),
+    checkpointing, parameters.
 ``repro.hpc``
     Executors, sharded batched dispatch, fault tolerance, stores.
 ``repro.data``
@@ -32,8 +33,9 @@ Subpackages
     Ground-truth factory.
 ``repro.inference``
     High-level ``calibrate()`` / forecasting API.
-``repro.baselines``
-    Pseudo-marginal MCMC (single-shot IS is a one-window ``calibrate()``).
+``repro.testing``
+    Test oracles: the scalar binomial-leap and exact-SSA engines, the
+    restart and parity oracles.  No production module imports it.
 ``repro.viz``
     ASCII charts and CSV export of every figure's data.
 """

@@ -185,7 +185,7 @@ class ProjectIndex:
 
         ``local_types`` maps local variable names to the qualified class
         whose constructor produced them, so ``engine.run_until`` resolves
-        through ``engine = BinomialLeapEngine(...)``.
+        through ``engine = BatchedBinomialLeapEngine(...)``.
         """
         if isinstance(expr, ast.Name):
             if local_types and expr.id in local_types:
@@ -199,7 +199,7 @@ class ProjectIndex:
             base = self.canonical(module, expr.value, local_types)
             return None if base is None else f"{base}.{expr.attr}"
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            # String annotation ("BinomialLeapEngine") — parse and retry.
+            # String annotation ("BatchTrajectory") — parse and retry.
             try:
                 inner = ast.parse(expr.value, mode="eval").body
             except SyntaxError:

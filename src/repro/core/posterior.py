@@ -174,7 +174,10 @@ def hpd_region_mass(density: np.ndarray, point_index: tuple[int, int]) -> float:
     if not (0 <= i < d.shape[0] and 0 <= j < d.shape[1]):
         raise ValueError("point index outside the density grid")
     level = d[i, j]
-    total = d.sum()
+    inside = d[d >= level].sum()
+    # The total is the two masked sums added, not d.sum(): a sum over a
+    # subset in another order can round above the sum over the whole grid.
+    total = inside + d[d < level].sum()
     if total <= 0:
         raise ValueError("density grid sums to zero")
-    return float(d[d >= level].sum() / total)
+    return float(inside / total)

@@ -4,14 +4,14 @@ from .batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from .checkpoint import CheckpointError, StackedLeapState
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
-from .outputs import Trajectory, TrajectoryBuilder
+from .outputs import Trajectory
 from .parameters import (RESTART_FIELDS, DiseaseParameters,
                          chicago_defaults, check_parameter_columns,
                          parameter_columns)
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
                       mix_seed, mix_seeds)
-from .tauleap import (BinomialLeapEngine, CompiledTransitions,
-                      compiled_transitions_for, transition_table_key)
+from .tauleap import (CompiledTransitions, compiled_transitions_for,
+                      transition_table_key)
 
 __all__ = [
     "Compartment", "N_COMPARTMENTS", "TransitionSpec",
@@ -20,8 +20,7 @@ __all__ = [
     "check_parameter_columns", "parameter_columns",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
     "mix_seeds",
-    "Trajectory", "TrajectoryBuilder",
-    "BinomialLeapEngine",
+    "Trajectory",
     "BatchedBinomialLeapEngine", "BatchTrajectory",
     "CompiledTransitions", "compiled_transitions_for",
     "transition_table_key",

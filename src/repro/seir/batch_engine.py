@@ -12,11 +12,13 @@
 
 replacing ``n_particles`` scalar engine objects and Python substep loops
 with a handful of NumPy calls per substep.  Dynamics are identical in law
-to :class:`~repro.seir.tauleap.BinomialLeapEngine` — same transition table
-(:func:`~repro.seir.tauleap.compiled_transitions_for`), same per-substep
-exit probabilities — which is what the scalar/batched parity tests assert
-distributionally (matched means/variances of daily infections, deaths and
-census under common parameters).
+to the scalar reference :class:`repro.testing.BinomialLeapEngine` — same
+transition table (:func:`~repro.seir.tauleap.compiled_transitions_for`),
+same per-substep exit probabilities — which is what the scalar/batched
+parity tests assert distributionally (matched means/variances of daily
+infections, deaths and census under common parameters).  This is the one
+production engine: the calibrator, the forecast and the ground truth all
+run on it.
 
 Batch RNG contract
 ------------------
@@ -37,6 +39,11 @@ precedent in :mod:`repro.core.bias`).  Consequences, in contract form:
   and batched trajectories for the same seed agree in distribution, not
   bit-for-bit.  The paper's common-random-numbers replicate coupling is
   likewise distributional only under batching.
+* A one-member batch given the scalar stream (``rng=generator_for(seed)``)
+  issues exactly the scalar reference's draws, so it reproduces that
+  trajectory bit for bit.  The ground truth (:mod:`repro.sim.groundtruth`)
+  runs this way, setting :attr:`~BatchedBinomialLeapEngine.thetas` at each
+  segment of its piecewise-constant schedule.
 
 Per-shard extension (sharded dispatch)
 --------------------------------------
@@ -60,7 +67,7 @@ stream cannot be partitioned per member), and
 :meth:`BatchedBinomialLeapEngine.from_particle_snapshots` restarts a whole
 cloud from it on a fresh batch stream keyed by the new seed vector.  The
 scalar oracle restarts one row of the same state
-(:meth:`~repro.seir.tauleap.BinomialLeapEngine.from_state_row`).
+(:meth:`repro.testing.BinomialLeapEngine.from_state_row`).
 """
 
 from __future__ import annotations
@@ -214,8 +221,11 @@ class BatchedBinomialLeapEngine:
         Substeps per simulated day (leap accuracy knob; 4 by default).
     start_day:
         Day index at which the batch clock begins.
-
-    The batch stream is :func:`batch_generator_for` over ``seeds``.
+    rng:
+        The stream every member draws from; defaults to
+        :func:`batch_generator_for` over ``seeds``.  The ground truth passes
+        the scalar :func:`~repro.seir.seeding.generator_for` stream of its
+        one member.
     """
 
     name = "binomial_leap_batched"
@@ -224,7 +234,8 @@ class BatchedBinomialLeapEngine:
                  seeds: Sequence[int] | np.ndarray, *,
                  thetas: Sequence[float] | np.ndarray | None = None,
                  steps_per_day: int = 4,
-                 start_day: int = 0) -> None:
+                 start_day: int = 0,
+                 rng: np.random.Generator | None = None) -> None:
         if steps_per_day < 1:
             raise ValueError("steps_per_day must be >= 1")
         self.params = params
@@ -235,7 +246,7 @@ class BatchedBinomialLeapEngine:
         self.steps_per_day = int(steps_per_day)
         self._set_thetas(thetas, n)
         self._prepare_tables()
-        self._rng = batch_generator_for(self.seeds)
+        self._rng = rng if rng is not None else batch_generator_for(self.seeds)
 
         self._day = int(start_day)
         self._counts = np.zeros((n, N_COMPARTMENTS), dtype=np.int64)
@@ -251,12 +262,13 @@ class BatchedBinomialLeapEngine:
                     n: int) -> None:
         if thetas is None:
             self._thetas = np.full(n, float(self.params.transmission_rate))
-        else:
-            self._thetas = np.asarray(thetas, dtype=np.float64).copy()
-            if self._thetas.shape != (n,):
-                raise ValueError("thetas must match the seed vector length")
-            if not np.all(np.isfinite(self._thetas)):
-                raise ValueError("thetas must be finite")
+            return
+        values = np.array(thetas, dtype=np.float64)
+        if values.shape != (n,):
+            raise ValueError("thetas must match the seed vector length")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("thetas must be finite")
+        self._thetas = values
 
     def _prepare_tables(self) -> None:
         table = compiled_transitions_for(self.params)
@@ -286,6 +298,12 @@ class BatchedBinomialLeapEngine:
     def thetas(self) -> np.ndarray:
         """Copy of the per-member transmission rates."""
         return self._thetas.copy()
+
+    @thetas.setter
+    def thetas(self, thetas: Sequence[float] | np.ndarray) -> None:
+        """Per-member transmission rates for the days simulated from now on
+        (one finite value per member)."""
+        self._set_thetas(thetas, self.n_particles)
 
     @property
     def cumulative_infections(self) -> np.ndarray:

@@ -13,9 +13,10 @@ This module is the single source of truth for:
 * per-compartment infectiousness weights (:func:`infectiousness_weights`),
 * output channel definitions (which fluxes/censuses the simulator reports).
 
-The scalar and batched binomial-leap engines and the exact-SSA test oracle
-(:class:`repro.testing.GillespieEngine`) consume the same table, which is
-what makes their distributional agreement testable.
+The batched binomial-leap engine and the two scalar test oracles
+(:class:`repro.testing.BinomialLeapEngine` and the exact-SSA
+:class:`repro.testing.GillespieEngine`) consume the same table, which is
+what makes their agreement testable.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ likelihoods operate on one container type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.series import TimeSeries
 from ..data.sources import CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS
 
-__all__ = ["Trajectory", "TrajectoryBuilder"]
+__all__ = ["Trajectory"]
 
 _CHANNELS = (CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS)
 
@@ -143,31 +143,3 @@ class Trajectory:
     def empty(cls, start_day: int) -> "Trajectory":
         z = np.zeros(0)
         return cls(start_day, z, z, z, z)
-
-
-@dataclass
-class TrajectoryBuilder:
-    """Mutable accumulator the engines append one day at a time."""
-
-    start_day: int
-    _infections: list[float] = field(default_factory=list)
-    _deaths: list[float] = field(default_factory=list)
-    _hospital: list[float] = field(default_factory=list)
-    _icu: list[float] = field(default_factory=list)
-
-    def append_day(self, infections: float, deaths: float,
-                   hospital_census: float, icu_census: float) -> None:
-        self._infections.append(float(infections))
-        self._deaths.append(float(deaths))
-        self._hospital.append(float(hospital_census))
-        self._icu.append(float(icu_census))
-
-    def __len__(self) -> int:
-        return len(self._infections)
-
-    def build(self) -> Trajectory:
-        return Trajectory(self.start_day,
-                          np.asarray(self._infections),
-                          np.asarray(self._deaths),
-                          np.asarray(self._hospital),
-                          np.asarray(self._icu))

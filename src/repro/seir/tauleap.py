@@ -1,42 +1,19 @@
-"""Binomial-leap (chain-binomial) simulation engine.
+"""The binomial-leap transition table, compiled once per model structure.
 
-This is the workhorse engine of the reproduction: a fixed-step, day-subdivided
-stochastic update in which, during each substep of length ``dt``:
+The leap update (:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`,
+the one production engine) moves, during each substep of length ``dt``,
+every occupant of a transient compartment out with probability
+``1 - exp(-h_tot * dt)``, where ``h_tot`` sums the competing hazards out of
+that compartment, and allocates the exits to (hazard-channel, destination)
+pairs with probabilities ``h_i / h_tot * p_dest`` — the exact conditional
+law for competing exponential risks.  :class:`CompiledTransitions` flattens
+:func:`~repro.seir.compartments.build_transitions` into those per-source
+totals and allocations, plus the infectiousness weights of the force of
+infection.  The scalar reference engines in :mod:`repro.testing` read the
+same table.
 
-* every susceptible independently becomes exposed with probability
-  ``1 - exp(-lambda * dt)`` where ``lambda`` is the instantaneous force of
-  infection, and
-* every occupant of a transient compartment exits with probability
-  ``1 - exp(-h_tot * dt)`` where ``h_tot`` sums the competing hazards out of
-  that compartment; exits are allocated to (hazard-channel, destination)
-  pairs by a multinomial draw with probabilities ``h_i / h_tot * p_dest`` —
-  the exact conditional law for competing exponential risks.
-
-The engine simulates **one trajectory per instance** with its own
-``numpy`` generator derived from the particle seed.  That preserves the
-paper's central invariant — ``(theta, s)`` maps one-to-one to a trajectory —
-which vectorised multi-trajectory batching with a *shared* RNG cannot: each
-member's draws would depend on the batch composition.  The calibrator
-instead steps ensembles on
-:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, which advances
-the whole particle cloud as one ``(n_particles, n_compartments)`` state
-matrix under a relaxed, batch-level RNG contract (bit-reproducible given the
-*ordered* seed vector via :func:`~repro.seir.seeding.batch_generator_for`;
-equal to this engine in distribution, not bit-for-bit).  This scalar engine
-runs the ground truth (:mod:`repro.sim.groundtruth`, whose
-``theta_schedule`` only it supports) and is the reference oracle the
-batched engine is cross-checked against:
-:meth:`BinomialLeapEngine.from_state_row` restarts one row of a
-:class:`~repro.seir.checkpoint.StackedLeapState`
-(:func:`repro.testing.restart_oracle`).
-
-Within a trajectory the update is fully vectorised over compartments: the
-per-substep cost is one vectorised binomial draw for all exits plus one
-multinomial per *active* multi-destination compartment, per the
-scientific-python optimisation guidance (no per-individual Python loops).
-
-Because the transition table depends only on the *structural* disease
-parameters — everything except ``population``, ``initial_exposed`` and
+Because the table depends only on the *structural* disease parameters —
+everything except ``population``, ``initial_exposed`` and
 ``transmission_rate``, which the leap update reads directly —
 :func:`compiled_transitions_for` memoises :class:`CompiledTransitions` by
 that identity.  Engines that differ only in theta (and seed) share one
@@ -47,27 +24,14 @@ engine.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Callable
 
 import numpy as np
 
-from ..data.schedule import PiecewiseConstant
-from .compartments import (Compartment, N_COMPARTMENTS, build_transitions,
-                           infectiousness_weights)
-from .checkpoint import StackedLeapState
-from .outputs import Trajectory, TrajectoryBuilder
+from .compartments import Compartment, build_transitions, infectiousness_weights
 from .parameters import DiseaseParameters
-from .seeding import generator_for
 
-__all__ = ["BinomialLeapEngine", "CompiledTransitions",
-           "compiled_transitions_for", "transition_table_key"]
-
-# Hot-loop integer constants (enum attribute access is measurably slow).
-_S = int(Compartment.S)
-_E = int(Compartment.E)
-_H_U, _H_D = int(Compartment.H_U), int(Compartment.H_D)
-_HP_U, _HP_D = int(Compartment.HP_U), int(Compartment.HP_D)
-_C_U, _C_D = int(Compartment.C_U), int(Compartment.C_D)
+__all__ = ["CompiledTransitions", "compiled_transitions_for",
+           "transition_table_key"]
 
 
 class CompiledTransitions:
@@ -154,190 +118,3 @@ def compiled_transitions_for(params: DiseaseParameters) -> CompiledTransitions:
         table = CompiledTransitions(params)
         _TABLE_CACHE[key] = table
     return table
-
-
-def _theta_function(params: DiseaseParameters,
-                    schedule: PiecewiseConstant | None) -> Callable[[float], float]:
-    if schedule is None:
-        theta = float(params.transmission_rate)
-        return lambda _t: theta
-    return lambda t: float(schedule(int(t)))
-
-
-class BinomialLeapEngine:
-    """Chain-binomial stochastic SEIR engine for a single trajectory.
-
-    Parameters
-    ----------
-    params:
-        Disease parameterisation.
-    seed:
-        Particle random seed; fully determines the trajectory given params.
-    steps_per_day:
-        Substeps per simulated day (leap accuracy knob; 4 by default).
-    theta_schedule:
-        Optional piecewise transmission-rate schedule overriding
-        ``params.transmission_rate`` day by day (used by the ground-truth
-        generator; calibration holds theta constant within a window).
-    start_day:
-        Day index at which this engine's clock begins.
-    """
-
-    name = "binomial_leap"
-
-    def __init__(self, params: DiseaseParameters, seed: int, *,
-                 steps_per_day: int = 4,
-                 theta_schedule: PiecewiseConstant | None = None,
-                 start_day: int = 0) -> None:
-        if steps_per_day < 1:
-            raise ValueError("steps_per_day must be >= 1")
-        self.params = params
-        self.seed = int(seed)
-        self.steps_per_day = int(steps_per_day)
-        self.theta_schedule = theta_schedule
-        self._theta_of = _theta_function(params, theta_schedule)
-        self._table = compiled_transitions_for(params)
-        self._prepare_fast_tables()
-        self._rng = generator_for(seed)
-
-        self._day = int(start_day)
-        self._counts = np.zeros(N_COMPARTMENTS, dtype=np.int64)
-        self._counts[Compartment.S] = params.population - params.initial_exposed
-        self._counts[Compartment.E] = params.initial_exposed
-        self._cum_infections = 0
-        self._cum_deaths = 0
-
-    # ------------------------------------------------------------------ #
-    # State access
-    # ------------------------------------------------------------------ #
-    @property
-    def day(self) -> int:
-        """Current simulation day (start of the next unsimulated day)."""
-        return self._day
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Copy of the current compartment occupancy vector."""
-        return self._counts.copy()
-
-    def count_of(self, compartment: Compartment) -> int:
-        return int(self._counts[compartment])
-
-    @property
-    def cumulative_infections(self) -> int:
-        return int(self._cum_infections)
-
-    @property
-    def cumulative_deaths(self) -> int:
-        return int(self._cum_deaths)
-
-    def population_conserved(self) -> bool:
-        """Closed-population invariant: compartment sum equals N."""
-        return int(self._counts.sum()) == self.params.population
-
-    # ------------------------------------------------------------------ #
-    # Dynamics
-    # ------------------------------------------------------------------ #
-    def _prepare_fast_tables(self) -> None:
-        """Precompute per-substep constants (exit probabilities, int lists)."""
-        dt = 1.0 / self.steps_per_day
-        self._p_exit = -np.expm1(-self._table.total_hazards * dt)
-        self._src_list = [int(s) for s in self._table.sources]
-
-    def _force_of_infection(self, theta: float) -> float:
-        weighted = float(self._table.infection_weights @ self._counts)
-        return theta * weighted / self.params.population
-
-    def _substep(self, theta: float, dt: float) -> tuple[int, int]:
-        """Advance one substep; return (new_infections, new_deaths)."""
-        counts = self._counts
-        table = self._table
-        rng = self._rng
-
-        lam = self._force_of_infection(theta)
-        new_e = 0
-        if lam > 0.0 and counts[_S] > 0:
-            p_inf = -np.expm1(-lam * dt)
-            new_e = int(rng.binomial(counts[_S], p_inf))
-
-        # One vectorised draw for the total exits of every transient source.
-        n_exit = rng.binomial(counts[table.sources], self._p_exit)
-
-        delta = np.zeros(N_COMPARTMENTS, dtype=np.int64)
-        delta[_S] -= new_e
-        delta[_E] += new_e
-
-        new_deaths = 0
-        src_list = self._src_list
-        dest_lists = table.dest_indices
-        for i in range(len(src_list)):
-            k = int(n_exit[i])
-            if k == 0:
-                continue
-            dests = dest_lists[i]
-            delta[src_list[i]] -= k
-            if len(dests) == 1:
-                delta[dests[0]] += k
-                if table.dest_is_death[i][0]:
-                    new_deaths += k
-            else:
-                allocated = rng.multinomial(k, table.dest_probs[i])
-                delta[dests] += allocated
-                death_mask = table.dest_is_death[i]
-                if death_mask.any():
-                    new_deaths += int(allocated[death_mask].sum())
-
-        counts += delta
-        return new_e, new_deaths
-
-    def step_day(self) -> tuple[int, int]:
-        """Simulate one full day; return (new_infections, new_deaths)."""
-        theta = self._theta_of(self._day)
-        dt = 1.0 / self.steps_per_day
-        day_inf = 0
-        day_dead = 0
-        for _ in range(self.steps_per_day):
-            inf, dead = self._substep(theta, dt)
-            day_inf += inf
-            day_dead += dead
-        self._day += 1
-        self._cum_infections += day_inf
-        self._cum_deaths += day_dead
-        return day_inf, day_dead
-
-    def _census(self) -> tuple[int, int]:
-        c = self._counts
-        hosp = int(c[_H_U] + c[_H_D] + c[_HP_U] + c[_HP_D])
-        icu = int(c[_C_U] + c[_C_D])
-        return hosp, icu
-
-    def run_until(self, end_day: int) -> Trajectory:
-        """Simulate days ``[current_day, end_day)`` and return their record."""
-        if end_day < self._day:
-            raise ValueError(f"end_day {end_day} is before current day {self._day}")
-        builder = TrajectoryBuilder(self._day)
-        while self._day < end_day:
-            inf, dead = self.step_day()
-            hosp, icu = self._census()
-            builder.append_day(inf, dead, hosp, icu)
-        return builder.build()
-
-    # ------------------------------------------------------------------ #
-    # Restart
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_state_row(cls, state: StackedLeapState, i: int,
-                       seed: int) -> "BinomialLeapEngine":
-        """Restart row ``i`` of ``state`` under that row's parameters.
-
-        The engine continues from the row's clock, occupancy and cumulative
-        outputs on ``seed``'s fresh :func:`generator_for` stream (the
-        paper's restart knob 1); the row's own parameters must be attached
-        (:meth:`~repro.seir.checkpoint.StackedLeapState.with_parameters`).
-        """
-        engine = cls(state.take([i]).parameters()[0], int(seed),
-                     steps_per_day=state.steps_per_day, start_day=state.day)
-        engine._counts = state.counts[i].astype(np.int64, copy=True)
-        engine._cum_infections = int(state.cum_infections[i])
-        engine._cum_deaths = int(state.cum_deaths[i])
-        return engine

@@ -10,6 +10,14 @@ counts are observed without bias.
 :func:`make_fig2_ground_truth` pins the exact schedules of the paper
 (theta = 0.30/0.27/0.25/0.40 and rho = 0.60/0.70/0.85/0.80 with horizons at
 days 34, 48, 62).
+
+The truth runs on the calibrator's own engine: a one-member
+:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` drawing from the
+seed's :func:`~repro.seir.seeding.generator_for` stream, advanced one
+schedule segment at a time.  That is the scalar reference engine's stream
+and draw order, so the truth equals
+:class:`repro.testing.BinomialLeapEngine` run over the same schedule bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from ..data.schedule import (FIG2_RHO_SCHEDULE, FIG2_THETA_SCHEDULE,
 from ..data.series import TimeSeries
 from ..data.sources import CASES, DEATHS, ObservationSet, ObservationSource
 from ..data.synthetic import binomial_thin
+from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters, chicago_defaults
-from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
-from ..seir.tauleap import BinomialLeapEngine
+from ..seir.seeding import (SeedSequenceBank, generator_for,
+                            register_ancillary_purpose)
 
 __all__ = ["GroundTruth", "make_ground_truth", "make_fig2_ground_truth"]
 
@@ -101,14 +110,20 @@ def make_ground_truth(params: DiseaseParameters | None = None,
                       seed: int = _DEFAULT_SEED,
                       theta_schedule: PiecewiseConstant = FIG2_THETA_SCHEDULE,
                       rho_schedule: PiecewiseConstant = FIG2_RHO_SCHEDULE,
-                      **engine_options) -> GroundTruth:
+                      ) -> GroundTruth:
     """Simulate a truth epidemic and its biased observation stream."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     base = params if params is not None else chicago_defaults()
-    trajectory = BinomialLeapEngine(
-        base, seed, theta_schedule=theta_schedule,
-        **engine_options).run_until(horizon)
+    engine = BatchedBinomialLeapEngine(base, [seed], rng=generator_for(seed))
+    bounds = [0, *(b for b in theta_schedule.breakpoints if 0 < b < horizon),
+              horizon]
+    batch = None
+    for start, end in zip(bounds, bounds[1:]):
+        engine.thetas = [theta_schedule(start)]
+        segment = engine.run_until(end)
+        batch = segment if batch is None else batch.extended_by(segment)
+    trajectory = batch.trajectory(0)
     # Thinning uses a stream independent of the simulation stream so the
     # truth trajectory is identical whether or not observations are drawn.
     rng_thin = SeedSequenceBank(seed).ancillary_generator(

@@ -1,5 +1,6 @@
-"""Reusable test scaffolding: bitwise parity oracles, the scalar restart
-oracle, the exact-SSA engine, and fixtures.
+"""Reusable test scaffolding: bitwise parity oracles, the scalar
+binomial-leap reference engine and its restart oracle, the exact-SSA
+engine, and fixtures.  No production module imports this package.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'
@@ -7,6 +8,7 @@ own suites, not just this repository's.
 """
 
 from .gillespie import GillespieEngine
+from .leap import BinomialLeapEngine, TrajectoryBuilder
 from .oracle import restart_oracle, window_oracle
 
 from .parity import (assert_ensembles_identical, assert_runs_identical,
@@ -28,4 +30,6 @@ __all__ = [
     "restart_oracle",
     "window_oracle",
     "GillespieEngine",
+    "BinomialLeapEngine",
+    "TrajectoryBuilder",
 ]

@@ -21,11 +21,12 @@ import numpy as np
 
 from ..data.schedule import PiecewiseConstant
 from ..seir.compartments import Compartment, N_COMPARTMENTS
-from ..seir.outputs import Trajectory, TrajectoryBuilder
+from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import (generator_for, rng_from_jsonable,
                             rng_state_to_jsonable)
-from ..seir.tauleap import _theta_function, compiled_transitions_for
+from ..seir.tauleap import compiled_transitions_for
+from .leap import TrajectoryBuilder, _theta_function
 
 __all__ = ["GillespieEngine"]
 
@@ -34,7 +35,7 @@ class GillespieEngine:
     """Exact SSA engine for a single trajectory (small populations).
 
     Shares parameterisation, seeding, snapshot, and output conventions with
-    :class:`~repro.seir.tauleap.BinomialLeapEngine`.
+    :class:`~repro.testing.leap.BinomialLeapEngine`.
     """
 
     name = "gillespie"

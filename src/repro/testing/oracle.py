@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.particle import ParticleEnsemble
-from ..seir import (RESTART_FIELDS, BatchTrajectory, BinomialLeapEngine,
-                    StackedLeapState, Trajectory)
+from ..seir import (RESTART_FIELDS, BatchTrajectory, StackedLeapState,
+                    Trajectory)
+from .leap import BinomialLeapEngine
 
 __all__ = ["restart_oracle", "window_oracle"]
 

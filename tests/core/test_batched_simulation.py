@@ -22,9 +22,9 @@ from repro.data import PiecewiseConstant
 from repro.hpc import SerialExecutor
 from repro.hpc.sharding import simulate_groups
 from repro.inference import CalibrationConfig
-from repro.seir import BinomialLeapEngine, DiseaseParameters
+from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
-from repro.testing import window_oracle
+from repro.testing import BinomialLeapEngine, window_oracle
 
 
 def _simulate(calib, pending):

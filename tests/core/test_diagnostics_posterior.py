@@ -193,6 +193,20 @@ class TestHistogramAndDensity:
         assert center < 0.2
         assert corner == pytest.approx(1.0)
 
+    def test_hpd_region_mass_never_exceeds_one(self):
+        # At the lowest occupied level the region is every occupied cell;
+        # summed in mask order, those cells can round to
+        # 1.0000000000000002 of the whole-grid sum.
+        draws = np.random.default_rng(8)
+        _, _, posterior = joint_density_grid(
+            draws.normal(0.3, 0.05, size=100), draws.beta(4, 1, size=100),
+            bins=15, x_range=(0.05, 0.55), y_range=(0.0, 1.0))
+        tenths = np.array([[3, 1, 2, 0], [3, 2, 2, 2], [0, 2, 1, 0]]) * 0.1
+        for d in (posterior, tenths):
+            for level in (d[d > 0].min(), 0.0):
+                cell = tuple(int(k) for k in np.argwhere(d == level)[0])
+                assert hpd_region_mass(d, cell) == 1.0
+
     def test_hpd_index_validated(self, rng):
         _, _, d = joint_density_grid(rng.normal(size=50), rng.normal(size=50),
                                      bins=5)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.hpc import CheckpointStore
-from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        CheckpointError, StackedLeapState, parameter_columns)
+from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
+                        StackedLeapState, parameter_columns)
+from repro.testing import BinomialLeapEngine
 
 META = {"window_index": 0, "params": [[0.3, 0.7]]}
 WINDOW_FILES = ["COMPLETE.json", "checkpoints.npz", "state.json"]

@@ -10,10 +10,11 @@ by design.
 import numpy as np
 import pytest
 
-from repro.seir import (BatchedBinomialLeapEngine, BinomialLeapEngine,
-                        Compartment, DiseaseParameters, StackedLeapState,
-                        generator_for, parameter_columns)
+from repro.seir import (BatchedBinomialLeapEngine, Compartment,
+                        DiseaseParameters, StackedLeapState, generator_for,
+                        parameter_columns)
 from repro.seir.seeding import rng_state_to_jsonable
+from repro.testing import BinomialLeapEngine
 
 
 @pytest.fixture
@@ -72,6 +73,16 @@ class TestConstruction:
     def test_thetas_default_to_params_rate(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, [1, 2, 3])
         assert np.allclose(eng.thetas, small_params.transmission_rate)
+
+    def test_thetas_setter_validates(self, small_params):
+        eng = BatchedBinomialLeapEngine(small_params, [1, 2])
+        for bad in ([0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]], [0.3, np.inf],
+                    [np.nan, 0.4]):
+            with pytest.raises(ValueError, match="thetas"):
+                eng.thetas = bad
+        assert np.allclose(eng.thetas, small_params.transmission_rate)
+        eng.thetas = [0.25, 0.5]
+        np.testing.assert_array_equal(eng.thetas, [0.25, 0.5])
 
 
 class TestDynamics:

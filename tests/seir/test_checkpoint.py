@@ -2,16 +2,16 @@
 
 A :class:`StackedLeapState` row is the one checkpoint format; the scalar
 engine restarts one row on its new seed's fresh stream
-(:meth:`BinomialLeapEngine.from_state_row`).
+(:meth:`repro.testing.BinomialLeapEngine.from_state_row`).
 """
 
 import numpy as np
 import pytest
 
 from repro.seir import (RESTART_FIELDS, BatchedBinomialLeapEngine,
-                        BinomialLeapEngine, CheckpointError,
-                        DiseaseParameters, StackedLeapState,
+                        CheckpointError, DiseaseParameters, StackedLeapState,
                         parameter_columns)
+from repro.testing import BinomialLeapEngine
 
 
 def checkpointed_state(params, seed=31, day=15, n=4):

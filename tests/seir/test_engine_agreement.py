@@ -1,4 +1,9 @@
-"""Cross-engine distributional agreement (leap vs the exact SSA oracle).
+"""Cross-engine agreement: the batched engine against the scalar leap
+reference bit for bit, and the leap against the exact SSA oracle in law.
+
+A one-member batch on the scalar stream (``rng=generator_for(seed)``) makes
+the scalar reference's draws in the scalar order, so the two must give the
+same bits — across a theta switch, as the ground truth runs it.
 
 The binomial-leap engine is an approximation; the Gillespie engine is exact
 for the compartment topology.  On a small population their attack-rate and
@@ -9,8 +14,11 @@ statistical tests with fixed seeds and generous tolerances.
 import numpy as np
 import pytest
 
-from repro.seir import BinomialLeapEngine, DiseaseParameters
-from repro.testing import GillespieEngine
+from repro.data import PiecewiseConstant
+from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
+                        chicago_defaults, generator_for)
+from repro.testing import (BinomialLeapEngine, GillespieEngine,
+                           assert_trajectories_identical)
 
 N_REPS = 12
 HORIZON = 60
@@ -54,3 +62,29 @@ class TestEngineAgreement:
         s_leap, s_ssa = rates["leap"].std(), rates["ssa"].std()
         assert s_leap < 10 * s_ssa + 0.05
         assert s_ssa < 10 * s_leap + 0.05
+
+
+SWITCH_DAY, END_DAY = 12, 30
+SWITCHED = PiecewiseConstant(breakpoints=(SWITCH_DAY,), values=(0.3, 0.45))
+
+
+@pytest.mark.parametrize("steps_per_day", [1, 4, 8])
+@pytest.mark.parametrize("params", [
+    chicago_defaults(),
+    DiseaseParameters(population=5_000, initial_exposed=10),
+], ids=["chicago", "town"])
+def test_one_member_batch_is_the_scalar_reference(params, steps_per_day):
+    seed = 2024
+    scalar = BinomialLeapEngine(params, seed, steps_per_day=steps_per_day,
+                                theta_schedule=SWITCHED)
+    expected = scalar.run_until(END_DAY)
+    batched = BatchedBinomialLeapEngine(params, [seed],
+                                        steps_per_day=steps_per_day,
+                                        rng=generator_for(seed))
+    batched.thetas = [SWITCHED(0)]
+    head = batched.run_until(SWITCH_DAY)
+    batched.thetas = [SWITCHED(SWITCH_DAY)]
+    got = head.extended_by(batched.run_until(END_DAY)).trajectory(0)
+    assert expected.total_infections() > 0
+    assert_trajectories_identical(expected, got)
+    np.testing.assert_array_equal(batched.counts[0], scalar.counts)

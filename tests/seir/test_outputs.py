@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.sources import CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS
-from repro.seir import Trajectory, TrajectoryBuilder
+from repro.seir import Trajectory
+from repro.testing import TrajectoryBuilder
 
 
 def make_trajectory(start=0, n=5):

@@ -242,8 +242,7 @@ class TestStreamDomainRegistry:
     }
     PINNED_ANCILLARY_TAGS = {
         "smc_prior": 0, "smc_bias": 1, "smc_resample": 2, "smc_jitter": 3,
-        "groundtruth_thinning": 10, "mcmc_chain": 20, "mcmc_bias": 21,
-        "chaos_faults": 40,
+        "groundtruth_thinning": 10, "chaos_faults": 40,
     }
 
     def test_bank_tags_pinned(self):
@@ -256,7 +255,6 @@ class TestStreamDomainRegistry:
             assert tags.get(name) == tag, (name, tags.get(name))
 
     def test_ancillary_tags_pinned(self):
-        import repro.baselines.mcmc  # noqa: F401
         import repro.core.smc  # noqa: F401
         import repro.hpc.faults  # noqa: F401
         import repro.sim.groundtruth  # noqa: F401

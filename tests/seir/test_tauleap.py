@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import PiecewiseConstant
-from repro.seir import (BinomialLeapEngine, Compartment, StackedLeapState,
-                        parameter_columns)
+from repro.seir import Compartment, StackedLeapState, parameter_columns
+from repro.testing import BinomialLeapEngine
 
 
 class TestBasicDynamics:

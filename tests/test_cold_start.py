@@ -1,10 +1,13 @@
 """Cold start: importing ``repro`` and running a default calibration, forecast
-and serve window must never load scipy.
+and serve window must never load scipy, and the CLI must never load a test
+oracle.
 
 ``scipy.stats`` costs most of a cold ``import repro``; only the ablation
 likelihoods, non-uniform prior densities and SBC helpers use it, and they
-import it on first call.  Each check runs in a fresh interpreter, since this
-test session has long since loaded scipy itself.
+import it on first call.  The scalar engines live only in ``repro.testing``
+as oracles; no production module imports that package.  Each check runs in
+a fresh interpreter, since this test session has long since loaded scipy
+and ``repro.testing`` itself.
 """
 
 import json
@@ -72,12 +75,32 @@ print(json.dumps({"after_import": after_import, "after_run": loaded_scipy()}))
 """
 
 
-def test_import_and_default_runs_never_load_scipy():
+ORACLE_SCRIPT = r"""
+import json
+import sys
+
+import repro.cli
+
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] in (["repro", "testing"],
+                                                ["repro", "baselines"]))))
+"""
+
+
+def _last_json_line(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_and_default_runs_never_load_scipy():
+    loaded = _last_json_line(SCRIPT)
     assert loaded == {"after_import": [], "after_run": []}
+
+
+def test_cli_import_loads_no_test_oracle():
+    assert _last_json_line(ORACLE_SCRIPT) == []

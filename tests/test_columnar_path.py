@@ -5,7 +5,7 @@ ensemble, the parent gather of a continuation, the checkpoint store and the
 forecast all pass :class:`~repro.seir.checkpoint.StackedLeapState` rows
 around whole.  This guard makes every per-particle constructor raise —
 the :class:`~repro.core.particle.Particle` row view and the scalar
-:class:`~repro.seir.tauleap.BinomialLeapEngine` — and then runs a
+:class:`~repro.testing.BinomialLeapEngine` — and then runs a
 checkpointed serial calibration, resumes it, and forecasts from its final
 posterior.
 
@@ -24,8 +24,9 @@ import pytest
 
 from repro.core import Particle
 from repro.inference import CalibrationConfig, calibrate, forecast_from_posterior
-from repro.seir import BinomialLeapEngine, DiseaseParameters
+from repro.seir import DiseaseParameters
 from repro.sim import make_fig2_ground_truth
+from repro.testing import BinomialLeapEngine
 
 
 def _forbidden(name):
