@@ -3,13 +3,15 @@
 Two claims of the fault-tolerance PR are measured here:
 
 * **Zero-fault overhead** — one calibration window (2,000 particles x 14
-  days by default) advanced through ``simulate_groups`` on the legacy
-  strict path (``retry=None``, plain ``executor.map``) vs the
-  fault-tolerant path (a :class:`~repro.hpc.faults.RetryPolicy`, per-shard
-  ``map_each`` dispatch plus result validation) with **no faults
+  days by default) simulated as a bare in-process loop of
+  :func:`~repro.hpc.sharding.run_shard` over the window's shard tasks
+  (``plain``: no executor, no dispatch, no result validation) vs the same
+  shards through ``simulate_groups`` under a
+  :class:`~repro.hpc.faults.RetryPolicy` (``fault_tolerant``: the one
+  dispatch path — ``map_each`` plus result validation) with **no faults
   injected**.  The headline ``speedup`` is ``plain_seconds /
   fault_tolerant_seconds``; the acceptance target is >= 0.95 (< 5%
-  overhead).  Both paths must also produce bit-identical ensembles —
+  overhead).  Both sides must also produce bit-identical ensembles —
   asserted, not timed.
 * **Recovery cost** — the same window under a scripted
   :class:`~repro.hpc.faults.ChaosExecutor` crash-and-retry plan, reporting
@@ -34,7 +36,8 @@ import numpy as np
 
 from _bench_util import time_best, write_payload
 from repro.hpc import (ChaosExecutor, Fault, FaultPlan, GroupSpec,
-                       RetryPolicy, SerialExecutor, simulate_groups)
+                       RetryPolicy, SerialExecutor, ShardTask, run_shard,
+                       shard_bounds, simulate_groups)
 from repro.seir import DiseaseParameters
 
 DEFAULT_SIZE = 2_000
@@ -51,17 +54,34 @@ def _seeds_and_thetas(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, thetas
 
 
+def _totals(results) -> np.ndarray:
+    return np.concatenate([r.batch.infections.sum(axis=1) for r in results])
+
+
 def run_window(executor, params: DiseaseParameters, seeds: np.ndarray,
                thetas: np.ndarray, n_days: int, n_shards: int,
-               retry: RetryPolicy | None) -> np.ndarray:
+               retry: RetryPolicy) -> np.ndarray:
     """One sharded window simulation; returns per-particle infection totals."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
     [group] = simulate_groups(
         executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards,
         retry=retry)
-    return np.concatenate([r.batch.infections.sum(axis=1)
-                           for r in group.results])
+    return _totals(group.results)
+
+
+def run_window_bare(params: DiseaseParameters, seeds: np.ndarray,
+                    thetas: np.ndarray, n_days: int,
+                    n_shards: int) -> np.ndarray:
+    """The same shards as :func:`run_window`, run by a bare loop of
+    ``run_shard`` calls: the no-dispatch baseline."""
+    tasks = [ShardTask(shard_id=i, params=params, seeds=seeds[lo:hi],
+                       thetas=thetas[lo:hi], end_day=n_days,
+                       engine_options={"steps_per_day": STEPS_PER_DAY},
+                       start_day=0)
+             for i, (lo, hi) in enumerate(shard_bounds(len(seeds),
+                                                       n_shards=n_shards))]
+    return _totals([run_shard(task) for task in tasks])
 
 
 def run_faults_bench(n_particles: int = DEFAULT_SIZE,
@@ -69,7 +89,7 @@ def run_faults_bench(n_particles: int = DEFAULT_SIZE,
                      n_shards: int = DEFAULT_SHARDS,
                      repeats: int = 5, seed: int = 20240215,
                      population: int = 2_700_000) -> dict:
-    """Time plain vs fault-tolerant dispatch on a zero-fault run."""
+    """Time a bare shard loop vs fault-tolerant dispatch, zero faults."""
     params = DiseaseParameters(population=population,
                                initial_exposed=max(1, population // 5400))
     seeds, thetas = _seeds_and_thetas(n_particles, seed)
@@ -77,8 +97,8 @@ def run_faults_bench(n_particles: int = DEFAULT_SIZE,
     retry = RetryPolicy(max_attempts=3)
 
     plain_s, plain_totals = time_best(
-        lambda: run_window(executor, params, seeds, thetas, n_days,
-                           n_shards, None), repeats)
+        lambda: run_window_bare(params, seeds, thetas, n_days, n_shards),
+        repeats)
     ft_s, ft_totals = time_best(
         lambda: run_window(executor, params, seeds, thetas, n_days,
                            n_shards, retry), repeats)

@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "window)")
             p.add_argument("--retry-attempts", type=int, default=1,
                            help="attempts per simulation shard before the "
-                                "run fails; >1 enables fault-tolerant "
-                                "dispatch with a final in-process fallback")
+                                "run fails with a structured shard error "
+                                "(1 fails fast); more retry failed shards "
+                                "with a final in-process fallback")
             p.add_argument("--retry-timeout", type=float, default=None,
                            help="per-shard timeout in seconds (pooled "
                                 "executors); timed-out shards are retried")

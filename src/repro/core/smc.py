@@ -75,7 +75,7 @@ import numpy as np
 from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
-from ..hpc.faults import RetryPolicy, ShardFailure
+from ..hpc.faults import FAIL_FAST, RetryPolicy, ShardFailure
 from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
                             reassemble, resolve_shard_layout,
                             simulate_group_sets, structural_groups,
@@ -182,11 +182,13 @@ class SMCConfig:
     stage, so a multinomial scheme would compound noise and could end up
     noisier than the single multinomial pass.
 
-    ``retry`` (a :class:`~repro.hpc.faults.RetryPolicy`, default ``None`` =
-    the legacy fail-fast behaviour) makes every window's sharded
-    dispatch fault-tolerant: failed / timed-out / dropped / corrupted
-    shards are re-executed with deterministic backoff, falling back to
-    serial in-process execution on the final attempt.  Because shard
+    ``retry`` is the :class:`~repro.hpc.faults.RetryPolicy` every window's
+    sharded dispatch runs under.  The default
+    :data:`~repro.hpc.faults.FAIL_FAST` makes one attempt and fails the
+    run with a structured :class:`~repro.hpc.faults.ShardRetryError`;
+    more attempts re-execute failed / timed-out / dropped / corrupted
+    shards with deterministic backoff, falling back to serial in-process
+    execution on the final attempt.  Because shard
     outputs are pure functions of ``(base_seed, shard layout)``, retried
     runs stay bit-identical to fault-free ones (see
     ``docs/fault_tolerance.md``).
@@ -206,12 +208,12 @@ class SMCConfig:
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5
-    retry: RetryPolicy | None = None
+    retry: RetryPolicy = FAIL_FAST
 
     def __post_init__(self) -> None:
-        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
+        if not isinstance(self.retry, RetryPolicy):
             raise ValueError(
-                f"retry must be a RetryPolicy or None, got {self.retry!r}")
+                f"retry must be a RetryPolicy, got {self.retry!r}")
         for name in ("n_parameter_draws", "n_replicates", "resample_size",
                      "n_continuations"):
             if getattr(self, name) < 1:
@@ -497,9 +499,11 @@ class SequentialCalibrator:
     # ------------------------------------------------------------------ #
     def _on_shard_failure(self, failure: ShardFailure) -> None:
         self._window_shard_failures.append(failure)
+        retrying = failure.attempt < self.config.retry.max_attempts
         self._progress(
             f"shard {failure.shard_id} attempt {failure.attempt} failed "
-            f"[{failure.cause}] {failure.error}; retrying")
+            f"[{failure.cause}] {failure.error}"
+            + ("; retrying" if retrying else ""))
 
     def run_fingerprint(self) -> dict:
         """JSON-stable identity of everything that determines a run's bits.

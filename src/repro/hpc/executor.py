@@ -60,7 +60,8 @@ class Executor(ABC):
     """Minimal parallel-map protocol used by the calibration driver.
 
     Implementations must preserve input order in the returned list and
-    propagate worker exceptions to the caller.
+    propagate worker exceptions to the caller; ``map`` alone makes a
+    complete backend (see :meth:`map_each`).
     """
 
     @abstractmethod
@@ -78,23 +79,27 @@ class Executor(ABC):
 
         Unlike :meth:`map`, a failing task does not raise — it yields an
         outcome with ``cause`` set while its siblings' results survive.
-        This is the dispatch primitive the shard retry layer
-        (:mod:`repro.hpc.faults`) is built on.  ``timeout`` bounds each
-        task's wait in seconds where the backend supports it (process
-        pools); backends that cannot interrupt a running task ignore it.
+        This is the one dispatch primitive of the shard layer
+        (:func:`repro.hpc.sharding.dispatch_shards`).  ``timeout`` bounds
+        each task's wait in seconds where the backend supports it
+        (process pools); backends that cannot interrupt a running task
+        ignore it.
 
-        The default implementation funnels tasks through :meth:`map` one
-        at a time, which preserves semantics (not throughput) for any
-        backend that does not override it.
+        The default makes **one** :meth:`map` call over every task, each
+        wrapped to catch its own exception, so the tasks run as parallel
+        as the backend's ``map``.  A ``map`` that raises, or returns the
+        wrong number of results, fails every task.
         """
-        outcomes: list[TaskOutcome] = []
-        for task in tasks:
-            try:
-                outcomes.append(TaskOutcome(value=self.map(fn, [task])[0]))
-            except Exception as exc:
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_EXCEPTION,
-                    error=f"{type(exc).__name__}: {exc}"))
+        task_list = list(tasks)
+        try:
+            outcomes = self.map(_Isolated(fn), task_list)
+        except Exception as exc:
+            return [_failed(CAUSE_EXCEPTION, exc) for _ in task_list]
+        if len(outcomes) != len(task_list):
+            return [TaskOutcome(cause=CAUSE_DROPPED,
+                                error=f"map returned {len(outcomes)} results "
+                                      f"for {len(task_list)} tasks")
+                    for _ in task_list]
         return outcomes
 
     def close(self) -> None:
@@ -105,6 +110,26 @@ class Executor(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _failed(cause: str, exc: BaseException) -> TaskOutcome:
+    return TaskOutcome(cause=cause, error=f"{type(exc).__name__}: {exc}")
+
+
+@dataclass(frozen=True)
+class _Isolated:
+    """``fn`` with its exception caught into the task's :class:`TaskOutcome`.
+
+    Module-level and frozen so process pools can pickle it.
+    """
+
+    fn: Callable[[Any], Any]
+
+    def __call__(self, task: Any) -> TaskOutcome:
+        try:
+            return TaskOutcome(value=self.fn(task))
+        except Exception as exc:
+            return _failed(CAUSE_EXCEPTION, exc)
 
 
 class SerialExecutor(Executor):
@@ -121,22 +146,14 @@ class SerialExecutor(Executor):
         return "SerialExecutor()"
 
 
-def _auto_chunksize(n_tasks: int, n_workers: int) -> int:
-    """Chunk so each worker receives a handful of batches.
-
-    Large chunks amortise pickling overhead (simulation tasks are small
-    payloads but numerous); a factor-of-4 oversubscription keeps the pool
-    load-balanced when task durations vary with epidemic size.
-    """
-    return max(1, n_tasks // (n_workers * 4))
-
-
 class ProcessExecutor(Executor):
-    """``concurrent.futures.ProcessPoolExecutor`` with sensible chunking.
+    """``concurrent.futures.ProcessPoolExecutor``, one future per task.
 
-    The mapped function and task payloads must be picklable, which is why
-    the shard task (:func:`repro.hpc.sharding.run_shard`) is a module-level
-    function fed with a frozen, array-backed dataclass.
+    Shard dispatch sends about one task per worker, so tasks are submitted
+    one by one rather than chunked.  The mapped function and task payloads
+    must be picklable, which is why the shard task
+    (:func:`repro.hpc.sharding.run_shard`) is a module-level function fed
+    with a frozen, array-backed dataclass.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
@@ -148,11 +165,6 @@ class ProcessExecutor(Executor):
     @property
     def workers(self) -> int:
         return self._max_workers
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-        return self._pool
 
     def _discard_pool(self) -> None:
         """Drop a (possibly broken) cached pool; the next map rebuilds it.
@@ -166,62 +178,67 @@ class ProcessExecutor(Executor):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
-        task_list: Sequence[Any] = list(tasks)
-        if not task_list:
-            return []
-        chunk = _auto_chunksize(len(task_list), self._max_workers)
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(fn, task_list, chunksize=chunk))
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
+    def _settle(self, fn: Callable[[Any], Any], tasks: Iterable[Any],
+                timeout: float | None) -> list[tuple[Any, Exception | None]]:
+        """Submit every task, then wait for each in order.
 
-    def map_each(self, fn: Callable[[Any], Any], tasks: Iterable[Any],
-                 timeout: float | None = None) -> list[TaskOutcome]:
-        """Submit tasks individually so failures are isolated per future.
-
-        A worker exception marks only its own task; a dead worker
-        (``BrokenProcessPool``) marks the affected tasks ``pool_broken``
-        and discards the cached pool so the *next* dispatch gets a fresh
-        one; ``timeout`` seconds without a result marks a task
-        ``timeout`` (the stuck worker keeps running — the retry layer
-        re-executes the task elsewhere, which is safe because shard
-        outputs are pure functions of their payload).
+        Returns ``(value, None)`` or ``(None, exception)`` per task.  A
+        ``BrokenProcessPool`` (a dead worker) discards the cached pool so
+        the *next* dispatch gets a fresh one; a task still running after
+        ``timeout`` seconds gets a ``TimeoutError`` and keeps running.
         """
         task_list: Sequence[Any] = list(tasks)
         if not task_list:
             return []
         try:
-            pool = self._ensure_pool()
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
+            pool = self._pool
             futures = [pool.submit(fn, task) for task in task_list]
         except BrokenProcessPool as exc:
             self._discard_pool()
-            return [TaskOutcome(cause=CAUSE_POOL_BROKEN,
-                                error=f"submit failed: {exc}")
-                    for _ in task_list]
-        outcomes: list[TaskOutcome] = []
-        broken = False
+            return [(None, exc)] * len(task_list)
+        settled: list[tuple[Any, Exception | None]] = []
         for future in futures:
             try:
-                outcomes.append(TaskOutcome(value=future.result(timeout=timeout)))
-            except FuturesTimeoutError:
+                settled.append((future.result(timeout=timeout), None))
+            except FuturesTimeoutError as exc:
                 future.cancel()
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_TIMEOUT,
-                    error=f"no result within {timeout}s"))
-            except BrokenProcessPool as exc:
-                broken = True
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_POOL_BROKEN,
-                    error=f"{type(exc).__name__}: {exc}"))
+                settled.append((None, exc))
             except Exception as exc:
-                outcomes.append(TaskOutcome(
-                    cause=CAUSE_EXCEPTION,
-                    error=f"{type(exc).__name__}: {exc}"))
-        if broken:
+                settled.append((None, exc))
+        if any(isinstance(exc, BrokenProcessPool) for _, exc in settled):
             self._discard_pool()
+        return settled
+
+    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
+        """Results in task order; re-raises the first task's exception
+        (``BrokenProcessPool`` when a worker died)."""
+        settled = self._settle(fn, tasks, None)
+        for _, exc in settled:
+            if exc is not None:
+                raise exc
+        return [value for value, _ in settled]
+
+    def map_each(self, fn: Callable[[Any], Any], tasks: Iterable[Any],
+                 timeout: float | None = None) -> list[TaskOutcome]:
+        """Failures isolated per future: a worker exception marks only its
+        own task, a dead worker marks the affected tasks ``pool_broken``,
+        and ``timeout`` seconds without a result marks a task ``timeout``
+        (the stuck worker keeps running — the retry layer re-executes the
+        task elsewhere, which is safe because shard outputs are pure
+        functions of their payload)."""
+        outcomes: list[TaskOutcome] = []
+        for value, exc in self._settle(fn, tasks, timeout):
+            if exc is None:
+                outcomes.append(TaskOutcome(value=value))
+            elif isinstance(exc, FuturesTimeoutError):
+                outcomes.append(TaskOutcome(
+                    cause=CAUSE_TIMEOUT, error=f"no result within {timeout}s"))
+            elif isinstance(exc, BrokenProcessPool):
+                outcomes.append(_failed(CAUSE_POOL_BROKEN, exc))
+            else:
+                outcomes.append(_failed(CAUSE_EXCEPTION, exc))
         return outcomes
 
     def close(self) -> None:

@@ -7,7 +7,8 @@ repo's reproducibility contract:
 
 * :class:`RetryPolicy` — deterministic shard retries (max attempts, linear
   backoff, per-shard timeout, serial in-process fallback on the final
-  attempt).  Re-executing a shard is *provably* safe because shard outputs
+  attempt); every shard dispatch runs under one, :data:`FAIL_FAST` by
+  default.  Re-executing a shard is *provably* safe because shard outputs
   are pure functions of ``(base_seed, shard layout)`` — the per-shard RNG
   contract of :func:`~repro.seir.seeding.batch_generator_for` — never of
   which worker ran them.
@@ -15,8 +16,7 @@ repo's reproducibility contract:
   records (shard id, attempt, cause) instead of an opaque pool crash.
 * :class:`ChaosExecutor` + :class:`FaultPlan` — a deterministic
   fault-injection wrapper around any :class:`~repro.hpc.executor.Executor`
-  that crashes, delays, drops, duplicates, or corrupts scripted (or
-  seeded) ``(shard, attempt)`` dispatches, so the chaos test suite and
+  that crashes, delays, drops, or corrupts scripted (or seeded) ``(shard, attempt)`` dispatches, so the chaos test suite and
   ``bench_faults.py`` can assert bit-identical convergence under faults.
 
 Seeded fault plans draw through the run's
@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .executor import (CAUSE_DROPPED, CAUSE_TIMEOUT, Executor, TaskOutcome)
 
-__all__ = ["RetryPolicy", "ShardFailure", "ShardRetryError",
+__all__ = ["RetryPolicy", "FAIL_FAST", "ShardFailure", "ShardRetryError",
            "Fault", "FaultPlan", "FAULT_KINDS",
            "ChaosExecutor", "ChaosInjectedError", "CorruptedResult",
            "CAUSE_CORRUPT"]
@@ -54,8 +54,10 @@ CAUSE_CORRUPT = "corrupt_result"
 class RetryPolicy:
     """Deterministic shard-retry policy.
 
-    ``max_attempts`` bounds dispatches per shard (1 = no retries, the
-    legacy strict behaviour plus structured errors).  ``backoff_seconds``
+    Every shard dispatch runs under one: ``max_attempts`` bounds
+    dispatches per shard, and 1 (:data:`FAIL_FAST`, the default of every
+    dispatch entry point) fails the run on the first shard failure with a
+    structured :class:`ShardRetryError`.  ``backoff_seconds``
     is a *linear deterministic* backoff — attempt ``k`` waits
     ``backoff_seconds * (k - 1)`` before dispatch, no jitter, so retried
     runs have reproducible scheduling.  ``timeout_seconds`` bounds each
@@ -82,6 +84,10 @@ class RetryPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Seconds to wait before dispatch attempt ``attempt`` (1-based)."""
         return self.backoff_seconds * max(0, attempt - 1)
+
+
+#: One attempt, no retries: the default policy of every shard dispatch.
+FAIL_FAST = RetryPolicy(max_attempts=1)
 
 
 @dataclass(frozen=True)
@@ -118,10 +124,8 @@ class ShardRetryError(RuntimeError):
 #: ``timeout``    the dispatch never returns within the attempt,
 #: ``delay``      the task sleeps ``delay_seconds`` then succeeds,
 #: ``drop``       the result vanishes (dispatched but never returned),
-#: ``duplicate``  the result is returned twice (ordered-``map`` path only),
 #: ``corrupt``    the result is replaced with a :class:`CorruptedResult`.
-FAULT_KINDS = ("crash", "hard_exit", "timeout", "delay", "drop",
-               "duplicate", "corrupt")
+FAULT_KINDS = ("crash", "hard_exit", "timeout", "delay", "drop", "corrupt")
 
 #: Kinds injected on the worker side of the dispatch (must ride the payload).
 _WORKER_KINDS = frozenset({"crash", "hard_exit", "delay"})
@@ -229,7 +233,7 @@ class _ChaosCall:
     A module-level dataclass (not a closure) so process pools can pickle
     it; ``parent_pid`` lets ``hard_exit`` distinguish a genuine child
     process (kill it, producing a real ``BrokenProcessPool``) from
-    in-process execution (raise instead, so serial/thread runs degrade to
+    in-process execution (raise instead, so serial runs degrade to
     an ordinary worker exception rather than killing the test process).
     """
 
@@ -265,10 +269,10 @@ class ChaosExecutor(Executor):
     wrapper.  Faults actually injected are appended to :attr:`injected`
     for test assertions.
 
-    ``map`` (the strict ordered path) models ``timeout`` like ``drop``
-    (the result never comes back) and supports ``duplicate``; ``map_each``
-    surfaces ``timeout``/``drop`` as failed outcomes and ignores
-    ``duplicate`` (one outcome per task by construction).
+    The fault model lives in ``map_each``, the path shard dispatch takes:
+    ``timeout``/``drop`` surface as failed outcomes, ``corrupt`` as a
+    :class:`CorruptedResult` value.  ``map`` is a strict adapter over it
+    that raises on the first failed outcome.
     """
 
     def __init__(self, inner: Executor, plan: FaultPlan) -> None:
@@ -298,60 +302,42 @@ class ChaosExecutor(Executor):
             self.injected.append(fault)
         return fault
 
-    def _calls(self, fn: Callable[[Any], Any], task_list: Sequence[Any],
-               faults: Sequence[Fault | None]) -> tuple[list[int], list[_ChaosCall]]:
-        """Dispatchable task indices and their worker payloads."""
-        pid = os.getpid()
-        indices = []
-        calls = []
-        for i, (task, fault) in enumerate(zip(task_list, faults)):
-            if fault is not None and fault.kind in _PARENT_SKIP_KINDS:
-                continue
-            kind = fault.kind if fault is not None and \
-                fault.kind in _WORKER_KINDS else ""
-            delay = fault.delay_seconds if fault is not None else 0.0
-            indices.append(i)
-            calls.append(_ChaosCall(fn=fn, task=task, kind=kind,
-                                    delay_seconds=delay, parent_pid=pid))
-        return indices, calls
-
     def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
-        task_list = list(tasks)
-        faults = [self._decide(t, i) for i, t in enumerate(task_list)]
-        _, calls = self._calls(fn, task_list, faults)
-        results = iter(self._inner.map(_chaos_run, calls))
-        out: list[Any] = []
-        for fault in faults:
-            if fault is not None and fault.kind in _PARENT_SKIP_KINDS:
-                continue
-            value = next(results)
-            if fault is not None and fault.kind == "corrupt":
-                value = CorruptedResult(original=value)
-            out.append(value)
-            if fault is not None and fault.kind == "duplicate":
-                out.append(value)
-        return out
+        outcomes = self.map_each(fn, tasks)
+        for i, outcome in enumerate(outcomes):
+            if not outcome.ok:
+                raise RuntimeError(f"task {i} failed [{outcome.cause}] "
+                                   f"{outcome.error}")
+        return [outcome.value for outcome in outcomes]
 
     def map_each(self, fn: Callable[[Any], Any], tasks: Iterable[Any],
                  timeout: float | None = None) -> list[TaskOutcome]:
         task_list = list(tasks)
         faults = [self._decide(t, i) for i, t in enumerate(task_list)]
-        indices, calls = self._calls(fn, task_list, faults)
-        inner = self._inner.map_each(_chaos_run, calls, timeout=timeout)
-        outcomes: list[TaskOutcome | None] = [None] * len(task_list)
-        for i, outcome in zip(indices, inner):
-            fault = faults[i]
-            if fault is not None and fault.kind == "corrupt" and outcome.ok:
+        kinds = ["" if fault is None else fault.kind for fault in faults]
+        delays = [0.0 if fault is None else fault.delay_seconds
+                  for fault in faults]
+        sent = [i for i, kind in enumerate(kinds)
+                if kind not in _PARENT_SKIP_KINDS]
+        pid = os.getpid()
+        calls = [_ChaosCall(fn=fn, task=task_list[i],
+                            kind=kinds[i] if kinds[i] in _WORKER_KINDS else "",
+                            delay_seconds=delays[i], parent_pid=pid)
+                 for i in sent]
+        returned = dict(zip(sent, self._inner.map_each(_chaos_run, calls,
+                                                       timeout=timeout)))
+        outcomes: list[TaskOutcome] = []
+        for i, kind in enumerate(kinds):
+            outcome = returned.get(i)
+            if outcome is None:
+                cause = CAUSE_TIMEOUT if kind == "timeout" else CAUSE_DROPPED
+                outcome = TaskOutcome(cause=cause,
+                                      error=f"chaos injected {kind}")
+            elif kind == "corrupt" and outcome.ok:
                 outcome = TaskOutcome(
                     value=CorruptedResult(original=outcome.value))
-            outcomes[i] = outcome
-        for i, fault in enumerate(faults):
-            if outcomes[i] is None:
-                assert fault is not None
-                cause = CAUSE_TIMEOUT if fault.kind == "timeout" else CAUSE_DROPPED
-                outcomes[i] = TaskOutcome(cause=cause,
-                                          error=f"chaos injected {fault.kind}")
-        return [o for o in outcomes if o is not None]
+            outcomes.append(outcome)
+        return outcomes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChaosExecutor({self._inner!r}, faults={len(self._plan.faults)})"

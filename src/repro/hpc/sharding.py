@@ -21,14 +21,17 @@ Design contract
   structural parameters once, the slice's seed/theta vectors, and (for
   restarts) the slice of the stacked parent state — never per-particle
   dicts or JSON.  With a :class:`~repro.hpc.executor.SerialExecutor`
-  nothing is pickled at all (its ``map`` calls :func:`run_shard` in
+  nothing is pickled at all (its ``map_each`` calls :func:`run_shard` in
   process), which is the single-shard fast path the calibrator uses by
   default.
-* **Ordered reassembly** — executors must preserve task order, but
-  :func:`dispatch_shards` does not rely on it: every result echoes its
-  ``shard_id`` and is placed by it, so even a misbehaving out-of-order
-  backend reassembles the ensemble correctly (or fails loudly on
-  duplicates/omissions).
+* **One dispatch path** — :func:`dispatch_shards` always runs the
+  retrying ``map_each`` loop under a
+  :class:`~repro.hpc.faults.RetryPolicy` (default
+  :data:`~repro.hpc.faults.FAIL_FAST`, one attempt) and validates every
+  echoed result against its task, so a shard that fails, is dropped or
+  comes back as another shard's output surfaces as a structured
+  :class:`~repro.hpc.faults.ShardRetryError`, never as a silently
+  misassembled ensemble.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
 from ..seir.parameters import DiseaseParameters
-from .executor import CAUSE_EXCEPTION, Executor, TaskOutcome
-from .faults import CAUSE_CORRUPT, RetryPolicy, ShardFailure, ShardRetryError
+from .executor import Executor, SerialExecutor
+from .faults import (CAUSE_CORRUPT, FAIL_FAST, RetryPolicy, ShardFailure,
+                     ShardRetryError)
 from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
@@ -215,44 +219,46 @@ def _result_defect(task: ShardTask, result: Any) -> str | None:
     return None
 
 
-def _dispatch_with_retry(executor: Executor, task_list: Sequence[ShardTask],
-                         retry: RetryPolicy,
-                         on_failure: Callable[[ShardFailure], None] | None
-                         ) -> list[ShardResult]:
-    """Retrying dispatch: re-execute failed shards until the budget runs out.
+def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
+                    retry: RetryPolicy = FAIL_FAST,
+                    on_failure: Callable[[ShardFailure], None] | None = None
+                    ) -> list[ShardResult]:
+    """Map shards across the executor; return their results in task order.
 
-    Attempt ``k`` waits the policy's deterministic backoff, dispatches the
-    still-pending shards via ``map_each`` (failure-isolating, per-shard
-    timeout), validates every echoed result, and records a
-    :class:`ShardFailure` per miss.  With ``fallback_serial`` the final
-    attempt runs in-process — the degradation path when the pool itself
-    died.  Bit-identical to a fault-free run: shard outputs are pure
-    functions of the task payload.
+    The one dispatch path.  Attempt ``k`` waits the policy's deterministic
+    backoff, dispatches the still-pending shards via ``map_each``
+    (failure-isolating, per-shard timeout), validates every echoed result
+    (:func:`_result_defect`: a wrong type, shard id, member count or seed
+    slice is a ``corrupt_result``), and reports each miss to
+    ``on_failure`` as a structured :class:`~repro.hpc.faults.ShardFailure`.
+    With ``fallback_serial`` the final attempt of a multi-attempt policy
+    runs in-process — the degradation path when the pool itself died.
+    Shards still failing when the budget runs out raise
+    :class:`~repro.hpc.faults.ShardRetryError` with the full history; the
+    default :data:`~repro.hpc.faults.FAIL_FAST` policy makes one attempt.
+    Results are bit-identical either way — shard outputs depend only on
+    ``(base_seed, shard layout)``, never on which worker or attempt
+    produced them.
     """
+    task_list = list(tasks)
     ordered: list[ShardResult | None] = [None] * len(task_list)
     failures: list[ShardFailure] = []
     pending = list(range(len(task_list)))
     for attempt in range(1, retry.max_attempts + 1):
+        if not pending:
+            break
         wait = retry.backoff_for(attempt)
         if wait > 0.0:
             time.sleep(wait)
         batch = [task_list[i] for i in pending]
-        serial = (retry.fallback_serial and attempt == retry.max_attempts
-                  and attempt > 1)
-        if serial:
-            outcomes = []
-            for task in batch:
-                try:
-                    outcomes.append(TaskOutcome(value=run_shard(task)))
-                except Exception as exc:
-                    outcomes.append(TaskOutcome(
-                        cause=CAUSE_EXCEPTION,
-                        error=f"{type(exc).__name__}: {exc}"))
+        if (retry.fallback_serial and attempt == retry.max_attempts
+                and attempt > 1):
+            outcomes = SerialExecutor().map_each(run_shard, batch)
         else:
             outcomes = executor.map_each(run_shard, batch,
                                          timeout=retry.timeout_seconds)
         still_pending = []
-        for slot, outcome in zip(pending, outcomes):
+        for slot, outcome in zip(pending, outcomes, strict=True):
             cause, error = outcome.cause, outcome.error
             if cause is None:
                 defect = _result_defect(task_list[slot], outcome.value)
@@ -267,54 +273,14 @@ def _dispatch_with_retry(executor: Executor, task_list: Sequence[ShardTask],
                 on_failure(failure)
             still_pending.append(slot)
         pending = still_pending
-        if not pending:
-            break
     if pending:
         lost = [task_list[i].shard_id for i in pending]
         raise ShardRetryError(
             f"shards {lost} still failing after {retry.max_attempts} "
-            f"attempts; failure history: "
+            f"attempt(s); failure history: "
             + "; ".join(f"shard {f.shard_id} attempt {f.attempt} "
                         f"[{f.cause}] {f.error}" for f in failures),
             failures)
-    return ordered  # type: ignore[return-value]
-
-
-def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
-                    retry: RetryPolicy | None = None,
-                    on_failure: Callable[[ShardFailure], None] | None = None
-                    ) -> list[ShardResult]:
-    """Map shards across the executor; return results in ``shard_id`` order.
-
-    Reassembly is by the echoed ``shard_id``, not list position, so an
-    executor that returns results out of order still yields a correctly
-    ordered ensemble; duplicated or missing shards raise.
-
-    With a :class:`~repro.hpc.faults.RetryPolicy`, failed / timed-out /
-    dropped / corrupted shards are re-executed (deterministic backoff,
-    serial in-process fallback on the final attempt) and each miss is
-    surfaced to ``on_failure`` as a structured
-    :class:`~repro.hpc.faults.ShardFailure`; exhausting the budget raises
-    :class:`~repro.hpc.faults.ShardRetryError`.  Results are bit-identical
-    either way — shard outputs depend only on ``(base_seed, shard
-    layout)``, never on which worker or attempt produced them.
-    """
-    task_list = list(tasks)
-    if not task_list:
-        return []
-    if retry is not None:
-        return _dispatch_with_retry(executor, task_list, retry, on_failure)
-    ordered: list[ShardResult | None] = [None] * len(task_list)
-    for result in executor.map(run_shard, task_list):
-        if not 0 <= result.shard_id < len(task_list):
-            raise ValueError(f"executor returned unknown shard id "
-                             f"{result.shard_id}")
-        if ordered[result.shard_id] is not None:
-            raise ValueError(f"executor returned shard {result.shard_id} twice")
-        ordered[result.shard_id] = result
-    missing = [i for i, r in enumerate(ordered) if r is None]
-    if missing:
-        raise ValueError(f"executor dropped shards {missing}")
     return ordered  # type: ignore[return-value]
 
 
@@ -397,7 +363,7 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
                     engine_options: dict | None = None,
                     shard_size: int | None = None, n_shards: int | None = None,
                     return_state: bool = True,
-                    retry: RetryPolicy | None = None,
+                    retry: RetryPolicy = FAIL_FAST,
                     on_failure: Callable[[ShardFailure], None] | None = None
                     ) -> list[GroupShards]:
     """Shard every group, fan the shards across the executor, reassemble.
@@ -406,10 +372,11 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
     batched forecasting.  Each group is chunked by
     :func:`~repro.hpc.partition.shard_bounds` (``shard_size`` wins over
     ``n_shards``; both ``None`` → one shard per group, the serial fast
-    path), all groups' shards are submitted as **one** executor map so
+    path), all groups' shards are submitted as **one** ``map_each`` so
     workers stay busy even when group sizes are uneven, and the results
-    are returned per group in member order.  ``retry``/``on_failure``
-    enable fault-tolerant dispatch (see :func:`dispatch_shards`).
+    are returned per group in member order.  ``retry`` (default
+    :data:`~repro.hpc.faults.FAIL_FAST`) and ``on_failure`` go to
+    :func:`dispatch_shards`.
 
     Every shard runs
     :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`; ``engine``
@@ -459,7 +426,7 @@ def simulate_group_sets(executor: Executor,
                         shard_size: int | None = None,
                         n_shards: int | None = None,
                         return_state: bool = True,
-                        retry: RetryPolicy | None = None,
+                        retry: RetryPolicy = FAIL_FAST,
                         on_failures: Sequence[
                             Callable[[ShardFailure], None] | None] | None = None
                         ) -> list[list[GroupShards]]:
@@ -467,7 +434,7 @@ def simulate_group_sets(executor: Executor,
 
     The scenario-sweep dispatch: each element of ``spec_sets`` is one
     scenario's (or world-line's) group specs, and all sets' shards are
-    flattened into **one** executor map — the flattened scenario×group
+    flattened into **one** ``map_each`` — the flattened scenario×group
     space of the scenario-tensor design — so workers interleave shards
     from every scenario instead of draining them set-by-set.  Because a
     shard's RNG stream is keyed by its seed slice alone (shard ids are

@@ -26,6 +26,12 @@ from ..seir.parameters import DiseaseParameters
 __all__ = ["CalibrationConfig", "paper_calibration_config"]
 
 
+#: RetryPolicy field -> the CalibrationConfig field that sets it.
+_RETRY_FIELDS = {"max_attempts": "retry_attempts",
+                 "timeout_seconds": "retry_timeout",
+                 "backoff_seconds": "retry_backoff"}
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Declarative configuration of one sequential calibration run.
@@ -82,9 +88,9 @@ class CalibrationConfig:
 
     base_seed: int = 20240215
 
-    #: Fault-tolerant sharded dispatch (repro.hpc.faults): more than one
-    #: attempt (or a per-shard timeout) builds a RetryPolicy — failed /
-    #: timed-out / dropped shards are re-executed with deterministic
+    #: The shard RetryPolicy (repro.hpc.faults) every dispatch runs under:
+    #: one attempt fails fast with a structured ShardRetryError; more
+    #: re-execute failed / timed-out / dropped shards with deterministic
     #: backoff, serially in-process on the final attempt.  Results stay
     #: bit-identical (shard outputs are pure functions of their payload).
     retry_attempts: int = 1
@@ -102,15 +108,20 @@ class CalibrationConfig:
     checkpoint_keep_last: int | None = None
 
     def __post_init__(self) -> None:
-        # The executor is built only when the run starts, and a zero retry
-        # backoff never reaches RetryPolicy; check both up front.
+        # The executor and the retry policy are built only when the run
+        # starts; check both up front.
         if self.executor not in EXECUTOR_SPECS:
             raise ValueError(f"executor must be one of "
                              f"{list(EXECUTOR_SPECS)}, got {self.executor!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
+        try:
+            self.retry_policy()
+        except ValueError as exc:
+            # Name the config field, not the RetryPolicy one.
+            name, _, rule = str(exc).partition(" ")
+            raise ValueError(f"{_RETRY_FIELDS.get(name, name)} {rule}") \
+                from None
 
     # ------------------------------------------------------------------ #
     def schedule(self) -> WindowSchedule:
@@ -148,10 +159,8 @@ class CalibrationConfig:
             retry=self.retry_policy(),
         )
 
-    def retry_policy(self) -> RetryPolicy | None:
-        """The configured shard-retry policy (None = legacy fail-fast)."""
-        if self.retry_attempts == 1 and self.retry_timeout is None:
-            return None
+    def retry_policy(self) -> RetryPolicy:
+        """The configured shard-retry policy (one attempt = fail fast)."""
         return RetryPolicy(max_attempts=self.retry_attempts,
                            timeout_seconds=self.retry_timeout,
                            backoff_seconds=self.retry_backoff)

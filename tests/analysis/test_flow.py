@@ -29,9 +29,9 @@ SHIPPED_DISPATCH_TARGETS = {
 }
 
 #: Dispatch sites on the shipped tree: ``ProcessExecutor``'s internal
-#: map/submit calls plus the two ``run_shard`` dispatches in
+#: ``pool.submit`` plus the one ``run_shard`` dispatch in
 #: ``hpc/sharding.py``.
-SHIPPED_DISPATCH_SITES = 4
+SHIPPED_DISPATCH_SITES = 2
 
 
 class TestPR1CrossFile:
@@ -159,7 +159,7 @@ class TestSelfApplication:
         _, certs = run_flow([SRC])
         shards = [c for c in certs
                   if c["target"] == "repro.hpc.sharding.run_shard"]
-        assert len(shards) == 2, shards
+        assert len(shards) == 1, shards
         engine = "repro.seir.batch_engine.BatchedBinomialLeapEngine"
         for cert in shards:
             assert cert["pure"] and cert["effects"] == [], cert

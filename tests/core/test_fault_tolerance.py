@@ -22,7 +22,8 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import (ChaosExecutor, CheckpointStore, Fault, FaultPlan,
-                       ProcessExecutor, RetryPolicy, SerialExecutor)
+                       ProcessExecutor, RetryPolicy, SerialExecutor,
+                       ShardRetryError)
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.sim import make_ground_truth
 
@@ -201,6 +202,17 @@ class TestChaosCalibration:
                         retry=RetryPolicy(max_attempts=3))
         assert any("shard 0 attempt 1 failed" in m and "retrying" in m
                    for m in messages)
+
+    def test_default_policy_fails_fast_and_reports_no_retry(self,
+                                                            small_truth):
+        messages = []
+        plan = FaultPlan.scripted(Fault(kind="crash", shard=0, attempt=1))
+        chaos = ChaosExecutor(SerialExecutor(), plan)
+        with pytest.raises(ShardRetryError, match="ChaosInjectedError"):
+            run_calibration(small_truth, executor=chaos,
+                            progress=messages.append)
+        failed = [m for m in messages if "shard 0 attempt 1 failed" in m]
+        assert failed and not any("retrying" in m for m in failed)
 
 
 class _KillAfterWindow(RuntimeError):

@@ -18,8 +18,10 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
-from repro.hpc import (ProcessExecutor, SerialExecutor, ShardTask,
-                       dispatch_shards, structural_groups)
+from repro.hpc import (ProcessExecutor, RetryPolicy, SerialExecutor,
+                       ShardRetryError, ShardTask, dispatch_shards,
+                       structural_groups)
+from repro.hpc.executor import CAUSE_DROPPED
 from repro.hpc.sharding import build_group_specs
 from repro.seir import DiseaseParameters, parameter_columns
 from repro.sim import make_ground_truth
@@ -143,11 +145,17 @@ class TestFixedLayoutReproducibility:
         assert_runs_identical(serial, pooled)
 
     def test_out_of_order_executor_reassembled_in_order(self, small_truth):
-        """Reassembly keys on the echoed shard id, not result position."""
+        """Every echoed shard id is checked against its task: results out
+        of order fail fast as ``corrupt_result``, and under a retry policy
+        the in-process final attempt reassembles the ordered bits."""
+        with pytest.raises(ShardRetryError, match="corrupt_result"):
+            run_calibration(small_truth, shard_size=10,
+                            executor=OutOfOrderExecutor())
         ordered = run_calibration(small_truth, shard_size=10,
                                   executor=SerialExecutor())
         scrambled = run_calibration(small_truth, shard_size=10,
-                                    executor=OutOfOrderExecutor())
+                                    executor=OutOfOrderExecutor(),
+                                    retry=RetryPolicy(max_attempts=2))
         assert_runs_identical(ordered, scrambled)
 
 
@@ -309,13 +317,18 @@ class TestDispatchRobustness:
                           thetas=np.array([0.3]), end_day=3, start_day=0)
                 for i in range(n_shards)]
 
+    @staticmethod
+    def _assert_all_dropped(executor):
+        with pytest.raises(ShardRetryError) as info:
+            dispatch_shards(executor, TestDispatchRobustness._tasks(3))
+        assert [(f.shard_id, f.cause) for f in info.value.failures] == \
+            [(i, CAUSE_DROPPED) for i in range(3)]
+
     def test_dropped_shard_detected(self):
-        with pytest.raises(ValueError, match="dropped"):
-            dispatch_shards(self.DroppingExecutor(), self._tasks(3))
+        self._assert_all_dropped(self.DroppingExecutor())
 
     def test_duplicated_shard_detected(self):
-        with pytest.raises(ValueError, match="twice"):
-            dispatch_shards(self.DuplicatingExecutor(), self._tasks(3))
+        self._assert_all_dropped(self.DuplicatingExecutor())
 
     def test_empty_task_list(self):
         assert dispatch_shards(SerialExecutor(), []) == []

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro.hpc import ProcessExecutor, SerialExecutor, make_executor
-from repro.hpc.executor import (CAUSE_EXCEPTION, CAUSE_POOL_BROKEN,
-                                EXECUTOR_SPECS, _auto_chunksize)
+from repro.hpc.executor import (CAUSE_DROPPED, CAUSE_EXCEPTION,
+                                CAUSE_POOL_BROKEN, EXECUTOR_SPECS, Executor)
 
 
 def square(x):
@@ -42,6 +42,54 @@ class TestSerialExecutor:
     def test_context_manager(self):
         with SerialExecutor() as ex:
             assert ex.map(square, [2]) == [4]
+
+
+class MapOnlyExecutor(Executor):
+    """A backend that implements ``map`` alone and records every call."""
+
+    def __init__(self, drop_last=False, broken=False):
+        self.calls = []
+        self.drop_last = drop_last
+        self.broken = broken
+
+    @property
+    def workers(self):
+        return 2
+
+    def map(self, fn, tasks):
+        task_list = list(tasks)
+        self.calls.append(task_list)
+        if self.broken:
+            raise OSError("pool gone")
+        out = [fn(t) for t in task_list]
+        return out[:-1] if self.drop_last else out
+
+
+class TestDefaultMapEach:
+    """``Executor.map_each`` for backends that only override ``map``."""
+
+    def test_one_map_call_carries_every_task(self):
+        ex = MapOnlyExecutor()
+        out = ex.map_each(fail_on_three, [1, 2, 3, 4])
+        assert ex.calls == [[1, 2, 3, 4]]
+        assert [o.ok for o in out] == [True, True, False, True]
+        assert out[2].cause == CAUSE_EXCEPTION
+        assert out[2].error == "RuntimeError: boom"
+        assert [o.value for o in out] == [1, 2, None, 4]
+
+    def test_wrong_result_count_drops_every_task(self):
+        out = MapOnlyExecutor(drop_last=True).map_each(square, [1, 2, 3])
+        assert [o.cause for o in out] == [CAUSE_DROPPED] * 3
+
+    def test_raising_map_fails_every_task(self):
+        out = MapOnlyExecutor(broken=True).map_each(square, [1, 2])
+        assert [(o.cause, o.error) for o in out] == \
+            [(CAUSE_EXCEPTION, "OSError: pool gone")] * 2
+
+    def test_wrapped_task_pickles_for_pools(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            out = Executor.map_each(ex, fail_on_three, [1, 3])
+        assert out[0].value == 1 and out[1].cause == CAUSE_EXCEPTION
 
 
 class TestProcessExecutor:
@@ -117,7 +165,3 @@ class TestFactories:
     def test_make_executor_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
-
-    def test_auto_chunksize(self):
-        assert _auto_chunksize(1000, 2) == 125
-        assert _auto_chunksize(3, 8) == 1

@@ -9,8 +9,7 @@ bit-identical to a fault-free one.
 import numpy as np
 import pytest
 
-from repro.hpc import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
-                       Fault, FaultPlan, ProcessExecutor, RetryPolicy,
+from repro.hpc import (ChaosExecutor, CorruptedResult, Fault, FaultPlan, ProcessExecutor, RetryPolicy,
                        SerialExecutor, ShardRetryError, ShardTask,
                        TaskOutcome, dispatch_shards)
 from repro.hpc.executor import (CAUSE_DROPPED, CAUSE_EXCEPTION, CAUSE_TIMEOUT)
@@ -117,26 +116,27 @@ class TestFaultPlan:
 
     def test_all_kinds_registered(self):
         assert set(FAULT_KINDS) == {"crash", "hard_exit", "timeout", "delay",
-                                    "drop", "duplicate", "corrupt"}
+                                    "drop", "corrupt"}
 
 
 class TestChaosExecutorMap:
+    """``map`` is a strict adapter over the ``map_each`` fault model."""
+
     def test_crash_propagates_on_strict_path(self):
         chaos = ChaosExecutor(SerialExecutor(),
                               FaultPlan.scripted(Fault(kind="crash", shard=1)))
-        with pytest.raises(ChaosInjectedError):
+        with pytest.raises(RuntimeError,
+                           match=r"task 1 failed \[worker_exception\] "
+                                 r"ChaosInjectedError: chaos: injected"):
             chaos.map(double, [10, 11, 12])
+        assert [f.shard for f in chaos.injected] == [1]
 
     def test_drop_removes_result(self):
         chaos = ChaosExecutor(SerialExecutor(),
                               FaultPlan.scripted(Fault(kind="drop", shard=1)))
-        assert chaos.map(double, [10, 11, 12]) == [20, 24]
-
-    def test_duplicate_returns_result_twice(self):
-        chaos = ChaosExecutor(
-            SerialExecutor(),
-            FaultPlan.scripted(Fault(kind="duplicate", shard=0)))
-        assert chaos.map(double, [10, 11]) == [20, 20, 22]
+        with pytest.raises(RuntimeError,
+                           match=r"task 1 failed \[dropped\] chaos injected"):
+            chaos.map(double, [10, 11, 12])
 
     def test_corrupt_wraps_result(self):
         chaos = ChaosExecutor(
@@ -155,11 +155,13 @@ class TestChaosExecutorMap:
     def test_attempt_counting_and_reset(self):
         plan = FaultPlan.scripted(Fault(kind="drop", shard=0, attempt=1))
         chaos = ChaosExecutor(SerialExecutor(), plan)
-        assert chaos.map(double, [1]) == []          # attempt 1: injected
+        with pytest.raises(RuntimeError):            # attempt 1: injected
+            chaos.map(double, [1])
         assert chaos.map(double, [1]) == [2]         # attempt 2: clean
         assert [f.kind for f in chaos.injected] == ["drop"]
         chaos.reset()
-        assert chaos.map(double, [1]) == []          # counts forgotten
+        with pytest.raises(RuntimeError):            # counts forgotten
+            chaos.map(double, [1])
         assert chaos.workers == 1
 
 
@@ -168,16 +170,14 @@ class TestChaosExecutorMapEach:
         plan = FaultPlan.scripted(Fault(kind="timeout", shard=0),
                                   Fault(kind="drop", shard=1),
                                   Fault(kind="crash", shard=2),
-                                  Fault(kind="corrupt", shard=3),
-                                  Fault(kind="duplicate", shard=4))
+                                  Fault(kind="corrupt", shard=3))
         chaos = ChaosExecutor(SerialExecutor(), plan)
-        out = chaos.map_each(double, [0, 1, 2, 3, 4, 5])
+        out = chaos.map_each(double, [0, 1, 2, 3, 4])
         assert [o.cause for o in out] == [
-            CAUSE_TIMEOUT, CAUSE_DROPPED, CAUSE_EXCEPTION, None, None, None]
+            CAUSE_TIMEOUT, CAUSE_DROPPED, CAUSE_EXCEPTION, None, None]
         assert out[3].value == CorruptedResult(original=6)
-        assert out[4].value == 8                      # duplicate: one outcome
-        assert out[5].value == 10
-        assert len(chaos.injected) == 5
+        assert out[4].value == 8
+        assert len(chaos.injected) == 4
 
     def test_tasks_keyed_by_shard_id_attribute(self):
         tasks = make_tasks(n_shards=2, members=2, end_day=3)
@@ -272,8 +272,16 @@ class TestRetriedDispatch:
             dispatch_shards(chaos, tasks, retry=RetryPolicy(max_attempts=1))
 
     def test_no_retry_policy_keeps_legacy_strict_path(self):
+        """Without a policy, dispatch stays strict: the default fail-fast
+        policy makes one attempt and names the shard, the cause and the
+        worker's ``Type: message`` in a structured error."""
         tasks = make_tasks(n_shards=2)
         plan = FaultPlan.scripted(Fault(kind="crash", shard=0))
         chaos = ChaosExecutor(SerialExecutor(), plan)
-        with pytest.raises(ChaosInjectedError):
+        with pytest.raises(ShardRetryError, match=r"shards \[0\]") as info:
             dispatch_shards(chaos, tasks)
+        assert "ChaosInjectedError: chaos: injected worker crash" in \
+            str(info.value)
+        assert [(f.shard_id, f.attempt, f.cause)
+                for f in info.value.failures] == [(0, 1, CAUSE_EXCEPTION)]
+        assert [f.shard for f in chaos.injected] == [0]   # no second try

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SMCConfig
+from repro.hpc.faults import FAIL_FAST, RetryPolicy
 from repro.inference import CalibrationConfig, paper_calibration_config
 
 
@@ -57,8 +58,16 @@ class TestCalibrationConfig:
 
     def test_retry_policy_off_by_default(self):
         cfg = CalibrationConfig()
-        assert cfg.retry_policy() is None
-        assert cfg.smc_config().retry is None
+        assert cfg.retry_policy() == FAIL_FAST
+        assert cfg.smc_config().retry == FAIL_FAST
+
+    @pytest.mark.parametrize("knobs, field", [
+        ({"retry_attempts": 0}, "retry_attempts must be >= 1"),
+        ({"retry_timeout": 0.0}, "retry_timeout must be positive"),
+        ({"retry_backoff": -1.0}, "retry_backoff must be >= 0")])
+    def test_retry_knobs_validated_at_construction(self, knobs, field):
+        with pytest.raises(ValueError, match=field):
+            CalibrationConfig(**knobs)
 
     def test_retry_policy_built_from_knobs(self):
         cfg = CalibrationConfig(retry_attempts=3, retry_timeout=30.0,
@@ -68,8 +77,9 @@ class TestCalibrationConfig:
         assert policy.timeout_seconds == 30.0
         assert policy.backoff_seconds == 0.5
         assert cfg.smc_config().retry == policy
-        # A timeout alone also enables fault-tolerant dispatch.
-        assert CalibrationConfig(retry_timeout=10.0).retry_policy() is not None
+        # A timeout alone bounds the one fail-fast attempt.
+        assert CalibrationConfig(retry_timeout=10.0).retry_policy() == \
+            RetryPolicy(max_attempts=1, timeout_seconds=10.0)
 
     def test_checkpoint_store_built_from_dir(self, tmp_path):
         assert CalibrationConfig().checkpoint_store() is None
