@@ -38,7 +38,6 @@ from .core.diagnostics import DEGENERACY_THRESHOLD
 from .core.ensemble_control import SIZE_POLICY_NAMES
 from .core.scenarios import (SCENARIO_SETS, SCENARIOS, get_scenario,
                              scenario_set)
-from .core.smc import DEFAULT_PARAM_MAP
 from .hpc.executor import EXECUTOR_SPECS
 from .inference import (CalibrationConfig, calibrate, calibrate_scenarios,
                         forecast_from_posterior, forecast_scenarios)
@@ -255,8 +254,7 @@ def _run_config(scenarios: list[str] | None = None,
         cfg.smc_config()
         schedule = cfg.schedule()
         for name in scenarios or ():
-            get_scenario(name).check_schedule(schedule,
-                                              DEFAULT_PARAM_MAP.values())
+            get_scenario(name).check_schedule(schedule)
     except ValueError as exc:
         _invalid(exc)
     return cfg

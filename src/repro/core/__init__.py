@@ -23,8 +23,8 @@ from .resampling import (RESAMPLERS, get_resampler, multinomial_resample,
 from .scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                         ScenarioRegistry, ScenarioSpec, ScenarioSweep,
                         get_scenario, register_scenario, scenario_set)
-from .smc import (BIAS_PARAM, DEFAULT_PARAM_MAP, PendingWindow,
-                  SequentialCalibrator, SMCConfig, WindowResult)
+from .smc import (BIAS_PARAM, PendingWindow, SequentialCalibrator,
+                  SMCConfig, WindowResult)
 from .transforms import (ANSCOMBE, IDENTITY, LOG1P, SQRT, TRANSFORMS,
                          Transform)
 from .validation import (crps, interval_coverage, posterior_rank,
@@ -37,7 +37,7 @@ from .window import TimeWindow, WindowSchedule
 __all__ = [
     "TemperedResult", "temper_and_resample",
     "SMCConfig", "WindowResult", "SequentialCalibrator", "PendingWindow",
-    "BIAS_PARAM", "DEFAULT_PARAM_MAP",
+    "BIAS_PARAM",
     "ScenarioOverride", "ScenarioSpec", "ScenarioRegistry", "ScenarioSweep",
     "SCENARIOS", "SCENARIO_SETS", "register_scenario", "get_scenario",
     "scenario_set",

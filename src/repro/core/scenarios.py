@@ -37,7 +37,7 @@ calibrator's own window loop (:func:`~repro.core.smc.window_loop`) over
 one calibrator per scenario, keyed by world-line: each line is computed
 once, **all** lines' shards flattened into one
 :func:`~repro.hpc.sharding.simulate_group_sets` dispatch by
-:func:`~repro.core.smc.window_step` — the flattened scenario×group space.
+:func:`~repro.core.smc.window_step`.
 Lines split when a scenario's override kicks in and never re-merge
 (diverged state stays diverged even if parameters re-converge).  A plain
 :meth:`~repro.core.smc.SequentialCalibrator.run` is the same loop over one
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
@@ -179,13 +179,13 @@ class ScenarioSpec:
             return base
         return base.with_updates(**updates)
 
-    def check_schedule(self, schedule: WindowSchedule,
-                       calibrated: Collection[str]) -> None:
-        """Check the overrides against a run's schedule and calibrated
-        fields; raises ``ValueError`` naming the first that cannot apply.
+    def check_schedule(self, schedule: WindowSchedule) -> None:
+        """Check the overrides against a run's schedule; raises
+        ``ValueError`` naming the first that cannot apply.
 
-        Calibrated fields belong to the sampler: an override of one would
-        be silently overwritten by every draw.  Mid-run overrides can only
+        The transmission rate belongs to the sampler (every member's theta
+        draw): an override of it would be silently overwritten by every
+        draw.  Mid-run overrides can only
         take effect where the engine stops — simulation runs
         window-at-a-time, so any override after day 0 must start exactly
         at a continuation window's start day (and
@@ -194,11 +194,11 @@ class ScenarioSpec:
         """
         continuation_starts = {w.start_day for w in list(schedule)[1:]}
         for override in self.overrides:
-            if override.field in calibrated:
+            if override.field == "transmission_rate":
                 raise ValueError(
                     f"scenario {self.name!r} overrides {override.field!r}, "
-                    "which param_map calibrates; a calibrated field cannot "
-                    "be scenario-pinned")
+                    "which the calibration draws as theta; a calibrated "
+                    "field cannot be scenario-pinned")
             if override.start_day > 0 and \
                     override.start_day not in continuation_starts:
                 raise ValueError(
@@ -370,7 +370,6 @@ class ScenarioSweep:
                  scenarios: Sequence[ScenarioSpec | str],
                  config: SMCConfig | None = None,
                  executor: Executor | None = None,
-                 param_map: Mapping[str, str] | None = None,
                  progress: Callable[[str], None] | None = None) -> None:
         self.specs = _resolve_specs(scenarios)
         self.config = config or SMCConfig()
@@ -381,7 +380,7 @@ class ScenarioSweep:
             self.calibrators[spec.name] = SequentialCalibrator(
                 base_params=base_params, prior=prior, jitter=jitter,
                 observation_model=observation_model, schedule=schedule,
-                config=self.config, executor=executor, param_map=param_map,
+                config=self.config, executor=executor,
                 progress=(lambda msg, _p=prefix: self._progress(_p + msg)),
                 scenario=spec)
         self.schedule = self.calibrators[self.specs[0].name].schedule

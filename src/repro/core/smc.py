@@ -36,10 +36,10 @@ The step is four phases long: *propose* the cloud
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`, *assemble* the
 columnar :class:`ParticleEnsemble` from the concatenated shard outputs
 (:meth:`~SequentialCalibrator.assemble_window`), and *weigh* it
-(:meth:`~SequentialCalibrator.weigh_window`).  Particles whose structural
-parameters differ (anything beyond the transmission rate, e.g. a
-``param_map`` targeting ``mild_fraction``) are grouped by structural
-identity and each group is stepped as its own batch.  Weighting slices the
+(:meth:`~SequentialCalibrator.weigh_window`).  The calibrated simulator
+field is fixed: each member's theta draw is its transmission rate, every
+other field is the window's base parameters, so a window's cloud is one
+batch (one :class:`~repro.hpc.sharding.GroupSpec`).  Weighting slices the
 segments once per source (``ParticleEnsemble.segment_matrix``), thins them
 with one binomial call (``BinomialBiasModel.apply_batch``) and scores them
 with one vectorised likelihood evaluation per source
@@ -48,7 +48,7 @@ with one vectorised likelihood evaluation per source
 :class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
 a random stream.  No per-particle object is built on this path: proposals
 are parameter columns and seed vectors (one ``DiseaseParameters`` per
-structural group), resampling gathers columns by index, continuations
+window), resampling gathers columns by index, continuations
 restart the gathered parents' restart rows, and the checkpoint store writes
 those rows as they are.
 
@@ -76,14 +76,12 @@ from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import FAIL_FAST, RetryPolicy, ShardFailure
-from ..hpc.sharding import (GroupShards, GroupSpec, build_group_specs,
+from ..hpc.sharding import (GroupShards, GroupSpec, build_group_spec,
                             reassemble, resolve_shard_layout,
-                            simulate_group_sets, structural_groups,
-                            validate_shard_policy)
+                            simulate_group_sets, validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.checkpoint import CheckpointError, StackedLeapState
-from ..seir.parameters import (RESTART_FIELDS, DiseaseParameters,
-                               parameter_columns)
+from ..seir.parameters import DiseaseParameters, parameter_columns
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
@@ -103,13 +101,15 @@ if TYPE_CHECKING:  # imported lazily to avoid a cycle with core.scenarios
 
 __all__ = ["SMCConfig", "WindowResult", "PendingWindow",
            "SequentialCalibrator", "window_step", "window_loop",
-           "BIAS_PARAM", "DEFAULT_PARAM_MAP"]
+           "BIAS_PARAM"]
 
 #: Reserved name of the reporting-bias parameter in priors/jitters.
 BIAS_PARAM = "rho"
 
-#: Default mapping from prior parameter names to DiseaseParameters fields.
-DEFAULT_PARAM_MAP: dict[str, str] = {"theta": "transmission_rate"}
+# The calibrated simulator parameter: each member's draw of it is that
+# member's DiseaseParameters.transmission_rate.
+_THETA_PARAM = "theta"
+_THETA_FIELD = "transmission_rate"
 
 # RNG stream purposes (see SeedSequenceBank.ancillary_generator).  Each is
 # registered in the stream-domain registry, which raises at import time if a
@@ -138,7 +138,7 @@ class SMCConfig:
     keywords (e.g. ``{"steps_per_day": 4}``).
 
     ``shard_size``/``n_shards`` control the sharded dispatch:
-    ``n_shards="auto"`` (the default) cuts each structural group into one
+    ``n_shards="auto"`` (the default) cuts each window's batch into one
     shard per executor worker — a serial executor keeps the in-process
     single-shard fast path — while an explicit ``shard_size`` (members per
     shard; wins over ``n_shards``) or integer ``n_shards`` pins the layout,
@@ -286,20 +286,19 @@ class PendingWindow:
     the members' parameter-draw columns, seeds and effective simulator
     parameters (``member_columns``: one column per
     :class:`~repro.seir.parameters.DiseaseParameters` field, the window's
-    base parameters broadcast under the mapped draws), their structural
-    grouping and ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec`
-    list, and (for continuations; ``None`` for window 0) the previous
-    posterior gathered by member as ``parents``.  All per-window randomness
-    is consumed while building it and simulation streams are keyed by the
-    specs' seed vectors, so a multi-scenario sweep can pool many windows'
-    specs into one flattened dispatch
+    base parameters broadcast under the theta draws), the window's one
+    ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec` (``specs``
+    always holds exactly one), and (for continuations; ``None`` for window
+    0) the previous posterior gathered by member as ``parents``.  All
+    per-window randomness is consumed while building it and simulation
+    streams are keyed by the specs' seed vectors, so a multi-scenario sweep
+    can pool many windows' specs into one flattened dispatch
     (:func:`~repro.hpc.sharding.simulate_group_sets`) bit-identically.
     """
 
     index: int
     window: TimeWindow
     sim_days: int
-    groups: list[np.ndarray]
     specs: list[GroupSpec]
     member_draws: dict[str, np.ndarray]
     member_seeds: np.ndarray
@@ -318,11 +317,11 @@ class SequentialCalibrator:
     Parameters
     ----------
     base_params:
-        Disease parameterisation; fields named in ``param_map`` are
-        overridden per particle.
+        Disease parameterisation; each particle's theta draw overrides its
+        ``transmission_rate``.
     prior:
-        First-window joint prior.  Must contain :data:`BIAS_PARAM` (rho) and
-        every key of ``param_map``.
+        First-window joint prior.  Must contain theta and
+        :data:`BIAS_PARAM` (rho), which the observation model consumes.
     jitter:
         Window-to-window proposal kernels for the same parameter names.
     observation_model:
@@ -333,11 +332,6 @@ class SequentialCalibrator:
         Ensemble sizes and algorithmic switches.
     executor:
         Parallel map backend; defaults to serial.
-    param_map:
-        Mapping from prior parameter names to ``DiseaseParameters`` fields.
-        Every mapped field must be one of the six checkpoint-restart knobs
-        (the paper's contract); rho is handled by the observation model and
-        must not be mapped.
     progress:
         Optional callback ``progress(message: str)`` for run logging.
     scenario:
@@ -361,7 +355,6 @@ class SequentialCalibrator:
                  schedule: WindowSchedule,
                  config: SMCConfig | None = None,
                  executor: Executor | None = None,
-                 param_map: Mapping[str, str] | None = None,
                  progress: Callable[[str], None] | None = None,
                  scenario: "ScenarioSpec | None" = None) -> None:
         self.base_params = base_params
@@ -371,7 +364,6 @@ class SequentialCalibrator:
         self.schedule = schedule
         self.config = config or SMCConfig()
         self.executor = executor or SerialExecutor()
-        self.param_map = dict(param_map or DEFAULT_PARAM_MAP)
         self.scenario = scenario
         self._progress = progress or (lambda _msg: None)
         bank_seed = int(self.config.base_seed)
@@ -399,26 +391,16 @@ class SequentialCalibrator:
         prior_names = set(self.prior.names)
         if BIAS_PARAM not in prior_names:
             raise ValueError(f"prior must include the bias parameter {BIAS_PARAM!r}")
-        if BIAS_PARAM in self.param_map:
-            raise ValueError(f"{BIAS_PARAM!r} is the observation-bias parameter "
-                             "and cannot be mapped to a simulator field")
-        unknown = set(self.param_map) - prior_names
-        if unknown:
-            raise ValueError(f"param_map names missing from prior: {sorted(unknown)}")
-        allowed_fields = set(RESTART_FIELDS)
-        bad = {f for f in self.param_map.values() if f not in allowed_fields}
-        if bad:
-            raise ValueError(
-                f"param_map targets {sorted(bad)} are not checkpoint-restartable; "
-                f"the paper allows only {sorted(allowed_fields)}")
+        if _THETA_PARAM not in prior_names:
+            raise ValueError(f"prior must include the transmission-rate "
+                             f"parameter {_THETA_PARAM!r}")
         jitter_names = set(self.jitter.names)
         needed = (prior_names if len(self.schedule) > 1 else set())
         if needed and needed - jitter_names:
             raise ValueError(
                 f"jitter kernels missing for parameters: {sorted(needed - jitter_names)}")
         if self.scenario is not None:
-            self.scenario.check_schedule(self.schedule,
-                                         self.param_map.values())
+            self.scenario.check_schedule(self.schedule)
 
     # ------------------------------------------------------------------ #
     def run(self, observations: ObservationSet, *,
@@ -514,10 +496,11 @@ class SequentialCalibrator:
         shard layout is recorded in *resolved* form — ``n_shards="auto"``
         depends on the executor's worker count, and that resolution (not
         the config string) is what keys the per-shard RNG streams.
-        ``"weighting"``, ``"resampler"``, the last ``"temper"`` entry and
-        the two ``"resample_size_policy"`` entries are literals left from
-        when the weighting path, both resampling schemes and the posterior
-        size were configurable, so stores written then still resume.
+        ``"weighting"``, ``"resampler"``, the last ``"temper"`` entry, the
+        two ``"resample_size_policy"`` entries and ``"param_map"`` are
+        literals left from when the weighting path, both resampling
+        schemes, the posterior size and the calibrated simulator fields
+        were configurable, so stores written then still resume.
         ``"format_version"`` is the store layout: 2 is one columnar
         ``checkpoints.npz`` per window, so a store written in the older
         per-particle layout (1) is refused instead of silently restarting
@@ -551,7 +534,7 @@ class SequentialCalibrator:
                        cfg.temper_ess_floor, "systematic"],
             "schedule": [w.label() for w in self.schedule],
             "burn_in_start": self.schedule.burn_in_start,
-            "param_map": sorted_dict(self.param_map),
+            "param_map": {_THETA_PARAM: _THETA_FIELD},
         }
         # Pre-scenario stores carry no "scenario" key; a baseline scenario
         # is bit-identical to no scenario, so it must fingerprint the same
@@ -676,20 +659,19 @@ class SequentialCalibrator:
                  member_draws: dict[str, np.ndarray], member_seeds: np.ndarray,
                  parents: ParticleEnsemble | None) -> PendingWindow:
         """A proposed cloud's parameter columns (the window's base
-        parameters broadcast, the ``param_map`` draws written over them),
-        structural groups and group specs.  Window 0 (no ``parents``)
-        starts at burn-in; a continuation restarts its parents' rows."""
+        parameters broadcast, the theta draws written over the transmission
+        rate) and its one group spec.  Window 0 (no ``parents``) starts at
+        burn-in; a continuation restarts its parents' rows."""
         columns = parameter_columns(
             self._window_base_params(window), len(member_seeds),
-            {fld: member_draws[name] for name, fld in self.param_map.items()})
-        groups = structural_groups(columns)
-        specs = build_group_specs(
-            groups, columns, member_seeds,
+            {_THETA_FIELD: member_draws[_THETA_PARAM]})
+        spec = build_group_spec(
+            columns, member_seeds,
             start_day=self.schedule.burn_in_start if parents is None else None,
             state=None if parents is None else parents.restart)
         return PendingWindow(
-            index=index, window=window, sim_days=sim_days, groups=groups,
-            specs=specs, member_draws=member_draws, member_seeds=member_seeds,
+            index=index, window=window, sim_days=sim_days, specs=[spec],
+            member_draws=member_draws, member_seeds=member_seeds,
             member_columns=columns, parents=parents)
 
     def _shard_layout_kwargs(self) -> dict:
@@ -749,8 +731,7 @@ class SequentialCalibrator:
             0, window, window.end_day - self.schedule.burn_in_start,
             member_draws, member_seeds, parents=None)
         self._progress(f"window 0: batch-simulating {len(member_seeds)} prior "
-                       f"trajectories ({len(pending.groups)} structural "
-                       f"group(s), {self.executor.workers} worker(s))")
+                       f"trajectories ({self.executor.workers} worker(s))")
         return pending
 
     def _propose_continuation(self, index: int, window: TimeWindow,
@@ -795,17 +776,17 @@ class SequentialCalibrator:
                         shards: list[GroupShards]) -> ParticleEnsemble:
         """Reassemble a dispatched :class:`PendingWindow` into an ensemble.
 
-        ``shards`` is the per-group result list for exactly
+        ``shards`` is the per-spec result list for exactly
         ``pending.specs`` (e.g. one element of a
         :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
-        outputs and restart states are concatenated and put back in member
-        order, and the members' parameter columns are attached to the
+        outputs and restart states are concatenated in member order, and
+        the members' parameter columns are attached to the
         restart state as they are.  Window 0's whole trajectories become the
         histories, sliced to the window for the segments; a continuation's
         segments continue its gathered parents' histories (by genealogy,
         not by copying).
         """
-        batch, state = reassemble(pending.groups, shards)
+        batch, state = reassemble(shards)
         assert state is not None, "window shards must return their state"
         restart = state.with_parameters(pending.member_columns)
         if pending.parents is not None:
@@ -916,7 +897,7 @@ def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
 
     Each calibrator proposes its cloud from its ``posteriors`` entry at
     its ``plans`` entry ``(n_proposals, resample_size)``; every cloud's
-    group specs go out as **one**
+    group spec goes out in **one**
     :func:`~repro.hpc.sharding.simulate_group_sets` map; then each cloud
     is assembled and weighed.  Shard RNG streams are keyed by seed slices,
     never by dispatch position, so every result is bit-identical to

@@ -10,7 +10,7 @@ from .faults import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
 from .partition import chunk_sizes, partition_bounds, shard_bounds
 from .sharding import (GroupShards, GroupSpec, ShardResult, ShardTask,
                        dispatch_shards, run_shard, simulate_groups,
-                       simulate_members, structural_groups)
+                       simulate_members)
 
 __all__ = [
     "Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
@@ -21,6 +21,5 @@ __all__ = [
     "chunk_sizes", "partition_bounds", "shard_bounds",
     "GroupSpec", "GroupShards", "ShardTask", "ShardResult",
     "run_shard", "dispatch_shards", "simulate_groups", "simulate_members",
-    "structural_groups",
     "CheckpointStore", "write_json_atomic",
 ]

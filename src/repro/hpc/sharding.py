@@ -2,8 +2,10 @@
 
 The batched engine (:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`)
 advances a whole particle cloud as one state matrix — ~18x faster than
-per-particle tasks, but single-process.  This module splits each window's
-structural groups into contiguous, evenly chunked sub-batches
+per-particle tasks, but single-process.  A batch's members share every
+:class:`~repro.seir.parameters.DiseaseParameters` field but the
+transmission rate, so each window is one :class:`GroupSpec`.  This module
+splits it into contiguous, evenly chunked sub-batches
 (:func:`~repro.hpc.partition.shard_bounds`), maps the shards across any
 :class:`~repro.hpc.executor.Executor`, and reassembles the stacked shard
 outputs **in order**, so the calibrator and the forecaster get multi-core
@@ -53,8 +55,8 @@ from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "simulate_members", "structural_groups",
-           "build_group_specs", "reassemble", "validate_shard_policy",
+           "simulate_group_sets", "simulate_members",
+           "build_group_spec", "reassemble", "validate_shard_policy",
            "resolve_shard_layout"]
 
 
@@ -96,37 +98,12 @@ def resolve_shard_layout(executor: Executor, *, shard_size: int | None = None,
     return {"n_shards": n_shards}
 
 
-def structural_groups(columns: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-    """Member index groups sharing one batched-engine structure, in order
-    of first occurrence.
-
-    ``columns`` maps every :class:`DiseaseParameters` field to its ``(n,)``
-    member column.  Members of a batch must agree on everything the engine
-    compiles or initialises from (population, seeding, stage structure);
-    only the transmission rate is carried per member, so groups are keyed
-    by the other columns that vary.  With the calibrator's default
-    ``param_map`` (theta only) none varies: one group.  A ``param_map``
-    targeting a *structural* field with a continuous jitter makes every
-    member its own group, degrading each group to a singleton batch.
-    """
-    n = len(columns[_THETA])
-    varying = [column for name, column in columns.items()
-               if name != _THETA and np.any(column != column[:1])]
-    if not varying:
-        return [np.arange(n)] if n else []
-    _, first, inverse = np.unique(np.column_stack(varying), axis=0,
-                                  return_index=True, return_inverse=True)
-    group_of = np.argsort(np.argsort(first))[inverse.ravel()]
-    members = np.argsort(group_of, kind="stable")
-    return np.split(members, np.cumsum(np.bincount(group_of))[:-1])
-
-
 # --------------------------------------------------------------------------- #
 # Shard task / result (module-level and array-backed: picklable and lean)
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ShardTask:
-    """One contiguous sub-batch of a structural group, ready to simulate.
+    """One contiguous sub-batch of a group, ready to simulate.
 
     Exactly one of ``start_day`` (fresh start from the seeding state) and
     ``state`` (restart from a slice of stacked parent checkpoints) is set.
@@ -287,41 +264,42 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
 # --------------------------------------------------------------------------- #
 # Group-level front door
 # --------------------------------------------------------------------------- #
-def build_group_specs(groups: Sequence[np.ndarray],
-                      columns: Mapping[str, np.ndarray],
-                      seeds: Sequence[int] | np.ndarray, *,
-                      start_day: int | None = None,
-                      state: StackedLeapState | None = None
-                      ) -> list["GroupSpec"]:
-    """One :class:`GroupSpec` per :func:`structural_groups` group, its
-    :class:`DiseaseParameters` built from the first member's ``columns``
-    row.
+def build_group_spec(columns: Mapping[str, np.ndarray],
+                     seeds: Sequence[int] | np.ndarray, *,
+                     start_day: int | None = None,
+                     state: StackedLeapState | None = None) -> "GroupSpec":
+    """The members' one :class:`GroupSpec`, its :class:`DiseaseParameters`
+    built from the first member's ``columns`` row.
 
-    Fresh starts pass ``start_day``; restarts pass ``state``, the members'
-    restart rows, gathered once per group (engine columns only).  Every
-    member's theta rides in from the ``transmission_rate`` column.
+    ``columns`` maps every :class:`DiseaseParameters` field to its ``(n,)``
+    member column.  A batch carries only the transmission rate per member,
+    so every other column must be constant: the first that is not raises
+    ``ValueError`` naming it, instead of running every member under the
+    first member's value.  Fresh starts pass ``start_day``; restarts pass
+    ``state``, the members' restart rows (engine columns only).
     """
-    seeds_arr = np.asarray(seeds, dtype=np.int64)
-    thetas = np.asarray(columns[_THETA], dtype=np.float64)
-    specs = []
-    for indices in groups:
-        idx = np.asarray(indices, dtype=np.int64)
-        specs.append(GroupSpec(
-            params=DiseaseParameters.from_dict(
-                {name: column[idx[0]].item()
-                 for name, column in columns.items()}),
-            seeds=seeds_arr[idx], thetas=thetas[idx], start_day=start_day,
-            state=None if state is None else state.take(idx, params=False)))
-    return specs
+    for name, column in columns.items():
+        if name != _THETA and np.any(column != column[:1]):
+            raise ValueError(
+                f"members disagree on {name!r}; a batch shares every "
+                f"parameter but {_THETA!r}")
+    return GroupSpec(
+        params=DiseaseParameters.from_dict(
+            {name: column[0].item() for name, column in columns.items()}),
+        seeds=np.asarray(seeds, dtype=np.int64),
+        thetas=np.asarray(columns[_THETA], dtype=np.float64),
+        start_day=start_day,
+        state=None if state is None else state.take(slice(None),
+                                                    params=False))
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One structural group's simulation order (parent-side, never pickled).
+    """One batch's simulation order (parent-side, never pickled).
 
-    ``seeds``/``thetas`` are the group's full ordered vectors; ``start_day``
+    ``seeds``/``thetas`` are the batch's full ordered vectors; ``start_day``
     or ``state`` selects fresh-start vs checkpoint-restart exactly as in
-    :class:`ShardTask` (``state`` covers the whole group and is sliced per
+    :class:`ShardTask` (``state`` covers the whole batch and is sliced per
     shard).
     """
 
@@ -334,26 +312,20 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupShards:
-    """One group's shard layout and its in-order results."""
+    """One spec's shard layout and its in-order results."""
 
     bounds: list[tuple[int, int]]
     results: list[ShardResult]
 
 
-def reassemble(groups: Sequence[np.ndarray],
-               shards: Sequence[GroupShards]
+def reassemble(shards: Sequence[GroupShards]
                ) -> tuple[BatchTrajectory, StackedLeapState | None]:
-    """Every group's stacked shard outputs (and restart states, if the
-    shards returned them) concatenated back into member order."""
+    """Every spec's stacked shard outputs (and restart states, if the
+    shards returned them) concatenated in order."""
     results = [r for group in shards for r in group.results]
     batch = BatchTrajectory.concatenate([r.batch for r in results])
     states = [r.state for r in results if r.state is not None]
     state = StackedLeapState.concatenate(states) if states else None
-    if len(groups) > 1:
-        # Rows arrive group by group; put them back in member order.
-        rows = np.argsort(np.concatenate(groups))
-        batch = batch.take(rows)
-        state = None if state is None else state.take(rows)
     return batch, state
 
 
@@ -366,15 +338,14 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
                     retry: RetryPolicy = FAIL_FAST,
                     on_failure: Callable[[ShardFailure], None] | None = None
                     ) -> list[GroupShards]:
-    """Shard every group, fan the shards across the executor, reassemble.
+    """Shard every spec, fan the shards across the executor, reassemble.
 
     The workhorse behind the calibrator's batched window simulation and
-    batched forecasting.  Each group is chunked by
+    batched forecasting.  Each spec is chunked by
     :func:`~repro.hpc.partition.shard_bounds` (``shard_size`` wins over
-    ``n_shards``; both ``None`` → one shard per group, the serial fast
-    path), all groups' shards are submitted as **one** ``map_each`` so
-    workers stay busy even when group sizes are uneven, and the results
-    are returned per group in member order.  ``retry`` (default
+    ``n_shards``; both ``None`` → one shard per spec, the serial fast
+    path), all specs' shards are submitted as **one** ``map_each``, and
+    the results are returned per spec in member order.  ``retry`` (default
     :data:`~repro.hpc.faults.FAIL_FAST`) and ``on_failure`` go to
     :func:`dispatch_shards`.
 
@@ -406,17 +377,16 @@ def simulate_members(executor: Executor,
 
     The front door for forecasts: fresh starts at
     ``start_day`` or restarts from the members' ``state`` rows (as in
-    :func:`build_group_specs`), stacked in input order without engine
-    state.
+    :func:`build_group_spec`, which rejects ``columns`` that vary in any
+    field but the transmission rate), stacked in input order without
+    engine state.
     """
-    groups = structural_groups(columns)
-    specs = build_group_specs(groups, columns, seeds,
-                              start_day=start_day, state=state)
-    shards = simulate_groups(executor, specs, end_day=end_day,
+    spec = build_group_spec(columns, seeds, start_day=start_day, state=state)
+    shards = simulate_groups(executor, [spec], end_day=end_day,
                              engine_options=engine_options,
                              shard_size=shard_size, n_shards=n_shards,
                              return_state=False)
-    return reassemble(groups, shards)[0]
+    return reassemble(shards)[0]
 
 
 def simulate_group_sets(executor: Executor,
@@ -434,8 +404,7 @@ def simulate_group_sets(executor: Executor,
 
     The scenario-sweep dispatch: each element of ``spec_sets`` is one
     scenario's (or world-line's) group specs, and all sets' shards are
-    flattened into **one** ``map_each`` — the flattened scenario×group
-    space of the scenario-tensor design — so workers interleave shards
+    flattened into **one** ``map_each``, so workers interleave shards
     from every scenario instead of draining them set-by-set.  Because a
     shard's RNG stream is keyed by its seed slice alone (shard ids are
     mere dispatch positions), every returned :class:`GroupShards` is

@@ -13,9 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct, JointJitter,
-                        SequentialCalibrator, SMCConfig, Uniform,
-                        UniformJitter, WindowSchedule,
+from repro.core import (Beta, Dirac, IndependentProduct,
+                        SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
@@ -44,7 +43,7 @@ def small_truth():
 
 
 def calibrator(schedule, truth, *, base_seed=17, executor=None,
-               param_map=None, prior=None, jitter=None, n_continuations=1):
+               prior=None, jitter=None, n_continuations=1):
     return SequentialCalibrator(
         base_params=truth.params,
         prior=prior or paper_first_window_prior(),
@@ -54,8 +53,7 @@ def calibrator(schedule, truth, *, base_seed=17, executor=None,
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,
                          n_continuations=n_continuations),
-        executor=executor,
-        param_map=param_map)
+        executor=executor)
 
 
 class TestConfig:
@@ -195,7 +193,7 @@ class TestBatchedRunBehaviour:
         spy = SpyExecutor()
         calibrator(schedule, small_truth, executor=spy).run(
             small_truth.observations())
-        # Two windows (first + one continuation), one structural group each.
+        # Two windows (first + one continuation), one batch each.
         assert SpyExecutor.task_counts == [1, 1]
 
     def test_burn_in_start_honoured_by_both_paths(self, small_truth):
@@ -221,106 +219,14 @@ class TestBatchedRunBehaviour:
             small_truth.observations())
         assert len(results[-1].posterior) == 60
 
-    def test_structural_param_map_splits_batches(self, small_truth):
-        """A param_map touching a structural field still calibrates."""
-        prior = IndependentProduct({
-            "theta": Uniform(0.1, 0.5),
-            "rho": Beta(4, 1),
-            "mild": Uniform(0.85, 0.97),
-        })
-        jitter = JointJitter({"theta": UniformJitter.symmetric(0.05),
-                              "rho": UniformJitter.symmetric(0.02),
-                              "mild": UniformJitter.symmetric(0.01)})
-        schedule = WindowSchedule.from_breaks([10, 20])
-        calib = SequentialCalibrator(
-            base_params=small_truth.params, prior=prior, jitter=jitter,
-            observation_model=paper_observation_model(), schedule=schedule,
-            config=SMCConfig(n_parameter_draws=8, n_replicates=2,
-                             resample_size=12, base_seed=5),
-            param_map={"theta": "transmission_rate",
-                       "mild": "mild_fraction"})
-        result = calib.run(small_truth.observations())[0]
-        assert len(result.posterior) == 12
-        # Each particle's restart row carries its own structural draw.
-        restart, post = result.posterior.restart, result.posterior
-        assert restart.params["mild_fraction"] == pytest.approx(
-            post.values("mild"))
-        assert restart.params["transmission_rate"] == pytest.approx(
-            post.values("theta"))
-
-
-def structural_calibrator(truth, *, mild=None, theta=None):
-    """Theta and the (structural) mild fraction both calibrated, so each
-    window's cloud splits into many structural groups."""
-    prior = IndependentProduct({
-        "theta": theta or Uniform(0.1, 0.5),
-        "rho": Beta(4, 1),
-        "mild": mild or Uniform(0.85, 0.97),
-    })
-    jitter = JointJitter({
-        "theta": UniformJitter.symmetric(0.05, bounds=(0.0, 1.0)),
-        "rho": UniformJitter.symmetric(0.02, bounds=(0.05, 1.0)),
-        "mild": UniformJitter.symmetric(0.01, bounds=(0.0, 1.0))})
-    return SequentialCalibrator(
-        base_params=truth.params, prior=prior, jitter=jitter,
-        observation_model=paper_observation_model(),
-        schedule=WindowSchedule.from_breaks([10, 20, 30]),
-        config=SMCConfig(n_parameter_draws=8, n_replicates=2,
-                         resample_size=12, n_continuations=2, base_seed=5),
-        param_map={"theta": "transmission_rate", "mild": "mild_fraction"})
-
-
-class TestStructuralParamMapBits:
-    """Pinned bits of a calibration whose structural ``param_map`` gives
-    many groups per window.  The digests were recorded from the
-    per-member ``DiseaseParameters`` implementation; the columnar path
-    must reproduce them exactly."""
-
-    POSTERIOR_SHA256 = ("825c0a674b05813705ae9a1047b07499"
-                        "7d637084ee0e700ea34f5cc99e776eea")
-    FORECAST_SHA256 = ("2eb0f7d31173c6e7f9e83f3927d16a98"
-                       "a981349a5dd232b2f824877a7536dc69")
-
-    def test_posterior_and_forecast_digests(self, small_truth):
-        import hashlib
-
-        from repro.inference import forecast_from_posterior
-        calib = structural_calibrator(small_truth)
-        results = calib.run(small_truth.observations())
-        pending = calib.propose_window(1, list(calib.schedule)[1],
-                                       results[0].posterior)
-        assert len(pending.groups) > 1
-        h = hashlib.sha256()
-        for r in results:
-            post = r.posterior
-            for name in ("theta", "rho", "mild"):
-                h.update(np.asarray(post.values(name),
-                                    dtype=np.float64).tobytes())
-            h.update(np.asarray(post.seeds(), dtype=np.int64).tobytes())
-            h.update(np.asarray(post.ancestors(), dtype=np.int64).tobytes())
-            h.update(post.restart.counts.tobytes())
-            for name in sorted(post.restart.params):
-                column = post.restart.params[name]
-                h.update(name.encode() + str(column.dtype).encode()
-                         + column.tobytes())
-        assert h.hexdigest() == self.POSTERIOR_SHA256
-        forecast = forecast_from_posterior(results[-1].posterior, 6,
-                                           base_seed=3, n_per_particle=2)
-        assert hashlib.sha256(
-            forecast.batch.infections.tobytes()
-            + forecast.batch.deaths.tobytes()).hexdigest() \
-            == self.FORECAST_SHA256
-
-    @pytest.mark.parametrize("field, prior_name, value", [
-        ("transmission_rate", "theta", -0.1),
-        ("mild_fraction", "mild", 1.2)])
-    def test_invalid_draw_raises_the_scalar_message(self, small_truth,
-                                                    field, prior_name,
-                                                    value):
-        calib = structural_calibrator(small_truth,
-                                      **{prior_name: Dirac(value)})
+    def test_invalid_draw_raises_the_scalar_message(self, small_truth):
+        """A theta draw outside its range fails the way a scalar
+        ``DiseaseParameters`` would."""
+        calib = calibrator(WindowSchedule.from_breaks([10, 20]), small_truth,
+                           prior=IndependentProduct({"theta": Dirac(-0.1),
+                                                     "rho": Beta(4, 1)}))
         with pytest.raises(ValueError) as scalar:
-            small_truth.params.with_updates(**{field: value})
+            small_truth.params.with_updates(transmission_rate=-0.1)
         with pytest.raises(ValueError) as columnar:
             calib.run(small_truth.observations())
         assert str(columnar.value) == str(scalar.value)

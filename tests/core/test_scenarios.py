@@ -29,8 +29,8 @@ from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   get_scenario, register_scenario,
                                   scenario_set)
 from repro.hpc import ProcessExecutor, SerialExecutor
-from repro.hpc.sharding import (build_group_specs, simulate_group_sets,
-                                simulate_groups, structural_groups)
+from repro.hpc.sharding import (build_group_spec, simulate_group_sets,
+                                simulate_groups)
 from repro.seir import CheckpointError, DiseaseParameters, parameter_columns
 from repro.testing import (assert_runs_identical, parity_calibrator,
                            parity_sweep, parity_truth, window_oracle)
@@ -217,10 +217,10 @@ class TestCalibratorScenarioValidation:
             parity_calibrator(truth, scenario=off_grid)
 
     def test_override_cannot_collide_with_param_map(self, truth):
-        # theta already drives transmission_rate via the default param_map.
+        # Every member's theta draw is its transmission_rate.
         clash = ScenarioSpec("clash", overrides=(
             ScenarioOverride("transmission_rate", 0.25, start_day=16),))
-        with pytest.raises(ValueError, match="param_map"):
+        with pytest.raises(ValueError, match="draws as theta"):
             parity_calibrator(truth, scenario=clash)
 
     def test_sweep_rejects_conflicting_duplicate_names(self, truth):
@@ -489,8 +489,7 @@ class TestSimulateGroupSets:
         columns = parameter_columns(
             params, n, {"transmission_rate": 0.2 + 0.01 * np.arange(n)})
         seeds = [base_seed + i for i in range(n)]
-        groups = structural_groups(columns)
-        return build_group_specs(groups, columns, seeds, start_day=0)
+        return [build_group_spec(columns, seeds, start_day=0)]
 
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]

@@ -20,10 +20,11 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
 from repro.data import PiecewiseConstant
 from repro.hpc import (ProcessExecutor, RetryPolicy, SerialExecutor,
                        ShardRetryError, ShardTask, dispatch_shards,
-                       structural_groups)
+                       simulate_members)
 from repro.hpc.executor import CAUSE_DROPPED
-from repro.hpc.sharding import build_group_specs
-from repro.seir import DiseaseParameters, parameter_columns
+from repro.hpc.sharding import build_group_spec
+from repro.seir import (N_COMPARTMENTS, Compartment, DiseaseParameters,
+                        StackedLeapState, parameter_columns)
 from repro.sim import make_ground_truth
 
 
@@ -163,7 +164,7 @@ class TestShardLayoutPolicy:
     def test_auto_policy_one_shard_per_worker(self, small_truth):
         spy = WideSerialExecutor(workers=3)
         run_calibration(small_truth, executor=spy, breaks=(10, 20))
-        # One window, one structural group, three workers -> three shards.
+        # One window, one batch, three workers -> three shards.
         assert spy.task_counts == [3]
 
     def test_explicit_n_shards_overrides_workers(self, small_truth):
@@ -335,62 +336,52 @@ class TestDispatchRobustness:
 
 
 class TestStructuralGroups:
-    """Grouping over parameter columns, one DiseaseParameters per group."""
+    """One GroupSpec per batch: the structural (non-theta) fields shared,
+    theta carried per member."""
 
     BASE = DiseaseParameters(population=20_000, initial_exposed=40)
-
-    @staticmethod
-    def object_groups(columns):
-        """The grouping by structural identity, spelled out per member."""
-        from repro.seir.tauleap import transition_table_key
-        n = len(columns["transmission_rate"])
-        groups = {}
-        for i in range(n):
-            params = DiseaseParameters(
-                **{name: column[i].item() for name, column in columns.items()})
-            key = (params.population, params.initial_exposed,
-                   transition_table_key(params))
-            groups.setdefault(key, []).append(i)
-        return list(groups.values())
 
     def test_theta_only_columns_are_one_group(self):
         columns = parameter_columns(
             self.BASE, 6, {"transmission_rate": np.linspace(0.1, 0.6, 6)})
-        [group] = structural_groups(columns)
-        assert group.tolist() == list(range(6))
-
-    def test_first_occurrence_order(self):
-        columns = parameter_columns(self.BASE, 5, {
-            "transmission_rate": np.full(5, 0.3),
-            "mild_fraction": [0.9, 0.8, 0.9, 0.7, 0.8]})
-        groups = structural_groups(columns)
-        assert [g.tolist() for g in groups] == [[0, 2], [1, 4], [3]]
-
-    def test_empty(self):
-        assert structural_groups(parameter_columns(self.BASE, 0)) == []
-
-    def test_matches_per_member_grouping(self):
-        rng = np.random.default_rng(3)
-        n = 60
-        columns = parameter_columns(self.BASE, n, {
-            "transmission_rate": rng.uniform(0.1, 0.5, n),
-            "mild_fraction": rng.choice([0.8, 0.9, 0.95], n),
-            "detected_rel_infectiousness": rng.choice([0.1, 0.2], n)})
-        columns["population"] = rng.choice([20_000, 30_000], n)
-        groups = structural_groups(columns)
-        assert [g.tolist() for g in groups] == self.object_groups(columns)
-        assert len(groups) > 1
+        spec = build_group_spec(columns, np.arange(6), start_day=0)
+        assert spec.seeds.tolist() == list(range(6))
+        assert spec.thetas.tolist() == pytest.approx(
+            np.linspace(0.1, 0.6, 6).tolist())
 
     def test_specs_take_params_and_thetas_from_columns(self):
         thetas = np.array([0.2, 0.25, 0.3, 0.35])
         columns = parameter_columns(self.BASE, 4, {
-            "transmission_rate": thetas,
-            "mild_fraction": [0.9, 0.8, 0.9, 0.8]})
-        groups = structural_groups(columns)
-        specs = build_group_specs(groups, columns, [11, 12, 13, 14],
-                                  start_day=0)
-        assert [s.seeds.tolist() for s in specs] == [[11, 13], [12, 14]]
-        assert [s.thetas.tolist() for s in specs] == [[0.2, 0.3],
-                                                      [0.25, 0.35]]
-        assert [s.params.mild_fraction for s in specs] == [0.9, 0.8]
-        assert specs[0].params.population == 20_000
+            "transmission_rate": thetas, "mild_fraction": np.full(4, 0.8)})
+        spec = build_group_spec(columns, [11, 12, 13, 14], start_day=0)
+        assert spec.seeds.tolist() == [11, 12, 13, 14]
+        assert spec.thetas.tolist() == thetas.tolist()
+        assert spec.params.mild_fraction == 0.8
+        assert spec.params.transmission_rate == 0.2
+        assert spec.params.population == 20_000
+
+    def test_restart_rows_must_share_structural_columns(self):
+        """Restart columns from outside (a restored store, a caller's
+        posterior) that vary in a field other than the transmission rate
+        are refused, not run under the first row's value."""
+        def state(mild):
+            counts = np.zeros((3, N_COMPARTMENTS), dtype=np.int64)
+            counts[:, Compartment.S] = self.BASE.population - 40
+            counts[:, Compartment.E] = 40
+            return StackedLeapState(
+                day=10, steps_per_day=4, counts=counts,
+                cum_infections=np.zeros(3, dtype=np.int64),
+                cum_deaths=np.zeros(3, dtype=np.int64),
+                seeds=np.arange(3, dtype=np.int64),
+                params=parameter_columns(self.BASE, 3, {
+                    "transmission_rate": [0.2, 0.3, 0.4],
+                    "mild_fraction": mild}))
+
+        shared = state([0.9, 0.9, 0.9])
+        batch = simulate_members(SerialExecutor(), shared.params, [7, 8, 9],
+                                 end_day=12, state=shared)
+        assert batch.n_particles == 3
+        varying = state([0.9, 0.9, 0.8])
+        with pytest.raises(ValueError, match="'mild_fraction'"):
+            simulate_members(SerialExecutor(), varying.params, [7, 8, 9],
+                             end_day=12, state=varying)

@@ -54,26 +54,13 @@ class TestCalibratorValidation:
                                  paper_window_jitter(),
                                  paper_observation_model(), schedule)
 
-    def test_rho_cannot_be_mapped_to_simulator(self, small_truth):
+    def test_prior_must_include_theta(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20])
-        with pytest.raises(ValueError, match="bias parameter"):
-            calibrator(schedule, small_truth,
-                       param_map={"theta": "transmission_rate",
-                                  "rho": "mild_fraction"})
-
-    def test_param_map_restricted_to_restart_knobs(self, small_truth):
-        """The paper only allows six fields to change at a restart."""
-        schedule = WindowSchedule.from_breaks([10, 20])
-        prior = IndependentProduct({"theta": Uniform(0.1, 0.5),
-                                    "rho": Beta(4, 1),
-                                    "latent": Uniform(2, 4)})
-        jitter = JointJitter({n: UniformJitter.symmetric(0.02)
-                              for n in ("theta", "rho", "latent")})
-        with pytest.raises(ValueError, match="not checkpoint-restartable"):
-            SequentialCalibrator(small_truth.params, prior, jitter,
-                                 paper_observation_model(), schedule,
-                                 param_map={"theta": "transmission_rate",
-                                            "latent": "latent_period_days"})
+        prior = IndependentProduct({"rho": Beta(4, 1)})
+        with pytest.raises(ValueError, match="'theta'"):
+            SequentialCalibrator(small_truth.params, prior,
+                                 paper_window_jitter(),
+                                 paper_observation_model(), schedule)
 
     def test_jitter_required_for_multi_window(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])
