@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_util import once
-from repro.core import (BinomialBiasModel, marginal_histogram,
-                        paper_first_window_prior, trajectory_ribbon)
+from repro.core import (marginal_histogram, paper_first_window_prior,
+                        trajectory_ribbon)
 from repro.inference import CalibrationConfig, calibrate
 from repro.seir import Trajectory, chicago_defaults
 from repro.viz import write_json, write_ribbon_csv
@@ -32,11 +32,10 @@ from repro.viz import write_json, write_ribbon_csv
 def observed_scale_trajectories(posterior, window):
     """Per-particle simulated *observed* cases: mean-thin true cases by the
     particle's own rho (the series the paper plots against the black dots)."""
-    bias = BinomialBiasModel("mean")
     out = []
     for p in posterior:
         seg = p.segment.window(*window)
-        thinned = bias.apply(seg.infections, p.params["rho"])
+        thinned = p.params["rho"] * seg.infections
         zero = np.zeros_like(thinned)
         out.append(Trajectory(seg.start_day, thinned, zero, zero, zero))
     return out

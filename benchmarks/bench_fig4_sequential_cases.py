@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_util import once
-from repro.core import (BinomialBiasModel, hpd_region_mass,
-                        joint_density_grid, trajectory_ribbon)
+from repro.core import hpd_region_mass, joint_density_grid, trajectory_ribbon
 from repro.inference import CalibrationConfig, calibrate
 from repro.seir import Trajectory
 from repro.viz import write_density_csv, write_json, write_ribbon_csv
@@ -49,11 +48,10 @@ def sequential_config(scale, base_seed=202):
 
 def reported_scale_histories(posterior):
     """Mean-thin each particle's full history by its own rho."""
-    bias = BinomialBiasModel("mean")
     out = []
     for p in posterior:
         hist = p.history
-        thinned = bias.apply(hist.infections, p.params["rho"])
+        thinned = p.params["rho"] * hist.infections
         zero = np.zeros_like(thinned)
         out.append(Trajectory(hist.start_day, thinned, zero, zero, zero))
     return out
@@ -67,13 +65,12 @@ def windowed_reported_ribbons(result):
     reported counts (window segment thinned by the window's own rho
     estimates), so the time-varying reporting probability is honoured.
     """
-    bias = BinomialBiasModel("mean")
     ribbons = []
     for wr in result.windows:
         members = []
         for p in wr.posterior:
             seg = p.segment
-            thinned = bias.apply(seg.infections, p.params["rho"])
+            thinned = p.params["rho"] * seg.infections
             zero = np.zeros_like(thinned)
             members.append(Trajectory(seg.start_day, thinned, zero, zero,
                                       zero))

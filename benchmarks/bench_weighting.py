@@ -5,10 +5,11 @@ rho) against a two-stream observation window through both implementations of
 the weighting step:
 
 * **scalar** — the per-particle reference loop
-  (``ObservationModel.loglik`` per particle), and
-* **batched** — the vectorized subsystem
+  (``repro.testing.loglik_reference``), and
+* **batched** — the production weighting path
   (``ParticleEnsemble.segment_matrix`` + ``BinomialBiasModel.apply_batch`` +
-  ``Likelihood.loglik_batch`` via ``ObservationModel.loglik_ensemble``),
+  ``GaussianTransformLikelihood.loglik_batch`` via
+  ``ObservationModel.loglik_ensemble``),
 
 in both bias modes, and emits a ``BENCH_weighting.json`` baseline with
 per-path timings, particle throughput, and the batched/scalar speedup.  No
@@ -31,6 +32,7 @@ from _bench_util import time_best, write_payload
 from repro.core import Particle, ParticleEnsemble, paper_observation_model
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.seir import SeedSequenceBank, Trajectory
+from repro.testing import loglik_reference
 
 START_DAY = 20
 DEFAULT_PARTICLES = 5_000
@@ -91,9 +93,7 @@ def run_weighting_bench(n_particles: int = DEFAULT_PARTICLES,
 
         def scalar():
             r = bank.ancillary_generator(1, window_index=0)
-            return np.array([om.loglik(observations, p.segment,
-                                       p.params["rho"], r)
-                             for p in particles])
+            return loglik_reference(om, observations, particles, r)
 
         def batched():
             r = bank.ancillary_generator(1, window_index=0)

@@ -35,7 +35,7 @@ Subpackages
     High-level ``calibrate()`` / forecasting API.
 ``repro.testing``
     Test oracles: the scalar binomial-leap and exact-SSA engines, the
-    restart and parity oracles.  No production module imports it.
+    per-particle weighting reference, the restart and parity oracles.  No production module imports it.
 ``repro.viz``
     ASCII charts and CSV export of every figure's data.
 """

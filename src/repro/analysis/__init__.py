@@ -38,9 +38,8 @@ Rule families
 
 The rules are implemented on :mod:`ast` alone (no third-party
 dependencies), so the analyses run anywhere the code itself runs.  Both
-CLIs share ``--format sarif`` (GitHub-annotation upload), ``--cache-dir``
-(content-hash result caching, :mod:`repro.analysis.cache`), and the
-scoped ``# repro-allow: RULE reason`` waiver syntax.
+CLIs share ``--format sarif`` (GitHub-annotation upload) and the scoped
+``# repro-allow: RULE reason`` waiver syntax.
 """
 
 from typing import Any

@@ -5,10 +5,6 @@ dispatch-site discovery, provenance and purity checks — and renders the
 result as text, JSON, or SARIF.  Exit status mirrors ``repro lint``: 0
 when no violation survives ``--select``, 1 on findings, 2 on usage errors
 (unknown rule selectors, unreadable paths).
-
-Because the analysis is whole-program, caching is whole-program too: one
-entry keyed on the sorted ``(path, sha256)`` set plus the analyzer's own
-fingerprint.  Any changed file — or any change to the analyzers — misses.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..cache import AnalysisCache, file_sha256, ruleset_fingerprint
 from ..lint import iter_source_files, validate_select
 from ..rules import (RULES, Violation, apply_allow_directives,
                      parse_allow_directives)
@@ -70,8 +65,7 @@ def _analyse(sources: dict[str, str], roots: Sequence[str]
     return kept, [c.to_jsonable() for c in certificates]
 
 
-def run_flow(paths: Sequence[str], select: Sequence[str] | None = None,
-             cache_dir: str | None = None
+def run_flow(paths: Sequence[str], select: Sequence[str] | None = None
              ) -> tuple[list[Violation], list[dict]]:
     """Run the interprocedural pass; returns (violations, certificates).
 
@@ -80,29 +74,9 @@ def run_flow(paths: Sequence[str], select: Sequence[str] | None = None,
     """
     if select:
         validate_select(select)
-    files = iter_source_files(paths)
-    sources: dict[str, str] = {}
-    shas: list[str] = []
-    for path in files:
-        data = path.read_bytes()
-        sources[str(path)] = data.decode("utf-8")
-        shas.append(f"{path}\0{file_sha256(data)}")
-
-    cache = AnalysisCache(cache_dir) if cache_dir else None
-    violations: list[Violation] | None = None
-    certificates: list[dict] = []
-    if cache is not None:
-        key = "\n".join(sorted(shas)) + "\n" + ruleset_fingerprint()
-        hit = cache.get("flow", key)
-        if hit is not None:
-            violations = [Violation(**v) for v in hit["violations"]]
-            certificates = hit["certificates"]
-    if violations is None:
-        violations, certificates = _analyse(sources, list(paths))
-        if cache is not None:
-            cache.put("flow", key, {
-                "violations": [v.__dict__ for v in violations],
-                "certificates": certificates})
+    sources = {str(path): path.read_bytes().decode("utf-8")
+               for path in iter_source_files(paths)}
+    violations, certificates = _analyse(sources, list(paths))
 
     if select:
         prefixes = tuple(select)
@@ -131,8 +105,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--certificates", metavar="FILE", default=None,
                         help="write per-dispatch-site purity certificates "
                              "(JSON) to FILE")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-hash result cache directory")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the flow rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -144,8 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        violations, certificates = run_flow(
-            args.paths, select=args.select, cache_dir=args.cache_dir)
+        violations, certificates = run_flow(args.paths, select=args.select)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,6 @@ Two passes over every ``*.py`` file under the given paths:
 Exit status is 0 when no violation survives ``--select``, 1 otherwise,
 and 2 on usage errors (an unknown ``--select`` prefix, an unreadable
 path) — the CI ``lint`` job depends on exactly this contract.
-
-With ``--cache-dir`` both passes are served from a content-hash cache
-(:mod:`repro.analysis.cache`): pass 1 entries key on each file's sha256,
-pass 2 entries additionally key on the cross-file registered-constant
-environment, so a hit is only possible when nothing that could change the
-verdict changed.
 """
 
 from __future__ import annotations
@@ -29,8 +23,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cache import AnalysisCache, file_sha256, ruleset_fingerprint
-from .registry import Registration, StaticRegistry, collect_registrations
+from .registry import collect_registrations
 from .rules import (RULES, FileContext, Violation, apply_allow_directives,
                     check_file, parse_allow_directives, registry_violations)
 
@@ -102,92 +95,42 @@ def validate_select(select: Sequence[str]) -> None:
 
 
 def run_lint(paths: Sequence[str],
-             select: Sequence[str] | None = None,
-             cache_dir: str | None = None) -> list[Violation]:
+             select: Sequence[str] | None = None) -> list[Violation]:
     """Lint ``paths`` and return violations sorted by location.
 
     ``select`` keeps only rules whose id starts with one of the given
     prefixes (``["REPRO1"]`` keeps the whole RNG-confinement family);
-    unknown prefixes raise :class:`ValueError`.  With ``cache_dir``,
-    unchanged files are served from the content-hash cache without being
-    re-parsed.
+    unknown prefixes raise :class:`ValueError`.
     """
     if select:
         validate_select(select)
-    files = iter_source_files(paths)
-    cache = AnalysisCache(cache_dir) if cache_dir else None
-    fingerprint = ruleset_fingerprint() if cache is not None else ""
-
-    raw: dict[str, bytes] = {str(p): p.read_bytes() for p in files}
-    shas = {p: file_sha256(b) for p, b in raw.items()}
-    trees: dict[str, ast.Module] = {}
     sources: dict[str, str] = {}
-    errors: dict[str, Violation] = {}
-
-    def parsed(path_str: str) -> ast.Module | None:
-        if path_str in trees:
-            return trees[path_str]
-        if path_str in errors:
-            return None
-        source = raw[path_str].decode("utf-8")
-        sources[path_str] = source
+    trees: dict[str, ast.Module] = {}
+    violations: list[Violation] = []
+    for path in iter_source_files(paths):
+        path_str = str(path)
+        source = path.read_bytes().decode("utf-8")
         try:
             trees[path_str] = ast.parse(source, filename=path_str)
         except SyntaxError as exc:
-            errors[path_str] = Violation(
+            violations.append(Violation(
                 path=path_str, line=exc.lineno or 0, col=exc.offset or 0,
-                rule="REPRO000", message=f"syntax error: {exc.msg}")
-            return None
-        return trees[path_str]
-
-    # Pass 1: registrations (and parse errors), per-file cacheable.
-    registry = StaticRegistry()
-    for path_str in raw:
-        key = f"{path_str}\0{shas[path_str]}\0{fingerprint}"
-        entry = cache.get("lint-file", key) if cache is not None else None
-        if entry is None:
-            tree = parsed(path_str)
-            regs = [] if tree is None else \
-                collect_registrations({path_str: tree}).registrations
-            entry = {
-                "registrations": [r.__dict__ for r in regs],
-                "error": errors[path_str].__dict__
-                if path_str in errors else None,
-            }
-            if cache is not None:
-                cache.put("lint-file", key, entry)
-        if entry["error"] is not None:
-            errors[path_str] = Violation(**entry["error"])
-        registry.registrations.extend(
-            Registration(**r) for r in entry["registrations"])
-
-    registered = registry.constants
-    env = file_sha256("\n".join(sorted(registered)).encode())
-
-    violations: list[Violation] = list(errors.values())
-
-    # Pass 2: per-file rules + waivers, keyed additionally on the
-    # cross-file registration environment.
-    for path_str in raw:
-        if path_str in errors:
+                rule="REPRO000", message=f"syntax error: {exc.msg}"))
             continue
-        key = f"{path_str}\0{shas[path_str]}\0{env}\0{fingerprint}"
-        entry = cache.get("lint-check", key) if cache is not None else None
-        if entry is None:
-            tree = parsed(path_str)
-            if tree is None:  # unreachable: pass 1 already parsed it
-                continue
-            context = classify_path(Path(path_str))
-            found = check_file(tree, context, registered)
-            directives, problems = parse_allow_directives(
-                path_str, sources[path_str])
-            kept = apply_allow_directives(found, directives,
-                                          families=_LINT_FAMILIES)
-            kept.extend(problems)
-            entry = {"violations": [v.__dict__ for v in kept]}
-            if cache is not None:
-                cache.put("lint-check", key, entry)
-        violations.extend(Violation(**v) for v in entry["violations"])
+        sources[path_str] = source
+
+    # Pass 1: registrations across every file.
+    registry = collect_registrations(trees)
+    registered = registry.constants
+
+    # Pass 2: per-file rules + waivers against the cross-file registry.
+    for path_str, tree in trees.items():
+        found = check_file(tree, classify_path(Path(path_str)), registered)
+        directives, problems = parse_allow_directives(path_str,
+                                                      sources[path_str])
+        violations.extend(apply_allow_directives(found, directives,
+                                                 families=_LINT_FAMILIES))
+        violations.extend(problems)
 
     violations.extend(registry_violations(registry))
 
@@ -215,8 +158,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="output format (default: text)")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-hash result cache directory")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -227,8 +168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        violations = run_lint(args.paths, select=args.select,
-                              cache_dir=args.cache_dir)
+        violations = run_lint(args.paths, select=args.select)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,7 @@ from .diagnostics import WindowDiagnostics, assess, compute_diagnostics
 from .ensemble_control import (SIZE_POLICY_NAMES, EnsembleSizePolicy,
                                ESSTargetPolicy, FixedSize, make_size_policy,
                                resolve_size_policy)
-from .likelihood import (GaussianTransformLikelihood, Likelihood,
-                         NegativeBinomialLikelihood, PoissonLikelihood,
-                         paper_likelihood)
+from .likelihood import GaussianTransformLikelihood, paper_likelihood
 from .observation import ObservationModel, SourceModel, paper_observation_model
 from .particle import Particle, ParticleEnsemble
 from .posterior import (TrajectoryRibbon, hpd_region_mass, joint_density_grid,
@@ -25,8 +23,6 @@ from .scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                         get_scenario, register_scenario, scenario_set)
 from .smc import (BIAS_PARAM, PendingWindow, SequentialCalibrator,
                   SMCConfig, WindowResult)
-from .transforms import (ANSCOMBE, IDENTITY, LOG1P, SQRT, TRANSFORMS,
-                         Transform)
 from .validation import (crps, interval_coverage, posterior_rank,
                          sbc_ranks_uniformity)
 from .weights import (effective_sample_size, ess_fraction, logsumexp,
@@ -48,12 +44,10 @@ __all__ = [
     "Dirac", "IndependentProduct", "paper_first_window_prior",
     "JitterKernel", "UniformJitter", "JointJitter",
     "paper_window_jitter",
-    "Likelihood", "GaussianTransformLikelihood", "PoissonLikelihood",
-    "NegativeBinomialLikelihood", "paper_likelihood",
+    "GaussianTransformLikelihood", "paper_likelihood",
     "BinomialBiasModel",
     "ObservationModel", "SourceModel", "paper_observation_model",
     "TimeWindow", "WindowSchedule",
-    "Transform", "SQRT", "LOG1P", "IDENTITY", "ANSCOMBE", "TRANSFORMS",
     "RESAMPLERS", "get_resampler", "multinomial_resample",
     "systematic_resample", "stratified_resample", "residual_resample",
     "logsumexp", "normalize_log_weights", "effective_sample_size",

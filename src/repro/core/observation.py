@@ -1,13 +1,16 @@
 """Observation model: bias + likelihood per data source.
 
-This is the glue between a simulated :class:`~repro.seir.outputs.Trajectory`
-and the observed data streams.  Each :class:`SourceModel` declares which
-simulator channel it reads, whether the binomial reporting bias applies (the
-paper biases cases but not deaths), and which likelihood scores it.  The
-:class:`ObservationModel` sums the per-source log-likelihoods for the sources
-actually present in an observation window — calibrating to cases alone
-(Fig 3/4) or to cases and deaths (Fig 5) is purely a matter of which streams
-the :class:`~repro.data.sources.ObservationSet` carries.
+This is the glue between a window's simulated ensemble and the observed
+data streams.  Each :class:`SourceModel` declares which simulator channel
+it reads, whether the binomial reporting bias applies (the paper biases
+cases but not deaths), and the noise scale of its Gaussian-on-sqrt-counts
+likelihood.  :meth:`ObservationModel.loglik_ensemble` sums the per-source
+log-likelihoods for the sources actually present in an observation window
+— calibrating to cases alone (Fig 3/4) or to cases and deaths (Fig 5) is
+purely a matter of which streams the
+:class:`~repro.data.sources.ObservationSet` carries.  It is the only
+weighting code a calibration runs; :mod:`repro.testing.weighting` holds the
+per-particle reference it is checked against.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import numpy as np
 
 from ..data.series import TimeSeries
 from ..data.sources import CASES, DEATHS, ObservationSet
-from ..seir.outputs import Trajectory
 from .bias import BinomialBiasModel
-from .likelihood import Likelihood, paper_likelihood
+from .likelihood import GaussianTransformLikelihood, paper_likelihood
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .particle import ParticleEnsemble
@@ -33,7 +35,7 @@ class SourceModel:
 
     def __init__(self, name: str, channel: str, *,
                  biased: bool = True,
-                 likelihood: Likelihood | None = None,
+                 likelihood: GaussianTransformLikelihood | None = None,
                  bias: BinomialBiasModel | None = None) -> None:
         self.name = name
         self.channel = channel
@@ -41,32 +43,14 @@ class SourceModel:
         self.likelihood = likelihood if likelihood is not None else paper_likelihood()
         self.bias = bias if bias is not None else BinomialBiasModel("sample")
 
-    def simulated_observed(self, trajectory: Trajectory, rho: float,
-                           rng: np.random.Generator | None) -> TimeSeries:
-        """The particle's simulated *observed* series for this stream.
-
-        Applies the binomial bias with the particle's rho when the stream is
-        biased; otherwise returns the raw channel (the paper's death stream).
-        """
-        raw = trajectory.series(self.channel)
-        if not self.biased:
-            return raw
-        return self.bias.apply_series(raw, rho, rng)
-
-    def loglik(self, observed: TimeSeries, trajectory: Trajectory, rho: float,
-               rng: np.random.Generator | None) -> float:
-        """Log-likelihood of the observed window under this particle."""
-        simulated = self.simulated_observed(trajectory, rho, rng)
-        sim_window = simulated.window(observed.start_day, observed.end_day)
-        return self.likelihood.loglik_series(observed, sim_window)
-
     def simulated_observed_batch(self, segments: np.ndarray, rho: np.ndarray,
                                  rng: np.random.Generator | None) -> np.ndarray:
-        """Ensemble counterpart of :meth:`simulated_observed`.
+        """The ensemble's simulated *observed* counts for this stream.
 
         ``segments`` is the ``(n_particles, n_days)`` raw channel matrix and
-        ``rho`` the per-particle reporting probabilities; unbiased streams
-        pass through untouched and consume no randomness.
+        ``rho`` the per-particle reporting probabilities.  A biased stream
+        is thinned with each particle's rho; an unbiased one (the paper's
+        death stream) passes through untouched and consumes no randomness.
         """
         matrix = np.asarray(segments, dtype=np.float64)
         if not self.biased:
@@ -120,30 +104,18 @@ class ObservationModel:
                 f"{name!r}; configured: {sorted(self._sources)}")
         return self._sources[name]
 
-    def loglik(self, observations: ObservationSet, trajectory: Trajectory,
-               rho: float, rng: np.random.Generator | None) -> float:
-        """Sum of per-source log-likelihoods over the streams present.
-
-        Streams in ``observations`` without a configured source model are an
-        error (silently ignoring data would corrupt the posterior); sources
-        configured but absent from the data are simply unused.
-        """
-        total = 0.0
-        for obs_source in observations:
-            model = self._require_source(obs_source.name)
-            total += model.loglik(obs_source.series, trajectory, rho, rng)
-        return total
-
     def loglik_ensemble(self, observations: ObservationSet,
                         ensemble: "ParticleEnsemble", rho: np.ndarray,
                         rng: np.random.Generator | None) -> np.ndarray:
-        """Batched :meth:`loglik` over a whole particle ensemble.
+        """Log-likelihood of every particle over the streams present.
 
         Returns the ``(n_particles,)`` vector of summed per-source
         log-likelihoods.  Sources are evaluated in observation-set order and
         each biased source thins the whole ensemble with one batched binomial
-        call (source-major draw order; see :mod:`repro.core.bias`).  Stream
-        configuration errors follow the scalar path's rules.
+        call (source-major draw order; see :mod:`repro.core.bias`).  A
+        stream in ``observations`` without a configured source model is an
+        error (silently ignoring data would corrupt the posterior); sources
+        configured but absent from the data are simply unused.
         """
         rho_arr = np.asarray(rho, dtype=np.float64)
         if rho_arr.shape != (len(ensemble),):
@@ -159,6 +131,18 @@ class ObservationModel:
             total += model.loglik_batch(obs_source.series, segments, rho_arr,
                                         rng)
         return total
+
+    def fingerprint_payload(self) -> dict[str, dict[str, object]]:
+        """JSON-stable identity of everything here that moves the weights:
+        per source its channel and sigma, plus the bias mode when biased."""
+        payload: dict[str, dict[str, object]] = {}
+        for name, model in self._sources.items():
+            entry: dict[str, object] = {"channel": model.channel,
+                                        "sigma": model.likelihood.sigma}
+            if model.biased:
+                entry["bias"] = model.bias.mode
+            payload[name] = entry
+        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ObservationModel(sources={sorted(self._sources)})"

@@ -88,7 +88,7 @@ from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
                           compute_diagnostics)
 from .ensemble_control import (EnsembleSizePolicy, FixedSize,
                                resolve_size_policy)
-from .observation import ObservationModel
+from .observation import ObservationModel, paper_observation_model
 from .particle import ParticleEnsemble
 from .priors import IndependentProduct
 from .proposals import JointJitter
@@ -504,7 +504,10 @@ class SequentialCalibrator:
         ``"format_version"`` is the store layout: 2 is one columnar
         ``checkpoints.npz`` per window, so a store written in the older
         per-particle layout (1) is refused instead of silently restarting
-        from window 0.
+        from window 0.  ``"scenario"`` and ``"observation"`` appear only
+        when the scenario or the observation model (a sigma or bias mode
+        other than the paper's) changes the bits, so stores written before
+        either key existed still resume under the defaults.
         """
         cfg = self.config
 
@@ -541,6 +544,9 @@ class SequentialCalibrator:
         # way — the key appears only when the scenario changes the bits.
         if self.scenario is not None and not self.scenario.is_baseline:
             fingerprint["scenario"] = self.scenario.fingerprint_payload()
+        observation = self.observation_model.fingerprint_payload()
+        if observation != paper_observation_model().fingerprint_payload():
+            fingerprint["observation"] = observation
         return fingerprint
 
     def persist_window(self, store: CheckpointStore,

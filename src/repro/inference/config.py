@@ -26,10 +26,12 @@ from ..seir.parameters import DiseaseParameters
 __all__ = ["CalibrationConfig", "paper_calibration_config"]
 
 
-#: RetryPolicy field -> the CalibrationConfig field that sets it.
-_RETRY_FIELDS = {"max_attempts": "retry_attempts",
-                 "timeout_seconds": "retry_timeout",
-                 "backoff_seconds": "retry_backoff"}
+#: RetryPolicy / observation-model field -> the CalibrationConfig field
+#: that sets it.
+_FIELD_NAMES = {"max_attempts": "retry_attempts",
+                "timeout_seconds": "retry_timeout",
+                "backoff_seconds": "retry_backoff",
+                "mode": "bias_mode"}
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class CalibrationConfig:
     checkpoint_keep_last: int | None = None
 
     def __post_init__(self) -> None:
-        # The executor and the retry policy are built only when the run
-        # starts; check both up front.
+        # The executor, the retry policy and the observation model are
+        # built only when the run starts; check all three up front.
         if self.executor not in EXECUTOR_SPECS:
             raise ValueError(f"executor must be one of "
                              f"{list(EXECUTOR_SPECS)}, got {self.executor!r}")
@@ -117,10 +119,11 @@ class CalibrationConfig:
             raise ValueError("max_workers must be >= 1")
         try:
             self.retry_policy()
+            self.observation_model()
         except ValueError as exc:
-            # Name the config field, not the RetryPolicy one.
+            # Name the config field, not the RetryPolicy or bias-model one.
             name, _, rule = str(exc).partition(" ")
-            raise ValueError(f"{_RETRY_FIELDS.get(name, name)} {rule}") \
+            raise ValueError(f"{_FIELD_NAMES.get(name, name)} {rule}") \
                 from None
 
     # ------------------------------------------------------------------ #

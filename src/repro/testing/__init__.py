@@ -1,6 +1,6 @@
 """Reusable test scaffolding: bitwise parity oracles, the scalar
 binomial-leap reference engine and its restart oracle, the exact-SSA
-engine, and fixtures.  No production module imports this package.
+engine, the per-particle weighting reference, and fixtures.  No production module imports this package.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'
@@ -16,6 +16,7 @@ from .parity import (assert_ensembles_identical, assert_runs_identical,
                      assert_window_results_identical, parity_calibrator,
                      parity_config, parity_sweep, parity_truth,
                      statistical_diagnostics)
+from .weighting import loglik_reference
 
 __all__ = [
     "assert_trajectories_identical",
@@ -32,4 +33,5 @@ __all__ = [
     "GillespieEngine",
     "BinomialLeapEngine",
     "TrajectoryBuilder",
+    "loglik_reference",
 ]

@@ -1,4 +1,4 @@
-"""The flow pass tested: cross-file bug shapes, certificates, cache, CLI.
+"""The flow pass tested: cross-file bug shapes, certificates, CLI.
 
 The central claim — asserted, not narrated — is that the interprocedural
 pass catches the PR 1 rogue-stream bug *across file boundaries* where the
@@ -200,83 +200,6 @@ class TestWaivers:
         violations, _ = run_flow([str(tmp_path)])
         assert [v.rule for v in violations] == ["REPRO203"]
         assert "unused" in violations[0].message
-
-
-class TestCache:
-    def test_flow_cache_round_trip(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold_v, cold_c = run_flow([str(BAD / "purity")],
-                                  cache_dir=str(cache_dir))
-        assert any(cache_dir.rglob("*.json"))
-        warm_v, warm_c = run_flow([str(BAD / "purity")],
-                                  cache_dir=str(cache_dir))
-        assert [v.__dict__ for v in warm_v] == [v.__dict__ for v in cold_v]
-        assert warm_c == cold_c
-
-    def test_flow_cache_select_applies_after_the_cache(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run_flow([str(BAD / "purity")], cache_dir=str(cache_dir))
-        only_511, _ = run_flow([str(BAD / "purity")],
-                               cache_dir=str(cache_dir),
-                               select=["REPRO511"])
-        assert [v.rule for v in only_511] == ["REPRO511"]
-
-    def test_flow_cache_misses_on_content_change(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        mod = tree / "mod.py"
-        mod.write_text("X = 1\n")
-        cache_dir = tmp_path / "cache"
-        v0, _ = run_flow([str(tree)], cache_dir=str(cache_dir))
-        assert v0 == []
-        mod.write_text(
-            "from repro.seir.seeding import SeedSequenceBank\n"
-            "_RNG = SeedSequenceBank(base_seed=3).ancillary_generator()\n")
-        v1, _ = run_flow([str(tree)], cache_dir=str(cache_dir))
-        assert [v.rule for v in v1] == ["REPRO501"]
-
-    def test_lint_cache_round_trip(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        fixtures = str(Path(__file__).parent / "fixtures" / "bad")
-        cold = run_lint([fixtures], cache_dir=str(cache_dir))
-        warm = run_lint([fixtures], cache_dir=str(cache_dir))
-        assert cold  # the bug fixtures do violate
-        assert [v.__dict__ for v in warm] == [v.__dict__ for v in cold]
-
-    def test_lint_cache_sees_cross_file_registrations(self, tmp_path):
-        """A new registration in one file must invalidate another file's
-        cached verdict — the environment is part of the key."""
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        user = tree / "user.py"
-        user.write_text(
-            "from repro.seir.seeding import mix_seed\n"
-            "from regs import _SHARED_STREAM\n"
-            "\n"
-            "\n"
-            "def derive(base):\n"
-            "    return mix_seed(base, _SHARED_STREAM)\n")
-        regs = tree / "regs.py"
-        regs.write_text("_SHARED_STREAM = 9\n")  # unregistered: REPRO103
-        cache_dir = tmp_path / "cache"
-        before = run_lint([str(tree)], cache_dir=str(cache_dir))
-        assert {v.rule for v in before} == {"REPRO102", "REPRO103"}
-        regs.write_text(
-            "from repro.seir.seeding import register_stream_tag\n"
-            "_SHARED_STREAM = register_stream_tag('shared', 9)\n")
-        after = run_lint([str(tree)], cache_dir=str(cache_dir))
-        assert after == [], [v.render() for v in after]
-
-    def test_corrupt_cache_entry_degrades_to_a_miss(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold_v, _ = run_flow([str(GOOD / "purity")],
-                             cache_dir=str(cache_dir))
-        for entry in cache_dir.rglob("*.json"):
-            entry.write_text("{ not json")
-        again_v, _ = run_flow([str(GOOD / "purity")],
-                              cache_dir=str(cache_dir))
-        assert [v.__dict__ for v in again_v] == \
-            [v.__dict__ for v in cold_v]
 
 
 class TestCli:

@@ -61,6 +61,29 @@ class TestRuleFamilies:
         assert "41" in v.message and "alpha" in v.message \
             and "beta" in v.message
 
+    def test_registration_in_another_file_clears_repro102_103(self,
+                                                               tmp_path):
+        """A stream tag registered in one file legitimises its constant
+        where another file uses it: the registry is collected across every
+        file before any file is checked."""
+        user = tmp_path / "user.py"
+        user.write_text(
+            "from repro.seir.seeding import mix_seed\n"
+            "from regs import _SHARED_STREAM\n"
+            "\n"
+            "\n"
+            "def derive(base):\n"
+            "    return mix_seed(base, _SHARED_STREAM)\n")
+        regs = tmp_path / "regs.py"
+        regs.write_text("_SHARED_STREAM = 9\n")  # unregistered: REPRO103
+        before = run_lint([str(tmp_path)])
+        assert {v.rule for v in before} == {"REPRO102", "REPRO103"}
+        regs.write_text(
+            "from repro.seir.seeding import register_stream_tag\n"
+            "_SHARED_STREAM = register_stream_tag('shared', 9)\n")
+        after = run_lint([str(tmp_path)])
+        assert after == [], [v.render() for v in after]
+
     def test_determinism_hazards(self):
         path = str(BAD / "core" / "wall_clock.py")
         v201 = run_lint([path], select=["REPRO201"])

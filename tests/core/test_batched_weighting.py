@@ -1,25 +1,24 @@
 """Unit tests for the vectorized ensemble weighting subsystem.
 
 Covers the batched stack end to end: ``BinomialBiasModel.apply_batch``,
-``Likelihood.loglik_batch`` for all three families,
+``GaussianTransformLikelihood.loglik_batch``,
 ``ParticleEnsemble.segment_matrix``, ``ObservationModel.loglik_ensemble``,
-and its parity with the per-particle ``ObservationModel.loglik`` loop on a
-real calibrator window.
+and its parity with the per-particle reference
+(:mod:`repro.testing.weighting`) on a real calibrator window.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (BinomialBiasModel, GaussianTransformLikelihood,
-                        Likelihood, NegativeBinomialLikelihood, Particle,
-                        ParticleEnsemble, PoissonLikelihood, SMCConfig,
+                        Particle, ParticleEnsemble, SMCConfig,
                         paper_likelihood, paper_observation_model)
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.hpc.sharding import simulate_groups
 from repro.seir import Trajectory
+from repro.testing.weighting import gaussian_sqrt_loglik, loglik_reference, thin
 
-ALL_FAMILIES = [paper_likelihood(), GaussianTransformLikelihood(sigma=2.5),
-                PoissonLikelihood(), NegativeBinomialLikelihood(dispersion=3.0)]
+GAUSSIANS = [paper_likelihood(), GaussianTransformLikelihood(sigma=2.5)]
 
 
 def count_matrix(rng, n=20, d=14, hi=400):
@@ -54,7 +53,8 @@ class TestApplyBatch:
         rho = rng.uniform(0.1, 1.0, size=counts.shape[0])
         m = BinomialBiasModel("mean")
         batched = m.apply_batch(counts, rho)
-        rows = np.vstack([m.apply(counts[i], rho[i]) for i in range(len(rho))])
+        rows = np.vstack([thin(counts[i], rho[i], "mean")
+                          for i in range(len(rho))])
         assert np.array_equal(batched, rows)
 
     def test_sample_mode_bit_matches_sequential_loop(self, rng):
@@ -66,7 +66,7 @@ class TestApplyBatch:
         r1 = np.random.Generator(np.random.PCG64(7))
         r2 = np.random.Generator(np.random.PCG64(7))
         batched = m.apply_batch(counts, rho, r1)
-        rows = np.vstack([m.apply(counts[i], rho[i], r2)
+        rows = np.vstack([thin(counts[i], rho[i], "sample", r2)
                           for i in range(len(rho))])
         assert np.array_equal(batched, rows)
 
@@ -105,24 +105,15 @@ class TestApplyBatch:
 
 
 class TestLoglikBatch:
-    @pytest.mark.parametrize("lik", ALL_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("lik", GAUSSIANS, ids=repr)
     def test_matches_scalar_rows(self, lik, rng):
         y = rng.integers(0, 300, size=14).astype(float)
         eta = count_matrix(rng, n=25)
         batched = lik.loglik_batch(y, eta)
-        scalar = np.array([lik.loglik(y, row) for row in eta])
+        scalar = np.array([gaussian_sqrt_loglik(y, row, lik.sigma)
+                           for row in eta])
         assert batched.shape == (25,)
         assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-9)
-
-    def test_base_class_fallback_loops(self, rng):
-        class Odd(Likelihood):
-            def loglik(self, observed, simulated):
-                return float(-np.abs(observed - simulated).sum())
-
-        y = rng.integers(0, 50, size=5).astype(float)
-        eta = count_matrix(rng, n=4, d=5, hi=50)
-        out = Odd().loglik_batch(y, eta)
-        assert np.allclose(out, [Odd().loglik(y, row) for row in eta])
 
     def test_day_axis_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="day-axis"):
@@ -174,8 +165,7 @@ class TestLoglikEnsemble:
         om = paper_observation_model(bias_mode="mean")
         rho = ens.values("rho")
         batched = om.loglik_ensemble(obs, ens, rho, rng)
-        scalar = np.array([om.loglik(obs, p.segment, p.params["rho"], rng)
-                           for p in ens])
+        scalar = loglik_reference(om, obs, ens, rng)
         assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-9)
 
     def test_sample_mode_matches_scalar_with_single_biased_source(self, rng):
@@ -188,8 +178,7 @@ class TestLoglikEnsemble:
         r1 = np.random.Generator(np.random.PCG64(11))
         r2 = np.random.Generator(np.random.PCG64(11))
         batched = om.loglik_ensemble(obs, ens, ens.values("rho"), r1)
-        scalar = np.array([om.loglik(obs, p.segment, p.params["rho"], r2)
-                           for p in ens])
+        scalar = loglik_reference(om, obs, ens, r2)
         assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-9)
 
     def test_unconfigured_stream_rejected(self, rng):
@@ -210,8 +199,8 @@ class TestLoglikEnsemble:
 
 
 class TestCalibratorParity:
-    """``loglik_ensemble`` against the per-particle ``ObservationModel.loglik``
-    loop on a real calibrator window: a continuation ensemble assembled
+    """``loglik_ensemble`` against the per-particle reference
+    (``repro.testing.loglik_reference``) on a real calibrator window: a continuation ensemble assembled
     from the batched engine, scored against cases and deaths."""
 
     @pytest.fixture(scope="class")
@@ -250,11 +239,6 @@ class TestCalibratorParity:
             **calib._shard_layout_kwargs()))
         return ensemble, obs.window(window1.start_day, window1.end_day)
 
-    @staticmethod
-    def scalar_loop(om, obs, ensemble, rng):
-        return np.array([om.loglik(obs, p.segment, p.params["rho"], rng)
-                         for p in ensemble])
-
     @pytest.mark.parametrize("bias_mode", ["mean", "sample"])
     def test_batched_equals_scalar_reference(self, window, bias_mode):
         """Equal in "mean" mode — to the last ulps of float summation order,
@@ -270,7 +254,7 @@ class TestCalibratorParity:
         rho = ensemble.values("rho")
         if bias_mode == "mean":
             batched = om.loglik_ensemble(obs, ensemble, rho, None)
-            scalar = self.scalar_loop(om, obs, ensemble, None)
+            scalar = loglik_reference(om, obs, ensemble, None)
             np.testing.assert_allclose(batched, scalar, rtol=1e-13, atol=0)
 
             def resampled(log_weights):
@@ -285,7 +269,7 @@ class TestCalibratorParity:
                                np.random.Generator(np.random.PCG64(r)))
             for r in range(reps)])
         scalar = np.stack([
-            self.scalar_loop(om, obs, ensemble,
+            loglik_reference(om, obs, ensemble,
                              np.random.Generator(np.random.PCG64(1000 + r)))
             for r in range(reps)])
         gap = np.abs(batched.mean(axis=0) - scalar.mean(axis=0))

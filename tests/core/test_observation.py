@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (BinomialBiasModel, ObservationModel, SourceModel,
-                        paper_likelihood, paper_observation_model)
+from repro.core import (BinomialBiasModel, ObservationModel, Particle,
+                        ParticleEnsemble, SourceModel, paper_likelihood,
+                        paper_observation_model)
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.seir import Trajectory
 
@@ -26,33 +27,46 @@ def observations(n=10, cases=60.0, deaths=2.0, start=0, include_deaths=True):
     return ObservationSet.of(*sources)
 
 
+def loglik(om, obs, members, rng):
+    """``loglik_ensemble`` over an ensemble of ``(trajectory, rho)``."""
+    ensemble = ParticleEnsemble([
+        Particle(params={"theta": 0.3, "rho": rho}, seed=i, segment=traj)
+        for i, (traj, rho) in enumerate(members)])
+    return om.loglik_ensemble(obs, ensemble, ensemble.values("rho"), rng)
+
+
 class TestSourceModel:
     def test_biased_source_thins(self, rng):
         sm = SourceModel(CASES, CASES, biased=True,
                          bias=BinomialBiasModel("mean"))
-        out = sm.simulated_observed(trajectory(), 0.5, rng)
-        assert np.allclose(out.values, 50.0)
+        out = sm.simulated_observed_batch(np.full((3, 10), 100.0),
+                                          np.full(3, 0.5), rng)
+        assert np.allclose(out, 50.0)
 
     def test_unbiased_source_passthrough(self, rng):
         sm = SourceModel(DEATHS, DEATHS, biased=False)
-        out = sm.simulated_observed(trajectory(), 0.5, rng)
-        assert np.allclose(out.values, 2.0)
+        out = sm.simulated_observed_batch(np.full((3, 10), 2.0),
+                                          np.full(3, 0.5), rng)
+        assert np.allclose(out, 2.0)
 
     def test_loglik_windowing(self, rng):
         sm = SourceModel(CASES, CASES, biased=True,
                          bias=BinomialBiasModel("mean"))
-        obs = TimeSeries(3, np.full(4, 50.0))
-        ll = sm.loglik(obs, trajectory(n=10), 0.5, rng)
-        # exact match after mean-thinning: residuals zero
-        assert ll == pytest.approx(paper_likelihood().loglik(
-            np.full(4, 50.0), np.full(4, 50.0)))
+        obs = ObservationSet.of(ObservationSource(
+            CASES, TimeSeries(3, np.full(4, 50.0)), channel=CASES,
+            biased=True))
+        ll = loglik(ObservationModel({CASES: sm}), obs,
+                    [(trajectory(n=10), 0.5)], rng)
+        # exact match after mean-thinning days 3-6: residuals zero
+        assert ll == pytest.approx(paper_likelihood().loglik_batch(
+            np.full(4, 50.0), np.full((1, 4), 50.0)))
 
     def test_higher_rho_fits_higher_observed(self, rng):
         sm = SourceModel(CASES, CASES, biased=True,
                          bias=BinomialBiasModel("mean"))
         obs = TimeSeries(0, np.full(10, 90.0))
-        ll_right = sm.loglik(obs, trajectory(infections=100.0), 0.9, rng)
-        ll_wrong = sm.loglik(obs, trajectory(infections=100.0), 0.3, rng)
+        ll_right, ll_wrong = sm.loglik_batch(
+            obs, np.full((2, 10), 100.0), np.array([0.9, 0.3]), rng)
         assert ll_right > ll_wrong
 
 
@@ -65,16 +79,16 @@ class TestObservationModel:
 
     def test_loglik_sums_sources(self, rng):
         om = paper_observation_model(bias_mode="mean")
-        obs = observations()
-        both = om.loglik(obs, trajectory(), 0.6, rng)
-        cases_only = om.loglik(observations(include_deaths=False),
-                               trajectory(), 0.6, rng)
+        member = [(trajectory(), 0.6)]
+        both = loglik(om, observations(), member, rng)
+        cases_only = loglik(om, observations(include_deaths=False), member,
+                            rng)
         assert both != cases_only  # deaths stream contributes
 
     def test_unconfigured_stream_rejected(self, rng):
         om = ObservationModel({CASES: SourceModel(CASES, CASES)})
         with pytest.raises(KeyError, match="no SourceModel"):
-            om.loglik(observations(), trajectory(), 0.5, rng)
+            loglik(om, observations(), [(trajectory(), 0.5)], rng)
 
     def test_key_name_mismatch_rejected(self):
         with pytest.raises(ValueError, match="!="):
@@ -89,8 +103,7 @@ class TestObservationModel:
         rho can explain the case counts — the Fig 5 mechanism."""
         om = paper_observation_model(bias_mode="mean")
         obs = observations(cases=60.0, deaths=2.0)
-        right = om.loglik(obs, trajectory(infections=100.0, deaths=2.0),
-                          0.6, rng)
-        too_big = om.loglik(obs, trajectory(infections=200.0, deaths=4.0),
-                            0.3, rng)
+        right, too_big = loglik(om, obs, [
+            (trajectory(infections=100.0, deaths=2.0), 0.6),
+            (trajectory(infections=200.0, deaths=4.0), 0.3)], rng)
         assert right > too_big

@@ -69,6 +69,18 @@ class TestCalibrationConfig:
         with pytest.raises(ValueError, match=field):
             CalibrationConfig(**knobs)
 
+    @pytest.mark.parametrize("knobs, field", [
+        ({"sigma": float("nan")}, "sigma must be finite and > 0"),
+        ({"sigma": float("inf")}, "sigma must be finite and > 0"),
+        ({"sigma": 0.0}, "sigma must be finite and > 0"),
+        ({"sigma": -1.0}, "sigma must be finite and > 0"),
+        ({"bias_mode": "bogus"}, "bias_mode must be 'sample' or 'mean'")])
+    def test_observation_knobs_validated_at_construction(self, knobs, field):
+        """A bad likelihood scale or bias mode fails when the config is
+        built, naming the field, not after window 0 has been simulated."""
+        with pytest.raises(ValueError, match=field):
+            CalibrationConfig(**knobs)
+
     def test_retry_policy_built_from_knobs(self):
         cfg = CalibrationConfig(retry_attempts=3, retry_timeout=30.0,
                                 retry_backoff=0.5)
@@ -214,6 +226,24 @@ class TestCalibrateCheckpointing:
             assert np.array_equal(wa.posterior.values("theta"),
                                   wb.posterior.values("theta"))
             assert wa.diagnostics.to_dict() == wb.diagnostics.to_dict()
+
+
+    @pytest.mark.parametrize("change", [{"sigma": 4.0},
+                                        {"bias_mode": "mean"}])
+    def test_resume_refused_across_observation_model_change(
+            self, truth, tmp_path, change):
+        """The observation model sets the weights, so a store written under
+        the default one must not resume under another sigma or bias mode."""
+        from repro.inference import calibrate
+        from repro.seir import CheckpointError
+
+        calibrate(truth.observations(), self.config(tmp_path),
+                  base_params=truth.params)
+        with pytest.raises(CheckpointError,
+                           match=r"differing keys: \['observation'\]"):
+            calibrate(truth.observations(),
+                      self.config(tmp_path, resume=True, **change),
+                      base_params=truth.params)
 
 
 class TestScenarioResultCompat:

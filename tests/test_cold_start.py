@@ -2,12 +2,12 @@
 and serve window must never load scipy, and the CLI must never load a test
 oracle.
 
-``scipy.stats`` costs most of a cold ``import repro``; only the ablation
-likelihoods, non-uniform prior densities and SBC helpers use it, and they
-import it on first call.  The scalar engines live only in ``repro.testing``
-as oracles; no production module imports that package.  Each check runs in
-a fresh interpreter, since this test session has long since loaded scipy
-and ``repro.testing`` itself.
+``scipy.stats`` costs most of a cold ``import repro``; only the non-uniform
+prior densities and SBC helpers use it, and they import it on first call.
+The scalar engines and the per-particle weighting reference live only in
+``repro.testing`` as oracles; no production module imports that package.
+Each check runs in a fresh interpreter, since this test session has long
+since loaded scipy and ``repro.testing`` itself.
 """
 
 import json
