@@ -44,8 +44,7 @@ from .core import (SequentialCalibrator, SMCConfig, paper_first_window_prior,
                    paper_likelihood, paper_observation_model,
                    paper_window_jitter)
 from .inference import (CalibrationConfig, CalibrationResult, Forecast,
-                        calibrate, forecast_from_posterior,
-                        paper_calibration_config)
+                        calibrate, forecast_from_posterior)
 from .seir import DiseaseParameters, chicago_defaults
 from .sim import GroundTruth, make_fig2_ground_truth, make_ground_truth
 
@@ -56,7 +55,7 @@ __all__ = [
     "SequentialCalibrator", "SMCConfig",
     "paper_first_window_prior", "paper_window_jitter",
     "paper_observation_model", "paper_likelihood",
-    "calibrate", "CalibrationConfig", "paper_calibration_config",
+    "calibrate", "CalibrationConfig",
     "CalibrationResult", "Forecast", "forecast_from_posterior",
     "DiseaseParameters", "chicago_defaults",
     "GroundTruth", "make_ground_truth", "make_fig2_ground_truth",

@@ -240,6 +240,12 @@ def _fault_config_kwargs(args) -> dict:
                 checkpoint_keep_last=args.checkpoint_keep_last)
 
 
+#: RetryPolicy field -> the ``serve`` option that sets it for restarts.
+_RESTART_OPTIONS = {"max_attempts": "restart_attempts",
+                    "timeout_seconds": "deadline_seconds",
+                    "backoff_seconds": "restart_backoff"}
+
+
 def _invalid(problem: object) -> NoReturn:
     raise SystemExit(f"invalid configuration: {problem}")
 
@@ -287,8 +293,6 @@ def _cmd_scenarios(args) -> int:
         parts = [f"{o.field}={o.value}@d{o.start_day}"
                  for o in spec.overrides]
         detail = "; ".join(parts) if parts else "no overrides"
-        if spec.independent_streams:
-            detail += " [independent streams]"
         print(f"  {spec.name:<24} {detail}")
         if spec.description:
             print(f"  {'':<24} {spec.description}")
@@ -509,7 +513,9 @@ def _cmd_serve(args) -> int:
             horizon_days=args.horizon_days, forecast_seed=args.forecast_seed,
             keep_last=args.keep_last)
     except ValueError as exc:
-        _invalid(exc)
+        # Name the serve option, not the RetryPolicy field behind it.
+        name, _, rule = str(exc).partition(" ")
+        _invalid(f"{_RESTART_OPTIONS.get(name, name)} {rule}")
     executor = cfg.make_executor()
     quarantine = (args.quarantine if args.quarantine is not None
                   else args.artifacts / "quarantine.jsonl")

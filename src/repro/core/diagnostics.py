@@ -3,8 +3,10 @@
 Section VI of the paper discusses the failure modes this module watches for:
 posterior weights concentrating on a few draws, and highly weighted
 trajectories that still do not track reality.  The calibrator records a
-:class:`WindowDiagnostics` per window; :func:`assess` turns one into a
-human-readable health verdict used by examples and benches.
+:class:`WindowDiagnostics` per window; with
+``SMCConfig.temper_degenerate`` the tempered bridge resamples a window
+whose ESS fraction falls below ``temper_threshold`` (by default
+:data:`DEGENERACY_THRESHOLD`).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import numpy as np
 
 from .weights import effective_sample_size, logsumexp, weight_entropy
 
-__all__ = ["WindowDiagnostics", "compute_diagnostics", "assess"]
+__all__ = ["WindowDiagnostics", "compute_diagnostics"]
 
-#: Below this ESS fraction a window is flagged as degenerate.
+#: Below this ESS fraction a window is degenerate (the default
+#: ``temper_threshold``).
 DEGENERACY_THRESHOLD = 0.05
 
 
@@ -90,11 +93,6 @@ class WindowDiagnostics:
     temper_truncated: bool = False
     shard_failures: int = 0
     shard_failure_causes: tuple[str, ...] = ()
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the weighted ensemble has effectively collapsed."""
-        return self.ess_fraction < DEGENERACY_THRESHOLD
 
     @property
     def tempered(self) -> bool:
@@ -182,15 +180,3 @@ def compute_diagnostics(log_weights: np.ndarray, normalized: np.ndarray,
         temper_stage_ess=tuple(float(e) for e in temper_stage_ess),
     )
 
-
-def assess(diag: WindowDiagnostics) -> str:
-    """One-line health verdict for logs and bench output."""
-    if diag.degenerate:
-        return (f"DEGENERATE: ESS {diag.ess:.1f}/{diag.n_particles} "
-                f"({100 * diag.ess_fraction:.1f}%) — increase the ensemble "
-                "or widen proposals")
-    if diag.ess_fraction < 0.2:
-        return (f"marginal: ESS {diag.ess:.1f}/{diag.n_particles} "
-                f"({100 * diag.ess_fraction:.1f}%)")
-    return (f"healthy: ESS {diag.ess:.1f}/{diag.n_particles} "
-            f"({100 * diag.ess_fraction:.1f}%)")

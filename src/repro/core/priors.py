@@ -6,12 +6,11 @@ The paper's first-window priors (section V-B) are
 * ``rho ~ Beta(4, 1)`` — the reporting probability, a "strong informative
   prior" favouring high reporting.
 
-The module provides a small distribution toolkit (sampling + log-density +
-support) sufficient for the SIS weight algebra, plus an independent product
-prior over named parameters.  Everything samples through an injected
-``numpy`` generator so runs are reproducible end to end.  The Beta,
-LogNormal and TruncatedNormal densities and TruncatedNormal sampling import
-``scipy.stats`` on first call; sampling the paper's prior never loads it.
+The module provides the two families and a point mass (sampling +
+log-density), plus an independent product prior over named parameters.
+Everything samples through an injected ``numpy`` generator so runs are
+reproducible end to end.  The Beta density imports ``scipy.stats`` on first
+call; sampling the paper's prior never loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Mapping
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["Distribution", "Uniform", "Beta", "LogNormal", "TruncatedNormal",
-           "Dirac", "IndependentProduct", "paper_first_window_prior"]
+__all__ = ["Distribution", "Uniform", "Beta", "Dirac", "IndependentProduct",
+           "paper_first_window_prior"]
 
 
 class Distribution(ABC):
@@ -36,21 +35,6 @@ class Distribution(ABC):
     @abstractmethod
     def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
         """Elementwise log-density (``-inf`` outside the support)."""
-
-    @property
-    @abstractmethod
-    def support(self) -> tuple[float, float]:
-        """Closed support bounds ``(low, high)`` (may be infinite)."""
-
-    def contains(self, x: npt.ArrayLike) -> np.ndarray:
-        """Elementwise support membership."""
-        lo, hi = self.support
-        arr = np.asarray(x, dtype=np.float64)
-        return (arr >= lo) & (arr <= hi)
-
-    def mean(self) -> float:
-        """Analytic mean; subclasses override (used in summaries only)."""
-        raise NotImplementedError
 
 
 class Uniform(Distribution):
@@ -71,13 +55,6 @@ class Uniform(Distribution):
         inside = (arr >= self.low) & (arr <= self.high)
         out[inside] = -np.log(self.high - self.low)
         return out
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.low, self.high)
-
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Uniform({self.low}, {self.high})"
@@ -100,82 +77,8 @@ class Beta(Distribution):
         from scipy import stats
         return np.asarray(stats.beta.logpdf(arr, self.a, self.b))
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Beta({self.a}, {self.b})"
-
-
-class LogNormal(Distribution):
-    """Log-normal with parameters of the underlying normal."""
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=n)
-
-    def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        from scipy import stats
-        return np.asarray(stats.lognorm.logpdf(arr, s=self.sigma,
-                                               scale=np.exp(self.mu)))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, np.inf)
-
-    def mean(self) -> float:
-        return float(np.exp(self.mu + 0.5 * self.sigma**2))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LogNormal(mu={self.mu}, sigma={self.sigma})"
-
-
-class TruncatedNormal(Distribution):
-    """Normal truncated to ``[low, high]`` (useful informative priors)."""
-
-    def __init__(self, mu: float, sigma: float, low: float, high: float) -> None:
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not high > low:
-            raise ValueError("need high > low")
-        self.mu, self.sigma = float(mu), float(sigma)
-        self.low, self.high = float(low), float(high)
-        self._a = (self.low - self.mu) / self.sigma
-        self._b = (self.high - self.mu) / self.sigma
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        from scipy import stats
-        frozen = stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
-        return np.asarray(frozen.rvs(size=n, random_state=rng))
-
-    def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        from scipy import stats
-        return np.asarray(stats.truncnorm.logpdf(arr, self._a, self._b,
-                                                 loc=self.mu, scale=self.sigma))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.low, self.high)
-
-    def mean(self) -> float:
-        from scipy import stats
-        frozen = stats.truncnorm(self._a, self._b, loc=self.mu, scale=self.sigma)
-        return float(frozen.mean())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"TruncatedNormal(mu={self.mu}, sigma={self.sigma}, "
-                f"[{self.low}, {self.high}])")
 
 
 class Dirac(Distribution):
@@ -190,13 +93,6 @@ class Dirac(Distribution):
     def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
         return np.where(arr == self.value, 0.0, -np.inf)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
-    def mean(self) -> float:
-        return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dirac({self.value})"

@@ -17,21 +17,18 @@ idempotent re-registration of an identical spec, hard error on rebinding a
 name) and grouped into named :data:`SCENARIO_SETS` for the CLI's
 ``--scenario-set``.
 
-**RNG contract.**  Scenarios use *common random numbers* by default: every
-scenario of a sweep draws from the same ``base_seed`` streams, so two
-scenarios whose effective parameters agree over a window prefix produce
+**RNG contract.**  Scenarios use *common random numbers*: every scenario
+of a sweep draws from the same ``base_seed`` streams, so two scenarios
+whose effective parameters agree over a window prefix produce
 bit-identical windows — which is what makes scenario differences estimates
 of the *scenario effect* rather than of Monte Carlo noise, and what lets
 :class:`ScenarioSweep` compute each distinct world-line once.
-``independent_streams=True`` opts a scenario out by re-rooting all its
-streams on the registered ``scenario`` stream tag
-(:meth:`~repro.seir.seeding.SeedSequenceBank.scenario_base_seed`).
 
 **World-line deduplication.**  :class:`ScenarioSweep` runs S scenarios over
 one shared :class:`~repro.core.smc.SequentialCalibrator` configuration.
 Within each window it partitions the still-active scenarios into
 *world-lines* — groups whose upcoming window is provably bit-identical:
-same stream root, same effective window parameters, same lineage (they
+same effective window parameters, same lineage (they
 shared every previous window), same size plans.  The sweep is the
 calibrator's own window loop (:func:`~repro.core.smc.window_loop`) over
 one calibrator per scenario, keyed by world-line: each line is computed
@@ -47,7 +44,6 @@ calibrator.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -125,14 +121,12 @@ class ScenarioSpec:
 
     Overrides are stored sorted by ``(start_day, field)`` (so equal specs
     compare equal however they were written) and no two overrides may
-    share a ``(field, start_day)`` pair.  ``independent_streams`` opts out
-    of the common-random-numbers default — see the module docstring.
+    share a ``(field, start_day)`` pair.
     """
 
     name: str
     description: str = ""
     overrides: tuple[ScenarioOverride, ...] = ()
-    independent_streams: bool = False
 
     def __post_init__(self) -> None:
         if not self.name or not all(
@@ -156,12 +150,7 @@ class ScenarioSpec:
     @property
     def is_baseline(self) -> bool:
         """True when the spec changes nothing about a scenario-less run."""
-        return not self.overrides and not self.independent_streams
-
-    @property
-    def stream_key(self) -> int:
-        """Deterministic integer identity for independent-stream rooting."""
-        return zlib.crc32(self.name.encode("utf-8"))
+        return not self.overrides
 
     def params_at(self, day: int,
                   base: DiseaseParameters) -> DiseaseParameters:
@@ -209,9 +198,14 @@ class ScenarioSpec:
                     "can only take effect at a window boundary")
 
     def fingerprint_payload(self) -> dict[str, object]:
-        """JSON-stable identity for run fingerprints (checkpoint stores)."""
+        """JSON-stable identity for run fingerprints (checkpoint stores).
+
+        ``"independent_streams"`` is a literal left from when a scenario
+        could opt out of common random numbers, so stores written then
+        still resume.
+        """
         return {"name": self.name,
-                "independent_streams": self.independent_streams,
+                "independent_streams": False,
                 "overrides": [o.to_dict() for o in self.overrides]}
 
 
@@ -350,8 +344,8 @@ class ScenarioSweep:
     calibrator per scenario shares the executor and config.
 
     Each scenario's windows are **bit-identical to running that scenario
-    alone** with the same config and shard layout: per-scenario RNG roots
-    don't depend on the sweep (common random numbers by default), shard
+    alone** with the same config and shard layout: every scenario draws
+    from the run's ``base_seed`` streams (common random numbers), shard
     RNG streams are keyed by seed slices rather than dispatch positions,
     and the world-line partition only ever merges windows that are
     provably identical.  ``computed_windows`` / ``reused_windows`` count
@@ -400,23 +394,17 @@ class ScenarioSweep:
                   plans: tuple[int, int]) -> tuple[object, ...]:
         """Hashable world-line identity for one scenario's next window.
 
-        Scenarios sharing a key get bit-identical windows: same stream
-        root (independent-stream scenarios are keyed by their own root and
-        so never share), same *effective* window parameters (stronger than
-        equal override declarations), same lineage token (they shared
-        every window so far — diverged lines never re-merge), same size
-        plans.
+        Scenarios sharing a key get bit-identical windows: every scenario
+        draws from the run's one set of streams, so sharing needs the same
+        *effective* window parameters (stronger than equal override
+        declarations), the same lineage token (they shared every window so
+        far — diverged lines never re-merge) and the same size plans.
         """
         calib = self.calibrators[name]
         spec = calib.scenario
         assert spec is not None
-        if spec.independent_streams:
-            stream_root: tuple[object, ...] = ("independent", spec.stream_key)
-        else:
-            stream_root = ("shared",)
         effective = spec.params_at(window.start_day, calib.base_params)
-        return (stream_root, tuple(sorted(effective.to_dict().items())),
-                lineage, plans)
+        return (tuple(sorted(effective.to_dict().items())), lineage, plans)
 
     def run(self, observations: ObservationSet, *,
             stores: Mapping[str, CheckpointStore] | None = None,

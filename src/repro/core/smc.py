@@ -86,8 +86,7 @@ from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
                           compute_diagnostics)
-from .ensemble_control import (EnsembleSizePolicy, FixedSize,
-                               resolve_size_policy)
+from .ensemble_control import SIZE_POLICY_NAMES, ESSTargetPolicy
 from .observation import ObservationModel, paper_observation_model
 from .particle import ParticleEnsemble
 from .priors import IndependentProduct
@@ -145,17 +144,16 @@ class SMCConfig:
     making results bit-reproducible across executors (see
     :mod:`repro.hpc.sharding`).
 
-    ``size_policy`` selects the adaptive ensemble-size controller consulted
-    after every window (:mod:`repro.core.ensemble_control`): ``"fixed"``
-    (the default — every continuation window proposes
-    ``resample_size * n_continuations`` draws, the classic behaviour),
+    ``size_policy`` names the ensemble-size controller consulted after
+    every window (:mod:`repro.core.ensemble_control`): ``"fixed"`` (the
+    default — every continuation window proposes
+    ``resample_size * n_continuations`` draws, the classic behaviour) or
     ``"ess"`` (:class:`~repro.core.ensemble_control.ESSTargetPolicy`: grow
     the cloud when the post-weighting ESS fraction falls below its target
     band, shrink it when the band is exceeded, clamped to
-    ``[n_min, n_max]``), or any object implementing
-    :class:`~repro.core.ensemble_control.EnsembleSizePolicy`.
-    ``size_policy_options`` are the named policy's constructor keywords
-    (e.g. ``{"target_high": 0.4, "n_min": 100}``).  Policies are
+    ``[n_min, n_max]``).  ``size_policy_options`` are the ``"ess"``
+    policy's constructor keywords (e.g. ``{"target_high": 0.4,
+    "n_min": 100}``); ``"fixed"`` takes none.  Both policies are
     deterministic, so adaptive runs remain bit-reproducible for a fixed
     ``(base_seed, size_policy, shard layout)`` and identical across
     executors; the first window always uses
@@ -203,7 +201,7 @@ class SMCConfig:
     shard_size: int | None = None
     n_shards: int | str = "auto"
     base_seed: int = 20240215
-    size_policy: str | EnsembleSizePolicy = "fixed"
+    size_policy: str = "fixed"
     size_policy_options: dict = field(default_factory=dict)
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
@@ -218,16 +216,20 @@ class SMCConfig:
                      "n_continuations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        resolve_size_policy(self.size_policy, self.size_policy_options)
+        if self.size_policy not in SIZE_POLICY_NAMES:
+            raise ValueError(f"size_policy must be one of "
+                             f"{list(SIZE_POLICY_NAMES)}, got "
+                             f"{self.size_policy!r}")
+        if self.size_policy == "ess":
+            ESSTargetPolicy(**self.size_policy_options)
+        elif self.size_policy_options:
+            raise ValueError("size_policy_options only apply to "
+                             "size_policy='ess'")
         if not 0.0 <= self.temper_threshold <= 1.0:
             raise ValueError("temper_threshold must lie in [0, 1]")
         if not 0.0 < self.temper_ess_floor < 1.0:
             raise ValueError("temper_ess_floor must lie in (0, 1)")
         validate_shard_policy(self.shard_size, self.n_shards)
-
-    def size_policy_instance(self) -> EnsembleSizePolicy:
-        """The configured ensemble-size controller, ready to consult."""
-        return resolve_size_policy(self.size_policy, self.size_policy_options)
 
     @property
     def continuation_ensemble_size(self) -> int:
@@ -339,12 +341,10 @@ class SequentialCalibrator:
         parameter overrides this run calibrates under.  Day-0 overrides
         rewrite the base parameterisation; later overrides must target a
         checkpoint-restart knob and take effect exactly at a continuation
-        window's start day.  By default scenarios share the run's
-        ``base_seed`` (common random numbers — a scenario whose effective
-        parameters equal the baseline's over a window prefix produces
-        bit-identical windows); ``independent_streams=True`` re-roots every
-        stream on :meth:`~repro.seir.seeding.SeedSequenceBank.scenario_base_seed`.
-        ``None`` (and any override-free, shared-stream scenario) is
+        window's start day.  Scenarios share the run's ``base_seed``
+        (common random numbers — a scenario whose effective parameters
+        equal the baseline's over a window prefix produces bit-identical
+        windows).  ``None`` (and any override-free scenario) is
         bit-identical to a scenario-less run.
     """
 
@@ -366,19 +366,10 @@ class SequentialCalibrator:
         self.executor = executor or SerialExecutor()
         self.scenario = scenario
         self._progress = progress or (lambda _msg: None)
-        bank_seed = int(self.config.base_seed)
-        if scenario is not None and scenario.independent_streams:
-            bank_seed = SeedSequenceBank(bank_seed).scenario_base_seed(
-                scenario.stream_key)
-        self._bank = SeedSequenceBank(bank_seed)
-        # A default FixedSize() passes the realised size through, which for
-        # window 0 would promote the (larger) prior cloud into every later
-        # window; pin it to the classic continuation size instead so
-        # "fixed" stays bit-identical to a run with no policy at all.
-        policy = self.config.size_policy_instance()
-        if isinstance(policy, FixedSize) and policy.size is None:
-            policy = FixedSize(size=self.config.continuation_ensemble_size)
-        self._size_policy = policy
+        self._bank = SeedSequenceBank(int(self.config.base_seed))
+        self._size_policy = (
+            ESSTargetPolicy(**self.config.size_policy_options)
+            if self.config.size_policy == "ess" else None)
         #: Index of the last window restored from a checkpoint store by the
         #: most recent ``run(..., resume=True)``; None for fresh runs.
         self.resumed_from: int | None = None
@@ -458,22 +449,21 @@ class SequentialCalibrator:
         """The size plans ``(n_proposals, resample_size)`` for the window
         after ``result``.
 
-        The size policy is stateless and Markovian in the previous window's
-        realised outcome: the proposal plan depends only on
-        ``result.diagnostics`` and the realised cloud size, the resample
-        plan is the realised posterior size.  This is what lets a resumed
-        or streaming run recover the exact plans of an uninterrupted run
-        from the latest window alone (see :meth:`restore_latest_window`).
+        Under ``"fixed"`` the proposal plan is
+        ``continuation_ensemble_size``; under ``"ess"`` it is the
+        :class:`~repro.core.ensemble_control.ESSTargetPolicy` decision on
+        ``result.diagnostics`` and the realised cloud size.  The resample
+        plan is the realised posterior size.  Neither depends on
+        ``next_window_days`` (the next window's length) or on any earlier
+        window, which is what lets a resumed or streaming run recover the
+        exact plans of an uninterrupted run from the latest window alone
+        (see :meth:`restore_latest_window`).
         """
-        proposed = int(self._size_policy.next_size(
-            window_index=result.index,
+        if self._size_policy is None:
+            return self.config.continuation_ensemble_size, len(result.posterior)
+        proposed = self._size_policy.next_size(
             current_size=result.diagnostics.n_particles,
-            diagnostics=result.diagnostics,
-            next_window_days=next_window_days))
-        if proposed < 1:
-            raise ValueError(
-                f"size policy proposed a cloud of {proposed} "
-                f"particles after window {result.index}")
+            diagnostics=result.diagnostics)
         return proposed, len(result.posterior)
 
     # ------------------------------------------------------------------ #
@@ -511,9 +501,6 @@ class SequentialCalibrator:
         """
         cfg = self.config
 
-        def policy_tag(policy: str | EnsembleSizePolicy) -> str:
-            return policy if isinstance(policy, str) else repr(policy)
-
         def sorted_dict(d: Mapping) -> dict:
             return {str(k): d[k] for k in sorted(d)}
 
@@ -529,7 +516,7 @@ class SequentialCalibrator:
             "n_continuations": cfg.n_continuations,
             "resampler": "multinomial",
             "weighting": "batched",
-            "size_policy": policy_tag(cfg.size_policy),
+            "size_policy": cfg.size_policy,
             "size_policy_options": sorted_dict(cfg.size_policy_options),
             "resample_size_policy": "fixed",
             "resample_size_policy_options": {},

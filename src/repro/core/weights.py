@@ -14,8 +14,7 @@ import numpy as np
 from .contracts import shaped
 
 __all__ = ["logsumexp", "normalize_log_weights", "effective_sample_size",
-           "ess_fraction", "weight_entropy", "weighted_mean",
-           "weighted_quantile"]
+           "weight_entropy", "weighted_mean", "weighted_quantile"]
 
 
 def logsumexp(log_values: np.ndarray) -> float:
@@ -63,12 +62,6 @@ def effective_sample_size(weights: np.ndarray) -> float:
     if total_sq <= 0.0:
         raise ValueError("weights must not be all zero")
     return 1.0 / total_sq
-
-
-def ess_fraction(weights: np.ndarray) -> float:
-    """ESS as a fraction of the ensemble size (degeneracy monitor)."""
-    w = np.asarray(weights)
-    return effective_sample_size(w) / w.size
 
 
 def weight_entropy(weights: np.ndarray) -> float:

@@ -40,13 +40,6 @@ class TimeWindow:
         """Human-readable label matching the paper's figures ("Days 20-33")."""
         return f"Days {self.start_day}-{self.end_day - 1}"
 
-    def to_dict(self) -> dict:
-        return {"start_day": self.start_day, "end_day": self.end_day}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeWindow":
-        return cls(int(d["start_day"]), int(d["end_day"]))
-
 
 @dataclass(frozen=True)
 class WindowSchedule:
@@ -108,12 +101,3 @@ class WindowSchedule:
     def end_day(self) -> int:
         """One past the last calibrated day."""
         return self.windows[-1].end_day
-
-    def to_dict(self) -> dict:
-        return {"breaks": [self.windows[0].start_day,
-                           *(w.end_day for w in self.windows)],
-                "burn_in_start": self.burn_in_start}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WindowSchedule":
-        return cls.from_breaks(d["breaks"], burn_in_start=int(d.get("burn_in_start", 0)))

@@ -7,7 +7,7 @@ reader, which reads the layout :func:`repro.viz.write_series_csv` writes.
 """
 
 from .schedule import FIG2_RHO_SCHEDULE, FIG2_THETA_SCHEDULE, PiecewiseConstant
-from .series import TimeSeries, align, concat
+from .series import TimeSeries
 from .sources import (CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS,
                       ObservationSet, ObservationSource)
 from .synthetic import binomial_thin
@@ -16,7 +16,7 @@ from .validation import (ObservationDefect, ObservationValidationError,
                          validate_observations)
 
 __all__ = [
-    "TimeSeries", "align", "concat",
+    "TimeSeries",
     "PiecewiseConstant", "FIG2_THETA_SCHEDULE", "FIG2_RHO_SCHEDULE",
     "ObservationSource", "ObservationSet",
     "CASES", "DEATHS", "HOSPITAL_CENSUS", "ICU_CENSUS",

@@ -66,13 +66,6 @@ class PiecewiseConstant:
             return float(out)
         return out
 
-    def to_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PiecewiseConstant":
-        return cls(breakpoints=tuple(d["breakpoints"]), values=tuple(d["values"]))
-
 
 # --------------------------------------------------------------------------- #
 # The exact ground-truth schedules of section V-A / Figure 2.

@@ -69,19 +69,6 @@ class ObservationSource:
         return ObservationSource(self.name, self.series.window(start_day, end_day),
                                  channel=self.channel, biased=self.biased)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "series": self.series.to_dict(),
-            "channel": self.channel,
-            "biased": self.biased,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservationSource":
-        return cls(name=d["name"], series=TimeSeries.from_dict(d["series"]),
-                   channel=d["channel"], biased=bool(d["biased"]))
-
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -136,10 +123,3 @@ class ObservationSet:
         """Slice every stream to the same calibration window."""
         return ObservationSet(tuple(s.window(start_day, end_day)
                                     for s in self.sources))
-
-    def to_dict(self) -> dict:
-        return {"sources": [s.to_dict() for s in self.sources]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservationSet":
-        return cls(tuple(ObservationSource.from_dict(s) for s in d["sources"]))

@@ -1,8 +1,8 @@
 """Block partitioning of an ordered batch into contiguous shards.
 
-The sharded dispatch (:mod:`repro.hpc.sharding`) splits each structural
-group's members into contiguous, evenly sized blocks; these helpers compute
-the block sizes and half-open bounds.
+The sharded dispatch (:mod:`repro.hpc.sharding`) splits each window's
+batch into contiguous, evenly sized blocks; these helpers compute the
+block sizes and half-open bounds.
 """
 
 from __future__ import annotations

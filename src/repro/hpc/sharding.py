@@ -1,8 +1,8 @@
 """Sharded dispatch of batched ensemble simulation across executor workers.
 
 The batched engine (:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`)
-advances a whole particle cloud as one state matrix — ~18x faster than
-per-particle tasks, but single-process.  A batch's members share every
+advances a whole particle cloud as one state matrix, but in a single
+process.  A batch's members share every
 :class:`~repro.seir.parameters.DiseaseParameters` field but the
 transmission rate, so each window is one :class:`GroupSpec`.  This module
 splits it into contiguous, evenly chunked sub-batches

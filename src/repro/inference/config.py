@@ -23,7 +23,7 @@ from ..hpc.executor import EXECUTOR_SPECS, Executor, make_executor
 from ..hpc.faults import RetryPolicy
 from ..seir.parameters import DiseaseParameters
 
-__all__ = ["CalibrationConfig", "paper_calibration_config"]
+__all__ = ["CalibrationConfig"]
 
 
 #: RetryPolicy / observation-model field -> the CalibrationConfig field
@@ -38,9 +38,8 @@ _FIELD_NAMES = {"max_attempts": "retry_attempts",
 class CalibrationConfig:
     """Declarative configuration of one sequential calibration run.
 
-    Attributes mirror section V of the paper; see
-    :func:`paper_calibration_config` for the paper's exact settings at
-    laptop scale.
+    Attributes mirror section V of the paper at laptop scale; paper scale
+    is ``n_parameter_draws=25_000, n_replicates=20, resample_size=10_000``.
     """
 
     window_breaks: tuple[int, ...] = (20, 34, 48, 62, 76)
@@ -71,8 +70,9 @@ class CalibrationConfig:
     n_shards: int | str = "auto"
     #: Adaptive proposal-cloud size controller: "fixed" (classic
     #: behaviour) or "ess" (grow/shrink on the post-weighting ESS
-    #: fraction); options are the policy's constructor keywords (see
-    #: repro.core.ensemble_control).  The posterior keeps resample_size.
+    #: fraction); options are the ESSTargetPolicy keywords and only apply
+    #: to "ess" (see repro.core.ensemble_control).  The posterior keeps
+    #: resample_size.
     size_policy: str = "fixed"
     size_policy_options: dict = field(default_factory=dict)
     #: Tempered rescue of degenerate windows: when enabled, a window whose
@@ -187,19 +187,3 @@ class CalibrationConfig:
         d = asdict(self)
         d["window_breaks"] = list(self.window_breaks)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationConfig":
-        payload = dict(d)
-        if "window_breaks" in payload:
-            payload["window_breaks"] = tuple(payload["window_breaks"])
-        return cls(**payload)
-
-
-def paper_calibration_config(**overrides) -> CalibrationConfig:
-    """The paper's experimental settings (section V) at laptop scale.
-
-    Paper scale is ``n_parameter_draws=25_000, n_replicates=20,
-    resample_size=10_000``; pass those explicitly on real hardware.
-    """
-    return CalibrationConfig(**overrides)

@@ -121,24 +121,6 @@ class Trajectory:
     def total_deaths(self) -> float:
         return float(self.deaths.sum())
 
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        return {
-            "start_day": self.start_day,
-            "infections": self.infections.tolist(),
-            "deaths": self.deaths.tolist(),
-            "hospital_census": self.hospital_census.tolist(),
-            "icu_census": self.icu_census.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(start_day=int(d["start_day"]),
-                   infections=np.asarray(d["infections"]),
-                   deaths=np.asarray(d["deaths"]),
-                   hospital_census=np.asarray(d["hospital_census"]),
-                   icu_census=np.asarray(d["icu_census"]))
-
     @classmethod
     def empty(cls, start_day: int) -> "Trajectory":
         z = np.zeros(0)

@@ -161,8 +161,11 @@ _WINDOW_DRAW_STREAM = register_stream_tag(
 _WINDOW_RESTART_STREAM = register_stream_tag(
     "window_restart", 4,
     description="retired per-(window, particle) restart seeds (reserved)")
+# Retired with independent-stream scenarios; stays registered so tag 5 is
+# never reused.
 _SCENARIO_STREAM = register_stream_tag(
-    "scenario", 5, description="per-scenario independent stream roots")
+    "scenario", 5,
+    description="retired per-scenario independent stream roots (reserved)")
 
 
 def generator_for(seed: int) -> np.random.Generator:
@@ -336,26 +339,6 @@ class SeedSequenceBank:
             key = key + (int(window_index),)
         ss = np.random.SeedSequence(self.base_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))
-
-    def scenario_base_seed(self, scenario_key: int) -> int:
-        """Derived base seed rooting one scenario's *independent* streams.
-
-        The scenario axis defaults to **common random numbers**: every
-        scenario in a sweep shares this bank's ``base_seed`` unchanged, so
-        scenarios whose effective parameters agree over a window prefix
-        produce bit-identical windows (the world-line deduplication the
-        sweep exploits) and between-scenario differences are never replicate
-        noise.  A scenario that opts *out* of CRN
-        (``ScenarioSpec(independent_streams=True)``) instead runs its whole
-        calibration from a bank built on this derived seed — a pure function
-        of ``(base_seed, scenario_key)`` with the scenario stream tag in the
-        reserved position right after the base seed, so no scenario key can
-        steer the derived seed into :meth:`window_draw_seed`'s domain (or
-        any other bank stream's).
-        """
-        if scenario_key < 0:
-            raise ValueError("scenario_key must be >= 0")
-        return mix_seed(self.base_seed, _SCENARIO_STREAM, int(scenario_key))
 
     def window_draw_seed(self, window_index: int, draw_index: int) -> int:
         """Seed of proposal ``draw_index`` in window ``window_index``.

@@ -1,9 +1,10 @@
-"""Unit tests for the adaptive ensemble-size policies.
+"""Unit tests for the adaptive ensemble-size policy.
 
-Contract under test (see ``repro/core/ensemble_control.py``): policies are
-deterministic pure functions of the window diagnostics, clamp to
-``[n_min, n_max]``, hold inside the hysteresis band, and respond
-monotonically to the ESS fraction.  Calibrator-level wiring (sizes actually
+Contract under test (see ``repro/core/ensemble_control.py``): the ``"ess"``
+policy is a deterministic pure function of the window diagnostics, clamps
+to ``[n_min, n_max]``, holds inside the hysteresis band, and responds
+monotonically to the ESS fraction; ``SMCConfig`` accepts only the two
+policy names.  Calibrator-level wiring (sizes actually
 changing between windows) is covered here too at small scale; the
 cross-executor/shard invariance of adaptive runs lives in
 ``test_sharded_simulation.py``.
@@ -12,11 +13,10 @@ cross-executor/shard invariance of adaptive runs lives in
 import numpy as np
 import pytest
 
-from repro.core import (SIZE_POLICY_NAMES, EnsembleSizePolicy,
-                        ESSTargetPolicy, FixedSize, SequentialCalibrator,
-                        SMCConfig, WindowSchedule, make_size_policy,
+from repro.core import (SIZE_POLICY_NAMES, ESSTargetPolicy,
+                        SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
-                        paper_window_jitter, resolve_size_policy)
+                        paper_window_jitter)
 from repro.core.diagnostics import compute_diagnostics
 from repro.core.weights import normalize_log_weights
 from repro.data import PiecewiseConstant
@@ -39,23 +39,16 @@ def diag_with_ess_fraction(fraction: float, n: int = 1000):
     return d
 
 
-def next_size(policy, fraction, current=1000, window_days=14):
-    return policy.next_size(window_index=0, current_size=current,
-                            diagnostics=diag_with_ess_fraction(fraction),
-                            next_window_days=window_days)
+def next_size(policy, fraction, current=1000):
+    return policy.next_size(current_size=current,
+                            diagnostics=diag_with_ess_fraction(fraction))
 
 
-class TestFixedSize:
-    def test_passes_current_size_through(self):
-        assert next_size(FixedSize(), 0.01) == 1000
-        assert next_size(FixedSize(), 0.99) == 1000
-
-    def test_explicit_size_pins(self):
-        assert next_size(FixedSize(size=250), 0.01) == 250
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedSize(size=0)
+def pinned(size):
+    """The ``"ess"`` policy clamped to one size: every continuation window
+    proposes ``size`` draws, whatever the ESS."""
+    return dict(size_policy="ess",
+                size_policy_options={"n_min": size, "n_max": size})
 
 
 class TestESSTargetPolicy:
@@ -104,38 +97,34 @@ class TestESSTargetPolicy:
 
 
 class TestFactoryAndResolution:
+    """``SMCConfig`` resolves ``size_policy`` by name and builds the
+    ``"ess"`` policy from its options up front."""
+
     def test_named_policies(self):
-        assert isinstance(make_size_policy("fixed"), FixedSize)
-        assert isinstance(make_size_policy("ess", target_high=0.4),
-                          ESSTargetPolicy)
         assert SIZE_POLICY_NAMES == ("fixed", "ess")
+        for name in SIZE_POLICY_NAMES:
+            assert SMCConfig(size_policy=name).size_policy == name
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown size policy"):
-            make_size_policy("bogus")
+        with pytest.raises(ValueError, match="size_policy must be one of"):
+            SMCConfig(size_policy="bogus")
 
-    def test_resolve_accepts_instances(self):
-        policy = ESSTargetPolicy()
-        assert resolve_size_policy(policy) is policy
-        assert isinstance(policy, EnsembleSizePolicy)
+    def test_policy_object_rejected(self):
+        """Only the two names reach the calibrator; a policy object is
+        refused, not consulted."""
+        with pytest.raises(ValueError, match="size_policy must be one of"):
+            SMCConfig(size_policy=ESSTargetPolicy())
 
-    def test_resolve_rejects_options_with_instance(self):
+    def test_options_with_fixed_rejected(self):
         with pytest.raises(ValueError, match="size_policy_options"):
-            resolve_size_policy(ESSTargetPolicy(), {"n_min": 5})
-
-    def test_resolve_rejects_non_policy(self):
-        with pytest.raises(ValueError, match="EnsembleSizePolicy"):
-            resolve_size_policy(object())
+            SMCConfig(size_policy="fixed", size_policy_options={"n_min": 5})
 
     def test_smc_config_validates_policy_eagerly(self):
-        with pytest.raises(ValueError):
-            SMCConfig(size_policy="bogus")
         with pytest.raises(ValueError):
             SMCConfig(size_policy="ess",
                       size_policy_options={"target_low": 0.9,
                                            "target_high": 0.5})
-        cfg = SMCConfig(size_policy="ess")
-        assert isinstance(cfg.size_policy_instance(), ESSTargetPolicy)
+        SMCConfig(size_policy="ess", size_policy_options={"n_min": 5})
 
 
 class TestCalibratorWiring:
@@ -163,18 +152,18 @@ class TestCalibratorWiring:
         assert sizes == [60, 40, 40]
 
     def test_pinned_policy_resizes_every_continuation(self, small_truth):
-        results = self.run(small_truth, size_policy=FixedSize(size=25))
+        results = self.run(small_truth, **pinned(25))
         sizes = [r.diagnostics.n_particles for r in results]
         assert sizes == [60, 25, 25]
         # posterior size is unchanged by the cloud size
         assert all(len(r.posterior) == 40 for r in results)
 
     def test_growth_revisits_parents_cyclically(self, small_truth):
-        results = self.run(small_truth, size_policy=FixedSize(size=100))
+        results = self.run(small_truth, **pinned(100))
         assert [r.diagnostics.n_particles for r in results] == [60, 100, 100]
 
     def test_particle_steps_recorded(self, small_truth):
-        results = self.run(small_truth, size_policy=FixedSize(size=25))
+        results = self.run(small_truth, **pinned(25))
         # window 0 simulates burn-in 0..10 plus the window to day 10+8
         assert results[0].diagnostics.particle_steps == 60 * 18
         assert results[1].diagnostics.particle_steps == 25 * 8
@@ -193,13 +182,6 @@ class TestCalibratorWiring:
                                                 "n_max": 100_000})
         assert all(r.diagnostics.ess_fraction < 0.9 for r in results)
         assert [r.diagnostics.n_particles for r in results] == [60, 120, 240]
-
-    def test_explicit_fixed_instance_pinned_across_window0(self, small_truth):
-        """A default FixedSize() passed as an instance is pinned to the
-        classic continuation size, so window 0's larger prior cloud does
-        not leak into later windows through the pass-through."""
-        results = self.run(small_truth, size_policy=FixedSize())
-        assert [r.diagnostics.n_particles for r in results] == [60, 40, 40]
 
     def test_ess_policy_changes_sizes_deterministically(self, small_truth):
         kwargs = dict(size_policy="ess",

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct, LogNormal,
-                        TruncatedNormal, Uniform, paper_first_window_prior)
+from repro.core import (Beta, Dirac, IndependentProduct, Uniform,
+                        paper_first_window_prior)
 
 
 class TestUniform:
@@ -17,9 +17,6 @@ class TestUniform:
         d = Uniform(0.0, 2.0)
         assert d.logpdf(1.0) == pytest.approx(-np.log(2.0))
         assert d.logpdf(3.0) == -np.inf
-
-    def test_mean(self):
-        assert Uniform(0.0, 1.0).mean() == 0.5
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -50,48 +47,6 @@ class TestBeta:
         with pytest.raises(ValueError):
             Beta(0, 1)
 
-    def test_mean(self):
-        assert Beta(4, 1).mean() == pytest.approx(0.8)
-
-
-class TestLogNormal:
-    def test_positive_support(self, rng):
-        x = LogNormal(0.0, 0.5).sample(500, rng)
-        assert np.all(x > 0)
-
-    def test_mean_formula(self):
-        d = LogNormal(0.0, 1.0)
-        assert d.mean() == pytest.approx(np.exp(0.5))
-
-    def test_logpdf_negative_is_minus_inf(self):
-        assert LogNormal(0, 1).logpdf(-1.0) == -np.inf
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            LogNormal(0, 0)
-
-
-class TestTruncatedNormal:
-    def test_support_respected(self, rng):
-        d = TruncatedNormal(0.3, 0.5, 0.1, 0.5)
-        x = d.sample(1000, rng)
-        assert np.all((x >= 0.1) & (x <= 0.5))
-
-    def test_logpdf_outside(self):
-        d = TruncatedNormal(0.0, 1.0, -1.0, 1.0)
-        assert d.logpdf(2.0) == -np.inf
-        assert np.isfinite(d.logpdf(0.0))
-
-    def test_mean_between_bounds(self):
-        d = TruncatedNormal(10.0, 1.0, 0.0, 1.0)  # mean far above bounds
-        assert 0.0 < d.mean() < 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TruncatedNormal(0, -1, 0, 1)
-        with pytest.raises(ValueError):
-            TruncatedNormal(0, 1, 1, 1)
-
 
 class TestDirac:
     def test_samples_constant(self, rng):
@@ -102,9 +57,6 @@ class TestDirac:
         d = Dirac(1.0)
         assert d.logpdf(1.0) == 0.0
         assert d.logpdf(1.1) == -np.inf
-
-    def test_support_is_point(self):
-        assert Dirac(2.0).support == (2.0, 2.0)
 
 
 class TestIndependentProduct:
@@ -133,18 +85,16 @@ class TestIndependentProduct:
         with pytest.raises(ValueError):
             IndependentProduct({})
 
-    def test_contains(self):
-        d = Uniform(0.0, 1.0)
-        assert d.contains(0.5)
-        assert not d.contains(1.5)
-
 
 class TestPaperPrior:
     def test_composition(self):
         p = paper_first_window_prior()
         assert set(p.names) == {"theta", "rho"}
-        assert p.marginal("theta").support == (0.1, 0.5)
-        assert p.marginal("rho").support == (0.0, 1.0)
+        theta, rho = p.marginal("theta"), p.marginal("rho")
+        assert isinstance(theta, Uniform)
+        assert (theta.low, theta.high) == (0.1, 0.5)
+        assert isinstance(rho, Beta)
+        assert (rho.a, rho.b) == (4.0, 1.0)
 
     def test_matches_section_vb(self, rng):
         """theta ~ U(0.1,0.5); rho ~ Beta(4,1)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (effective_sample_size, ess_fraction, logsumexp,
+from repro.core import (effective_sample_size, logsumexp,
                         normalize_log_weights, weight_entropy, weighted_mean,
                         weighted_quantile)
 
@@ -68,10 +68,6 @@ class TestESS:
         w = np.zeros(10)
         w[3] = 1.0
         assert effective_sample_size(w) == pytest.approx(1.0)
-
-    def test_fraction(self):
-        w = np.full(50, 1 / 50)
-        assert ess_fraction(w) == pytest.approx(1.0)
 
     def test_intermediate_case(self):
         w = np.array([0.5, 0.5, 0.0, 0.0])

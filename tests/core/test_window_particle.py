@@ -19,10 +19,6 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(5, 5)
 
-    def test_round_trip(self):
-        w = TimeWindow(3, 9)
-        assert TimeWindow.from_dict(w.to_dict()) == w
-
 
 class TestWindowSchedule:
     def test_from_breaks(self):
@@ -39,11 +35,6 @@ class TestWindowSchedule:
     def test_burn_in_after_first_window_rejected(self):
         with pytest.raises(ValueError, match="burn-in"):
             WindowSchedule.from_breaks([20, 34], burn_in_start=25)
-
-    def test_round_trip(self):
-        s = WindowSchedule.from_breaks([20, 34, 48], burn_in_start=5)
-        restored = WindowSchedule.from_dict(s.to_dict())
-        assert restored == s
 
 def particle(theta=0.3, rho=0.8, seed=1, lw=0.0, n_days=5, start=0):
     traj = Trajectory(start, np.ones(n_days), np.zeros(n_days),

@@ -39,12 +39,6 @@ class TestEvaluation:
         assert isinstance(s(3), float)
 
 
-class TestSerialisation:
-    def test_round_trip(self):
-        s = PiecewiseConstant(breakpoints=(3, 7), values=(0.1, 0.2, 0.3))
-        assert PiecewiseConstant.from_dict(s.to_dict()) == s
-
-
 class TestPaperSchedules:
     def test_fig2_theta_values(self):
         """Section V-A: 0.30 d0-33, 0.27 d34-47, 0.25 d48-61, 0.40 d62+."""

@@ -33,14 +33,6 @@ class TestObservationSource:
         assert len(s.series) == 3
         assert s.name == "cases"
 
-    def test_round_trip(self):
-        s = source(channel=DEATHS, biased=False, name="deaths")
-        restored = ObservationSource.from_dict(s.to_dict())
-        assert restored.name == s.name
-        assert restored.channel == DEATHS
-        assert restored.biased is False
-        assert restored.series == s.series
-
 
 class TestObservationSet:
     def test_of_constructor_and_lookup(self):
@@ -79,8 +71,3 @@ class TestObservationSet:
                                 source(name="deaths", n=10, channel=DEATHS))
         w = obs.window(2, 6)
         assert all(s.series.start_day == 2 and len(s.series) == 4 for s in w)
-
-    def test_round_trip(self):
-        obs = ObservationSet.of(source(), source(name="deaths", channel=DEATHS))
-        restored = ObservationSet.from_dict(obs.to_dict())
-        assert restored.names == obs.names

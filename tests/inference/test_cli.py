@@ -122,9 +122,6 @@ class TestCommands:
                 (["fig4", "--workers", "0", *serial], "max_workers"),
                 (["fig4", "--retry-backoff", "-1", *serial], "retry_backoff"),
                 (["fig2", "--horizon", "0"], "horizon must be >= 1"),
-                ([*serve, "--restart-attempts", "0"], "max_attempts"),
-                ([*serve, "--restart-backoff", "-1"], "backoff_seconds"),
-                ([*serve, "--deadline-seconds", "0"], "timeout_seconds"),
                 ([*serve, "--horizon-days", "0"], "horizon_days"),
                 ([*serve, "--window-breaks", "34,20"],
                  "window must have positive length"),
@@ -132,6 +129,25 @@ class TestCommands:
             with pytest.raises(SystemExit,
                                match=f"invalid configuration: {field}"):
                 main([*argv, "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--restart-attempts", "0", "restart_attempts must be >= 1"),
+        ("--deadline-seconds", "-1",
+         "deadline_seconds must be positive when set"),
+        ("--restart-backoff", "-1", "restart_backoff must be >= 0"),
+    ], ids=["restart-attempts", "deadline-seconds", "restart-backoff"])
+    def test_serve_restart_flags_named_as_typed(self, tmp_path, flag, value,
+                                                problem):
+        """A bad ``serve`` restart flag names the option the user typed,
+        not the ``RetryPolicy`` field behind it."""
+        argv = ["serve", "--executor", "serial",
+                "--spool", str(tmp_path / "spool"),
+                "--artifacts", str(tmp_path / "art"),
+                "--checkpoint-dir", str(tmp_path / "ckpt"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == f"invalid configuration: {problem}"
         assert list(tmp_path.iterdir()) == []
 
     def test_resume_of_another_runs_store_exits_with_message(self, tmp_path):

@@ -1,11 +1,22 @@
 """Unit tests for the high-level configuration and result objects."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import SMCConfig
 from repro.hpc.faults import FAIL_FAST, RetryPolicy
-from repro.inference import CalibrationConfig, paper_calibration_config
+from repro.inference import CalibrationConfig
+
+
+def rebuilt(cfg: CalibrationConfig) -> CalibrationConfig:
+    """``cfg`` rebuilt from its JSON-encoded ``to_dict`` (the config echo
+    summaries and stores write): the payload must be complete and
+    JSON-safe."""
+    payload = json.loads(json.dumps(cfg.to_dict()))
+    return CalibrationConfig(**{**payload, "window_breaks":
+                                tuple(payload["window_breaks"])})
 
 
 class TestCalibrationConfig:
@@ -18,7 +29,7 @@ class TestCalibrationConfig:
         assert isinstance(cfg.smc_config(), SMCConfig)
 
     def test_paper_schedule_default(self):
-        cfg = paper_calibration_config()
+        cfg = CalibrationConfig()
         labels = [w.label() for w in cfg.schedule()]
         assert labels == ["Days 20-33", "Days 34-47", "Days 48-61",
                           "Days 62-75"]
@@ -34,15 +45,14 @@ class TestCalibrationConfig:
 
     def test_round_trip(self):
         cfg = CalibrationConfig(n_parameter_draws=7, sigma=2.0)
-        restored = CalibrationConfig.from_dict(cfg.to_dict())
-        assert restored == cfg
+        assert rebuilt(cfg) == cfg
 
     def test_temper_and_size_policy_round_trip(self):
         cfg = CalibrationConfig(
             temper_degenerate=True, temper_threshold=0.1,
             temper_ess_floor=0.25, size_policy="ess",
             size_policy_options={"target_low": 0.2, "target_high": 0.6})
-        restored = CalibrationConfig.from_dict(cfg.to_dict())
+        restored = rebuilt(cfg)
         assert restored == cfg
         smc = restored.smc_config()
         assert smc.temper_degenerate
@@ -103,7 +113,7 @@ class TestCalibrationConfig:
     def test_fault_tolerance_round_trip(self):
         cfg = CalibrationConfig(retry_attempts=2, retry_backoff=0.1,
                                 checkpoint_dir="ckpts", resume=True)
-        assert CalibrationConfig.from_dict(cfg.to_dict()) == cfg
+        assert rebuilt(cfg) == cfg
 
 
 class TestCalibrationResult:

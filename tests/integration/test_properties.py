@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (effective_sample_size, logsumexp,
                         normalize_log_weights, weighted_quantile)
 from repro.core.resampling import RESAMPLERS
-from repro.data import TimeSeries, concat
+from repro.data import TimeSeries
 from repro.hpc import chunk_sizes, partition_bounds
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -84,25 +84,6 @@ class TestPartitionInvariants:
 
 
 class TestSeriesInvariants:
-    @given(hnp.arrays(np.float64, st.integers(1, 50),
-                      elements=finite_floats),
-           st.integers(-100, 100))
-    def test_cumulative_diff_round_trip(self, values, start):
-        ts = TimeSeries(start, values)
-        back = ts.cumulative().diff()
-        assert np.allclose(back.values, ts.values, atol=1e-6)
-
-    @given(hnp.arrays(np.float64, st.integers(1, 30),
-                      elements=finite_floats),
-           hnp.arrays(np.float64, st.integers(1, 30),
-                      elements=finite_floats))
-    def test_concat_window_round_trip(self, a_vals, b_vals):
-        a = TimeSeries(0, a_vals)
-        b = TimeSeries(len(a_vals), b_vals)
-        merged = concat(a, b)
-        assert merged.window(0, len(a_vals)) == a
-        assert merged.window(len(a_vals), len(a_vals) + len(b_vals)) == b
-
     @given(hnp.arrays(np.float64, st.integers(2, 40),
                       elements=finite_floats),
            st.data())
@@ -251,12 +232,13 @@ class TestTemperedBridgeInvariants:
         from hypothesis import assume
         from repro.core import temper_and_resample
         from repro.core.resampling import multinomial_resample
-        from repro.core.weights import ess_fraction, weighted_quantile
+        from repro.core.weights import (effective_sample_size,
+                                        weighted_quantile)
         rng = np.random.Generator(np.random.PCG64(seed))
         values = rng.normal(0.0, 1.0, size=n)
         log_lik = -0.5 * concentration * (values - 0.3) ** 2
         w = normalize_log_weights(log_lik)
-        assume(ess_fraction(w) >= 0.2)  # a non-degenerate window
+        assume(effective_sample_size(w) >= 0.2 * n)  # non-degenerate
 
         tempered = temper_and_resample(
             log_lik, n, np.random.Generator(np.random.PCG64(seed + 1)),

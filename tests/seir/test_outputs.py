@@ -74,12 +74,6 @@ class TestTrajectory:
         assert t.total_infections() == 10.0
         assert t.total_deaths() == 0.0
 
-    def test_round_trip(self):
-        t = make_trajectory(start=2)
-        restored = Trajectory.from_dict(t.to_dict())
-        assert restored.start_day == 2
-        assert np.array_equal(restored.infections, t.infections)
-
     def test_empty(self):
         t = Trajectory.empty(5)
         assert len(t) == 0

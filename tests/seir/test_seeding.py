@@ -304,35 +304,3 @@ class TestRngStateHelpers:
         assert np.array_equal(rng.integers(0, 2**31, size=16),
                               clone.integers(0, 2**31, size=16))
 
-
-class TestScenarioStreams:
-    """Per-scenario independent stream roots (bank tag 5).
-
-    ``scenario_base_seed`` is the CRN opt-out: its value is pinned because
-    an ``independent_streams`` scenario's entire calibration is a pure
-    function of the derived seed, so re-keying it silently re-rolls every
-    such run.
-    """
-
-    def test_scenario_base_seed_pinned(self):
-        from repro.seir.seeding import mix_seed
-        bank = SeedSequenceBank(20240215)
-        for key in (0, 7, 2**31):
-            assert bank.scenario_base_seed(key) == mix_seed(20240215, 5, key)
-
-    def test_scenario_roots_distinct_and_reproducible(self):
-        bank = SeedSequenceBank(9)
-        assert bank.scenario_base_seed(1) != bank.scenario_base_seed(2)
-        assert (bank.scenario_base_seed(1)
-                == SeedSequenceBank(9).scenario_base_seed(1))
-        # key 0 must not collapse onto the undecorated base seed (that
-        # would silently re-enable CRN for the first independent scenario)
-        assert bank.scenario_base_seed(0) != 9
-
-    def test_scenario_root_disjoint_from_window_streams(self):
-        bank = SeedSequenceBank(9)
-        assert bank.scenario_base_seed(3) != bank.window_draw_seed(3, 3)
-
-    def test_negative_scenario_key_rejected(self):
-        with pytest.raises(ValueError, match="scenario_key"):
-            SeedSequenceBank(9).scenario_base_seed(-1)
