@@ -201,9 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "windows in both the checkpoint and artifact "
                          "stores")
     ps.add_argument("--horizon-days", type=int, default=14,
-                    help="forecast horizon published per window")
+                    help="forecast horizon published per window: the next "
+                         "window's proposal cloud, continued past its end "
+                         "when the horizon is longer; after the last "
+                         "window, the posterior with theta held")
     ps.add_argument("--forecast-seed", type=int, default=0,
-                    help="base seed of the published forecast continuations")
+                    help="base seed of the forecast continuations (past "
+                         "the next window's end, and after the last "
+                         "window)")
     ps.add_argument("--exit-when-done", action="store_true",
                     help="exit once every scheduled window is sealed "
                          "instead of polling forever (used by tests/CI)")
@@ -257,7 +262,6 @@ def _run_config(scenarios: list[str] | None = None,
     exits with its message instead of a traceback."""
     try:
         cfg = CalibrationConfig(**kwargs)
-        cfg.smc_config()
         schedule = cfg.schedule()
         for name in scenarios or ():
             get_scenario(name).check_schedule(schedule)

@@ -98,9 +98,9 @@ from .window import TimeWindow, WindowSchedule
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with core.scenarios
     from .scenarios import ScenarioSpec
 
-__all__ = ["SMCConfig", "WindowResult", "PendingWindow",
-           "SequentialCalibrator", "window_step", "window_loop",
-           "BIAS_PARAM"]
+__all__ = ["SMCConfig", "WindowResult", "PendingWindow", "SimulatedWindow",
+           "SequentialCalibrator", "simulate_windows", "window_step",
+           "window_loop", "BIAS_PARAM"]
 
 #: Reserved name of the reporting-bias parameter in priors/jitters.
 BIAS_PARAM = "rho"
@@ -216,6 +216,8 @@ class SMCConfig:
                      "n_continuations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.engine_options.get("steps_per_day", 1) < 1:
+            raise ValueError("steps_per_day must be >= 1")
         if self.size_policy not in SIZE_POLICY_NAMES:
             raise ValueError(f"size_policy must be one of "
                              f"{list(SIZE_POLICY_NAMES)}, got "
@@ -310,6 +312,24 @@ class PendingWindow:
     @property
     def n_members(self) -> int:
         return len(self.member_seeds)
+
+
+@dataclass(frozen=True)
+class SimulatedWindow:
+    """One window's proposal cloud, simulated and assembled but not weighed.
+
+    What :func:`simulate_windows` returns and
+    :meth:`SequentialCalibrator.step_window` accepts as ``cloud``: the
+    :class:`PendingWindow` it was proposed as, its unweighted ``ensemble``,
+    and the shard failures recovered while simulating it, which land in
+    the window's diagnostics when it is weighed.  The cloud needs only the
+    previous posterior and the schedule, so a streaming driver can simulate
+    it before the window's observations arrive.
+    """
+
+    pending: PendingWindow
+    ensemble: ParticleEnsemble
+    shard_failures: tuple[ShardFailure, ...] = ()
 
 
 # --------------------------------------------------------------------------- #
@@ -423,7 +443,8 @@ class SequentialCalibrator:
                     observations: ObservationSet,
                     posterior: ParticleEnsemble | None = None, *,
                     n_proposals: int | None = None,
-                    resample_size: int | None = None) -> WindowResult:
+                    resample_size: int | None = None,
+                    cloud: SimulatedWindow | None = None) -> WindowResult:
         """Calibrate one window — the single-step entry point.
 
         :func:`window_step` for this calibrator alone, exposed so a
@@ -438,11 +459,35 @@ class SequentialCalibrator:
         range, and all per-window randomness is keyed by ``index``, so
         stepping windows one at a time is bit-identical to a full
         :meth:`run` over the same schedule.
+
+        ``cloud`` is this window's proposal cloud, already simulated by
+        :meth:`simulate_window` from ``posterior`` at ``n_proposals``; the
+        step then only weighs it.  The cloud is the one the fused step
+        would simulate, so the result is bit-identical either way.
         """
         _require_days(observations, window.start_day, window.end_day,
                       f"window {index}")
+        if cloud is not None:
+            pending = cloud.pending
+            if (pending.index, pending.window) != (index, window) or (
+                    n_proposals is not None
+                    and pending.n_members != n_proposals):
+                raise ValueError(
+                    f"cloud of window {pending.index} ({pending.n_members} "
+                    f"members) does not match window {index} at "
+                    f"{n_proposals} proposals")
         return window_step([self], index, window, observations,
-                           [posterior], [(n_proposals, resample_size)])[0]
+                           [posterior], [(n_proposals, resample_size)],
+                           clouds=None if cloud is None else [cloud])[0]
+
+    def simulate_window(self, index: int, window: TimeWindow,
+                        posterior: ParticleEnsemble | None = None, *,
+                        n_proposals: int | None = None) -> SimulatedWindow:
+        """Propose and simulate one window's cloud without weighing it:
+        :func:`simulate_windows` for this calibrator alone, the first half
+        of :meth:`step_window`."""
+        return simulate_windows([self], index, window, [posterior],
+                                [n_proposals])[0]
 
     def planned_sizes_after(self, result: WindowResult, *,
                             next_window_days: int) -> tuple[int, int]:
@@ -881,26 +926,25 @@ def _require_days(observations: ObservationSet, start_day: int,
             f"[{start_day}, {end_day})")
 
 
-def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
-                window: TimeWindow, observations: ObservationSet,
-                posteriors: Sequence[ParticleEnsemble | None],
-                plans: Sequence[tuple[int | None, int | None]]
-                ) -> list[WindowResult]:
-    """Calibrate one window for each calibrator (one world-line each).
+def simulate_windows(calibrators: Sequence[SequentialCalibrator],
+                     index: int, window: TimeWindow,
+                     posteriors: Sequence[ParticleEnsemble | None],
+                     n_proposals: Sequence[int | None]
+                     ) -> list[SimulatedWindow]:
+    """Propose, simulate and assemble one window's cloud per calibrator.
 
     Each calibrator proposes its cloud from its ``posteriors`` entry at
-    its ``plans`` entry ``(n_proposals, resample_size)``; every cloud's
-    group spec goes out in **one**
-    :func:`~repro.hpc.sharding.simulate_group_sets` map; then each cloud
-    is assembled and weighed.  Shard RNG streams are keyed by seed slices,
-    never by dispatch position, so every result is bit-identical to
-    stepping its calibrator alone.  The calibrators share one config and
-    executor, hence one shard layout and retry policy.
+    its ``n_proposals`` entry; every cloud's group spec goes out in **one**
+    :func:`~repro.hpc.sharding.simulate_group_sets` map, and each cloud is
+    assembled.  Shard RNG streams are keyed by seed slices, never by
+    dispatch position, so every cloud is bit-identical to simulating its
+    calibrator's alone.  The calibrators share one config and executor,
+    hence one shard layout and retry policy.
     """
     pendings = [calib.propose_window(index, window, posterior,
-                                     n_proposals=n_proposals)
-                for calib, posterior, (n_proposals, _) in zip(
-                    calibrators, posteriors, plans)]
+                                     n_proposals=n)
+                for calib, posterior, n in zip(calibrators, posteriors,
+                                               n_proposals)]
     first = calibrators[0]
     shard_sets = simulate_group_sets(
         first.executor, [pending.specs for pending in pendings],
@@ -908,12 +952,35 @@ def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
         retry=first.config.retry,
         on_failures=[calib._on_shard_failure for calib in calibrators],
         **first._shard_layout_kwargs())
-    return [calib.weigh_window(index, window,
-                               calib.assemble_window(pending, shards),
-                               observations, sim_days=pending.sim_days,
-                               resample_size=resample_size)
-            for calib, pending, shards, (_, resample_size) in zip(
-                calibrators, pendings, shard_sets, plans)]
+    return [SimulatedWindow(pending, calib.assemble_window(pending, shards),
+                            tuple(calib._window_shard_failures))
+            for calib, pending, shards in zip(calibrators, pendings,
+                                              shard_sets)]
+
+
+def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
+                window: TimeWindow, observations: ObservationSet,
+                posteriors: Sequence[ParticleEnsemble | None],
+                plans: Sequence[tuple[int | None, int | None]],
+                clouds: Sequence[SimulatedWindow] | None = None
+                ) -> list[WindowResult]:
+    """Calibrate one window for each calibrator (one world-line each).
+
+    :func:`simulate_windows` at each calibrator's ``plans`` entry
+    ``(n_proposals, resample_size)``, unless the ``clouds`` it would
+    return are given; then each cloud is weighed, with the shard failures
+    recovered while simulating it, and resampled to its plan's size.
+    """
+    if clouds is None:
+        clouds = simulate_windows(calibrators, index, window, posteriors,
+                                  [n_proposals for n_proposals, _ in plans])
+    results: list[WindowResult] = []
+    for calib, cloud, (_, resample_size) in zip(calibrators, clouds, plans):
+        calib._window_shard_failures = list(cloud.shard_failures)
+        results.append(calib.weigh_window(
+            index, window, cloud.ensemble, observations,
+            sim_days=cloud.pending.sim_days, resample_size=resample_size))
+    return results
 
 
 def window_loop(calibrators: Mapping[str, SequentialCalibrator],

@@ -110,15 +110,16 @@ class CalibrationConfig:
     checkpoint_keep_last: int | None = None
 
     def __post_init__(self) -> None:
-        # The executor, the retry policy and the observation model are
-        # built only when the run starts; check all three up front.
+        # The executor, the SMC config (with its retry policy) and the
+        # observation model are built only when the run starts; check all
+        # three up front, so a bad knob is not first met inside a shard.
         if self.executor not in EXECUTOR_SPECS:
             raise ValueError(f"executor must be one of "
                              f"{list(EXECUTOR_SPECS)}, got {self.executor!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         try:
-            self.retry_policy()
+            self.smc_config()
             self.observation_model()
         except ValueError as exc:
             # Name the config field, not the RetryPolicy or bias-model one.

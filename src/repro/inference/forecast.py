@@ -1,4 +1,4 @@
-"""Posterior predictive forecasting beyond the last calibrated window.
+"""Forecasting beyond the last calibrated window.
 
 The paper motivates the framework as producing "plausible epidemic
 trajectories/histories given the observed data" (section VI) for
@@ -18,6 +18,14 @@ each shard on a stream keyed by its slice of the forecast seed vector
 trajectory object is built: the ribbons read the stacked batch.  The
 per-particle restart survives only as the test oracle
 :func:`repro.testing.restart_oracle`.
+
+Between windows the streaming service needs no separate pass:
+:func:`forecast_from_cloud` reads the next window's jittered proposal
+cloud, which the calibrator simulates anyway and weighs once the window's
+observations arrive — the particle filter's one-step predictive.  Its
+parameters drift under the window jitter (the paper's model of a moving
+theta) instead of being held, and only a horizon longer than the next
+window continues the cloud, on the forecast stream.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from ..seir.batch_engine import BatchTrajectory
 from ..seir.parameters import check_parameter_columns
 from ..seir.seeding import mix_seeds, register_stream_tag
 
-__all__ = ["Forecast", "forecast_from_posterior", "forecast_scenarios"]
+__all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud",
+           "forecast_scenarios"]
 
 # Forecast continuation seeds occupy their own registered bank stream: the
 # registry raises at import time if another consumer ever claims tag 9100,
@@ -48,8 +57,10 @@ _FORECAST_STREAM = register_stream_tag(
 
 @dataclass(frozen=True)
 class Forecast:
-    """Posterior predictive trajectory ensemble: ``batch`` row ``rep * n +
-    j`` continues particle ``j`` for the ``rep``-th time."""
+    """Forecast trajectory ensemble: ``batch`` row ``rep * n + j``
+    continues posterior particle ``j`` for the ``rep``-th time
+    (:func:`forecast_from_posterior`), or row ``i`` is cloud member ``i``
+    (:func:`forecast_from_cloud`)."""
 
     start_day: int
     horizon_days: int
@@ -124,6 +135,41 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
         end_day=restart.day + horizon_days, state=tiled, **layout)
     return Forecast(start_day=restart.day, horizon_days=horizon_days,
                     batch=batch)
+
+
+def forecast_from_cloud(cloud: ParticleEnsemble, horizon_days: int,
+                        executor: Executor | None = None,
+                        base_seed: int = 0, *,
+                        shard_size: int | None = None,
+                        n_shards: int | str = "auto") -> Forecast:
+    """The next window's simulated proposal cloud, read as a forecast.
+
+    ``cloud`` is that window's unweighted ensemble (its segments start
+    where the last calibrated window ends).  A horizon no longer than the
+    window is its first ``horizon_days`` days; a longer one continues every
+    member from its end-of-window restart state for the remaining days on
+    the forecast stream, seeded by ``(base_seed, member index, member
+    seed)``, and joins the two parts.  One row per member.
+    """
+    if horizon_days < 1:
+        raise ValueError("horizon_days must be >= 1")
+    segments = cloud.trajectory_batch("segment")
+    start = segments.start_day
+    end = start + horizon_days
+    if end <= segments.end_day:
+        return Forecast(start_day=start, horizon_days=horizon_days,
+                        batch=segments.window(start, end))
+    restart = cloud.restart
+    if restart is None:
+        raise ValueError("cloud members carry no end-of-window state")
+    executor = executor or SerialExecutor()
+    tail = simulate_members(
+        executor, restart.params, _forecast_seeds(cloud, base_seed, 1),
+        end_day=end, state=restart,
+        **resolve_shard_layout(executor, shard_size=shard_size,
+                               n_shards=n_shards))
+    return Forecast(start_day=start, horizon_days=horizon_days,
+                    batch=segments.extended_by(tail))
 
 
 def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from ..core.smc import SequentialCalibrator, WindowResult
+from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
 from ..data.sources import ObservationSet
 from ..hpc.faults import ChaosInjectedError
@@ -130,7 +130,9 @@ class ChaosCalibrator:
     """Fault-injecting proxy around a sequential calibrator.
 
     Forwards everything to the wrapped calibrator except
-    :meth:`step_window`, which consults the plan first.  The attempt
+    :meth:`step_window`, which consults the plan first (the simulation of
+    a window's cloud ahead of its step, ``simulate_window``, is forwarded
+    unfaulted).  The attempt
     number is the per-window call count, which under
     :class:`~repro.service.supervisor.CalibrationService` is exactly the
     supervisor's restart attempt — so plans address "window 1, second
@@ -160,7 +162,8 @@ class ChaosCalibrator:
                     observations: ObservationSet,
                     posterior: Any = None, *,
                     n_proposals: int | None = None,
-                    resample_size: int | None = None) -> WindowResult:
+                    resample_size: int | None = None,
+                    cloud: SimulatedWindow | None = None) -> WindowResult:
         attempt = self._calls.get(index, 0) + 1
         self._calls[index] = attempt
         fault = self._plan.fault_for(index, attempt)
@@ -172,7 +175,8 @@ class ChaosCalibrator:
             self._sleep(fault.delay_seconds)
         return self._inner.step_window(index, window, observations,
                                        posterior, n_proposals=n_proposals,
-                                       resample_size=resample_size)
+                                       resample_size=resample_size,
+                                       cloud=cloud)
 
 
 def tear_artifact(store: ArtifactStore, window_index: int) -> None:

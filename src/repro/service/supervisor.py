@@ -6,16 +6,18 @@ observations become available in an
 :class:`~repro.service.ingest.ObservationBuffer`.  Each ready window runs
 under supervision:
 
-* **deadline** — the window step is timed against
+* **deadline** — the whole window turn (the step, the next window's
+  cloud and the publish) is timed against
   ``ServiceConfig.restart.timeout_seconds`` (the per-window deadline,
   reusing :class:`~repro.hpc.faults.RetryPolicy` semantics); a miss is a
   degradation event, not a failure — the result is kept, the operator is
   told the service is falling behind.
-* **bounded restart** — a window step that raises is retried up to
-  ``restart.max_attempts`` times with the policy's deterministic linear
-  backoff.  Re-running :meth:`~repro.core.smc.SequentialCalibrator.\
-step_window` is provably safe: all of its randomness is keyed by
-  ``(base_seed, window index)``, never by wall clock or attempt.
+* **bounded restart** — a window step (or the next window's cloud) that
+  raises is retried up to ``restart.max_attempts`` times with the policy's
+  deterministic linear backoff.  Re-running :meth:`~repro.core.smc.\
+SequentialCalibrator.step_window` is provably safe: all of its randomness
+  is keyed by ``(base_seed, window index)``, never by wall clock or
+  attempt.
 * **sticky failure** — once the restart budget is exhausted the window is
   marked failed and the service stops advancing (state is preserved;
   reads keep serving the last sealed artifact, tagged stale).  A daemon
@@ -30,9 +32,20 @@ step_window` is provably safe: all of its randomness is keyed by
 
 Every successful window is durably checkpointed first
 (:meth:`~repro.core.smc.SequentialCalibrator.persist_window`), then its
-posterior forecast is published atomically through
+forecast is published atomically through
 :class:`~repro.service.artifacts.ArtifactStore`.  The checkpoint store is
 the source of truth; artifacts are a deterministic function of it.
+
+The forecast of every window but the last is the next window's proposal
+cloud: when window *k* seals, the service proposes and simulates window
+*k+1*'s jittered cloud through the calibrator's own dispatch path
+(:meth:`~repro.core.smc.SequentialCalibrator.simulate_window`), publishes
+its ribbons, and keeps it; the tick that brings window *k+1*'s data only
+weighs it.  The kept cloud is keyed by ``(window index, planned
+n_proposals)`` and the posterior it was proposed from, and a fresh process
+simulates it at the tick instead — the same cloud either way.  The last
+window's forecast restarts its posterior with theta held
+(:func:`~repro.inference.forecast.forecast_from_posterior`).
 
 Time discipline: the supervisor measures durations with an injectable
 *monotonic* clock and never reads wall-clock time, so the service layer
@@ -47,13 +60,14 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ..core.particle import ParticleEnsemble
 from ..core.posterior import check_quantiles
-from ..core.smc import SequentialCalibrator, WindowResult
+from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
 from ..data.sources import CHANNELS, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.faults import RetryPolicy
-from ..inference.forecast import forecast_from_posterior
+from ..inference.forecast import forecast_from_cloud, forecast_from_posterior
 from .artifacts import ArtifactRead, ArtifactStore
 from .ingest import ObservationBuffer
 
@@ -75,7 +89,13 @@ class ServiceConfig:
     ``timeout_seconds`` doubles as the per-window deadline (a soft one —
     see :class:`CalibrationService`).  The forecast fields pin everything
     that keys the published artifact bytes, so two services with equal
-    configs publish byte-identical artifacts from equal posteriors.
+    configs publish byte-identical artifacts from equal calibrations.
+
+    ``horizon_days`` is the published horizon.  Before the last window it
+    is read off the next window's proposal cloud, continued past that
+    window's end on the forecast stream when the horizon is longer; after
+    the last window it is a theta-held restart of the posterior.
+    ``forecast_seed`` seeds those two continuations only.
     """
 
     restart: RetryPolicy = field(default_factory=RetryPolicy)
@@ -83,14 +103,11 @@ class ServiceConfig:
     forecast_seed: int = 0
     forecast_channels: tuple[str, ...] = ("cases",)
     quantiles: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95)
-    n_per_particle: int = 1
     keep_last: int | None = None
 
     def __post_init__(self) -> None:
         if self.horizon_days < 1:
             raise ValueError("horizon_days must be >= 1")
-        if self.n_per_particle < 1:
-            raise ValueError("n_per_particle must be >= 1")
         if not self.forecast_channels:
             raise ValueError("at least one forecast channel is required")
         unknown = sorted(set(self.forecast_channels) - CHANNELS)
@@ -177,6 +194,10 @@ class CalibrationService:
         self._posterior = None
         self._planned = calibrator.config.continuation_ensemble_size
         self._planned_resample = calibrator.config.resample_size
+        #: The next window's simulated cloud, keyed by ``(window index,
+        #: planned n_proposals)`` and the posterior it was proposed from.
+        self._stash: tuple[tuple[int, int], ParticleEnsemble,
+                           SimulatedWindow] | None = None
         #: Window whose restart budget ran dry; the service holds position
         #: until a process restart grants a fresh budget.
         self.failed_window: int | None = None
@@ -249,8 +270,9 @@ class CalibrationService:
         checkpoint seal but before the artifact seal, the missing (or
         torn) artifact is rebuilt from the restored posterior — a pure
         function of it, so the re-published bytes match what the
-        uninterrupted run would have written.  Returns the ``resumed``
-        event, or ``None`` for a fresh store.
+        uninterrupted run would have written.  Rebuilding simulates the
+        next window's cloud, which the next tick then weighs.  Returns the
+        ``resumed`` event, or ``None`` for a fresh store.
         """
         result = self.calibrator.restore_latest_window(self.checkpoints)
         if result is None:
@@ -307,7 +329,9 @@ class CalibrationService:
                 result = self.calibrator.step_window(
                     index, window, observations, self._posterior,
                     n_proposals=self._planned,
-                    resample_size=self._planned_resample)
+                    resample_size=self._planned_resample,
+                    cloud=self._kept(index, self._planned, self._posterior))
+                payload = self._forecast_payload(result)
             except Exception as exc:  # noqa: BLE001 — supervision boundary
                 detail = (f"attempt {attempt}/{policy.max_attempts} raised "
                           f"{type(exc).__name__}: {exc}")
@@ -323,29 +347,31 @@ class CalibrationService:
                     f"{detail}; restart budget exhausted — holding position, "
                     "reads serve the last sealed artifact")))
                 return events
-            elapsed = self._clock() - started
-            deadline = policy.timeout_seconds
-            if deadline is not None and elapsed > deadline:
-                events.append(self._record(ServiceEvent(
-                    "deadline_missed", index,
-                    f"window took {elapsed:.2f}s against a {deadline:.2f}s "
-                    "deadline; result kept, service is falling behind")))
-            events.extend(self._seal(result))
+            events.extend(self._seal(result, payload, started))
             return events
         raise AssertionError("unreachable: retry loop neither returned "
                              "nor exhausted")
 
-    def _seal(self, result: WindowResult) -> list[ServiceEvent]:
+    def _seal(self, result: WindowResult, payload: dict,
+              started: float) -> list[ServiceEvent]:
         """Persist, publish, prune, and advance past one window result.
 
         Order matters for crash safety: the checkpoint seal lands before
         the artifact seal, and :meth:`resume` heals the gap between them,
-        so there is no kill point that loses or forks state.
+        so there is no kill point that loses or forks state.  The deadline
+        is checked once the artifact is published, ``started`` being the
+        clock reading when the window's step began.
         """
         events: list[ServiceEvent] = []
         self.calibrator.persist_window(self.checkpoints, result)
-        path = self.artifacts.publish(result.index,
-                                      self._forecast_payload(result))
+        path = self.artifacts.publish(result.index, payload)
+        elapsed = self._clock() - started
+        deadline = self.config.restart.timeout_seconds
+        if deadline is not None and elapsed > deadline:
+            events.append(self._record(ServiceEvent(
+                "deadline_missed", result.index,
+                f"window took {elapsed:.2f}s against a {deadline:.2f}s "
+                "deadline; result kept, service is falling behind")))
         diag = result.diagnostics
         detail = f"ESS {diag.ess:.1f}/{diag.n_particles}"
         if diag.shard_failures:
@@ -375,28 +401,63 @@ class CalibrationService:
                 self.calibrator.planned_sizes_after(
                     result,
                     next_window_days=self._windows[self._next_index].n_days)
+        if self._kept(self._next_index, self._planned,
+                      self._posterior) is None:
+            self._stash = None
 
-    # ------------------------------------------------------------------ #
-    # Publication and reads
-    # ------------------------------------------------------------------ #
+    def _kept(self, index: int, n_proposals: int,
+              posterior: ParticleEnsemble | None) -> SimulatedWindow | None:
+        """The kept cloud if it is window ``index``'s at ``n_proposals``,
+        proposed from ``posterior`` (the same object); else ``None``."""
+        if self._stash is None:
+            return None
+        key, origin, cloud = self._stash
+        return cloud if key == (index, n_proposals) and origin is posterior \
+            else None
+
+    def _next_cloud(self, result: WindowResult) -> SimulatedWindow:
+        """Window ``result.index + 1``'s cloud, proposed from ``result``'s
+        posterior at the size planned after it: the kept one if it
+        matches, else simulated now and kept for the tick that weighs it."""
+        index = result.index + 1
+        window = self._windows[index]
+        n_proposals, _ = self.calibrator.planned_sizes_after(
+            result, next_window_days=window.n_days)
+        cloud = self._kept(index, n_proposals, result.posterior)
+        if cloud is None:
+            cloud = self.calibrator.simulate_window(
+                index, window, result.posterior, n_proposals=n_proposals)
+            self._stash = ((index, n_proposals), result.posterior, cloud)
+        return cloud
+
     def _forecast_payload(self, result: WindowResult) -> dict:
         """Build the servable forecast artifact for one window.
 
-        Deterministic by construction: the forecast seeds derive from
-        ``(forecast_seed, particle seeds)`` on the registered forecast
-        stream, the shard layout is pinned to the calibrator's, and every
-        value is JSON-native — so the canonical artifact bytes are a pure
-        function of the posterior and the service config.  No timestamps
-        ride in the payload; staleness is computed at read time from the
-        seal file instead.
+        Before the last window the forecast is the next window's proposal
+        cloud (:meth:`_next_cloud`; ``n_trajectories`` is its size), read
+        by :func:`~repro.inference.forecast.forecast_from_cloud`.  After
+        the last window it is the posterior restarted with theta held
+        (:func:`~repro.inference.forecast.forecast_from_posterior`, one
+        continuation per particle).  Deterministic by construction: the
+        cloud's randomness is keyed by ``(base_seed, window index)``, the
+        continuations' by ``(forecast_seed, member seeds)`` on the
+        registered forecast stream, the shard layout is the calibrator's,
+        and every value is JSON-native — so the canonical artifact bytes
+        are a pure function of the posterior, the calibrator and the
+        service config.  No timestamps ride in the payload; staleness is
+        computed at read time from the seal file instead.
         """
         cfg = self.config
         cal = self.calibrator
-        forecast = forecast_from_posterior(
-            result.posterior, cfg.horizon_days,
-            executor=cal.executor, base_seed=cfg.forecast_seed,
-            n_per_particle=cfg.n_per_particle,
-            shard_size=cal.config.shard_size, n_shards=cal.config.n_shards)
+        shared = {"executor": cal.executor, "base_seed": cfg.forecast_seed,
+                  "shard_size": cal.config.shard_size,
+                  "n_shards": cal.config.n_shards}
+        if result.index + 1 < len(self._windows):
+            forecast = forecast_from_cloud(
+                self._next_cloud(result).ensemble, cfg.horizon_days, **shared)
+        else:
+            forecast = forecast_from_posterior(
+                result.posterior, cfg.horizon_days, **shared)
         channels: dict[str, dict] = {}
         for channel in cfg.forecast_channels:
             ribbon = forecast.ribbon(channel, cfg.quantiles)

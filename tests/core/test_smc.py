@@ -39,6 +39,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SMCConfig(resample_size=0)
 
+    def test_steps_per_day_validated(self):
+        with pytest.raises(ValueError, match="steps_per_day must be >= 1"):
+            SMCConfig(engine_options={"steps_per_day": 0})
+
     def test_ensemble_size_properties(self):
         cfg = SMCConfig(n_parameter_draws=10, n_replicates=3,
                         resample_size=7, n_continuations=2)
@@ -154,6 +158,65 @@ class TestSequentialRun:
         r2 = calibrator(schedule, small_truth).run(small_truth.observations())
         assert np.array_equal(r1[0].posterior.values("theta"),
                               r2[0].posterior.values("theta"))
+
+
+class TestSimulatedCloud:
+    """A window's cloud simulated ahead of its step weighs to the same
+    posterior as the fused step."""
+
+    def test_stepping_a_simulated_cloud_is_bit_identical(self, small_truth):
+        from repro.core.smc import WindowResult
+        from repro.hpc import RetryPolicy
+        from repro.hpc.faults import ChaosExecutor, Fault, FaultPlan
+
+        def run(ahead, plan=None):
+            calib = calibrator(
+                WindowSchedule.from_breaks([10, 20, 30]), small_truth,
+                config=SMCConfig(n_parameter_draws=30, n_replicates=2,
+                                 resample_size=40, base_seed=17,
+                                 n_shards=2,
+                                 retry=RetryPolicy(max_attempts=2)))
+            w0, w1 = list(calib.schedule)
+            first = calib.step_window(0, w0, small_truth.observations())
+            if plan is not None:
+                calib.executor = ChaosExecutor(calib.executor, plan)
+            cloud = (calib.simulate_window(1, w1, first.posterior,
+                                           n_proposals=40)
+                     if ahead else None)
+            if ahead:  # the next window's proposing must not leak into it
+                calib.propose_window(0, w0)
+                calib.executor = None  # and the step must not simulate
+            result = calib.step_window(
+                1, w1, small_truth.observations(), first.posterior,
+                n_proposals=40, cloud=cloud)
+            assert isinstance(result, WindowResult)
+            return result
+
+        fused, ahead = run(False), run(True)
+        for name in ("theta", "rho"):
+            assert np.array_equal(fused.posterior.values(name),
+                                  ahead.posterior.values(name))
+        assert np.array_equal(fused.posterior.seeds(),
+                              ahead.posterior.seeds())
+        assert fused.diagnostics == ahead.diagnostics
+
+        # A shard failure recovered while simulating the cloud ahead lands
+        # in that window's diagnostics.
+        plan = FaultPlan.scripted(Fault("crash", shard=0, attempt=1))
+        recovered = run(True, plan)
+        assert recovered.diagnostics.shard_failures == 1
+        assert np.array_equal(recovered.posterior.values("theta"),
+                              fused.posterior.values("theta"))
+
+    def test_mismatched_cloud_refused(self, small_truth):
+        calib = calibrator(WindowSchedule.from_breaks([10, 20, 30]),
+                           small_truth)
+        w0, w1 = list(calib.schedule)
+        first = calib.step_window(0, w0, small_truth.observations())
+        cloud = calib.simulate_window(1, w1, first.posterior)
+        with pytest.raises(ValueError, match="does not match"):
+            calib.step_window(1, w1, small_truth.observations(),
+                              first.posterior, n_proposals=20, cloud=cloud)
 
 
 class TestPerWindowRandomness:

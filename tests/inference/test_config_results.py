@@ -91,6 +91,23 @@ class TestCalibrationConfig:
         with pytest.raises(ValueError, match=field):
             CalibrationConfig(**knobs)
 
+    @pytest.mark.parametrize("knobs, field", [
+        ({"steps_per_day": 0}, "steps_per_day must be >= 1"),
+        ({"size_policy": "bogus"}, "size_policy must be one of"),
+        ({"size_policy_options": {"n_min": 3}},
+         "size_policy_options only apply to size_policy='ess'"),
+        ({"n_shards": "many"}, "n_shards must be 'auto' or an int >= 1"),
+        ({"shard_size": 0}, "shard_size must be >= 1"),
+        ({"temper_threshold": 2.0}, "temper_threshold must lie in"),
+        ({"n_continuations": 0}, "n_continuations must be >= 1"),
+        ({"resample_size": 0}, "resample_size must be >= 1")])
+    def test_smc_knobs_validated_at_construction(self, knobs, field):
+        """A bad SMC knob fails when the config is built, naming the
+        field, not inside the first window's dispatch (where a retrying
+        shard policy would retry it)."""
+        with pytest.raises(ValueError, match=f"^{field}"):
+            CalibrationConfig(**knobs)
+
     def test_retry_policy_built_from_knobs(self):
         cfg = CalibrationConfig(retry_attempts=3, retry_timeout=30.0,
                                 retry_backoff=0.5)

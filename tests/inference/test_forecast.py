@@ -8,7 +8,7 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
-from repro.inference.forecast import _forecast_seeds
+from repro.inference.forecast import _forecast_seeds, forecast_from_cloud
 from repro.seir import BatchTrajectory, DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing import restart_oracle
@@ -77,6 +77,73 @@ class TestForecast:
         """There is one forecast path; the old selector is gone."""
         with pytest.raises(TypeError, match="path"):
             forecast_from_posterior(posterior, 5, path="scalar")
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    """Window 1's simulated, unweighted proposal cloud (days 20-26)."""
+    params = DiseaseParameters(population=30_000, initial_exposed=60)
+    truth = make_ground_truth(
+        params=params, horizon=27, seed=11,
+        theta_schedule=PiecewiseConstant.constant(0.3),
+        rho_schedule=PiecewiseConstant.constant(0.7))
+    calib = SequentialCalibrator(
+        base_params=params, prior=paper_first_window_prior(),
+        jitter=paper_window_jitter(),
+        observation_model=paper_observation_model(),
+        schedule=WindowSchedule.from_breaks([10, 20, 27]),
+        config=SMCConfig(n_parameter_draws=15, n_replicates=2,
+                         resample_size=20, n_continuations=2, base_seed=6))
+    windows = list(calib.schedule)
+    first = calib.step_window(0, windows[0], truth.observations())
+    return calib.simulate_window(1, windows[1], first.posterior,
+                                 n_proposals=40).ensemble
+
+
+class TestForecastFromCloud:
+    """The next window's proposal cloud as the forecast."""
+
+    def test_short_horizon_is_the_cloud(self, cloud):
+        fc = forecast_from_cloud(cloud, horizon_days=4)
+        assert (fc.start_day, fc.horizon_days, len(fc)) == (20, 4, 40)
+        head = cloud.segments.window(20, 24)
+        assert np.array_equal(fc.batch.infections, head.infections)
+        assert np.array_equal(fc.batch.deaths, head.deaths)
+        full = forecast_from_cloud(cloud, horizon_days=7)
+        assert np.array_equal(full.batch.infections,
+                              cloud.segments.infections)
+
+    def test_long_horizon_continues_contiguously(self, cloud):
+        """Past the window's end every member restarts from its
+        end-of-window state on the forecast stream: the first 7 days are
+        the cloud, the rest the restart, day for day."""
+        from repro.hpc import SerialExecutor, simulate_members
+        fc = forecast_from_cloud(cloud, horizon_days=12, base_seed=3)
+        assert (fc.start_day, fc.batch.start_day, fc.batch.n_days) == \
+            (20, 20, 12)
+        assert cloud.restart.day == 27
+        tail = simulate_members(
+            SerialExecutor(), cloud.restart.params,
+            _forecast_seeds(cloud, 3, 1), end_day=32, state=cloud.restart,
+            n_shards=1)
+        for channel in ("cases", "deaths", "hospital_census"):
+            expected = np.hstack([cloud.segments.channel_matrix(channel),
+                                  tail.channel_matrix(channel)])
+            assert np.array_equal(fc.batch.channel_matrix(channel), expected)
+
+    def test_long_horizon_is_deterministic_per_forecast_seed(self, cloud):
+        a = forecast_from_cloud(cloud, 12, base_seed=3)
+        b = forecast_from_cloud(cloud, 12, base_seed=3)
+        c = forecast_from_cloud(cloud, 12, base_seed=4)
+        assert np.array_equal(a.batch.infections, b.batch.infections)
+        assert np.array_equal(a.batch.infections[:, :7],
+                              c.batch.infections[:, :7])
+        assert not np.array_equal(a.batch.infections[:, 7:],
+                                  c.batch.infections[:, 7:])
+
+    def test_validation(self, cloud):
+        with pytest.raises(ValueError, match="horizon_days"):
+            forecast_from_cloud(cloud, 0)
 
 
 class TestShardedBatchedForecast:

@@ -11,12 +11,15 @@ Acceptance properties (see ISSUE/docs/service.md):
 * a torn artifact is never served.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
+from repro.core.posterior import trajectory_ribbon
 from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore, RetryPolicy
 from repro.seir import CheckpointError, DiseaseParameters
@@ -48,11 +51,24 @@ def make_calibrator(truth, base_seed=11):
                          resample_size=12, base_seed=base_seed, n_shards=2))
 
 
+class RecordingCalibrator(ChaosCalibrator):
+    """A chaos proxy that also records the ``cloud`` every step was handed
+    (``None``: the step simulated its own), per window, in call order."""
+
+    def __init__(self, calibrator, plan, **kwargs):
+        super().__init__(calibrator, plan, **kwargs)
+        self.clouds = {}
+
+    def step_window(self, index, *args, cloud=None, **kwargs):
+        self.clouds.setdefault(index, []).append(cloud)
+        return super().step_window(index, *args, cloud=cloud, **kwargs)
+
+
 def make_service(truth, root, *, plan=None, config=None, base_seed=11,
                  **kwargs):
     cal = make_calibrator(truth, base_seed=base_seed)
     if plan is not None:
-        cal = ChaosCalibrator(cal, plan, sleep=lambda _s: None)
+        cal = RecordingCalibrator(cal, plan, sleep=lambda _s: None)
     return CalibrationService(
         cal, CheckpointStore(root / "ckpt"), ArtifactStore(root / "art"),
         config or ServiceConfig(restart=RetryPolicy(max_attempts=2),
@@ -72,6 +88,11 @@ def filled_buffer(truth, *, frontier=0, up_to_day=None):
 def artifact_bytes(root):
     return {i: (root / "art" / f"window_{i:03d}" / "forecast.json").read_bytes()
             for i in range(N_WINDOWS)}
+
+
+def checkpoint_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted((root / "ckpt").rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +146,75 @@ class TestStraightThrough:
                 service_store.load_window_meta(index)
 
 
+class TestNextWindowForecast:
+    """Every window but the last publishes the cloud the next one weighs."""
+
+    def test_artifact_is_the_cloud_the_next_window_weighs(self, baseline,
+                                                         truth, tmp_path):
+        _service, base_root, _events = baseline
+        service = make_service(truth, tmp_path,
+                               plan=ServiceFaultPlan.scripted())
+        service.tick(filled_buffer(truth))
+        assert artifact_bytes(tmp_path) == artifact_bytes(base_root)
+        clouds = service.calibrator.clouds
+        assert clouds[0] == [None]  # window 0 simulates its prior cloud
+        (cloud,) = clouds[1]
+        assert cloud is not None and cloud.pending.index == 1
+        payload = json.loads(artifact_bytes(tmp_path)[0])
+        start = BREAKS[1]
+        assert payload["forecast_start_day"] == start
+        assert payload["n_trajectories"] == cloud.pending.n_members
+        ribbon = trajectory_ribbon(
+            cloud.ensemble.segments.window(start, start + 4), "cases",
+            (0.05, 0.25, 0.5, 0.75, 0.95))
+        bands = payload["channels"]["cases"]["quantiles"]
+        for q, band in bands.items():
+            assert band == [float(v) for v in ribbon.band(float(q))]
+
+    def test_payload_alone_derives_plans_and_simulates(self, baseline,
+                                                       truth, tmp_path):
+        """``_forecast_payload`` works on a bare result, with no tick having
+        planned the next window: the same artifact."""
+        _service, base_root, _events = baseline
+        service = make_service(truth, tmp_path)
+        cal = service.calibrator
+        window = list(cal.schedule)[0]
+        result = cal.step_window(0, window, truth.observations())
+        payload = service._forecast_payload(result)
+        assert payload == json.loads(artifact_bytes(base_root)[0])
+
+    def test_longer_horizon_continues_the_cloud(self, truth, tmp_path):
+        """A horizon past the next window's end continues the cloud on the
+        forecast stream: contiguous days, the same bytes after a kill
+        between ticks, and only the continuation moves with
+        ``forecast_seed``."""
+        def config(seed):
+            return ServiceConfig(restart=RetryPolicy(max_attempts=2),
+                                 horizon_days=10, forecast_seed=seed)
+
+        straight = make_service(truth, tmp_path / "a", config=config(0))
+        straight.tick(filled_buffer(truth))
+        killed = make_service(truth, tmp_path / "b", config=config(0))
+        killed.tick(filled_buffer(truth, up_to_day=BREAKS[1]))
+        del killed
+        resumed = make_service(truth, tmp_path / "b", config=config(0))
+        resumed.resume()
+        resumed.tick(filled_buffer(truth, frontier=BREAKS[1]))
+        assert artifact_bytes(tmp_path / "b") == \
+            artifact_bytes(tmp_path / "a")
+        reseeded = make_service(truth, tmp_path / "c", config=config(1))
+        reseeded.tick(filled_buffer(truth))
+
+        first = json.loads(artifact_bytes(tmp_path / "a")[0])
+        other = json.loads(artifact_bytes(tmp_path / "c")[0])
+        window_days = BREAKS[2] - BREAKS[1]
+        for q, band in first["channels"]["cases"]["quantiles"].items():
+            assert len(band) == 10
+            other_band = other["channels"]["cases"]["quantiles"][q]
+            assert band[:window_days] == other_band[:window_days]
+        assert first["channels"] != other["channels"]
+
+
 class TestKillAndRestart:
     def test_kill_after_window_seal_resumes_bit_identical(self, baseline,
                                                           truth, tmp_path):
@@ -141,6 +231,22 @@ class TestKillAndRestart:
         assert resumed is not None and resumed.window_index == 0
         second.tick(filled_buffer(truth, frontier=BREAKS[1]))
         assert second.done
+        assert artifact_bytes(tmp_path) == artifact_bytes(base_root)
+
+    def test_kill_between_ticks_simulates_the_cloud_again(self, baseline,
+                                                          truth, tmp_path):
+        """A fresh process has no kept cloud: window 1's step simulates it,
+        to byte-identical checkpoints and artifacts."""
+        _service, base_root, _events = baseline
+        first = make_service(truth, tmp_path)
+        first.tick(filled_buffer(truth, up_to_day=BREAKS[1]))
+        del first
+        second = make_service(truth, tmp_path,
+                              plan=ServiceFaultPlan.scripted())
+        second.resume()
+        second.tick(filled_buffer(truth, frontier=BREAKS[1]))
+        assert second.calibrator.clouds == {1: [None]}
+        assert checkpoint_bytes(tmp_path) == checkpoint_bytes(base_root)
         assert artifact_bytes(tmp_path) == artifact_bytes(base_root)
 
     def test_kill_between_checkpoint_and_artifact_heals(self, baseline,
@@ -162,6 +268,22 @@ class TestKillAndRestart:
         second.tick(filled_buffer(truth, frontier=BREAKS[1]))
         assert artifact_bytes(tmp_path) == artifact_bytes(base_root)
 
+    def test_republish_keeps_the_cloud_for_the_next_tick(self, baseline,
+                                                         truth, tmp_path):
+        import shutil
+        _service, base_root, _events = baseline
+        first = make_service(truth, tmp_path)
+        first.tick(filled_buffer(truth, up_to_day=BREAKS[1]))
+        shutil.rmtree(tmp_path / "art" / "window_000")
+        del first
+        second = make_service(truth, tmp_path,
+                              plan=ServiceFaultPlan.scripted())
+        second.resume()
+        second.tick(filled_buffer(truth, frontier=BREAKS[1]))
+        (cloud,) = second.calibrator.clouds[1]
+        assert cloud is not None
+        assert checkpoint_bytes(tmp_path) == checkpoint_bytes(base_root)
+
     def test_resume_on_fresh_store_is_none(self, truth, tmp_path):
         assert make_service(truth, tmp_path).resume() is None
 
@@ -181,8 +303,12 @@ class TestChaos:
         assert service.done
         assert "window_restart" in [e.kind for e in events]
         assert service.calibrator.injected == {0: 1, 1: 2}
+        # both attempts were handed the cloud kept when window 0 sealed
+        first, second = service.calibrator.clouds[1]
+        assert first is not None and second is first
         _base_service, base_root, _events = baseline
         assert artifact_bytes(tmp_path) == artifact_bytes(base_root)
+        assert checkpoint_bytes(tmp_path) == checkpoint_bytes(base_root)
 
     def test_budget_exhaustion_is_sticky_and_reads_degrade(self, truth,
                                                            tmp_path):
@@ -262,6 +388,59 @@ class TestDeadline:
         missed = [e for e in events if e.kind == "deadline_missed"]
         assert len(missed) == N_WINDOWS
         assert "falling behind" in missed[0].detail
+
+    class FakeTime:
+        """A clock that moves only when slept on."""
+
+        def __init__(self):
+            self.now = 0.0
+
+        def clock(self):
+            return self.now
+
+        def sleep(self, seconds):
+            self.now += seconds
+
+    def deadline_service(self, truth, root, time, calibrator):
+        config = ServiceConfig(
+            restart=RetryPolicy(max_attempts=2, timeout_seconds=1.0),
+            horizon_days=4)
+        return CalibrationService(
+            calibrator, CheckpointStore(root / "ckpt"),
+            ArtifactStore(root / "art"), config,
+            clock=time.clock, sleep=time.sleep)
+
+    def test_delay_fault_trips_the_deadline(self, truth, tmp_path):
+        time = self.FakeTime()
+        plan = ServiceFaultPlan.scripted(
+            WindowFault("delay", window=1, delay_seconds=5.0))
+        calibrator = ChaosCalibrator(make_calibrator(truth), plan,
+                                     sleep=time.sleep)
+        service = self.deadline_service(truth, tmp_path, time, calibrator)
+        events = service.tick(filled_buffer(truth))
+        assert service.done
+        assert [(e.kind, e.window_index) for e in events] == [
+            ("window_complete", 0), ("published", 0),
+            ("deadline_missed", 1), ("window_complete", 1),
+            ("published", 1)]
+
+    def test_next_cloud_counts_against_the_deadline(self, truth, tmp_path):
+        """The window turn includes simulating the next window's cloud:
+        a slow one makes the window that sealed late."""
+        time = self.FakeTime()
+
+        class SlowCloud(ChaosCalibrator):
+            def simulate_window(self, *args, **kwargs):
+                time.sleep(5.0)
+                return self._inner.simulate_window(*args, **kwargs)
+
+        calibrator = SlowCloud(make_calibrator(truth),
+                               ServiceFaultPlan.scripted())
+        service = self.deadline_service(truth, tmp_path, time, calibrator)
+        events = service.tick(filled_buffer(truth))
+        missed = [e.window_index for e in events
+                  if e.kind == "deadline_missed"]
+        assert missed == [0]
 
 
 class TestRetentionAndPartialFeeds:
