@@ -41,10 +41,11 @@ cloud: when window *k* seals, the service proposes and simulates window
 *k+1*'s jittered cloud through the calibrator's own dispatch path
 (:meth:`~repro.core.smc.SequentialCalibrator.simulate_window`), publishes
 its ribbons, and keeps it; the tick that brings window *k+1*'s data only
-weighs it.  The kept cloud is keyed by ``(window index, planned
-n_proposals)`` and the posterior it was proposed from, and a fresh process
-simulates it at the tick instead — the same cloud either way.  The last
-window's forecast restarts its posterior with theta held
+weighs it.  The kept cloud is tied to the posterior object it was
+proposed from (which fixes its window and, through the deterministic size
+plan, its size), and a fresh process simulates it at the tick instead —
+the same cloud either way.  The last window's forecast restarts its
+posterior with theta held
 (:func:`~repro.inference.forecast.forecast_from_posterior`).
 
 Time discipline: the supervisor measures durations with an injectable
@@ -194,10 +195,9 @@ class CalibrationService:
         self._posterior = None
         self._planned = calibrator.config.continuation_ensemble_size
         self._planned_resample = calibrator.config.resample_size
-        #: The next window's simulated cloud, keyed by ``(window index,
-        #: planned n_proposals)`` and the posterior it was proposed from.
-        self._stash: tuple[tuple[int, int], ParticleEnsemble,
-                           SimulatedWindow] | None = None
+        #: The next window's simulated cloud and the posterior it was
+        #: proposed from.
+        self._stash: tuple[ParticleEnsemble, SimulatedWindow] | None = None
         #: Window whose restart budget ran dry; the service holds position
         #: until a process restart grants a fresh budget.
         self.failed_window: int | None = None
@@ -330,7 +330,7 @@ class CalibrationService:
                     index, window, observations, self._posterior,
                     n_proposals=self._planned,
                     resample_size=self._planned_resample,
-                    cloud=self._kept(index, self._planned, self._posterior))
+                    cloud=self._kept(self._posterior))
                 payload = self._forecast_payload(result)
             except Exception as exc:  # noqa: BLE001 — supervision boundary
                 detail = (f"attempt {attempt}/{policy.max_attempts} raised "
@@ -401,33 +401,33 @@ class CalibrationService:
                 self.calibrator.planned_sizes_after(
                     result,
                     next_window_days=self._windows[self._next_index].n_days)
-        if self._kept(self._next_index, self._planned,
-                      self._posterior) is None:
+        if self._kept(self._posterior) is None:
             self._stash = None
 
-    def _kept(self, index: int, n_proposals: int,
-              posterior: ParticleEnsemble | None) -> SimulatedWindow | None:
-        """The kept cloud if it is window ``index``'s at ``n_proposals``,
-        proposed from ``posterior`` (the same object); else ``None``."""
+    def _kept(self, posterior: ParticleEnsemble | None
+              ) -> SimulatedWindow | None:
+        """The kept cloud if it was proposed from ``posterior`` (the same
+        object), else ``None``.  The posterior fixes the cloud's window and
+        planned size; :meth:`~repro.core.smc.SequentialCalibrator.\
+step_window` refuses a cloud of another window or size."""
         if self._stash is None:
             return None
-        key, origin, cloud = self._stash
-        return cloud if key == (index, n_proposals) and origin is posterior \
-            else None
+        origin, cloud = self._stash
+        return cloud if origin is posterior else None
 
     def _next_cloud(self, result: WindowResult) -> SimulatedWindow:
         """Window ``result.index + 1``'s cloud, proposed from ``result``'s
         posterior at the size planned after it: the kept one if it
         matches, else simulated now and kept for the tick that weighs it."""
-        index = result.index + 1
-        window = self._windows[index]
-        n_proposals, _ = self.calibrator.planned_sizes_after(
-            result, next_window_days=window.n_days)
-        cloud = self._kept(index, n_proposals, result.posterior)
+        cloud = self._kept(result.posterior)
         if cloud is None:
+            index = result.index + 1
+            window = self._windows[index]
+            n_proposals, _ = self.calibrator.planned_sizes_after(
+                result, next_window_days=window.n_days)
             cloud = self.calibrator.simulate_window(
                 index, window, result.posterior, n_proposals=n_proposals)
-            self._stash = ((index, n_proposals), result.posterior, cloud)
+            self._stash = (result.posterior, cloud)
         return cloud
 
     def _forecast_payload(self, result: WindowResult) -> dict:
