@@ -81,8 +81,8 @@ def test_checkpoint_restart_saving(benchmark, output_dir, tmp_path):
     # Warm restarts simulate 14 of 76 days; require at least a 2x saving.
     assert speedup > 2.0
     # Restarted segments are the correct window and physically sane.
-    for traj in warm:
-        assert traj.start_day == CHECKPOINT_DAY
-        assert traj.end_day == END_DAY
+    assert warm.n_particles == N_RESTARTS
+    assert warm.start_day == CHECKPOINT_DAY
+    assert warm.end_day == END_DAY
     for traj in cold:
         assert traj.start_day == 0

@@ -32,8 +32,8 @@ def _stats(engine_cls, **kwargs):
     t0 = time.perf_counter()
     for seed in range(N_REPS):
         traj = engine_cls(SMALL, seed=seed + 50, **kwargs).run_until(HORIZON)
-        attack.append(traj.total_infections() / SMALL.population)
-        deaths.append(traj.total_deaths())
+        attack.append(traj.infections.sum() / SMALL.population)
+        deaths.append(traj.deaths.sum())
     seconds = time.perf_counter() - t0
     return {"attack_mean": float(np.mean(attack)),
             "attack_sd": float(np.std(attack)),
@@ -94,7 +94,7 @@ def test_batched_engine_matrix(benchmark, output_dir):
             for i, seed in enumerate(seeds):
                 traj = BinomialLeapEngine(SMALL, seed=int(seed),
                                           steps_per_day=4).run_until(HORIZON)
-                scalar_attack[i] = traj.total_infections() / SMALL.population
+                scalar_attack[i] = traj.infections.sum() / SMALL.population
             scalar_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()

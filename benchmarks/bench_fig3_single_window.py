@@ -25,20 +25,17 @@ from _bench_util import once
 from repro.core import (marginal_histogram, paper_first_window_prior,
                         trajectory_ribbon)
 from repro.inference import CalibrationConfig, calibrate
-from repro.seir import Trajectory, chicago_defaults
+from repro.seir import BatchTrajectory, chicago_defaults
 from repro.viz import write_json, write_ribbon_csv
 
 
 def observed_scale_trajectories(posterior, window):
     """Per-particle simulated *observed* cases: mean-thin true cases by the
     particle's own rho (the series the paper plots against the black dots)."""
-    out = []
-    for p in posterior:
-        seg = p.segment.window(*window)
-        thinned = p.params["rho"] * seg.infections
-        zero = np.zeros_like(thinned)
-        out.append(Trajectory(seg.start_day, thinned, zero, zero, zero))
-    return out
+    seg = posterior.segments.window(*window)
+    thinned = posterior.values("rho")[:, None] * seg.infections
+    zero = np.zeros_like(thinned)
+    return BatchTrajectory(seg.start_day, thinned, zero, zero, zero)
 
 WINDOW = (20, 34)
 
@@ -67,8 +64,8 @@ def test_fig3_single_window_calibration(benchmark, scale, output_dir,
     theta_post = posterior.values("theta")
     rho_post = posterior.values("rho")
 
-    true_ribbon = trajectory_ribbon(
-        [p.segment.window(*WINDOW) for p in posterior], "cases")
+    true_ribbon = trajectory_ribbon(posterior.segments.window(*WINDOW),
+                                    "cases")
     write_ribbon_csv(output_dir / "fig3_true_case_trajectories.csv",
                      true_ribbon,
                      truth=paper_truth.true_cases.window(*WINDOW))

@@ -24,7 +24,7 @@ import numpy as np
 from _bench_util import once
 from repro.core import hpd_region_mass, joint_density_grid, trajectory_ribbon
 from repro.inference import CalibrationConfig, calibrate
-from repro.seir import Trajectory
+from repro.seir import BatchTrajectory
 from repro.viz import write_density_csv, write_json, write_ribbon_csv
 
 WINDOW_MIDPOINTS = (26, 40, 54, 68)
@@ -46,17 +46,6 @@ def sequential_config(scale, base_seed=202):
     )
 
 
-def reported_scale_histories(posterior):
-    """Mean-thin each particle's full history by its own rho."""
-    out = []
-    for p in posterior:
-        hist = p.history
-        thinned = p.params["rho"] * hist.infections
-        zero = np.zeros_like(thinned)
-        out.append(Trajectory(hist.start_day, thinned, zero, zero, zero))
-    return out
-
-
 def windowed_reported_ribbons(result):
     """Per-window reported-scale ribbons, each from that window's posterior.
 
@@ -67,13 +56,10 @@ def windowed_reported_ribbons(result):
     """
     ribbons = []
     for wr in result.windows:
-        members = []
-        for p in wr.posterior:
-            seg = p.segment
-            thinned = p.params["rho"] * seg.infections
-            zero = np.zeros_like(thinned)
-            members.append(Trajectory(seg.start_day, thinned, zero, zero,
-                                      zero))
+        seg = wr.posterior.segments
+        thinned = wr.posterior.values("rho")[:, None] * seg.infections
+        zero = np.zeros_like(thinned)
+        members = BatchTrajectory(seg.start_day, thinned, zero, zero, zero)
         ribbons.append((wr.window, trajectory_ribbon(members, "cases")))
     return ribbons
 

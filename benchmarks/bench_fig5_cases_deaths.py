@@ -73,8 +73,7 @@ def test_fig5_sequential_cases_and_deaths(benchmark, scale, output_dir,
     # discreteness slack around the band.
     death_coverages = []
     for wr in result.windows:
-        rib = trajectory_ribbon(wr.posterior.trajectories("segment"),
-                                "deaths")
+        rib = trajectory_ribbon(wr.posterior.segments, "deaths")
         truth_vals = paper_truth.deaths.window(
             wr.window.start_day, wr.window.end_day).values
         lo = rib.band(0.05) - 1.0

@@ -8,8 +8,8 @@ particles two ways:
   construction, day loop), and
 * **batched** — one :class:`~repro.seir.BatchedBinomialLeapEngine` stepping
   the whole cloud as a ``(n_particles, n_compartments)`` state matrix,
-  including per-particle ``Trajectory`` views and the columnar
-  :class:`~repro.seir.StackedLeapState` restart state a shard returns,
+  including the columnar :class:`~repro.seir.StackedLeapState` restart
+  state a shard returns,
 
 at several ensemble sizes, and emits a ``BENCH_simulation.json`` baseline
 with per-path timings, particle throughput, the batched/scalar speedup, and
@@ -56,7 +56,7 @@ def run_scalar(params: DiseaseParameters, seeds: np.ndarray,
         engine = BinomialLeapEngine(
             params.with_updates(transmission_rate=float(theta)), int(seed),
             steps_per_day=STEPS_PER_DAY)
-        totals[i] = engine.run_until(n_days).total_infections()
+        totals[i] = engine.run_until(n_days).infections.sum()
     return float(totals.mean())
 
 
@@ -66,8 +66,6 @@ def run_batched(params: DiseaseParameters, seeds: np.ndarray,
     engine = BatchedBinomialLeapEngine(params, seeds, thetas=thetas,
                                        steps_per_day=STEPS_PER_DAY)
     batch = engine.run_until(n_days)
-    for i in range(engine.n_particles):
-        batch.trajectory(i)
     StackedLeapState(
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,

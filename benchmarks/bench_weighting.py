@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.core import Particle, ParticleEnsemble, paper_observation_model
+from repro.core import ParticleEnsemble, paper_observation_model
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
-from repro.seir import SeedSequenceBank, Trajectory
+from repro.seir import BatchTrajectory, SeedSequenceBank
 from repro.testing import loglik_reference
 
 START_DAY = 20
@@ -41,21 +41,16 @@ DEFAULT_DAYS = 14
 
 def build_ensemble(n_particles: int, n_days: int,
                    rng: np.random.Generator) -> ParticleEnsemble:
-    """Synthetic particles with epidemic-scale count segments."""
+    """A synthetic ensemble with epidemic-scale count segments."""
     cases = rng.poisson(lam=rng.uniform(50, 400, size=n_particles)[:, None],
                         size=(n_particles, n_days)).astype(np.float64)
     deaths = rng.poisson(3.0, size=(n_particles, n_days)).astype(np.float64)
-    zeros = np.zeros(n_days)
+    zeros = np.zeros((n_particles, n_days))
     rho = rng.uniform(0.3, 0.95, size=n_particles)
     theta = rng.uniform(0.1, 0.5, size=n_particles)
-    particles = [
-        Particle(params={"theta": float(theta[i]), "rho": float(rho[i])},
-                 seed=i,
-                 segment=Trajectory(START_DAY, cases[i], deaths[i],
-                                    zeros, zeros))
-        for i in range(n_particles)
-    ]
-    return ParticleEnsemble(particles)
+    return ParticleEnsemble.from_columns(
+        {"theta": theta, "rho": rho}, np.arange(n_particles),
+        segments=BatchTrajectory(START_DAY, cases, deaths, zeros, zeros))
 
 
 def build_observations(n_days: int, rng: np.random.Generator) -> ObservationSet:
@@ -85,15 +80,12 @@ def run_weighting_bench(n_particles: int = DEFAULT_PARTICLES,
         "repeats": repeats,
         "modes": {},
     }
-    # The scalar reference loops over per-particle records, built once
-    # outside the timed region.
-    particles = ensemble.particles
     for mode in ("mean", "sample"):
         om = paper_observation_model(bias_mode=mode)
 
         def scalar():
             r = bank.ancillary_generator(1, window_index=0)
-            return loglik_reference(om, observations, particles, r)
+            return loglik_reference(om, observations, ensemble, r)
 
         def batched():
             r = bank.ancillary_generator(1, window_index=0)

@@ -494,6 +494,9 @@ def _cmd_serve(args) -> int:
         raise SystemExit(f"--window-breaks must be comma-separated integers, "
                          f"got {args.window_breaks!r}")
     stream_names = tuple(s.strip() for s in args.streams.split(",") if s.strip())
+    if not stream_names:
+        _invalid(f"--streams must name at least one stream, "
+                 f"got {args.streams!r}")
     unknown = [s for s in stream_names if s not in _DEFAULT_STREAMS]
     if unknown:
         raise SystemExit(f"--streams {unknown} not in "

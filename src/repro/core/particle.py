@@ -11,7 +11,10 @@ Algorithm 1 weighs, resamples and restarts whole clouds of these, so
 seed, log-weight and ancestor arrays, the restart state as the
 :class:`~repro.seir.checkpoint.StackedLeapState` the checkpoint store
 writes, and segments and histories kept by genealogy (each window's
-trajectories plus the ancestor rows they continue), stacked when read.
+trajectories plus the ancestor rows they continue), stacked into one
+:class:`~repro.seir.batch_engine.BatchTrajectory` when read.  There is no
+per-particle trajectory record: :class:`Particle` is a row view of the
+scalar columns only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
-from ..seir.outputs import Trajectory
 from .weights import (effective_sample_size, normalize_log_weights,
                       weighted_mean, weighted_quantile)
 
@@ -32,42 +34,25 @@ __all__ = ["Particle", "ParticleEnsemble"]
 
 @dataclass(frozen=True)
 class Particle:
-    """One weighted trajectory hypothesis: a :class:`ParticleEnsemble` row
-    view, or a hand-built record for its ingress.
+    """Row ``i`` of a :class:`ParticleEnsemble`, as ``ens[i]`` and
+    ``iter(ens)`` build it: the calibration parameters (e.g. ``{"theta":
+    0.31, "rho": 0.62}``), the seed, the log-weight and the parent's index
+    in the previous posterior (-1 for first-window particles).
 
-    ``params`` are the calibration parameters (e.g. ``{"theta": 0.31,
-    "rho": 0.62}``), ``seed`` generated ``segment`` (the latest window's
-    trajectory), ``history`` runs from simulation start, and ``ancestor``
-    is the parent's index in the previous posterior (-1 for first-window
-    particles).  Restart state is columnar only
-    (:attr:`ParticleEnsemble.restart`).
+    Trajectories and restart state are columnar only
+    (:attr:`ParticleEnsemble.segments`, :attr:`~ParticleEnsemble.histories`,
+    :attr:`~ParticleEnsemble.restart`), so building a row view gathers
+    nothing.
     """
 
     params: dict[str, float]
     seed: int
-    log_weight: float = 0.0
-    segment: Trajectory | None = None
-    history: Trajectory | None = None
-    ancestor: int = -1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params",
-                           {k: float(v) for k, v in dict(self.params).items()})
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "log_weight", float(self.log_weight))
+    log_weight: float
+    ancestor: int
 
     def value(self, name: str) -> float:
         """Parameter value by name (KeyError if absent)."""
         return self.params[name]
-
-
-def _stack_trajectories(trajectories: Sequence[Trajectory | None]
-                        ) -> BatchTrajectory | None:
-    """Hand-built particles' trajectories as one batch (``None`` if none)."""
-    present = [t for t in trajectories if t is not None]
-    if present and len(present) != len(trajectories):
-        raise ValueError("particles disagree on carrying trajectories")
-    return BatchTrajectory.from_trajectories(present) if present else None
 
 
 class _Lineage:
@@ -107,27 +92,8 @@ class _Lineage:
 
 
 class ParticleEnsemble:
-    """An ordered, column-stored collection of particles.
-
-    ``ParticleEnsemble(particles)`` is the validating ingress for
-    hand-built :class:`Particle` records (they must agree on parameter
-    names and trajectory day ranges); it carries no restart state.  The
-    calibrator builds ensembles straight from columns
-    (:meth:`from_columns`), the one way restart state enters.
-    """
-
-    def __init__(self, particles: Sequence[Particle]) -> None:
-        if not particles:
-            raise ValueError("ensemble must contain at least one particle")
-        names = list(particles[0].params)
-        if any(set(p.params) != set(names) for p in particles):
-            raise ValueError("particles disagree on parameter names")
-        self._init_columns(
-            {name: [p.params[name] for p in particles] for name in names},
-            [p.seed for p in particles],
-            [p.log_weight for p in particles], [p.ancestor for p in particles],
-            _stack_trajectories([p.segment for p in particles]),
-            _stack_trajectories([p.history for p in particles]), None)
+    """An ordered, column-stored collection of particles, built with
+    :meth:`from_columns`."""
 
     @classmethod
     def from_columns(cls, params: Mapping[str, np.ndarray],
@@ -143,29 +109,28 @@ class ParticleEnsemble:
         Log-weights default to zero and ancestors to ``-1`` (no parent).
         """
         ensemble = cls.__new__(cls)
-        ensemble._init_columns(
-            params, seeds,
-            np.zeros(len(seeds)) if log_weights is None else log_weights,
-            np.full(len(seeds), -1) if ancestors is None else ancestors,
-            segments, histories, restart)
+        ensemble._init_columns(params, seeds, log_weights, ancestors,
+                               segments, histories, restart)
         return ensemble
 
-    def _init_columns(self, params: Mapping[str, Sequence[float]],
-                      seeds: Sequence[int], log_weights: Sequence[float],
-                      ancestors: Sequence[int],
+    def _init_columns(self, params: Mapping[str, np.ndarray],
+                      seeds: np.ndarray, log_weights: np.ndarray | None,
+                      ancestors: np.ndarray | None,
                       segments: BatchTrajectory | _Lineage | None,
                       histories: BatchTrajectory | _Lineage | None,
                       restart: StackedLeapState | None) -> None:
         self._params = {name: np.asarray(c, dtype=np.float64)
                         for name, c in params.items()}
         self._seeds = np.asarray(seeds, dtype=np.int64)
-        self._log_weights = np.asarray(log_weights, dtype=np.float64)
-        self._ancestors = np.asarray(ancestors, dtype=np.int64)
+        n = len(self._seeds)
+        self._log_weights = np.zeros(n) if log_weights is None \
+            else np.asarray(log_weights, dtype=np.float64)
+        self._ancestors = np.full(n, -1, dtype=np.int64) \
+            if ancestors is None else np.asarray(ancestors, dtype=np.int64)
         self.restart = restart
         self._segments, self._history = (
             _Lineage(c) if isinstance(c, BatchTrajectory) else c
             for c in (segments, histories))
-        n = len(self._seeds)
         rows = {len(c) for c in (*self._params.values(), self._log_weights,
                                  self._ancestors)}
         rows |= {len(c) for c in (self._segments, self._history)
@@ -186,16 +151,10 @@ class ParticleEnsemble:
     def __getitem__(self, index: int) -> Particle:
         """Row ``index`` as a read-only :class:`Particle` view."""
         i = range(len(self))[index]
-        seg, hist = (None if c is None else c.rows(np.array([i])).trajectory(0)
-                     for c in (self._segments, self._history))
         return Particle(
             {name: float(c[i]) for name, c in self._params.items()},
-            int(self._seeds[i]), float(self._log_weights[i]), seg, hist,
+            int(self._seeds[i]), float(self._log_weights[i]),
             int(self._ancestors[i]))
-
-    @property
-    def particles(self) -> list[Particle]:
-        return list(self)
 
     @property
     def segments(self) -> BatchTrajectory | None:
@@ -300,10 +259,6 @@ class ParticleEnsemble:
         if batch is None:
             raise ValueError(f"particle missing {which} trajectory")
         return batch
-
-    def trajectories(self, which: str = "segment") -> list[Trajectory]:
-        """Collect per-particle trajectories (``segment`` or ``history``)."""
-        return self.trajectory_batch(which).trajectories()
 
     def segment_matrix(self, channel: str, start_day: int | None = None,
                        end_day: int | None = None) -> np.ndarray:

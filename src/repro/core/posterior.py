@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from ..seir.batch_engine import BatchTrajectory
-from ..seir.outputs import Trajectory
 from .weights import weighted_quantile
 
 __all__ = ["TrajectoryRibbon", "trajectory_ribbon", "check_quantiles",
@@ -79,23 +78,18 @@ def check_quantiles(quantiles: Sequence[float]) -> tuple[float, ...]:
     return qs
 
 
-def trajectory_ribbon(trajectories: Sequence[Trajectory] | BatchTrajectory,
-                      channel: str,
+def trajectory_ribbon(trajectories: BatchTrajectory, channel: str,
                       quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                       weights: np.ndarray | None = None) -> TrajectoryRibbon:
     """Per-day (optionally weighted) quantiles over trajectory ensemble.
 
-    ``trajectories`` is a sequence of trajectories sharing a day range or
-    one stacked :class:`~repro.seir.batch_engine.BatchTrajectory` (a
-    posterior ensemble's segments or histories, used whole).  Default
-    quantiles give the paper's 50% (0.25-0.75) and 90% (0.05-0.95) ribbons
-    plus the median.
+    ``trajectories`` is one stacked
+    :class:`~repro.seir.batch_engine.BatchTrajectory` (a posterior
+    ensemble's segments or histories, a forecast batch), used whole.
+    Default quantiles give the paper's 50% (0.25-0.75) and 90% (0.05-0.95)
+    ribbons plus the median.
     """
     qs = check_quantiles(quantiles)
-    if not isinstance(trajectories, BatchTrajectory):
-        if not trajectories:
-            raise ValueError("need at least one trajectory")
-        trajectories = BatchTrajectory.from_trajectories(trajectories)
     start = trajectories.start_day
     stack = np.ascontiguousarray(trajectories.channel_matrix(channel))
     n_days = stack.shape[1]

@@ -72,7 +72,7 @@ from typing import (TYPE_CHECKING, Callable, ClassVar, Hashable, Mapping,
 
 import numpy as np
 
-from ..data.sources import ObservationSet
+from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import FAIL_FAST, RetryPolicy, ShardFailure
@@ -522,7 +522,7 @@ class SequentialCalibrator:
             f"[{failure.cause}] {failure.error}"
             + ("; retrying" if retrying else ""))
 
-    def run_fingerprint(self) -> dict:
+    def run_fingerprint(self, streams: Sequence[str] = (CASES,)) -> dict:
         """JSON-stable identity of everything that determines a run's bits.
 
         Stored in the checkpoint store's ``run_meta.json`` and validated on
@@ -541,8 +541,10 @@ class SequentialCalibrator:
         per-particle layout (1) is refused instead of silently restarting
         from window 0.  ``"scenario"`` and ``"observation"`` appear only
         when the scenario or the observation model (a sigma or bias mode
-        other than the paper's) changes the bits, so stores written before
-        either key existed still resume under the defaults.
+        other than the paper's) changes the bits, and ``"streams"`` only
+        when the observed ``streams`` are not cases alone, so stores
+        written before any of these keys existed still resume under the
+        defaults.
         """
         cfg = self.config
 
@@ -579,6 +581,8 @@ class SequentialCalibrator:
         observation = self.observation_model.fingerprint_payload()
         if observation != paper_observation_model().fingerprint_payload():
             fingerprint["observation"] = observation
+        if tuple(streams) != (CASES,):
+            fingerprint["streams"] = list(streams)
         return fingerprint
 
     def persist_window(self, store: CheckpointStore,
@@ -998,7 +1002,8 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
     from another calibrator's world-line.
 
     With ``stores`` (name -> store) each calibrator checks its store
-    against its run fingerprint and persists every window it completes;
+    against its run fingerprint (keyed by the observed streams too) and
+    persists every window it completes;
     ``resume=True`` first restores each store's gapless prefix of complete
     windows (setting ``resumed_from``) and replays the size policies from
     the last one.  Each window, the calibrators still running split into
@@ -1031,7 +1036,7 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
         if stores is None:
             continue
         store = stores[name]
-        store.validate_run_meta(calib.run_fingerprint())
+        store.validate_run_meta(calib.run_fingerprint(observations.names))
         # Only a gapless prefix of sealed windows restores (everything
         # after a gap is recomputed anyway), with checkpoints for its last
         # window alone: the posterior the next window restarts from.

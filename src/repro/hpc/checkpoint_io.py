@@ -274,12 +274,11 @@ class CheckpointStore:
                 self.load_window_meta(window_index))
 
     def stored_windows(self) -> list[int]:
-        """Indices of all windows with a directory, complete or not."""
-        out = []
-        for child in sorted(self._root.glob("window_*")):
-            if child.is_dir():
-                out.append(int(child.name.split("_", 1)[1]))
-        return out
+        """Indices of all windows with a directory, complete or not, in
+        numeric order (``window_1000`` after ``window_999``)."""
+        return sorted(int(child.name.split("_", 1)[1])
+                      for child in self._root.glob("window_*")
+                      if child.is_dir())
 
     def prune(self, keep_last: int) -> list[int]:
         """Retention GC: delete old *complete* windows, keep the newest

@@ -1,10 +1,15 @@
-"""Stochastic SEIR disease simulator substrate (paper sections III, V-A)."""
+"""Stochastic SEIR disease simulator substrate (paper sections III, V-A).
+
+:class:`BatchTrajectory` is the one simulation output record: stacked
+``(n_members, n_days)`` channel matrices over one day range, whether the
+members are a calibration cloud, the one-member ground truth or a scalar
+test oracle's single run.
+"""
 
 from .batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from .checkpoint import CheckpointError, StackedLeapState
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
-from .outputs import Trajectory
 from .parameters import (RESTART_FIELDS, DiseaseParameters,
                          chicago_defaults, check_parameter_columns,
                          parameter_columns)
@@ -20,7 +25,6 @@ __all__ = [
     "check_parameter_columns", "parameter_columns",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
     "mix_seeds",
-    "Trajectory",
     "BatchedBinomialLeapEngine", "BatchTrajectory",
     "CompiledTransitions", "compiled_transitions_for",
     "transition_table_key",

@@ -80,7 +80,6 @@ from ..core.contracts import shaped
 from .checkpoint import StackedLeapState
 from .compartments import (Compartment, HOSPITAL_COMPARTMENTS,
                            ICU_COMPARTMENTS, N_COMPARTMENTS)
-from .outputs import Trajectory
 from .parameters import DiseaseParameters
 from .seeding import batch_generator_for
 from .tauleap import compiled_transitions_for
@@ -99,10 +98,11 @@ class BatchTrajectory:
     """Stacked daily outputs of a batched run over ``[start_day, end_day)``.
 
     Channel matrices are ``(n_particles, n_days)`` float64, row ``i`` being
-    member ``i``'s record.  :meth:`trajectory` materialises a per-particle
-    :class:`~repro.seir.outputs.Trajectory` on demand; the calibrator's
-    :class:`~repro.core.particle.ParticleEnsemble` keeps its segments and
-    histories in this stacked form, gathered and extended whole.
+    member ``i``'s record.  It is the only trajectory record: the
+    calibrator's :class:`~repro.core.particle.ParticleEnsemble` keeps its
+    segments and histories in this stacked form, gathered and extended
+    whole, and a single run (the ground truth, a scalar oracle's) is a
+    one-row batch.
     """
 
     def __init__(self, start_day: int, infections: np.ndarray,
@@ -140,14 +140,6 @@ class BatchTrajectory:
             raise KeyError(f"unknown channel {channel!r}")
         return mapping[channel]
 
-    def trajectory(self, i: int) -> Trajectory:
-        """Member ``i``'s record as a scalar :class:`Trajectory`."""
-        return Trajectory(self.start_day, self.infections[i], self.deaths[i],
-                          self.hospital_census[i], self.icu_census[i])
-
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(self.n_particles)]
-
     def window(self, start_day: int, end_day: int) -> "BatchTrajectory":
         """Slice all members to days ``[start_day, end_day)``."""
         if start_day < self.start_day or end_day > self.end_day \
@@ -165,19 +157,6 @@ class BatchTrajectory:
         return (self.infections, self.deaths, self.hospital_census,
                 self.icu_census)
 
-    @staticmethod
-    def from_trajectories(trajectories: Sequence[Trajectory]
-                          ) -> "BatchTrajectory":
-        """Stack per-member trajectories over one shared day range."""
-        first = trajectories[0]
-        if any((t.start_day, len(t)) != (first.start_day, len(first))
-               for t in trajectories):
-            raise ValueError("trajectories must share one day range")
-        return BatchTrajectory(first.start_day, *(
-            np.vstack([getattr(t, name) for t in trajectories])
-            for name in ("infections", "deaths", "hospital_census",
-                         "icu_census")))
-
     def take(self, index: np.ndarray | Sequence[int]) -> "BatchTrajectory":
         """The members at ``index``, in that order (copies)."""
         idx = np.asarray(index, dtype=np.int64)
@@ -188,6 +167,8 @@ class BatchTrajectory:
     def concatenate(batches: "Sequence[BatchTrajectory]"
                     ) -> "BatchTrajectory":
         """Stack batches over one day range member-wise (copies)."""
+        if len({(b.start_day, b.n_days) for b in batches}) != 1:
+            raise ValueError("batches must share one day range")
         return BatchTrajectory(batches[0].start_day, *(
             np.concatenate(mats) for mats in
             zip(*(b._channels() for b in batches))))

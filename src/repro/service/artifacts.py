@@ -119,12 +119,11 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------ #
     def sealed_windows(self) -> list[int]:
-        """Indices of every window directory carrying a seal file."""
-        out = []
-        for child in sorted(self._root.glob("window_*")):
-            if child.is_dir() and (child / _SEAL_NAME).exists():
-                out.append(int(child.name.split("_", 1)[1]))
-        return out
+        """Indices of every window directory carrying a seal file, in
+        numeric order (``window_1000`` after ``window_999``)."""
+        return sorted(int(child.name.split("_", 1)[1])
+                      for child in self._root.glob("window_*")
+                      if child.is_dir() and (child / _SEAL_NAME).exists())
 
     def latest_sealed(self) -> int | None:
         sealed = self.sealed_windows()

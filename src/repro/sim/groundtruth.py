@@ -29,8 +29,7 @@ from ..data.schedule import (FIG2_RHO_SCHEDULE, FIG2_THETA_SCHEDULE,
 from ..data.series import TimeSeries
 from ..data.sources import CASES, DEATHS, ObservationSet, ObservationSource
 from ..data.synthetic import binomial_thin
-from ..seir.batch_engine import BatchedBinomialLeapEngine
-from ..seir.outputs import Trajectory
+from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.parameters import DiseaseParameters, chicago_defaults
 from ..seir.seeding import (SeedSequenceBank, generator_for,
                             register_ancillary_purpose)
@@ -58,7 +57,8 @@ class GroundTruth:
     theta_schedule / rho_schedule:
         The known time-varying truth the calibration tries to recover.
     trajectory:
-        The full true trajectory (infections, deaths, censuses).
+        The full true trajectory (infections, deaths, censuses) as a
+        one-row batch.
     observed_cases:
         Binomially thinned daily infections — the reported-case stream.
     seed:
@@ -68,18 +68,18 @@ class GroundTruth:
     params: DiseaseParameters
     theta_schedule: PiecewiseConstant
     rho_schedule: PiecewiseConstant
-    trajectory: Trajectory
+    trajectory: BatchTrajectory
     observed_cases: TimeSeries
     seed: int
 
     @property
     def true_cases(self) -> TimeSeries:
         """The unobservable true daily infections."""
-        return self.trajectory.series(CASES)
+        return _row_series(self.trajectory, CASES)
 
     @property
     def deaths(self) -> TimeSeries:
-        return self.trajectory.series(DEATHS)
+        return _row_series(self.trajectory, DEATHS)
 
     def theta_true(self, day: int) -> float:
         return float(self.theta_schedule(day))
@@ -105,6 +105,12 @@ class GroundTruth:
         return {"theta": self.theta_true(day), "rho": self.rho_true(day)}
 
 
+def _row_series(batch: BatchTrajectory, channel: str) -> TimeSeries:
+    """A one-row batch's channel as a named series."""
+    return TimeSeries(batch.start_day, batch.channel_matrix(channel)[0],
+                      name=channel)
+
+
 def make_ground_truth(params: DiseaseParameters | None = None,
                       horizon: int = 100,
                       seed: int = _DEFAULT_SEED,
@@ -123,14 +129,13 @@ def make_ground_truth(params: DiseaseParameters | None = None,
         engine.thetas = [theta_schedule(start)]
         segment = engine.run_until(end)
         batch = segment if batch is None else batch.extended_by(segment)
-    trajectory = batch.trajectory(0)
     # Thinning uses a stream independent of the simulation stream so the
     # truth trajectory is identical whether or not observations are drawn.
     rng_thin = SeedSequenceBank(seed).ancillary_generator(
         purpose=_PURPOSE_TRUTH_THIN)
-    observed = binomial_thin(trajectory.series(CASES), rho_schedule, rng_thin)
+    observed = binomial_thin(_row_series(batch, CASES), rho_schedule, rng_thin)
     return GroundTruth(params=base, theta_schedule=theta_schedule,
-                       rho_schedule=rho_schedule, trajectory=trajectory,
+                       rho_schedule=rho_schedule, trajectory=batch,
                        observed_cases=observed, seed=seed)
 
 

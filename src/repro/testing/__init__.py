@@ -1,6 +1,13 @@
 """Reusable test scaffolding: bitwise parity oracles, the scalar
 binomial-leap reference engine and its restart oracle, the exact-SSA
-engine, the per-particle weighting reference, and fixtures.  No production module imports this package.
+engine, the per-particle weighting reference, and fixtures.  No production
+module imports this package.
+
+The scalar oracles keep their one-trajectory-at-a-time logic but speak
+the production record: an engine run is a one-row
+:class:`~repro.seir.batch_engine.BatchTrajectory`, :func:`restart_oracle`
+stacks its rows into one batch, and :func:`loglik_reference` reads a
+:class:`~repro.core.particle.ParticleEnsemble`'s segments row by row.
 
 Shipped inside the package (rather than under ``tests/``) so the parity
 guarantees of ``docs/scenarios.md`` are assertable by downstream users'

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schedule import PiecewiseConstant
+from ..seir.batch_engine import BatchTrajectory
 from ..seir.compartments import Compartment, N_COMPARTMENTS
-from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import (generator_for, rng_from_jsonable,
                             rng_state_to_jsonable)
@@ -145,7 +145,7 @@ class GillespieEngine:
         icu = int(c[Compartment.C_U] + c[Compartment.C_D])
         return hosp, icu
 
-    def run_until(self, end_day: int) -> Trajectory:
+    def run_until(self, end_day: int) -> BatchTrajectory:
         if end_day < self._day:
             raise ValueError(f"end_day {end_day} is before current day {self._day}")
         builder = TrajectoryBuilder(self._day)

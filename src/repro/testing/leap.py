@@ -15,7 +15,8 @@ one member at a time.  During each substep of length ``dt``:
   the exact conditional law for competing exponential risks.
 
 No production path builds it.  It keeps the paper's per-particle invariant
-— ``(theta, s)`` maps one-to-one to a trajectory — and is the oracle the
+— ``(theta, s)`` maps one-to-one to a trajectory, returned as a one-row
+:class:`~repro.seir.batch_engine.BatchTrajectory` — and is the oracle the
 batched engine is checked against: bit for bit as a one-member batch on
 the same stream (``tests/seir/test_engine_agreement.py``), in distribution
 as a whole batch, and per restart row
@@ -31,9 +32,9 @@ from typing import Callable
 import numpy as np
 
 from ..data.schedule import PiecewiseConstant
+from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
 from ..seir.compartments import Compartment, N_COMPARTMENTS
-from ..seir.outputs import Trajectory
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import generator_for
 from ..seir.tauleap import compiled_transitions_for
@@ -50,7 +51,8 @@ _C_U, _C_D = int(Compartment.C_U), int(Compartment.C_D)
 
 @dataclass
 class TrajectoryBuilder:
-    """Mutable accumulator the scalar engines append one day at a time."""
+    """Mutable accumulator the scalar engines append one day at a time;
+    :meth:`build` returns the run as a one-row :class:`BatchTrajectory`."""
 
     start_day: int
     _infections: list[float] = field(default_factory=list)
@@ -68,12 +70,11 @@ class TrajectoryBuilder:
     def __len__(self) -> int:
         return len(self._infections)
 
-    def build(self) -> Trajectory:
-        return Trajectory(self.start_day,
-                          np.asarray(self._infections),
-                          np.asarray(self._deaths),
-                          np.asarray(self._hospital),
-                          np.asarray(self._icu))
+    def build(self) -> BatchTrajectory:
+        return BatchTrajectory(self.start_day,
+                               *(np.asarray([days], dtype=np.float64)
+                                 for days in (self._infections, self._deaths,
+                                              self._hospital, self._icu)))
 
 
 def _theta_function(params: DiseaseParameters,
@@ -230,8 +231,9 @@ class BinomialLeapEngine:
         icu = int(c[_C_U] + c[_C_D])
         return hosp, icu
 
-    def run_until(self, end_day: int) -> Trajectory:
-        """Simulate days ``[current_day, end_day)`` and return their record."""
+    def run_until(self, end_day: int) -> BatchTrajectory:
+        """Simulate days ``[current_day, end_day)`` and return their record
+        (one row)."""
         if end_day < self._day:
             raise ValueError(f"end_day {end_day} is before current day {self._day}")
         builder = TrajectoryBuilder(self._day)

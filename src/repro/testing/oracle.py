@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.particle import ParticleEnsemble
-from ..seir import (RESTART_FIELDS, BatchTrajectory, StackedLeapState,
-                    Trajectory)
+from ..seir import RESTART_FIELDS, BatchTrajectory, StackedLeapState
 from .leap import BinomialLeapEngine
 
 __all__ = ["restart_oracle", "window_oracle"]
@@ -25,15 +24,16 @@ __all__ = ["restart_oracle", "window_oracle"]
 
 def restart_oracle(state: StackedLeapState,
                    seeds: Sequence[int] | np.ndarray,
-                   end_day: int) -> list[Trajectory]:
+                   end_day: int) -> BatchTrajectory:
     """Restart every row of ``state`` (parameters attached) on its new
     seed's fresh stream and run it to ``end_day``; returns the newly
-    simulated segments in row order."""
+    simulated segments stacked in row order."""
     if len(seeds) != state.n_particles:
         raise ValueError(f"{state.n_particles} restart rows but "
                          f"{len(seeds)} seeds")
-    return [BinomialLeapEngine.from_state_row(state, i, seed)
-            .run_until(end_day) for i, seed in enumerate(seeds)]
+    return BatchTrajectory.concatenate(
+        [BinomialLeapEngine.from_state_row(state, i, seed).run_until(end_day)
+         for i, seed in enumerate(seeds)])
 
 
 def window_oracle(pending) -> ParticleEnsemble:
@@ -53,8 +53,7 @@ def window_oracle(pending) -> ParticleEnsemble:
     state = parents.with_parameters(
         {**parents.params, **{name: pending.member_columns[name]
                               for name in RESTART_FIELDS}})
-    segments = restart_oracle(state, pending.member_seeds,
-                              pending.window.end_day)
     return ParticleEnsemble.from_columns(
         pending.member_draws, pending.member_seeds,
-        segments=BatchTrajectory.from_trajectories(segments))
+        segments=restart_oracle(state, pending.member_seeds,
+                                pending.window.end_day))

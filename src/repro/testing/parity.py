@@ -60,8 +60,7 @@ def _where(context: str) -> str:
 # assertions
 # --------------------------------------------------------------------- #
 def assert_trajectories_identical(a, b, context: str = "") -> None:
-    """Bitwise equality of two trajectories or trajectory batches (or both
-    absent)."""
+    """Bitwise equality of two trajectory batches (or both absent)."""
     where = _where(context)
     if a is None or b is None:
         assert a is None and b is None, f"trajectory presence differs{where}"

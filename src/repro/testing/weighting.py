@@ -27,15 +27,13 @@ window.  In ``mean`` mode the paths agree to float summation order.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..core.observation import ObservationModel
-from ..core.particle import Particle
+from ..core.particle import ParticleEnsemble
 from ..data.series import TimeSeries
 from ..data.sources import ObservationSet
-from ..seir.outputs import Trajectory
+from ..seir.batch_engine import BatchTrajectory
 
 __all__ = ["thin", "gaussian_sqrt_loglik", "particle_loglik",
            "loglik_reference"]
@@ -78,18 +76,18 @@ def gaussian_sqrt_loglik(observed: np.ndarray, simulated: np.ndarray,
 
 
 def particle_loglik(model: ObservationModel, observations: ObservationSet,
-                    trajectory: Trajectory, rho: float,
+                    trajectory: BatchTrajectory, rho: float,
                     rng: np.random.Generator | None) -> float:
-    """Summed per-source log-likelihood of one particle's trajectory."""
+    """Summed per-source log-likelihood of one particle's trajectory (a
+    one-row batch)."""
     total = 0.0
     for obs_source in observations:
         source = model.source(obs_source.name)
-        raw = trajectory.series(source.channel)
-        values = raw.values
+        values = trajectory.channel_matrix(source.channel)[0]
         if source.biased:
             values = thin(values, rho, source.bias.mode, rng)
         observed = obs_source.series
-        simulated = TimeSeries(raw.start_day, values).window(
+        simulated = TimeSeries(trajectory.start_day, values).window(
             observed.start_day, observed.end_day)
         total += gaussian_sqrt_loglik(observed.values, simulated.values,
                                       source.likelihood.sigma)
@@ -97,11 +95,13 @@ def particle_loglik(model: ObservationModel, observations: ObservationSet,
 
 
 def loglik_reference(model: ObservationModel, observations: ObservationSet,
-                     particles: Iterable[Particle],
+                     ensemble: ParticleEnsemble,
                      rng: np.random.Generator | None) -> np.ndarray:
     """Per-particle counterpart of ``model.loglik_ensemble``: one
-    :func:`particle_loglik` per particle, reading its ``segment`` and
-    ``params["rho"]`` and sharing ``rng`` in particle order."""
-    return np.array([particle_loglik(model, observations, p.segment,
-                                     p.params["rho"], rng)
-                     for p in particles])
+    :func:`particle_loglik` per ensemble row, reading that row of the
+    segments and of ``rho`` and sharing ``rng`` in row order."""
+    segments = ensemble.trajectory_batch("segment")
+    rho = ensemble.values("rho")
+    return np.array([particle_loglik(model, observations, segments.take([i]),
+                                     float(rho[i]), rng)
+                     for i in range(len(ensemble))])

@@ -109,8 +109,7 @@ class TestScalarBatchedParity:
 
     @staticmethod
     def totals(ensemble, channel):
-        return np.array([p.segment.series(channel).values.sum()
-                         for p in ensemble])
+        return ensemble.segments.channel_matrix(channel).sum(axis=1)
 
     def test_per_window_credible_intervals_overlap(self, window):
         for channel in ("cases", "deaths"):
@@ -161,10 +160,11 @@ class TestScalarBatchedParity:
 
     def test_batched_histories_contiguous(self, runs):
         final = runs[-1].posterior
-        for p in final.particles[:10]:
-            assert p.history.start_day == 0
-            assert p.history.end_day == 30
-            assert p.segment.start_day == 20
+        assert final.histories.start_day == 0
+        assert final.histories.end_day == 30
+        assert final.segments.start_day == 20
+        assert np.array_equal(final.histories.window(20, 30).infections,
+                              final.segments.infections)
 
 
 class TestBatchedRunBehaviour:
@@ -203,14 +203,14 @@ class TestBatchedRunBehaviour:
         schedule = WindowSchedule.from_breaks([12, 22], burn_in_start=4)
         calib = calibrator(schedule, small_truth)
         window0 = list(schedule)[0]
-        fused = calib.step_window(0, window0, obs).posterior[0]
+        fused = calib.step_window(0, window0, obs).posterior
         pending = calib.propose_window(0, window0)
         assert pending.sim_days == 18
-        split = calib.assemble_window(pending, _simulate(calib, pending))[0]
-        for p in (fused, split):
-            assert p.history.start_day == 4
-            assert p.segment.start_day == 12
-            assert p.history.end_day == 22
+        split = calib.assemble_window(pending, _simulate(calib, pending))
+        for ens in (fused, split):
+            assert ens.histories.start_day == 4
+            assert ens.segments.start_day == 12
+            assert ens.histories.end_day == 22
 
     def test_multiple_continuations(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])

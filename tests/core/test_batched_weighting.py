@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core import (BinomialBiasModel, GaussianTransformLikelihood,
-                        Particle, ParticleEnsemble, SMCConfig,
+                        ParticleEnsemble, SMCConfig,
                         paper_likelihood, paper_observation_model)
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.hpc.sharding import simulate_groups
-from repro.seir import Trajectory
+from repro.seir import BatchTrajectory
 from repro.testing.weighting import gaussian_sqrt_loglik, loglik_reference, thin
 
 GAUSSIANS = [paper_likelihood(), GaussianTransformLikelihood(sigma=2.5)]
@@ -26,17 +26,15 @@ def count_matrix(rng, n=20, d=14, hi=400):
 
 
 def make_ensemble(rng, n=20, d=14, start=10):
-    """Particles whose segments carry random case/death counts."""
-    particles = []
-    for i in range(n):
-        traj = Trajectory(start,
-                          rng.integers(0, 300, size=d).astype(float),
-                          rng.integers(0, 9, size=d).astype(float),
-                          np.zeros(d), np.zeros(d))
-        particles.append(Particle(
-            params={"theta": 0.2 + 0.01 * i, "rho": 0.3 + 0.02 * (i % 30)},
-            seed=i, segment=traj))
-    return ParticleEnsemble(particles)
+    """An ensemble whose segments carry random case/death counts."""
+    rows = [(rng.integers(0, 300, size=d), rng.integers(0, 9, size=d))
+            for _ in range(n)]
+    cases, deaths = (np.array(c, dtype=float) for c in zip(*rows))
+    zeros = np.zeros((n, d))
+    i = np.arange(n)
+    return ParticleEnsemble.from_columns(
+        {"theta": 0.2 + 0.01 * i, "rho": 0.3 + 0.02 * (i % 30)}, i,
+        segments=BatchTrajectory(start, cases, deaths, zeros, zeros))
 
 
 def make_observations(rng, d=14, start=10):
@@ -133,17 +131,18 @@ class TestSegmentMatrix:
         ens = make_ensemble(rng, n=7, d=10)
         mat = ens.segment_matrix(CASES)
         assert mat.shape == (7, 10)
-        for i, p in enumerate(ens):
-            assert np.array_equal(mat[i], p.segment.infections)
+        assert np.array_equal(mat, ens.segments.infections)
+        assert mat.flags.c_contiguous
 
     def test_windowing(self, rng):
         ens = make_ensemble(rng, n=4, d=10, start=20)
         mat = ens.segment_matrix(DEATHS, 23, 27)
         assert mat.shape == (4, 4)
-        assert np.array_equal(mat[0], ens[0].segment.deaths[3:7])
+        assert np.array_equal(mat, ens.segments.deaths[:, 3:7])
 
     def test_missing_segment_rejected(self):
-        ens = ParticleEnsemble([Particle(params={"rho": 0.5}, seed=0)])
+        ens = ParticleEnsemble.from_columns({"rho": np.array([0.5])},
+                                            np.array([0]))
         with pytest.raises(ValueError, match="missing segment"):
             ens.segment_matrix(CASES)
 

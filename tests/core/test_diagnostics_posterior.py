@@ -9,7 +9,7 @@ from repro.core import (WindowDiagnostics, compute_diagnostics,
                         hpd_region_mass, joint_density_grid,
                         marginal_histogram, trajectory_ribbon)
 from repro.core.weights import normalize_log_weights
-from repro.seir import Trajectory
+from repro.seir import BatchTrajectory
 
 
 class TestDiagnostics:
@@ -108,32 +108,37 @@ class TestDiagnostics:
 
 
 def traj(values, start=0):
-    v = np.asarray(values, dtype=float)
+    """One run's cases as a one-row batch."""
+    v = np.asarray([values], dtype=float)
     z = np.zeros_like(v)
-    return Trajectory(start, v, z, z, z)
+    return BatchTrajectory(start, v, z, z, z)
+
+
+def stack(*trajs):
+    return BatchTrajectory.concatenate(trajs)
 
 
 class TestTrajectoryRibbon:
     def test_quantile_bands_ordered(self):
-        trajs = [traj(np.full(10, float(k))) for k in range(100)]
+        trajs = stack(*(traj(np.full(10, float(k))) for k in range(100)))
         rib = trajectory_ribbon(trajs, "cases")
         assert np.all(rib.band(0.05) <= rib.band(0.5))
         assert np.all(rib.band(0.5) <= rib.band(0.95))
         assert rib.n_days == 10
 
     def test_median_of_constant_ensemble(self):
-        trajs = [traj(np.full(5, 7.0)) for _ in range(10)]
+        trajs = stack(*(traj(np.full(5, 7.0)) for _ in range(10)))
         rib = trajectory_ribbon(trajs, "cases")
         assert np.allclose(rib.median(), 7.0)
 
     def test_weighted_ribbon_shifts(self):
-        trajs = [traj(np.zeros(4)), traj(np.full(4, 10.0))]
+        trajs = stack(traj(np.zeros(4)), traj(np.full(4, 10.0)))
         w_low = np.array([0.99, 0.01])
         rib = trajectory_ribbon(trajs, "cases", quantiles=(0.5,), weights=w_low)
         assert np.allclose(rib.band(0.5), 0.0)
 
     def test_coverage_of(self):
-        trajs = [traj(np.full(6, float(k))) for k in range(11)]
+        trajs = stack(*(traj(np.full(6, float(k))) for k in range(11)))
         rib = trajectory_ribbon(trajs, "cases")
         inside = np.full(6, 5.0)
         assert rib.coverage_of(inside, 0.05, 0.95) == 1.0
@@ -141,15 +146,16 @@ class TestTrajectoryRibbon:
         assert rib.coverage_of(outside, 0.05, 0.95) == 0.0
 
     def test_mismatched_day_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory_ribbon([traj(np.zeros(3)), traj(np.zeros(4))], "cases")
+        for other in (traj(np.zeros(4)), traj(np.zeros(3), start=1)):
+            with pytest.raises(ValueError, match="one day range"):
+                trajectory_ribbon(stack(traj(np.zeros(3)), other), "cases")
 
     def test_unsorted_quantiles_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_ribbon([traj(np.zeros(3))], "cases", quantiles=(0.9, 0.1))
+            trajectory_ribbon(traj(np.zeros(3)), "cases", quantiles=(0.9, 0.1))
 
     def test_band_lookup_missing(self):
-        rib = trajectory_ribbon([traj(np.zeros(3))], "cases", quantiles=(0.5,))
+        rib = trajectory_ribbon(traj(np.zeros(3)), "cases", quantiles=(0.5,))
         with pytest.raises(KeyError):
             rib.band(0.9)
 

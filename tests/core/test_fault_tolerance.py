@@ -75,13 +75,12 @@ def assert_posteriors_identical(a, b, *, compare_trajectories=True):
         for name in ("theta", "rho"):
             assert np.array_equal(ra.posterior.values(name),
                                   rb.posterior.values(name))
-        for pa, pb in zip(ra.posterior, rb.posterior):
-            assert pa.seed == pb.seed
-            assert pa.ancestor == pb.ancestor
-            if compare_trajectories:
-                assert np.array_equal(pa.segment.infections,
-                                      pb.segment.infections)
+        assert np.array_equal(ra.posterior.seeds(), rb.posterior.seeds())
+        assert np.array_equal(ra.posterior.ancestors(),
+                              rb.posterior.ancestors())
         if compare_trajectories:
+            assert np.array_equal(ra.posterior.segments.infections,
+                                  rb.posterior.segments.infections)
             assert np.array_equal(ra.posterior.restart.counts,
                                   rb.posterior.restart.counts)
 

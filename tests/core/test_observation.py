@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import (BinomialBiasModel, ObservationModel, Particle,
+from repro.core import (BinomialBiasModel, ObservationModel,
                         ParticleEnsemble, SourceModel, paper_likelihood,
                         paper_observation_model)
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
-from repro.seir import Trajectory
+from repro.seir import BatchTrajectory
 
 
 def trajectory(n=10, infections=100.0, deaths=2.0, start=0):
-    return Trajectory(start,
-                      np.full(n, infections),
-                      np.full(n, deaths),
-                      np.zeros(n), np.zeros(n))
+    return BatchTrajectory(start,
+                           np.full((1, n), infections),
+                           np.full((1, n), deaths),
+                           np.zeros((1, n)), np.zeros((1, n)))
 
 
 def observations(n=10, cases=60.0, deaths=2.0, start=0, include_deaths=True):
@@ -29,9 +29,10 @@ def observations(n=10, cases=60.0, deaths=2.0, start=0, include_deaths=True):
 
 def loglik(om, obs, members, rng):
     """``loglik_ensemble`` over an ensemble of ``(trajectory, rho)``."""
-    ensemble = ParticleEnsemble([
-        Particle(params={"theta": 0.3, "rho": rho}, seed=i, segment=traj)
-        for i, (traj, rho) in enumerate(members)])
+    trajs, rhos = zip(*members)
+    ensemble = ParticleEnsemble.from_columns(
+        {"theta": np.full(len(rhos), 0.3), "rho": np.array(rhos)},
+        np.arange(len(rhos)), segments=BatchTrajectory.concatenate(trajs))
     return om.loglik_ensemble(obs, ensemble, ensemble.values("rho"), rng)
 
 

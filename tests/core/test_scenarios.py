@@ -354,8 +354,7 @@ class TestParityOracles:
         oracle = window_oracle(pending)
 
         def ci90_of_totals(ensemble, channel):
-            totals = [p.segment.series(channel).values.sum()
-                      for p in ensemble]
+            totals = ensemble.segments.channel_matrix(channel).sum(axis=1)
             return np.quantile(totals, [0.05, 0.95])
 
         for channel in ("cases", "deaths"):

@@ -60,8 +60,8 @@ def assert_runs_identical(a, b):
         for name in ("theta", "rho"):
             assert np.array_equal(ra.posterior.values(name),
                                   rb.posterior.values(name))
-        for pa, pb in zip(ra.posterior, rb.posterior):
-            assert np.array_equal(pa.segment.infections, pb.segment.infections)
+        assert np.array_equal(ra.posterior.segments.infections,
+                              rb.posterior.segments.infections)
         assert np.array_equal(ra.posterior.restart.counts,
                               rb.posterior.restart.counts)
 

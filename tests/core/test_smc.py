@@ -107,10 +107,10 @@ class TestSingleWindowRun:
         assert restart.day == 24
 
     def test_segments_cover_window(self, result):
-        for p in result.posterior:
-            assert p.segment.start_day == 10
-            assert p.segment.end_day == 24
-            assert p.history.start_day == 0
+        posterior = result.posterior
+        assert posterior.segments.start_day == 10
+        assert posterior.segments.end_day == 24
+        assert posterior.histories.start_day == 0
 
     def test_diagnostics_populated(self, result):
         d = result.diagnostics
@@ -138,10 +138,10 @@ class TestSequentialRun:
         assert results[1].window.label() == "Days 20-29"
 
     def test_second_window_histories_extend(self, results):
-        for p in results[1].posterior:
-            assert p.history.start_day == 0
-            assert p.history.end_day == 30
-            assert p.segment.start_day == 20
+        posterior = results[1].posterior
+        assert posterior.histories.start_day == 0
+        assert posterior.histories.end_day == 30
+        assert posterior.segments.start_day == 20
 
     def test_checkpoints_advance(self, results):
         assert results[0].posterior.restart.day == 20

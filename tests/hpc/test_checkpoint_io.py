@@ -378,6 +378,17 @@ class TestPrune:
         assert store.prune(keep_last=5) == []
         assert store.stored_windows() == [0, 1]
 
+    def test_windows_past_999_order_by_number(self, tmp_path, checkpoints):
+        """``window_1000`` follows ``window_999``: retention keeps the two
+        newest windows by index, not by directory-name order."""
+        store = CheckpointStore(tmp_path)
+        for w in range(997, 1002):
+            self.seal(store, w, checkpoints)
+        assert store.stored_windows() == [997, 998, 999, 1000, 1001]
+        assert store.prune(keep_last=2) == [997, 998, 999]
+        assert store.stored_windows() == [1000, 1001]
+        assert store.window_complete(1000) and store.window_complete(1001)
+
     def test_prune_rejects_bad_keep_last(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(ValueError, match="keep_last"):

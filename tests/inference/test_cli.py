@@ -150,6 +150,25 @@ class TestCommands:
         assert str(exc.value) == f"invalid configuration: {problem}"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("streams", ["", ",", " , "],
+                             ids=["empty", "comma", "blank"])
+    def test_serve_without_streams_exits_before_any_store(self, tmp_path,
+                                                          streams):
+        """``serve --streams`` naming no stream exits with one line naming
+        the option, before the service writes ``run_meta.json``."""
+        argv = ["serve", "--executor", "serial",
+                "--spool", str(tmp_path / "spool"),
+                "--artifacts", str(tmp_path / "art"),
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--streams", streams]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == (
+            "invalid configuration: --streams must name at least one "
+            f"stream, got {streams!r}")
+        assert not (tmp_path / "ckpt" / "run_meta.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_of_another_runs_store_exits_with_message(self, tmp_path):
         """Resuming a store another seed wrote exits with one line naming
         the differing fingerprint keys, not a CheckpointError traceback."""

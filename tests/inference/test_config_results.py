@@ -273,6 +273,32 @@ class TestCalibrateCheckpointing:
                       base_params=truth.params)
 
 
+    def test_resume_refused_across_observed_streams(self, truth, tmp_path):
+        """The observed streams set the weights, so a cases-only store must
+        not resume a cases+deaths run, nor the reverse.  The fingerprint
+        names them only when they are not cases alone, so cases-only
+        stores keep the key set they were written with."""
+        from repro.hpc import CheckpointStore
+        from repro.inference import calibrate
+        from repro.seir import CheckpointError
+
+        both = truth.observations(include_deaths=True)
+        for name, written, resumed in (("cases", truth.observations(), both),
+                                       ("both", both, truth.observations())):
+            calibrate(written, self.config(tmp_path),
+                      base_params=truth.params,
+                      store=CheckpointStore(tmp_path / name))
+            with pytest.raises(CheckpointError,
+                               match=r"differing keys: \['streams'\]"):
+                calibrate(resumed, self.config(tmp_path, resume=True),
+                          base_params=truth.params,
+                          store=CheckpointStore(tmp_path / name))
+        assert "streams" not in CheckpointStore(
+            tmp_path / "cases").read_run_meta()
+        assert CheckpointStore(tmp_path / "both").read_run_meta()[
+            "streams"] == ["cases", "deaths"]
+
+
 class TestScenarioResultCompat:
     """Scenario-era result plumbing stays back-compatible.
 

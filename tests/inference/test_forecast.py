@@ -9,7 +9,7 @@ from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds, forecast_from_cloud
-from repro.seir import BatchTrajectory, DiseaseParameters
+from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing import restart_oracle
 
@@ -68,8 +68,9 @@ class TestForecast:
             forecast_from_posterior(posterior, 5, n_per_particle=0)
 
     def test_missing_checkpoints_rejected(self):
-        from repro.core import Particle, ParticleEnsemble
-        bare = ParticleEnsemble([Particle(params={"theta": 0.3}, seed=1)])
+        from repro.core import ParticleEnsemble
+        bare = ParticleEnsemble.from_columns({"theta": np.array([0.3])},
+                                             np.array([1]))
         with pytest.raises(ValueError, match="checkpoint"):
             forecast_from_posterior(bare, 5)
 
@@ -188,9 +189,9 @@ class TestShardedBatchedForecast:
         seeds = _forecast_seeds(posterior, 3, 3)
         scalar = Forecast(
             start_day=batched.start_day, horizon_days=10,
-            batch=BatchTrajectory.from_trajectories(restart_oracle(
+            batch=restart_oracle(
                 posterior.restart.take(np.tile(np.arange(len(posterior)), 3)),
-                seeds, batched.start_day + 10)))
+                seeds, batched.start_day + 10))
         for channel in ("cases", "deaths"):
             rib_s = scalar.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
             rib_b = batched.ribbon(channel, quantiles=(0.05, 0.5, 0.95))
@@ -232,12 +233,13 @@ class TestShardedBatchedForecast:
             forecast_from_posterior(posterior, 5, shard_size=0)
 
     def test_hand_built_particles_carry_no_restart_state(self):
-        """Restart state enters an ensemble only as columns: one built from
-        hand-made particles has none to forecast from."""
-        from repro.core import Particle, ParticleEnsemble
-        particles = [Particle(params={"theta": 0.3, "rho": 0.7}, seed=seed)
-                     for seed in (1, 2)]
-        ensemble = ParticleEnsemble(particles)
+        """Restart state enters an ensemble only as its own column: one
+        built from parameter and seed columns alone has none to forecast
+        from."""
+        from repro.core import ParticleEnsemble
+        ensemble = ParticleEnsemble.from_columns(
+            {"theta": np.full(2, 0.3), "rho": np.full(2, 0.7)},
+            np.array([1, 2]))
         assert ensemble.restart is None
         with pytest.raises(ValueError, match="carry no checkpoints"):
             forecast_from_posterior(ensemble, 4)

@@ -39,6 +39,5 @@ class TestSingleShot:
     def test_histories_cover_burn_in(self, truth):
         res = single_shot(truth, 10, 20, n_parameter_draws=10,
                           n_replicates=1, resample_size=10)
-        p = res.posterior[0]
-        assert p.history.start_day == 0
-        assert p.segment.start_day == 10
+        assert res.posterior.histories.start_day == 0
+        assert res.posterior.segments.start_day == 10

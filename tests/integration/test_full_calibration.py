@@ -141,8 +141,7 @@ class TestParallelEquivalence:
 
 class TestCheckpointConsistency:
     def test_final_posterior_histories_contiguous(self, cases_only_result):
-        histories = cases_only_result.final_posterior.trajectories("history")
-        for traj in histories[:10]:
-            assert traj.start_day == 0
-            assert traj.end_day == 30
-            assert np.all(traj.infections >= 0)
+        histories = cases_only_result.final_posterior.histories
+        assert histories.start_day == 0
+        assert histories.end_day == 30
+        assert np.all(histories.infections >= 0)

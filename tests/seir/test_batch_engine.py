@@ -10,9 +10,9 @@ by design.
 import numpy as np
 import pytest
 
-from repro.seir import (BatchedBinomialLeapEngine, Compartment,
-                        DiseaseParameters, StackedLeapState, generator_for,
-                        parameter_columns)
+from repro.seir import (BatchedBinomialLeapEngine, BatchTrajectory,
+                        Compartment, DiseaseParameters, StackedLeapState,
+                        generator_for, parameter_columns)
 from repro.seir.seeding import rng_state_to_jsonable
 from repro.testing import BinomialLeapEngine
 
@@ -154,57 +154,52 @@ class TestScalarParity:
         seeds = np.arange(self.N)
         batched = BatchedBinomialLeapEngine(
             params, seeds, thetas=np.full(self.N, 0.3)).run_until(self.HORIZON)
-        scalar = {"infections": [], "deaths": [], "hosp": [], "icu": []}
-        for seed in seeds:
-            traj = BinomialLeapEngine(params, seed=int(seed)).run_until(
-                self.HORIZON)
-            scalar["infections"].append(traj.infections)
-            scalar["deaths"].append(traj.deaths)
-            scalar["hosp"].append(traj.hospital_census)
-            scalar["icu"].append(traj.icu_census)
-        return batched, {k: np.array(v) for k, v in scalar.items()}
+        scalar = BatchTrajectory.concatenate([
+            BinomialLeapEngine(params, seed=int(seed)).run_until(self.HORIZON)
+            for seed in seeds])
+        return batched, scalar
 
     def test_mean_daily_infections_match(self, paired):
         batched, scalar = paired
         np.testing.assert_allclose(batched.infections.mean(axis=0),
-                                   scalar["infections"].mean(axis=0),
+                                   scalar.infections.mean(axis=0),
                                    rtol=0.15, atol=3.0)
 
     def test_mean_total_infections_match(self, paired):
         batched, scalar = paired
         np.testing.assert_allclose(batched.infections.sum(axis=1).mean(),
-                                   scalar["infections"].sum(axis=1).mean(),
+                                   scalar.infections.sum(axis=1).mean(),
                                    rtol=0.05)
 
     def test_variance_total_infections_match(self, paired):
         batched, scalar = paired
         np.testing.assert_allclose(batched.infections.sum(axis=1).var(),
-                                   scalar["infections"].sum(axis=1).var(),
+                                   scalar.infections.sum(axis=1).var(),
                                    rtol=0.4)
 
     def test_mean_total_deaths_match(self, paired):
         batched, scalar = paired
         b = batched.deaths.sum(axis=1).mean()
-        s = scalar["deaths"].sum(axis=1).mean()
+        s = scalar.deaths.sum(axis=1).mean()
         assert b == pytest.approx(s, rel=0.25, abs=0.5)
 
     def test_mean_census_curves_match(self, paired):
         batched, scalar = paired
         np.testing.assert_allclose(batched.hospital_census.mean(axis=0),
-                                   scalar["hosp"].mean(axis=0),
+                                   scalar.hospital_census.mean(axis=0),
                                    rtol=0.25, atol=2.0)
         np.testing.assert_allclose(batched.icu_census.mean(axis=0),
-                                   scalar["icu"].mean(axis=0),
+                                   scalar.icu_census.mean(axis=0),
                                    rtol=0.35, atol=2.0)
 
 
 class TestBatchTrajectory:
     def test_trajectory_extraction(self, batch):
         bt = batch.run_until(20)
-        traj = bt.trajectory(3)
+        traj = bt.take([3])
         assert traj.start_day == 0
         assert traj.end_day == 20
-        assert np.array_equal(traj.infections, bt.infections[3])
+        assert np.array_equal(traj.infections, bt.infections[3:4])
 
     def test_window_slicing(self, batch):
         bt = batch.run_until(20)
@@ -244,7 +239,7 @@ class TestSnapshots:
         assert np.array_equal(scalar.counts, batch.counts[4])
         assert scalar.cumulative_infections == batch.cumulative_infections[4]
         seg = scalar.run_until(16)
-        assert seg.start_day == 12 and len(seg) == 4
+        assert seg.start_day == 12 and seg.n_days == 4
 
     def test_particle_snapshot_stream_derives_from_seed(self, small_params,
                                                         batch):

@@ -48,7 +48,7 @@ class TestRestartSemantics:
         hot_state = state.with_parameters(
             {**state.params, "transmission_rate": np.full(4, 0.9)})
         hot = BinomialLeapEngine.from_state_row(hot_state, 0, 7).run_until(50)
-        assert hot.total_infections() > base.total_infections()
+        assert hot.infections.sum() > base.infections.sum()
 
     def test_restart_with_new_seed_diverges(self, small_params):
         state = checkpointed_state(small_params)

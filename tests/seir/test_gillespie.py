@@ -27,7 +27,7 @@ class TestGillespie:
     def test_zero_transmission_no_infections(self, tiny_params):
         params = tiny_params.with_updates(transmission_rate=0.0)
         traj = GillespieEngine(params, seed=3).run_until(25)
-        assert traj.total_infections() == 0
+        assert traj.infections.sum() == 0
 
     def test_epidemic_extinguishes_eventually(self, tiny_params):
         """With a closed small population the event stream must dry up."""
@@ -53,5 +53,5 @@ class TestGillespie:
     def test_cumulative_counters(self, tiny_params):
         eng = GillespieEngine(tiny_params, seed=11)
         traj = eng.run_until(40)
-        assert eng.cumulative_infections == traj.total_infections()
-        assert eng.cumulative_deaths == traj.total_deaths()
+        assert eng.cumulative_infections == traj.infections.sum()
+        assert eng.cumulative_deaths == traj.deaths.sum()

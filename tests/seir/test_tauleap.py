@@ -29,28 +29,28 @@ class TestBasicDynamics:
     def test_epidemic_grows_with_default_r0(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=3)
         traj = eng.run_until(50)
-        late = traj.infections[35:].sum()
-        early = traj.infections[:15].sum()
+        late = traj.infections[0, 35:].sum()
+        early = traj.infections[0, :15].sum()
         assert late > early
 
     def test_zero_transmission_no_infections(self, small_params):
         params = small_params.with_updates(transmission_rate=0.0)
         eng = BinomialLeapEngine(params, seed=4)
         traj = eng.run_until(30)
-        assert traj.total_infections() == 0
+        assert traj.infections.sum() == 0
 
     def test_no_initial_exposed_stays_susceptible(self, small_params):
         params = small_params.with_updates(initial_exposed=0)
         eng = BinomialLeapEngine(params, seed=5)
         traj = eng.run_until(20)
-        assert traj.total_infections() == 0
+        assert traj.infections.sum() == 0
         assert eng.count_of(Compartment.S) == params.population
 
     def test_cumulative_counters_match_trajectory(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=6)
         traj = eng.run_until(40)
-        assert eng.cumulative_infections == traj.total_infections()
-        assert eng.cumulative_deaths == traj.total_deaths()
+        assert eng.cumulative_infections == traj.infections.sum()
+        assert eng.cumulative_deaths == traj.deaths.sum()
 
     def test_run_until_past_day_raises(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=7)
@@ -62,7 +62,7 @@ class TestBasicDynamics:
         eng = BinomialLeapEngine(small_params, seed=7)
         eng.run_until(10)
         traj = eng.run_until(10)
-        assert len(traj) == 0
+        assert traj.n_days == 0
 
 
 class TestDeterminism:
@@ -95,14 +95,14 @@ class TestThetaSchedule:
             small_params.with_updates(transmission_rate=0.9), seed=1,
             theta_schedule=sched)
         traj = eng.run_until(20)
-        assert traj.total_infections() == 0
+        assert traj.infections.sum() == 0
 
     def test_rate_drop_slows_growth(self, small_params):
         sched = PiecewiseConstant(breakpoints=(25,), values=(0.5, 0.0))
         eng = BinomialLeapEngine(small_params, seed=11, theta_schedule=sched)
         traj = eng.run_until(60)
         # After theta -> 0 the infectious pool drains; late incidence ~ 0.
-        assert traj.infections[45:].sum() < traj.infections[15:25].sum()
+        assert traj.infections[0, 45:].sum() < traj.infections[0, 15:25].sum()
 
 
 class TestStepsPerDay:
@@ -116,7 +116,7 @@ class TestStepsPerDay:
         for spd in (2, 8):
             runs = [BinomialLeapEngine(small_params, seed=s,
                                        steps_per_day=spd).run_until(50)
-                    .total_infections() for s in range(8)]
+                    .infections.sum() for s in range(8)]
             totals[spd] = np.mean(runs)
         assert totals[8] == pytest.approx(totals[2], rel=0.15)
 
@@ -150,4 +150,4 @@ class TestSnapshot:
         assert restored.steps_per_day == eng.steps_per_day
         seg = restored.run_until(20)
         assert seg.start_day == 17
-        assert len(seg) == 3
+        assert seg.n_days == 3

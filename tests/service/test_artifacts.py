@@ -110,6 +110,21 @@ class TestPrune:
         assert store.sealed_windows() == [2, 3]
         assert store.load(3) == payload_for(3)
 
+    def test_windows_past_999_order_by_number(self, tmp_path):
+        """``window_1000`` follows ``window_999``: the head, the latest
+        read and retention all go by window index."""
+        store = ArtifactStore(tmp_path)
+        for i in range(997, 1002):
+            store.publish(i, payload_for(i))
+        assert store.sealed_windows() == [997, 998, 999, 1000, 1001]
+        assert store.latest_sealed() == 1001
+        assert store.prune(keep_last=2) == [997, 998, 999]
+        assert store.sealed_windows() == [1000, 1001]
+        read = store.read_latest(expected_window=1001)
+        assert read.window_index == 1001
+        assert not read.stale and read.windows_behind == 0
+        assert read.payload == payload_for(1001)
+
     def test_prune_requires_positive_keep(self, tmp_path):
         with pytest.raises(ValueError, match=">= 1"):
             ArtifactStore(tmp_path).prune(0)

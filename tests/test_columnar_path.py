@@ -103,6 +103,25 @@ def test_constructions_do_not_grow_with_the_ensemble(
     assert all(n > 0 for n in small["calibrate"].values())
 
 
+def test_row_views_gather_no_trajectories(fig2_observations, monkeypatch):
+    """``posterior[i]`` and ``iter(posterior)`` read the scalar columns
+    alone: with the lineage gather forbidden, a calibrated posterior still
+    yields every row's parameters, seed and ancestor."""
+    from repro.core.particle import _Lineage
+
+    config = CalibrationConfig(window_breaks=(20, 27, 34),
+                               n_parameter_draws=8, n_replicates=2,
+                               resample_size=10, executor="serial")
+    posterior = calibrate(fig2_observations, config).final_posterior
+    theta = posterior.values("theta")
+    monkeypatch.setattr(_Lineage, "rows", _forbidden("_Lineage.rows"))
+    assert [p.ancestor for p in posterior] == posterior.ancestors().tolist()
+    assert posterior[3].params["theta"] == theta[3]
+    assert posterior[-1].seed == posterior.seeds()[-1]
+    with pytest.raises(AssertionError, match="_Lineage.rows"):
+        posterior.histories
+
+
 def test_calibrate_resume_forecast_without_per_particle_objects(
         tmp_path, fig2_observations, no_per_particle_objects):
     observations = fig2_observations

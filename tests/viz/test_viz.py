@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import trajectory_ribbon
 from repro.data import TimeSeries
-from repro.seir import Trajectory
+from repro.seir import BatchTrajectory
 from repro.viz import (density_grid_plot, line_plot, multi_line_plot,
                        ribbon_plot, write_density_csv, write_json,
                        write_ribbon_csv, write_series_csv)
@@ -66,8 +66,9 @@ class TestAsciiPlots:
 
 
 def ribbon_fixture():
-    trajs = [Trajectory(5, np.full(4, float(k)), np.zeros(4), np.zeros(4),
-                        np.zeros(4)) for k in range(10)]
+    cases = np.repeat(np.arange(10.0)[:, None], 4, axis=1)
+    zeros = np.zeros((10, 4))
+    trajs = BatchTrajectory(5, cases, zeros, zeros, zeros)
     return trajectory_ribbon(trajs, "cases", quantiles=(0.05, 0.5, 0.95))
 
 
