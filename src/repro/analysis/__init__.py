@@ -6,9 +6,9 @@ domains for every random draw — are *conventions*, and two of them have
 already been broken by ordinary-looking patches (PR 1's cross-window
 ancillary stream reuse, and the aliasing of the restart-seed and draw-seed
 stream tags).  This package turns those conventions into machine-checked
-rules over the AST, run locally and in CI::
+rules over the AST, checked in one pass locally and in CI::
 
-    python -m repro.analysis.lint src/
+    python -m repro.analysis src/
 
 Rule families
 -------------
@@ -27,8 +27,8 @@ Rule families
 * ``REPRO4xx`` — **typed core**: the modules mypy gates in CI (``core/``,
   ``hpc/``, ``seir/seeding.py``) carry complete signature annotations, so
   the typed surface cannot silently erode between mypy runs.
-* ``REPRO5xx`` — **interprocedural determinism** (the whole-project
-  ``python -m repro.analysis.flow src/`` pass): generator provenance
+* ``REPRO5xx`` — **interprocedural determinism** (:mod:`.flow`, over the
+  whole-project index): generator provenance
   (``REPRO50x`` — no ``numpy.random.Generator`` escapes into module
   globals, long-lived service state, or executor payloads, even through
   helpers in other files) and payload purity proofs (``REPRO51x`` — every
@@ -37,25 +37,13 @@ Rule families
   machine-readable purity certificate per dispatch site.
 
 The rules are implemented on :mod:`ast` alone (no third-party
-dependencies), so the analyses run anywhere the code itself runs.  Both
-CLIs share ``--format sarif`` (GitHub-annotation upload) and the scoped
-``# repro-allow: RULE reason`` waiver syntax.
+dependencies), so the analysis runs anywhere the code itself runs.  Each
+file is parsed once and every family runs over the one project index
+(:func:`run`); ``--format sarif`` feeds GitHub annotations, and one
+scoped ``# repro-allow: RULE reason`` waiver pass covers every family.
 """
 
-from typing import Any
-
+from .cli import main, run
 from .rules import Violation
 
-__all__ = ["Violation", "main", "run_flow", "run_lint"]
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy so `python -m repro.analysis.lint` doesn't import the submodule
-    # twice (once via the package, once as __main__).
-    if name in ("main", "run_lint"):
-        from . import lint
-        return getattr(lint, name)
-    if name == "run_flow":
-        from .flow import run_flow
-        return run_flow
-    raise AttributeError(name)
+__all__ = ["Violation", "main", "run"]

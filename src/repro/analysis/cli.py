@@ -1,13 +1,14 @@
-"""Command-line entry point: ``python -m repro.analysis.lint src/``.
+"""Command-line entry point: ``python -m repro.analysis src/``.
 
-Two passes over every ``*.py`` file under the given paths:
-
-1. **collect** — parse all files and build the static stream-tag registry
-   (:func:`repro.analysis.registry.collect_registrations`), so tag
-   registrations in one module legitimise constants used in another and
-   cross-file duplicate tags are detectable;
-2. **check** — run the per-file rules (:mod:`repro.analysis.rules`) with
-   the collected registry, then the cross-file duplicate-tag rule.
+One pass over every ``*.py`` file under the given paths: each file is
+parsed once, the stream-tag registry
+(:func:`repro.analysis.registry.collect_registrations`) and the
+whole-project index (:func:`repro.analysis.flow.build_index`) are built
+once, and every rule family runs over them — the per-file rules
+(:mod:`repro.analysis.rules`), executor payload hygiene at each dispatch
+site, the cross-file duplicate-tag rule, and generator provenance and
+payload purity (:mod:`repro.analysis.flow`).  Each file's
+``# repro-allow`` waivers are then applied once, to all of its findings.
 
 Exit status is 0 when no violation survives ``--select``, 1 otherwise,
 and 2 on usage errors (an unknown ``--select`` prefix, an unreadable
@@ -23,11 +24,15 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .flow import (build_index, check_provenance, check_purity,
+                   find_dispatch_sites, infer_generator_returning)
 from .registry import collect_registrations
 from .rules import (RULES, FileContext, Violation, apply_allow_directives,
-                    check_file, parse_allow_directives, registry_violations)
+                    check_file, dispatch_violations, parse_allow_directives,
+                    registry_violations)
+from .sarif import to_sarif
 
-__all__ = ["classify_path", "iter_source_files", "main", "run_lint",
+__all__ = ["classify_path", "iter_source_files", "main", "run",
            "validate_select"]
 
 #: Subsystem directories in which determinism hazards (REPRO2xx) are errors.
@@ -39,12 +44,6 @@ _TYPED_PARTS = {"core", "hpc"}
 #: the restart-state format's home (the state and the engine that reads it).
 _TYPED_SEIR_FILES = {"seeding.py", "checkpoint.py", "batch_engine.py"}
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
-
-#: Rule-id prefixes the per-file lint owns.  REPRO5xx belongs to the
-#: interprocedural pass (repro.analysis.flow); scoping the waiver
-#: machinery to these families keeps each tool from flagging the other's
-#: directives as unused.
-_LINT_FAMILIES = ("REPRO0", "REPRO1", "REPRO2", "REPRO3", "REPRO4")
 
 
 def classify_path(path: Path) -> FileContext:
@@ -94,13 +93,15 @@ def validate_select(select: Sequence[str]) -> None:
             + " — no rule id starts with this (see --list-rules)")
 
 
-def run_lint(paths: Sequence[str],
-             select: Sequence[str] | None = None) -> list[Violation]:
-    """Lint ``paths`` and return violations sorted by location.
+def run(paths: Sequence[str], select: Sequence[str] | None = None
+        ) -> tuple[list[Violation], list[dict]]:
+    """Analyse ``paths``; returns (violations, certificates).
 
-    ``select`` keeps only rules whose id starts with one of the given
-    prefixes (``["REPRO1"]`` keeps the whole RNG-confinement family);
-    unknown prefixes raise :class:`ValueError`.
+    Violations come back sorted by location.  ``select`` keeps only rules
+    whose id starts with one of the given prefixes (``["REPRO1"]`` keeps
+    the whole RNG-confinement family); unknown prefixes raise
+    :class:`ValueError`.  Certificates come back in their JSON form (one
+    dict per dispatch site) — the same shape ``--certificates`` writes.
     """
     if select:
         validate_select(select)
@@ -119,36 +120,48 @@ def run_lint(paths: Sequence[str],
             continue
         sources[path_str] = source
 
-    # Pass 1: registrations across every file.
     registry = collect_registrations(trees)
     registered = registry.constants
+    index = build_index(trees, paths)
+    sites = find_dispatch_sites(index)
+    found = dispatch_violations(index, sites)
+    for module in index.modules.values():
+        found.extend(check_file(module.tree, classify_path(Path(module.path)),
+                                registered, module.aliases))
+    found.extend(check_provenance(index, infer_generator_returning(index),
+                                  sites))
+    purity_violations, certificates = check_purity(index, sites)
+    found.extend(purity_violations)
 
-    # Pass 2: per-file rules + waivers against the cross-file registry.
-    for path_str, tree in trees.items():
-        found = check_file(tree, classify_path(Path(path_str)), registered)
-        directives, problems = parse_allow_directives(path_str,
-                                                      sources[path_str])
-        violations.extend(apply_allow_directives(found, directives,
-                                                 families=_LINT_FAMILIES))
+    by_path: dict[str, list[Violation]] = {path: [] for path in sources}
+    for v in found:
+        by_path[v.path].append(v)
+    for path_str, source in sources.items():
+        directives, problems = parse_allow_directives(path_str, source)
+        violations.extend(apply_allow_directives(by_path[path_str],
+                                                 directives))
         violations.extend(problems)
-
+    # A duplicate tag is a relation between two files; no one line's
+    # directive can waive it.
     violations.extend(registry_violations(registry))
 
     if select:
         prefixes = tuple(select)
         violations = [v for v in violations if v.rule.startswith(prefixes)]
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations
+    return violations, [c.to_jsonable() for c in certificates]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
+        prog="python -m repro.analysis",
         description="Contract-aware static analysis for the calibration "
-                    "codebase (RNG confinement, determinism hazards, "
-                    "executor payload hygiene, typed-core annotations).")
+                    "codebase: RNG confinement, determinism hazards, "
+                    "executor payload hygiene, typed-core annotations, "
+                    "generator provenance and executor payload purity.")
     parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
+                        help="files or directories to analyse "
+                             "(default: src)")
     parser.add_argument("--select", action="append", default=None,
                         metavar="PREFIX",
                         help="only report rules matching this id prefix "
@@ -158,27 +171,35 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="output format (default: text)")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
+    parser.add_argument("--certificates", metavar="FILE", default=None,
+                        help="write per-dispatch-site purity certificates "
+                             "(JSON) to FILE")
     parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
+                        help="print the rule catalogue (narrowed by "
+                             "--select) and exit")
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for rule_id in sorted(RULES):
-            print(f"{rule_id}  {RULES[rule_id]}")
-        return 0
-
     try:
-        violations = run_lint(args.paths, select=args.select)
+        if args.list_rules:
+            prefixes = tuple(args.select or ("",))
+            validate_select(prefixes)
+            for rule_id in sorted(RULES):
+                if rule_id.startswith(prefixes):
+                    print(f"{rule_id}  {RULES[rule_id]}")
+            return 0
+        violations, certificates = run(args.paths, select=args.select)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if args.certificates:
+        Path(args.certificates).write_text(
+            json.dumps(certificates, indent=2) + "\n", encoding="utf-8")
+
     if args.format == "json":
         rendered = json.dumps([v.__dict__ for v in violations], indent=2)
     elif args.format == "sarif":
-        from .sarif import to_sarif
-        rendered = json.dumps(
-            to_sarif(violations, tool_name="repro-lint"), indent=2)
+        rendered = json.dumps(to_sarif(violations), indent=2)
     else:
         rendered = "\n".join(v.render() for v in violations)
     if args.output:
@@ -188,7 +209,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     if violations and args.format == "text" and not args.output:
         print(f"\n{len(violations)} violation(s) found.", file=sys.stderr)
     return 1 if violations else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

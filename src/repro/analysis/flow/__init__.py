@@ -1,8 +1,8 @@
-"""Interprocedural determinism analysis (``python -m repro.analysis.flow``).
+"""Whole-project determinism checks of ``python -m repro.analysis``.
 
-Where :mod:`repro.analysis.lint` checks one file at a time, this package
-builds a whole-project view and proves two properties the per-file rules
-cannot see:
+The per-file rules (:mod:`repro.analysis.rules`) see one module at a time;
+this package holds the checks that need the whole-project view, built once
+per pass by :func:`.callgraph.build_index`:
 
 * **generator provenance** (REPRO50x) — no ``numpy.random.Generator``
   escapes into module globals, long-lived service state, or executor
@@ -14,16 +14,15 @@ cannot see:
   filesystem access outside the declared stores (:mod:`.purity`), with a
   machine-readable certificate per dispatch site.
 
-The supporting call-graph/index machinery lives in :mod:`.callgraph`; the
-CLI and orchestration in :mod:`.report`.
+The index also finds the executor dispatch sites
+(:func:`.callgraph.find_dispatch_sites`) that the payload-hygiene rules
+(REPRO3xx), provenance and purity all read.
 """
 
 from .callgraph import ProjectIndex, build_index, find_dispatch_sites
 from .provenance import check_provenance, infer_generator_returning
 from .purity import PurityCertificate, check_purity
-from .report import FLOW_FAMILIES, main, run_flow
 
-__all__ = ["FLOW_FAMILIES", "ProjectIndex", "PurityCertificate",
-           "build_index", "check_provenance", "check_purity",
-           "find_dispatch_sites", "infer_generator_returning", "main",
-           "run_flow"]
+__all__ = ["ProjectIndex", "PurityCertificate", "build_index",
+           "check_provenance", "check_purity", "find_dispatch_sites",
+           "infer_generator_returning"]

@@ -1,7 +1,7 @@
 """Module/function index and call graph over parsed source trees.
 
-The per-file linter (:mod:`repro.analysis.lint`) sees one module at a time;
-everything in this package starts from the *whole-project* view built here:
+The one analysis pass builds this *whole-project* view once and every rule
+family reads it:
 
 * **module naming** — each ``*.py`` file gets a dotted module name (files
   under a ``repro`` package root keep their real import path, fixture trees
@@ -29,6 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+
+from ..registry import terminal_name
 
 __all__ = ["CallRecord", "ClassInfo", "DispatchSite", "FunctionInfo",
            "ModuleInfo", "ProjectIndex", "build_index",
@@ -61,7 +63,7 @@ GENERATOR_TYPE_NAMES = frozenset({
     "numpy.random.Generator", "np.random.Generator", "Generator",
 })
 
-#: Executor dispatch method names (mirrors the per-file lint).
+#: Executor dispatch method names.
 DISPATCH_METHODS = frozenset({"map", "map_each", "submit"})
 
 
@@ -299,14 +301,18 @@ def build_index(trees: dict[str, ast.Module],
                 roots: Iterable[str | Path]) -> ProjectIndex:
     """Index every parsed module of the project.
 
-    ``trees`` maps display paths to parsed modules (the same shape the
-    linter uses); ``roots`` are the scan roots used to name modules that
-    do not live under a ``repro`` package directory (fixture trees).
+    ``trees`` maps display paths to parsed modules; ``roots`` are the
+    scan roots used to name modules that do not live under a ``repro``
+    package directory (fixture trees).
     """
     root_paths = [Path(r) for r in roots]
     index = ProjectIndex()
     for path_str, tree in trees.items():
         name, is_package = _module_name_for(Path(path_str), root_paths)
+        if name in index.modules:
+            # Two scan roots hold one relative name (``a/x.py b/x.py``):
+            # name this file by its whole path so neither module is lost.
+            name = ".".join(Path(path_str).with_suffix("").parts)
         module = ModuleInfo(name=name, path=path_str, tree=tree,
                             is_package=is_package)
         _collect_aliases(module)
@@ -319,14 +325,6 @@ def build_index(trees: dict[str, ast.Module],
 # --------------------------------------------------------------------------- #
 # Per-function scanning: local types, generator locals, call records
 # --------------------------------------------------------------------------- #
-def _terminal_attr(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 class FunctionScanner:
     """Single forward pass over one function body.
 
@@ -381,7 +379,7 @@ class FunctionScanner:
             resolved = self.index.resolve_function(canon)
             if resolved is not None and resolved in self.generator_returning:
                 return True
-        attr = _terminal_attr(call.func)
+        attr = terminal_name(call.func)
         return attr is not None and attr in GENERATOR_METHOD_NAMES \
             and isinstance(call.func, ast.Attribute)
 
@@ -459,25 +457,26 @@ class FunctionScanner:
         self.calls.append(CallRecord(
             node=call, canonical=canon,
             resolved=self.index.resolve_function(canon),
-            terminal_attr=_terminal_attr(call.func)))
+            terminal_attr=terminal_name(call.func)))
 
 
 # --------------------------------------------------------------------------- #
-# Dispatch-site discovery (shared by the provenance and purity passes)
+# Dispatch-site discovery (shared by the payload-hygiene, provenance and
+# purity checks)
 # --------------------------------------------------------------------------- #
-def _receiver_is_executor(node: ast.expr) -> bool:
-    """Mirror of the per-file lint's receiver heuristic."""
-    if isinstance(node, ast.Name):
-        term = node.id
-    elif isinstance(node, ast.Attribute):
-        term = node.attr
-    else:
+def _is_dispatch(call: ast.Call) -> bool:
+    """``<receiver>.map/map_each/submit(...)`` on a receiver whose name,
+    leading underscores dropped, ends in ``executor`` or ``pool``."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or \
+            func.attr not in DISPATCH_METHODS:
         return False
-    term = term.lstrip("_").lower()
-    return term.endswith("executor") or term.endswith("pool")
+    receiver = terminal_name(func.value)
+    return receiver is not None and \
+        receiver.lstrip("_").lower().endswith(("executor", "pool"))
 
 
-def _payload_exprs(fn_node: ast.AST, tasks: ast.expr) -> list[ast.expr]:
+def _payload_exprs(scope: ast.AST, tasks: ast.expr) -> list[ast.expr]:
     """Statically visible payload element expressions of one dispatch."""
     if isinstance(tasks, (ast.ListComp, ast.GeneratorExp)):
         return [tasks.elt]
@@ -485,7 +484,7 @@ def _payload_exprs(fn_node: ast.AST, tasks: ast.expr) -> list[ast.expr]:
         return list(tasks.elts)
     if isinstance(tasks, ast.Name):
         out: list[ast.expr] = []
-        for node in ast.walk(fn_node):
+        for node in ast.walk(scope):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
                     isinstance(node.targets[0], ast.Name) and \
                     node.targets[0].id == tasks.id:
@@ -504,30 +503,45 @@ def _payload_exprs(fn_node: ast.AST, tasks: ast.expr) -> list[ast.expr]:
 
 
 def find_dispatch_sites(index: ProjectIndex) -> list[DispatchSite]:
-    """Every executor dispatch call in the project, with resolved targets."""
+    """Every executor dispatch call in the project, with resolved targets.
+
+    Each module is walked whole, so a dispatch at module or class-body
+    scope is found too; a call inside a nested def belongs to the indexed
+    function that holds it.
+    """
+    owners = {id(info.node): info for info in index.functions.values()}
+    local_types: dict[str, dict[str, str]] = {}
     sites: list[DispatchSite] = []
-    for info in index.functions.values():
-        module = index.modules[info.module]
-        scanner = FunctionScanner(index, module, info).scan()
-        for record in scanner.calls:
-            call = record.node
-            if not isinstance(call.func, ast.Attribute):
+    for module in index.modules.values():
+        stack: list[tuple[ast.AST, FunctionInfo | None]] = [(module.tree,
+                                                             None)]
+        while stack:
+            node, owner = stack.pop()
+            owner = owners.get(id(node), owner)
+            stack.extend((child, owner)
+                         for child in ast.iter_child_nodes(node))
+            if not isinstance(node, ast.Call) or not _is_dispatch(node):
                 continue
-            if call.func.attr not in DISPATCH_METHODS:
-                continue
-            if not _receiver_is_executor(call.func.value):
-                continue
-            target = call.args[0] if call.args else None
+            types = None
+            if owner is not None:
+                if owner.qualname not in local_types:
+                    local_types[owner.qualname] = FunctionScanner(
+                        index, module, owner).scan().local_types
+                types = local_types[owner.qualname]
+            target = node.args[0] if node.args else None
             target_canon = None
             if target is not None:
                 target_canon = index.resolve_function(
-                    index.canonical(module, target, scanner.local_types))
+                    index.canonical(module, target, types))
             payload: list[ast.expr] = []
-            if len(call.args) > 1:
-                payload = _payload_exprs(info.node, call.args[1])
+            if len(node.args) > 1:
+                payload = _payload_exprs(
+                    owner.node if owner is not None else module.tree,
+                    node.args[1])
             sites.append(DispatchSite(
-                module=info.module, path=info.path, function=info.qualname,
-                node=call, target_expr=target, target_resolved=target_canon,
+                module=module.name, path=module.path,
+                function=owner.qualname if owner is not None else "",
+                node=node, target_expr=target, target_resolved=target_canon,
                 payload_exprs=tuple(payload)))
     sites.sort(key=lambda s: (s.path, s.node.lineno, s.node.col_offset))
     return sites

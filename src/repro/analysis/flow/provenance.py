@@ -5,13 +5,14 @@ The determinism story of this codebase depends on every generator being a
 is created, consumed within one window/shard/task, and dropped.  The PR 1
 bug was exactly a generator that outlived its window — an ancillary stream
 cached once and reused, silently correlating every window's draws.  The
-per-file lint can only catch that shape when the construction is visible in
+per-file rules can only catch that shape when the construction is visible in
 the same file; this pass follows generator values through assignments,
 returns, parameters, and call arguments **across modules** and flags the
 three escape hatches that turn a transient stream into long-lived state:
 
 * ``REPRO501`` — a generator bound to a *module global* (directly, or via a
-  helper defined in another file whose return value the lint cannot type);
+  helper defined in another file whose return value the per-file rules
+  cannot type);
 * ``REPRO502`` — a generator stored on *service/supervisor state* (an
   object that lives across calibration windows by design);
 * ``REPRO503`` — a generator crossing an *executor payload* boundary (a
@@ -31,9 +32,11 @@ from __future__ import annotations
 
 import ast
 
-from ..rules import Violation
-from .callgraph import (DispatchSite, FunctionScanner, ProjectIndex,
-                        GENERATOR_TYPE_NAMES)
+from pathlib import Path
+
+from ..rules import Violation, violation_at
+from .callgraph import (DispatchSite, FunctionInfo, FunctionScanner,
+                        ProjectIndex, GENERATOR_TYPE_NAMES)
 
 __all__ = ["infer_generator_returning", "check_provenance"]
 
@@ -72,13 +75,6 @@ def infer_generator_returning(index: ProjectIndex) -> frozenset[str]:
             return frozenset(current)
 
 
-def _flag(violations: list[Violation], path: str, node: ast.AST, rule: str,
-          message: str) -> None:
-    violations.append(Violation(
-        path=path, line=getattr(node, "lineno", 0),
-        col=getattr(node, "col_offset", 0), rule=rule, message=message))
-
-
 class _ModuleScopeScanner(FunctionScanner):
     """Generator valuation at module scope (no enclosing function).
 
@@ -93,7 +89,6 @@ class _ModuleScopeScanner(FunctionScanner):
         wrapper = ast.parse("def _module_scope_(): pass").body[0]
         assert isinstance(wrapper, ast.FunctionDef)
         wrapper.body = list(module.tree.body)
-        from .callgraph import FunctionInfo
         info = FunctionInfo(qualname=f"{module_name}.<module>",
                             module=module_name, path=module.path, line=1,
                             node=wrapper)
@@ -131,11 +126,12 @@ def _check_module_globals(index: ProjectIndex,
                     isinstance(stmt.target, ast.Name):
                 target_name = stmt.target.id
                 if index.is_generator_annotation(module, stmt.annotation):
-                    _flag(violations, module.path, stmt, "REPRO501",
-                          f"module global {target_name!r} is annotated as a "
-                          "numpy.random.Generator — a module-held stream "
-                          "outlives every window and re-serves the same "
-                          "draws (the PR 1 cross-window reuse bug class)")
+                    violations.append(violation_at(
+                        module.path, stmt, "REPRO501",
+                        f"module global {target_name!r} is annotated as a "
+                        "numpy.random.Generator — a module-held stream "
+                        "outlives every window and re-serves the same "
+                        "draws (the PR 1 cross-window reuse bug class)"))
                     continue
                 value = stmt.value
             if value is None or target_name is None:
@@ -145,12 +141,13 @@ def _check_module_globals(index: ProjectIndex,
             if isinstance(value, ast.Name):
                 continue
             if scanner.expr_is_generator_valued(value):
-                _flag(violations, module.path, stmt, "REPRO501",
-                      f"module global {target_name!r} is bound to a "
-                      "numpy.random.Generator — a module-held stream "
-                      "outlives every window and re-serves the same draws "
-                      "(the PR 1 cross-window reuse bug class); construct "
-                      "the stream where it is consumed, keyed by window")
+                violations.append(violation_at(
+                    module.path, stmt, "REPRO501",
+                    f"module global {target_name!r} is bound to a "
+                    "numpy.random.Generator — a module-held stream "
+                    "outlives every window and re-serves the same draws "
+                    "(the PR 1 cross-window reuse bug class); construct "
+                    "the stream where it is consumed, keyed by window"))
         # ``global X; X = <generator>`` inside any function of the module.
         prefix = f"{name}." if name else ""
         for qual, info in index.functions.items():
@@ -169,10 +166,11 @@ def _check_module_globals(index: ProjectIndex,
                         and isinstance(node.targets[0], ast.Name) and \
                         node.targets[0].id in declared_global and \
                         fn_scanner.expr_is_generator_valued(node.value):
-                    _flag(violations, module.path, node, "REPRO501",
-                          f"{prefix}{info.node.name} caches a generator in "
-                          f"module global {node.targets[0].id!r} — the "
-                          "stream outlives its window (PR 1 bug class)")
+                    violations.append(violation_at(
+                        module.path, node, "REPRO501",
+                        f"{prefix}{info.node.name} caches a generator in "
+                        f"module global {node.targets[0].id!r} — the "
+                        "stream outlives its window (PR 1 bug class)"))
 
 
 # --------------------------------------------------------------------------- #
@@ -180,7 +178,6 @@ def _check_module_globals(index: ProjectIndex,
 # --------------------------------------------------------------------------- #
 def _is_long_lived_module(index: ProjectIndex, module_name: str) -> bool:
     module = index.modules[module_name]
-    from pathlib import Path
     return any(part in _LONG_LIVED_PARTS for part in Path(module.path).parts)
 
 
@@ -214,13 +211,14 @@ def _check_service_state(index: ProjectIndex,
                     if isinstance(target.value, ast.Name) and \
                             target.value.id == "self" and \
                             scanner.expr_is_generator_valued(node.value):
-                        _flag(violations, cls.path, node, "REPRO502",
-                              f"{qual} stores a generator on self."
-                              f"{target.attr} — service/supervisor objects "
-                              "live across windows, so the cached stream "
-                              "re-serves its draws every window (PR 1 bug "
-                              "class); derive a fresh window-keyed stream "
-                              "at each use instead")
+                        violations.append(violation_at(
+                            cls.path, node, "REPRO502",
+                            f"{qual} stores a generator on self."
+                            f"{target.attr} — service/supervisor objects "
+                            "live across windows, so the cached stream "
+                            "re-serves its draws every window (PR 1 bug "
+                            "class); derive a fresh window-keyed stream "
+                            "at each use instead"))
 
 
 # --------------------------------------------------------------------------- #
@@ -249,13 +247,14 @@ def _check_payload_escapes(index: ProjectIndex,
                     continue
                 if index.is_generator_annotation(target_module,
                                                  arg.annotation):
-                    _flag(violations, site.path, site.node, "REPRO503",
-                          f"dispatch target {site.target_resolved} takes "
-                          f"generator parameter {arg.arg!r} — generator "
-                          "state crossing the executor boundary is pickled "
-                          "and silently forks the stream per worker; ship "
-                          "the seed slice and rebuild the stream worker-"
-                          "side (see hpc.sharding.run_shard)")
+                    violations.append(violation_at(
+                        site.path, site.node, "REPRO503",
+                        f"dispatch target {site.target_resolved} takes "
+                        f"generator parameter {arg.arg!r} — generator "
+                        "state crossing the executor boundary is pickled "
+                        "and silently forks the stream per worker; ship "
+                        "the seed slice and rebuild the stream worker-"
+                        "side (see hpc.sharding.run_shard)"))
         for payload in site.payload_exprs:
             for node in ast.walk(payload):
                 hit = False
@@ -266,11 +265,12 @@ def _check_payload_escapes(index: ProjectIndex,
                         scanner.call_is_generator_valued(node):
                     hit = True
                 if hit:
-                    _flag(violations, site.path, node, "REPRO503",
-                          "generator value embedded in an executor payload "
-                          "— pickled generator state forks the stream "
-                          "across workers and breaks the (base_seed, shard "
-                          "layout) contract; ship seeds, not streams")
+                    violations.append(violation_at(
+                        site.path, node, "REPRO503",
+                        "generator value embedded in an executor payload "
+                        "— pickled generator state forks the stream "
+                        "across workers and breaks the (base_seed, shard "
+                        "layout) contract; ship seeds, not streams"))
             # Payload task dataclasses must not declare generator fields.
             if isinstance(payload, ast.Call) and scanner is not None:
                 canon = index.canonical(module, payload.func,

@@ -20,7 +20,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-__all__ = ["Registration", "StaticRegistry", "collect_registrations"]
+__all__ = ["Registration", "StaticRegistry", "collect_registrations",
+           "is_register_call", "terminal_name"]
 
 #: Call targets recognised as registration entry points, mapped to the
 #: domain they register into (``None`` = read the ``domain=`` keyword,
@@ -76,14 +77,24 @@ class StaticRegistry:
         return clashes
 
 
+def terminal_name(node: ast.expr) -> str | None:
+    """``f`` for ``f`` or ``x.y.f``; ``None`` for any other expression."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def is_register_call(node: ast.AST) -> bool:
+    """A call to one of the registration entry points."""
+    return isinstance(node, ast.Call) and \
+        terminal_name(node.func) in _REGISTER_FUNCS
+
+
 def _call_domain(call: ast.Call) -> str | None:
     """The registry domain a registration call targets, if recognisable."""
-    func = call.func
-    name = None
-    if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
-        name = func.attr
+    name = terminal_name(call.func)
     if name not in _REGISTER_FUNCS:
         return None
     fixed = _REGISTER_FUNCS[name]
@@ -94,15 +105,6 @@ def _call_domain(call: ast.Call) -> str | None:
                 and isinstance(kw.value.value, str):
             return kw.value.value
     return "bank"
-
-
-def _is_register_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else (
-        func.attr if isinstance(func, ast.Attribute) else None)
-    return name in _REGISTER_FUNCS
 
 
 def collect_registrations(trees: dict[str, ast.Module]) -> StaticRegistry:
@@ -120,7 +122,7 @@ def collect_registrations(trees: dict[str, ast.Module]) -> StaticRegistry:
             target = node.targets[0]
             if not isinstance(target, ast.Name):
                 continue
-            if not _is_register_call(node.value):
+            if not is_register_call(node.value):
                 continue
             call = node.value
             assert isinstance(call, ast.Call)

@@ -1,4 +1,4 @@
-"""AST rule implementations behind ``python -m repro.analysis.lint``.
+"""Per-file rules, the rule catalogue, and ``# repro-allow`` waivers.
 
 Every rule encodes an invariant this codebase has already relied on (and in
 two documented cases, already broken).  Rules are deliberately conservative:
@@ -14,13 +14,18 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-from .registry import StaticRegistry
+from .registry import StaticRegistry, is_register_call, terminal_name
+
+if TYPE_CHECKING:
+    from .flow.callgraph import DispatchSite, ProjectIndex
 
 __all__ = ["FileContext", "Violation", "RULES", "check_file",
-           "registry_violations", "AllowDirective",
-           "parse_allow_directives", "apply_allow_directives"]
+           "dispatch_violations", "registry_violations", "violation_at",
+           "AllowDirective", "parse_allow_directives",
+           "apply_allow_directives"]
 
 #: rule id -> one-line description (surfaced by ``--list-rules``).
 RULES: dict[str, str] = {
@@ -40,10 +45,6 @@ RULES: dict[str, str] = {
     "REPRO302": "raw tuple/dict executor payload instead of a declared "
                 "dataclass task",
     "REPRO401": "incomplete signature annotations in a typed-core module",
-    # REPRO50x/51x are emitted by the interprocedural pass
-    # (python -m repro.analysis.flow), not by the per-file lint; they live
-    # in the shared catalogue so --list-rules and repro-allow validation
-    # cover both tools.
     "REPRO501": "numpy.random.Generator cached in a module global "
                 "(directly or via a helper's return value)",
     "REPRO502": "numpy.random.Generator stored on long-lived service/"
@@ -79,14 +80,6 @@ _ORDER_SENSITIVE_NUMPY = {
 }
 _ORDER_SENSITIVE_BUILTINS = {"list", "tuple", "enumerate"}
 
-#: Executor-protocol dispatch methods (REPRO3xx).
-_DISPATCH_METHODS = {"map", "submit"}
-
-#: Registration entry points (their tag argument is *supposed* to be a
-#: literal — exempt from REPRO102's named-constant requirement).
-_REGISTER_FUNC_NAMES = {"register_stream_tag", "register_ancillary_purpose",
-                        "register"}
-
 
 @dataclass(frozen=True)
 class FileContext:
@@ -112,24 +105,12 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-@dataclass
-class _Scope:
-    """Per-function bookkeeping for the executor-payload rules."""
-
-    nested_defs: set[str] = field(default_factory=set)
-    list_payloads: dict[str, list[ast.expr]] = field(default_factory=dict)
-
-
-def _receiver_is_executor(node: ast.expr) -> bool:
-    """True when a ``.map``/``.submit`` receiver looks like an executor."""
-    if isinstance(node, ast.Name):
-        term = node.id
-    elif isinstance(node, ast.Attribute):
-        term = node.attr
-    else:
-        return False
-    term = term.lstrip("_").lower()
-    return term.endswith("executor") or term.endswith("pool")
+def violation_at(path: str, node: ast.AST, rule: str,
+                 message: str) -> Violation:
+    """A violation located at ``node``'s line and column."""
+    return Violation(path=path, line=getattr(node, "lineno", 0),
+                     col=getattr(node, "col_offset", 0), rule=rule,
+                     message=message)
 
 
 def _is_unordered(node: ast.expr) -> bool:
@@ -141,47 +122,37 @@ def _is_unordered(node: ast.expr) -> bool:
     return False
 
 
-def _terminal_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 class _FileChecker(ast.NodeVisitor):
-    """Single-file rule pass (REPRO101/102/103, 2xx, 3xx, 4xx)."""
+    """Single-file rule pass (REPRO101/102/103, 2xx, 4xx)."""
 
-    def __init__(self, context: FileContext, registered: set[str]) -> None:
+    def __init__(self, context: FileContext, registered: set[str],
+                 aliases: dict[str, str]) -> None:
         self.ctx = context
         self.registered = registered
+        self.aliases = aliases
         self.violations: list[Violation] = []
-        self._aliases: dict[str, str] = {}
-        self._scopes: list[_Scope] = []
+        self._function_depth = 0
         self._class_depth = 0
 
     # ------------------------------------------------------------------ #
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        self.violations.append(Violation(
-            path=self.ctx.path, line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0), rule=rule, message=message))
+        self.violations.append(violation_at(self.ctx.path, node, rule,
+                                            message))
 
     def _canonical(self, node: ast.expr) -> str | None:
         """Resolve ``np.random.default_rng`` through import aliases."""
         if isinstance(node, ast.Name):
-            return self._aliases.get(node.id, node.id)
+            return self.aliases.get(node.id, node.id)
         if isinstance(node, ast.Attribute):
             base = self._canonical(node.value)
             return None if base is None else f"{base}.{node.attr}"
         return None
 
     # ------------------------------------------------------------------ #
-    # Imports: build the alias table; reject stdlib random outright.
+    # Imports: reject stdlib random outright.
     # ------------------------------------------------------------------ #
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self._aliases[alias.asname or alias.name.split(".")[0]] = \
-                alias.name if alias.asname else alias.name.split(".")[0]
             if alias.name.split(".")[0] == "random" and \
                     not self.ctx.rng_allowed:
                 self._flag(node, "REPRO101",
@@ -191,9 +162,6 @@ class _FileChecker(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
-        for alias in node.names:
-            self._aliases[alias.asname or alias.name] = \
-                f"{module}.{alias.name}" if module else alias.name
         root = module.split(".")[0]
         if root == "random" and not self.ctx.rng_allowed:
             self._flag(node, "REPRO101",
@@ -213,26 +181,17 @@ class _FileChecker(ast.NodeVisitor):
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
             if _STREAM_CONST_RE.match(name):
-                func_name = _terminal_name(node.value.func) \
-                    if isinstance(node.value, ast.Call) else None
-                if func_name not in _REGISTER_FUNC_NAMES:
+                if not is_register_call(node.value):
                     self._flag(
                         node, "REPRO103",
                         f"stream constant {name} is assigned without "
                         "registration — use register_stream_tag()/"
                         "register_ancillary_purpose() so tag uniqueness is "
                         "enforced at import time")
-            if self._scopes and isinstance(node.value, ast.List):
-                self._scopes[-1].list_payloads.setdefault(
-                    name, []).extend(node.value.elts)
-            elif self._scopes and isinstance(
-                    node.value, (ast.ListComp, ast.GeneratorExp)):
-                self._scopes[-1].list_payloads.setdefault(
-                    name, []).append(node.value.elt)
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
-    # Function scopes: nested defs + annotation completeness.
+    # Function scopes: annotation completeness.
     # ------------------------------------------------------------------ #
     def _check_annotations(self, node: ast.FunctionDef | ast.AsyncFunctionDef
                            ) -> None:
@@ -241,7 +200,7 @@ class _FileChecker(ast.NodeVisitor):
         missing: list[str] = []
         args = node.args
         positional = list(args.posonlyargs) + list(args.args)
-        skip_first = (self._class_depth > 0 and not self._scopes
+        skip_first = (self._class_depth > 0 and not self._function_depth
                       and positional
                       and positional[0].arg in ("self", "cls")
                       and not any(isinstance(d, ast.Name)
@@ -266,15 +225,12 @@ class _FileChecker(ast.NodeVisitor):
                         ) -> None:
         if self.ctx.typed:
             self._check_annotations(node)
-        if self._scopes:
-            self._scopes[-1].nested_defs.add(node.name)
-        scope = _Scope()
-        self._scopes.append(scope)
         class_depth = self._class_depth
         self._class_depth = 0  # classes inside functions start fresh
+        self._function_depth += 1
         self.generic_visit(node)
+        self._function_depth -= 1
         self._class_depth = class_depth
-        self._scopes.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._enter_function(node)
@@ -298,12 +254,11 @@ class _FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
-    # Calls: RNG confinement, stream tags, clocks, arrays-from-sets,
-    # executor dispatch.
+    # Calls: RNG confinement, stream tags, clocks, arrays-from-sets.
     # ------------------------------------------------------------------ #
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._canonical(node.func)
-        terminal = _terminal_name(node.func)
+        terminal = terminal_name(node.func)
 
         if canonical is not None and not self.ctx.rng_allowed and (
                 canonical.startswith("numpy.random.")
@@ -334,16 +289,11 @@ class _FileChecker(ast.NodeVisitor):
                            "set — the element order (and any array built "
                            "from it) varies across processes; sort first")
 
-        if isinstance(node.func, ast.Attribute) and \
-                node.func.attr in _DISPATCH_METHODS and \
-                _receiver_is_executor(node.func.value):
-            self._check_dispatch(node)
-
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
     def _stream_arg_ok(self, arg: ast.expr) -> bool:
-        name = _terminal_name(arg)
+        name = terminal_name(arg)
         return name is not None and name in self.registered
 
     def _check_mix_seed(self, node: ast.Call) -> None:
@@ -360,7 +310,7 @@ class _FileChecker(ast.NodeVisitor):
                        "aliasing bug shape; register a named constant via "
                        "register_stream_tag() and pass that")
         elif not self._stream_arg_ok(tag):
-            name = _terminal_name(tag) or ast.dump(tag)
+            name = terminal_name(tag) or ast.dump(tag)
             self._flag(node, "REPRO102",
                        f"stream tag {name!r} in mix_seed is not a "
                        "registered stream constant (register_stream_tag)")
@@ -378,64 +328,10 @@ class _FileChecker(ast.NodeVisitor):
                        "named constant via register_ancillary_purpose() so "
                        "consumers can never silently collide")
         elif not self._stream_arg_ok(purpose):
-            name = _terminal_name(purpose) or ast.dump(purpose)
+            name = terminal_name(purpose) or ast.dump(purpose)
             self._flag(node, "REPRO102",
                        f"ancillary purpose {name!r} is not a registered "
                        "purpose constant (register_ancillary_purpose)")
-
-    # ------------------------------------------------------------------ #
-    def _payload_exprs(self, tasks: ast.expr) -> list[ast.expr]:
-        """Statically visible payload element expressions of a dispatch."""
-        if isinstance(tasks, (ast.ListComp, ast.GeneratorExp)):
-            return [tasks.elt]
-        if isinstance(tasks, (ast.List, ast.Tuple)):
-            return list(tasks.elts)
-        if isinstance(tasks, ast.Name):
-            for scope in reversed(self._scopes):
-                if tasks.id in scope.list_payloads:
-                    return scope.list_payloads[tasks.id]
-        return []
-
-    def _check_dispatch(self, node: ast.Call) -> None:
-        if not node.args:
-            return
-        fn = node.args[0]
-        if isinstance(fn, ast.Lambda):
-            self._flag(node, "REPRO301",
-                       "lambda dispatched through an Executor — lambdas "
-                       "don't pickle and hide their payload contract; use a "
-                       "module-level function over a dataclass task")
-        elif isinstance(fn, ast.Name) and any(
-                fn.id in scope.nested_defs for scope in self._scopes):
-            self._flag(node, "REPRO301",
-                       f"nested function {fn.id!r} dispatched through an "
-                       "Executor — closures don't pickle and capture "
-                       "ambient state; hoist it to module level")
-        if len(node.args) < 2:
-            return
-        for elt in self._payload_exprs(node.args[1]):
-            if isinstance(elt, (ast.Tuple, ast.Dict, ast.List, ast.Set,
-                                ast.Lambda)):
-                self._flag(elt, "REPRO302",
-                           "executor payload is a raw tuple/dict literal — "
-                           "declare a frozen dataclass task (see "
-                           "hpc.sharding.ShardTask) so the payload schema "
-                           "is named, typed, and lintable")
-                break
-
-    # Track appends into candidate payload lists (tasks.append((...,))).
-    def visit_Expr(self, node: ast.Expr) -> None:
-        call = node.value
-        if self._scopes and isinstance(call, ast.Call) and \
-                isinstance(call.func, ast.Attribute) and \
-                call.func.attr == "append" and \
-                isinstance(call.func.value, ast.Name) and call.args:
-            name = call.func.value.id
-            for scope in reversed(self._scopes):
-                if name in scope.list_payloads:
-                    scope.list_payloads[name].append(call.args[0])
-                    break
-        self.generic_visit(node)
 
 
 # --------------------------------------------------------------------------- #
@@ -531,8 +427,7 @@ def parse_allow_directives(path: str, source: str
 
 
 def apply_allow_directives(violations: list[Violation],
-                           directives: list[AllowDirective],
-                           families: tuple[str, ...] | None = None
+                           directives: list[AllowDirective]
                            ) -> list[Violation]:
     """Waive directive-covered violations; flag directives that waive
     nothing.
@@ -540,14 +435,7 @@ def apply_allow_directives(violations: list[Violation],
     An unused directive is itself a REPRO203 violation: once the code it
     excused stops violating the rule, the stale exemption would silently
     re-arm the moment someone reintroduces the hazard on that line.
-
-    ``families`` scopes which directives this *pass* is responsible for,
-    by rule-id prefix.  The lint and the flow pass share one directive
-    syntax but emit disjoint rule families; without the scope each would
-    flag the other's perfectly-used directives as unused.
     """
-    if families is not None:
-        directives = [d for d in directives if d.rule.startswith(families)]
     by_key: dict[tuple[str, int], list[AllowDirective]] = {}
     for d in directives:
         by_key.setdefault((d.rule, d.target_line), []).append(d)
@@ -570,11 +458,54 @@ def apply_allow_directives(violations: list[Violation],
 
 
 def check_file(tree: ast.Module, context: FileContext,
-               registered: set[str]) -> list[Violation]:
-    """Run every per-file rule over one parsed module."""
-    checker = _FileChecker(context, registered)
+               registered: set[str], aliases: dict[str, str]
+               ) -> list[Violation]:
+    """Run every per-file rule over one parsed module.
+
+    ``aliases`` is the module's import table
+    (:attr:`~repro.analysis.flow.callgraph.ModuleInfo.aliases`).
+    """
+    checker = _FileChecker(context, registered, aliases)
     checker.visit(tree)
     return checker.violations
+
+
+def dispatch_violations(index: ProjectIndex,
+                        sites: Iterable[DispatchSite]) -> list[Violation]:
+    """Executor payload hygiene (REPRO301/302) at every dispatch site."""
+    out: list[Violation] = []
+    for site in sites:
+        node = site.node
+        if not node.args:
+            continue
+        fn = node.args[0]
+        owner = index.functions.get(site.function)
+        if isinstance(fn, ast.Lambda):
+            out.append(violation_at(
+                site.path, node, "REPRO301",
+                "lambda dispatched through an Executor — lambdas don't "
+                "pickle and hide their payload contract; use a "
+                "module-level function over a dataclass task"))
+        elif isinstance(fn, ast.Name) and owner is not None and any(
+                isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and sub.name == fn.id and sub is not owner.node
+                for sub in ast.walk(owner.node)):
+            out.append(violation_at(
+                site.path, node, "REPRO301",
+                f"nested function {fn.id!r} dispatched through an Executor "
+                "— closures don't pickle and capture ambient state; hoist "
+                "it to module level"))
+        for elt in site.payload_exprs:
+            if isinstance(elt, (ast.Tuple, ast.Dict, ast.List, ast.Set,
+                                ast.Lambda)):
+                out.append(violation_at(
+                    site.path, elt, "REPRO302",
+                    "executor payload is a raw tuple/dict literal — "
+                    "declare a frozen dataclass task (see "
+                    "hpc.sharding.ShardTask) so the payload schema is "
+                    "named, typed, and lintable"))
+                break
+    return out
 
 
 def registry_violations(registry: StaticRegistry) -> list[Violation]:

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 emission shared by ``repro lint`` and ``repro flow``.
+"""SARIF 2.1.0 emission for ``python -m repro.analysis --format sarif``.
 
 SARIF is the interchange format GitHub's code-scanning UI ingests, so a
 CI upload of this document turns every violation into an inline PR
@@ -18,11 +18,10 @@ __all__ = ["to_sarif"]
 _SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
-def to_sarif(violations: Iterable[Violation], tool_name: str,
-             info_uri: str = "docs/contracts.md") -> dict[str, object]:
+def to_sarif(violations: Iterable[Violation]) -> dict[str, object]:
     """Build a SARIF ``dict`` (caller serialises with ``json.dumps``)."""
     violations = list(violations)
-    used_rules = sorted({v.rule for v in violations} | set())
+    used_rules = sorted({v.rule for v in violations})
     rules = [
         {
             "id": rule_id,
@@ -54,8 +53,8 @@ def to_sarif(violations: Iterable[Violation], tool_name: str,
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": tool_name,
-                "informationUri": info_uri,
+                "name": "repro-analysis",
+                "informationUri": "docs/contracts.md",
                 "rules": rules,
             }},
             "results": results,

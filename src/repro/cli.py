@@ -547,6 +547,7 @@ def _cmd_serve(args) -> int:
         service = CalibrationService(
             calibrator, CheckpointStore(args.checkpoint_dir),
             ArtifactStore(args.artifacts), service_config,
+            streams=stream_names,
             progress=lambda msg: print(msg, flush=True))
         resumed = service.resume()
         if resumed is None:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from ..core.particle import ParticleEnsemble
 from ..core.posterior import check_quantiles
 from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
-from ..data.sources import CHANNELS, ObservationSet
+from ..data.sources import CASES, CHANNELS, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.faults import RetryPolicy
 from ..inference.forecast import forecast_from_cloud, forecast_from_posterior
@@ -170,6 +170,11 @@ class CalibrationService:
     :func:`time.monotonic`) and ``sleep`` the matching wait primitive —
     both injectable so chaos tests control time deterministically.
 
+    ``streams`` names the observed streams, in the buffer's order.  They
+    key the checkpoint store's fingerprint, so a store written for other
+    streams is refused at construction, and :meth:`tick` refuses a buffer
+    configured for other streams.
+
     The degradation contract: a failing or slow window never breaks
     reads.  :meth:`read_forecast` keeps returning the newest sealed
     artifact, tagged with how many windows behind the ingest head it is
@@ -180,6 +185,7 @@ class CalibrationService:
                  checkpoints: CheckpointStore,
                  artifacts: ArtifactStore,
                  config: ServiceConfig | None = None, *,
+                 streams: Sequence[str] = (CASES,),
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep,
                  progress: Callable[[str], None] | None = None) -> None:
@@ -187,6 +193,7 @@ class CalibrationService:
         self.checkpoints = checkpoints
         self.artifacts = artifacts
         self.config = config or ServiceConfig()
+        self.streams = tuple(streams)
         self._clock = clock
         self._sleep = sleep
         self._progress = progress or (lambda _msg: None)
@@ -206,7 +213,8 @@ class CalibrationService:
         # Bind the store to this run's fingerprint immediately: a service
         # pointed at another run's checkpoints must fail at startup, not
         # at first persist.
-        checkpoints.validate_run_meta(calibrator.run_fingerprint())
+        checkpoints.validate_run_meta(
+            calibrator.run_fingerprint(self.streams))
 
     # ------------------------------------------------------------------ #
     # Position
@@ -298,8 +306,15 @@ class CalibrationService:
 
         Returns the events emitted this tick.  Stops early when a window
         exhausts its restart budget (sticky — see ``failed_window``) or
-        when the next window's data has not fully arrived.
+        when the next window's data has not fully arrived.  Raises
+        :class:`ValueError` if the buffer observes other streams than the
+        service was built for.
         """
+        if buffer.stream_names != self.streams:
+            raise ValueError(
+                f"buffer streams {list(buffer.stream_names)} differ from "
+                f"the service's streams {list(self.streams)}, which key "
+                "its checkpoint store")
         events: list[ServiceEvent] = []
         while self.failed_window is None:
             pending = self.pending_window()

@@ -1,9 +1,10 @@
-"""The flow pass tested: cross-file bug shapes, certificates, CLI.
+"""The whole-project families tested: cross-file bug shapes,
+certificates, CLI.
 
 The central claim — asserted, not narrated — is that the interprocedural
-pass catches the PR 1 rogue-stream bug *across file boundaries* where the
-per-file lint provably reports nothing, and that the shipped tree holds
-the purity contract at every executor dispatch site.
+families catch the PR 1 rogue-stream bug *across file boundaries* where
+the per-file rules provably report nothing, and that the shipped tree
+holds the purity contract at every executor dispatch site.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
-from repro.analysis.flow import run_flow
-from repro.analysis.flow.report import main
+from repro.analysis import main, run
 
 SRC = str(Path(__file__).parents[2] / "src")
 FLOW_FIXTURES = Path(__file__).parent / "fixtures" / "flow"
@@ -33,26 +32,30 @@ SHIPPED_DISPATCH_TARGETS = {
 #: ``hpc/sharding.py``.
 SHIPPED_DISPATCH_SITES = 2
 
+#: The per-file rule families (everything but the whole-project REPRO5xx).
+PER_FILE = ["REPRO1", "REPRO2", "REPRO3", "REPRO4"]
+
 
 class TestPR1CrossFile:
-    """The acceptance-criterion pair: flow catches what lint misses."""
+    """The acceptance-criterion pair: the whole-project families catch
+    what the per-file rules miss."""
 
     PR1 = str(BAD / "pr1_cross_file")
 
     def test_lint_provably_misses_the_cross_file_rogue_stream(self):
-        """Both halves are individually lint-clean — the construction
-        hides behind an untyped helper in another file."""
-        assert run_lint([self.PR1]) == []
+        """Both halves are clean under the per-file rules — the
+        construction hides behind an untyped helper in another file."""
+        assert run([self.PR1], select=PER_FILE)[0] == []
 
     def test_flow_catches_it_as_repro501(self):
-        violations, _ = run_flow([self.PR1])
+        violations, _ = run([self.PR1])
         assert [v.rule for v in violations] == ["REPRO501"]
         v = violations[0]
         assert v.path.endswith("windows.py")
         assert "_NOISE" in v.message and "PR 1" in v.message
 
     def test_fixed_variant_is_clean(self):
-        violations, _ = run_flow([str(GOOD / "pr1_fixed")])
+        violations, _ = run([str(GOOD / "pr1_fixed")])
         assert violations == []
 
 
@@ -60,8 +63,8 @@ class TestProvenance:
     def test_service_state_escapes(self):
         """Generator-typed field + self-attribute store: exactly two
         REPRO502 findings in the service fixture."""
-        violations, _ = run_flow([str(BAD / "provenance")],
-                                 select=["REPRO502"])
+        violations, _ = run([str(BAD / "provenance")],
+                            select=["REPRO502"])
         assert len(violations) == 2, [v.render() for v in violations]
         assert all(v.path.endswith("cached_state.py") for v in violations)
 
@@ -69,8 +72,8 @@ class TestProvenance:
         """Generator field on the payload class, generator embedded in the
         task expression, generator parameter on the dispatch target:
         exactly three REPRO503 findings."""
-        violations, _ = run_flow([str(BAD / "provenance")],
-                                 select=["REPRO503"])
+        violations, _ = run([str(BAD / "provenance")],
+                            select=["REPRO503"])
         assert len(violations) == 3, [v.render() for v in violations]
         messages = " | ".join(v.message for v in violations)
         assert "field" in messages
@@ -78,7 +81,7 @@ class TestProvenance:
         assert "parameter" in messages
 
     def test_nothing_else_fires_on_the_provenance_fixture(self):
-        violations, _ = run_flow([str(BAD / "provenance")])
+        violations, _ = run([str(BAD / "provenance")])
         assert {v.rule for v in violations} == {"REPRO502", "REPRO503"}
         assert len(violations) == 5
 
@@ -87,7 +90,7 @@ class TestPurity:
     def test_one_violation_per_effect_class(self):
         """The dispatcher is effect-free; each helper one file away
         carries exactly one effect, anchored at the helper's line."""
-        violations, _ = run_flow([str(BAD / "purity")])
+        violations, _ = run([str(BAD / "purity")], select=["REPRO5"])
         assert sorted(v.rule for v in violations) == [
             "REPRO511", "REPRO512", "REPRO513", "REPRO514"]
         assert all(v.path.endswith("impure_helpers.py")
@@ -97,7 +100,7 @@ class TestPurity:
                    for v in violations)
 
     def test_impure_certificate_records_the_closure(self):
-        _, certs = run_flow([str(BAD / "purity")])
+        _, certs = run([str(BAD / "purity")])
         assert len(certs) == 1
         cert = certs[0]
         assert cert["pure"] is False
@@ -108,7 +111,7 @@ class TestPurity:
             "REPRO511", "REPRO512", "REPRO513", "REPRO514"}
 
     def test_clean_pipeline_gets_a_pure_certificate(self):
-        violations, certs = run_flow([str(GOOD / "purity")])
+        violations, certs = run([str(GOOD / "purity")])
         assert violations == []
         assert len(certs) == 1
         cert = certs[0]
@@ -119,14 +122,20 @@ class TestPurity:
         assert cert["unresolved_calls"] == []
 
 
+@pytest.fixture(scope="module")
+def shipped():
+    """One pass over the shipped tree, shared by the tests that read it."""
+    return run([SRC])
+
+
 class TestSelfApplication:
-    def test_shipped_tree_is_flow_clean(self):
+    def test_shipped_tree_is_flow_clean(self, shipped):
         """The enforced guarantee: zero interprocedural findings on src/."""
-        violations, _ = run_flow([SRC])
+        violations, _ = shipped
         assert violations == [], [v.render() for v in violations]
 
-    def test_every_shipped_dispatch_target_is_certified_pure(self):
-        _, certs = run_flow([SRC])
+    def test_every_shipped_dispatch_target_is_certified_pure(self, shipped):
+        _, certs = shipped
         by_target: dict[str, list[dict]] = {}
         for cert in certs:
             by_target.setdefault(cert["target"], []).append(cert)
@@ -134,29 +143,29 @@ class TestSelfApplication:
             assert target in by_target, sorted(by_target)
             assert all(c["pure"] for c in by_target[target])
 
-    def test_shipped_tree_dispatches_only_shards(self):
+    def test_shipped_tree_dispatches_only_shards(self, shipped):
         """One production path: every resolved dispatch target is
         ``run_shard``, every site is pure, and the count is pinned."""
-        _, certs = run_flow([SRC])
+        _, certs = shipped
         assert len(certs) == SHIPPED_DISPATCH_SITES, certs
         assert all(c["pure"] for c in certs)
         resolved = {c["target"] for c in certs} - {"<unresolved>"}
         assert resolved == SHIPPED_DISPATCH_TARGETS
 
-    def test_certificates_declare_their_soundness_boundary(self):
+    def test_certificates_declare_their_soundness_boundary(self, shipped):
         """Calls the pass cannot resolve (numpy methods on arrays) must
         show up as unresolved calls, not be silently absorbed into a
         'pure' verdict."""
-        _, certs = run_flow([SRC])
+        _, certs = shipped
         shard = next(c for c in certs
                      if c["target"] == "repro.hpc.sharding.run_shard")
         assert shard["unresolved_calls"], shard
 
-    def test_shard_certificates_cover_the_batched_kernel(self):
+    def test_shard_certificates_cover_the_batched_kernel(self, shipped):
         """``run_shard`` constructs the batched engine by name, so the
         purity proof reaches into the kernel instead of stopping at a
         dynamic engine lookup."""
-        _, certs = run_flow([SRC])
+        _, certs = shipped
         shards = [c for c in certs
                   if c["target"] == "repro.hpc.sharding.run_shard"]
         assert len(shards) == 1, shards
@@ -184,20 +193,55 @@ class TestWaivers:
 
     def test_repro_allow_waives_flow_findings(self, tmp_path):
         self._write_waivable_pair(tmp_path)
-        violations, _ = run_flow([str(tmp_path)])
+        violations, _ = run([str(tmp_path)])
         assert violations == []
 
     def test_lint_does_not_flag_flow_directives_as_unused(self, tmp_path):
-        """The two passes share the directive syntax but own disjoint rule
-        families; lint must not report a REPRO5xx waiver as unused."""
+        """One waiver pass covers every family: a used REPRO5xx waiver is
+        not reported as unused, whichever families are selected."""
         self._write_waivable_pair(tmp_path)
-        assert run_lint([str(tmp_path)]) == []
+        assert run([str(tmp_path)], select=PER_FILE)[0] == []
+
+    WAIVED = (Path(__file__).parent / "fixtures" / "good" / "hpc"
+              / "waived_stamp.py")
+
+    def test_one_pass_applies_a_waiver_of_each_family(self, tmp_path):
+        """A used REPRO201 waiver and a used REPRO511 waiver on one line:
+        the one pass reports nothing, and the certificate still records
+        the effect the REPRO511 waiver excuses."""
+        violations, certs = run([str(self.WAIVED)])
+        assert violations == [], [v.render() for v in violations]
+        assert [c["pure"] for c in certs] == [False]
+        # Both waivers are in use: without them, both findings stand.
+        hpc = tmp_path / "hpc"
+        hpc.mkdir()
+        (hpc / "waived_stamp.py").write_text("\n".join(
+            line for line in self.WAIVED.read_text().splitlines()
+            if "repro-allow" not in line) + "\n")
+        violations, _ = run([str(hpc)])
+        assert sorted(v.rule for v in violations) == ["REPRO201",
+                                                      "REPRO511"]
+
+    def test_unused_waiver_of_each_family_is_flagged_once(self, tmp_path):
+        hpc = tmp_path / "hpc"
+        hpc.mkdir()
+        (hpc / "waived_stamp.py").write_text(
+            self.WAIVED.read_text()
+            + "\n\n# repro-allow: REPRO201 nothing below reads a clock\n"
+            "# repro-allow: REPRO511 nothing below is dispatched\n"
+            "IDLE: int = 0\n")
+        violations, _ = run([str(hpc)])
+        assert [v.rule for v in violations] == ["REPRO203", "REPRO203"]
+        assert all("unused" in v.message for v in violations)
+        waived = {v.message.split("does not violate ")[1].split(";")[0]
+                  for v in violations}
+        assert waived == {"REPRO201", "REPRO511"}
 
     def test_unused_flow_directive_is_flagged_by_flow(self, tmp_path):
         (tmp_path / "clean.py").write_text(
             "# repro-allow: REPRO501 nothing here violates it\n"
             "X = 1\n")
-        violations, _ = run_flow([str(tmp_path)])
+        violations, _ = run([str(tmp_path)])
         assert [v.rule for v in violations] == ["REPRO203"]
         assert "unused" in violations[0].message
 
@@ -217,22 +261,22 @@ class TestCli:
         assert "REPRO9" in err
 
     def test_list_rules_shows_only_flow_families(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["--list-rules", "--select", "REPRO5"]) == 0
         out = capsys.readouterr().out
         assert "REPRO501" in out and "REPRO514" in out
         assert "REPRO101" not in out
 
     def test_sarif_output(self, tmp_path):
         report = tmp_path / "flow.sarif"
-        assert main([str(BAD / "purity"), "--format", "sarif",
-                     "--output", str(report)]) == 1
+        assert main([str(BAD / "purity"), "--select", "REPRO5",
+                     "--format", "sarif", "--output", str(report)]) == 1
         payload = json.loads(report.read_text())
         assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-flow"
-        assert {r["ruleId"] for r in run["results"]} == {
+        sarif_run = payload["runs"][0]
+        assert sarif_run["tool"]["driver"]["name"] == "repro-analysis"
+        assert {r["ruleId"] for r in sarif_run["results"]} == {
             "REPRO511", "REPRO512", "REPRO513", "REPRO514"}
-        region = run["results"][0]["locations"][0]["physicalLocation"]
+        region = sarif_run["results"][0]["locations"][0]["physicalLocation"]
         assert region["artifactLocation"]["uri"].endswith(
             "impure_helpers.py")
 
@@ -251,4 +295,4 @@ class TestCli:
 class TestSelectValidation:
     def test_run_flow_rejects_unknown_selectors(self):
         with pytest.raises(ValueError, match="REPRO77"):
-            run_flow([str(GOOD / "purity")], select=["REPRO77"])
+            run([str(GOOD / "purity")], select=["REPRO77"])

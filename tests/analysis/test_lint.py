@@ -1,4 +1,5 @@
-"""The linter linted: rule-by-rule assertions over the bug-shape fixtures.
+"""The analysis pass checked: rule-by-rule assertions over the per-file
+bug-shape fixtures.
 
 The fixtures reproduce the repo's two documented reproducibility bugs —
 PR 1's rogue RNG construction and PR 5's stream-tag aliasing — plus one
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
-from repro.analysis.lint import classify_path, main
+from repro.analysis import main, run
+from repro.analysis.cli import classify_path
 
 SRC = str(Path(__file__).parents[2] / "src")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,11 +23,9 @@ BAD = FIXTURES / "bad"
 GOOD = FIXTURES / "good"
 
 
-def rules_by_file(violations) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for v in violations:
-        out.setdefault(Path(v.path).name, []).append(v.rule)
-    return out
+def run_lint(paths, select=None):
+    """The one pass's violations (its certificates are test_flow's)."""
+    return run(paths, select=select)[0]
 
 
 class TestRuleFamilies:
@@ -171,8 +170,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for family in ("REPRO101", "REPRO201", "REPRO301", "REPRO401"):
+        for family in ("REPRO101", "REPRO201", "REPRO301", "REPRO401",
+                       "REPRO501", "REPRO511"):
             assert family in out
+        assert len(out.splitlines()) == 17
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -183,6 +184,21 @@ class TestSelfApplication:
     def test_repo_source_tree_is_contract_clean(self):
         """The enforced guarantee: the shipped tree has zero violations."""
         assert run_lint([SRC]) == []
+
+    def test_one_module_name_under_two_roots(self, tmp_path):
+        """Two scan roots holding one relative module name: the project
+        index keeps both files, so neither loses its rules."""
+        paths = []
+        for root in ("a", "b"):
+            core = tmp_path / root / "core"
+            core.mkdir(parents=True)
+            (core / "clock.py").write_text(
+                "import time\n\n\ndef now() -> float:\n"
+                "    return time.time()\n")
+            paths.append(str(core / "clock.py"))
+        violations = run_lint(paths)
+        assert [(v.path, v.rule) for v in violations] == [
+            (paths[0], "REPRO201"), (paths[1], "REPRO201")]
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
@@ -292,8 +308,9 @@ class TestSelectValidation:
                                   for v in violations)
 
     def test_flow_family_selectors_are_valid_prefixes(self):
-        """REPRO5xx lives in the shared catalogue, so selecting it is not
-        a usage error even though the per-file lint never emits it."""
+        """REPRO5xx is a family of the one catalogue; selecting it on a
+        fixture with no dispatch site is a clean run, not a usage
+        error."""
         assert run_lint([str(BAD / "duplicate_tags.py")],
                         select=["REPRO5"]) == []
 
@@ -340,9 +357,9 @@ class TestOutputFormats:
         import json
         payload = json.loads(report.read_text())
         assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        assert run["results"][0]["ruleId"] == "REPRO104"
+        sarif_run = payload["runs"][0]
+        assert sarif_run["tool"]["driver"]["name"] == "repro-analysis"
+        assert sarif_run["results"][0]["ruleId"] == "REPRO104"
 
     def test_output_flag_writes_text_report(self, tmp_path):
         report = tmp_path / "lint.txt"

@@ -292,6 +292,23 @@ class TestKillAndRestart:
         with pytest.raises(CheckpointError, match="different run"):
             make_service(truth, root, base_seed=999)
 
+    def test_store_from_other_streams_is_refused(self, truth, tmp_path):
+        """The observed streams key the store: a cases+deaths service on
+        a cases-only store is refused, naming ``streams``; a cases-only
+        service still resumes it."""
+        make_service(truth, tmp_path).tick(
+            filled_buffer(truth, up_to_day=BREAKS[1]))
+        with pytest.raises(CheckpointError, match="streams"):
+            make_service(truth, tmp_path, streams=("cases", "deaths"))
+        event = make_service(truth, tmp_path).resume()
+        assert event is not None and event.kind == "resumed"
+        assert event.window_index == 0
+
+    def test_buffer_of_other_streams_is_refused(self, truth, tmp_path):
+        service = make_service(truth, tmp_path)
+        with pytest.raises(ValueError, match="streams"):
+            service.tick(ObservationBuffer())  # cases + deaths
+
 
 class TestChaos:
     def test_crash_within_budget_is_bit_identical(self, baseline, truth,
