@@ -14,7 +14,7 @@ Two claims of the fault-tolerance PR are measured here:
   overhead).  Both sides must also produce bit-identical ensembles —
   asserted, not timed.
 * **Recovery cost** — the same window under a scripted
-  :class:`~repro.hpc.faults.ChaosExecutor` crash-and-retry plan, reporting
+  :class:`~repro.testing.chaos.ChaosExecutor` crash-and-retry plan, reporting
   the wall-clock cost of re-executing failed shards (informational: no
   ``speedup`` key, so trend gating ignores it).
 
@@ -35,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.hpc import (ChaosExecutor, Fault, FaultPlan, GroupSpec,
-                       RetryPolicy, SerialExecutor, ShardTask, run_shard,
-                       shard_bounds, simulate_groups)
+from repro.hpc import (GroupSpec, RetryPolicy, SerialExecutor, ShardTask,
+                       run_shard, shard_bounds, simulate_groups)
 from repro.seir import DiseaseParameters
+from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
 DEFAULT_SIZE = 2_000
 DEFAULT_DAYS = 14

@@ -55,8 +55,11 @@ def classify_path(path: Path) -> FileContext:
     """
     parts = path.parts
     rng_allowed = path.name == "seeding.py" and "seir" in parts
-    deterministic = any(p in _DETERMINISTIC_PARTS for p in parts)
-    typed = any(p in _TYPED_PARTS for p in parts) or (
+    # The chaos harness wraps the dispatch and service layers, so it is
+    # checked like them (deterministic and typed) though it is test code.
+    harness = "testing" in parts and path.name == "chaos.py"
+    deterministic = harness or any(p in _DETERMINISTIC_PARTS for p in parts)
+    typed = harness or any(p in _TYPED_PARTS for p in parts) or (
         "seir" in parts and path.name in _TYPED_SEIR_FILES)
     return FileContext(path=str(path), rng_allowed=rng_allowed,
                        deterministic=deterministic, typed=typed)
@@ -126,8 +129,8 @@ def run(paths: Sequence[str], select: Sequence[str] | None = None
     sites = find_dispatch_sites(index)
     found = dispatch_violations(index, sites)
     for module in index.modules.values():
-        found.extend(check_file(module.tree, classify_path(Path(module.path)),
-                                registered, module.aliases))
+        found.extend(check_file(module, classify_path(Path(module.path)),
+                                registered))
     found.extend(check_provenance(index, infer_generator_returning(index),
                                   sites))
     purity_violations, certificates = check_purity(index, sites)

@@ -26,6 +26,7 @@ what it could not see.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -94,14 +95,29 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module with its import alias table."""
+    """One parsed module with its import alias tables.
+
+    ``aliases`` holds the imports run at module (or class-body) level.
+    ``function_aliases`` holds, for each outermost function that imports
+    anything itself, ``aliases`` overlaid with that function's imports
+    (nested defs count as part of it, as everywhere in this index).  Read
+    both through :meth:`aliases_in`.
+    """
 
     name: str
     path: str
     tree: ast.Module
     is_package: bool = False
     aliases: dict[str, str] = field(default_factory=dict)
+    function_aliases: dict[int, dict[str, str]] = field(default_factory=dict)
     toplevel: set[str] = field(default_factory=set)
+
+    def aliases_in(self, function: ast.AST | None) -> dict[str, str]:
+        """The import table in force inside outermost def ``function``
+        (``None``: module scope)."""
+        if function is None:
+            return self.aliases
+        return self.function_aliases.get(id(function), self.aliases)
 
 
 @dataclass(frozen=True)
@@ -182,23 +198,27 @@ class ProjectIndex:
 
     # ------------------------------------------------------------------ #
     def canonical(self, module: ModuleInfo, expr: ast.expr,
-                  local_types: dict[str, str] | None = None) -> str | None:
+                  local_types: dict[str, str] | None = None,
+                  scope: ast.AST | None = None) -> str | None:
         """Dotted name of ``expr`` with aliases and local types applied.
 
         ``local_types`` maps local variable names to the qualified class
         whose constructor produced them, so ``engine.run_until`` resolves
-        through ``engine = BatchedBinomialLeapEngine(...)``.
+        through ``engine = BatchedBinomialLeapEngine(...)``.  ``scope`` is
+        the outermost def ``expr`` sits in (``None``: module scope), whose
+        own imports shadow the module's.
         """
         if isinstance(expr, ast.Name):
             if local_types and expr.id in local_types:
                 return local_types[expr.id]
-            if expr.id in module.aliases:
-                return module.aliases[expr.id]
+            aliases = module.aliases_in(scope)
+            if expr.id in aliases:
+                return aliases[expr.id]
             if expr.id in module.toplevel and module.name:
                 return f"{module.name}.{expr.id}"
             return expr.id
         if isinstance(expr, ast.Attribute):
-            base = self.canonical(module, expr.value, local_types)
+            base = self.canonical(module, expr.value, local_types, scope)
             return None if base is None else f"{base}.{expr.attr}"
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             # String annotation ("BatchTrajectory") — parse and retry.
@@ -206,10 +226,10 @@ class ProjectIndex:
                 inner = ast.parse(expr.value, mode="eval").body
             except SyntaxError:
                 return None
-            return self.canonical(module, inner, local_types)
+            return self.canonical(module, inner, local_types, scope)
         if isinstance(expr, ast.Subscript):
             # Optional[X] / list[X]: the escape rules care about the payload.
-            return self.canonical(module, expr.value, local_types)
+            return self.canonical(module, expr.value, local_types, scope)
         return None
 
     def resolve_function(self, canonical: str | None) -> str | None:
@@ -225,33 +245,60 @@ class ProjectIndex:
         return None
 
     def is_generator_annotation(self, module: ModuleInfo,
-                                annotation: ast.expr | None) -> bool:
+                                annotation: ast.expr | None,
+                                scope: ast.AST | None = None) -> bool:
         if annotation is None:
             return False
-        canon = self.canonical(module, annotation)
+        canon = self.canonical(module, annotation, scope=scope)
         if canon is None:
             return False
         return canon in GENERATOR_TYPE_NAMES or canon in {
             f"{module.name}.{t}" for t in GENERATOR_TYPE_NAMES}
 
 
+def _bind_import(module: ModuleInfo, node: ast.AST,
+                 table: dict[str, str]) -> None:
+    """Record the names an import statement ``node`` binds in ``table``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.asname:
+                table[alias.asname] = alias.name
+            else:
+                root = alias.name.split(".")[0]
+                table[root] = root
+    elif isinstance(node, ast.ImportFrom):
+        target = _resolve_relative(module, node.module, node.level)
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name
+            table[bound] = (f"{target}.{alias.name}"
+                            if target else alias.name)
+
+
 def _collect_aliases(module: ModuleInfo) -> None:
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    module.aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    module.aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            target = _resolve_relative(module, node.module, node.level)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                module.aliases[bound] = (f"{target}.{alias.name}"
-                                         if target else alias.name)
+    """Fill the module's import tables, scope by scope.
+
+    An import binds in the scope that runs it: at module or class-body
+    level it binds module-wide, inside a function only in that function —
+    so a local ``import datetime`` cannot shadow a module-level ``from
+    datetime import datetime`` in the file's other functions.
+    """
+    functions: list[ast.AST] = []
+    todo: deque[ast.AST] = deque([module.tree])  # breadth-first, as ast.walk
+    while todo:
+        node = todo.popleft()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append(node)
+            continue
+        _bind_import(module, node, module.aliases)
+        todo.extend(ast.iter_child_nodes(node))
+    for function in functions:
+        own: dict[str, str] = {}
+        for node in ast.walk(function):
+            _bind_import(module, node, own)
+        if own:
+            module.function_aliases[id(function)] = {**module.aliases, **own}
 
 
 def _collect_toplevel(module: ModuleInfo) -> None:
@@ -370,7 +417,8 @@ class FunctionScanner:
 
     # ------------------------------------------------------------------ #
     def call_is_generator_valued(self, call: ast.Call) -> bool:
-        canon = self.index.canonical(self.module, call.func, self.local_types)
+        canon = self.index.canonical(self.module, call.func, self.local_types,
+                                     self.info.node)
         if canon is not None:
             if canon in GENERATOR_SOURCE_CALLS:
                 return True
@@ -419,10 +467,12 @@ class FunctionScanner:
 
     def _record_ann_binding(self, stmt: ast.AnnAssign) -> None:
         assert isinstance(stmt.target, ast.Name)
-        if self.index.is_generator_annotation(self.module, stmt.annotation):
+        if self.index.is_generator_annotation(self.module, stmt.annotation,
+                                              self.info.node):
             self.generator_locals.add(stmt.target.id)
         else:
-            canon = self.index.canonical(self.module, stmt.annotation)
+            canon = self.index.canonical(self.module, stmt.annotation,
+                                         None, self.info.node)
             if canon is not None and canon in self.index.classes:
                 self.local_types[stmt.target.id] = canon
         if stmt.value is not None and \
@@ -435,7 +485,7 @@ class FunctionScanner:
             return
         if isinstance(value, ast.Call):
             canon = self.index.canonical(self.module, value.func,
-                                         self.local_types)
+                                         self.local_types, self.info.node)
             if canon is None:
                 return
             if canon in self.index.classes:
@@ -453,7 +503,8 @@ class FunctionScanner:
                         self.local_types[name] = ret_canon
 
     def _record_call(self, call: ast.Call) -> None:
-        canon = self.index.canonical(self.module, call.func, self.local_types)
+        canon = self.index.canonical(self.module, call.func, self.local_types,
+                                     self.info.node)
         self.calls.append(CallRecord(
             node=call, canonical=canon,
             resolved=self.index.resolve_function(canon),
@@ -531,8 +582,9 @@ def find_dispatch_sites(index: ProjectIndex) -> list[DispatchSite]:
             target = node.args[0] if node.args else None
             target_canon = None
             if target is not None:
-                target_canon = index.resolve_function(
-                    index.canonical(module, target, types))
+                target_canon = index.resolve_function(index.canonical(
+                    module, target, types,
+                    owner.node if owner is not None else None))
             payload: list[ast.expr] = []
             if len(node.args) > 1:
                 payload = _payload_exprs(

@@ -274,7 +274,8 @@ def _check_payload_escapes(index: ProjectIndex,
             # Payload task dataclasses must not declare generator fields.
             if isinstance(payload, ast.Call) and scanner is not None:
                 canon = index.canonical(module, payload.func,
-                                        scanner.local_types)
+                                        scanner.local_types,
+                                        scanner.info.node)
                 if canon is not None and canon in index.classes and \
                         canon not in flagged_classes:
                     cls = index.classes[canon]

@@ -184,6 +184,7 @@ class _FunctionEffects:
         self.info = index.functions[qual]
         self.module = index.modules[self.info.module]
         self.scanner = FunctionScanner(index, self.module, self.info).scan()
+        self.aliases = self.module.aliases_in(self.info.node)
         self.effects: list[Effect] = []
         self.callees: set[str] = set()
         self.unresolved: list[UnresolvedCall] = []
@@ -291,12 +292,12 @@ class _FunctionEffects:
             return True  # the seed-bank surface: seeded by construction
         if isinstance(call.func, ast.Name):
             name = call.func.id
-            return (name in _BUILTIN_NAMES or name in self.module.aliases
+            return (name in _BUILTIN_NAMES or name in self.aliases
                     or name in self.module.toplevel)
         root = _root_name(call.func)
         if root is None:
             return False
-        if root in self.module.aliases or root in self.module.toplevel:
+        if root in self.aliases or root in self.module.toplevel:
             return True
         if isinstance(call.func, ast.Attribute) and \
                 isinstance(call.func.value, ast.Name):

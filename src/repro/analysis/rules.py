@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 from .registry import StaticRegistry, is_register_call, terminal_name
 
 if TYPE_CHECKING:
-    from .flow.callgraph import DispatchSite, ProjectIndex
+    from .flow.callgraph import DispatchSite, ModuleInfo, ProjectIndex
 
 __all__ = ["FileContext", "Violation", "RULES", "check_file",
            "dispatch_violations", "registry_violations", "violation_at",
@@ -126,10 +126,11 @@ class _FileChecker(ast.NodeVisitor):
     """Single-file rule pass (REPRO101/102/103, 2xx, 4xx)."""
 
     def __init__(self, context: FileContext, registered: set[str],
-                 aliases: dict[str, str]) -> None:
+                 module: ModuleInfo) -> None:
         self.ctx = context
         self.registered = registered
-        self.aliases = aliases
+        self.module = module
+        self.aliases = module.aliases
         self.violations: list[Violation] = []
         self._function_depth = 0
         self._class_depth = 0
@@ -225,12 +226,14 @@ class _FileChecker(ast.NodeVisitor):
                         ) -> None:
         if self.ctx.typed:
             self._check_annotations(node)
-        class_depth = self._class_depth
+        class_depth, aliases = self._class_depth, self.aliases
         self._class_depth = 0  # classes inside functions start fresh
+        if not self._function_depth:  # an outermost def: its own imports
+            self.aliases = self.module.aliases_in(node)
         self._function_depth += 1
         self.generic_visit(node)
         self._function_depth -= 1
-        self._class_depth = class_depth
+        self._class_depth, self.aliases = class_depth, aliases
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._enter_function(node)
@@ -457,16 +460,12 @@ def apply_allow_directives(violations: list[Violation],
     return kept
 
 
-def check_file(tree: ast.Module, context: FileContext,
-               registered: set[str], aliases: dict[str, str]
-               ) -> list[Violation]:
-    """Run every per-file rule over one parsed module.
-
-    ``aliases`` is the module's import table
-    (:attr:`~repro.analysis.flow.callgraph.ModuleInfo.aliases`).
-    """
-    checker = _FileChecker(context, registered, aliases)
-    checker.visit(tree)
+def check_file(module: ModuleInfo, context: FileContext,
+               registered: set[str]) -> list[Violation]:
+    """Run every per-file rule over one indexed module, resolving names
+    through the import table of the scope each one sits in."""
+    checker = _FileChecker(context, registered, module)
+    checker.visit(module.tree)
     return checker.violations
 
 

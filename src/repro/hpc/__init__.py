@@ -1,12 +1,13 @@
 """HPC execution substrate: executors, shard partitioning, fault-tolerant
-sharded dispatch of batched ensemble simulation, and checkpoint stores."""
+sharded dispatch of batched ensemble simulation, and checkpoint stores.
+
+The chaos harness that injects shard faults for tests lives in
+:mod:`repro.testing.chaos`, not here."""
 
 from .checkpoint_io import CheckpointStore, write_json_atomic
 from .executor import (Executor, ProcessExecutor, SerialExecutor,
                        TaskOutcome, make_executor)
-from .faults import (ChaosExecutor, ChaosInjectedError, CorruptedResult,
-                     Fault, FaultPlan, RetryPolicy, ShardFailure,
-                     ShardRetryError)
+from .faults import RetryPolicy, ShardFailure, ShardRetryError
 from .partition import chunk_sizes, partition_bounds, shard_bounds
 from .sharding import (GroupShards, GroupSpec, ShardResult, ShardTask,
                        dispatch_shards, run_shard, simulate_groups,
@@ -16,8 +17,6 @@ __all__ = [
     "Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
     "TaskOutcome",
     "RetryPolicy", "ShardFailure", "ShardRetryError",
-    "Fault", "FaultPlan", "ChaosExecutor", "ChaosInjectedError",
-    "CorruptedResult",
     "chunk_sizes", "partition_bounds", "shard_bounds",
     "GroupSpec", "GroupShards", "ShardTask", "ShardResult",
     "run_shard", "dispatch_shards", "simulate_groups", "simulate_members",

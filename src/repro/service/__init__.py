@@ -21,13 +21,11 @@ from-scratch).  Three subsystems:
   hashes, and reads degrade gracefully to the last sealed artifact
   (tagged stale-with-age) instead of erroring.
 
-:mod:`~repro.service.chaos` extends the PR 7 fault harness to the service
-layer: deterministic window-step faults and artifact tearing for tests.
+The chaos harness that injects window-step faults and tears artifacts for
+tests lives in :mod:`repro.testing.chaos`, not here.
 """
 
 from .artifacts import ArtifactRead, ArtifactStore, TornArtifactError
-from .chaos import (ChaosCalibrator, ServiceFaultPlan, WindowFault,
-                    tear_artifact)
 from .ingest import IngestError, ObservationBuffer, SpoolIngest
 from .supervisor import CalibrationService, ServiceConfig, ServiceEvent
 
@@ -35,5 +33,4 @@ __all__ = [
     "ArtifactRead", "ArtifactStore", "TornArtifactError",
     "IngestError", "ObservationBuffer", "SpoolIngest",
     "CalibrationService", "ServiceConfig", "ServiceEvent",
-    "ChaosCalibrator", "ServiceFaultPlan", "WindowFault", "tear_artifact",
 ]

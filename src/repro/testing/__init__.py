@@ -1,7 +1,8 @@
 """Reusable test scaffolding: bitwise parity oracles, the scalar
 binomial-leap reference engine and its restart oracle, the exact-SSA
-engine, the per-particle weighting reference, and fixtures.  No production
-module imports this package.
+engine, the per-particle weighting reference, fixtures, and the shard and
+service fault-injection harnesses (:mod:`repro.testing.chaos`, imported
+by its module path).  No production module imports this package.
 
 The scalar oracles keep their one-trajectory-at-a-time logic but speak
 the production record: an engine run is a one-row

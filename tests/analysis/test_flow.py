@@ -121,6 +121,29 @@ class TestPurity:
                                    "pure_helpers.scale"]
         assert cert["unresolved_calls"] == []
 
+    def test_local_import_does_not_hide_a_clock_read(self, tmp_path):
+        """A function-local ``import datetime`` binds only in its own
+        function, so the dispatch target's read through the module-level
+        ``datetime`` class is still a wall-clock effect."""
+        (tmp_path / "stamped.py").write_text(
+            "from datetime import datetime\n"
+            "\n"
+            "\n"
+            "def span(days):\n"
+            "    import datetime\n"
+            "    return datetime.timedelta(days=days)\n"
+            "\n"
+            "\n"
+            "def run_task(task):\n"
+            "    return datetime.now().timestamp() + task\n"
+            "\n"
+            "\n"
+            "def launch(executor, tasks):\n"
+            "    return executor.map(run_task, tasks)\n")
+        violations, certs = run([str(tmp_path)], select=["REPRO5"])
+        assert [(v.rule, v.line) for v in violations] == [("REPRO511", 10)]
+        assert certs[0]["pure"] is False
+
 
 @pytest.fixture(scope="module")
 def shipped():

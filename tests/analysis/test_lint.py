@@ -97,6 +97,17 @@ class TestRuleFamilies:
             if "sorted(seed_pool)" in text)
         assert sorted_line not in flagged_lines
 
+    def test_function_local_import_binds_only_there(self):
+        """A local ``import datetime`` must not shadow the module-level
+        ``datetime`` class in the file's other functions."""
+        path = BAD / "core" / "stamp.py"
+        lines = path.read_text().splitlines()
+        expected = sorted(i + 1 for i, text in enumerate(lines)
+                          if ".now()" in text or ".today()" in text)
+        violations = run_lint([str(path)])
+        assert [(v.rule, v.line) for v in violations] == [
+            ("REPRO201", line) for line in expected]
+
     def test_executor_hygiene(self):
         path = str(BAD / "hpc" / "closure_dispatch.py")
         v301 = run_lint([path], select=["REPRO301"])
@@ -132,6 +143,12 @@ class TestPathClassification:
         for name in ("checkpoint.py", "batch_engine.py"):
             ctx = classify_path(Path("src/repro/seir") / name)
             assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+
+    def test_chaos_harness_is_typed_and_deterministic(self):
+        ctx = classify_path(Path("src/repro/testing/chaos.py"))
+        assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+        ctx = classify_path(Path("src/repro/testing/oracle.py"))
+        assert not (ctx.rng_allowed or ctx.deterministic or ctx.typed)
 
     def test_seir_is_deterministic_but_not_typed(self):
         ctx = classify_path(Path("src/repro/seir/tauleap.py"))

@@ -21,11 +21,11 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
-from repro.hpc import (ChaosExecutor, CheckpointStore, Fault, FaultPlan,
-                       ProcessExecutor, RetryPolicy, SerialExecutor,
-                       ShardRetryError)
+from repro.hpc import (CheckpointStore, ProcessExecutor, RetryPolicy,
+                       SerialExecutor, ShardRetryError)
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.sim import make_ground_truth
+from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
 
 @pytest.fixture(scope="module")

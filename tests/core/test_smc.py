@@ -167,7 +167,7 @@ class TestSimulatedCloud:
     def test_stepping_a_simulated_cloud_is_bit_identical(self, small_truth):
         from repro.core.smc import WindowResult
         from repro.hpc import RetryPolicy
-        from repro.hpc.faults import ChaosExecutor, Fault, FaultPlan
+        from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
         def run(ahead, plan=None):
             calib = calibrator(

@@ -1,4 +1,5 @@
-"""Unit tests for the fault-tolerance layer (repro/hpc/faults.py).
+"""Unit tests for the fault-tolerance layer (repro/hpc/faults.py) and the
+shard chaos harness (repro/testing/chaos.py).
 
 Covers the retry policy, deterministic fault plans, the chaos-injection
 executor wrapper, failure-isolating ``map_each`` semantics, and retried
@@ -9,13 +10,15 @@ bit-identical to a fault-free one.
 import numpy as np
 import pytest
 
-from repro.hpc import (ChaosExecutor, CorruptedResult, Fault, FaultPlan, ProcessExecutor, RetryPolicy,
-                       SerialExecutor, ShardRetryError, ShardTask,
-                       TaskOutcome, dispatch_shards)
+from repro.hpc import (ProcessExecutor, RetryPolicy, SerialExecutor,
+                       ShardRetryError, ShardTask, TaskOutcome,
+                       dispatch_shards)
 from repro.hpc.executor import (CAUSE_DROPPED, CAUSE_EXCEPTION, CAUSE_TIMEOUT)
-from repro.hpc.faults import CAUSE_CORRUPT, FAULT_KINDS
+from repro.hpc.faults import CAUSE_CORRUPT
 from repro.hpc.sharding import _result_defect, run_shard
 from repro.seir import DiseaseParameters
+from repro.testing.chaos import (FAULT_KINDS, ChaosExecutor, CorruptedResult,
+                                 Fault, FaultPlan)
 
 
 def double(x):

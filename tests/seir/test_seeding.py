@@ -242,7 +242,7 @@ class TestStreamDomainRegistry:
     }
     PINNED_ANCILLARY_TAGS = {
         "smc_prior": 0, "smc_bias": 1, "smc_resample": 2, "smc_jitter": 3,
-        "groundtruth_thinning": 10, "chaos_faults": 40,
+        "groundtruth_thinning": 10, "chaos_faults": 40, "service_chaos": 41,
     }
 
     def test_bank_tags_pinned(self):
@@ -256,8 +256,8 @@ class TestStreamDomainRegistry:
 
     def test_ancillary_tags_pinned(self):
         import repro.core.smc  # noqa: F401
-        import repro.hpc.faults  # noqa: F401
         import repro.sim.groundtruth  # noqa: F401
+        import repro.testing.chaos  # noqa: F401
         from repro.seir.seeding import STREAM_DOMAINS
         tags = STREAM_DOMAINS.tags("ancillary")
         for name, tag in self.PINNED_ANCILLARY_TAGS.items():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.service import ArtifactStore, TornArtifactError, tear_artifact
+from repro.service import ArtifactStore, TornArtifactError
+from repro.testing.chaos import tear_artifact
 
 
 def payload_for(index):

@@ -24,9 +24,10 @@ from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore, RetryPolicy
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.sim import make_ground_truth
-from repro.service import (ArtifactStore, CalibrationService, ChaosCalibrator,
-                           ObservationBuffer, ServiceConfig, ServiceFaultPlan,
-                           WindowFault, tear_artifact)
+from repro.service import (ArtifactStore, CalibrationService,
+                           ObservationBuffer, ServiceConfig)
+from repro.testing.chaos import (ChaosCalibrator, ServiceFaultPlan,
+                                 WindowFault, tear_artifact)
 
 BREAKS = (8, 15, 22)
 N_WINDOWS = len(BREAKS) - 1

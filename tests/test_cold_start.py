@@ -4,8 +4,9 @@ oracle.
 
 ``scipy.stats`` costs most of a cold ``import repro``; only the non-uniform
 prior densities and SBC helpers use it, and they import it on first call.
-The scalar engines and the per-particle weighting reference live only in
-``repro.testing`` as oracles; no production module imports that package.
+The scalar engines, the per-particle weighting reference and the chaos
+harnesses live only in ``repro.testing``; no production module imports that
+package, and the CLI, ``repro.hpc`` and ``repro.service`` are checked.
 Each check runs in a fresh interpreter, since this test session has long
 since loaded scipy and ``repro.testing`` itself.
 """
@@ -80,6 +81,8 @@ import json
 import sys
 
 import repro.cli
+import repro.hpc
+import repro.service
 
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[:2] in (["repro", "testing"],
