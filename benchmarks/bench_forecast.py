@@ -85,7 +85,7 @@ def calibrator(base_seed: int) -> SequentialCalibrator:
     return SequentialCalibrator(
         base_params=cfg.disease_params(None), prior=cfg.prior(),
         jitter=cfg.jitter(), observation_model=cfg.observation_model(),
-        schedule=cfg.schedule(), config=cfg.smc_config(),
+        schedule=cfg.schedule(), config=cfg,
         executor=cfg.make_executor())
 
 

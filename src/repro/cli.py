@@ -541,7 +541,7 @@ def _cmd_serve(args) -> int:
         calibrator = SequentialCalibrator(
             base_params=cfg.disease_params(None), prior=cfg.prior(),
             jitter=cfg.jitter(), observation_model=cfg.observation_model(),
-            schedule=cfg.schedule(), config=cfg.smc_config(),
+            schedule=cfg.schedule(), config=cfg,
             executor=executor,
             progress=lambda msg: print(f"  {msg}", flush=True))
         service = CalibrationService(

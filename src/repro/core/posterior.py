@@ -18,7 +18,7 @@ import numpy as np
 from ..seir.batch_engine import BatchTrajectory
 from .weights import weighted_quantile
 
-__all__ = ["TrajectoryRibbon", "trajectory_ribbon", "check_quantiles",
+__all__ = ["TrajectoryRibbon", "trajectory_ribbon",
            "marginal_histogram", "joint_density_grid", "hpd_region_mass"]
 
 
@@ -70,14 +70,6 @@ class TrajectoryRibbon:
         return float(inside.mean())
 
 
-def check_quantiles(quantiles: Sequence[float]) -> tuple[float, ...]:
-    """``quantiles`` as floats, if they are ascending levels in [0, 1]."""
-    qs = tuple(float(q) for q in quantiles)
-    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
-        raise ValueError("quantiles must be ascending values in [0, 1]")
-    return qs
-
-
 def trajectory_ribbon(trajectories: BatchTrajectory, channel: str,
                       quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95),
                       weights: np.ndarray | None = None) -> TrajectoryRibbon:
@@ -89,7 +81,9 @@ def trajectory_ribbon(trajectories: BatchTrajectory, channel: str,
     Default quantiles give the paper's 50% (0.25-0.75) and 90% (0.05-0.95)
     ribbons plus the median.
     """
-    qs = check_quantiles(quantiles)
+    qs = tuple(float(q) for q in quantiles)
+    if any(not 0 <= q <= 1 for q in qs) or list(qs) != sorted(qs):
+        raise ValueError("quantiles must be ascending values in [0, 1]")
     start = trajectories.start_day
     stack = np.ascontiguousarray(trajectories.channel_matrix(channel))
     n_days = stack.shape[1]

@@ -75,7 +75,7 @@ import numpy as np
 from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
-from ..hpc.faults import FAIL_FAST, RetryPolicy, ShardFailure
+from ..hpc.faults import RetryPolicy, ShardFailure
 from ..hpc.sharding import (GroupShards, GroupSpec, build_group_spec,
                             reassemble, resolve_shard_layout,
                             simulate_group_sets, validate_shard_policy)
@@ -133,8 +133,10 @@ class SMCConfig:
 
     ``engine`` is a read-only class constant, not a field: every window is
     simulated by the batched ensemble engine as stacked state matrices,
-    sharded across the executor.  ``engine_options`` are that engine's
-    keywords (e.g. ``{"steps_per_day": 4}``).
+    sharded across the executor.  ``steps_per_day`` is that engine's
+    leap substeps per day; ``engine_options`` reads it back as the
+    engine's keywords (``{"steps_per_day": 4}``), which key the run
+    fingerprint.
 
     ``shard_size``/``n_shards`` control the sharded dispatch:
     ``n_shards="auto"`` (the default) cuts each window's batch into one
@@ -180,16 +182,18 @@ class SMCConfig:
     stage, so a multinomial scheme would compound noise and could end up
     noisier than the single multinomial pass.
 
-    ``retry`` is the :class:`~repro.hpc.faults.RetryPolicy` every window's
-    sharded dispatch runs under.  The default
-    :data:`~repro.hpc.faults.FAIL_FAST` makes one attempt and fails the
-    run with a structured :class:`~repro.hpc.faults.ShardRetryError`;
-    more attempts re-execute failed / timed-out / dropped / corrupted
-    shards with deterministic backoff, falling back to serial in-process
-    execution on the final attempt.  Because shard
-    outputs are pure functions of ``(base_seed, shard layout)``, retried
-    runs stay bit-identical to fault-free ones (see
-    ``docs/fault_tolerance.md``).
+    ``retry_attempts``, ``retry_timeout`` and ``retry_backoff`` make the
+    :class:`~repro.hpc.faults.RetryPolicy` (read back as ``retry``) every
+    window's sharded dispatch runs under: its ``max_attempts``,
+    ``timeout_seconds`` and ``backoff_seconds``.  The default, one
+    attempt (:data:`~repro.hpc.faults.FAIL_FAST`), fails the run with a
+    structured :class:`~repro.hpc.faults.ShardRetryError`; more attempts
+    re-execute failed / timed-out / dropped / corrupted shards with
+    deterministic linear backoff, falling back to serial in-process
+    execution on the final attempt.  A timeout alone bounds the one
+    fail-fast attempt.  Because shard outputs are pure functions of
+    ``(base_seed, shard layout)``, retried runs stay bit-identical to
+    fault-free ones (see ``docs/fault_tolerance.md``).
     """
 
     n_parameter_draws: int = 500
@@ -197,7 +201,7 @@ class SMCConfig:
     resample_size: int = 500
     n_continuations: int = 1
     engine: ClassVar[str] = BatchedBinomialLeapEngine.name
-    engine_options: dict = field(default_factory=dict)
+    steps_per_day: int = 4
     shard_size: int | None = None
     n_shards: int | str = "auto"
     base_seed: int = 20240215
@@ -206,18 +210,19 @@ class SMCConfig:
     temper_degenerate: bool = False
     temper_threshold: float = DEGENERACY_THRESHOLD
     temper_ess_floor: float = 0.5
-    retry: RetryPolicy = FAIL_FAST
+    retry_attempts: int = 1
+    retry_timeout: float | None = None
+    retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.retry, RetryPolicy):
-            raise ValueError(
-                f"retry must be a RetryPolicy, got {self.retry!r}")
         for name in ("n_parameter_draws", "n_replicates", "resample_size",
-                     "n_continuations"):
+                     "n_continuations", "steps_per_day", "retry_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.engine_options.get("steps_per_day", 1) < 1:
-            raise ValueError("steps_per_day must be >= 1")
+        if self.retry_timeout is not None and self.retry_timeout <= 0:
+            raise ValueError("retry_timeout must be positive when set")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
         if self.size_policy not in SIZE_POLICY_NAMES:
             raise ValueError(f"size_policy must be one of "
                              f"{list(SIZE_POLICY_NAMES)}, got "
@@ -232,6 +237,18 @@ class SMCConfig:
         if not 0.0 < self.temper_ess_floor < 1.0:
             raise ValueError("temper_ess_floor must lie in (0, 1)")
         validate_shard_policy(self.shard_size, self.n_shards)
+
+    @property
+    def engine_options(self) -> dict:
+        """The batched engine's keywords."""
+        return {"steps_per_day": self.steps_per_day}
+
+    @property
+    def retry(self) -> RetryPolicy:
+        """The shard-retry policy (one attempt = fail fast)."""
+        return RetryPolicy(max_attempts=self.retry_attempts,
+                           timeout_seconds=self.retry_timeout,
+                           backoff_seconds=self.retry_backoff)
 
     @property
     def continuation_ensemble_size(self) -> int:

@@ -124,7 +124,7 @@ def _sweep(observations: ObservationSet, config: CalibrationConfig,
             observation_model=config.observation_model(),
             schedule=config.schedule(),
             scenarios=scenarios,
-            config=config.smc_config(),
+            config=config,
             executor=exec_backend,
             progress=print if verbose else None,
         )

@@ -62,10 +62,9 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.particle import ParticleEnsemble
-from ..core.posterior import check_quantiles
 from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
-from ..data.sources import CASES, CHANNELS, ObservationSet
+from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.faults import RetryPolicy
 from ..inference.forecast import forecast_from_cloud, forecast_from_posterior
@@ -74,6 +73,11 @@ from .ingest import ObservationBuffer
 
 __all__ = ["CalibrationService", "ServiceConfig", "ServiceEvent",
            "EVENT_KINDS"]
+
+#: The published forecast's channels and ribbon quantiles (the paper's
+#: 50% and 90% bands around the median).
+FORECAST_CHANNELS = (CASES,)
+FORECAST_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 #: Event kinds emitted by the supervisor, in rough lifecycle order.
 EVENT_KINDS = ("resumed", "republished", "window_restart", "window_failed",
@@ -88,9 +92,11 @@ class ServiceConfig:
     :class:`~repro.hpc.faults.RetryPolicy` terms: ``max_attempts`` bounds
     window restarts, ``backoff_for`` spaces them deterministically, and
     ``timeout_seconds`` doubles as the per-window deadline (a soft one —
-    see :class:`CalibrationService`).  The forecast fields pin everything
-    that keys the published artifact bytes, so two services with equal
-    configs publish byte-identical artifacts from equal calibrations.
+    see :class:`CalibrationService`).  The forecast fields and the
+    module's :data:`FORECAST_CHANNELS` and :data:`FORECAST_QUANTILES` pin
+    everything that keys the published artifact bytes, so two services
+    with equal configs publish byte-identical artifacts from equal
+    calibrations.
 
     ``horizon_days`` is the published horizon.  Before the last window it
     is read off the next window's proposal cloud, continued past that
@@ -102,22 +108,11 @@ class ServiceConfig:
     restart: RetryPolicy = field(default_factory=RetryPolicy)
     horizon_days: int = 14
     forecast_seed: int = 0
-    forecast_channels: tuple[str, ...] = ("cases",)
-    quantiles: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95)
     keep_last: int | None = None
 
     def __post_init__(self) -> None:
         if self.horizon_days < 1:
             raise ValueError("horizon_days must be >= 1")
-        if not self.forecast_channels:
-            raise ValueError("at least one forecast channel is required")
-        unknown = sorted(set(self.forecast_channels) - CHANNELS)
-        if unknown:
-            raise ValueError(f"unknown forecast channel(s) {unknown}; "
-                             f"expected some of {sorted(CHANNELS)}")
-        if not self.quantiles:
-            raise ValueError("at least one forecast quantile is required")
-        check_quantiles(self.quantiles)
         if self.keep_last is not None and self.keep_last < 1:
             raise ValueError("keep_last must be >= 1 when set")
 
@@ -474,12 +469,12 @@ step_window` refuses a cloud of another window or size."""
             forecast = forecast_from_posterior(
                 result.posterior, cfg.horizon_days, **shared)
         channels: dict[str, dict] = {}
-        for channel in cfg.forecast_channels:
-            ribbon = forecast.ribbon(channel, cfg.quantiles)
+        for channel in FORECAST_CHANNELS:
+            ribbon = forecast.ribbon(channel, FORECAST_QUANTILES)
             channels[channel] = {
                 "start_day": int(ribbon.start_day),
                 "quantiles": {f"{q:g}": [float(v) for v in ribbon.band(q)]
-                              for q in cfg.quantiles},
+                              for q in FORECAST_QUANTILES},
             }
         return {
             "format_version": 1,

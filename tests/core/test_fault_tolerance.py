@@ -21,8 +21,8 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
-from repro.hpc import (CheckpointStore, ProcessExecutor, RetryPolicy,
-                       SerialExecutor, ShardRetryError)
+from repro.hpc import (CheckpointStore, ProcessExecutor, SerialExecutor,
+                       ShardRetryError)
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
@@ -85,13 +85,6 @@ def assert_posteriors_identical(a, b, *, compare_trajectories=True):
                                   rb.posterior.restart.counts)
 
 
-class TestConfigValidation:
-    def test_retry_field_type_checked(self):
-        with pytest.raises(ValueError, match="retry"):
-            SMCConfig(retry=3)
-        assert SMCConfig(retry=RetryPolicy()).retry.max_attempts == 3
-
-
 class TestResumeCompatibility:
     """The fingerprint is pinned: a change to it makes every existing store
     unresumable, so it changes only with a deliberate ``format_version``
@@ -131,7 +124,7 @@ class TestResumeCompatibility:
             base_params=config.disease_params(None), prior=config.prior(),
             jitter=config.jitter(),
             observation_model=config.observation_model(),
-            schedule=config.schedule(), config=config.smc_config(),
+            schedule=config.schedule(), config=config,
             executor=SerialExecutor())
         assert calib.run_fingerprint() == self.DEFAULT_FINGERPRINT
         assert list(calib.run_fingerprint()) == list(self.DEFAULT_FINGERPRINT)
@@ -142,6 +135,46 @@ class TestResumeCompatibility:
         assert (tmp_path / "run_meta.json").read_text() == \
             json.dumps(self.DEFAULT_FINGERPRINT)
         store.validate_run_meta(self.DEFAULT_FINGERPRINT)
+
+    #: The make_calibrator settings, as CalibrationConfig fields.
+    SMALL = dict(window_breaks=(8, 16, 24, 32), n_parameter_draws=30,
+                 n_replicates=2, resample_size=40, base_seed=17, n_shards=3)
+
+    def test_smc_and_calibration_configs_fingerprint_alike(self,
+                                                           small_truth):
+        """One setting, one fingerprint: the same run configured through a
+        bare SMCConfig or through a CalibrationConfig keys the same store
+        (the bare SMCConfig records steps_per_day too)."""
+        from repro.inference import CalibrationConfig
+        config = CalibrationConfig(**self.SMALL)
+        through_calibration = SequentialCalibrator(
+            base_params=small_truth.params, prior=config.prior(),
+            jitter=config.jitter(),
+            observation_model=config.observation_model(),
+            schedule=config.schedule(), config=config,
+            executor=SerialExecutor())
+        assert make_calibrator(small_truth).run_fingerprint() == \
+            through_calibration.run_fingerprint()
+
+    def test_smc_config_store_resumes_under_calibrate(self, small_truth,
+                                                      tmp_path):
+        """A store a bare-SMCConfig calibrator wrote (killed after window
+        1) resumes under calibrate() with the same settings, and the
+        resumed run is bit-identical to an uninterrupted one."""
+        from repro.inference import CalibrationConfig, calibrate
+        full = run_calibration(small_truth)
+        with pytest.raises(_KillAfterWindow):
+            make_calibrator(small_truth, progress=_killer("window 1 (")).run(
+                small_truth.observations(), store=CheckpointStore(tmp_path))
+        resumed = calibrate(
+            small_truth.observations(),
+            CalibrationConfig(**self.SMALL, checkpoint_dir=str(tmp_path),
+                              resume=True),
+            base_params=small_truth.params)
+        assert resumed.resumed_from == 1
+        assert_posteriors_identical(full, resumed.windows,
+                                    compare_trajectories=False)
+        assert_posteriors_identical(full[2:], resumed.windows[2:])
 
     def test_per_particle_layout_store_refused(self, tmp_path):
         """A store written in the per-particle layout (format 1) fails
@@ -163,9 +196,8 @@ class TestChaosCalibration:
             rates={"crash": 0.25, "drop": 0.15, "corrupt": 0.15,
                    "delay": 0.15}, delay_seconds=0.001)
         chaos = ChaosExecutor(SerialExecutor(), plan)
-        faulty = run_calibration(
-            small_truth, executor=chaos,
-            retry=RetryPolicy(max_attempts=4, fallback_serial=True))
+        faulty = run_calibration(small_truth, executor=chaos,
+                                 retry_attempts=4)
         assert chaos.injected, "the plan must actually inject faults"
         assert_posteriors_identical(clean, faulty)
         # Recovery events surface uniformly in diagnostics and summaries.
@@ -189,7 +221,7 @@ class TestChaosCalibration:
             chaos = ChaosExecutor(pool, plan)
             faulty = run_calibration(
                 small_truth, breaks=(10, 20, 30), executor=chaos,
-                retry=RetryPolicy(max_attempts=4))
+                retry_attempts=4)
         assert chaos.injected
         assert_posteriors_identical(clean, faulty)
 
@@ -198,7 +230,7 @@ class TestChaosCalibration:
         plan = FaultPlan.scripted(Fault(kind="crash", shard=0, attempt=1))
         chaos = ChaosExecutor(SerialExecutor(), plan)
         run_calibration(small_truth, executor=chaos, progress=messages.append,
-                        retry=RetryPolicy(max_attempts=3))
+                        retry_attempts=3)
         assert any("shard 0 attempt 1 failed" in m and "retrying" in m
                    for m in messages)
 
@@ -322,8 +354,7 @@ class TestScenarioSweepFaults:
             delay_seconds=0.001)
         chaos = ChaosExecutor(SerialExecutor(), plan)
         faulty_sweep = parity_sweep(
-            small_truth, scenarios, executor=chaos,
-            retry=RetryPolicy(max_attempts=4, fallback_serial=True))
+            small_truth, scenarios, executor=chaos, retry_attempts=4)
         faulty = faulty_sweep.run(small_truth.observations())
         assert chaos.injected, "the plan must actually inject faults"
         for name in ("baseline", "mild16"):

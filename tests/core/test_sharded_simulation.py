@@ -18,9 +18,8 @@ from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_observation_model,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
-from repro.hpc import (ProcessExecutor, RetryPolicy, SerialExecutor,
-                       ShardRetryError, ShardTask, dispatch_shards,
-                       simulate_members)
+from repro.hpc import (ProcessExecutor, SerialExecutor, ShardRetryError,
+                       ShardTask, dispatch_shards, simulate_members)
 from repro.hpc.executor import CAUSE_DROPPED
 from repro.hpc.sharding import build_group_spec
 from repro.seir import (N_COMPARTMENTS, Compartment, DiseaseParameters,
@@ -156,7 +155,7 @@ class TestFixedLayoutReproducibility:
                                   executor=SerialExecutor())
         scrambled = run_calibration(small_truth, shard_size=10,
                                     executor=OutOfOrderExecutor(),
-                                    retry=RetryPolicy(max_attempts=2))
+                                    retry_attempts=2)
         assert_runs_identical(ordered, scrambled)
 
 

@@ -41,7 +41,7 @@ class TestConfigValidation:
 
     def test_steps_per_day_validated(self):
         with pytest.raises(ValueError, match="steps_per_day must be >= 1"):
-            SMCConfig(engine_options={"steps_per_day": 0})
+            SMCConfig(steps_per_day=0)
 
     def test_ensemble_size_properties(self):
         cfg = SMCConfig(n_parameter_draws=10, n_replicates=3,
@@ -166,7 +166,6 @@ class TestSimulatedCloud:
 
     def test_stepping_a_simulated_cloud_is_bit_identical(self, small_truth):
         from repro.core.smc import WindowResult
-        from repro.hpc import RetryPolicy
         from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
         def run(ahead, plan=None):
@@ -174,8 +173,7 @@ class TestSimulatedCloud:
                 WindowSchedule.from_breaks([10, 20, 30]), small_truth,
                 config=SMCConfig(n_parameter_draws=30, n_replicates=2,
                                  resample_size=40, base_seed=17,
-                                 n_shards=2,
-                                 retry=RetryPolicy(max_attempts=2)))
+                                 n_shards=2, retry_attempts=2))
             w0, w1 = list(calib.schedule)
             first = calib.step_window(0, w0, small_truth.observations())
             if plan is not None:

@@ -26,7 +26,8 @@ class TestCalibrationConfig:
         assert set(cfg.prior().names) == {"theta", "rho"}
         assert set(cfg.jitter().names) == {"theta", "rho"}
         assert set(cfg.observation_model().names) == {"cases", "deaths"}
-        assert isinstance(cfg.smc_config(), SMCConfig)
+        assert isinstance(cfg, SMCConfig)
+        assert cfg.smc_config() is cfg
 
     def test_paper_schedule_default(self):
         cfg = CalibrationConfig()
@@ -38,7 +39,8 @@ class TestCalibrationConfig:
         """The engine is always the batched leap, so steps_per_day always
         reaches it; naming another engine is refused."""
         leap = CalibrationConfig(steps_per_day=2)
-        assert leap.smc_config().engine_options == {"steps_per_day": 2}
+        assert leap.engine_options == {"steps_per_day": 2}
+        assert SMCConfig().engine_options == {"steps_per_day": 4}
         assert "engine" not in leap.to_dict()
         with pytest.raises(TypeError, match="engine"):
             CalibrationConfig(engine="gillespie")
@@ -54,13 +56,12 @@ class TestCalibrationConfig:
             size_policy_options={"target_low": 0.2, "target_high": 0.6})
         restored = rebuilt(cfg)
         assert restored == cfg
-        smc = restored.smc_config()
-        assert smc.temper_degenerate
-        assert smc.temper_threshold == 0.1
-        assert smc.temper_ess_floor == 0.25
-        assert smc.size_policy == "ess"
-        assert smc.size_policy_options == {"target_low": 0.2,
-                                           "target_high": 0.6}
+        assert restored.temper_degenerate
+        assert restored.temper_threshold == 0.1
+        assert restored.temper_ess_floor == 0.25
+        assert restored.size_policy == "ess"
+        assert restored.size_policy_options == {"target_low": 0.2,
+                                                "target_high": 0.6}
 
     def test_executor_construction(self):
         ex = CalibrationConfig(executor="serial").make_executor()
@@ -68,8 +69,8 @@ class TestCalibrationConfig:
 
     def test_retry_policy_off_by_default(self):
         cfg = CalibrationConfig()
-        assert cfg.retry_policy() == FAIL_FAST
-        assert cfg.smc_config().retry == FAIL_FAST
+        assert cfg.retry == FAIL_FAST
+        assert SMCConfig().retry == FAIL_FAST
 
     @pytest.mark.parametrize("knobs, field", [
         ({"retry_attempts": 0}, "retry_attempts must be >= 1"),
@@ -111,13 +112,14 @@ class TestCalibrationConfig:
     def test_retry_policy_built_from_knobs(self):
         cfg = CalibrationConfig(retry_attempts=3, retry_timeout=30.0,
                                 retry_backoff=0.5)
-        policy = cfg.retry_policy()
+        policy = cfg.retry
         assert policy.max_attempts == 3
         assert policy.timeout_seconds == 30.0
         assert policy.backoff_seconds == 0.5
-        assert cfg.smc_config().retry == policy
+        assert SMCConfig(retry_attempts=3, retry_timeout=30.0,
+                         retry_backoff=0.5).retry == policy
         # A timeout alone bounds the one fail-fast attempt.
-        assert CalibrationConfig(retry_timeout=10.0).retry_policy() == \
+        assert CalibrationConfig(retry_timeout=10.0).retry == \
             RetryPolicy(max_attempts=1, timeout_seconds=10.0)
 
     def test_checkpoint_store_built_from_dir(self, tmp_path):

@@ -13,7 +13,6 @@ Acceptance properties (see ISSUE/docs/service.md):
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
@@ -503,24 +502,3 @@ class TestRetentionAndPartialFeeds:
         assert service.expected_head() == -1
         buffer = filled_buffer(truth)  # both windows' data present
         assert service.expected_head(buffer) == N_WINDOWS - 1
-
-
-class TestServiceConfigValidation:
-    """A config the publish step would reject must fail at construction:
-    accepted, it seals window 0's checkpoint, then raises while publishing
-    and again in every resume's republish step."""
-
-    def test_descending_quantiles_rejected(self):
-        for quantiles in ((0.95, 0.05), (0.5, 1.5)):
-            with pytest.raises(ValueError,
-                               match="quantiles must be ascending"):
-                ServiceConfig(quantiles=quantiles)
-
-    def test_unknown_forecast_channel_rejected(self):
-        with pytest.raises(ValueError, match="unknown forecast channel"):
-            ServiceConfig(forecast_channels=("cases", "hospitalisations"))
-
-    def test_every_simulator_channel_accepted(self):
-        channels = ("cases", "deaths", "hospital_census", "icu_census")
-        assert ServiceConfig(forecast_channels=channels) \
-            .forecast_channels == channels

@@ -56,7 +56,7 @@ executor = config.make_executor()
 calibrator = SequentialCalibrator(
     base_params=config.disease_params(None), prior=config.prior(),
     jitter=config.jitter(), observation_model=config.observation_model(),
-    schedule=config.schedule(), config=config.smc_config(),
+    schedule=config.schedule(), config=config,
     executor=executor)
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
