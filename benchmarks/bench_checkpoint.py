@@ -23,7 +23,7 @@ import numpy as np
 
 from _bench_util import once
 from repro.hpc import CheckpointStore
-from repro.seir import StackedLeapState, chicago_defaults, parameter_columns
+from repro.seir import StackedLeapState, chicago_defaults
 from repro.testing import BinomialLeapEngine, restart_oracle
 from repro.viz import write_json
 
@@ -43,8 +43,8 @@ def test_checkpoint_restart_saving(benchmark, output_dir, tmp_path):
         counts=base.counts[None],
         cum_infections=np.array([base.cumulative_infections]),
         cum_deaths=np.array([base.cumulative_deaths]),
-        seeds=np.array([base.seed])).with_parameters(
-            parameter_columns(params, 1)), {})
+        seeds=np.array([base.seed]), params=params,
+        thetas=np.array([params.transmission_rate])), {})
 
     def warm_batch():
         state, _ = store.load_window_state(0)

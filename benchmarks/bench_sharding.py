@@ -39,7 +39,7 @@ from repro.hpc import (Executor, GroupSpec, ProcessExecutor, SerialExecutor,
 from repro.inference import forecast_from_posterior
 from repro.inference.forecast import _forecast_seeds
 from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
-                        StackedLeapState, parameter_columns)
+                        StackedLeapState)
 from repro.testing import restart_oracle
 
 DEFAULT_SIZES = (2_000, 10_000)
@@ -84,8 +84,8 @@ def make_posterior(params: DiseaseParameters, n: int, seed: int,
     restart = StackedLeapState(
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,
-        cum_deaths=engine.cumulative_deaths, seeds=seeds).with_parameters(
-            parameter_columns(params, n, {"transmission_rate": thetas}))
+        cum_deaths=engine.cumulative_deaths, seeds=seeds, params=params,
+        thetas=thetas)
     return ParticleEnsemble.from_columns(
         {"theta": thetas, "rho": np.full(n, 0.7)}, seeds, restart=restart)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.hpc import CheckpointStore
 from repro.seir import (BatchedBinomialLeapEngine, DiseaseParameters,
-                        StackedLeapState, parameter_columns)
+                        StackedLeapState)
 from repro.viz import multi_line_plot
 
 N_MEMBERS = 100
@@ -36,9 +36,8 @@ def restart_state(engine: BatchedBinomialLeapEngine) -> StackedLeapState:
     return StackedLeapState(
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,
-        cum_deaths=engine.cumulative_deaths,
-        seeds=engine.seeds).with_parameters(
-            parameter_columns(engine.params, engine.n_particles))
+        cum_deaths=engine.cumulative_deaths, seeds=engine.seeds,
+        params=engine.params, thetas=engine.thetas)
 
 
 def main() -> None:

@@ -79,8 +79,11 @@ class _ModuleScopeScanner(FunctionScanner):
     """Generator valuation at module scope (no enclosing function).
 
     Reuses the function scanner's expression valuation over a synthetic
-    zero-argument function wrapping the module body, so module-level
-    ``_RNG = helper(...)`` assignments are typed by the same rules.
+    zero-argument function wrapping the module's own statements, so
+    module-level ``_RNG = helper(...)`` assignments are typed by the same
+    rules.  Top-level function and class bodies are left out: their
+    locals are not module globals, and scanning them again per module was
+    most of the pass's cost.
     """
 
     def __init__(self, index: ProjectIndex, module_name: str,
@@ -88,7 +91,10 @@ class _ModuleScopeScanner(FunctionScanner):
         module = index.modules[module_name]
         wrapper = ast.parse("def _module_scope_(): pass").body[0]
         assert isinstance(wrapper, ast.FunctionDef)
-        wrapper.body = list(module.tree.body)
+        wrapper.body = [stmt for stmt in module.tree.body
+                        if not isinstance(stmt, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef,
+                                                 ast.ClassDef))]
         info = FunctionInfo(qualname=f"{module_name}.<module>",
                             module=module_name, path=module.path, line=1,
                             node=wrapper)

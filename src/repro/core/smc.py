@@ -67,6 +67,7 @@ the batch RNG contract in :mod:`repro.seir.batch_engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (TYPE_CHECKING, Callable, ClassVar, Hashable, Mapping,
                     Sequence)
 
@@ -76,12 +77,12 @@ from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import RetryPolicy, ShardFailure
-from ..hpc.sharding import (GroupShards, GroupSpec, build_group_spec,
-                            reassemble, resolve_shard_layout,
-                            simulate_group_sets, validate_shard_policy)
+from ..hpc.sharding import (GroupShards, GroupSpec, reassemble,
+                            resolve_shard_layout, simulate_group_sets,
+                            validate_shard_policy)
 from ..seir.batch_engine import BatchedBinomialLeapEngine
 from ..seir.checkpoint import CheckpointError, StackedLeapState
-from ..seir.parameters import DiseaseParameters, parameter_columns
+from ..seir.parameters import DiseaseParameters, check_thetas
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
@@ -304,13 +305,12 @@ class PendingWindow:
     """One window's proposal cloud, built but not yet simulated.
 
     Everything the proposal phase of the split-phase window API decided:
-    the members' parameter-draw columns, seeds and effective simulator
-    parameters (``member_columns``: one column per
-    :class:`~repro.seir.parameters.DiseaseParameters` field, the window's
-    base parameters broadcast under the theta draws), the window's one
+    the members' parameter-draw columns and seeds, the window's one
     ready-to-dispatch :class:`~repro.hpc.sharding.GroupSpec` (``specs``
-    always holds exactly one), and (for continuations; ``None`` for window
-    0) the previous posterior gathered by member as ``parents``.  All
+    always holds exactly one: the window's base
+    :class:`~repro.seir.parameters.DiseaseParameters` and the members'
+    theta draws), and (for continuations; ``None`` for window 0) the
+    previous posterior gathered by member as ``parents``.  All
     per-window randomness is consumed while building it and simulation
     streams are keyed by the specs' seed vectors, so a multi-scenario sweep
     can pool many windows' specs into one flattened dispatch
@@ -323,7 +323,6 @@ class PendingWindow:
     specs: list[GroupSpec]
     member_draws: dict[str, np.ndarray]
     member_seeds: np.ndarray
-    member_columns: dict[str, np.ndarray]
     parents: ParticleEnsemble | None = None
 
     @property
@@ -410,9 +409,6 @@ class SequentialCalibrator:
         #: Index of the last window restored from a checkpoint store by the
         #: most recent ``run(..., resume=True)``; None for fresh runs.
         self.resumed_from: int | None = None
-        #: Shard failures recovered while producing the current window's
-        #: cloud; reset per window and folded into its diagnostics.
-        self._window_shard_failures: list[ShardFailure] = []
         self._validate()
 
     def _validate(self) -> None:
@@ -531,8 +527,10 @@ class SequentialCalibrator:
     # ------------------------------------------------------------------ #
     # Fault tolerance: shard-failure reporting, persistence, resume.
     # ------------------------------------------------------------------ #
-    def _on_shard_failure(self, failure: ShardFailure) -> None:
-        self._window_shard_failures.append(failure)
+    def _on_shard_failure(self, found: list[ShardFailure],
+                          failure: ShardFailure) -> None:
+        """Record a shard failure in ``found`` (its cloud's) and log it."""
+        found.append(failure)
         retrying = failure.attempt < self.config.retry.max_attempts
         self._progress(
             f"shard {failure.shard_id} attempt {failure.attempt} failed "
@@ -717,21 +715,21 @@ class SequentialCalibrator:
     def _pending(self, index: int, window: TimeWindow, sim_days: int,
                  member_draws: dict[str, np.ndarray], member_seeds: np.ndarray,
                  parents: ParticleEnsemble | None) -> PendingWindow:
-        """A proposed cloud's parameter columns (the window's base
-        parameters broadcast, the theta draws written over the transmission
-        rate) and its one group spec.  Window 0 (no ``parents``) starts at
-        burn-in; a continuation restarts its parents' rows."""
-        columns = parameter_columns(
-            self._window_base_params(window), len(member_seeds),
-            {_THETA_FIELD: member_draws[_THETA_PARAM]})
-        spec = build_group_spec(
-            columns, member_seeds,
+        """A proposed cloud and its one group spec: every member runs under
+        the window's base parameters with its theta draw as the
+        transmission rate.  Window 0 (no ``parents``) starts at burn-in; a
+        continuation restarts its parents' rows."""
+        thetas = np.array(member_draws[_THETA_PARAM], dtype=np.float64)
+        check_thetas(thetas)
+        spec = GroupSpec(
+            params=self._window_base_params(window), seeds=member_seeds,
+            thetas=thetas,
             start_day=self.schedule.burn_in_start if parents is None else None,
             state=None if parents is None else parents.restart)
         return PendingWindow(
             index=index, window=window, sim_days=sim_days, specs=[spec],
             member_draws=member_draws, member_seeds=member_seeds,
-            member_columns=columns, parents=parents)
+            parents=parents)
 
     def _shard_layout_kwargs(self) -> dict:
         """Resolve the configured shard policy against the executor.
@@ -766,7 +764,6 @@ class SequentialCalibrator:
         ``posterior``; continuations require it (particles must carry
         checkpoints).
         """
-        self._window_shard_failures = []
         if index == 0:
             return self._propose_first_window(window)
         if posterior is None:
@@ -839,15 +836,16 @@ class SequentialCalibrator:
         ``pending.specs`` (e.g. one element of a
         :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
         outputs and restart states are concatenated in member order, and
-        the members' parameter columns are attached to the
-        restart state as they are.  Window 0's whole trajectories become the
+        the spec's parameter record and theta column are attached to the
+        restart state.  Window 0's whole trajectories become the
         histories, sliced to the window for the segments; a continuation's
         segments continue its gathered parents' histories (by genealogy,
         not by copying).
         """
         batch, state = reassemble(shards)
         assert state is not None, "window shards must return their state"
-        restart = state.with_parameters(pending.member_columns)
+        spec, = pending.specs
+        restart = replace(state, params=spec.params, thetas=spec.thetas)
         if pending.parents is not None:
             return pending.parents.continued(
                 pending.member_draws, pending.member_seeds, batch, restart)
@@ -861,13 +859,17 @@ class SequentialCalibrator:
                      ensemble: ParticleEnsemble,
                      observations: ObservationSet,
                      sim_days: int | None = None,
-                     resample_size: int | None = None) -> WindowResult:
+                     resample_size: int | None = None, *,
+                     shard_failures: Sequence[ShardFailure] = ()
+                     ) -> WindowResult:
         """Weight the window's cloud and draw its resampled posterior.
 
         The last phase of the split-phase API (after
         :meth:`propose_window` / :meth:`assemble_window`) — also the tail
         of every fused :meth:`step_window`.  ``resample_size`` is the
-        posterior's planned size (default ``SMCConfig.resample_size``).
+        posterior's planned size (default ``SMCConfig.resample_size``);
+        ``shard_failures`` are the failures recovered while simulating the
+        cloud, recorded in the window's diagnostics.
         With ``temper_degenerate`` set, a window whose ESS fraction falls
         below ``temper_threshold`` is resampled through the staged tempered
         bridge instead of one multinomial pass — drawing from the same
@@ -915,14 +917,13 @@ class SequentialCalibrator:
         # The weight statistics are unchanged since pre_diag; only the
         # realised ancestry, the tempering audit trail, and the window's
         # recovered shard failures are new.
-        failures = self._window_shard_failures
         diagnostics = replace(
             pre_diag, unique_ancestors=int(posterior.unique_ancestors()),
             temper_schedule=tempered.schedule if tempered else (),
             temper_stage_ess=tempered.stage_ess if tempered else (),
             temper_truncated=bool(tempered and tempered.truncated),
-            shard_failures=len(failures),
-            shard_failure_causes=tuple(f.cause for f in failures))
+            shard_failures=len(shard_failures),
+            shard_failure_causes=tuple(f.cause for f in shard_failures))
         return WindowResult(
             index=index, window=window, posterior=posterior,
             diagnostics=diagnostics)
@@ -966,17 +967,19 @@ def simulate_windows(calibrators: Sequence[SequentialCalibrator],
                                      n_proposals=n)
                 for calib, posterior, n in zip(calibrators, posteriors,
                                                n_proposals)]
+    failures: list[list[ShardFailure]] = [[] for _ in calibrators]
     first = calibrators[0]
     shard_sets = simulate_group_sets(
         first.executor, [pending.specs for pending in pendings],
         end_day=window.end_day, engine_options=first.config.engine_options,
         retry=first.config.retry,
-        on_failures=[calib._on_shard_failure for calib in calibrators],
+        on_failures=[partial(calib._on_shard_failure, found)
+                     for calib, found in zip(calibrators, failures)],
         **first._shard_layout_kwargs())
     return [SimulatedWindow(pending, calib.assemble_window(pending, shards),
-                            tuple(calib._window_shard_failures))
-            for calib, pending, shards in zip(calibrators, pendings,
-                                              shard_sets)]
+                            tuple(found))
+            for calib, pending, shards, found in zip(
+                calibrators, pendings, shard_sets, failures)]
 
 
 def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
@@ -997,10 +1000,10 @@ def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
                                   [n_proposals for n_proposals, _ in plans])
     results: list[WindowResult] = []
     for calib, cloud, (_, resample_size) in zip(calibrators, clouds, plans):
-        calib._window_shard_failures = list(cloud.shard_failures)
         results.append(calib.weigh_window(
             index, window, cloud.ensemble, observations,
-            sim_days=cloud.pending.sim_days, resample_size=resample_size))
+            sim_days=cloud.pending.sim_days, resample_size=resample_size,
+            shard_failures=cloud.shard_failures))
     return results
 
 

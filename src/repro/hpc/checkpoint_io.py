@@ -20,6 +20,11 @@ Columns of ``checkpoints.npz`` (``n`` particles, one row each)::
 The store's input is a restart state by type — the one restart-state
 format, the same columns a shard returns and a particle ensemble carries —
 so only restart rows reach it and no per-particle form exists to convert.
+The state's rows share one ``DiseaseParameters`` record and differ only in
+theta: ``param_transmission_rate`` is the theta column and every other
+``param_<field>`` repeats the record's value on each row.  Loading refuses
+a file whose rows disagree on any other field, then rebuilds the record
+from the first row.
 
 Durability contract
 -------------------
@@ -61,7 +66,7 @@ import numpy as np
 
 from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.compartments import N_COMPARTMENTS
-from ..seir.parameters import DiseaseParameters
+from ..seir.parameters import DiseaseParameters, check_thetas
 
 __all__ = ["CheckpointStore", "write_json_atomic"]
 
@@ -71,6 +76,7 @@ _STATE_NAME = "state.json"
 _DATA_NAME = "checkpoints.npz"
 _PARAM_FIELDS = tuple(f.name for f in fields(DiseaseParameters))
 _PARAM_PREFIX = "param_"
+_THETA_COLUMN = _PARAM_PREFIX + "transmission_rate"
 _STATE_COLUMNS = ("counts", "cum_infections", "cum_deaths", "seed",
                   "day", "steps_per_day")
 _COLUMNS = frozenset(_STATE_COLUMNS) | {_PARAM_PREFIX + name
@@ -123,18 +129,19 @@ def _fsync_dir(directory: Path) -> None:
 
 def _window_columns(state: StackedLeapState) -> dict[str, np.ndarray]:
     """The columns of ``checkpoints.npz`` for one window's restart state."""
-    missing = set(_PARAM_FIELDS) - set(state.params)
-    if missing:
+    if state.params is None or state.thetas is None:
         raise CheckpointError(
-            f"restart state lacks parameter columns {sorted(missing)}")
+            "restart state carries no parameters to write as its parameter "
+            "columns")
     columns = {"counts": state.counts,
                "cum_infections": state.cum_infections,
                "cum_deaths": state.cum_deaths, "seed": state.seeds,
                "day": np.asarray(state.day, dtype=np.int64),
                "steps_per_day": np.asarray(state.steps_per_day,
                                            dtype=np.int64)}
-    columns.update({_PARAM_PREFIX + name: state.params[name]
-                    for name in _PARAM_FIELDS})
+    columns.update({_PARAM_PREFIX + name: np.full(state.n_particles, value)
+                    for name, value in state.params.to_dict().items()})
+    columns[_THETA_COLUMN] = state.thetas
     return columns
 
 
@@ -165,10 +172,25 @@ def _read_window_state(path: Path, n_particles: int) -> StackedLeapState:
             raise CheckpointError(
                 f"{path} column {name!r} is {array.dtype}{list(array.shape)}, "
                 f"expected kind {kinds!r} with shape {list(shape)}")
+    for name in _PARAM_FIELDS:
+        column = _PARAM_PREFIX + name
+        if column != _THETA_COLUMN and np.unique(columns[column]).size > 1:
+            raise CheckpointError(
+                f"{path} column {column!r} disagrees across rows; a "
+                "window's rows share every parameter but theta")
+    thetas = columns[_THETA_COLUMN]
+    try:
+        params = DiseaseParameters(**{
+            name: columns[_PARAM_PREFIX + name][0].item()
+            for name in _PARAM_FIELDS})
+        check_thetas(thetas)
+    except (ValueError, IndexError) as exc:
+        raise CheckpointError(
+            f"{path} holds invalid parameters: {exc}") from exc
     return StackedLeapState(
         int(columns["day"]), int(columns["steps_per_day"]),
         *(columns[name] for name in _STATE_COLUMNS[:4]),
-        params={name: columns[_PARAM_PREFIX + name] for name in _PARAM_FIELDS})
+        params=params, thetas=thetas)
 
 
 class CheckpointStore:
@@ -210,7 +232,7 @@ class CheckpointStore:
                           meta: dict) -> None:
         """Persist a window's full restart state plus its metadata, in the
         crash-safe order of the module's durability contract.  A state
-        without its full set of parameter columns is refused with
+        without parameters (an engine-only shard state) is refused with
         :class:`CheckpointError` before any file is written."""
         if state.n_particles < 1:
             raise ValueError("cannot persist an empty window")

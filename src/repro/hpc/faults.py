@@ -45,17 +45,16 @@ class RetryPolicy:
     is a *linear deterministic* backoff — attempt ``k`` waits
     ``backoff_seconds * (k - 1)`` before dispatch, no jitter, so retried
     runs have reproducible scheduling.  ``timeout_seconds`` bounds each
-    shard's wait per attempt where the executor supports it.  With
-    ``fallback_serial`` the final attempt runs shards in-process instead
-    of on the pool — graceful degradation when the pool itself is the
-    casualty.  None of this can change results: shard outputs depend only
-    on the task payload, so a retried/relocated shard is bit-identical.
+    shard's wait per attempt where the executor supports it.  The final
+    attempt of a multi-attempt policy runs shards in-process instead of on
+    the pool — graceful degradation when the pool itself is the casualty.
+    None of this can change results: shard outputs depend only on the
+    task payload, so a retried/relocated shard is bit-identical.
     """
 
     max_attempts: int = 3
     timeout_seconds: float | None = None
     backoff_seconds: float = 0.0
-    fallback_serial: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

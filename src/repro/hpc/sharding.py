@@ -19,10 +19,11 @@ Design contract
   Results are therefore bit-reproducible given ``(base_seed, shard
   layout)`` and independent of which executor (or process) runs each
   shard; different layouts agree in distribution only.
-* **Lean payloads** — one :class:`ShardTask` per shard carries the shared
-  structural parameters once, the slice's seed/theta vectors, and (for
-  restarts) the slice of the stacked parent state — never per-particle
-  dicts or JSON.  With a :class:`~repro.hpc.executor.SerialExecutor`
+* **Lean payloads** — one :class:`ShardTask` per shard carries the batch's
+  one :class:`~repro.seir.parameters.DiseaseParameters` record, the
+  slice's seed/theta vectors, and (for restarts) the slice of the stacked
+  parent state's engine columns — never per-particle parameters, dicts or
+  JSON.  With a :class:`~repro.hpc.executor.SerialExecutor`
   nothing is pickled at all (its ``map_each`` calls :func:`run_shard` in
   process), which is the single-shard fast path the calibrator uses by
   default.
@@ -39,8 +40,8 @@ Design contract
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -55,12 +56,8 @@ from .partition import shard_bounds
 
 __all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
            "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "simulate_members",
-           "build_group_spec", "reassemble", "validate_shard_policy",
-           "resolve_shard_layout"]
-
-
-_THETA = "transmission_rate"
+           "simulate_group_sets", "simulate_members", "reassemble",
+           "validate_shard_policy", "resolve_shard_layout"]
 
 
 def validate_shard_policy(shard_size: int | None,
@@ -108,9 +105,12 @@ class ShardTask:
     Exactly one of ``start_day`` (fresh start from the seeding state) and
     ``state`` (restart from a slice of stacked parent checkpoints) is set.
     ``seeds`` is the shard's slice of the group's ordered seed vector and
-    keys the shard's batch RNG stream.  ``engine_options`` apply to fresh
-    starts only: a restart inherits its clock and ``steps_per_day`` from
-    the stacked state, so restart tasks carry an empty dict.
+    keys the shard's batch RNG stream.  Every member runs under ``params``,
+    the group's one parameter record, at its own ``thetas`` entry; a
+    restart's ``state`` carries the slice's engine columns only.
+    ``engine_options`` apply to fresh starts only: a restart inherits its
+    clock and ``steps_per_day`` from the stacked state, so restart tasks
+    carry an empty dict.
     """
 
     shard_id: int
@@ -208,9 +208,10 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
     (:func:`_result_defect`: a wrong type, shard id, member count or seed
     slice is a ``corrupt_result``), and reports each miss to
     ``on_failure`` as a structured :class:`~repro.hpc.faults.ShardFailure`.
-    With ``fallback_serial`` the final attempt of a multi-attempt policy
-    runs in-process — the degradation path when the pool itself died.
-    Shards still failing when the budget runs out raise
+    The final attempt of a multi-attempt policy runs in-process, on a
+    :class:`~repro.hpc.executor.SerialExecutor` without a timeout — the
+    degradation path when the pool itself died.  Shards still failing
+    when the budget runs out raise
     :class:`~repro.hpc.faults.ShardRetryError` with the full history; the
     default :data:`~repro.hpc.faults.FAIL_FAST` policy makes one attempt.
     Results are bit-identical either way — shard outputs depend only on
@@ -228,8 +229,7 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
         if wait > 0.0:
             time.sleep(wait)
         batch = [task_list[i] for i in pending]
-        if (retry.fallback_serial and attempt == retry.max_attempts
-                and attempt > 1):
+        if attempt == retry.max_attempts and attempt > 1:
             outcomes = SerialExecutor().map_each(run_shard, batch)
         else:
             outcomes = executor.map_each(run_shard, batch,
@@ -264,43 +264,15 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
 # --------------------------------------------------------------------------- #
 # Group-level front door
 # --------------------------------------------------------------------------- #
-def build_group_spec(columns: Mapping[str, np.ndarray],
-                     seeds: Sequence[int] | np.ndarray, *,
-                     start_day: int | None = None,
-                     state: StackedLeapState | None = None) -> "GroupSpec":
-    """The members' one :class:`GroupSpec`, its :class:`DiseaseParameters`
-    built from the first member's ``columns`` row.
-
-    ``columns`` maps every :class:`DiseaseParameters` field to its ``(n,)``
-    member column.  A batch carries only the transmission rate per member,
-    so every other column must be constant: the first that is not raises
-    ``ValueError`` naming it, instead of running every member under the
-    first member's value.  Fresh starts pass ``start_day``; restarts pass
-    ``state``, the members' restart rows (engine columns only).
-    """
-    for name, column in columns.items():
-        if name != _THETA and np.any(column != column[:1]):
-            raise ValueError(
-                f"members disagree on {name!r}; a batch shares every "
-                f"parameter but {_THETA!r}")
-    return GroupSpec(
-        params=DiseaseParameters.from_dict(
-            {name: column[0].item() for name, column in columns.items()}),
-        seeds=np.asarray(seeds, dtype=np.int64),
-        thetas=np.asarray(columns[_THETA], dtype=np.float64),
-        start_day=start_day,
-        state=None if state is None else state.take(slice(None),
-                                                    params=False))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """One batch's simulation order (parent-side, never pickled).
 
-    ``seeds``/``thetas`` are the batch's full ordered vectors; ``start_day``
-    or ``state`` selects fresh-start vs checkpoint-restart exactly as in
-    :class:`ShardTask` (``state`` covers the whole batch and is sliced per
-    shard).
+    Every member runs under ``params`` with its own ``thetas`` entry as the
+    transmission rate; ``seeds``/``thetas`` are the batch's full ordered
+    vectors.  ``start_day`` or ``state`` selects fresh-start vs
+    checkpoint-restart exactly as in :class:`ShardTask` (``state`` covers
+    the whole batch; each shard gets its slice's engine columns).
     """
 
     params: DiseaseParameters
@@ -365,25 +337,23 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
         on_failures=[on_failure])[0]
 
 
-def simulate_members(executor: Executor,
-                     columns: Mapping[str, np.ndarray],
+def simulate_members(executor: Executor, state: StackedLeapState,
                      seeds: Sequence[int] | np.ndarray, *, end_day: int,
-                     start_day: int | None = None,
-                     state: StackedLeapState | None = None,
-                     engine_options: dict | None = None,
                      shard_size: int | None = None,
                      n_shards: int | None = None) -> BatchTrajectory:
-    """Every member's trajectory, simulated as a single batched dispatch.
+    """Every row of ``state`` restarted on its new seed, simulated as a
+    single batched dispatch.
 
-    The front door for forecasts: fresh starts at
-    ``start_day`` or restarts from the members' ``state`` rows (as in
-    :func:`build_group_spec`, which rejects ``columns`` that vary in any
-    field but the transmission rate), stacked in input order without
-    engine state.
+    The front door for forecasts: the rows run under the state's parameter
+    record and theta column, and their trajectories come back stacked in
+    row order without engine state.
     """
-    spec = build_group_spec(columns, seeds, start_day=start_day, state=state)
+    if state.params is None or state.thetas is None:
+        raise ValueError("restart rows carry no parameters")
+    spec = GroupSpec(params=state.params,
+                     seeds=np.asarray(seeds, dtype=np.int64),
+                     thetas=state.thetas, state=state)
     shards = simulate_groups(executor, [spec], end_day=end_day,
-                             engine_options=engine_options,
                              shard_size=shard_size, n_shards=n_shards,
                              return_state=False)
     return reassemble(shards)[0]
@@ -428,6 +398,8 @@ def simulate_group_sets(executor: Executor,
         for spec in specs:
             seeds = np.asarray(spec.seeds, dtype=np.int64)
             thetas = np.asarray(spec.thetas, dtype=np.float64)
+            rows = None if spec.state is None else replace(
+                spec.state, params=None, thetas=None)
             bounds = shard_bounds(len(seeds), shard_size=shard_size,
                                   n_shards=n_shards)
             plans[-1].append((bounds, list(range(len(tasks),
@@ -441,8 +413,7 @@ def simulate_group_sets(executor: Executor,
                     engine_options=(dict(engine_options or {})
                                     if spec.start_day is not None else {}),
                     start_day=spec.start_day, return_state=return_state,
-                    state=None if spec.state is None
-                    else spec.state.take(slice(lo, hi))))
+                    state=None if rows is None else rows.take(slice(lo, hi))))
 
     on_failure: Callable[[ShardFailure], None] | None = None
     if on_failures is not None:

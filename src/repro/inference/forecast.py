@@ -9,9 +9,10 @@ held at their posterior values) and simulated ``horizon_days`` forward; the
 ensemble of continuations is the posterior predictive.
 
 The restart runs on the **sharded batched path**: the posterior's restart
-columns, parameter columns included, are tiled once per continuation and
-advanced by the :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`
-across the executor's workers (:func:`repro.hpc.sharding.simulate_members`),
+rows, theta column included, are tiled once per continuation and advanced
+under their one parameter record by the
+:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` across the
+executor's workers (:func:`repro.hpc.sharding.simulate_members`),
 each shard on a stream keyed by its slice of the forecast seed vector
 (mixed in one vectorised pass) — so a forecast is bit-reproducible given
 ``(base_seed, shard layout)``.  No per-member parameter, seed or
@@ -41,7 +42,6 @@ from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.sharding import resolve_shard_layout, simulate_members
 from ..seir.batch_engine import BatchTrajectory
-from ..seir.parameters import check_parameter_columns
 from ..seir.seeding import mix_seeds, register_stream_tag
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud",
@@ -127,12 +127,10 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     restart = posterior.restart
     if restart is None:
         raise ValueError("posterior particles carry no checkpoints")
-    check_parameter_columns(restart.params)
     tiled = restart.take(np.tile(np.arange(len(posterior)), n_per_particle))
     batch = simulate_members(
-        executor, tiled.params,
-        _forecast_seeds(posterior, base_seed, n_per_particle),
-        end_day=restart.day + horizon_days, state=tiled, **layout)
+        executor, tiled, _forecast_seeds(posterior, base_seed, n_per_particle),
+        end_day=restart.day + horizon_days, **layout)
     return Forecast(start_day=restart.day, horizon_days=horizon_days,
                     batch=batch)
 
@@ -164,8 +162,7 @@ def forecast_from_cloud(cloud: ParticleEnsemble, horizon_days: int,
         raise ValueError("cloud members carry no end-of-window state")
     executor = executor or SerialExecutor()
     tail = simulate_members(
-        executor, restart.params, _forecast_seeds(cloud, base_seed, 1),
-        end_day=end, state=restart,
+        executor, restart, _forecast_seeds(cloud, base_seed, 1), end_day=end,
         **resolve_shard_layout(executor, shard_size=shard_size,
                                n_shards=n_shards))
     return Forecast(start_day=start, horizon_days=horizon_days,

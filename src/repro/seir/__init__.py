@@ -10,9 +10,7 @@ from .batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from .checkpoint import CheckpointError, StackedLeapState
 from .compartments import (Compartment, N_COMPARTMENTS, TransitionSpec,
                            build_transitions, infectiousness_weights)
-from .parameters import (RESTART_FIELDS, DiseaseParameters,
-                         chicago_defaults, check_parameter_columns,
-                         parameter_columns)
+from .parameters import RESTART_FIELDS, DiseaseParameters, chicago_defaults
 from .seeding import (SeedSequenceBank, batch_generator_for, generator_for,
                       mix_seed, mix_seeds)
 from .tauleap import (CompiledTransitions, compiled_transitions_for,
@@ -22,7 +20,6 @@ __all__ = [
     "Compartment", "N_COMPARTMENTS", "TransitionSpec",
     "build_transitions", "infectiousness_weights",
     "DiseaseParameters", "RESTART_FIELDS", "chicago_defaults",
-    "check_parameter_columns", "parameter_columns",
     "SeedSequenceBank", "generator_for", "batch_generator_for", "mix_seed",
     "mix_seeds",
     "BatchedBinomialLeapEngine", "BatchTrajectory",

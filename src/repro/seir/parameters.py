@@ -22,13 +22,14 @@ coordinate); every other field is fixed at checkpoint time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 import numpy as np
 
 __all__ = ["DiseaseParameters", "RESTART_FIELDS", "chicago_defaults",
-           "check_parameter_columns", "parameter_columns"]
+           "check_thetas"]
 
 #: The :class:`DiseaseParameters` fields a checkpoint restart may rewrite
 #: (the paper's knobs 6, 2, 3, 4 and 5, in field order).
@@ -54,31 +55,12 @@ _FRACTION_FIELDS = ("exposed_to_presymptomatic_fraction", "mild_fraction",
                     "detected_rel_infectiousness")
 
 
-def check_parameter_columns(columns: Mapping[str, Any]) -> None:
-    """The :class:`DiseaseParameters` rules, over scalars or ``(n,)``
-    columns alike (their one home): a column set raises the ``ValueError``
-    its first invalid row would raise as a ``DiseaseParameters``."""
-    c = {name: np.asarray(value) for name, value in columns.items()}
-    pop, exposed = c["population"], c["initial_exposed"]
-    rules = [(pop < 1, "population", "population must be >= 1"),
-             (~((0 <= exposed) & (exposed <= pop)), "initial_exposed",
-              "initial_exposed must be in [0, population]"),
-             (c["transmission_rate"] < 0, "transmission_rate",
-              "transmission_rate must be >= 0")]
-    rules += [(~(c[name] > 0.0) | ~np.isfinite(c[name]), name,
-               f"{name} must be positive and finite, got {{}}")
-              for name in _PERIOD_FIELDS]
-    rules += [(~((0.0 <= c[name]) & (c[name] <= 1.0)), name,
-               f"{name} must be in [0, 1], got {{}}")
-              for name in _FRACTION_FIELDS]
-    bad = np.stack(np.broadcast_arrays(
-        *(mask for mask, _, _ in rules))).reshape(len(rules), -1).T
-    if not bad.any():
-        return
-    row = int(bad.any(axis=1).argmax())
-    _, name, message = rules[int(bad[row].argmax())]
-    value = np.broadcast_to(c[name], bad.shape[:1]).ravel()[row].item()
-    raise ValueError(message.format(value))
+def check_thetas(thetas: Any) -> None:
+    """The ``transmission_rate`` rule of :class:`DiseaseParameters`, over a
+    scalar or a member's theta column alike (its one home): any negative
+    entry raises the scalar's ``ValueError``."""
+    if np.any(np.asarray(thetas) < 0):
+        raise ValueError("transmission_rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,7 +136,20 @@ class DiseaseParameters:
     detected_rel_infectiousness: float = 0.15
 
     def __post_init__(self) -> None:
-        check_parameter_columns(self.to_dict())
+        if self.population < 1:
+            raise ValueError("population must be >= 1")
+        if not 0 <= self.initial_exposed <= self.population:
+            raise ValueError("initial_exposed must be in [0, population]")
+        check_thetas(self.transmission_rate)
+        for name in _PERIOD_FIELDS:
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        for name in _FRACTION_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     # ------------------------------------------------------------------ #
     def with_updates(self, **updates: Any) -> "DiseaseParameters":
@@ -172,20 +167,6 @@ class DiseaseParameters:
         if unknown:
             raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
         return cls(**dict(d))
-
-
-def parameter_columns(base: DiseaseParameters, n: int,
-                      updates: Mapping[str, Any] | None = None
-                      ) -> dict[str, np.ndarray]:
-    """``n`` rows of ``base`` as one ``(n,)`` column per field, each in its
-    field's dtype, with ``updates`` (``field -> (n,)`` values) written over
-    their fields as float64 and every row validated."""
-    columns = {name: np.full(n, value)
-               for name, value in base.to_dict().items()}
-    columns.update({name: np.array(values, dtype=np.float64)
-                    for name, values in (updates or {}).items()})
-    check_parameter_columns(columns)
-    return columns
 
 
 def chicago_defaults(**updates: Any) -> DiseaseParameters:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..data.schedule import PiecewiseConstant
 from ..seir.batch_engine import BatchTrajectory
-from ..seir.checkpoint import StackedLeapState
+from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.compartments import Compartment, N_COMPARTMENTS
 from ..seir.parameters import DiseaseParameters
 from ..seir.seeding import generator_for
@@ -249,14 +249,19 @@ class BinomialLeapEngine:
     @classmethod
     def from_state_row(cls, state: StackedLeapState, i: int,
                        seed: int) -> "BinomialLeapEngine":
-        """Restart row ``i`` of ``state`` under that row's parameters.
+        """Restart row ``i`` of ``state`` under the state's parameter
+        record with the row's theta as the transmission rate.
 
         The engine continues from the row's clock, occupancy and cumulative
         outputs on ``seed``'s fresh :func:`generator_for` stream (the
-        paper's restart knob 1); the row's own parameters must be attached
-        (:meth:`~repro.seir.checkpoint.StackedLeapState.with_parameters`).
+        paper's restart knob 1); an engine-only state (no parameters
+        attached) raises :class:`~repro.seir.checkpoint.CheckpointError`.
         """
-        engine = cls(state.take([i]).parameters()[0], int(seed),
+        if state.params is None or state.thetas is None:
+            raise CheckpointError("restart rows carry no stored parameters")
+        params = state.params.with_updates(
+            transmission_rate=float(state.thetas[i]))
+        engine = cls(params, int(seed),
                      steps_per_day=state.steps_per_day, start_day=state.day)
         engine._counts = state.counts[i].astype(np.int64, copy=True)
         engine._cum_infections = int(state.cum_infections[i])

@@ -11,6 +11,7 @@ seeds but not draw order; see the batch RNG contract in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +26,9 @@ __all__ = ["restart_oracle", "window_oracle"]
 def restart_oracle(state: StackedLeapState,
                    seeds: Sequence[int] | np.ndarray,
                    end_day: int) -> BatchTrajectory:
-    """Restart every row of ``state`` (parameters attached) on its new
-    seed's fresh stream and run it to ``end_day``; returns the newly
-    simulated segments stacked in row order."""
+    """Restart every row of ``state`` (parameters attached) under its theta
+    on its new seed's fresh stream and run it to ``end_day``; returns the
+    newly simulated segments stacked in row order."""
     if len(seeds) != state.n_particles:
         raise ValueError(f"{state.n_particles} restart rows but "
                          f"{len(seeds)} seeds")
@@ -39,9 +40,9 @@ def restart_oracle(state: StackedLeapState,
 def window_oracle(pending) -> ParticleEnsemble:
     """:func:`restart_oracle` over a continuation
     :class:`~repro.core.smc.PendingWindow`: each member's parent restart
-    row, with every restart knob of the member's effective parameters
-    (calibrated draws and scenario pins alike) written over it, restarted
-    with the member's seed.
+    row, with every restart knob of the window's parameters (scenario pins
+    included) written over the parents' record and the member's theta draw
+    as its transmission rate, restarted with the member's seed.
 
     Returns the window's ensemble — the oracle counterpart of
     :meth:`~repro.core.smc.SequentialCalibrator.assemble_window`, with
@@ -50,9 +51,11 @@ def window_oracle(pending) -> ParticleEnsemble:
     if pending.parents is None:
         raise ValueError("window_oracle needs a continuation window")
     parents = pending.parents.restart
-    state = parents.with_parameters(
-        {**parents.params, **{name: pending.member_columns[name]
-                              for name in RESTART_FIELDS}})
+    spec, = pending.specs
+    state = replace(parents, thetas=spec.thetas,
+                    params=parents.params.with_updates(**{
+                        name: getattr(spec.params, name)
+                        for name in RESTART_FIELDS}))
     return ParticleEnsemble.from_columns(
         pending.member_draws, pending.member_seeds,
         segments=restart_oracle(state, pending.member_seeds,

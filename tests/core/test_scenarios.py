@@ -28,9 +28,8 @@ from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   get_scenario, register_scenario,
                                   scenario_set)
 from repro.hpc import ProcessExecutor, SerialExecutor
-from repro.hpc.sharding import (build_group_spec, simulate_group_sets,
-                                simulate_groups)
-from repro.seir import CheckpointError, DiseaseParameters, parameter_columns
+from repro.hpc.sharding import GroupSpec, simulate_group_sets, simulate_groups
+from repro.seir import CheckpointError, DiseaseParameters
 from repro.testing import (assert_runs_identical, parity_calibrator,
                            parity_sweep, parity_truth, window_oracle)
 
@@ -344,9 +343,8 @@ class TestParityOracles:
         assert window1.start_day == 16
         pending = calib.propose_window(1, window1,
                                        results["mild16"][0].posterior)
-        assert np.all(pending.member_columns["mild_fraction"] == 0.97)
-        assert np.all(
-            pending.parents.restart.params["mild_fraction"] != 0.97)
+        assert pending.specs[0].params.mild_fraction == 0.97
+        assert pending.parents.restart.params.mild_fraction != 0.97
         batched = calib.assemble_window(pending, simulate_groups(
             calib.executor, pending.specs, end_day=window1.end_day,
             engine_options=calib.config.engine_options,
@@ -466,10 +464,9 @@ class TestSimulateGroupSets:
     @staticmethod
     def _spec_set(base_seed, n=6):
         params = DiseaseParameters(population=20_000, initial_exposed=40)
-        columns = parameter_columns(
-            params, n, {"transmission_rate": 0.2 + 0.01 * np.arange(n)})
-        seeds = [base_seed + i for i in range(n)]
-        return [build_group_spec(columns, seeds, start_day=0)]
+        return [GroupSpec(params=params,
+                          seeds=base_seed + np.arange(n, dtype=np.int64),
+                          thetas=0.2 + 0.01 * np.arange(n), start_day=0)]
 
     def test_flattened_dispatch_bit_identical_to_separate(self):
         sets = [self._spec_set(100), self._spec_set(500, n=4)]

@@ -11,6 +11,8 @@ Contract under test (see ``repro/hpc/sharding.py``):
   executor returns shard results out of order.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,8 @@ from repro.data import PiecewiseConstant
 from repro.hpc import (ProcessExecutor, SerialExecutor, ShardRetryError,
                        ShardTask, dispatch_shards, simulate_members)
 from repro.hpc.executor import CAUSE_DROPPED
-from repro.hpc.sharding import build_group_spec
-from repro.seir import (N_COMPARTMENTS, Compartment, DiseaseParameters,
-                        StackedLeapState, parameter_columns)
+from repro.seir import (N_COMPARTMENTS, BatchedBinomialLeapEngine,
+                        Compartment, DiseaseParameters, StackedLeapState)
 from repro.sim import make_ground_truth
 
 
@@ -335,52 +336,34 @@ class TestDispatchRobustness:
 
 
 class TestStructuralGroups:
-    """One GroupSpec per batch: the structural (non-theta) fields shared,
-    theta carried per member."""
+    """One record per batch: restart rows run under their state's one
+    DiseaseParameters, each at its own theta."""
 
     BASE = DiseaseParameters(population=20_000, initial_exposed=40)
 
-    def test_theta_only_columns_are_one_group(self):
-        columns = parameter_columns(
-            self.BASE, 6, {"transmission_rate": np.linspace(0.1, 0.6, 6)})
-        spec = build_group_spec(columns, np.arange(6), start_day=0)
-        assert spec.seeds.tolist() == list(range(6))
-        assert spec.thetas.tolist() == pytest.approx(
-            np.linspace(0.1, 0.6, 6).tolist())
+    def state(self):
+        counts = np.zeros((3, N_COMPARTMENTS), dtype=np.int64)
+        counts[:, Compartment.S] = self.BASE.population - 40
+        counts[:, Compartment.E] = 40
+        return StackedLeapState(
+            day=10, steps_per_day=4, counts=counts,
+            cum_infections=np.zeros(3, dtype=np.int64),
+            cum_deaths=np.zeros(3, dtype=np.int64),
+            seeds=np.arange(3, dtype=np.int64),
+            params=self.BASE.with_updates(mild_fraction=0.9),
+            thetas=np.array([0.2, 0.3, 0.4]))
 
-    def test_specs_take_params_and_thetas_from_columns(self):
-        thetas = np.array([0.2, 0.25, 0.3, 0.35])
-        columns = parameter_columns(self.BASE, 4, {
-            "transmission_rate": thetas, "mild_fraction": np.full(4, 0.8)})
-        spec = build_group_spec(columns, [11, 12, 13, 14], start_day=0)
-        assert spec.seeds.tolist() == [11, 12, 13, 14]
-        assert spec.thetas.tolist() == thetas.tolist()
-        assert spec.params.mild_fraction == 0.8
-        assert spec.params.transmission_rate == 0.2
-        assert spec.params.population == 20_000
-
-    def test_restart_rows_must_share_structural_columns(self):
-        """Restart columns from outside (a restored store, a caller's
-        posterior) that vary in a field other than the transmission rate
-        are refused, not run under the first row's value."""
-        def state(mild):
-            counts = np.zeros((3, N_COMPARTMENTS), dtype=np.int64)
-            counts[:, Compartment.S] = self.BASE.population - 40
-            counts[:, Compartment.E] = 40
-            return StackedLeapState(
-                day=10, steps_per_day=4, counts=counts,
-                cum_infections=np.zeros(3, dtype=np.int64),
-                cum_deaths=np.zeros(3, dtype=np.int64),
-                seeds=np.arange(3, dtype=np.int64),
-                params=parameter_columns(self.BASE, 3, {
-                    "transmission_rate": [0.2, 0.3, 0.4],
-                    "mild_fraction": mild}))
-
-        shared = state([0.9, 0.9, 0.9])
-        batch = simulate_members(SerialExecutor(), shared.params, [7, 8, 9],
-                                 end_day=12, state=shared)
+    def test_restart_rows_run_under_their_record(self):
+        """The rows restart as one batch under the record and their
+        thetas; an engine-only state has no parameters to run under."""
+        shared = self.state()
+        batch = simulate_members(SerialExecutor(), shared, [7, 8, 9],
+                                 end_day=12)
+        direct = BatchedBinomialLeapEngine.from_particle_snapshots(
+            shared, shared.params, seeds=[7, 8, 9],
+            thetas=shared.thetas).run_until(12)
         assert batch.n_particles == 3
-        varying = state([0.9, 0.9, 0.8])
-        with pytest.raises(ValueError, match="'mild_fraction'"):
-            simulate_members(SerialExecutor(), varying.params, [7, 8, 9],
-                             end_day=12, state=varying)
+        assert np.array_equal(batch.infections, direct.infections)
+        bare = dataclasses.replace(shared, params=None, thetas=None)
+        with pytest.raises(ValueError, match="no parameters"):
+            simulate_members(SerialExecutor(), bare, [7, 8, 9], end_day=12)

@@ -1,6 +1,7 @@
 """Unit tests for the checkpoint store (one sealed columnar file per window)."""
 
 import dataclasses
+import hashlib
 import os
 import stat
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.hpc import CheckpointStore
 from repro.seir import (BatchedBinomialLeapEngine, CheckpointError,
-                        StackedLeapState, parameter_columns)
+                        StackedLeapState)
 from repro.testing import BinomialLeapEngine
 
 META = {"window_index": 0, "params": [[0.3, 0.7]]}
@@ -25,16 +26,19 @@ def leap_state(params, n, *, seed0=0):
     return StackedLeapState(
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,
-        cum_deaths=engine.cumulative_deaths,
-        seeds=engine.seeds).with_parameters(
-            parameter_columns(params, n, {"transmission_rate": thetas}))
+        cum_deaths=engine.cumulative_deaths, seeds=engine.seeds,
+        params=params, thetas=thetas)
 
 
 def rows(state):
-    """Every row of a restart state: its engine columns and parameters."""
-    return list(zip(state.counts.tolist(), state.cum_infections.tolist(),
-                    state.cum_deaths.tolist(), state.seeds.tolist(),
-                    state.parameters()))
+    """Every row of a restart state: its engine columns, its theta and its
+    parameters (the state's record, whose own transmission rate no row
+    reads)."""
+    record = state.params.with_updates(transmission_rate=0.0)
+    return [(*row, record) for row in zip(
+        state.counts.tolist(), state.cum_infections.tolist(),
+        state.cum_deaths.tolist(), state.seeds.tolist(),
+        state.thetas.tolist())]
 
 
 @pytest.fixture
@@ -70,15 +74,12 @@ class TestCheckpointStore:
             before, after = getattr(checkpoints, name), getattr(loaded, name)
             assert after.dtype == before.dtype
             assert np.array_equal(after, before)
-        assert list(loaded.params) == list(checkpoints.params)
-        for name, column in checkpoints.params.items():
-            assert loaded.params[name].dtype == column.dtype
-            assert np.array_equal(loaded.params[name], column)
+        assert loaded.thetas.dtype == checkpoints.thetas.dtype
+        assert np.array_equal(loaded.thetas, checkpoints.thetas)
         assert rows(loaded) == rows(checkpoints)
-        for before, after in zip(checkpoints.parameters(),
-                                 loaded.parameters()):
-            assert [type(v) for v in after.to_dict().values()] == \
-                [type(v) for v in before.to_dict().values()]
+        before, after = checkpoints.params, loaded.params
+        assert [type(v) for v in after.to_dict().values()] == \
+            [type(v) for v in before.to_dict().values()]
 
     def test_load_missing_particle(self, tmp_path, checkpoints):
         store = CheckpointStore(tmp_path)
@@ -240,6 +241,36 @@ class TestCorruptWindowFile:
             store.load_window_state(0)
 
 
+class TestWindowFormat:
+    """The one parameter record is written as per-row ``param_<field>``
+    columns, so window files keep the bytes of the per-row layout and
+    only files whose rows share every field but theta load."""
+
+    #: sha256 of ``checkpoints.npz`` for ``leap_state(small_params, 3)``,
+    #: as written when every field was stored as its own per-row column
+    #: (numpy 2.4's ``np.savez`` encoding).
+    PINNED_SHA256 = ("f07615cbd01f8d94ec48f8423dc881c0"
+                     "e3e31504bde5b42df8c4cf09bbec972d")
+
+    def test_window_file_bytes_are_pinned(self, tmp_path, checkpoints):
+        CheckpointStore(tmp_path).save_window_state(0, checkpoints, META)
+        digest = hashlib.sha256(window_file(
+            CheckpointStore(tmp_path), 0).read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256
+
+    def test_rows_disagreeing_on_a_shared_field_refused(self, tmp_path,
+                                                        checkpoints):
+        store = CheckpointStore(tmp_path)
+        store.save_window_state(0, checkpoints, META)
+
+        def vary_mild_fraction(columns):
+            columns["param_mild_fraction"] = np.array([0.9, 0.9, 0.8])
+        rewrite(window_file(store, 0), vary_mild_fraction)
+        with pytest.raises(CheckpointError,
+                           match="'param_mild_fraction' disagrees"):
+            store.load_window_state(0)
+
+
 class TestRefusesNonRestartCheckpoints:
     """Only full restart states fit a window's columns: anything else is
     refused before any file is written."""
@@ -251,7 +282,8 @@ class TestRefusesNonRestartCheckpoints:
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError, match="parameter columns"):
             store.save_window_state(
-                0, dataclasses.replace(checkpoints, params={}), META)
+                0, dataclasses.replace(checkpoints, params=None, thetas=None),
+                META)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -7,6 +7,8 @@ shard dispatch — including the acceptance property that a retried run is
 bit-identical to a fault-free one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,6 @@ class TestRetryPolicy:
         policy = RetryPolicy()
         assert policy.max_attempts == 3
         assert policy.timeout_seconds is None
-        assert policy.fallback_serial
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -234,8 +235,7 @@ class TestRetriedDispatch:
         chaos = ChaosExecutor(SerialExecutor(), plan)
         failures = []
         retried = dispatch_shards(chaos, tasks,
-                                  retry=RetryPolicy(max_attempts=4,
-                                                    fallback_serial=False),
+                                  retry=RetryPolicy(max_attempts=4),
                                   on_failure=failures.append)
         assert_shard_results_identical(clean, retried)
         causes = {(f.shard_id, f.attempt): f.cause for f in failures}
@@ -255,17 +255,17 @@ class TestRetriedDispatch:
         assert_shard_results_identical(clean, retried)
 
     def test_exhaustion_raises_with_history(self):
+        """A shard that raises inside ``run_shard`` fails on every
+        attempt, the in-process last one included."""
         tasks = make_tasks(n_shards=2)
-        plan = FaultPlan.scripted(Fault(kind="drop", shard=1, attempt=1),
-                                  Fault(kind="drop", shard=1, attempt=2))
-        chaos = ChaosExecutor(SerialExecutor(), plan)
+        tasks[1] = dataclasses.replace(tasks[1], start_day=10)  # > end_day
         with pytest.raises(ShardRetryError, match=r"shards \[1\]") as info:
-            dispatch_shards(chaos, tasks,
-                            retry=RetryPolicy(max_attempts=2,
-                                              fallback_serial=False))
+            dispatch_shards(SerialExecutor(), tasks,
+                            retry=RetryPolicy(max_attempts=2))
         failures = info.value.failures
         assert [(f.shard_id, f.attempt, f.cause) for f in failures] == \
-            [(1, 1, CAUSE_DROPPED), (1, 2, CAUSE_DROPPED)]
+            [(1, 1, CAUSE_EXCEPTION), (1, 2, CAUSE_EXCEPTION)]
+        assert "end_day 6 is before current day 10" in failures[-1].error
 
     def test_single_attempt_policy_fails_fast_but_structured(self):
         tasks = make_tasks(n_shards=2)

@@ -124,9 +124,8 @@ class TestForecastFromCloud:
             (20, 20, 12)
         assert cloud.restart.day == 27
         tail = simulate_members(
-            SerialExecutor(), cloud.restart.params,
-            _forecast_seeds(cloud, 3, 1), end_day=32, state=cloud.restart,
-            n_shards=1)
+            SerialExecutor(), cloud.restart, _forecast_seeds(cloud, 3, 1),
+            end_day=32, n_shards=1)
         for channel in ("cases", "deaths", "hospital_census"):
             expected = np.hstack([cloud.segments.channel_matrix(channel),
                                   tail.channel_matrix(channel)])
@@ -174,9 +173,9 @@ class TestShardedBatchedForecast:
         from repro.hpc import SerialExecutor, simulate_members
         fc = forecast_from_posterior(posterior, 6, base_seed=3)
         direct = simulate_members(
-            SerialExecutor(), posterior.restart.params,
+            SerialExecutor(), posterior.restart,
             _forecast_seeds(posterior, 3, 1), end_day=fc.start_day + 6,
-            state=posterior.restart, n_shards=1)
+            n_shards=1)
         assert np.array_equal(fc.batch.infections, direct.infections)
         assert np.array_equal(fc.batch.deaths, direct.deaths)
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.seir import (BatchedBinomialLeapEngine, BatchTrajectory,
                         Compartment, DiseaseParameters, StackedLeapState,
-                        generator_for, parameter_columns)
+                        generator_for)
 from repro.seir.seeding import rng_state_to_jsonable
 from repro.testing import BinomialLeapEngine
 
@@ -24,15 +24,13 @@ def batch(small_params):
 
 
 def restart_state(engine):
-    """The batch's rows as restart state, each row's theta its
-    ``transmission_rate`` (what a shard returns and an ensemble carries)."""
+    """The batch's rows as restart state under the batch's parameters, each
+    row at its own theta (what a shard returns and an ensemble carries)."""
     return StackedLeapState(
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,
-        cum_deaths=engine.cumulative_deaths,
-        seeds=engine.seeds).with_parameters(parameter_columns(
-            engine.params, engine.n_particles,
-            {"transmission_rate": engine.thetas}))
+        cum_deaths=engine.cumulative_deaths, seeds=engine.seeds,
+        params=engine.params, thetas=engine.thetas)
 
 
 class TestConstruction:

@@ -5,12 +5,13 @@ engine restarts one row on its new seed's fresh stream
 (:meth:`repro.testing.BinomialLeapEngine.from_state_row`).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.seir import (RESTART_FIELDS, BatchedBinomialLeapEngine,
-                        CheckpointError, DiseaseParameters, StackedLeapState,
-                        parameter_columns)
+                        CheckpointError, DiseaseParameters, StackedLeapState)
 from repro.testing import BinomialLeapEngine
 
 
@@ -22,7 +23,7 @@ def checkpointed_state(params, seed=31, day=15, n=4):
         day=engine.day, steps_per_day=engine.steps_per_day,
         counts=engine.counts, cum_infections=engine.cumulative_infections,
         cum_deaths=engine.cumulative_deaths,
-        seeds=engine.seeds).with_parameters(parameter_columns(params, n))
+        seeds=engine.seeds, params=params, thetas=engine.thetas)
 
 
 class TestRestartFields:
@@ -36,8 +37,8 @@ class TestRestartFields:
 
     def test_rows_without_parameters_refuse_to_restart(self, small_params):
         state = checkpointed_state(small_params)
-        bare = state.take([0], params=False)
-        with pytest.raises(CheckpointError, match="invalid stored"):
+        bare = dataclasses.replace(state.take([0]), params=None, thetas=None)
+        with pytest.raises(CheckpointError, match="no stored parameters"):
             BinomialLeapEngine.from_state_row(bare, 0, seed=1)
 
 
@@ -45,8 +46,7 @@ class TestRestartSemantics:
     def test_restart_with_new_theta_changes_dynamics(self, small_params):
         state = checkpointed_state(small_params)
         base = BinomialLeapEngine.from_state_row(state, 0, 7).run_until(50)
-        hot_state = state.with_parameters(
-            {**state.params, "transmission_rate": np.full(4, 0.9)})
+        hot_state = dataclasses.replace(state, thetas=np.full(4, 0.9))
         hot = BinomialLeapEngine.from_state_row(hot_state, 0, 7).run_until(50)
         assert hot.infections.sum() > base.infections.sum()
 

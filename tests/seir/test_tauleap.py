@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import PiecewiseConstant
-from repro.seir import Compartment, StackedLeapState, parameter_columns
+from repro.seir import Compartment, StackedLeapState
 from repro.testing import BinomialLeapEngine
 
 
@@ -131,8 +131,8 @@ class TestSnapshot:
             counts=engine.counts[None],
             cum_infections=np.array([engine.cumulative_infections]),
             cum_deaths=np.array([engine.cumulative_deaths]),
-            seeds=np.array([engine.seed])).with_parameters(
-                parameter_columns(engine.params, 1))
+            seeds=np.array([engine.seed]), params=engine.params,
+            thetas=np.array([engine.params.transmission_rate]))
 
     def test_reseeded_restart_diverges(self, small_params):
         eng = BinomialLeapEngine(small_params, seed=21)
