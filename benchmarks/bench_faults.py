@@ -37,7 +37,7 @@ import numpy as np
 from _bench_util import time_best, write_payload
 from repro.hpc import (GroupSpec, RetryPolicy, SerialExecutor, ShardTask,
                        run_shard, shard_bounds, simulate_groups)
-from repro.seir import DiseaseParameters
+from repro.seir import BatchTrajectory, DiseaseParameters
 from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
 DEFAULT_SIZE = 2_000
@@ -54,34 +54,32 @@ def _seeds_and_thetas(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return seeds, thetas
 
 
-def _totals(results) -> np.ndarray:
-    return np.concatenate([r.batch.infections.sum(axis=1) for r in results])
-
-
 def run_window(executor, params: DiseaseParameters, seeds: np.ndarray,
                thetas: np.ndarray, n_days: int, n_shards: int,
                retry: RetryPolicy) -> np.ndarray:
     """One sharded window simulation; returns per-particle infection totals."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
-    [group] = simulate_groups(
+    [(batch, _)] = simulate_groups(
         executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards,
         retry=retry)
-    return _totals(group.results)
+    return batch.infections.sum(axis=1)
 
 
 def run_window_bare(params: DiseaseParameters, seeds: np.ndarray,
                     thetas: np.ndarray, n_days: int,
                     n_shards: int) -> np.ndarray:
     """The same shards as :func:`run_window`, run by a bare loop of
-    ``run_shard`` calls: the no-dispatch baseline."""
+    ``run_shard`` calls and stacked alike: the no-dispatch baseline."""
     tasks = [ShardTask(shard_id=i, params=params, seeds=seeds[lo:hi],
                        thetas=thetas[lo:hi], end_day=n_days,
                        engine_options={"steps_per_day": STEPS_PER_DAY},
                        start_day=0)
              for i, (lo, hi) in enumerate(shard_bounds(len(seeds),
                                                        n_shards=n_shards))]
-    return _totals([run_shard(task) for task in tasks])
+    batch = BatchTrajectory.concatenate([run_shard(task).batch
+                                         for task in tasks])
+    return batch.infections.sum(axis=1)
 
 
 def run_faults_bench(n_particles: int = DEFAULT_SIZE,

@@ -66,12 +66,10 @@ def run_window(executor: Executor, params: DiseaseParameters,
                n_shards: int) -> float:
     """One sharded window simulation; returns mean total infections."""
     spec = GroupSpec(params=params, seeds=seeds, thetas=thetas, start_day=0)
-    [group] = simulate_groups(
+    [(batch, _)] = simulate_groups(
         executor, [spec], end_day=n_days,
         engine_options={"steps_per_day": STEPS_PER_DAY}, n_shards=n_shards)
-    totals = np.concatenate([r.batch.infections.sum(axis=1)
-                             for r in group.results])
-    return float(totals.mean())
+    return float(batch.infections.sum(axis=1).mean())
 
 
 def make_posterior(params: DiseaseParameters, n: int, seed: int,

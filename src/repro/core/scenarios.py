@@ -32,8 +32,8 @@ same effective window parameters, same lineage (they
 shared every previous window), same size plans.  The sweep is the
 calibrator's own window loop (:func:`~repro.core.smc.window_loop`) over
 one calibrator per scenario, keyed by world-line: each line is computed
-once, **all** lines' shards flattened into one
-:func:`~repro.hpc.sharding.simulate_group_sets` dispatch by
+once, **all** lines' group specs sent to one
+:func:`~repro.hpc.sharding.simulate_groups` dispatch by
 :func:`~repro.core.smc.window_step`.
 Lines split when a scenario's override kicks in and never re-merge
 (diverged state stays diverged even if parameters re-converge).  A plain

@@ -77,10 +77,9 @@ from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.faults import RetryPolicy, ShardFailure
-from ..hpc.sharding import (GroupShards, GroupSpec, reassemble,
-                            resolve_shard_layout, simulate_group_sets,
-                            validate_shard_policy)
-from ..seir.batch_engine import BatchedBinomialLeapEngine
+from ..hpc.sharding import (GroupSpec, resolve_shard_layout,
+                            simulate_groups, validate_shard_policy)
+from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.parameters import DiseaseParameters, check_thetas
 from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
@@ -313,8 +312,8 @@ class PendingWindow:
     previous posterior gathered by member as ``parents``.  All
     per-window randomness is consumed while building it and simulation
     streams are keyed by the specs' seed vectors, so a multi-scenario sweep
-    can pool many windows' specs into one flattened dispatch
-    (:func:`~repro.hpc.sharding.simulate_group_sets`) bit-identically.
+    can pool many windows' specs into one dispatch
+    (:func:`~repro.hpc.sharding.simulate_groups`) bit-identically.
     """
 
     index: int
@@ -652,6 +651,12 @@ class SequentialCalibrator:
         if not len(params) == len(seeds) == len(ancestors):
             raise CheckpointError(
                 f"window {index} metadata arrays disagree on length")
+        names = list(params[0]) if params else []
+        if any(set(row) != set(names) for row in params):
+            raise CheckpointError(
+                f"window {index} posterior samples disagree on parameters")
+        columns = {name: np.array([float(row[name]) for row in params])
+                   for name in names}
         restart: StackedLeapState | None = None
         if with_checkpoints:
             restart, _ = store.load_window_state(index)
@@ -659,14 +664,18 @@ class SequentialCalibrator:
                 raise CheckpointError(
                     f"window {index} stores {restart.n_particles} "
                     f"checkpoints but {len(params)} posterior samples")
-        names = list(params[0]) if params else []
-        if any(set(row) != set(names) for row in params):
-            raise CheckpointError(
-                f"window {index} posterior samples disagree on parameters")
+            if restart.day != window.end_day:
+                raise CheckpointError(
+                    f"window {index} checkpoints stop at day {restart.day} "
+                    f"but the window ends at day {window.end_day}")
+            if not np.array_equal(restart.thetas,
+                                  columns.get(_THETA_PARAM)):
+                raise CheckpointError(
+                    f"window {index} checkpoint thetas differ from its "
+                    f"posterior's {_THETA_PARAM!r} samples")
         posterior = ParticleEnsemble.from_columns(
-            {name: [float(row[name]) for row in params] for name in names},
-            np.array(seeds, dtype=np.int64), ancestors=np.array(ancestors),
-            restart=restart)
+            columns, np.array(seeds, dtype=np.int64),
+            ancestors=np.array(ancestors), restart=restart)
         return WindowResult(
             index=index, window=window, posterior=posterior,
             diagnostics=WindowDiagnostics.from_dict(
@@ -747,8 +756,8 @@ class SequentialCalibrator:
     # Split-phase API: propose -> simulate -> assemble -> weigh.
     #
     # :func:`window_step` runs these phases for every world-line of a
-    # window, flattening all lines' proposal clouds into ONE shard dispatch
-    # (``simulate_group_sets``); drivers that time or interleave the phases
+    # window, passing all lines' proposal clouds to ONE shard dispatch
+    # (``simulate_groups``); drivers that time or interleave the phases
     # (the perfbench tracer) call them directly.  Per-shard RNG streams are
     # keyed by seed slices only — never by shard id — so either way each
     # line's window is bit-identical to dispatching it alone.
@@ -829,20 +838,20 @@ class SequentialCalibrator:
                              parents=parents)
 
     def assemble_window(self, pending: PendingWindow,
-                        shards: list[GroupShards]) -> ParticleEnsemble:
-        """Reassemble a dispatched :class:`PendingWindow` into an ensemble.
+                        shards: Sequence[tuple[BatchTrajectory,
+                                               StackedLeapState | None]]
+                        ) -> ParticleEnsemble:
+        """Assemble a dispatched :class:`PendingWindow` into an ensemble.
 
-        ``shards`` is the per-spec result list for exactly
-        ``pending.specs`` (e.g. one element of a
-        :func:`~repro.hpc.sharding.simulate_group_sets` return).  The shard
-        outputs and restart states are concatenated in member order, and
-        the spec's parameter record and theta column are attached to the
-        restart state.  Window 0's whole trajectories become the
-        histories, sliced to the window for the segments; a continuation's
-        segments continue its gathered parents' histories (by genealogy,
-        not by copying).
+        ``shards`` is what :func:`~repro.hpc.sharding.simulate_groups`
+        returns for exactly ``pending.specs``: the one spec's stacked
+        trajectories and restart state, to which the spec's parameter
+        record and theta column are attached.  Window 0's whole
+        trajectories become the histories, sliced to the window for the
+        segments; a continuation's segments continue its gathered parents'
+        histories (by genealogy, not by copying).
         """
-        batch, state = reassemble(shards)
+        (batch, state), = shards
         assert state is not None, "window shards must return their state"
         spec, = pending.specs
         restart = replace(state, params=spec.params, thetas=spec.thetas)
@@ -957,11 +966,13 @@ def simulate_windows(calibrators: Sequence[SequentialCalibrator],
 
     Each calibrator proposes its cloud from its ``posteriors`` entry at
     its ``n_proposals`` entry; every cloud's group spec goes out in **one**
-    :func:`~repro.hpc.sharding.simulate_group_sets` map, and each cloud is
-    assembled.  Shard RNG streams are keyed by seed slices, never by
-    dispatch position, so every cloud is bit-identical to simulating its
-    calibrator's alone.  The calibrators share one config and executor,
-    hence one shard layout and retry policy.
+    :func:`~repro.hpc.sharding.simulate_groups` dispatch, each cloud's
+    shard failures are reported through its own calibrator as they
+    happen, and each cloud is assembled.  Shard RNG streams are keyed by
+    seed slices, never by dispatch position, so every cloud is
+    bit-identical to simulating its calibrator's alone.  The calibrators
+    share one config and executor, hence one shard layout and retry
+    policy.
     """
     pendings = [calib.propose_window(index, window, posterior,
                                      n_proposals=n)
@@ -969,17 +980,18 @@ def simulate_windows(calibrators: Sequence[SequentialCalibrator],
                                                n_proposals)]
     failures: list[list[ShardFailure]] = [[] for _ in calibrators]
     first = calibrators[0]
-    shard_sets = simulate_group_sets(
-        first.executor, [pending.specs for pending in pendings],
+    clouds = simulate_groups(
+        first.executor, [spec for pending in pendings
+                         for spec in pending.specs],
         end_day=window.end_day, engine_options=first.config.engine_options,
         retry=first.config.retry,
-        on_failures=[partial(calib._on_shard_failure, found)
-                     for calib, found in zip(calibrators, failures)],
+        on_failure=[partial(calib._on_shard_failure, found)
+                    for calib, found in zip(calibrators, failures)],
         **first._shard_layout_kwargs())
-    return [SimulatedWindow(pending, calib.assemble_window(pending, shards),
+    return [SimulatedWindow(pending, calib.assemble_window(pending, [cloud]),
                             tuple(found))
-            for calib, pending, shards, found in zip(
-                calibrators, pendings, shard_sets, failures)]
+            for calib, pending, cloud, found in zip(
+                calibrators, pendings, clouds, failures, strict=True)]
 
 
 def window_step(calibrators: Sequence[SequentialCalibrator], index: int,

@@ -1,5 +1,6 @@
-"""HPC execution substrate: executors, shard partitioning, fault-tolerant
-sharded dispatch of batched ensemble simulation, and checkpoint stores.
+"""HPC execution substrate: executors, fault-tolerant sharded dispatch of
+batched ensemble simulation (one front door, :func:`simulate_groups`, over
+:func:`shard_bounds` layouts), and checkpoint stores.
 
 The chaos harness that injects shard faults for tests lives in
 :mod:`repro.testing.chaos`, not here."""
@@ -8,17 +9,15 @@ from .checkpoint_io import CheckpointStore, write_json_atomic
 from .executor import (Executor, ProcessExecutor, SerialExecutor,
                        TaskOutcome, make_executor)
 from .faults import RetryPolicy, ShardFailure, ShardRetryError
-from .partition import chunk_sizes, partition_bounds, shard_bounds
-from .sharding import (GroupShards, GroupSpec, ShardResult, ShardTask,
-                       dispatch_shards, run_shard, simulate_groups,
-                       simulate_members)
+from .sharding import (GroupSpec, ShardResult, ShardTask, dispatch_shards,
+                       run_shard, shard_bounds, simulate_groups)
 
 __all__ = [
     "Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
     "TaskOutcome",
     "RetryPolicy", "ShardFailure", "ShardRetryError",
-    "chunk_sizes", "partition_bounds", "shard_bounds",
-    "GroupSpec", "GroupShards", "ShardTask", "ShardResult",
-    "run_shard", "dispatch_shards", "simulate_groups", "simulate_members",
+    "shard_bounds",
+    "GroupSpec", "ShardTask", "ShardResult",
+    "run_shard", "dispatch_shards", "simulate_groups",
     "CheckpointStore", "write_json_atomic",
 ]

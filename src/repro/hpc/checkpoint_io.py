@@ -172,6 +172,10 @@ def _read_window_state(path: Path, n_particles: int) -> StackedLeapState:
             raise CheckpointError(
                 f"{path} column {name!r} is {array.dtype}{list(array.shape)}, "
                 f"expected kind {kinds!r} with shape {list(shape)}")
+    if int(columns["steps_per_day"]) < 1 or int(columns["day"]) < 0:
+        raise CheckpointError(
+            f"{path} holds an impossible clock: day {int(columns['day'])}, "
+            f"steps_per_day {int(columns['steps_per_day'])}")
     for name in _PARAM_FIELDS:
         column = _PARAM_PREFIX + name
         if column != _THETA_COLUMN and np.unique(columns[column]).size > 1:

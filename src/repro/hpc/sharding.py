@@ -4,12 +4,14 @@ The batched engine (:class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`)
 advances a whole particle cloud as one state matrix, but in a single
 process.  A batch's members share every
 :class:`~repro.seir.parameters.DiseaseParameters` field but the
-transmission rate, so each window is one :class:`GroupSpec`.  This module
-splits it into contiguous, evenly chunked sub-batches
-(:func:`~repro.hpc.partition.shard_bounds`), maps the shards across any
-:class:`~repro.hpc.executor.Executor`, and reassembles the stacked shard
-outputs **in order**, so the calibrator and the forecaster get multi-core
-scaling of the already-batched hot path without giving up batching.
+transmission rate, so each cloud is one :class:`GroupSpec`.
+:func:`simulate_groups`, the one front door, splits every spec it is
+given into contiguous, evenly chunked sub-batches (:func:`shard_bounds`),
+maps all of their shards across any
+:class:`~repro.hpc.executor.Executor` in one dispatch, and stacks each
+spec's shard outputs **in order**, so the calibrator (one spec per
+world-line of a window) and the forecaster get multi-core scaling of the
+already-batched hot path without giving up batching.
 
 Design contract
 ---------------
@@ -18,7 +20,8 @@ Design contract
   (:func:`~repro.seir.seeding.batch_generator_for` over the slice).
   Results are therefore bit-reproducible given ``(base_seed, shard
   layout)`` and independent of which executor (or process) runs each
-  shard; different layouts agree in distribution only.
+  shard, or of which other specs share the dispatch; different layouts
+  agree in distribution only.
 * **Lean payloads** — one :class:`ShardTask` per shard carries the batch's
   one :class:`~repro.seir.parameters.DiseaseParameters` record, the
   slice's seed/theta vectors, and (for restarts) the slice of the stacked
@@ -52,17 +55,20 @@ from ..seir.parameters import DiseaseParameters
 from .executor import Executor, SerialExecutor
 from .faults import (CAUSE_CORRUPT, FAIL_FAST, RetryPolicy, ShardFailure,
                      ShardRetryError)
-from .partition import shard_bounds
 
-__all__ = ["GroupSpec", "GroupShards", "ShardTask", "ShardResult",
-           "run_shard", "dispatch_shards", "simulate_groups",
-           "simulate_group_sets", "simulate_members", "reassemble",
+__all__ = ["GroupSpec", "ShardTask", "ShardResult", "run_shard",
+           "dispatch_shards", "simulate_groups", "shard_bounds",
            "validate_shard_policy", "resolve_shard_layout"]
 
 
+# --------------------------------------------------------------------------- #
+# Shard layout
+# --------------------------------------------------------------------------- #
 def validate_shard_policy(shard_size: int | None,
                           n_shards: int | str) -> None:
-    """Reject malformed shard knobs (shared by config- and call-time checks)."""
+    """Reject malformed shard knobs: the one check of a shard layout,
+    made by the config, by :func:`resolve_shard_layout` and by
+    :func:`shard_bounds`."""
     if shard_size is not None and shard_size < 1:
         raise ValueError("shard_size must be >= 1")
     if isinstance(n_shards, str):
@@ -84,8 +90,7 @@ def resolve_shard_layout(executor: Executor, *, shard_size: int | None = None,
     shard) wins and excludes an explicit ``n_shards``; ``n_shards="auto"``
     targets one shard per executor worker (a serial executor keeps the
     single-shard in-process fast path).  Returns the keyword dict
-    :func:`simulate_groups` / :func:`~repro.hpc.partition.shard_bounds`
-    expect.
+    :func:`simulate_groups` / :func:`shard_bounds` expect.
     """
     validate_shard_policy(shard_size, n_shards)
     if shard_size is not None:
@@ -93,6 +98,39 @@ def resolve_shard_layout(executor: Executor, *, shard_size: int | None = None,
     if n_shards == "auto":
         return {"n_shards": max(1, executor.workers)}
     return {"n_shards": n_shards}
+
+
+def shard_bounds(n_items: int, *, shard_size: int | None = None,
+                 n_shards: int | None = None) -> list[tuple[int, int]]:
+    """Half-open shard bounds for splitting an ordered batch across workers.
+
+    The shard layout contract of every sharded simulation: contiguous,
+    evenly chunked (sizes differ by at most one, the first ``n_items %
+    parts`` shards taking the extra member), and **never empty** — when
+    ``n_shards`` exceeds ``n_items`` the part count is clamped to
+    ``n_items``, so every shard carries at least one member and a
+    degenerate layout can never produce an empty batch engine.
+
+    Exactly one sizing mode applies:
+
+    * ``shard_size`` — target members per shard; the part count is
+      ``ceil(n_items / shard_size)`` and even chunking guarantees no shard
+      exceeds ``shard_size``.
+    * ``n_shards`` — explicit part count (clamped to ``n_items``).
+
+    With neither set, one shard covers everything.  ``n_items == 0``
+    returns no shards at all.
+    """
+    if n_items < 0:
+        raise ValueError("n_items must be >= 0")
+    validate_shard_policy(shard_size, "auto" if n_shards is None else n_shards)
+    if n_items == 0:
+        return []
+    n_parts = min(n_items, -(-n_items // shard_size)
+                  if shard_size is not None else n_shards or 1)
+    base, extra = divmod(n_items, n_parts)
+    starts = [part * base + min(part, extra) for part in range(n_parts + 1)]
+    return list(zip(starts[:-1], starts[1:]))
 
 
 # --------------------------------------------------------------------------- #
@@ -261,6 +299,8 @@ def dispatch_shards(executor: Executor, tasks: Sequence[ShardTask], *,
     return ordered  # type: ignore[return-value]
 
 
+
+
 # --------------------------------------------------------------------------- #
 # Group-level front door
 # --------------------------------------------------------------------------- #
@@ -282,23 +322,7 @@ class GroupSpec:
     state: StackedLeapState | None = None
 
 
-@dataclass(frozen=True)
-class GroupShards:
-    """One spec's shard layout and its in-order results."""
-
-    bounds: list[tuple[int, int]]
-    results: list[ShardResult]
-
-
-def reassemble(shards: Sequence[GroupShards]
-               ) -> tuple[BatchTrajectory, StackedLeapState | None]:
-    """Every spec's stacked shard outputs (and restart states, if the
-    shards returned them) concatenated in order."""
-    results = [r for group in shards for r in group.results]
-    batch = BatchTrajectory.concatenate([r.batch for r in results])
-    states = [r.state for r in results if r.state is not None]
-    state = StackedLeapState.concatenate(states) if states else None
-    return batch, state
+FailureSink = Callable[[ShardFailure], None]
 
 
 def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
@@ -308,18 +332,28 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
                     shard_size: int | None = None, n_shards: int | None = None,
                     return_state: bool = True,
                     retry: RetryPolicy = FAIL_FAST,
-                    on_failure: Callable[[ShardFailure], None] | None = None
-                    ) -> list[GroupShards]:
-    """Shard every spec, fan the shards across the executor, reassemble.
+                    on_failure: FailureSink | Sequence[FailureSink | None]
+                    | None = None
+                    ) -> list[tuple[BatchTrajectory, StackedLeapState | None]]:
+    """Simulate every spec in shards, all in **one** dispatch.
 
-    The workhorse behind the calibrator's batched window simulation and
-    batched forecasting.  Each spec is chunked by
-    :func:`~repro.hpc.partition.shard_bounds` (``shard_size`` wins over
+    The one front door from group specs to shards: a window step passes
+    one spec per world-line, a forecast one restart spec.  Each spec is
+    chunked by :func:`shard_bounds` (``shard_size`` wins over
     ``n_shards``; both ``None`` → one shard per spec, the serial fast
-    path), all specs' shards are submitted as **one** ``map_each``, and
-    the results are returned per spec in member order.  ``retry`` (default
-    :data:`~repro.hpc.faults.FAIL_FAST`) and ``on_failure`` go to
-    :func:`dispatch_shards`.
+    path) and every spec's shards go to one :func:`dispatch_shards` call,
+    so workers interleave shards from every spec.  Shard ids are
+    positions in that flat task list, never RNG keys: a shard's stream is
+    keyed by its seed slice alone, so each spec's output is bit-identical
+    to dispatching it alone under the same layout.
+
+    Returns, per spec and in order, its shards' trajectories and (with
+    ``return_state``) restart states stacked in member order; the state
+    is ``None`` otherwise.  ``retry`` (default
+    :data:`~repro.hpc.faults.FAIL_FAST`) goes to :func:`dispatch_shards`;
+    ``on_failure`` is one callable that hears every shard failure as it
+    happens, or one entry per spec (``None`` to ignore) that hears only
+    that spec's.
 
     Every shard runs
     :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine`; ``engine``
@@ -330,101 +364,45 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
     if engine != BatchedBinomialLeapEngine.name:
         raise ValueError(f"unknown batch engine {engine!r}; only "
                          f"{BatchedBinomialLeapEngine.name!r} runs shards")
-    return simulate_group_sets(
-        executor, [specs], end_day=end_day,
-        engine_options=engine_options, shard_size=shard_size,
-        n_shards=n_shards, return_state=return_state, retry=retry,
-        on_failures=[on_failure])[0]
-
-
-def simulate_members(executor: Executor, state: StackedLeapState,
-                     seeds: Sequence[int] | np.ndarray, *, end_day: int,
-                     shard_size: int | None = None,
-                     n_shards: int | None = None) -> BatchTrajectory:
-    """Every row of ``state`` restarted on its new seed, simulated as a
-    single batched dispatch.
-
-    The front door for forecasts: the rows run under the state's parameter
-    record and theta column, and their trajectories come back stacked in
-    row order without engine state.
-    """
-    if state.params is None or state.thetas is None:
-        raise ValueError("restart rows carry no parameters")
-    spec = GroupSpec(params=state.params,
-                     seeds=np.asarray(seeds, dtype=np.int64),
-                     thetas=state.thetas, state=state)
-    shards = simulate_groups(executor, [spec], end_day=end_day,
-                             shard_size=shard_size, n_shards=n_shards,
-                             return_state=False)
-    return reassemble(shards)[0]
-
-
-def simulate_group_sets(executor: Executor,
-                        spec_sets: Sequence[Sequence[GroupSpec]], *,
-                        end_day: int,
-                        engine_options: dict | None = None,
-                        shard_size: int | None = None,
-                        n_shards: int | None = None,
-                        return_state: bool = True,
-                        retry: RetryPolicy = FAIL_FAST,
-                        on_failures: Sequence[
-                            Callable[[ShardFailure], None] | None] | None = None
-                        ) -> list[list[GroupShards]]:
-    """:func:`simulate_groups` over several independent spec sets at once.
-
-    The scenario-sweep dispatch: each element of ``spec_sets`` is one
-    scenario's (or world-line's) group specs, and all sets' shards are
-    flattened into **one** ``map_each``, so workers interleave shards
-    from every scenario instead of draining them set-by-set.  Because a
-    shard's RNG stream is keyed by its seed slice alone (shard ids are
-    mere dispatch positions), every returned :class:`GroupShards` is
-    bit-identical to a lone ``simulate_groups`` call over its own set
-    with the same ``shard_size``/``n_shards`` policy.
-
-    ``on_failures`` optionally routes shard-failure reports per set (same
-    length as ``spec_sets``); ``retry`` is shared.  Returns one
-    ``list[GroupShards]`` per input set, in order.
-    """
-    if on_failures is not None and len(on_failures) != len(spec_sets):
-        raise ValueError(
-            f"on_failures has {len(on_failures)} entries for "
-            f"{len(spec_sets)} spec sets")
-    # Shard ids are positions in one flat task list, never RNG keys.
+    sinks: list[FailureSink | None]
+    if on_failure is None or callable(on_failure):
+        sinks = [on_failure] * len(specs)
+    else:
+        sinks = list(on_failure)
+        if len(sinks) != len(specs):
+            raise ValueError(f"on_failure has {len(sinks)} entries for "
+                             f"{len(specs)} specs")
     tasks: list[ShardTask] = []
-    task_owner: list[int] = []  # task id -> spec-set index
-    plans: list[list[tuple[list[tuple[int, int]], list[int]]]] = []
-    for set_index, specs in enumerate(spec_sets):
-        plans.append([])
-        for spec in specs:
-            seeds = np.asarray(spec.seeds, dtype=np.int64)
-            thetas = np.asarray(spec.thetas, dtype=np.float64)
-            rows = None if spec.state is None else replace(
-                spec.state, params=None, thetas=None)
-            bounds = shard_bounds(len(seeds), shard_size=shard_size,
-                                  n_shards=n_shards)
-            plans[-1].append((bounds, list(range(len(tasks),
-                                                 len(tasks) + len(bounds)))))
-            for lo, hi in bounds:
-                task_owner.append(set_index)
-                tasks.append(ShardTask(
-                    shard_id=len(tasks), params=spec.params,
-                    seeds=seeds[lo:hi], thetas=thetas[lo:hi],
-                    end_day=end_day,
-                    engine_options=(dict(engine_options or {})
-                                    if spec.start_day is not None else {}),
-                    start_day=spec.start_day, return_state=return_state,
-                    state=None if rows is None else rows.take(slice(lo, hi))))
+    owner: list[int] = []  # shard id -> spec index
+    spans: list[tuple[int, int]] = []
+    for index, spec in enumerate(specs):
+        seeds = np.asarray(spec.seeds, dtype=np.int64)
+        thetas = np.asarray(spec.thetas, dtype=np.float64)
+        rows = None if spec.state is None else replace(
+            spec.state, params=None, thetas=None)
+        first = len(tasks)
+        for lo, hi in shard_bounds(len(seeds), shard_size=shard_size,
+                                   n_shards=n_shards):
+            owner.append(index)
+            tasks.append(ShardTask(
+                shard_id=len(tasks), params=spec.params,
+                seeds=seeds[lo:hi], thetas=thetas[lo:hi], end_day=end_day,
+                engine_options=(dict(engine_options or {})
+                                if spec.start_day is not None else {}),
+                start_day=spec.start_day, return_state=return_state,
+                state=None if rows is None else rows.take(slice(lo, hi))))
+        spans.append((first, len(tasks)))
 
-    on_failure: Callable[[ShardFailure], None] | None = None
-    if on_failures is not None:
-        sinks = list(on_failures)
+    def route(failure: ShardFailure) -> None:
+        sink = sinks[owner[failure.shard_id]]
+        if sink is not None:
+            sink(failure)
 
-        def on_failure(failure: ShardFailure) -> None:
-            sink = sinks[task_owner[failure.shard_id]]
-            if sink is not None:
-                sink(failure)
-
-    results = dispatch_shards(executor, tasks, retry=retry,
-                              on_failure=on_failure)
-    return [[GroupShards(bounds=bounds, results=[results[t] for t in ids])
-             for bounds, ids in plan] for plan in plans]
+    results = dispatch_shards(executor, tasks, retry=retry, on_failure=route)
+    stacked = []
+    for lo, hi in spans:
+        batch = BatchTrajectory.concatenate([r.batch for r in results[lo:hi]])
+        states = [r.state for r in results[lo:hi] if r.state is not None]
+        stacked.append((batch, StackedLeapState.concatenate(states)
+                        if states else None))
+    return stacked

@@ -12,11 +12,13 @@ The restart runs on the **sharded batched path**: the posterior's restart
 rows, theta column included, are tiled once per continuation and advanced
 under their one parameter record by the
 :class:`~repro.seir.batch_engine.BatchedBinomialLeapEngine` across the
-executor's workers (:func:`repro.hpc.sharding.simulate_members`),
-each shard on a stream keyed by its slice of the forecast seed vector
-(mixed in one vectorised pass) — so a forecast is bit-reproducible given
-``(base_seed, shard layout)``.  No per-member parameter, seed or
-trajectory object is built: the ribbons read the stacked batch.  The
+executor's workers (one :class:`~repro.hpc.sharding.GroupSpec` through
+:func:`repro.hpc.sharding.simulate_groups`, the calibrator's own dispatch
+front door), each shard on a stream keyed by its slice of the forecast
+seed vector (mixed in one vectorised pass) — so a forecast is
+bit-reproducible given ``(base_seed, shard layout)``.  No per-member
+parameter, seed or trajectory object is built: the ribbons read the
+stacked batch.  The
 per-particle restart survives only as the test oracle
 :func:`repro.testing.restart_oracle`.
 
@@ -40,8 +42,9 @@ from ..core.particle import ParticleEnsemble
 from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
 from ..data.sources import CASES
 from ..hpc.executor import Executor, SerialExecutor
-from ..hpc.sharding import resolve_shard_layout, simulate_members
+from ..hpc.sharding import GroupSpec, resolve_shard_layout, simulate_groups
 from ..seir.batch_engine import BatchTrajectory
+from ..seir.checkpoint import StackedLeapState
 from ..seir.seeding import mix_seeds, register_stream_tag
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud",
@@ -88,6 +91,15 @@ def _forecast_seeds(posterior: ParticleEnsemble, base_seed: int,
                      np.tile(seeds, n_per_particle))
 
 
+def _restart_spec(state: StackedLeapState, seeds: np.ndarray) -> GroupSpec:
+    """Every row of ``state`` restarted on its new seed, under the state's
+    parameter record and theta column."""
+    if state.params is None or state.thetas is None:
+        raise ValueError("restart rows carry no parameters")
+    return GroupSpec(params=state.params, seeds=seeds, thetas=state.thetas,
+                     state=state)
+
+
 def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
                             executor: Executor | None = None,
                             base_seed: int = 0,
@@ -128,9 +140,10 @@ def forecast_from_posterior(posterior: ParticleEnsemble, horizon_days: int,
     if restart is None:
         raise ValueError("posterior particles carry no checkpoints")
     tiled = restart.take(np.tile(np.arange(len(posterior)), n_per_particle))
-    batch = simulate_members(
-        executor, tiled, _forecast_seeds(posterior, base_seed, n_per_particle),
-        end_day=restart.day + horizon_days, **layout)
+    seeds = _forecast_seeds(posterior, base_seed, n_per_particle)
+    [(batch, _)] = simulate_groups(
+        executor, [_restart_spec(tiled, seeds)],
+        end_day=restart.day + horizon_days, return_state=False, **layout)
     return Forecast(start_day=restart.day, horizon_days=horizon_days,
                     batch=batch)
 
@@ -161,8 +174,10 @@ def forecast_from_cloud(cloud: ParticleEnsemble, horizon_days: int,
     if restart is None:
         raise ValueError("cloud members carry no end-of-window state")
     executor = executor or SerialExecutor()
-    tail = simulate_members(
-        executor, restart, _forecast_seeds(cloud, base_seed, 1), end_day=end,
+    seeds = _forecast_seeds(cloud, base_seed, 1)
+    [(tail, _)] = simulate_groups(
+        executor, [_restart_spec(restart, seeds)], end_day=end,
+        return_state=False,
         **resolve_shard_layout(executor, shard_size=shard_size,
                                n_shards=n_shards))
     return Forecast(start_day=start, horizon_days=horizon_days,

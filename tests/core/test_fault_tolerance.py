@@ -257,6 +257,24 @@ def _killer(stop_prefix):
     return progress
 
 
+def _shift_theta(window_dir):
+    """Move one posterior theta in ``state.json`` off its checkpoint row."""
+    path = window_dir / "state.json"
+    meta = json.loads(path.read_text())
+    meta["params"][0]["theta"] += 0.01
+    path.write_text(json.dumps(meta))
+
+
+def _shift_day(window_dir):
+    """Move the checkpoints' clock one day past the window's end."""
+    path = window_dir / "checkpoints.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        columns = {name: npz[name] for name in npz.files}
+    columns["day"] = columns["day"] + 1
+    with open(path, "wb") as fh:
+        np.savez(fh, **columns)
+
+
 class TestKillAndResume:
     def test_resume_is_bit_identical(self, small_truth, tmp_path):
         store_dir = tmp_path / "ckpt"
@@ -318,6 +336,23 @@ class TestKillAndResume:
         with pytest.raises(CheckpointError, match="disagree on parameters"):
             make_calibrator(small_truth, breaks=(8, 16)).run(
                 small_truth.observations(), store=store, resume=True)
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_shift_theta, "checkpoint thetas differ"),
+        (_shift_day, "stop at day 17 but the window ends at day 16"),
+    ], ids=["theta", "day"])
+    def test_tampered_restart_refused(self, small_truth, tmp_path, tamper,
+                                      message):
+        """A window whose checkpoints disagree with its posterior's thetas
+        or end day is refused, instead of restoring a posterior whose
+        jitter and forecast would run on different thetas."""
+        store = CheckpointStore(tmp_path)
+        make_calibrator(small_truth, breaks=(8, 16)).run(
+            small_truth.observations(), store=store)
+        tamper(tmp_path / "window_000")
+        with pytest.raises(CheckpointError, match=message):
+            make_calibrator(small_truth, breaks=(8, 16)).restore_latest_window(
+                store)
 
     def test_mismatched_configuration_refused(self, small_truth, tmp_path):
         store = CheckpointStore(tmp_path)

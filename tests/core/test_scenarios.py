@@ -27,8 +27,8 @@ from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                                   ScenarioRegistry, ScenarioSpec,
                                   get_scenario, register_scenario,
                                   scenario_set)
-from repro.hpc import ProcessExecutor, SerialExecutor
-from repro.hpc.sharding import GroupSpec, simulate_group_sets, simulate_groups
+from repro.hpc import ProcessExecutor
+from repro.hpc.sharding import simulate_groups
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.testing import (assert_runs_identical, parity_calibrator,
                            parity_sweep, parity_truth, window_oracle)
@@ -455,38 +455,3 @@ class TestSweepResume:
         with pytest.raises(ValueError, match="mild16"):
             parity_sweep(truth, ["baseline", MILD16]).run(
                 truth.observations(), stores=stores)
-
-
-# --------------------------------------------------------------------- #
-# flattened dispatch
-# --------------------------------------------------------------------- #
-class TestSimulateGroupSets:
-    @staticmethod
-    def _spec_set(base_seed, n=6):
-        params = DiseaseParameters(population=20_000, initial_exposed=40)
-        return [GroupSpec(params=params,
-                          seeds=base_seed + np.arange(n, dtype=np.int64),
-                          thetas=0.2 + 0.01 * np.arange(n), start_day=0)]
-
-    def test_flattened_dispatch_bit_identical_to_separate(self):
-        sets = [self._spec_set(100), self._spec_set(500, n=4)]
-        merged = simulate_group_sets(SerialExecutor(), sets, end_day=12,
-                                     n_shards=2)
-        assert len(merged) == len(sets)
-        for spec_set, got in zip(sets, merged):
-            lone = simulate_groups(SerialExecutor(), spec_set, end_day=12,
-                                   n_shards=2)
-            for ga, gb in zip(lone, got):
-                assert ga.bounds == gb.bounds
-                for ra, rb in zip(ga.results, gb.results):
-                    assert np.array_equal(ra.batch.channel_matrix("cases"),
-                                          rb.batch.channel_matrix("cases"))
-
-    def test_on_failures_length_validated(self):
-        sets = [self._spec_set(100)]
-        with pytest.raises(ValueError, match="on_failures"):
-            simulate_group_sets(SerialExecutor(), sets, end_day=8,
-                                on_failures=[None, None])
-
-    def test_empty_sets_allowed(self):
-        assert simulate_group_sets(SerialExecutor(), [], end_day=8) == []

@@ -8,7 +8,10 @@ Contract under test (see ``repro/hpc/sharding.py``):
   overlap each other's credible intervals; the scalar oracle is compared
   window by window in ``test_batched_simulation.py``);
 * ordered reassembly of the :class:`ParticleEnsemble` even when an
-  executor returns shard results out of order.
+  executor returns shard results out of order;
+* one dispatch for many specs: each spec's output is bit-identical to
+  dispatching it alone, and a shard failure reaches only the sink (and
+  the calibrator's progress) of the spec it belongs to.
 """
 
 import dataclasses
@@ -16,16 +19,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
-                        paper_window_jitter)
+from repro.core import (ParticleEnsemble, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
+                        paper_observation_model, paper_window_jitter)
+from repro.core.smc import simulate_windows
 from repro.data import PiecewiseConstant
-from repro.hpc import (ProcessExecutor, SerialExecutor, ShardRetryError,
-                       ShardTask, dispatch_shards, simulate_members)
-from repro.hpc.executor import CAUSE_DROPPED
+from repro.hpc import (GroupSpec, ProcessExecutor, SerialExecutor,
+                       ShardRetryError, ShardTask, dispatch_shards,
+                       simulate_groups)
+from repro.hpc.executor import CAUSE_DROPPED, CAUSE_EXCEPTION
+from repro.inference import forecast_from_posterior
 from repro.seir import (N_COMPARTMENTS, BatchedBinomialLeapEngine,
                         Compartment, DiseaseParameters, StackedLeapState)
 from repro.sim import make_ground_truth
+from repro.testing.chaos import ChaosExecutor, Fault, FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +43,10 @@ def small_truth():
                              rho_schedule=PiecewiseConstant.constant(0.7))
 
 
-def run_calibration(truth, *, executor=None,
+def make_calibrator(truth, *, executor=None,
                     shard_size=None, n_shards="auto", base_seed=17,
-                    breaks=(10, 20, 30), **config_kwargs):
-    calib = SequentialCalibrator(
+                    breaks=(10, 20, 30), progress=None, **config_kwargs):
+    return SequentialCalibrator(
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
@@ -49,8 +56,11 @@ def run_calibration(truth, *, executor=None,
                          resample_size=60, base_seed=base_seed,
                          shard_size=shard_size,
                          n_shards=n_shards, **config_kwargs),
-        executor=executor)
-    return calib.run(truth.observations())
+        executor=executor, progress=progress)
+
+
+def run_calibration(truth, **kwargs):
+    return make_calibrator(truth, **kwargs).run(truth.observations())
 
 
 def assert_runs_identical(a, b):
@@ -114,15 +124,13 @@ class TestConfigKnobs:
     def test_simulate_groups_accepts_only_the_batched_engine(self):
         """``engine=smc.engine`` still works; any other name is refused
         rather than silently run on the batched engine."""
-        from repro.hpc.sharding import GroupSpec, simulate_groups
-
         spec = GroupSpec(params=DiseaseParameters(population=1000,
                                                   initial_exposed=5),
                          seeds=np.array([1, 2], dtype=np.int64),
                          thetas=np.array([0.3, 0.3]), start_day=0)
-        [group] = simulate_groups(SerialExecutor(), [spec], end_day=3,
-                                  engine=SMCConfig.engine)
-        assert group.results[0].batch.n_particles == 2
+        [(batch, state)] = simulate_groups(SerialExecutor(), [spec],
+                                           end_day=3, engine=SMCConfig.engine)
+        assert batch.n_particles == state.n_particles == 2
         for name in ("binomial_leap", "gillespie", "event_driven"):
             with pytest.raises(ValueError, match="unknown batch engine"):
                 simulate_groups(SerialExecutor(), [spec], end_day=3,
@@ -355,15 +363,86 @@ class TestStructuralGroups:
 
     def test_restart_rows_run_under_their_record(self):
         """The rows restart as one batch under the record and their
-        thetas; an engine-only state has no parameters to run under."""
+        thetas; a forecast from an engine-only state has no parameters
+        to run under."""
         shared = self.state()
-        batch = simulate_members(SerialExecutor(), shared, [7, 8, 9],
-                                 end_day=12)
+        seeds = np.array([7, 8, 9], dtype=np.int64)
+        [(batch, state)] = simulate_groups(
+            SerialExecutor(), [GroupSpec(params=shared.params, seeds=seeds,
+                                         thetas=shared.thetas, state=shared)],
+            end_day=12, return_state=False)
         direct = BatchedBinomialLeapEngine.from_particle_snapshots(
-            shared, shared.params, seeds=[7, 8, 9],
+            shared, shared.params, seeds=seeds,
             thetas=shared.thetas).run_until(12)
-        assert batch.n_particles == 3
+        assert batch.n_particles == 3 and state is None
         assert np.array_equal(batch.infections, direct.infections)
         bare = dataclasses.replace(shared, params=None, thetas=None)
+        posterior = ParticleEnsemble.from_columns(
+            {"theta": shared.thetas, "rho": np.full(3, 0.7)}, seeds,
+            restart=bare)
         with pytest.raises(ValueError, match="no parameters"):
-            simulate_members(SerialExecutor(), bare, [7, 8, 9], end_day=12)
+            forecast_from_posterior(posterior, 2)
+
+
+class TestSimulateGroups:
+    """One dispatch for many specs (the window step's world-lines)."""
+
+    @staticmethod
+    def _spec(base_seed, n=6):
+        params = DiseaseParameters(population=20_000, initial_exposed=40)
+        return GroupSpec(params=params,
+                         seeds=base_seed + np.arange(n, dtype=np.int64),
+                         thetas=0.2 + 0.01 * np.arange(n), start_day=0)
+
+    def test_flattened_dispatch_bit_identical_to_separate(self):
+        specs = [self._spec(100), self._spec(500, n=4)]
+        spy = WideSerialExecutor(workers=1)
+        merged = simulate_groups(spy, specs, end_day=12, n_shards=2)
+        assert spy.task_counts == [4]  # both specs' shards, one map
+        assert len(merged) == len(specs)
+        for spec, (batch, state) in zip(specs, merged):
+            [(lone, lone_state)] = simulate_groups(
+                SerialExecutor(), [spec], end_day=12, n_shards=2)
+            for channel in ("cases", "deaths"):
+                assert np.array_equal(batch.channel_matrix(channel),
+                                      lone.channel_matrix(channel))
+            assert np.array_equal(state.counts, lone_state.counts)
+            assert np.array_equal(state.seeds, spec.seeds)
+
+    def test_on_failures_length_validated(self):
+        with pytest.raises(ValueError, match="on_failure has 2 entries"):
+            simulate_groups(SerialExecutor(), [self._spec(100)], end_day=8,
+                            on_failure=[None, None])
+
+    def test_empty_specs_allowed(self):
+        assert simulate_groups(SerialExecutor(), [], end_day=8) == []
+
+    def test_failure_routed_to_its_world_line_only(self, small_truth):
+        """A chaos crash in the second line's shard lands in that line's
+        ``shard_failures`` and progress alone, and the retried clouds keep
+        the fault-free bits."""
+        def clouds(executor, logs):
+            lines = [make_calibrator(small_truth, executor=executor,
+                                     n_shards=2, retry_attempts=2,
+                                     progress=log.append) for log in logs]
+            window = list(lines[0].schedule)[0]
+            return simulate_windows(lines, 0, window, [None, None],
+                                    [None, None])
+
+        # Line 0 owns shards 0-1 of the one dispatch, line 1 shards 2-3.
+        chaos = ChaosExecutor(SerialExecutor(), FaultPlan.scripted(
+            Fault(kind="crash", shard=3, attempt=1)))
+        logs = ([], [])
+        faulty = clouds(chaos, logs)
+        clean = clouds(SerialExecutor(), ([], []))
+        assert faulty[0].shard_failures == ()
+        [failure] = faulty[1].shard_failures
+        assert (failure.shard_id, failure.attempt, failure.cause) == \
+            (3, 1, CAUSE_EXCEPTION)
+        assert not any("failed" in line for line in logs[0])
+        assert [line for line in logs[1] if "failed" in line] == [
+            f"shard 3 attempt 1 failed [{CAUSE_EXCEPTION}] "
+            f"{failure.error}; retrying"]
+        for got, want in zip(faulty, clean):
+            assert np.array_equal(got.ensemble.segments.infections,
+                                  want.ensemble.segments.infections)

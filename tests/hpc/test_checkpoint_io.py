@@ -240,6 +240,21 @@ class TestCorruptWindowFile:
         with pytest.raises(CheckpointError, match=message):
             store.load_window_state(0)
 
+    @pytest.mark.parametrize("column, value", [("steps_per_day", 0),
+                                               ("day", -1)])
+    def test_impossible_clock_refused(self, tmp_path, checkpoints, column,
+                                      value):
+        """A clock no engine can restart from fails at load, not later
+        inside a shard."""
+        store = CheckpointStore(tmp_path)
+        store.save_window_state(0, checkpoints, META)
+
+        def set_clock(columns):
+            columns[column] = np.asarray(value, dtype=np.int64)
+        rewrite(window_file(store, 0), set_clock)
+        with pytest.raises(CheckpointError, match="impossible clock"):
+            store.load_window_state(0)
+
 
 class TestWindowFormat:
     """The one parameter record is written as per-row ``param_<field>``

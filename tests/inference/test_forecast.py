@@ -118,13 +118,17 @@ class TestForecastFromCloud:
         """Past the window's end every member restarts from its
         end-of-window state on the forecast stream: the first 7 days are
         the cloud, the rest the restart, day for day."""
-        from repro.hpc import SerialExecutor, simulate_members
+        from repro.hpc import GroupSpec, SerialExecutor, simulate_groups
         fc = forecast_from_cloud(cloud, horizon_days=12, base_seed=3)
         assert (fc.start_day, fc.batch.start_day, fc.batch.n_days) == \
             (20, 20, 12)
         assert cloud.restart.day == 27
-        tail = simulate_members(
-            SerialExecutor(), cloud.restart, _forecast_seeds(cloud, 3, 1),
+        restart = cloud.restart
+        [(tail, _)] = simulate_groups(
+            SerialExecutor(),
+            [GroupSpec(params=restart.params,
+                       seeds=_forecast_seeds(cloud, 3, 1),
+                       thetas=restart.thetas, state=restart)],
             end_day=32, n_shards=1)
         for channel in ("cases", "deaths", "hospital_census"):
             expected = np.hstack([cloud.segments.channel_matrix(channel),
@@ -170,12 +174,15 @@ class TestShardedBatchedForecast:
     def test_batched_is_the_auto_path(self, posterior):
         """The forecast is exactly one shared-helper batched dispatch over
         the stacked checkpoints."""
-        from repro.hpc import SerialExecutor, simulate_members
+        from repro.hpc import GroupSpec, SerialExecutor, simulate_groups
         fc = forecast_from_posterior(posterior, 6, base_seed=3)
-        direct = simulate_members(
-            SerialExecutor(), posterior.restart,
-            _forecast_seeds(posterior, 3, 1), end_day=fc.start_day + 6,
-            n_shards=1)
+        restart = posterior.restart
+        [(direct, _)] = simulate_groups(
+            SerialExecutor(),
+            [GroupSpec(params=restart.params,
+                       seeds=_forecast_seeds(posterior, 3, 1),
+                       thetas=restart.thetas, state=restart)],
+            end_day=fc.start_day + 6, n_shards=1)
         assert np.array_equal(fc.batch.infections, direct.infections)
         assert np.array_equal(fc.batch.deaths, direct.deaths)
 

@@ -11,7 +11,7 @@ from repro.core import (effective_sample_size, logsumexp,
                         normalize_log_weights, weighted_quantile)
 from repro.core.resampling import RESAMPLERS
 from repro.data import TimeSeries
-from repro.hpc import chunk_sizes, partition_bounds
+from repro.hpc import shard_bounds
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 log_weight_arrays = hnp.arrays(np.float64, st.integers(1, 60),
@@ -72,15 +72,20 @@ class TestResamplerInvariants:
 class TestPartitionInvariants:
     @given(st.integers(0, 200), st.integers(1, 16))
     def test_block_partition_complete_disjoint(self, n, parts):
-        covered = [i for lo, hi in partition_bounds(n, parts)
+        covered = [i for lo, hi in shard_bounds(n, n_shards=parts)
                    for i in range(lo, hi)]
         assert covered == list(range(n))
 
     @given(st.integers(0, 200), st.integers(1, 16))
     def test_chunk_sizes_sum(self, n, parts):
-        sizes = chunk_sizes(n, parts)
+        """Clamped to ``n`` parts, never empty, within one of each other
+        and largest first."""
+        sizes = [hi - lo for lo, hi in shard_bounds(n, n_shards=parts)]
         assert sum(sizes) == n
-        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) == min(n, parts)
+        assert all(size >= 1 for size in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 class TestSeriesInvariants:
