@@ -1,6 +1,6 @@
 """Resampling ablation — multinomial (the paper's choice) vs alternatives.
 
-DESIGN.md design choice: the paper resamples multinomially (Algorithm 1).
+The paper resamples multinomially (Algorithm 1).
 Classical results say systematic/stratified/residual resampling add less
 Monte-Carlo variance.  This bench quantifies the gap on weight profiles
 representative of the calibration (peaked likelihoods, sqrt-count Gaussian)

@@ -32,8 +32,8 @@ import os
 from pathlib import Path
 
 from _bench_util import time_best, write_payload
-from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
+from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
                         paper_window_jitter)
 from repro.core.scenarios import ScenarioSweep, scenario_set
 from repro.data import PiecewiseConstant
@@ -61,7 +61,7 @@ def _calibrator(truth, scenario, config: SMCConfig,
     return SequentialCalibrator(
         base_params=truth.params, prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=config, scenario=scenario)
 
@@ -91,7 +91,7 @@ def run_scenarios_bench(draws: int = DEFAULT_DRAWS,
         sweep = ScenarioSweep(
             base_params=truth.params, prior=paper_first_window_prior(),
             jitter=paper_window_jitter(),
-            observation_model=paper_observation_model(),
+            observation_model=ObservationModel(),
             schedule=WindowSchedule.from_breaks(list(breaks)),
             scenarios=specs, config=config)
         return sweep, sweep.run(observations)

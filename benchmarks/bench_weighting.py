@@ -7,9 +7,9 @@ the weighting step:
 * **scalar** — the per-particle reference loop
   (``repro.testing.loglik_reference``), and
 * **batched** — the production weighting path
-  (``ParticleEnsemble.segment_matrix`` + ``BinomialBiasModel.apply_batch`` +
-  ``GaussianTransformLikelihood.loglik_batch`` via
-  ``ObservationModel.loglik_ensemble``),
+  (``ObservationModel.loglik_ensemble``: ``ParticleEnsemble.segment_matrix``,
+  one binomial thinning call and one vectorised Gaussian-on-sqrt score per
+  stream),
 
 in both bias modes, and emits a ``BENCH_weighting.json`` baseline with
 per-path timings, particle throughput, and the batched/scalar speedup.  No
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from _bench_util import time_best, write_payload
-from repro.core import ParticleEnsemble, paper_observation_model
+from repro.core import ObservationModel, ParticleEnsemble
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.seir import BatchTrajectory, SeedSequenceBank
 from repro.testing import loglik_reference
@@ -81,7 +81,7 @@ def run_weighting_bench(n_particles: int = DEFAULT_PARTICLES,
         "modes": {},
     }
     for mode in ("mean", "sample"):
-        om = paper_observation_model(bias_mode=mode)
+        om = ObservationModel(bias_mode=mode)
 
         def scalar():
             r = bank.ancillary_generator(1, window_index=0)

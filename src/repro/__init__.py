@@ -20,7 +20,7 @@ Subpackages
 -----------
 ``repro.core``
     The SMC/SIS framework (particles, weights, resampling, priors,
-    proposals, likelihoods, bias model, windows, calibrator).
+    proposals, observation model, windows, calibrator).
 ``repro.seir``
     Stochastic SEIR simulator: the batched binomial-leap engine (the one
     engine every calibration, forecast and ground truth runs on),
@@ -40,9 +40,8 @@ Subpackages
     ASCII charts and CSV export of every figure's data.
 """
 
-from .core import (SequentialCalibrator, SMCConfig, paper_first_window_prior,
-                   paper_likelihood, paper_observation_model,
-                   paper_window_jitter)
+from .core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                   paper_first_window_prior, paper_window_jitter)
 from .inference import (CalibrationConfig, CalibrationResult, Forecast,
                         calibrate, forecast_from_posterior)
 from .seir import DiseaseParameters, chicago_defaults
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "SequentialCalibrator", "SMCConfig",
     "paper_first_window_prior", "paper_window_jitter",
-    "paper_observation_model", "paper_likelihood",
+    "ObservationModel",
     "calibrate", "CalibrationConfig",
     "CalibrationResult", "Forecast", "forecast_from_posterior",
     "DiseaseParameters", "chicago_defaults",

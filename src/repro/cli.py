@@ -483,7 +483,7 @@ def _cmd_serve(args) -> int:
     budget (restarting the daemon grants a fresh one).
     """
     from .core.smc import SequentialCalibrator
-    from .data.sources import _DEFAULT_STREAMS
+    from .data.sources import STREAMS
     from .hpc import CheckpointStore, RetryPolicy
     from .service import (ArtifactStore, CalibrationService,
                           ObservationBuffer, ServiceConfig, SpoolIngest)
@@ -497,10 +497,10 @@ def _cmd_serve(args) -> int:
     if not stream_names:
         _invalid(f"--streams must name at least one stream, "
                  f"got {args.streams!r}")
-    unknown = [s for s in stream_names if s not in _DEFAULT_STREAMS]
+    unknown = [s for s in stream_names if s not in STREAMS]
     if unknown:
         raise SystemExit(f"--streams {unknown} not in "
-                         f"{sorted(_DEFAULT_STREAMS)}")
+                         f"{sorted(STREAMS)}")
     if args.keep_last is not None and args.keep_last < 1:
         raise SystemExit("--keep-last must be >= 1")
     if args.poll_seconds < 0:
@@ -559,7 +559,7 @@ def _cmd_serve(args) -> int:
         frontier = (cfg.schedule()[service.head].end_day
                     if service.head is not None else 0)
         buffer = ObservationBuffer(
-            streams={name: _DEFAULT_STREAMS[name] for name in stream_names},
+            streams={name: STREAMS[name] for name in stream_names},
             frontier=frontier)
         ingest = SpoolIngest(args.spool, buffer, quarantine_path=quarantine)
 

@@ -1,11 +1,9 @@
 """Core SMC/SIS framework — the paper's primary contribution."""
 
 from .adaptive import TemperedResult, temper_and_resample
-from .bias import BinomialBiasModel
 from .diagnostics import WindowDiagnostics, compute_diagnostics
 from .ensemble_control import SIZE_POLICY_NAMES, ESSTargetPolicy
-from .likelihood import GaussianTransformLikelihood, paper_likelihood
-from .observation import ObservationModel, SourceModel, paper_observation_model
+from .observation import ObservationModel
 from .particle import Particle, ParticleEnsemble
 from .posterior import (TrajectoryRibbon, hpd_region_mass, joint_density_grid,
                         marginal_histogram, trajectory_ribbon)
@@ -41,9 +39,7 @@ __all__ = [
     "paper_first_window_prior",
     "JitterKernel", "UniformJitter", "JointJitter",
     "paper_window_jitter",
-    "GaussianTransformLikelihood", "paper_likelihood",
-    "BinomialBiasModel",
-    "ObservationModel", "SourceModel", "paper_observation_model",
+    "ObservationModel",
     "TimeWindow", "WindowSchedule",
     "RESAMPLERS", "get_resampler", "multinomial_resample",
     "systematic_resample", "stratified_resample", "residual_resample",

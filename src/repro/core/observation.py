@@ -1,121 +1,156 @@
-"""Observation model: bias + likelihood per data source.
+"""The observation model (paper section IV-A, eqs. 2-4).
 
 This is the glue between a window's simulated ensemble and the observed
-data streams.  Each :class:`SourceModel` declares which simulator channel
-it reads, whether the binomial reporting bias applies (the paper biases
-cases but not deaths), and the noise scale of its Gaussian-on-sqrt-counts
-likelihood.  :meth:`ObservationModel.loglik_ensemble` sums the per-source
-log-likelihoods for the sources actually present in an observation window
-— calibrating to cases alone (Fig 3/4) or to cases and deaths (Fig 5) is
-purely a matter of which streams the
-:class:`~repro.data.sources.ObservationSet` carries.  It is the only
-weighting code a calibration runs; :mod:`repro.testing.weighting` holds the
-per-particle reference it is checked against.
+data streams.  The paper defines one observation model with two knobs:
+
+* Cases are a binomial thinning of the simulated counts (eq. 2),
+  ``eta_obs_t ~ Binomial(eta_t(theta, s), rho)``; deaths are not thinned
+  ("We do not assume any reporting bias on death counts", section V).
+* Each stream is scored by an independent Gaussian on square-root counts
+  with one noise scale ``sigma`` (eq. 3; ``sigma = 1`` in section V-B).  The
+  square root is the variance-stabilising transform for Poisson-like
+  counts, so one ``sigma`` is meaningful across orders of magnitude.  The
+  streams' log-likelihoods add (eq. 4).
+
+Which simulator channel a stream reads and whether it is thinned is
+declared once, in :data:`repro.data.sources.STREAMS`; an observed stream
+whose own declaration disagrees with that table is refused.  Calibrating to
+cases alone (Fig 3/4) or to cases and deaths (Fig 5) is purely a matter of
+which streams the :class:`~repro.data.sources.ObservationSet` carries.
+
+``bias_mode`` picks how thinning is evaluated: ``"sample"`` draws the
+binomial (the paper's construction; the weight stays an unbiased
+pseudo-marginal estimate), ``"mean"`` uses ``rho * eta_t`` (deterministic,
+ignoring the thinning noise).
+
+Draw-order contract (``sample`` mode)
+-------------------------------------
+Each thinned stream is thinned with **one** ``rng.binomial`` call over its
+``(n_particles, n_days)`` count matrix.  NumPy fills broadcast variate
+arrays in C order, so the stream is consumed particle-major, day-minor.
+Several thinned streams are thinned stream-major in observation-set order,
+each over exactly the observed window's days.  A fixed ``base_seed``
+therefore makes weighting bit-reproducible.  :meth:`loglik_ensemble` is the
+only weighting code a calibration runs; :mod:`repro.testing.weighting`
+holds the per-particle reference it is checked against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..data.series import TimeSeries
-from ..data.sources import CASES, DEATHS, ObservationSet
-from .bias import BinomialBiasModel
-from .likelihood import GaussianTransformLikelihood, paper_likelihood
+from ..data.sources import STREAMS, ObservationSet, ObservationSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .particle import ParticleEnsemble
 
-__all__ = ["SourceModel", "ObservationModel", "paper_observation_model"]
+__all__ = ["ObservationModel"]
 
 
-class SourceModel:
-    """Bias + likelihood configuration for one observed stream."""
+def _thin(counts: np.ndarray, rho: np.ndarray, mode: str,
+          rng: np.random.Generator | None) -> np.ndarray:
+    """Simulated observed counts: each row of ``counts`` thinned with its
+    particle's ``rho`` (one binomial call in ``sample`` mode).
 
-    def __init__(self, name: str, channel: str, *,
-                 biased: bool = True,
-                 likelihood: GaussianTransformLikelihood | None = None,
-                 bias: BinomialBiasModel | None = None) -> None:
-        self.name = name
-        self.channel = channel
-        self.biased = bool(biased)
-        self.likelihood = likelihood if likelihood is not None else paper_likelihood()
-        self.bias = bias if bias is not None else BinomialBiasModel("sample")
-
-    def simulated_observed_batch(self, segments: np.ndarray, rho: np.ndarray,
-                                 rng: np.random.Generator | None) -> np.ndarray:
-        """The ensemble's simulated *observed* counts for this stream.
-
-        ``segments`` is the ``(n_particles, n_days)`` raw channel matrix and
-        ``rho`` the per-particle reporting probabilities.  A biased stream
-        is thinned with each particle's rho; an unbiased one (the paper's
-        death stream) passes through untouched and consumes no randomness.
-        """
-        matrix = np.asarray(segments, dtype=np.float64)
-        if not self.biased:
-            return matrix
-        return self.bias.apply_batch(matrix, rho, rng)
-
-    def loglik_batch(self, observed: TimeSeries, segments: np.ndarray,
-                     rho: np.ndarray,
-                     rng: np.random.Generator | None) -> np.ndarray:
-        """Per-particle log-likelihoods of one observed window.
-
-        ``segments`` must already be windowed to the observed day range
-        (``ParticleEnsemble.segment_matrix`` does this in one pass).
-        """
-        simulated = self.simulated_observed_batch(segments, rho, rng)
-        if simulated.ndim != 2 or simulated.shape[1] != len(observed):
-            raise ValueError(
-                f"segments not aligned with observed window: got shape "
-                f"{simulated.shape}, expected (n_particles, {len(observed)})")
-        return self.likelihood.loglik_batch(observed.values, simulated)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SourceModel({self.name!r}, channel={self.channel!r}, "
-                f"biased={self.biased}, likelihood={self.likelihood!r})")
+    ``rho = 0`` is refused: a zero reporting rate makes every observation
+    identically zero and the likelihood degenerate.
+    """
+    if counts.ndim != 2:
+        raise ValueError(
+            f"true_counts must be (n_particles, n_days), got shape {counts.shape}")
+    if rho.shape != (counts.shape[0],):
+        raise ValueError(
+            f"rho must have one entry per particle: expected shape "
+            f"({counts.shape[0]},), got {rho.shape}")
+    if np.any((rho <= 0.0) | (rho > 1.0)):
+        raise ValueError("every rho must be in (0, 1]")
+    if np.any(counts < 0):
+        raise ValueError("true counts must be non-negative")
+    if mode == "mean":
+        return rho[:, None] * counts
+    if rng is None:
+        raise ValueError("sample mode requires an rng")
+    n = np.rint(counts).astype(np.int64)
+    return rng.binomial(n, rho[:, None]).astype(np.float64)
 
 
+def _sqrt_gaussian_loglik(observed: np.ndarray, simulated: np.ndarray,
+                          sigma: float) -> np.ndarray:
+    """Eq. 3 for every row: ``-n/2 log(2 pi sigma^2) - 1/(2 sigma^2)
+    sum_t (sqrt(y_t) - sqrt(eta_t))^2``.
+
+    ``observed`` is the ``(n_days,)`` window and ``simulated`` the
+    ``(n_particles, n_days)`` simulated observed counts.  The square root of
+    a negative count has no meaning, so such a count is refused.
+    """
+    y = np.asarray(observed, dtype=np.float64)
+    eta = np.asarray(simulated, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError(f"observed must be 1-d, got shape {y.shape}")
+    if eta.ndim != 2:
+        raise ValueError(
+            f"simulated must be (n_particles, n_days), got shape {eta.shape}")
+    if eta.shape[1] != y.size:
+        raise ValueError(
+            f"day-axis mismatch: observed {y.size} days vs simulated {eta.shape[1]}")
+    if y.size == 0:
+        raise ValueError("empty observation window")
+    if np.any(y < 0) or np.any(eta < 0):
+        raise ValueError("sqrt transform requires non-negative counts")
+    resid = np.sqrt(y)[None, :] - np.sqrt(eta)
+    n = y.size
+    return (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
+            - 0.5 * np.einsum("ij,ij->i", resid, resid) / sigma**2)
+
+
+def _wiring(source: ObservationSource) -> tuple[str, bool]:
+    """The modelled ``(channel, biased)`` of an observed stream.
+
+    Weighing a stream the model does not know, or one whose own declaration
+    disagrees with the model's, would silently corrupt the posterior.
+    """
+    if source.name not in STREAMS:
+        raise KeyError(
+            f"no observation model for observed stream {source.name!r}; "
+            f"modelled: {sorted(STREAMS)}")
+    wiring = STREAMS[source.name]
+    declared = (source.channel, source.biased)
+    if declared != wiring:
+        raise ValueError(
+            f"observed stream {source.name!r} declares (channel, biased) = "
+            f"{declared}, but the observation model weighs it as {wiring}")
+    return wiring
+
+
+@dataclass(frozen=True)
 class ObservationModel:
-    """Name-keyed bundle of :class:`SourceModel` objects."""
+    """The paper's observation model: thinning mode and likelihood noise."""
 
-    def __init__(self, sources: Mapping[str, SourceModel]) -> None:
-        if not sources:
-            raise ValueError("need at least one source model")
-        for key, model in sources.items():
-            if key != model.name:
-                raise ValueError(f"source key {key!r} != model name {model.name!r}")
-        self._sources = dict(sources)
+    sigma: float = 1.0
+    bias_mode: str = "sample"
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._sources)
-
-    def source(self, name: str) -> SourceModel:
-        return self._sources[name]
-
-    def _require_source(self, name: str) -> SourceModel:
-        """The model for an observed stream; silently ignoring data would
-        corrupt the posterior, so an unconfigured stream is an error."""
-        if name not in self._sources:
-            raise KeyError(
-                f"no SourceModel configured for observed stream "
-                f"{name!r}; configured: {sorted(self._sources)}")
-        return self._sources[name]
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if self.bias_mode not in ("sample", "mean"):
+            raise ValueError(f"bias_mode must be 'sample' or 'mean', "
+                             f"got {self.bias_mode!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def loglik_ensemble(self, observations: ObservationSet,
                         ensemble: "ParticleEnsemble", rho: np.ndarray,
                         rng: np.random.Generator | None) -> np.ndarray:
         """Log-likelihood of every particle over the streams present.
 
-        Returns the ``(n_particles,)`` vector of summed per-source
-        log-likelihoods.  Sources are evaluated in observation-set order and
-        each biased source thins the whole ensemble with one batched binomial
-        call (source-major draw order; see :mod:`repro.core.bias`).  A
-        stream in ``observations`` without a configured source model is an
-        error (silently ignoring data would corrupt the posterior); sources
-        configured but absent from the data are simply unused.
+        Returns the ``(n_particles,)`` vector of summed per-stream
+        log-likelihoods, evaluated in observation-set order (see the module
+        docstring for the draw order).  An observed stream missing from
+        :data:`~repro.data.sources.STREAMS` is a ``KeyError``; one declaring
+        another channel or thinning than the table is a ``ValueError``.
         """
         rho_arr = np.asarray(rho, dtype=np.float64)
         if rho_arr.shape != (len(ensemble),):
@@ -123,43 +158,31 @@ class ObservationModel:
                 f"rho must have one entry per particle: expected shape "
                 f"({len(ensemble)},), got {rho_arr.shape}")
         total = np.zeros(len(ensemble), dtype=np.float64)
-        for obs_source in observations:
-            model = self._require_source(obs_source.name)
-            segments = ensemble.segment_matrix(model.channel,
-                                               obs_source.series.start_day,
-                                               obs_source.series.end_day)
-            total += model.loglik_batch(obs_source.series, segments, rho_arr,
-                                        rng)
+        for source in observations:
+            channel, biased = _wiring(source)
+            observed = source.series
+            simulated = np.asarray(
+                ensemble.segment_matrix(channel, observed.start_day,
+                                        observed.end_day), dtype=np.float64)
+            if biased:
+                simulated = _thin(simulated, rho_arr, self.bias_mode, rng)
+            if simulated.ndim != 2 or simulated.shape[1] != len(observed):
+                raise ValueError(
+                    f"segments not aligned with observed window: got shape "
+                    f"{simulated.shape}, expected (n_particles, {len(observed)})")
+            total += _sqrt_gaussian_loglik(observed.values, simulated,
+                                           self.sigma)
         return total
 
     def fingerprint_payload(self) -> dict[str, dict[str, object]]:
         """JSON-stable identity of everything here that moves the weights:
-        per source its channel and sigma, plus the bias mode when biased."""
+        per modelled stream its channel and sigma, plus the bias mode when
+        thinned."""
         payload: dict[str, dict[str, object]] = {}
-        for name, model in self._sources.items():
-            entry: dict[str, object] = {"channel": model.channel,
-                                        "sigma": model.likelihood.sigma}
-            if model.biased:
-                entry["bias"] = model.bias.mode
+        for name, (channel, biased) in STREAMS.items():
+            entry: dict[str, object] = {"channel": channel,
+                                        "sigma": self.sigma}
+            if biased:
+                entry["bias"] = self.bias_mode
             payload[name] = entry
         return payload
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ObservationModel(sources={sorted(self._sources)})"
-
-
-def paper_observation_model(sigma: float = 1.0,
-                            bias_mode: str = "sample") -> ObservationModel:
-    """Cases (binomially biased) + deaths (unbiased), Gaussian sqrt likelihoods.
-
-    Matches section V: "We do not assume any reporting bias on death counts,
-    instead we use a Gaussian error model on the square-root counts similar
-    to reported case counts."
-    """
-    bias = BinomialBiasModel(bias_mode)
-    return ObservationModel({
-        CASES: SourceModel(CASES, CASES, biased=True,
-                           likelihood=paper_likelihood(sigma), bias=bias),
-        DEATHS: SourceModel(DEATHS, DEATHS, biased=False,
-                            likelihood=paper_likelihood(sigma)),
-    })

@@ -40,10 +40,9 @@ columnar :class:`ParticleEnsemble` from the concatenated shard outputs
 field is fixed: each member's theta draw is its transmission rate, every
 other field is the window's base parameters, so a window's cloud is one
 batch (one :class:`~repro.hpc.sharding.GroupSpec`).  Weighting slices the
-segments once per source (``ParticleEnsemble.segment_matrix``), thins them
-with one binomial call (``BinomialBiasModel.apply_batch``) and scores them
-with one vectorised likelihood evaluation per source
-(``ObservationModel.loglik_ensemble``).  All per-window ancillary randomness
+segments once per stream (``ParticleEnsemble.segment_matrix``), thins the
+case stream with one binomial call and scores each stream with one
+vectorised likelihood evaluation (``ObservationModel.loglik_ensemble``).  All per-window ancillary randomness
 (jitter, bias thinning, resampling) draws from window-indexed streams of the
 :class:`~repro.seir.seeding.SeedSequenceBank`, so no two windows ever share
 a random stream.  No per-particle object is built on this path: proposals
@@ -87,7 +86,7 @@ from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
                           compute_diagnostics)
 from .ensemble_control import SIZE_POLICY_NAMES, ESSTargetPolicy
-from .observation import ObservationModel, paper_observation_model
+from .observation import ObservationModel
 from .particle import ParticleEnsemble
 from .priors import IndependentProduct
 from .proposals import JointJitter
@@ -362,7 +361,7 @@ class SequentialCalibrator:
     jitter:
         Window-to-window proposal kernels for the same parameter names.
     observation_model:
-        Bias + likelihood configuration per observed stream.
+        Thinning mode and likelihood noise of the observed streams.
     schedule:
         Calibration windows (plus burn-in start).
     config:
@@ -592,9 +591,9 @@ class SequentialCalibrator:
         # way — the key appears only when the scenario changes the bits.
         if self.scenario is not None and not self.scenario.is_baseline:
             fingerprint["scenario"] = self.scenario.fingerprint_payload()
-        observation = self.observation_model.fingerprint_payload()
-        if observation != paper_observation_model().fingerprint_payload():
-            fingerprint["observation"] = observation
+        observation = self.observation_model
+        if observation != ObservationModel():
+            fingerprint["observation"] = observation.fingerprint_payload()
         if tuple(streams) != (CASES,):
             fingerprint["streams"] = list(streams)
         return fingerprint

@@ -8,7 +8,7 @@ reader, which reads the layout :func:`repro.viz.write_series_csv` writes.
 
 from .schedule import FIG2_RHO_SCHEDULE, FIG2_THETA_SCHEDULE, PiecewiseConstant
 from .series import TimeSeries
-from .sources import (CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS,
+from .sources import (CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS, STREAMS,
                       ObservationSet, ObservationSource)
 from .synthetic import binomial_thin
 from .validation import (ObservationDefect, ObservationValidationError,
@@ -19,7 +19,7 @@ __all__ = [
     "TimeSeries",
     "PiecewiseConstant", "FIG2_THETA_SCHEDULE", "FIG2_RHO_SCHEDULE",
     "ObservationSource", "ObservationSet",
-    "CASES", "DEATHS", "HOSPITAL_CENSUS", "ICU_CENSUS",
+    "CASES", "DEATHS", "HOSPITAL_CENSUS", "ICU_CENSUS", "STREAMS",
     "binomial_thin",
     "ObservationDefect", "ObservationValidationError",
     "find_defects", "find_series_defects", "find_row_defects",

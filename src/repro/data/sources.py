@@ -16,7 +16,7 @@ from typing import Iterator
 from .series import TimeSeries
 
 __all__ = ["ObservationSource", "ObservationSet", "CASES", "DEATHS",
-           "HOSPITAL_CENSUS", "ICU_CENSUS", "CHANNELS"]
+           "HOSPITAL_CENSUS", "ICU_CENSUS", "CHANNELS", "STREAMS"]
 
 #: Canonical simulator output channel names.
 CASES = "cases"
@@ -26,8 +26,12 @@ ICU_CENSUS = "icu_census"
 
 CHANNELS = frozenset({CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS})
 
-#: Default stream -> (channel, biased) wiring matching the paper's setup.
-_DEFAULT_STREAMS: dict[str, tuple[str, bool]] = {
+#: The modelled streams: name -> (channel, biased), the paper's setup
+#: (cases thinned, deaths not).  The one declaration of this wiring: the
+#: observation model weighs and fingerprints by it and refuses a stream
+#: that declares otherwise; the service buffers and ``serve --streams``
+#: default to it.
+STREAMS: dict[str, tuple[str, bool]] = {
     "cases": (CASES, True),
     "deaths": (DEATHS, False),
 }

@@ -7,8 +7,9 @@ true event is independently observed with probability ``rho_t``, so
     observed_t ~ Binomial(true_t, rho_t)
 
 with ``rho_t`` following the piecewise-constant schedule of the experiment.
-This module implements that thinning, the deterministic mean-thinning variant
-(``observed_t = rho_t * true_t``).
+This module implements that thinning for the ground truth; the thinning the
+calibrator weighs particles with (and its ``mean`` mode) lives in
+:mod:`repro.core.observation`.
 """
 
 from __future__ import annotations

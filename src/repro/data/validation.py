@@ -4,7 +4,7 @@ Surveillance feeds are messy: NaN placeholders, negative "correction" rows,
 duplicated report dates, days arriving out of order.  Feeding any of those
 to the calibrator silently corrupts windowed likelihoods (a NaN poisons a
 whole window's weights; a negative count has no square root in the
-likelihood of :mod:`repro.core.likelihood`).  This module is the one
+likelihood of :mod:`repro.core.observation`).  This module is the one
 shared gate: :func:`repro.inference.calibrate` and the streaming service
 intake (the one CSV reader) funnel observations through the same defect
 detector, so a bad value is rejected with the same structured record

@@ -24,7 +24,7 @@ Batch RNG contract
 ------------------
 All members draw from **one** shared generator keyed by the *ordered* seed
 vector (:func:`~repro.seir.seeding.batch_generator_for`; see the draw-order
-precedent in :mod:`repro.core.bias`).  Consequences, in contract form:
+precedent in :mod:`repro.core.observation`).  Consequences, in contract form:
 
 * A batched run is bit-reproducible given ``(base_seed, seed vector,
   ensemble order)`` — the calibrator derives the seed vector from its

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..data.series import TimeSeries
-from ..data.sources import _DEFAULT_STREAMS, ObservationSet, ObservationSource
+from ..data.sources import STREAMS, ObservationSet, ObservationSource
 from ..data.validation import ObservationDefect, find_row_defects
 
 __all__ = ["IngestError", "ObservationBuffer", "SpoolIngest",
@@ -104,7 +104,7 @@ class ObservationBuffer:
     def __init__(self, streams: Mapping[str, tuple[str, bool]] | None = None,
                  *, frontier: int = 0) -> None:
         self._streams: dict[str, tuple[str, bool]] = dict(
-            streams if streams is not None else _DEFAULT_STREAMS)
+            streams if streams is not None else STREAMS)
         if not self._streams:
             raise ValueError("at least one stream must be configured")
         self._frontier = int(frontier)

@@ -26,8 +26,8 @@ from dataclasses import replace
 
 from numpy import array_equal
 
-from ..core import (SequentialCalibrator, SMCConfig, WindowSchedule,
-                    paper_first_window_prior, paper_observation_model,
+from ..core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                    WindowSchedule, paper_first_window_prior,
                     paper_window_jitter)
 from ..core.scenarios import ScenarioSweep
 from ..data import PiecewiseConstant
@@ -186,7 +186,7 @@ def parity_calibrator(truth, *, scenario=None, executor=None,
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=parity_config(base_seed, **config_kwargs),
         executor=executor, progress=progress, scenario=scenario)
@@ -200,7 +200,7 @@ def parity_sweep(truth, scenarios, *, executor=None, breaks=_PARITY_BREAKS,
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         scenarios=scenarios,
         config=parity_config(base_seed, **config_kwargs),

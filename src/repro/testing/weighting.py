@@ -5,24 +5,23 @@ thin the particle's counts (paper eq. 2), take square roots and sum the
 Gaussian terms (eq. 3) per observed source, then add the sources (eq. 4).
 No production path calls it.  It is the oracle the batched
 :meth:`~repro.core.observation.ObservationModel.loglik_ensemble` is checked
-against, and it calls none of the batched code
-(``BinomialBiasModel.apply_batch``, ``GaussianTransformLikelihood.loglik_batch``),
-so the two stay independent implementations of one formula.
+against, and it reads only the model's two fields (``sigma`` and
+``bias_mode``) and the stream table :data:`~repro.data.sources.STREAMS`,
+calling none of the batched thinning or scoring code, so the two stay
+independent implementations of one formula.
 
 Draw order (``sample`` mode)
 ----------------------------
-The reference thins particle by particle, and within a particle source by
-source in observation-set order.  With several biased sources its draws
-therefore interleave per particle across sources, while the batched path
-thins source-major (see :mod:`repro.core.bias`): the thinned counts are
-equal in distribution but not bit-identical.  With a *single* biased
-source (the paper's cases-only bias) the two orders coincide, so the two
-paths agree bit for bit in both bias modes — provided each particle's
-segment exactly spans the observed window.  The reference thins a
-segment's *full* day range before windowing, so a wider segment consumes
-extra draws for the out-of-window days and shifts the stream relative to
-the batched path, which the calibrator always hands segments cut to the
-window.  In ``mean`` mode the paths agree to float summation order.
+The reference thins particle by particle, the batched path one stream at
+a time over every particle (see :mod:`repro.core.observation`).  Only the
+case stream is thinned (:data:`~repro.data.sources.STREAMS`), so the two
+orders coincide and the paths agree bit for bit in both bias modes —
+provided each particle's segment exactly spans the observed window.  The
+reference thins a segment's *full* day range before windowing, so a wider
+segment consumes extra draws for the out-of-window days and shifts the
+stream relative to the batched path, which the calibrator always hands
+segments cut to the window.  In ``mean`` mode the paths agree to float
+summation order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from ..core.observation import ObservationModel
 from ..core.particle import ParticleEnsemble
 from ..data.series import TimeSeries
-from ..data.sources import ObservationSet
+from ..data.sources import STREAMS, ObservationSet
 from ..seir.batch_engine import BatchTrajectory
 
 __all__ = ["thin", "gaussian_sqrt_loglik", "particle_loglik",
@@ -44,7 +43,7 @@ def thin(counts: np.ndarray, rho: float, mode: str,
     """One particle's simulated observed counts under reporting rate ``rho``.
 
     ``mode`` is ``"sample"`` (binomial draw, needs ``rng``) or ``"mean"``
-    (``rho * counts``), as in :class:`~repro.core.bias.BinomialBiasModel`.
+    (``rho * counts``), as in :class:`~repro.core.observation.ObservationModel`.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -82,15 +81,15 @@ def particle_loglik(model: ObservationModel, observations: ObservationSet,
     one-row batch)."""
     total = 0.0
     for obs_source in observations:
-        source = model.source(obs_source.name)
-        values = trajectory.channel_matrix(source.channel)[0]
-        if source.biased:
-            values = thin(values, rho, source.bias.mode, rng)
+        channel, biased = STREAMS[obs_source.name]
+        values = trajectory.channel_matrix(channel)[0]
+        if biased:
+            values = thin(values, rho, model.bias_mode, rng)
         observed = obs_source.series
         simulated = TimeSeries(trajectory.start_day, values).window(
             observed.start_day, observed.end_day)
         total += gaussian_sqrt_loglik(observed.values, simulated.values,
-                                      source.likelihood.sigma)
+                                      model.sigma)
     return total
 
 

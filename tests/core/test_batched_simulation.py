@@ -13,10 +13,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct,
+from repro.core import (Beta, Dirac, IndependentProduct, ObservationModel,
                         SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
-                        paper_window_jitter)
+                        paper_first_window_prior, paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import SerialExecutor
 from repro.hpc.sharding import simulate_groups
@@ -48,7 +47,7 @@ def calibrator(schedule, truth, *, base_seed=17, executor=None,
         base_params=truth.params,
         prior=prior or paper_first_window_prior(),
         jitter=jitter or paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=schedule,
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,

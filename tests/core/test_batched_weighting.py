@@ -1,7 +1,7 @@
 """Unit tests for the vectorized ensemble weighting subsystem.
 
-Covers the batched stack end to end: ``BinomialBiasModel.apply_batch``,
-``GaussianTransformLikelihood.loglik_batch``,
+Covers the batched stack end to end: the thinning and the
+Gaussian-on-sqrt scoring beside ``ObservationModel``,
 ``ParticleEnsemble.segment_matrix``, ``ObservationModel.loglik_ensemble``,
 and its parity with the per-particle reference
 (:mod:`repro.testing.weighting`) on a real calibrator window.
@@ -10,16 +10,12 @@ and its parity with the per-particle reference
 import numpy as np
 import pytest
 
-from repro.core import (BinomialBiasModel, GaussianTransformLikelihood,
-                        ParticleEnsemble, SMCConfig,
-                        paper_likelihood, paper_observation_model)
+from repro.core import ObservationModel, ParticleEnsemble, SMCConfig
+from repro.core.observation import _sqrt_gaussian_loglik, _thin
 from repro.data import CASES, DEATHS, ObservationSet, ObservationSource, TimeSeries
 from repro.hpc.sharding import simulate_groups
 from repro.seir import BatchTrajectory
 from repro.testing.weighting import gaussian_sqrt_loglik, loglik_reference, thin
-
-GAUSSIANS = [paper_likelihood(), GaussianTransformLikelihood(sigma=2.5)]
-
 
 def count_matrix(rng, n=20, d=14, hi=400):
     return rng.integers(0, hi, size=(n, d)).astype(np.float64)
@@ -49,8 +45,7 @@ class TestApplyBatch:
     def test_mean_mode_matches_per_particle(self, rng):
         counts = count_matrix(rng)
         rho = rng.uniform(0.1, 1.0, size=counts.shape[0])
-        m = BinomialBiasModel("mean")
-        batched = m.apply_batch(counts, rho)
+        batched = _thin(counts, rho, "mean", None)
         rows = np.vstack([thin(counts[i], rho[i], "mean")
                           for i in range(len(rho))])
         assert np.array_equal(batched, rows)
@@ -60,10 +55,9 @@ class TestApplyBatch:
         exactly as a particle-major sequential loop would."""
         counts = count_matrix(rng)
         rho = rng.uniform(0.1, 1.0, size=counts.shape[0])
-        m = BinomialBiasModel("sample")
         r1 = np.random.Generator(np.random.PCG64(7))
         r2 = np.random.Generator(np.random.PCG64(7))
-        batched = m.apply_batch(counts, rho, r1)
+        batched = _thin(counts, rho, "sample", r1)
         rows = np.vstack([thin(counts[i], rho[i], "sample", r2)
                           for i in range(len(rho))])
         assert np.array_equal(batched, rows)
@@ -71,59 +65,57 @@ class TestApplyBatch:
     def test_sample_bounded_by_true(self, rng):
         counts = count_matrix(rng)
         rho = rng.uniform(0.1, 1.0, size=counts.shape[0])
-        out = BinomialBiasModel("sample").apply_batch(counts, rho, rng)
+        out = _thin(counts, rho, "sample", rng)
         assert np.all(out >= 0)
         assert np.all(out <= counts)
 
     def test_sample_requires_rng(self, rng):
         with pytest.raises(ValueError, match="rng"):
-            BinomialBiasModel("sample").apply_batch(
-                count_matrix(rng), np.full(20, 0.5))
+            _thin(count_matrix(rng), np.full(20, 0.5), "sample", None)
 
     def test_matrix_shape_enforced(self, rng):
         with pytest.raises(ValueError, match="n_particles, n_days"):
-            BinomialBiasModel("mean").apply_batch(np.zeros(5), np.full(5, 0.5))
+            _thin(np.zeros(5), np.full(5, 0.5), "mean", None)
 
     def test_rho_per_particle_enforced(self, rng):
         counts = count_matrix(rng, n=6)
         with pytest.raises(ValueError, match="one entry per particle"):
-            BinomialBiasModel("mean").apply_batch(counts, np.full(4, 0.5))
+            _thin(counts, np.full(4, 0.5), "mean", None)
 
     def test_rho_range_validated(self, rng):
         counts = count_matrix(rng, n=3)
         for bad in (0.0, -0.2, 1.3):
             rho = np.array([0.5, bad, 0.7])
             with pytest.raises(ValueError, match="rho"):
-                BinomialBiasModel("mean").apply_batch(counts, rho)
+                _thin(counts, rho, "mean", None)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            BinomialBiasModel("mean").apply_batch(
-                np.array([[1.0, -2.0]]), np.array([0.5]))
+            _thin(np.array([[1.0, -2.0]]), np.array([0.5]), "mean", None)
 
 
 class TestLoglikBatch:
-    @pytest.mark.parametrize("lik", GAUSSIANS, ids=repr)
-    def test_matches_scalar_rows(self, lik, rng):
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_matches_scalar_rows(self, sigma, rng):
         y = rng.integers(0, 300, size=14).astype(float)
         eta = count_matrix(rng, n=25)
-        batched = lik.loglik_batch(y, eta)
-        scalar = np.array([gaussian_sqrt_loglik(y, row, lik.sigma)
+        batched = _sqrt_gaussian_loglik(y, eta, sigma)
+        scalar = np.array([gaussian_sqrt_loglik(y, row, sigma)
                            for row in eta])
         assert batched.shape == (25,)
         assert np.allclose(batched, scalar, rtol=1e-12, atol=1e-9)
 
     def test_day_axis_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="day-axis"):
-            paper_likelihood().loglik_batch(np.zeros(3), np.zeros((4, 5)))
+            _sqrt_gaussian_loglik(np.zeros(3), np.zeros((4, 5)), 1.0)
 
     def test_matrix_required(self):
         with pytest.raises(ValueError, match="n_particles, n_days"):
-            paper_likelihood().loglik_batch(np.zeros(3), np.zeros(3))
+            _sqrt_gaussian_loglik(np.zeros(3), np.zeros(3), 1.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            paper_likelihood().loglik_batch(np.zeros(0), np.zeros((4, 0)))
+            _sqrt_gaussian_loglik(np.zeros(0), np.zeros((4, 0)), 1.0)
 
 
 class TestSegmentMatrix:
@@ -161,7 +153,7 @@ class TestLoglikEnsemble:
     def test_mean_mode_matches_scalar_loglik(self, rng):
         ens = make_ensemble(rng, n=30)
         obs = make_observations(rng)
-        om = paper_observation_model(bias_mode="mean")
+        om = ObservationModel(bias_mode="mean")
         rho = ens.values("rho")
         batched = om.loglik_ensemble(obs, ens, rho, rng)
         scalar = loglik_reference(om, obs, ens, rng)
@@ -173,7 +165,7 @@ class TestLoglikEnsemble:
         draws and agree up to float reduction order."""
         ens = make_ensemble(rng, n=30)
         obs = make_observations(rng)
-        om = paper_observation_model(bias_mode="sample")
+        om = ObservationModel(bias_mode="sample")
         r1 = np.random.Generator(np.random.PCG64(11))
         r2 = np.random.Generator(np.random.PCG64(11))
         batched = om.loglik_ensemble(obs, ens, ens.values("rho"), r1)
@@ -185,14 +177,14 @@ class TestLoglikEnsemble:
         icu = ObservationSource("icu", TimeSeries(10, np.zeros(14)),
                                 channel="icu_census", biased=False)
         obs = ObservationSet(make_observations(rng).sources + (icu,))
-        om = paper_observation_model(bias_mode="mean")
-        with pytest.raises(KeyError, match="no SourceModel"):
+        om = ObservationModel(bias_mode="mean")
+        with pytest.raises(KeyError, match="no observation model"):
             om.loglik_ensemble(obs, ens, ens.values("rho"), rng)
 
     def test_rho_length_enforced(self, rng):
         ens = make_ensemble(rng, n=8)
         obs = make_observations(rng)
-        om = paper_observation_model(bias_mode="mean")
+        om = ObservationModel(bias_mode="mean")
         with pytest.raises(ValueError, match="one entry per particle"):
             om.loglik_ensemble(obs, ens, np.full(5, 0.5), rng)
 
@@ -219,7 +211,7 @@ class TestCalibratorParity:
             base_params=truth.params,
             prior=paper_first_window_prior(),
             jitter=paper_window_jitter(),
-            observation_model=paper_observation_model(),
+            observation_model=ObservationModel(),
             schedule=WindowSchedule.from_breaks([10, 20, 30]),
             config=SMCConfig(n_parameter_draws=25, n_replicates=2,
                              resample_size=30, base_seed=seed))
@@ -249,7 +241,7 @@ class TestCalibratorParity:
         from repro.core.weights import normalize_log_weights
 
         ensemble, obs = window
-        om = paper_observation_model(bias_mode=bias_mode)
+        om = ObservationModel(bias_mode=bias_mode)
         rho = ensemble.values("rho")
         if bias_mode == "mean":
             batched = om.loglik_ensemble(obs, ensemble, rho, None)

@@ -13,10 +13,9 @@ cross-executor/shard invariance of adaptive runs lives in
 import numpy as np
 import pytest
 
-from repro.core import (SIZE_POLICY_NAMES, ESSTargetPolicy,
+from repro.core import (SIZE_POLICY_NAMES, ESSTargetPolicy, ObservationModel,
                         SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
-                        paper_window_jitter)
+                        paper_first_window_prior, paper_window_jitter)
 from repro.core.diagnostics import compute_diagnostics
 from repro.core.weights import normalize_log_weights
 from repro.data import PiecewiseConstant
@@ -140,7 +139,7 @@ class TestCalibratorWiring:
             base_params=truth.params,
             prior=paper_first_window_prior(),
             jitter=paper_window_jitter(),
-            observation_model=paper_observation_model(),
+            observation_model=ObservationModel(),
             schedule=WindowSchedule.from_breaks([10, 18, 26, 34]),
             config=SMCConfig(n_parameter_draws=30, n_replicates=2,
                              resample_size=40, base_seed=17, **config_kwargs))

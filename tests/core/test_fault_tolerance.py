@@ -17,8 +17,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
+from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import (CheckpointStore, ProcessExecutor, SerialExecutor,
@@ -43,7 +43,7 @@ def make_calibrator(truth, *, executor=None, base_seed=17,
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=30, n_replicates=2,
                          resample_size=40, base_seed=base_seed,
@@ -135,6 +135,34 @@ class TestResumeCompatibility:
         assert (tmp_path / "run_meta.json").read_text() == \
             json.dumps(self.DEFAULT_FINGERPRINT)
         store.validate_run_meta(self.DEFAULT_FINGERPRINT)
+
+    @pytest.mark.parametrize("knob, observation", [
+        ({"sigma": 2.0},
+         {"cases": {"channel": "cases", "sigma": 2.0, "bias": "sample"},
+          "deaths": {"channel": "deaths", "sigma": 2.0}}),
+        ({"bias_mode": "mean"},
+         {"cases": {"channel": "cases", "sigma": 1.0, "bias": "mean"},
+          "deaths": {"channel": "deaths", "sigma": 1.0}}),
+    ], ids=["sigma", "bias_mode"])
+    def test_non_default_observation_fingerprint_pinned(self, tmp_path, knob,
+                                                        observation):
+        """A sigma or bias mode other than the paper's adds one
+        ``"observation"`` entry, and a store written under it keeps
+        resuming: the entry and the ``run_meta.json`` bytes are pinned."""
+        from repro.inference import CalibrationConfig
+        config = CalibrationConfig(**knob)
+        calib = SequentialCalibrator(
+            base_params=config.disease_params(None), prior=config.prior(),
+            jitter=config.jitter(),
+            observation_model=config.observation_model(),
+            schedule=config.schedule(), config=config,
+            executor=SerialExecutor())
+        expected = {**self.DEFAULT_FINGERPRINT, "observation": observation}
+        assert calib.run_fingerprint() == expected
+        assert list(calib.run_fingerprint()) == list(expected)
+        CheckpointStore(tmp_path).validate_run_meta(calib.run_fingerprint())
+        assert (tmp_path / "run_meta.json").read_text() == \
+            json.dumps(expected)
 
     #: The make_calibrator settings, as CalibrationConfig fields.
     SMALL = dict(window_breaks=(8, 16, 24, 32), n_parameter_draws=30,

@@ -19,9 +19,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (ParticleEnsemble, SequentialCalibrator, SMCConfig,
-                        WindowSchedule, paper_first_window_prior,
-                        paper_observation_model, paper_window_jitter)
+from repro.core import (ObservationModel, ParticleEnsemble,
+                        SequentialCalibrator, SMCConfig, WindowSchedule,
+                        paper_first_window_prior, paper_window_jitter)
 from repro.core.smc import simulate_windows
 from repro.data import PiecewiseConstant
 from repro.hpc import (GroupSpec, ProcessExecutor, SerialExecutor,
@@ -50,7 +50,7 @@ def make_calibrator(truth, *, executor=None,
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=base_seed,

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (SequentialCalibrator, SMCConfig, UniformJitter,
-                        JointJitter, IndependentProduct, Uniform, Beta, Dirac,
-                        WindowSchedule, paper_observation_model,
+from repro.core import (Beta, Dirac, IndependentProduct, JointJitter,
+                        ObservationModel, SequentialCalibrator, SMCConfig,
+                        Uniform, UniformJitter, WindowSchedule,
                         paper_first_window_prior, paper_window_jitter)
 from repro.sim import make_ground_truth
 from repro.data import PiecewiseConstant
@@ -25,7 +25,7 @@ def calibrator(schedule, truth, config=None, **kwargs):
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=schedule,
         config=config or SMCConfig(n_parameter_draws=30, n_replicates=2,
                                    resample_size=40, base_seed=17),
@@ -56,7 +56,7 @@ class TestCalibratorValidation:
         with pytest.raises(ValueError, match="rho"):
             SequentialCalibrator(small_truth.params, prior,
                                  paper_window_jitter(),
-                                 paper_observation_model(), schedule)
+                                 ObservationModel(), schedule)
 
     def test_prior_must_include_theta(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20])
@@ -64,7 +64,7 @@ class TestCalibratorValidation:
         with pytest.raises(ValueError, match="'theta'"):
             SequentialCalibrator(small_truth.params, prior,
                                  paper_window_jitter(),
-                                 paper_observation_model(), schedule)
+                                 ObservationModel(), schedule)
 
     def test_jitter_required_for_multi_window(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])
@@ -72,7 +72,7 @@ class TestCalibratorValidation:
         jitter = JointJitter({"theta": UniformJitter.symmetric(0.05)})
         with pytest.raises(ValueError, match="jitter"):
             SequentialCalibrator(small_truth.params, prior, jitter,
-                                 paper_observation_model(), schedule)
+                                 ObservationModel(), schedule)
 
     def test_observation_coverage_checked(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 40])  # beyond horizon 35
@@ -272,7 +272,7 @@ class TestRecovery:
         calib = SequentialCalibrator(
             base_params=small_truth.params, prior=prior,
             jitter=paper_window_jitter(),
-            observation_model=paper_observation_model(bias_mode="mean"),
+            observation_model=ObservationModel(bias_mode="mean"),
             schedule=schedule,
             config=SMCConfig(n_parameter_draws=60, n_replicates=3,
                              resample_size=60, base_seed=23))

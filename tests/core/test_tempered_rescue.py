@@ -13,8 +13,8 @@ The bridge composes with the proposal-cloud size policy.
 import numpy as np
 import pytest
 
-from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
+from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.hpc import ProcessExecutor, SerialExecutor
@@ -39,7 +39,7 @@ def run_calibration(truth, *, sigma=0.3, executor=None,
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(sigma=sigma),
+        observation_model=ObservationModel(sigma=sigma),
         schedule=WindowSchedule.from_breaks(list(breaks)),
         config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                          resample_size=60, base_seed=17, **config_kwargs),

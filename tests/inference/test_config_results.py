@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import SMCConfig
+from repro.core import ObservationModel, SMCConfig
 from repro.hpc.faults import FAIL_FAST, RetryPolicy
 from repro.inference import CalibrationConfig
 
@@ -25,7 +25,8 @@ class TestCalibrationConfig:
         assert len(cfg.schedule()) == 4
         assert set(cfg.prior().names) == {"theta", "rho"}
         assert set(cfg.jitter().names) == {"theta", "rho"}
-        assert set(cfg.observation_model().names) == {"cases", "deaths"}
+        assert cfg.observation_model() == ObservationModel(sigma=1.0,
+                                                           bias_mode="sample")
         assert isinstance(cfg, SMCConfig)
         assert cfg.smc_config() is cfg
 

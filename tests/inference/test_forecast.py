@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (SMCConfig, SequentialCalibrator, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
+from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
                         paper_window_jitter)
 from repro.data import PiecewiseConstant
 from repro.inference import Forecast, forecast_from_posterior
@@ -24,7 +24,7 @@ def posterior():
     calib = SequentialCalibrator(
         base_params=params, prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks([10, 20]),
         config=SMCConfig(n_parameter_draws=15, n_replicates=2,
                          resample_size=20, base_seed=6))
@@ -91,7 +91,7 @@ def cloud():
     calib = SequentialCalibrator(
         base_params=params, prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks([10, 20, 27]),
         config=SMCConfig(n_parameter_draws=15, n_replicates=2,
                          resample_size=20, n_continuations=2, base_seed=6))

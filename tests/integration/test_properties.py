@@ -112,13 +112,13 @@ class TestBatchedWeightingInvariants:
     @settings(max_examples=30, deadline=None)
     @given(count_matrices, st.data())
     def test_batched_logliks_match_scalar(self, eta, data):
-        from repro.core import GaussianTransformLikelihood
+        from repro.core.observation import _sqrt_gaussian_loglik
         from repro.testing.weighting import gaussian_sqrt_loglik
         y = data.draw(hnp.arrays(np.float64, eta.shape[1],
                                  elements=st.floats(min_value=0,
                                                     max_value=5_000)))
         for sigma in (1.0, 2.5):
-            batched = GaussianTransformLikelihood(sigma).loglik_batch(y, eta)
+            batched = _sqrt_gaussian_loglik(y, eta, sigma)
             scalar = np.array([gaussian_sqrt_loglik(y, row, sigma)
                                for row in eta])
             assert batched.shape == (eta.shape[0],)
@@ -127,19 +127,19 @@ class TestBatchedWeightingInvariants:
     @settings(max_examples=30)
     @given(count_matrices, st.data())
     def test_batched_bias_matches_scalar(self, counts, data):
-        from repro.core import BinomialBiasModel
+        from repro.core.observation import _thin
         from repro.testing.weighting import thin
         rho = data.draw(hnp.arrays(
             np.float64, counts.shape[0],
             elements=st.floats(min_value=0.01, max_value=1.0)))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        mean_b = BinomialBiasModel("mean").apply_batch(counts, rho)
+        mean_b = _thin(counts, rho, "mean", None)
         mean_s = np.vstack([thin(counts[i], rho[i], "mean")
                             for i in range(len(rho))])
         assert np.array_equal(mean_b, mean_s)
         r1 = np.random.Generator(np.random.PCG64(seed))
         r2 = np.random.Generator(np.random.PCG64(seed))
-        sample_b = BinomialBiasModel("sample").apply_batch(counts, rho, r1)
+        sample_b = _thin(counts, rho, "sample", r1)
         sample_s = np.vstack([thin(counts[i], rho[i], "sample", r2)
                               for i in range(len(rho))])
         assert np.array_equal(sample_b, sample_s)
@@ -171,15 +171,15 @@ class TestAdaptiveSizingInvariants:
 
     @classmethod
     def _calibrate(cls, base_seed, size_policy="fixed", options=None):
-        from repro.core import (SequentialCalibrator, SMCConfig,
-                                WindowSchedule, paper_first_window_prior,
-                                paper_observation_model, paper_window_jitter)
+        from repro.core import (ObservationModel, SequentialCalibrator,
+                                SMCConfig, WindowSchedule,
+                                paper_first_window_prior, paper_window_jitter)
         truth = cls._truth()
         calib = SequentialCalibrator(
             base_params=truth.params,
             prior=paper_first_window_prior(),
             jitter=paper_window_jitter(),
-            observation_model=paper_observation_model(),
+            observation_model=ObservationModel(),
             schedule=WindowSchedule.from_breaks(list(cls.BREAKS)),
             config=SMCConfig(n_parameter_draws=40, n_replicates=2,
                              resample_size=60, base_seed=base_seed,

@@ -15,8 +15,8 @@ import json
 
 import pytest
 
-from repro.core import (SequentialCalibrator, SMCConfig, WindowSchedule,
-                        paper_first_window_prior, paper_observation_model,
+from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
+                        WindowSchedule, paper_first_window_prior,
                         paper_window_jitter)
 from repro.core.posterior import trajectory_ribbon
 from repro.data import PiecewiseConstant
@@ -45,7 +45,7 @@ def make_calibrator(truth, base_seed=11):
         base_params=truth.params,
         prior=paper_first_window_prior(),
         jitter=paper_window_jitter(),
-        observation_model=paper_observation_model(),
+        observation_model=ObservationModel(),
         schedule=WindowSchedule.from_breaks(list(BREAKS)),
         config=SMCConfig(n_parameter_draws=10, n_replicates=2,
                          resample_size=12, base_seed=base_seed, n_shards=2))
