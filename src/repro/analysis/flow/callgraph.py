@@ -9,7 +9,7 @@ family reads it:
   modules that define their targets;
 * **symbol table** — every function, method, and class, keyed by qualified
   name (``repro.hpc.sharding.run_shard``,
-  ``repro.seir.parameters.DiseaseParameters.from_dict``);
+  ``repro.seir.parameters.DiseaseParameters.with_updates``);
 * **call records** — for every function, each call site with its canonical
   dotted callee name (import aliases resolved, locals typed by the
   constructors that produced them) and, where the callee is a project

@@ -31,7 +31,7 @@ __all__ = ["FileContext", "Violation", "RULES", "check_file",
 RULES: dict[str, str] = {
     "REPRO101": "RNG construction (numpy.random.*, stdlib random) outside "
                 "seir/seeding.py",
-    "REPRO102": "stream tag fed to mix_seed/ancillary_generator is not a "
+    "REPRO102": "stream tag fed to mix_seed(s)/ancillary_generator is not a "
                 "registered named constant",
     "REPRO103": "stream-tag constant assigned without registering it in "
                 "STREAM_DOMAINS",
@@ -271,8 +271,8 @@ class _FileChecker(ast.NodeVisitor):
                        "generators and seed sequences are constructed only "
                        "by the seed bank (repro.seir.seeding)")
 
-        if terminal == "mix_seed":
-            self._check_mix_seed(node)
+        if terminal in ("mix_seed", "mix_seeds"):
+            self._check_mix_seed(node, terminal)
         elif terminal == "ancillary_generator":
             self._check_ancillary(node)
 
@@ -299,23 +299,23 @@ class _FileChecker(ast.NodeVisitor):
         name = terminal_name(arg)
         return name is not None and name in self.registered
 
-    def _check_mix_seed(self, node: ast.Call) -> None:
+    def _check_mix_seed(self, node: ast.Call, name: str) -> None:
         if len(node.args) < 2:
             self._flag(node, "REPRO102",
-                       "mix_seed call carries no stream tag — pass a "
+                       f"{name} call carries no stream tag — pass a "
                        "registered *_STREAM constant right after the base "
                        "seed (the reserved method-tag position)")
             return
         tag = node.args[1]
         if isinstance(tag, ast.Constant):
             self._flag(node, "REPRO102",
-                       "integer-literal stream tag in mix_seed — the PR 5 "
+                       f"integer-literal stream tag in {name} — the stream "
                        "aliasing bug shape; register a named constant via "
                        "register_stream_tag() and pass that")
         elif not self._stream_arg_ok(tag):
-            name = terminal_name(tag) or ast.dump(tag)
+            tag_name = terminal_name(tag) or ast.dump(tag)
             self._flag(node, "REPRO102",
-                       f"stream tag {name!r} in mix_seed is not a "
+                       f"stream tag {tag_name!r} in {name} is not a "
                        "registered stream constant (register_stream_tag)")
 
     def _check_ancillary(self, node: ast.Call) -> None:

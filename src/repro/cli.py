@@ -14,8 +14,9 @@ data products to an output directory:
   directory, publishing crash-safe forecast artifacts per window.
 
 The sequential commands (``fig4``/``fig5``/``forecast``) accept
-``--scenario NAME`` (repeatable) or ``--scenario-set SET`` to calibrate
-several what-if worlds as one vectorized sweep (see ``docs/scenarios.md``).
+``--scenario NAME`` (repeatable), and ``fig4``/``fig5`` also
+``--scenario-set SET``, to calibrate several what-if worlds as one
+vectorized sweep (see ``docs/scenarios.md``).
 
 Example::
 
@@ -40,7 +41,7 @@ from .core.scenarios import (SCENARIO_SETS, SCENARIOS, get_scenario,
                              scenario_set)
 from .hpc.executor import EXECUTOR_SPECS
 from .inference import (CalibrationConfig, calibrate, calibrate_scenarios,
-                        forecast_from_posterior, forecast_scenarios)
+                        forecast_from_posterior)
 from .seir.checkpoint import CheckpointError
 from .sim import make_fig2_ground_truth
 from .viz import write_json, write_series_csv
@@ -139,9 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(repeatable; see `repro scenarios`); more "
                                 "than one runs a vectorized multi-world "
                                 "sweep with shared random numbers")
-            p.add_argument("--scenario-set", default=None, metavar="SET",
-                           help="named scenario set to sweep (mutually "
-                                "exclusive with --scenario)")
+            # forecast's (20, 34, 48) schedule cannot run the default
+            # set's day-48 overrides, so it takes --scenario only
+            if name != "forecast":
+                p.add_argument("--scenario-set", default=None, metavar="SET",
+                               help="named scenario set to sweep (mutually "
+                                    "exclusive with --scenario)")
         if name == "forecast":
             p.add_argument("--horizon-days", type=int, default=14)
 
@@ -445,9 +449,11 @@ def _forecast_sweep(args, cfg, scenario_names: list[str], truth) -> int:
     sweep = calibrate_scenarios(truth.observations(include_deaths=True),
                                 scenarios=scenario_names, config=cfg,
                                 verbose=True)
-    forecasts = forecast_scenarios(
-        {r.scenario: r.final_posterior for r in sweep},
-        horizon_days=args.horizon_days, base_seed=args.seed)
+    # One base seed for every scenario: equal posterior seed lists get the
+    # same continuation seeds, in the sweep's name-sorted order.
+    forecasts = {r.scenario: forecast_from_posterior(
+        r.final_posterior, horizon_days=args.horizon_days,
+        base_seed=args.seed) for r in sweep}
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {}
     for name, forecast in forecasts.items():

@@ -7,13 +7,9 @@ from .observation import ObservationModel
 from .particle import Particle, ParticleEnsemble
 from .posterior import (TrajectoryRibbon, hpd_region_mass, joint_density_grid,
                         marginal_histogram, trajectory_ribbon)
-from .priors import (Beta, Dirac, Distribution, IndependentProduct, Uniform,
-                     paper_first_window_prior)
-from .proposals import (JitterKernel, JointJitter, UniformJitter,
-                        paper_window_jitter)
-from .resampling import (RESAMPLERS, get_resampler, multinomial_resample,
-                         residual_resample, stratified_resample,
-                         systematic_resample)
+from .priors import Beta, IndependentProduct, Uniform, paper_first_window_prior
+from .proposals import JointJitter, UniformJitter, paper_window_jitter
+from .resampling import multinomial_resample, systematic_resample
 from .scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
                         ScenarioRegistry, ScenarioSpec, ScenarioSweep,
                         get_scenario, register_scenario, scenario_set)
@@ -35,14 +31,11 @@ __all__ = [
     "scenario_set",
     "ESSTargetPolicy", "SIZE_POLICY_NAMES",
     "Particle", "ParticleEnsemble",
-    "Distribution", "Uniform", "Beta", "Dirac", "IndependentProduct",
-    "paper_first_window_prior",
-    "JitterKernel", "UniformJitter", "JointJitter",
-    "paper_window_jitter",
+    "Uniform", "Beta", "IndependentProduct", "paper_first_window_prior",
+    "UniformJitter", "JointJitter", "paper_window_jitter",
     "ObservationModel",
     "TimeWindow", "WindowSchedule",
-    "RESAMPLERS", "get_resampler", "multinomial_resample",
-    "systematic_resample", "stratified_resample", "residual_resample",
+    "multinomial_resample", "systematic_resample",
     "logsumexp", "normalize_log_weights", "effective_sample_size",
     "weight_entropy", "weighted_mean", "weighted_quantile",
     "WindowDiagnostics", "compute_diagnostics",

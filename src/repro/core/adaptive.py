@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .resampling import get_resampler
+from .resampling import systematic_resample
 from .weights import effective_sample_size, normalize_log_weights
 
 __all__ = ["TemperedResult", "temper_and_resample"]
@@ -48,7 +48,6 @@ class TemperedResult:
 def temper_and_resample(log_lik: np.ndarray, n_out: int,
                         rng: np.random.Generator, *,
                         ess_floor_fraction: float = 0.5,
-                        resampler: str = "systematic",
                         max_stages: int = 64) -> TemperedResult:
     """Bridge from the prior ensemble to the posterior through tempering.
 
@@ -69,7 +68,6 @@ def temper_and_resample(log_lik: np.ndarray, n_out: int,
         raise ValueError("log_lik must be a non-empty 1-d array")
     n = ll.size
     target = ess_floor_fraction * n
-    sampler = get_resampler(resampler)
 
     def next_exponent(cur: np.ndarray, beta: float) -> float:
         """Bisect for the largest exponent whose step from ``beta`` keeps
@@ -96,7 +94,8 @@ def temper_and_resample(log_lik: np.ndarray, n_out: int,
         w = normalize_log_weights((beta_next - beta) * cur)
         stage_ess.append(float(effective_sample_size(w)))
         schedule.append(beta_next)
-        current = current[sampler(w, n_out if beta_next >= 1.0 else n, rng)]
+        current = current[systematic_resample(
+            w, n_out if beta_next >= 1.0 else n, rng)]
         beta = beta_next
     return TemperedResult(indices=current, schedule=tuple(schedule),
                           stage_ess=tuple(stage_ess),

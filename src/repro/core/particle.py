@@ -26,8 +26,7 @@ import numpy as np
 
 from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
-from .weights import (effective_sample_size, normalize_log_weights,
-                      weighted_mean, weighted_quantile)
+from .weights import normalize_log_weights, weighted_mean, weighted_quantile
 
 __all__ = ["Particle", "ParticleEnsemble"]
 
@@ -49,10 +48,6 @@ class Particle:
     seed: int
     log_weight: float
     ancestor: int
-
-    def value(self, name: str) -> float:
-        """Parameter value by name (KeyError if absent)."""
-        return self.params[name]
 
 
 class _Lineage:
@@ -188,9 +183,6 @@ class ParticleEnsemble:
     def normalized_weights(self) -> np.ndarray:
         """Normalised weights (uniform if all log-weights are equal)."""
         return normalize_log_weights(self._log_weights)
-
-    def effective_sample_size(self) -> float:
-        return effective_sample_size(self.normalized_weights())
 
     # ------------------------------------------------------------------ #
     def weighted_mean(self, name: str) -> float:

@@ -6,8 +6,8 @@ The paper's first-window priors (section V-B) are
 * ``rho ~ Beta(4, 1)`` — the reporting probability, a "strong informative
   prior" favouring high reporting.
 
-The module provides the two families and a point mass (sampling +
-log-density), plus an independent product prior over named parameters.
+The module provides the two families (sampling + log-density), plus an
+independent product prior over named parameters.
 Everything samples through an injected ``numpy`` generator so runs are
 reproducible end to end.  The Beta density imports ``scipy.stats`` on first
 call; sampling the paper's prior never loads it.
@@ -15,29 +15,15 @@ call; sampling the paper's prior never loads it.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Mapping
 
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["Distribution", "Uniform", "Beta", "Dirac", "IndependentProduct",
-           "paper_first_window_prior"]
+__all__ = ["Uniform", "Beta", "IndependentProduct", "paper_first_window_prior"]
 
 
-class Distribution(ABC):
-    """Scalar distribution interface used by priors and proposals."""
-
-    @abstractmethod
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` IID samples."""
-
-    @abstractmethod
-    def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
-        """Elementwise log-density (``-inf`` outside the support)."""
-
-
-class Uniform(Distribution):
+class Uniform:
     """Continuous uniform on ``[low, high]``."""
 
     def __init__(self, low: float, high: float) -> None:
@@ -60,7 +46,7 @@ class Uniform(Distribution):
         return f"Uniform({self.low}, {self.high})"
 
 
-class Beta(Distribution):
+class Beta:
     """Beta distribution on ``[0, 1]`` (the paper's reporting-bias prior)."""
 
     def __init__(self, a: float, b: float) -> None:
@@ -81,23 +67,6 @@ class Beta(Distribution):
         return f"Beta({self.a}, {self.b})"
 
 
-class Dirac(Distribution):
-    """Point mass — pins a parameter while keeping the prior interface."""
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value)
-
-    def logpdf(self, x: npt.ArrayLike) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        return np.where(arr == self.value, 0.0, -np.inf)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Dirac({self.value})"
-
-
 class IndependentProduct:
     """Independent product prior over named scalar parameters.
 
@@ -105,7 +74,7 @@ class IndependentProduct:
     assumed for (theta, rho)" — section V-B.
     """
 
-    def __init__(self, marginals: Mapping[str, Distribution]) -> None:
+    def __init__(self, marginals: Mapping[str, Uniform | Beta]) -> None:
         if not marginals:
             raise ValueError("need at least one marginal")
         self._marginals = dict(marginals)
@@ -114,7 +83,7 @@ class IndependentProduct:
     def names(self) -> tuple[str, ...]:
         return tuple(self._marginals)
 
-    def marginal(self, name: str) -> Distribution:
+    def marginal(self, name: str) -> Uniform | Beta:
         return self._marginals[name]
 
     def sample(self, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:

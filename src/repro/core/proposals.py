@@ -16,25 +16,16 @@ if a caller wants full proposal corrections.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Mapping
 
 import numpy as np
 
-__all__ = ["JitterKernel", "UniformJitter", "JointJitter",
-           "paper_window_jitter"]
+__all__ = ["UniformJitter", "JointJitter", "paper_window_jitter"]
 
-
-class JitterKernel(ABC):
-    """Conditional proposal ``q(x' | x)`` for one scalar parameter."""
-
-    @abstractmethod
-    def propose(self, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one proposal per center."""
-
-    @abstractmethod
-    def logpdf(self, proposed: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Elementwise conditional log-density ``log q(proposed | center)``."""
+#: The paper's rho kernel reaches this many times further up than down.
+RHO_SKEW = 3.0
+#: Legal transmission-rate range the theta kernel reflects into.
+THETA_BOUNDS = (0.05, 0.8)
 
 
 def _reflect(values: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -57,13 +48,13 @@ def _reflect(values: np.ndarray, low: float, high: float) -> np.ndarray:
     return np.clip(out, low, high)
 
 
-class UniformJitter(JitterKernel):
-    """Uniform jitter on ``[x - down, x + up]``, reflected into bounds.
+class UniformJitter:
+    """Conditional proposal ``q(x' | x)``: uniform on ``[x - down, x + up]``,
+    reflected into bounds.
 
-    ``down == up`` gives the paper's symmetric theta kernel; ``down > up``
-    (more mass *above* the center... note the asymmetry direction) — for the
-    paper's rho kernel the interval extends further upward, i.e.
-    ``up > down``.
+    ``down == up`` gives the paper's symmetric theta kernel; ``up > down``
+    reaches further above the center than below it, the paper's
+    upward-skewed rho kernel.
     """
 
     def __init__(self, down: float, up: float,
@@ -73,21 +64,6 @@ class UniformJitter(JitterKernel):
         self.down = float(down)
         self.up = float(up)
         self.bounds = (float(bounds[0]), float(bounds[1]))
-
-    @classmethod
-    def symmetric(cls, width: float,
-                  bounds: tuple[float, float] = (-np.inf, np.inf)) -> "UniformJitter":
-        """Symmetric kernel of half-width ``width`` (the theta kernel)."""
-        return cls(width, width, bounds)
-
-    @classmethod
-    def asymmetric_upward(cls, width: float, skew: float = 3.0,
-                          bounds: tuple[float, float] = (-np.inf, np.inf),
-                          ) -> "UniformJitter":
-        """Kernel extending ``skew`` times further up than down (rho kernel)."""
-        if skew <= 0:
-            raise ValueError("skew must be positive")
-        return cls(width, width * skew, bounds)
 
     def propose(self, centers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         c = np.asarray(centers, dtype=np.float64)
@@ -111,7 +87,7 @@ class UniformJitter(JitterKernel):
 class JointJitter:
     """Name-keyed bundle of per-parameter jitter kernels."""
 
-    def __init__(self, kernels: Mapping[str, JitterKernel]) -> None:
+    def __init__(self, kernels: Mapping[str, UniformJitter]) -> None:
         if not kernels:
             raise ValueError("need at least one kernel")
         self._kernels = dict(kernels)
@@ -119,9 +95,6 @@ class JointJitter:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._kernels)
-
-    def kernel(self, name: str) -> JitterKernel:
-        return self._kernels[name]
 
     def propose(self, centers: Mapping[str, np.ndarray],
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -132,12 +105,15 @@ class JointJitter:
         return {name: kernel.propose(np.asarray(centers[name]), rng)
                 for name, kernel in self._kernels.items()}
 
+    def fingerprint_payload(self) -> dict[str, dict[str, object]]:
+        """JSON-stable identity of the proposal: per parameter its kernel's
+        widths and reflection bounds."""
+        return {name: {"down": k.down, "up": k.up, "bounds": list(k.bounds)}
+                for name, k in self._kernels.items()}
+
 
 def paper_window_jitter(theta_width: float = 0.05,
-                        rho_width: float = 0.02,
-                        rho_skew: float = 3.0,
-                        theta_bounds: tuple[float, float] = (0.05, 0.8),
-                        ) -> JointJitter:
+                        rho_width: float = 0.02) -> JointJitter:
     """The paper's window-to-window proposal.
 
     Symmetric uniform around each theta posterior atom; asymmetric uniform
@@ -145,7 +121,6 @@ def paper_window_jitter(theta_width: float = 0.05,
     reflected into the legal ranges.
     """
     return JointJitter({
-        "theta": UniformJitter.symmetric(theta_width, bounds=theta_bounds),
-        "rho": UniformJitter.asymmetric_upward(rho_width, skew=rho_skew,
-                                               bounds=(0.0, 1.0)),
+        "theta": UniformJitter(theta_width, theta_width, THETA_BOUNDS),
+        "rho": UniformJitter(rho_width, rho_width * RHO_SKEW, (0.0, 1.0)),
     })

@@ -89,7 +89,7 @@ from .ensemble_control import SIZE_POLICY_NAMES, ESSTargetPolicy
 from .observation import ObservationModel
 from .particle import ParticleEnsemble
 from .priors import IndependentProduct
-from .proposals import JointJitter
+from .proposals import JointJitter, paper_window_jitter
 from .resampling import multinomial_resample
 from .weights import normalize_log_weights
 from .window import TimeWindow, WindowSchedule
@@ -552,12 +552,13 @@ class SequentialCalibrator:
         ``"format_version"`` is the store layout: 2 is one columnar
         ``checkpoints.npz`` per window, so a store written in the older
         per-particle layout (1) is refused instead of silently restarting
-        from window 0.  ``"scenario"`` and ``"observation"`` appear only
-        when the scenario or the observation model (a sigma or bias mode
-        other than the paper's) changes the bits, and ``"streams"`` only
-        when the observed ``streams`` are not cases alone, so stores
-        written before any of these keys existed still resume under the
-        defaults.
+        from window 0.  ``"scenario"``, ``"observation"`` and ``"jitter"``
+        appear only when the scenario, the observation model (a sigma or
+        bias mode other than the paper's) or the window jitter (widths or
+        bounds other than :func:`paper_window_jitter`'s) changes the bits,
+        and ``"streams"`` only when the observed ``streams`` are not cases
+        alone, so stores written before any of these keys existed still
+        resume under the defaults.
         """
         cfg = self.config
 
@@ -594,6 +595,9 @@ class SequentialCalibrator:
         observation = self.observation_model
         if observation != ObservationModel():
             fingerprint["observation"] = observation.fingerprint_payload()
+        jitter = self.jitter.fingerprint_payload()
+        if jitter != paper_window_jitter().fingerprint_payload():
+            fingerprint["jitter"] = jitter
         if tuple(streams) != (CASES,):
             fingerprint["streams"] = list(streams)
         return fingerprint

@@ -122,20 +122,9 @@ class TimeSeries:
         hi = end_day - self.start_day
         return TimeSeries(start_day, self.values[lo:hi], name=self.name)
 
-    def head(self, n_days: int) -> "TimeSeries":
-        """First ``n_days`` values."""
-        return self.window(self.start_day, min(self.end_day, self.start_day + n_days))
-
     def total(self) -> float:
         """Sum of all values."""
         return float(self.values.sum())
-
-    @classmethod
-    def zeros(cls, start_day: int, n_days: int, name: str = "") -> "TimeSeries":
-        """A series of ``n_days`` zeros starting at ``start_day``."""
-        if n_days < 0:
-            raise ValueError("n_days must be >= 0")
-        return cls(start_day, np.zeros(n_days), name=name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""

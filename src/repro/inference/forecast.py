@@ -34,7 +34,7 @@ window continues the cloud, on the forecast stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
 from ..seir.seeding import mix_seeds, register_stream_tag
 
-__all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud",
-           "forecast_scenarios"]
+__all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud"]
 
 # Forecast continuation seeds occupy their own registered bank stream: the
 # registry raises at import time if another consumer ever claims tag 9100,
@@ -182,31 +181,3 @@ def forecast_from_cloud(cloud: ParticleEnsemble, horizon_days: int,
                                n_shards=n_shards))
     return Forecast(start_day=start, horizon_days=horizon_days,
                     batch=segments.extended_by(tail))
-
-
-def forecast_scenarios(posteriors: "Mapping[str, ParticleEnsemble]",
-                       horizon_days: int,
-                       executor: Executor | None = None,
-                       base_seed: int = 0,
-                       n_per_particle: int = 1, *,
-                       shard_size: int | None = None,
-                       n_shards: int | str = "auto") -> dict[str, Forecast]:
-    """Fan :func:`forecast_from_posterior` out over per-scenario posteriors.
-
-    ``posteriors`` maps scenario name to a checkpoint-carrying posterior
-    ensemble — typically ``{r.scenario: r.final_posterior for r in
-    sweep_result}`` from :func:`~repro.inference.api.calibrate_scenarios`.
-    Every scenario forecasts under **common random numbers** (the same
-    ``base_seed``, hence the same continuation seed vector for equal
-    posterior seed lists), so cross-scenario forecast differences estimate
-    scenario effects, not Monte Carlo noise; pass a distinct ``base_seed``
-    per call for independent draws instead.  Scenarios are processed in
-    sorted-name (canonical) order sharing one executor; the returned dict
-    preserves that order.
-    """
-    executor = executor or SerialExecutor()
-    return {name: forecast_from_posterior(
-        posteriors[name], horizon_days, executor=executor,
-        base_seed=base_seed, n_per_particle=n_per_particle,
-        shard_size=shard_size, n_shards=n_shards)
-        for name in sorted(posteriors)}

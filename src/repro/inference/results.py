@@ -82,9 +82,6 @@ class CalibrationResult:
     def final_posterior(self):
         return self.windows[-1].posterior
 
-    def window(self, index: int) -> WindowResult:
-        return self.windows[index]
-
     # ------------------------------------------------------------------ #
     def parameter_track(self, name: str) -> ParameterTrack:
         """Per-window posterior summaries of one parameter."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -159,14 +159,6 @@ class DiseaseParameters:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DiseaseParameters":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown parameter fields: {sorted(unknown)}")
-        return cls(**dict(d))
 
 
 def chicago_defaults(**updates: Any) -> DiseaseParameters:

@@ -104,22 +104,10 @@ class StreamDomainRegistry:
         self._by_name[(entry.domain, entry.name)] = entry
         return entry.tag
 
-    def domains(self) -> tuple[StreamDomain, ...]:
-        """Every registered stream, ordered by (domain, tag)."""
-        return tuple(sorted(self._by_key.values(),
-                            key=lambda d: (d.domain, d.tag)))
-
     def tags(self, domain: str = "bank") -> dict[str, int]:
         """``name -> tag`` mapping of one domain."""
         return {d.name: d.tag for d in self._by_key.values()
                 if d.domain == domain}
-
-    def lookup(self, name: str, domain: str = "bank") -> StreamDomain:
-        entry = self._by_name.get((domain, name))
-        if entry is None:
-            raise KeyError(f"no stream {name!r} registered in domain "
-                           f"{domain!r}")
-        return entry
 
 
 #: The process-wide registry.  Modules owning a stream register it at import

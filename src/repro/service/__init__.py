@@ -25,12 +25,12 @@ The chaos harness that injects window-step faults and tears artifacts for
 tests lives in :mod:`repro.testing.chaos`, not here.
 """
 
-from .artifacts import ArtifactRead, ArtifactStore, TornArtifactError
+from .artifacts import ArtifactRead, ArtifactStore
 from .ingest import IngestError, ObservationBuffer, SpoolIngest
 from .supervisor import CalibrationService, ServiceConfig, ServiceEvent
 
 __all__ = [
-    "ArtifactRead", "ArtifactStore", "TornArtifactError",
+    "ArtifactRead", "ArtifactStore",
     "IngestError", "ObservationBuffer", "SpoolIngest",
     "CalibrationService", "ServiceConfig", "ServiceEvent",
 ]

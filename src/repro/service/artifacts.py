@@ -39,15 +39,11 @@ from typing import Any, Mapping
 
 from ..hpc.checkpoint_io import write_json_atomic
 
-__all__ = ["ArtifactStore", "ArtifactRead", "TornArtifactError"]
+__all__ = ["ArtifactStore", "ArtifactRead"]
 
 _SEAL_NAME = "SEALED.json"
 _FORECAST_NAME = "forecast.json"
 _LATEST_NAME = "LATEST.json"
-
-
-class TornArtifactError(RuntimeError):
-    """An artifact failed seal validation (missing, truncated, or altered)."""
 
 
 @dataclass(frozen=True)
@@ -155,16 +151,6 @@ class ArtifactStore:
             if self._sha256(data) != digest:
                 return False
         return True
-
-    def load(self, window_index: int) -> dict:
-        """Load one sealed artifact, verifying its seal byte-for-byte."""
-        if not self.validate(window_index):
-            raise TornArtifactError(
-                f"artifact for window {window_index} is missing, unsealed, "
-                "or fails hash validation")
-        path = self.window_dir(window_index) / _FORECAST_NAME
-        with open(path) as fh:
-            return json.load(fh)
 
     def _age_seconds(self, window_index: int) -> float:
         seal_path = self.window_dir(window_index) / _SEAL_NAME

@@ -113,10 +113,6 @@ class ObservationBuffer:
             name: {} for name in self._streams}
 
     @property
-    def frontier(self) -> int:
-        return self._frontier
-
-    @property
     def stream_names(self) -> tuple[str, ...]:
         return tuple(self._streams)
 
@@ -171,12 +167,6 @@ class ObservationBuffer:
         return all(all(d in values for d in days)
                    for values in self._values.values())
 
-    def missing_days(self, start_day: int, end_day: int) -> dict[str, list[int]]:
-        """Per-stream days of ``[start_day, end_day)`` not yet ingested."""
-        return {name: [d for d in range(start_day, end_day)
-                       if d not in self._values[name]]
-                for name in self._streams}
-
     def observation_set(self, start_day: int, end_day: int) -> ObservationSet:
         """The buffered observations for one window, as calibrator input.
 
@@ -185,8 +175,10 @@ class ObservationBuffer:
         batch path would have built from the same rows.
         """
         if not self.covered(start_day, end_day):
-            missing = {k: v for k, v in
-                       self.missing_days(start_day, end_day).items() if v}
+            days = range(start_day, end_day)
+            missing = {name: [d for d in days if d not in values]
+                       for name, values in self._values.items()
+                       if not all(d in values for d in days)}
             raise ValueError(
                 f"window [{start_day}, {end_day}) is not fully ingested; "
                 f"missing {missing}")
@@ -224,10 +216,6 @@ class SpoolIngest:
         self._quarantine_path = (Path(quarantine_path)
                                  if quarantine_path is not None else None)
         self._seen: set[str] = set()
-
-    @property
-    def buffer(self) -> ObservationBuffer:
-        return self._buffer
 
     def _quarantine(self, errors: Sequence[IngestError]) -> None:
         if not errors or self._quarantine_path is None:

@@ -235,14 +235,6 @@ class CalibrationService:
             return None
         return self._next_index, self._windows[self._next_index]
 
-    def ready(self, buffer: ObservationBuffer) -> bool:
-        """Whether the next window's observations are fully ingested."""
-        pending = self.pending_window()
-        if pending is None or self.failed_window is not None:
-            return False
-        _, window = pending
-        return buffer.covered(window.start_day, window.end_day)
-
     def expected_head(self, buffer: ObservationBuffer | None = None) -> int:
         """The window index the service *should* have reached by now.
 

@@ -3,7 +3,7 @@ unregistered stream tags.  ``window_restart_seed``/``window_draw_seed``
 aliased because their tags were bare integers nothing checked; every tag
 use below must trip REPRO102, and the bare-assigned constant REPRO103."""
 
-from repro.seir.seeding import SeedSequenceBank, mix_seed
+from repro.seir.seeding import SeedSequenceBank, mix_seed, mix_seeds
 
 # REPRO103: a stream constant assigned without registration — exactly how
 # the aliasing bug survived review.
@@ -19,6 +19,16 @@ def draw_seed(base_seed: int, window_index: int) -> int:
 def restart_seed(base_seed: int, window_index: int) -> int:
     # REPRO102: named, but the constant was never registered.
     return mix_seed(base_seed, _WINDOW_DRAW_STREAM, window_index)
+
+
+def draw_seeds(base_seed: int, rows: object) -> object:
+    # REPRO102: literal tag in the vectorised mixer too.
+    return mix_seeds(base_seed, 4242, rows)
+
+
+def restart_seeds(base_seed: int, rows: object) -> object:
+    # REPRO102: unregistered constant in the vectorised mixer.
+    return mix_seeds(base_seed, _WINDOW_DRAW_STREAM, rows)
 
 
 def tagless(base_seed: int) -> int:

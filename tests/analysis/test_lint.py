@@ -43,11 +43,13 @@ class TestRuleFamilies:
 
     def test_literal_tag_shape_pr5(self):
         """The PR 5 aliasing fixture: literal, unregistered, and missing
-        tags all trip REPRO102; the bare constant assignment REPRO103."""
+        tags all trip REPRO102, in ``mix_seed`` and ``mix_seeds`` calls
+        alike; the bare constant assignment REPRO103."""
         path = str(BAD / "core" / "literal_tag.py")
         v102 = run_lint([path], select=["REPRO102"])
         v103 = run_lint([path], select=["REPRO103"])
-        assert len(v102) == 5, [v.render() for v in v102]
+        assert len(v102) == 7, [v.render() for v in v102]
+        assert sum("in mix_seeds" in v.message for v in v102) == 2
         assert {v.rule for v in v102} == {"REPRO102"}
         # both bare constants (stream + purpose patterns)
         assert len(v103) == 2, [v.render() for v in v103]

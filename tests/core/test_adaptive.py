@@ -162,17 +162,16 @@ class TestTemperAndResample:
 
     def test_single_stage_schedule_equals_plain_resampling(self):
         """With a flat enough likelihood the schedule is the single stage
-        ``[1.0]`` and the bridge must reduce *exactly* to one plain
-        resampling pass — same resampler, same draws, same indices."""
-        from repro.core import get_resampler
+        ``[1.0]`` and the bridge must reduce *exactly* to one systematic
+        resampling pass — same draws, same indices."""
+        from repro.core import systematic_resample
         ll = np.linspace(-0.5, 0.0, 120)  # mild tilt: one stage suffices
-        for name in ("multinomial", "systematic"):
-            r1 = np.random.Generator(np.random.PCG64(77))
-            r2 = np.random.Generator(np.random.PCG64(77))
-            out = temper_and_resample(ll, 80, r1, resampler=name)
-            assert out.schedule == (1.0,)
-            plain = get_resampler(name)(normalize_log_weights(ll), 80, r2)
-            assert np.array_equal(out.indices, plain)
+        r1 = np.random.Generator(np.random.PCG64(77))
+        r2 = np.random.Generator(np.random.PCG64(77))
+        out = temper_and_resample(ll, 80, r1)
+        assert out.schedule == (1.0,)
+        plain = systematic_resample(normalize_log_weights(ll), 80, r2)
+        assert np.array_equal(out.indices, plain)
 
     def test_forced_progress_path_composes_with_changed_n_out(self, rng):
         """A likelihood so pathological that every bisection collapses to

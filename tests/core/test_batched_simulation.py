@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct, ObservationModel,
+from repro.core import (Beta, IndependentProduct, ObservationModel,
                         SequentialCalibrator, SMCConfig, WindowSchedule,
                         paper_first_window_prior, paper_window_jitter)
 from repro.data import PiecewiseConstant
@@ -23,6 +23,16 @@ from repro.inference import CalibrationConfig
 from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.testing import BinomialLeapEngine, window_oracle
+
+
+class PointMass:
+    """Test-local point-mass marginal: pins a parameter at ``value``."""
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def sample(self, n, rng):
+        return np.full(n, self.value)
 
 
 def _simulate(calib, pending):
@@ -222,7 +232,7 @@ class TestBatchedRunBehaviour:
         """A theta draw outside its range fails the way a scalar
         ``DiseaseParameters`` would."""
         calib = calibrator(WindowSchedule.from_breaks([10, 20]), small_truth,
-                           prior=IndependentProduct({"theta": Dirac(-0.1),
+                           prior=IndependentProduct({"theta": PointMass(-0.1),
                                                      "rho": Beta(4, 1)}))
         with pytest.raises(ValueError) as scalar:
             small_truth.params.with_updates(transmission_rate=-0.1)

@@ -237,7 +237,7 @@ class TestCalibratorParity:
         thinning draws are random, so the batched scores must match the
         loop's in distribution: per-particle means over independent streams
         agree within sampling error."""
-        from repro.core.resampling import get_resampler
+        from repro.core.resampling import multinomial_resample
         from repro.core.weights import normalize_log_weights
 
         ensemble, obs = window
@@ -249,7 +249,7 @@ class TestCalibratorParity:
             np.testing.assert_allclose(batched, scalar, rtol=1e-13, atol=0)
 
             def resampled(log_weights):
-                return get_resampler("multinomial")(
+                return multinomial_resample(
                     normalize_log_weights(log_weights), len(log_weights),
                     np.random.Generator(np.random.PCG64(5)))
             assert np.array_equal(resampled(batched), resampled(scalar))

@@ -164,6 +164,29 @@ class TestResumeCompatibility:
         assert (tmp_path / "run_meta.json").read_text() == \
             json.dumps(expected)
 
+    def test_non_default_jitter_fingerprint_pinned(self, tmp_path):
+        """Widths other than the paper jitter's add one ``"jitter"`` entry
+        (each kernel's widths and reflection bounds), and a store written
+        under it keeps resuming: the entry and the ``run_meta.json`` bytes
+        are pinned."""
+        from repro.inference import CalibrationConfig
+        config = CalibrationConfig(theta_jitter_width=0.16,
+                                   rho_jitter_width=0.04)
+        calib = SequentialCalibrator(
+            base_params=config.disease_params(None), prior=config.prior(),
+            jitter=config.jitter(),
+            observation_model=config.observation_model(),
+            schedule=config.schedule(), config=config,
+            executor=SerialExecutor())
+        expected = {**self.DEFAULT_FINGERPRINT, "jitter": {
+            "theta": {"down": 0.16, "up": 0.16, "bounds": [0.05, 0.8]},
+            "rho": {"down": 0.04, "up": 0.04 * 3.0, "bounds": [0.0, 1.0]}}}
+        assert calib.run_fingerprint() == expected
+        assert list(calib.run_fingerprint()) == list(expected)
+        CheckpointStore(tmp_path).validate_run_meta(calib.run_fingerprint())
+        assert (tmp_path / "run_meta.json").read_text() == \
+            json.dumps(expected)
+
     #: The make_calibrator settings, as CalibrationConfig fields.
     SMALL = dict(window_breaks=(8, 16, 24, 32), n_parameter_draws=30,
                  n_replicates=2, resample_size=40, base_seed=17, n_shards=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct, Uniform,
+from repro.core import (Beta, IndependentProduct, Uniform,
                         paper_first_window_prior)
 
 
@@ -46,17 +46,6 @@ class TestBeta:
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             Beta(0, 1)
-
-
-class TestDirac:
-    def test_samples_constant(self, rng):
-        x = Dirac(0.42).sample(10, rng)
-        assert np.all(x == 0.42)
-
-    def test_logpdf(self):
-        d = Dirac(1.0)
-        assert d.logpdf(1.0) == 0.0
-        assert d.logpdf(1.1) == -np.inf
 
 
 class TestIndependentProduct:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (JitterKernel, JointJitter, UniformJitter,
-                        paper_window_jitter)
+from repro.core import JointJitter, UniformJitter, paper_window_jitter
 
 
-class Identity(JitterKernel):
+class Identity:
     """Propagates centers unchanged: a kernel whose output is known."""
 
     def propose(self, centers, rng):
@@ -20,14 +19,14 @@ class Identity(JitterKernel):
 
 class TestUniformJitter:
     def test_symmetric_centering(self, rng):
-        k = UniformJitter.symmetric(0.1)
+        k = UniformJitter(0.1, 0.1)
         centers = np.full(5000, 1.0)
         out = k.propose(centers, rng)
         assert np.all(np.abs(out - 1.0) <= 0.1 + 1e-12)
         assert out.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_asymmetric_upward_bias(self, rng):
-        k = UniformJitter.asymmetric_upward(0.05, skew=3.0)
+        k = UniformJitter(0.05, 0.15)
         centers = np.full(5000, 0.5)
         out = k.propose(centers, rng)
         # interval [-0.05, +0.15] -> mean shift +0.05
@@ -35,14 +34,14 @@ class TestUniformJitter:
         assert out.max() <= 0.65 + 1e-12
 
     def test_reflection_keeps_support(self, rng):
-        k = UniformJitter.symmetric(0.3, bounds=(0.0, 1.0))
+        k = UniformJitter(0.3, 0.3, bounds=(0.0, 1.0))
         centers = np.full(2000, 0.05)
         out = k.propose(centers, rng)
         assert np.all(out >= 0.0)
         assert np.all(out <= 1.0)
 
     def test_reflection_at_upper_bound(self, rng):
-        k = UniformJitter.asymmetric_upward(0.1, skew=5.0, bounds=(0.0, 1.0))
+        k = UniformJitter(0.1, 0.5, bounds=(0.0, 1.0))
         out = k.propose(np.full(2000, 0.95), rng)
         assert np.all(out <= 1.0)
 
@@ -60,13 +59,11 @@ class TestUniformJitter:
             UniformJitter(0.0, 0.0)
         with pytest.raises(ValueError):
             UniformJitter(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            UniformJitter.asymmetric_upward(0.1, skew=0.0)
 
 
 class TestJointJitter:
     def test_propose_all_names(self, rng):
-        j = JointJitter({"a": UniformJitter.symmetric(0.1),
+        j = JointJitter({"a": UniformJitter(0.1, 0.1),
                          "b": Identity()})
         out = j.propose({"a": np.ones(10), "b": np.zeros(10)}, rng)
         assert set(out) == {"a", "b"}
@@ -89,7 +86,7 @@ class TestPaperJitter:
 
     def test_rho_kernel_skews_upward(self, rng):
         """Section V-B: higher density toward higher rho values."""
-        j = paper_window_jitter(rho_width=0.02, rho_skew=3.0)
+        j = paper_window_jitter(rho_width=0.02)
         out = j.propose({"theta": np.full(4000, 0.3),
                          "rho": np.full(4000, 0.5)}, rng)
         assert out["rho"].mean() > 0.5 + 0.01

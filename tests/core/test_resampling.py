@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (RESAMPLERS, get_resampler, multinomial_resample,
-                        residual_resample, stratified_resample,
-                        systematic_resample)
+from repro.core import multinomial_resample, systematic_resample
 
-ALL = list(RESAMPLERS.values())
+ALL = [multinomial_resample, systematic_resample]
 
 
 class TestCommonContract:
@@ -81,24 +79,3 @@ class TestVarianceOrdering:
     def test_systematic_lower_variance_than_multinomial(self):
         assert (self._count_variance(systematic_resample)
                 < self._count_variance(multinomial_resample))
-
-    def test_residual_lower_variance_than_multinomial(self):
-        assert (self._count_variance(residual_resample)
-                < self._count_variance(multinomial_resample))
-
-    def test_stratified_lower_variance_than_multinomial(self):
-        assert (self._count_variance(stratified_resample)
-                < self._count_variance(multinomial_resample))
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert get_resampler("multinomial") is multinomial_resample
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown resampler"):
-            get_resampler("bogus")
-
-    def test_registry_complete(self):
-        assert set(RESAMPLERS) == {"multinomial", "systematic", "stratified",
-                                   "residual"}

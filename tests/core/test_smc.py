@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core import (Beta, Dirac, IndependentProduct, JointJitter,
+from repro.core import (Beta, IndependentProduct, JointJitter,
                         ObservationModel, SequentialCalibrator, SMCConfig,
                         Uniform, UniformJitter, WindowSchedule,
                         paper_first_window_prior, paper_window_jitter)
 from repro.sim import make_ground_truth
 from repro.data import PiecewiseConstant
+
+
+class PointMass:
+    """Test-local point-mass marginal: pins a parameter at ``value``."""
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def sample(self, n, rng):
+        return np.full(n, self.value)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +79,7 @@ class TestCalibratorValidation:
     def test_jitter_required_for_multi_window(self, small_truth):
         schedule = WindowSchedule.from_breaks([10, 20, 30])
         prior = paper_first_window_prior()
-        jitter = JointJitter({"theta": UniformJitter.symmetric(0.05)})
+        jitter = JointJitter({"theta": UniformJitter(0.05, 0.05)})
         with pytest.raises(ValueError, match="jitter"):
             SequentialCalibrator(small_truth.params, prior, jitter,
                                  ObservationModel(), schedule)
@@ -268,7 +278,7 @@ class TestRecovery:
         """With rho pinned at truth, theta must concentrate near 0.30."""
         schedule = WindowSchedule.from_breaks([10, 24])
         prior = IndependentProduct({"theta": Uniform(0.1, 0.5),
-                                    "rho": Dirac(0.7)})
+                                    "rho": PointMass(0.7)})
         calib = SequentialCalibrator(
             base_params=small_truth.params, prior=prior,
             jitter=paper_window_jitter(),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import ParticleEnsemble, TimeWindow, WindowSchedule
+from repro.core import (ParticleEnsemble, TimeWindow, WindowSchedule,
+                        effective_sample_size)
 from repro.seir import BatchTrajectory
 
 
@@ -51,9 +52,9 @@ def ensemble(*rows, n_days=5, start=0):
 class TestParticle:
     def test_value_accessor(self):
         p = ensemble((0.25, 0.0))[0]
-        assert p.value("theta") == 0.25
+        assert p.params["theta"] == 0.25
         with pytest.raises(KeyError):
-            p.value("zeta")
+            p.params["zeta"]
 
 
 class TestParticleEnsemble:
@@ -71,7 +72,8 @@ class TestParticleEnsemble:
         ens = ParticleEnsemble.from_columns({"theta": np.full(2, 0.3)},
                                             np.array([1, 2]))
         assert np.allclose(ens.normalized_weights(), 0.5)
-        assert ens.effective_sample_size() == pytest.approx(2.0)
+        assert effective_sample_size(ens.normalized_weights()) == \
+            pytest.approx(2.0)
         assert list(ens.ancestors()) == [-1, -1]
 
     def test_weighted_mean_respects_weights(self):

@@ -28,16 +28,6 @@ class TestConstruction:
         ts = TimeSeries(3, (x for x in [1.0, 2.0]))
         assert len(ts) == 2
 
-    def test_zeros_constructor(self):
-        ts = TimeSeries.zeros(5, 4, name="deaths")
-        assert ts.start_day == 5
-        assert ts.total() == 0.0
-        assert ts.name == "deaths"
-
-    def test_zeros_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            TimeSeries.zeros(0, -1)
-
     def test_empty_series_allowed(self):
         ts = TimeSeries(0, [])
         assert len(ts) == 0
@@ -84,12 +74,6 @@ class TestWindowing:
         ts = make(start=10)
         with pytest.raises(ValueError):
             ts.window(12, 11)
-
-    def test_head(self):
-        ts = TimeSeries(0, np.arange(10.0))
-        assert list(ts.head(3).values) == [0.0, 1.0, 2.0]
-        assert ts.head(20) == ts
-
 
 class TestEquality:
     def test_equality_and_hash(self):

@@ -276,6 +276,26 @@ class TestCalibrateCheckpointing:
                       base_params=truth.params)
 
 
+    def test_resume_refused_across_jitter_change(self, truth, tmp_path):
+        """The window jitter sets every continuation window's proposals, so
+        a store written at the default widths must not resume at others:
+        window 0 alone would otherwise be reused and the rest recomputed
+        under the new widths, mixing two runs."""
+        from repro.hpc import CheckpointStore
+        from repro.inference import calibrate
+        from repro.seir import CheckpointError
+
+        calibrate(truth.observations(), self.config(tmp_path),
+                  base_params=truth.params)
+        assert "jitter" not in CheckpointStore(tmp_path / "ck").read_run_meta()
+        with pytest.raises(CheckpointError,
+                           match=r"differing keys: \['jitter'\]"):
+            calibrate(truth.observations(),
+                      self.config(tmp_path, resume=True,
+                                  theta_jitter_width=0.16,
+                                  rho_jitter_width=0.04),
+                      base_params=truth.params)
+
     def test_resume_refused_across_observed_streams(self, truth, tmp_path):
         """The observed streams set the weights, so a cases-only store must
         not resume a cases+deaths run, nor the reverse.  The fingerprint

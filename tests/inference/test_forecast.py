@@ -252,27 +252,33 @@ class TestShardedBatchedForecast:
 
 
 class TestForecastScenarios:
-    """forecast_scenarios: CRN fan-out over per-scenario posteriors."""
+    """``repro forecast --scenario A --scenario B``: one forecast per
+    scenario's final posterior, all on the run's one base seed."""
 
-    def test_crn_identical_posteriors_identical_forecasts(self, posterior):
-        from repro.inference import forecast_scenarios
-        fcs = forecast_scenarios({"a": posterior, "b": posterior},
-                                 horizon_days=6, base_seed=4)
-        assert list(fcs) == ["a", "b"]
-        assert np.array_equal(fcs["a"].batch.infections,
-                              fcs["b"].batch.infections)
-        assert np.array_equal(fcs["a"].batch.deaths, fcs["b"].batch.deaths)
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        import json
 
-    def test_canonical_sorted_order(self, posterior):
-        from repro.inference import forecast_scenarios
-        fcs = forecast_scenarios(
-            {"zeta": posterior, "alpha": posterior, "mid": posterior},
-            horizon_days=4)
-        assert list(fcs) == ["alpha", "mid", "zeta"]
+        from repro.cli import main
+        out = tmp_path_factory.mktemp("forecast_sweep")
+        argv = ["forecast", "--executor", "serial", "--draws", "8",
+                "--replicates", "1", "--resample", "10", "--seed", "3",
+                "--horizon-days", "5"]
+        assert main([*argv, "--out", str(out / "plain")]) == 0
+        assert main([*argv, "--out", str(out / "sweep"),
+                     "--scenario", "milder_variant_d34",
+                     "--scenario", "baseline"]) == 0
+        return (json.loads((out / "plain" / "forecast.json").read_text()),
+                json.loads((out / "sweep" / "forecast_scenarios.json")
+                           .read_text()))
 
-    def test_matches_single_scenario_call(self, posterior):
-        from repro.inference import forecast_scenarios
-        alone = forecast_from_posterior(posterior, 5, base_seed=9)
-        swept = forecast_scenarios({"only": posterior}, 5, base_seed=9)
-        assert np.array_equal(alone.batch.infections,
-                              swept["only"].batch.infections)
+    def test_canonical_sorted_order(self, outputs):
+        _, swept = outputs
+        assert list(swept) == ["baseline", "milder_variant_d34"]
+
+    def test_matches_single_scenario_call(self, outputs):
+        """The baseline world-line is the scenario-less run, and its
+        forecast restarts on the same seeds: equal to plain ``forecast``."""
+        plain, swept = outputs
+        assert swept["baseline"] == plain
+        assert swept["milder_variant_d34"] != plain

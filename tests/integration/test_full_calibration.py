@@ -73,8 +73,14 @@ class TestSequentialRecovery:
 
     def test_truth_in_joint_posterior_support(self, cases_only_result,
                                               varying_truth):
-        """The (theta, rho) truth square must not sit in the far tail."""
-        post = cases_only_result.window(1).posterior
+        """Pins ROADMAP item 16's known miss on the (theta, rho) truth
+        square.  At the default 0.05 theta jitter the window-1 posterior
+        (theta CI90 ~[0.26, 0.34]) cannot reach the truth 0.22 after the
+        0.32 -> 0.22 jump: the smallest HPD region holding the truth cell
+        has mass 1.0 (seeds 41 and 1-5 alike).  When item 16 moves the
+        truth inside the 95% HPD region this fails; then assert ``< 0.95``.
+        """
+        post = cases_only_result.windows[1].posterior
         theta = post.values("theta")
         rho = post.values("rho")
         xe, ye, dens = joint_density_grid(theta, rho, bins=15,
@@ -84,9 +90,7 @@ class TestSequentialRecovery:
         i = int(np.clip(np.searchsorted(xe, t_true) - 1, 0, 14))
         r_true = varying_truth.rho_true(25)
         j = int(np.clip(np.searchsorted(ye, r_true) - 1, 0, 14))
-        # mass of the HPD region containing the truth cell: < 1 means the
-        # truth is not strictly outside the posterior's support
-        assert hpd_region_mass(dens, (i, j)) <= 1.0
+        assert hpd_region_mass(dens, (i, j)) >= 0.95
 
 
 class TestMultiSourceTightening:

@@ -285,12 +285,6 @@ class TestStreamDomainRegistry:
         assert STREAM_DOMAINS.tags("bank")["simulation"] == 0
         assert STREAM_DOMAINS.tags("ancillary")["smc_prior"] == 0
 
-    def test_lookup(self):
-        from repro.seir.seeding import STREAM_DOMAINS
-        entry = STREAM_DOMAINS.lookup("simulation", "bank")
-        assert entry is not None and entry.tag == 0
-
-
 class TestRngStateHelpers:
     """The serialisation helpers live in seeding (the one sanctioned RNG
     construction site)."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.service import ArtifactStore, TornArtifactError
+from repro.service import ArtifactStore
 from repro.testing.chaos import tear_artifact
 
 
@@ -18,7 +18,7 @@ class TestPublishAndSeal:
         store.publish(0, payload_for(0))
         assert store.sealed_windows() == [0]
         assert store.validate(0)
-        assert store.load(0) == payload_for(0)
+        assert store.read_latest().payload == payload_for(0)
 
     def test_artifact_bytes_are_canonical(self, tmp_path):
         """Bytes are a pure function of the payload: key order, two stores,
@@ -52,14 +52,6 @@ class TestPublishAndSeal:
 
 
 class TestTornArtifacts:
-    def test_load_raises_on_torn_payload(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.publish(0, payload_for(0))
-        tear_artifact(store, 0)
-        assert not store.validate(0)
-        with pytest.raises(TornArtifactError, match="window 0"):
-            store.load(0)
-
     def test_read_latest_serves_around_a_torn_head(self, tmp_path):
         """The degradation contract: a torn head is skipped, the previous
         sealed window is served, tagged stale."""
@@ -109,7 +101,7 @@ class TestPrune:
             store.publish(i, payload_for(i))
         assert store.prune(keep_last=2) == [0, 1]
         assert store.sealed_windows() == [2, 3]
-        assert store.load(3) == payload_for(3)
+        assert store.read_latest().payload == payload_for(3)
 
     def test_windows_past_999_order_by_number(self, tmp_path):
         """``window_1000`` follows ``window_999``: the head, the latest

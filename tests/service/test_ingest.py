@@ -42,7 +42,8 @@ class TestObservationBuffer:
             {"nan_value", "negative_value", "malformed", "duplicate_day"}
         # the good row landed, the bad ones did not
         assert buf.covered(1, 2)
-        assert buf.missing_days(1, 4)["cases"] == [2, 3]
+        with pytest.raises(ValueError, match=r"missing \{'cases': \[2, 3\]\}"):
+            buf.observation_set(1, 4)
 
     def test_unknown_stream_is_rejected_whole(self):
         buf = ObservationBuffer(CASES_ONLY)

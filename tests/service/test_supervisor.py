@@ -485,16 +485,17 @@ class TestRetentionAndPartialFeeds:
         empty = ObservationBuffer({"cases": ("cases", True)})
         assert service.tick(empty) == []
         assert service.next_window_index == 0
-        assert not service.ready(empty)
+        assert service.expected_head(empty) == -1
         # half of window 0 is not enough
         partial = filled_buffer(truth, up_to_day=BREAKS[0] + 3)
         assert service.tick(partial) == []
         # the moment coverage completes, the window runs
         full = filled_buffer(truth, up_to_day=BREAKS[1])
-        assert service.ready(full)
+        assert service.expected_head(full) == 0
         events = service.tick(full)
         assert [e.kind for e in events] == ["window_complete", "published"]
-        assert full.frontier == BREAKS[1]
+        with pytest.raises(ValueError, match=f"now {BREAKS[1]}"):
+            full.advance_frontier(BREAKS[1] - 1)
 
     def test_expected_head_tracks_ingest_not_calibration(self, truth,
                                                          tmp_path):
