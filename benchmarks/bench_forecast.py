@@ -71,7 +71,12 @@ NOMINAL = 0.90
 ARMS = ("held_theta", "next_window_cloud")
 #: The committed scores the cloud's statistics are pinned against.
 BASELINE = Path(__file__).resolve().parents[1] / "BENCH_forecast.json"
-#: How much worse than the baseline a pinned statistic may read.
+#: How much worse than the baseline a pinned statistic may read.  The
+#: per-window pins are bit-level regression pins, not statistical bounds:
+#: transposing the kernel's exit-matrix draw (same distribution, other
+#: bits) moves window 0's ``mean_log_crps_ratio`` from 0.281 to 0.311.  A
+#: change that moves calibration bits on purpose re-pins
+#: BENCH_forecast.json under the ROADMAP's re-pin rules.
 PIN_TOLERANCE = 0.02
 
 

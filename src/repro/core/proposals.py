@@ -10,8 +10,8 @@ stages".
 
 :class:`UniformJitter` implements both shapes (set ``down`` = ``up`` for the
 symmetric case) with reflection at the support bounds so proposals stay in
-the parameter's legal range, and exposes the conditional log-density needed
-if a caller wants full proposal corrections.
+the parameter's legal range, and exposes the reflected draws' conditional
+log-density for callers that want full proposal corrections.
 """
 
 from __future__ import annotations
@@ -71,17 +71,25 @@ class UniformJitter:
         return _reflect(raw, *self.bounds)
 
     def logpdf(self, proposed: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Density of the *pre-reflection* uniform (adequate for diagnostics;
-        the SIS weight update in this framework treats the jittered draws as
-        the next window's prior, so no proposal correction is applied —
-        matching the paper's construction)."""
+        """Log-density of :meth:`propose`'s reflected draws.
+
+        The uniform's mass beyond a bound folds back inside it, so the
+        density at ``x`` sums the uniform's at ``x``, ``2·low − x`` and
+        ``2·high − x``; it is ``-inf`` outside the bounds.  One reflection
+        per bound is exact while ``down + up`` is below the bound span,
+        which holds for every kernel in use.  No weight update reads it: the
+        jittered draws are the next window's prior, matching the paper's
+        construction.
+        """
         p = np.asarray(proposed, dtype=np.float64)
         c = np.asarray(centers, dtype=np.float64)
-        width = self.down + self.up
-        inside = (p >= c - self.down) & (p <= c + self.up)
-        out = np.full(p.shape, -np.inf)
-        out[inside] = -np.log(width)
-        return out
+        low, high = self.bounds
+        hits = np.zeros(np.broadcast_shapes(p.shape, c.shape))
+        for image in (p, 2 * low - p, 2 * high - p):
+            hits += (image >= c - self.down) & (image <= c + self.up)
+        with np.errstate(divide="ignore"):
+            out = np.log(hits / (self.down + self.up))
+        return np.where((p >= low) & (p <= high), out, -np.inf)
 
 
 class JointJitter:

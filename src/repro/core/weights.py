@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contracts import shaped
-
 __all__ = ["logsumexp", "normalize_log_weights", "effective_sample_size",
            "weight_entropy", "weighted_mean", "weighted_quantile"]
 
@@ -28,7 +26,6 @@ def logsumexp(log_values: np.ndarray) -> float:
     return hi + float(np.log(np.sum(np.exp(arr - hi))))
 
 
-@shaped(log_weights="(n_particles,)", returns="(n_particles,) float64")
 def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
     """Convert log-weights to a normalised probability vector.
 
@@ -52,7 +49,6 @@ def normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
     return w / w.sum()  # renormalise away rounding
 
 
-@shaped(weights="(n_particles,)")
 def effective_sample_size(weights: np.ndarray) -> float:
     """Kish effective sample size ``1 / sum(w_i^2)`` of normalised weights."""
     w = np.asarray(weights, dtype=np.float64)
@@ -74,7 +70,6 @@ def weight_entropy(weights: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-@shaped(values="(n_particles,)", weights="(n_particles,)")
 def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     """Mean of ``values`` under normalised weights."""
     v = np.asarray(values, dtype=np.float64)
@@ -84,7 +79,6 @@ def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(v * w))
 
 
-@shaped(values="(n_particles,)", weights="(n_particles,)")
 def weighted_quantile(values: np.ndarray, weights: np.ndarray,
                       q: float | np.ndarray) -> np.ndarray | float:
     """Quantiles of a weighted sample (inverse-CDF convention).

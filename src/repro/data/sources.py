@@ -53,14 +53,22 @@ class ObservationSource:
     biased:
         Whether the binomial reporting-bias model applies to this stream.
         The paper applies it to cases but *not* to deaths (section V-C).
+
+    An omitted ``channel`` or ``biased`` takes the stream's wiring from
+    :data:`STREAMS` (``cases``/``True`` for a name outside it).
     """
 
     name: str
     series: TimeSeries
-    channel: str = CASES
-    biased: bool = True
+    channel: str | None = None
+    biased: bool | None = None
 
     def __post_init__(self) -> None:
+        channel, biased = STREAMS.get(self.name, (CASES, True))
+        if self.channel is None:
+            object.__setattr__(self, "channel", channel)
+        if self.biased is None:
+            object.__setattr__(self, "biased", biased)
         if self.channel not in CHANNELS:
             raise ValueError(
                 f"unknown channel {self.channel!r}; expected one of {sorted(CHANNELS)}"

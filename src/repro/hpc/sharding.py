@@ -48,7 +48,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.contracts import check_shaped
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
 from ..seir.parameters import DiseaseParameters
@@ -164,14 +163,18 @@ class ShardTask:
     def __post_init__(self) -> None:
         if (self.start_day is None) == (self.state is None):
             raise ValueError("exactly one of start_day/state must be set")
-        # Shared `dims` ties the two vectors to one member count; live
-        # check (not decoration-time) because tasks are built on workers
-        # that may inherit a different environment than the importer.
-        dims: dict[str, int] = {}
-        check_shaped(self.seeds, "(n_members,) int64", name="seeds",
-                     dims=dims, where="ShardTask")
-        check_shaped(self.thetas, "(n_members,) float64", name="thetas",
-                     dims=dims, where="ShardTask")
+        # The payload crosses a process boundary: refuse a malformed one
+        # here rather than as a broadcast error inside a worker.
+        for name, dtype in (("seeds", "int64"), ("thetas", "float64")):
+            value = np.asarray(getattr(self, name))
+            if value.ndim != 1 or value.dtype != np.dtype(dtype):
+                raise ValueError(
+                    f"ShardTask.{name} must be a 1-d {dtype} vector, got "
+                    f"shape {value.shape} {value.dtype}")
+        if len(self.thetas) != len(self.seeds):
+            raise ValueError(
+                f"ShardTask.thetas has {len(self.thetas)} entries for "
+                f"{len(self.seeds)} seeds")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.contracts import shaped
 from .checkpoint import StackedLeapState
 from .compartments import (Compartment, HOSPITAL_COMPARTMENTS,
                            ICU_COMPARTMENTS, N_COMPARTMENTS)
@@ -129,7 +128,6 @@ class BatchTrajectory:
     def end_day(self) -> int:
         return self.start_day + self.n_days
 
-    @shaped(returns="(n_particles, n_days) float64")
     def channel_matrix(self, channel: str) -> np.ndarray:
         """The named channel's ``(n_particles, n_days)`` matrix (no copy)."""
         from ..data.sources import CASES, DEATHS, HOSPITAL_CENSUS, ICU_CENSUS
@@ -294,15 +292,9 @@ class BatchedBinomialLeapEngine:
     def cumulative_deaths(self) -> np.ndarray:
         return self._cum_deaths.copy()
 
-    def population_conserved(self) -> bool:
-        """Closed-population invariant for every member."""
-        return bool(np.all(self._counts.sum(axis=1) == self.params.population))
-
     # ------------------------------------------------------------------ #
     # Dynamics
     # ------------------------------------------------------------------ #
-    @shaped(thetas="(n_members,) float64",
-            returns=("(n_members,) int", "(n_members,) int"))
     def _substep(self, thetas: np.ndarray, dt: float
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Advance one substep; return per-member (new_infections, new_deaths)."""
@@ -353,7 +345,6 @@ class BatchedBinomialLeapEngine:
         counts += delta
         return new_e, new_deaths
 
-    @shaped(returns=("(n_members,) int64", "(n_members,) int64"))
     def step_day(self) -> tuple[np.ndarray, np.ndarray]:
         """Simulate one day; return per-member (new_infections, new_deaths)."""
         dt = 1.0 / self.steps_per_day

@@ -93,11 +93,9 @@ class GroundTruth:
         Cases only for the Fig 3/4 experiments; add unbiased deaths for
         Fig 5.
         """
-        sources = [ObservationSource(CASES, self.observed_cases,
-                                     channel=CASES, biased=True)]
+        sources = [ObservationSource(CASES, self.observed_cases)]
         if include_deaths:
-            sources.append(ObservationSource(DEATHS, self.deaths,
-                                             channel=DEATHS, biased=False))
+            sources.append(ObservationSource(DEATHS, self.deaths))
         return ObservationSet.of(*sources)
 
     def truth_point(self, day: int) -> dict[str, float]:

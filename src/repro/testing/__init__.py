@@ -1,8 +1,9 @@
 """Reusable test scaffolding: bitwise parity oracles, the scalar
 binomial-leap reference engine and its restart oracle, the exact-SSA
-engine, the per-particle weighting reference, fixtures, and the shard and
-service fault-injection harnesses (:mod:`repro.testing.chaos`, imported
-by its module path).  No production module imports this package.
+engine, the per-particle weighting reference, the closed-population
+invariant, fixtures, and the shard and service fault-injection harnesses
+(:mod:`repro.testing.chaos`, imported by its module path).  No production
+module imports this package.
 
 The scalar oracles keep their one-trajectory-at-a-time logic but speak
 the production record: an engine run is a one-row
@@ -23,7 +24,7 @@ from .parity import (assert_ensembles_identical, assert_runs_identical,
                      assert_trajectories_identical,
                      assert_window_results_identical, parity_calibrator,
                      parity_config, parity_sweep, parity_truth,
-                     statistical_diagnostics)
+                     population_conserved, statistical_diagnostics)
 from .weighting import loglik_reference
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "assert_window_results_identical",
     "assert_runs_identical",
     "statistical_diagnostics",
+    "population_conserved",
     "parity_truth",
     "parity_config",
     "parity_calibrator",

@@ -79,9 +79,6 @@ class GillespieEngine:
     def cumulative_deaths(self) -> int:
         return int(self._cum_deaths)
 
-    def population_conserved(self) -> bool:
-        return int(self._counts.sum()) == self.params.population
-
     # ------------------------------------------------------------------ #
     def _rates(self, theta: float) -> tuple[float, np.ndarray]:
         """Return (infection_rate, per-source transition rates)."""

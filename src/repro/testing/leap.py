@@ -151,10 +151,6 @@ class BinomialLeapEngine:
     def cumulative_deaths(self) -> int:
         return int(self._cum_deaths)
 
-    def population_conserved(self) -> bool:
-        """Closed-population invariant: compartment sum equals N."""
-        return int(self._counts.sum()) == self.params.population
-
     # ------------------------------------------------------------------ #
     # Dynamics
     # ------------------------------------------------------------------ #

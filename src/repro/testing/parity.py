@@ -15,6 +15,9 @@ statistical state stays bit-identical to a fault-free run, so those two
 keys are stripped before diagnostics are compared
 (:func:`statistical_diagnostics`).
 
+:func:`population_conserved` states the closed-population invariant once
+for every engine, batched or scalar.
+
 The module also ships the standard small parity environment — a
 town-scale ground truth and calibrator/sweep factories with a pinned
 shard layout — so oracle suites across files exercise identical inputs.
@@ -39,6 +42,7 @@ __all__ = [
     "assert_ensembles_identical",
     "assert_window_results_identical",
     "assert_runs_identical",
+    "population_conserved",
     "statistical_diagnostics",
     "parity_truth",
     "parity_config",
@@ -144,6 +148,16 @@ def assert_runs_identical(a, b, context: str = "") -> None:
         f"window counts differ{_where(context)}: {len(a)} != {len(b)}")
     for wa, wb in zip(a, b):
         assert_window_results_identical(wa, wb, context)
+
+
+def population_conserved(engine) -> bool:
+    """Closed-population invariant: every member's compartments sum to N.
+
+    ``engine.counts`` is one member's occupancy vector (the scalar oracles)
+    or the ``(n_members, n_compartments)`` matrix of a batch.
+    """
+    return bool((engine.counts.sum(axis=-1)
+                 == engine.params.population).all())
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import JointJitter, UniformJitter, paper_window_jitter
+from repro.core.proposals import RHO_SKEW, THETA_BOUNDS
 
 
 class Identity:
@@ -59,6 +60,60 @@ class TestUniformJitter:
             UniformJitter(0.0, 0.0)
         with pytest.raises(ValueError):
             UniformJitter(-0.1, 0.1)
+
+
+#: The paper's theta kernel and the rho kernel at its default and a doubled
+#: width, each centred at and just inside both of its bounds.
+_BOUND_CASES = [
+    (UniformJitter(0.05, 0.05, THETA_BOUNDS), center)
+    for center in (0.05, 0.07, 0.78, 0.8)
+] + [
+    (UniformJitter(width, width * RHO_SKEW, (0.0, 1.0)), center)
+    for width in (0.02, 0.04) for center in (0.0, 0.01, 0.97, 1.0)
+]
+
+
+def _bin_masses(kernel, center, edges, points_per_bin=2000):
+    """Midpoint-rule mass of ``exp(logpdf)`` in each ``[edges[i], edges[i+1])``."""
+    masses = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        step = (hi - lo) / points_per_bin
+        x = lo + step * (np.arange(points_per_bin) + 0.5)
+        density = np.exp(kernel.logpdf(x, np.full_like(x, center)))
+        masses.append(density.sum() * step)
+    return np.array(masses)
+
+
+class TestReflectedDensity:
+    """``logpdf`` is the density of what ``propose`` draws, bounds included:
+    the mass a uniform puts beyond a bound is folded back inside it."""
+
+    @pytest.mark.parametrize("kernel,center", _BOUND_CASES)
+    def test_integrates_to_one_over_the_bounds(self, kernel, center):
+        low, high = kernel.bounds
+        [mass] = _bin_masses(kernel, center, [low, high], 200_000)
+        assert mass == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("kernel,center", _BOUND_CASES)
+    def test_matches_a_histogram_of_proposals(self, kernel, center):
+        n = 400_000
+        draws = kernel.propose(np.full(n, center),
+                               np.random.Generator(np.random.PCG64(2024)))
+        low, high = kernel.bounds
+        reach = kernel.down + kernel.up
+        edges = np.linspace(max(low, center - reach),
+                            min(high, center + reach), 41)
+        counts, _ = np.histogram(draws, bins=edges)
+        expected = _bin_masses(kernel, center, edges)
+        assert counts.sum() == n
+        tolerance = 5 * np.sqrt(expected * (1 - expected) / n) + 2e-4
+        assert np.all(np.abs(counts / n - expected) <= tolerance), (
+            counts / n, expected)
+
+    def test_zero_outside_the_bounds(self):
+        kernel = UniformJitter(0.04, 0.12, (0.0, 1.0))
+        assert np.all(kernel.logpdf(np.array([-0.01, 1.01]),
+                                    np.array([0.0, 1.0])) == -np.inf)
 
 
 class TestJointJitter:

@@ -121,6 +121,24 @@ class TestConfigKnobs:
             ShardTask(shard_id=0, params=params, seeds=np.array([1]),
                       thetas=np.array([0.3]), end_day=5)
 
+    @pytest.mark.parametrize("field,seeds,thetas", [
+        ("thetas", [1, 2], [0.1, 0.2, 0.3]),
+        ("seeds", [[1, 2]], [0.1, 0.2]),
+        ("thetas", [1, 2], [[0.1, 0.2]]),
+        ("seeds", np.array([1, 2], dtype=np.int32), [0.1, 0.2]),
+        ("seeds", [1.0, 2.0], [0.1, 0.2]),
+        ("thetas", [1, 2], np.array([0.1, 0.2], dtype=np.float32)),
+        ("thetas", [1, 2], [1, 2]),
+    ], ids=["length", "seeds-2d", "thetas-2d", "seeds-int32",
+            "seeds-float", "thetas-float32", "thetas-int"])
+    def test_shard_task_payload_is_validated(self, field, seeds, thetas):
+        """Seeds and thetas are pickled into workers, so a malformed
+        payload is refused when the task is built, naming the field."""
+        params = DiseaseParameters(population=1000, initial_exposed=5)
+        with pytest.raises(ValueError, match=f"ShardTask.{field}"):
+            ShardTask(shard_id=0, params=params, seeds=np.asarray(seeds),
+                      thetas=np.asarray(thetas), end_day=5, start_day=0)
+
     def test_simulate_groups_accepts_only_the_batched_engine(self):
         """``engine=smc.engine`` still works; any other name is refused
         rather than silently run on the batched engine."""

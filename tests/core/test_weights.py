@@ -95,6 +95,10 @@ class TestWeightedStats:
         with pytest.raises(ValueError):
             weighted_mean(np.zeros(3), np.zeros(4))
 
+    def test_quantile_shape_mismatch(self):
+        with pytest.raises(ValueError, match="same shape"):
+            weighted_quantile(np.zeros(3), np.full(4, 0.25), 0.5)
+
     def test_weighted_quantile_uniform_matches_numpy(self):
         rng = np.random.Generator(np.random.PCG64(0))
         v = rng.normal(size=500)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import (CASES, DEATHS, ObservationSet, ObservationSource,
-                        TimeSeries)
+from repro.data import (CASES, DEATHS, STREAMS, ObservationSet,
+                        ObservationSource, TimeSeries)
 
 
 def source(name="cases", start=0, n=10, channel=CASES, biased=True):
@@ -26,6 +26,23 @@ class TestObservationSource:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             source(name="")
+
+    def test_omitted_wiring_comes_from_streams(self):
+        series = TimeSeries(0, np.arange(5.0))
+
+        def wiring(*args, **kwargs):
+            s = ObservationSource(*args, **kwargs)
+            return s.channel, s.biased
+
+        assert wiring("deaths", series) == STREAMS["deaths"] == (DEATHS, False)
+        assert wiring("cases", series) == STREAMS["cases"] == (CASES, True)
+        assert wiring("hospital", series) == (CASES, True)
+        # Explicit values stay as given; weighing refuses a mismatch.
+        assert wiring("deaths", series, biased=True) == (DEATHS, True)
+        assert wiring("deaths", series, channel=CASES, biased=True) == \
+            (CASES, True)
+        assert ObservationSource("deaths", series).window(1, 3).channel == \
+            DEATHS
 
     def test_window(self):
         s = source(n=10).window(2, 5)

@@ -14,7 +14,7 @@ from repro.seir import (BatchedBinomialLeapEngine, BatchTrajectory,
                         Compartment, DiseaseParameters, StackedLeapState,
                         generator_for)
 from repro.seir.seeding import rng_state_to_jsonable
-from repro.testing import BinomialLeapEngine
+from repro.testing import BinomialLeapEngine, population_conserved
 
 
 @pytest.fixture
@@ -86,7 +86,14 @@ class TestConstruction:
 class TestDynamics:
     def test_population_conserved_over_run(self, batch):
         batch.run_until(40)
-        assert batch.population_conserved()
+        assert population_conserved(batch)
+
+    def test_step_day_returns_one_int64_count_per_member(self, batch):
+        for _ in range(10):
+            infections, deaths = batch.step_day()
+            for counts in (infections, deaths):
+                assert counts.shape == (batch.n_particles,)
+                assert counts.dtype == np.int64
 
     def test_counts_never_negative(self, batch):
         for _ in range(40):
@@ -274,7 +281,7 @@ class TestBatchRestartRoundTrip:
                               eng.cumulative_infections)
         seg = restarted.run_until(20)
         assert seg.start_day == 14 and seg.n_days == 6
-        assert restarted.population_conserved()
+        assert population_conserved(restarted)
 
     def test_restart_is_deterministic_in_new_seeds(self, small_params):
         eng = BatchedBinomialLeapEngine(small_params, np.arange(20))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.seir import Compartment
-from repro.testing import GillespieEngine
+from repro.testing import GillespieEngine, population_conserved
 
 
 class TestGillespie:
     def test_population_conserved(self, tiny_params):
         eng = GillespieEngine(tiny_params, seed=1)
         eng.run_until(30)
-        assert eng.population_conserved()
+        assert population_conserved(eng)
 
     def test_deterministic_given_seed(self, tiny_params):
         t1 = GillespieEngine(tiny_params, seed=5).run_until(25)
