@@ -118,10 +118,7 @@ def run_cell(truth_seed: int, base_seed: int) -> list[dict]:
     cases = []
     for index in range(1, len(windows)):
         window = windows[index]
-        n_proposals, resample_size = calib.planned_sizes_after(
-            result, next_window_days=window.n_days)
-        cloud = calib.simulate_window(index, window, result.posterior,
-                                      n_proposals=n_proposals)
+        cloud = calib.simulate_window(index, window, result)
         start = window.start_day
         truth_cases = np.array([truth.true_cases.value_on(day)
                                 for day in range(start, start + HORIZON)])
@@ -138,10 +135,8 @@ def run_cell(truth_seed: int, base_seed: int) -> list[dict]:
                           scores["next_window_cloud"]["mean_crps"]
                           / scores["held_theta"]["mean_crps"]))})
         if index + 1 < len(windows):
-            result = calib.step_window(
-                index, window, observations, result.posterior,
-                n_proposals=n_proposals, resample_size=resample_size,
-                cloud=cloud)
+            result = calib.step_window(index, window, observations, result,
+                                       cloud=cloud)
     return cases
 
 

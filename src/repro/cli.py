@@ -287,17 +287,17 @@ def _requested_scenarios(args) -> list[str] | None:
         except KeyError as exc:
             raise SystemExit(str(exc.args[0]))
     if chosen:
-        unknown = sorted(set(chosen) - set(SCENARIOS.names()))
+        unknown = sorted(set(chosen) - set(SCENARIOS))
         if unknown:
             raise SystemExit(f"unknown scenario(s) {unknown}; registered: "
-                             f"{SCENARIOS.names()}")
+                             f"{sorted(SCENARIOS)}")
         return list(chosen)
     return None
 
 
 def _cmd_scenarios(args) -> int:
     print("registered scenarios:")
-    for spec in SCENARIOS.specs():
+    for spec in SCENARIOS.values():
         parts = [f"{o.field}={o.value}@d{o.start_day}"
                  for o in spec.overrides]
         detail = "; ".join(parts) if parts else "no overrides"

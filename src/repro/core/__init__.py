@@ -11,8 +11,8 @@ from .priors import Beta, IndependentProduct, Uniform, paper_first_window_prior
 from .proposals import JointJitter, UniformJitter, paper_window_jitter
 from .resampling import multinomial_resample, systematic_resample
 from .scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
-                        ScenarioRegistry, ScenarioSpec, ScenarioSweep,
-                        get_scenario, register_scenario, scenario_set)
+                        ScenarioSpec, ScenarioSweep, get_scenario,
+                        scenario_set)
 from .smc import (BIAS_PARAM, PendingWindow, SequentialCalibrator,
                   SMCConfig, WindowResult)
 from .validation import (crps, interval_coverage, posterior_rank,
@@ -26,9 +26,8 @@ __all__ = [
     "TemperedResult", "temper_and_resample",
     "SMCConfig", "WindowResult", "SequentialCalibrator", "PendingWindow",
     "BIAS_PARAM",
-    "ScenarioOverride", "ScenarioSpec", "ScenarioRegistry", "ScenarioSweep",
-    "SCENARIOS", "SCENARIO_SETS", "register_scenario", "get_scenario",
-    "scenario_set",
+    "ScenarioOverride", "ScenarioSpec", "ScenarioSweep",
+    "SCENARIOS", "SCENARIO_SETS", "get_scenario", "scenario_set",
     "ESSTargetPolicy", "SIZE_POLICY_NAMES",
     "Particle", "ParticleEnsemble",
     "Uniform", "Beta", "IndependentProduct", "paper_first_window_prior",

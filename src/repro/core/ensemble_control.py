@@ -79,7 +79,7 @@ class ESSTargetPolicy:
 
         ``current_size`` is the **realised** size of the just-weighted cloud
         (``== diagnostics.n_particles`` — for window 0 the
-        ``n_parameter_draws * n_replicates`` prior cloud, *not* the planned
+        ``n_parameter_draws * n_replicates`` prior cloud, *not* the fixed
         continuation size, so a grow decision after a degenerate first
         window multiplies the base the ESS fraction was actually measured
         on).

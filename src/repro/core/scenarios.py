@@ -11,11 +11,10 @@ knobs (:data:`~repro.seir.parameters.RESTART_FIELDS`)
 starting exactly at a continuation window boundary, because that is where
 the engine stops and parameters can actually change.
 
-Scenarios are registered in the process-wide :data:`SCENARIOS` registry
-(same discipline as the stream-tag registry of :mod:`repro.seir.seeding`:
-idempotent re-registration of an identical spec, hard error on rebinding a
-name) and grouped into named :data:`SCENARIO_SETS` for the CLI's
-``--scenario-set``.
+The built-in scenarios sit in the read-only :data:`SCENARIOS` table
+(name -> spec) and are grouped into named :data:`SCENARIO_SETS` for the
+CLI's ``--scenario-set``; any other spec is passed to a calibration
+directly.
 
 **RNG contract.**  Scenarios use *common random numbers*: every scenario
 of a sweep draws from the same ``base_seed`` streams, so two scenarios
@@ -28,10 +27,11 @@ of the *scenario effect* rather than of Monte Carlo noise, and what lets
 one shared :class:`~repro.core.smc.SequentialCalibrator` configuration.
 Within each window it partitions the still-active scenarios into
 *world-lines* — groups whose upcoming window is provably bit-identical:
-same effective window parameters, same lineage (they
-shared every previous window), same size plans.  The sweep is the
-calibrator's own window loop (:func:`~repro.core.smc.window_loop`) over
-one calibrator per scenario, keyed by world-line: each line is computed
+same effective window parameters and same lineage (they shared every
+previous window, hence the previous result that sizes the next cloud).
+The sweep is the calibrator's own window loop
+(:func:`~repro.core.smc.window_loop`) over one calibrator per scenario,
+keyed by world-line: each line is computed
 once, **all** lines' group specs sent to one
 :func:`~repro.hpc.sharding.simulate_groups` dispatch by
 :func:`~repro.core.smc.window_step`.
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from ..data.sources import ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
@@ -57,9 +58,8 @@ from .proposals import JointJitter
 from .smc import SequentialCalibrator, SMCConfig, WindowResult, window_loop
 from .window import TimeWindow, WindowSchedule
 
-__all__ = ["ScenarioOverride", "ScenarioSpec", "ScenarioRegistry",
-           "SCENARIOS", "SCENARIO_SETS", "register_scenario", "get_scenario",
-           "scenario_set", "ScenarioSweep"]
+__all__ = ["ScenarioOverride", "ScenarioSpec", "SCENARIOS", "SCENARIO_SETS",
+           "get_scenario", "scenario_set", "ScenarioSweep"]
 
 _PARAM_FIELD_TYPES: dict[str, str] = {
     f.name: str(f.type) for f in dataclass_fields(DiseaseParameters)}
@@ -209,97 +209,48 @@ class ScenarioSpec:
                 "overrides": [o.to_dict() for o in self.overrides]}
 
 
-class ScenarioRegistry:
-    """Process-wide named-scenario registry.
-
-    Same discipline as the stream-tag registry
-    (:class:`~repro.seir.seeding.StreamDomainRegistry`): re-registering an
-    *identical* spec is an idempotent no-op; rebinding a name to a
-    different spec raises — a silently swapped scenario definition would
-    change what stored results mean.
-    """
-
-    def __init__(self) -> None:
-        self._specs: dict[str, ScenarioSpec] = {}
-
-    def register(self, spec: ScenarioSpec) -> ScenarioSpec:
-        existing = self._specs.get(spec.name)
-        if existing is not None:
-            if existing == spec:
-                return existing
-            raise ValueError(
-                f"scenario {spec.name!r} is already registered with a "
-                "different definition; scenario names cannot be rebound")
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> ScenarioSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown scenario {name!r}; registered: "
-                f"{self.names()}") from None
-
-    def names(self) -> list[str]:
-        """Registered names, sorted (the canonical scenario ordering)."""
-        return sorted(self._specs)
-
-    def specs(self) -> list[ScenarioSpec]:
-        """Registered specs in canonical (name-sorted) order."""
-        return [self._specs[name] for name in self.names()]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[ScenarioSpec]:
-        return iter(self.specs())
-
-
-SCENARIOS = ScenarioRegistry()
-
-
-def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
-    """Register ``spec`` in the process-wide registry (see the class)."""
-    return SCENARIOS.register(spec)
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a registered scenario by name."""
-    return SCENARIOS.get(name)
-
-
 # --------------------------------------------------------------------------- #
 # Built-in scenarios.  Mid-run start days (34, 48) sit on the paper
 # schedule's continuation window boundaries (breaks 20/34/48/62/76).
 # --------------------------------------------------------------------------- #
-BASELINE = register_scenario(ScenarioSpec(
-    name="baseline",
-    description="the calibration exactly as configured; no overrides"))
+#: The built-in scenarios by name, in canonical (name-sorted) order.  Read
+#: only: a scenario outside it is passed to the calibration as a spec.
+SCENARIOS: Mapping[str, ScenarioSpec] = MappingProxyType({
+    spec.name: spec for spec in sorted((
+        ScenarioSpec(
+            name="baseline",
+            description="the calibration exactly as configured; no "
+                        "overrides"),
+        ScenarioSpec(
+            name="milder_variant_d34",
+            description="a milder variant dominates from day 34 "
+                        "(mild_fraction 0.92 -> 0.97)",
+            overrides=(ScenarioOverride(field="mild_fraction", value=0.97,
+                                        start_day=34),)),
+        ScenarioSpec(
+            name="late_intervention_d48",
+            description="strict isolation of detected cases from day 48 "
+                        "(detected_rel_infectiousness 0.15 -> 0.05)",
+            overrides=(ScenarioOverride(field="detected_rel_infectiousness",
+                                        value=0.05, start_day=48),)),
+        ScenarioSpec(
+            name="relaxed_detection_d48",
+            description="isolation compliance erodes from day 48 "
+                        "(detected_rel_infectiousness 0.15 -> 0.30)",
+            overrides=(ScenarioOverride(field="detected_rel_infectiousness",
+                                        value=0.30, start_day=48),)),
+    ), key=lambda spec: spec.name)})
 
-MILDER_VARIANT_D34 = register_scenario(ScenarioSpec(
-    name="milder_variant_d34",
-    description="a milder variant dominates from day 34 "
-                "(mild_fraction 0.92 -> 0.97)",
-    overrides=(ScenarioOverride(field="mild_fraction", value=0.97,
-                                start_day=34),)))
 
-LATE_INTERVENTION_D48 = register_scenario(ScenarioSpec(
-    name="late_intervention_d48",
-    description="strict isolation of detected cases from day 48 "
-                "(detected_rel_infectiousness 0.15 -> 0.05)",
-    overrides=(ScenarioOverride(field="detected_rel_infectiousness",
-                                value=0.05, start_day=48),)))
+def get_scenario(name: str) -> ScenarioSpec:
+    """Look up a built-in scenario by name."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {name!r}; registered: "
+            f"{sorted(SCENARIOS)}") from None
 
-RELAXED_DETECTION_D48 = register_scenario(ScenarioSpec(
-    name="relaxed_detection_d48",
-    description="isolation compliance erodes from day 48 "
-                "(detected_rel_infectiousness 0.15 -> 0.30)",
-    overrides=(ScenarioOverride(field="detected_rel_infectiousness",
-                                value=0.30, start_day=48),)))
 
 SCENARIO_SETS: dict[str, tuple[str, ...]] = {
     "default": ("baseline", "milder_variant_d34", "late_intervention_d48",
@@ -338,7 +289,7 @@ class ScenarioSweep:
     """Calibrate S scenarios as one vectorized, deduplicated sweep.
 
     Construction mirrors :class:`~repro.core.smc.SequentialCalibrator`
-    plus a ``scenarios`` sequence (specs or registered names; duplicates
+    plus a ``scenarios`` sequence (specs or built-in names; duplicates
     collapse; execution order is canonical name order, so per-scenario
     results never depend on the order scenarios were requested in).  One
     calibrator per scenario shares the executor and config.
@@ -390,21 +341,22 @@ class ScenarioSweep:
         """Scenario names in canonical (execution) order."""
         return [spec.name for spec in self.specs]
 
-    def _line_key(self, name: str, window: TimeWindow, lineage: object,
-                  plans: tuple[int, int]) -> tuple[object, ...]:
+    def _line_key(self, name: str, window: TimeWindow,
+                  lineage: object) -> tuple[object, ...]:
         """Hashable world-line identity for one scenario's next window.
 
         Scenarios sharing a key get bit-identical windows: every scenario
         draws from the run's one set of streams, so sharing needs the same
         *effective* window parameters (stronger than equal override
         declarations), the same lineage token (they shared every window so
-        far — diverged lines never re-merge) and the same size plans.
+        far — diverged lines never re-merge).  An equal lineage means the
+        same previous result, hence the same cloud size.
         """
         calib = self.calibrators[name]
         spec = calib.scenario
         assert spec is not None
         effective = spec.params_at(window.start_day, calib.base_params)
-        return (tuple(sorted(effective.to_dict().items())), lineage, plans)
+        return (tuple(sorted(effective.to_dict().items())), lineage)
 
     def run(self, observations: ObservationSet, *,
             stores: Mapping[str, CheckpointStore] | None = None,

@@ -8,7 +8,8 @@ sharing a schedule, config and executor:
   checkpoints) from one window to the next, and persists/resumes them;
 * :func:`window_step`, the **inner step** per window: sample parameters,
   simulate trajectories in parallel, weight them against the window's
-  observations, and resample.
+  observations, and resample.  It maps the previous window's
+  :class:`WindowResult` to the next one, which is all a window depends on.
 
 :meth:`SequentialCalibrator.run` is the loop over one calibrator,
 :meth:`SequentialCalibrator.step_window` (the streaming service's entry
@@ -52,7 +53,8 @@ restart the gathered parents' restart rows, and the checkpoint store writes
 those rows as they are.
 
 Proposal-cloud sizes adapt through the size policy
-(``SMCConfig.size_policy``; the posterior keeps ``resample_size``),
+(``SMCConfig.size_policy``, read off the previous window's result at
+proposal time; the posterior keeps ``resample_size``),
 degenerate windows can be rescued by the tempered bridge of
 :func:`repro.core.adaptive.temper_and_resample`
 (``SMCConfig.temper_degenerate``), and simulation is sharded across the
@@ -431,10 +433,10 @@ class SequentialCalibrator:
         """Calibrate every window in the schedule against ``observations``.
 
         :func:`window_loop` over this calibrator alone (a one-scenario
-        sweep).  After each window the size policy maps its diagnostics and
+        sweep).  Each continuation window's proposal count is the size
+        policy's decision on the previous window's diagnostics and
         **realised** cloud size (for window 0, the prior cloud of
-        ``n_parameter_draws * n_replicates``) to the next window's
-        proposal count.
+        ``n_parameter_draws * n_replicates``).
 
         With a ``store`` every completed window's posterior (checkpoints,
         parameters, seeds, ancestry, diagnostics) is durably persisted and
@@ -452,9 +454,7 @@ class SequentialCalibrator:
 
     def step_window(self, index: int, window: TimeWindow,
                     observations: ObservationSet,
-                    posterior: ParticleEnsemble | None = None, *,
-                    n_proposals: int | None = None,
-                    resample_size: int | None = None,
+                    previous: WindowResult | None = None, *,
                     cloud: SimulatedWindow | None = None) -> WindowResult:
         """Calibrate one window — the single-step entry point.
 
@@ -462,58 +462,57 @@ class SequentialCalibrator:
         streaming driver (the always-on service of :mod:`repro.service`)
         can advance the calibration one window at a time as observations
         arrive.  Window 0 simulates the prior cloud from burn-in; every
-        later window needs the previous window's resampled ``posterior``
-        (its particles must carry checkpoints).  ``n_proposals`` /
-        ``resample_size`` are the size-policy plans for this window (see
-        :meth:`planned_sizes_after`; defaults reproduce the classic fixed
-        sizes).  ``observations`` only needs to cover this window's day
-        range, and all per-window randomness is keyed by ``index``, so
-        stepping windows one at a time is bit-identical to a full
-        :meth:`run` over the same schedule.
+        later window needs the ``previous`` window's result, whose
+        resampled posterior carries the checkpoints it restarts and whose
+        diagnostics size its cloud (:meth:`planned_sizes_after`).
+        ``observations`` only needs to cover this window's day range, and
+        all per-window randomness is keyed by ``index``, so stepping
+        windows one at a time is bit-identical to a full :meth:`run` over
+        the same schedule.
 
         ``cloud`` is this window's proposal cloud, already simulated by
-        :meth:`simulate_window` from ``posterior`` at ``n_proposals``; the
-        step then only weighs it.  The cloud is the one the fused step
-        would simulate, so the result is bit-identical either way.
+        :meth:`simulate_window` from ``previous``; the step then only
+        weighs it.  The cloud is the one the fused step would simulate, so
+        the result is bit-identical either way.
         """
         _require_days(observations, window.start_day, window.end_day,
                       f"window {index}")
-        if cloud is not None:
-            pending = cloud.pending
-            if (pending.index, pending.window) != (index, window) or (
-                    n_proposals is not None
-                    and pending.n_members != n_proposals):
-                raise ValueError(
-                    f"cloud of window {pending.index} ({pending.n_members} "
-                    f"members) does not match window {index} at "
-                    f"{n_proposals} proposals")
-        return window_step([self], index, window, observations,
-                           [posterior], [(n_proposals, resample_size)],
-                           clouds=None if cloud is None else [cloud])[0]
+        if cloud is None:
+            return window_step([self], index, window, observations,
+                               [previous])[0]
+        pending = cloud.pending
+        n_proposals = self._n_proposals(previous)
+        if (pending.index, pending.window) != (index, window) or (
+                n_proposals is not None and pending.n_members != n_proposals):
+            raise ValueError(
+                f"cloud of window {pending.index} ({pending.n_members} "
+                f"members) does not match window {index} at "
+                f"{n_proposals} proposals")
+        return self._weigh_cloud(cloud, observations)
 
     def simulate_window(self, index: int, window: TimeWindow,
-                        posterior: ParticleEnsemble | None = None, *,
-                        n_proposals: int | None = None) -> SimulatedWindow:
+                        previous: WindowResult | None = None
+                        ) -> SimulatedWindow:
         """Propose and simulate one window's cloud without weighing it:
         :func:`simulate_windows` for this calibrator alone, the first half
         of :meth:`step_window`."""
-        return simulate_windows([self], index, window, [posterior],
-                                [n_proposals])[0]
+        return simulate_windows([self], index, window, [previous])[0]
 
     def planned_sizes_after(self, result: WindowResult, *,
-                            next_window_days: int) -> tuple[int, int]:
-        """The size plans ``(n_proposals, resample_size)`` for the window
-        after ``result``.
+                            next_window_days: int | None = None
+                            ) -> tuple[int, int]:
+        """The sizes ``(n_proposals, resample_size)`` of the window after
+        ``result``.
 
-        Under ``"fixed"`` the proposal plan is
+        Under ``"fixed"`` the proposal count is
         ``continuation_ensemble_size``; under ``"ess"`` it is the
         :class:`~repro.core.ensemble_control.ESSTargetPolicy` decision on
         ``result.diagnostics`` and the realised cloud size.  The resample
-        plan is the realised posterior size.  Neither depends on
-        ``next_window_days`` (the next window's length) or on any earlier
-        window, which is what lets a resumed or streaming run recover the
-        exact plans of an uninterrupted run from the latest window alone
-        (see :meth:`restore_latest_window`).
+        size is the realised posterior size (``resample_size``).  Neither
+        depends on ``next_window_days`` (the next window's length, unread)
+        or on any earlier window, so every window sizes its cloud from the
+        previous :class:`WindowResult` alone, however the run reached it
+        (fresh, resumed or streamed).
         """
         if self._size_policy is None:
             return self.config.continuation_ensemble_size, len(result.posterior)
@@ -521,6 +520,12 @@ class SequentialCalibrator:
             current_size=result.diagnostics.n_particles,
             diagnostics=result.diagnostics)
         return proposed, len(result.posterior)
+
+    def _n_proposals(self, previous: WindowResult | None) -> int | None:
+        """The proposal count of the window after ``previous`` (``None``
+        before window 0, whose prior cloud has its own size)."""
+        return None if previous is None else \
+            self.planned_sizes_after(previous)[0]
 
     # ------------------------------------------------------------------ #
     # Fault tolerance: shard-failure reporting, persistence, resume.
@@ -692,8 +697,8 @@ class SequentialCalibrator:
         The streaming-service resume path: unlike :meth:`run`'s
         gapless-prefix restore (which rebuilds every window for the final
         :class:`~repro.inference.results.CalibrationResult`), continuing
-        the calibration needs only the latest sealed window — the size
-        plans for the next window derive from it alone
+        the calibration needs only the latest sealed window — the next
+        window's cloud size derives from it alone
         (:meth:`planned_sizes_after`) — so this tolerates stores whose
         older windows were pruned by
         :meth:`~repro.hpc.checkpoint_io.CheckpointStore.prune`.  Returns
@@ -772,9 +777,10 @@ class SequentialCalibrator:
 
         Consumes all of the window's prior/jitter randomness, so
         ``assemble_window(p, simulate_groups(...))`` over the returned plan
-        is bit-identical to :meth:`step_window`.  Window 0 ignores
-        ``posterior``; continuations require it (particles must carry
-        checkpoints).
+        is bit-identical to :meth:`step_window` at ``n_proposals``, the
+        size :meth:`planned_sizes_after` derives from the previous result.
+        Window 0 ignores ``posterior`` and ``n_proposals``; continuations
+        require the posterior (its particles must carry checkpoints).
         """
         if index == 0:
             return self._propose_first_window(window)
@@ -879,9 +885,10 @@ class SequentialCalibrator:
         The last phase of the split-phase API (after
         :meth:`propose_window` / :meth:`assemble_window`) — also the tail
         of every fused :meth:`step_window`.  ``resample_size`` is the
-        posterior's planned size (default ``SMCConfig.resample_size``);
-        ``shard_failures`` are the failures recovered while simulating the
-        cloud, recorded in the window's diagnostics.
+        posterior's size (default ``SMCConfig.resample_size``, which every
+        calibration path keeps); ``shard_failures`` are the failures
+        recovered while simulating the cloud, recorded in the window's
+        diagnostics.
         With ``temper_degenerate`` set, a window whose ESS fraction falls
         below ``temper_threshold`` is resampled through the staged tempered
         bridge instead of one multinomial pass — drawing from the same
@@ -940,6 +947,15 @@ class SequentialCalibrator:
             index=index, window=window, posterior=posterior,
             diagnostics=diagnostics)
 
+    def _weigh_cloud(self, cloud: SimulatedWindow,
+                     observations: ObservationSet) -> WindowResult:
+        """:meth:`weigh_window` on a simulated cloud, with the shard
+        failures recovered while simulating it."""
+        pending = cloud.pending
+        return self.weigh_window(
+            pending.index, pending.window, cloud.ensemble, observations,
+            sim_days=pending.sim_days, shard_failures=cloud.shard_failures)
+
 
 # --------------------------------------------------------------------------- #
 # Algorithm 1's two loops, each coded once: the window step (propose ->
@@ -947,8 +963,8 @@ class SequentialCalibrator:
 # run, the service's one-window step and a multi-scenario sweep all call
 # them, with one calibrator per world-line.
 # --------------------------------------------------------------------------- #
-#: ``line_key(name, window, lineage, plans)``: see :func:`window_loop`.
-LineKey = Callable[[str, TimeWindow, object, tuple[int, int]], Hashable]
+#: ``line_key(name, window, lineage)``: see :func:`window_loop`.
+LineKey = Callable[[str, TimeWindow, object], Hashable]
 
 
 def _require_days(observations: ObservationSet, start_day: int,
@@ -962,13 +978,13 @@ def _require_days(observations: ObservationSet, start_day: int,
 
 def simulate_windows(calibrators: Sequence[SequentialCalibrator],
                      index: int, window: TimeWindow,
-                     posteriors: Sequence[ParticleEnsemble | None],
-                     n_proposals: Sequence[int | None]
+                     previous: Sequence[WindowResult | None]
                      ) -> list[SimulatedWindow]:
     """Propose, simulate and assemble one window's cloud per calibrator.
 
-    Each calibrator proposes its cloud from its ``posteriors`` entry at
-    its ``n_proposals`` entry; every cloud's group spec goes out in **one**
+    Each calibrator proposes its cloud from its ``previous`` entry's
+    posterior, at the size :meth:`~SequentialCalibrator.planned_sizes_after`
+    derives from that result; every cloud's group spec goes out in **one**
     :func:`~repro.hpc.sharding.simulate_groups` dispatch, each cloud's
     shard failures are reported through its own calibrator as they
     happen, and each cloud is assembled.  Shard RNG streams are keyed by
@@ -977,10 +993,10 @@ def simulate_windows(calibrators: Sequence[SequentialCalibrator],
     share one config and executor, hence one shard layout and retry
     policy.
     """
-    pendings = [calib.propose_window(index, window, posterior,
-                                     n_proposals=n)
-                for calib, posterior, n in zip(calibrators, posteriors,
-                                               n_proposals)]
+    pendings = [calib.propose_window(
+                    index, window, None if prev is None else prev.posterior,
+                    n_proposals=calib._n_proposals(prev))
+                for calib, prev in zip(calibrators, previous)]
     failures: list[list[ShardFailure]] = [[] for _ in calibrators]
     first = calibrators[0]
     clouds = simulate_groups(
@@ -999,27 +1015,15 @@ def simulate_windows(calibrators: Sequence[SequentialCalibrator],
 
 def window_step(calibrators: Sequence[SequentialCalibrator], index: int,
                 window: TimeWindow, observations: ObservationSet,
-                posteriors: Sequence[ParticleEnsemble | None],
-                plans: Sequence[tuple[int | None, int | None]],
-                clouds: Sequence[SimulatedWindow] | None = None
+                previous: Sequence[WindowResult | None]
                 ) -> list[WindowResult]:
-    """Calibrate one window for each calibrator (one world-line each).
-
-    :func:`simulate_windows` at each calibrator's ``plans`` entry
-    ``(n_proposals, resample_size)``, unless the ``clouds`` it would
-    return are given; then each cloud is weighed, with the shard failures
-    recovered while simulating it, and resampled to its plan's size.
-    """
-    if clouds is None:
-        clouds = simulate_windows(calibrators, index, window, posteriors,
-                                  [n_proposals for n_proposals, _ in plans])
-    results: list[WindowResult] = []
-    for calib, cloud, (_, resample_size) in zip(calibrators, clouds, plans):
-        results.append(calib.weigh_window(
-            index, window, cloud.ensemble, observations,
-            sim_days=cloud.pending.sim_days, resample_size=resample_size,
-            shard_failures=cloud.shard_failures))
-    return results
+    """Calibrate one window for each calibrator (one world-line each):
+    :func:`simulate_windows` from each calibrator's ``previous`` result,
+    then each cloud weighed, with the shard failures recovered while
+    simulating it, and resampled to ``resample_size``."""
+    clouds = simulate_windows(calibrators, index, window, previous)
+    return [calib._weigh_cloud(cloud, observations)
+            for calib, cloud in zip(calibrators, clouds)]
 
 
 def window_loop(calibrators: Mapping[str, SequentialCalibrator],
@@ -1040,15 +1044,16 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
     against its run fingerprint (keyed by the observed streams too) and
     persists every window it completes;
     ``resume=True`` first restores each store's gapless prefix of complete
-    windows (setting ``resumed_from``) and replays the size policies from
-    the last one.  Each window, the calibrators still running split into
-    world-lines by ``line_key(name, window, lineage, plans)`` (default:
-    one line each; ``lineage`` is ``"fresh"``, ``("restored", name)`` or
-    the ``(window, ordinal)`` of the line last shared, ``plans`` the
-    ``(n_proposals, resample_size)``), and every line's first member
-    computes the window for the line in one :func:`window_step`.  That
-    member also reports the line through its own ``progress``;
-    ``progress`` gets the line count when more than one calibrator runs.
+    windows (setting ``resumed_from``).  Each window, the calibrators
+    still running split into world-lines by ``line_key(name, window,
+    lineage)`` (default: one line each; ``lineage`` is ``"fresh"``,
+    ``("restored", name)`` or the ``(window, ordinal)`` of the line last
+    shared), and every line's first member computes the window for the
+    line in one :func:`window_step` from its previous result, which also
+    sizes the line's cloud: members of one lineage share that result,
+    hence that size.  That member also reports the line through its own
+    ``progress``; ``progress`` gets the line count when more than one
+    calibrator runs.
     """
     if resume and stores is None:
         raise ValueError(
@@ -1063,8 +1068,6 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
                   first.schedule.end_day, "the schedule")
     windows = list(first.schedule)
     results: dict[str, list[WindowResult]] = {name: [] for name in names}
-    plans = {name: (first.config.continuation_ensemble_size,
-                    first.config.resample_size) for name in names}
     lineage: dict[str, object] = {name: "fresh" for name in names}
     for name, calib in calibrators.items():
         calib.resumed_from = None
@@ -1086,9 +1089,6 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
         results[name] = restored
         calib.resumed_from = restored[-1].index
         lineage[name] = ("restored", name)
-        if len(restored) < len(windows):
-            plans[name] = calib.planned_sizes_after(
-                restored[-1], next_window_days=windows[len(restored)].n_days)
         calib._progress(
             f"resuming after window {calib.resumed_from} "
             f"({len(restored)}/{len(windows)} windows restored "
@@ -1100,7 +1100,7 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
         for name in names:
             if len(results[name]) == index:
                 key = name if line_key is None else line_key(
-                    name, window, lineage[name], plans[name])
+                    name, window, lineage[name])
                 lines.setdefault(key, []).append(name)
         if not lines:
             continue
@@ -1114,9 +1114,7 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
         reps = [calibrators[line[0]] for line in members]
         line_results = window_step(
             reps, index, window, observations,
-            [results[line[0]][-1].posterior if index else None
-             for line in members],
-            [plans[line[0]] for line in members])
+            [results[line[0]][-1] if index else None for line in members])
         computed += len(members)
         reused += active - len(members)
         for ordinal, (line, rep, result) in enumerate(
@@ -1133,14 +1131,14 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
                 + (f" (shared by {', '.join(line[1:])})"
                    if len(line) > 1 else ""))
             if index + 1 < len(windows):
-                planned = plans[line[0]][0]
-                proposed, resample = rep.planned_sizes_after(
-                    result, next_window_days=windows[index + 1].n_days)
-                if proposed != planned:
+                # Window 0's prior cloud has its own size; the policy's
+                # baseline there is the fixed continuation size.
+                current = (result.diagnostics.n_particles if index
+                           else first.config.continuation_ensemble_size)
+                proposed = rep._n_proposals(result)
+                if proposed != current:
                     rep._progress(
                         f"window {index}: size policy resized next cloud "
-                        f"{planned} -> {proposed} (ESS fraction "
+                        f"{current} -> {proposed} (ESS fraction "
                         f"{result.diagnostics.ess_fraction:.2f})")
-                for name in line:
-                    plans[name] = (proposed, resample)
     return results, computed, reused

@@ -68,7 +68,7 @@ from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.compartments import N_COMPARTMENTS
 from ..seir.parameters import DiseaseParameters, check_thetas
 
-__all__ = ["CheckpointStore", "write_json_atomic"]
+__all__ = ["CheckpointStore", "write_json_atomic", "window_indices"]
 
 _RUN_META_NAME = "run_meta.json"
 _COMPLETE_NAME = "COMPLETE.json"
@@ -116,6 +116,24 @@ def write_json_atomic(path: str | os.PathLike, payload: dict, *,
     dest.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=sort_keys)
     _publish_atomic(dest, lambda fh: fh.write(text.encode()))
+
+
+def window_indices(root: Path) -> list[int]:
+    """Indices of the ``window_NNN`` directories under ``root``, in numeric
+    order (``window_1000`` after ``window_999``).
+
+    The one parser of window directory names, shared by the checkpoint
+    and artifact stores: anything else named ``window_*`` (a
+    ``window_003.bak`` copy, a plain file) is not a window, so it is
+    neither listed nor ever pruned.
+    """
+    indices = []
+    for child in root.glob("window_*"):
+        digits = child.name[len("window_"):]
+        if digits.isascii() and digits.isdigit() and \
+                child.name == f"window_{int(digits):03d}" and child.is_dir():
+            indices.append(int(digits))
+    return sorted(indices)
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -301,10 +319,8 @@ class CheckpointStore:
 
     def stored_windows(self) -> list[int]:
         """Indices of all windows with a directory, complete or not, in
-        numeric order (``window_1000`` after ``window_999``)."""
-        return sorted(int(child.name.split("_", 1)[1])
-                      for child in self._root.glob("window_*")
-                      if child.is_dir())
+        numeric order (see :func:`window_indices`)."""
+        return window_indices(self._root)
 
     def prune(self, keep_last: int) -> list[int]:
         """Retention GC: delete old *complete* windows, keep the newest

@@ -59,10 +59,10 @@ def calibrate(observations: ObservationSet,
         bit-identical to an uninterrupted run (see
         ``docs/fault_tolerance.md``).
     scenario:
-        Optional :class:`~repro.core.scenarios.ScenarioSpec` (or registered
+        Optional :class:`~repro.core.scenarios.ScenarioSpec` (or built-in
         name) to calibrate under — declarative parameter overrides on top
         of ``base_params`` (see ``docs/scenarios.md``).  None and the
-        registered ``"baseline"`` are bit-identical to a scenario-less run.
+        built-in ``"baseline"`` are bit-identical to a scenario-less run.
 
     Returns
     -------

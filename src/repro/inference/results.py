@@ -9,7 +9,6 @@ EXPERIMENTS.md bookkeeping.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +19,7 @@ from ..core.posterior import TrajectoryRibbon, trajectory_ribbon
 from ..core.smc import WindowResult
 from ..core.window import WindowSchedule
 from ..data.sources import CASES
+from ..viz.export import write_json
 
 __all__ = ["CalibrationResult", "ParameterTrack", "ScenarioSweepResult"]
 
@@ -179,8 +179,7 @@ class CalibrationResult:
         }
 
     def save_summary(self, path: str | os.PathLike) -> None:
-        with open(os.fspath(path), "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
+        write_json(path, self.summary())
 
     def describe(self) -> str:
         """Multi-line human-readable report (used by examples)."""
@@ -252,5 +251,4 @@ class ScenarioSweepResult:
         }
 
     def save_summary(self, path: str | os.PathLike) -> None:
-        with open(os.fspath(path), "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
+        write_json(path, self.summary())

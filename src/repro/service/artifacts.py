@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..hpc.checkpoint_io import write_json_atomic
+from ..hpc.checkpoint_io import window_indices, write_json_atomic
 
 __all__ = ["ArtifactStore", "ArtifactRead"]
 
@@ -116,10 +116,10 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     def sealed_windows(self) -> list[int]:
         """Indices of every window directory carrying a seal file, in
-        numeric order (``window_1000`` after ``window_999``)."""
-        return sorted(int(child.name.split("_", 1)[1])
-                      for child in self._root.glob("window_*")
-                      if child.is_dir() and (child / _SEAL_NAME).exists())
+        numeric order
+        (see :func:`~repro.hpc.checkpoint_io.window_indices`)."""
+        return [index for index in window_indices(self._root)
+                if (self.window_dir(index) / _SEAL_NAME).exists()]
 
     def latest_sealed(self) -> int | None:
         sealed = self.sealed_windows()

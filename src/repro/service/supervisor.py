@@ -25,7 +25,7 @@ SequentialCalibrator.step_window` is provably safe: all of its randomness
 * **crash recovery** — :meth:`CalibrationService.resume` restores the
   newest sealed checkpoint window
   (:meth:`~repro.core.smc.SequentialCalibrator.restore_latest_window`),
-  re-derives the size-policy plans from it alone, and re-publishes its
+  which sizes the next window's cloud by itself, and re-publishes its
   forecast artifact if the crash landed between checkpoint seal and
   artifact seal — so a kill at *any* point resumes to bit-identical
   artifacts.
@@ -41,11 +41,10 @@ cloud: when window *k* seals, the service proposes and simulates window
 *k+1*'s jittered cloud through the calibrator's own dispatch path
 (:meth:`~repro.core.smc.SequentialCalibrator.simulate_window`), publishes
 its ribbons, and keeps it; the tick that brings window *k+1*'s data only
-weighs it.  The kept cloud is tied to the posterior object it was
-proposed from (which fixes its window and, through the deterministic size
-plan, its size), and a fresh process simulates it at the tick instead —
-the same cloud either way.  The last window's forecast restarts its
-posterior with theta held
+weighs it.  The kept cloud is tied to the window result it was proposed
+from (which fixes its window and, through the size policy, its size), and
+a fresh process simulates it at the tick instead — the same cloud either
+way.  The last window's forecast restarts its posterior with theta held
 (:func:`~repro.inference.forecast.forecast_from_posterior`).
 
 Time discipline: the supervisor measures durations with an injectable
@@ -57,17 +56,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from ..core.particle import ParticleEnsemble
 from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
 from ..data.sources import CASES, ObservationSet
 from ..hpc.checkpoint_io import CheckpointStore
 from ..hpc.faults import RetryPolicy
 from ..inference.forecast import forecast_from_cloud, forecast_from_posterior
+from ..viz.export import jsonable
 from .artifacts import ArtifactRead, ArtifactStore
 from .ingest import ObservationBuffer
 
@@ -138,23 +135,6 @@ class ServiceEvent:
         return f"[{self.kind}] window {self.window_index}: {self.detail}"
 
 
-def _jsonify(value: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays into JSON-native types."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 class CalibrationService:
     """Supervised streaming driver around a sequential calibrator.
 
@@ -194,12 +174,11 @@ class CalibrationService:
         self._progress = progress or (lambda _msg: None)
         self._windows: list[TimeWindow] = list(calibrator.schedule)
         self._next_index = 0
-        self._posterior = None
-        self._planned = calibrator.config.continuation_ensemble_size
-        self._planned_resample = calibrator.config.resample_size
-        #: The next window's simulated cloud and the posterior it was
+        #: The newest calibrated window, which the next window steps from.
+        self._head: WindowResult | None = None
+        #: The next window's simulated cloud and the result it was
         #: proposed from.
-        self._stash: tuple[ParticleEnsemble, SimulatedWindow] | None = None
+        self._stash: tuple[WindowResult, SimulatedWindow] | None = None
         #: Window whose restart budget ran dry; the service holds position
         #: until a process restart grants a fresh budget.
         self.failed_window: int | None = None
@@ -258,10 +237,10 @@ class CalibrationService:
     def resume(self) -> ServiceEvent | None:
         """Restore position from the newest sealed checkpoint window.
 
-        Re-derives the next window's size-policy plans from the restored
-        window alone (the plans are Markovian — see
-        :meth:`~repro.core.smc.SequentialCalibrator.planned_sizes_after`),
-        then heals the artifact store: if the crash landed after the
+        The restored window alone sizes the next window's cloud (the size
+        policy is Markovian — see
+        :meth:`~repro.core.smc.SequentialCalibrator.planned_sizes_after`).
+        Then it heals the artifact store: if the crash landed after the
         checkpoint seal but before the artifact seal, the missing (or
         torn) artifact is rebuilt from the restored posterior — a pure
         function of it, so the re-published bytes match what the
@@ -329,10 +308,8 @@ class CalibrationService:
             started = self._clock()
             try:
                 result = self.calibrator.step_window(
-                    index, window, observations, self._posterior,
-                    n_proposals=self._planned,
-                    resample_size=self._planned_resample,
-                    cloud=self._kept(self._posterior))
+                    index, window, observations, self._head,
+                    cloud=self._kept(self._head))
                 payload = self._forecast_payload(result)
             except Exception as exc:  # noqa: BLE001 — supervision boundary
                 detail = (f"attempt {attempt}/{policy.max_attempts} raised "
@@ -395,41 +372,32 @@ class CalibrationService:
         return events
 
     def _accept(self, result: WindowResult) -> None:
-        """Adopt ``result`` as the calibration head and re-plan sizes."""
-        self._posterior = result.posterior
+        """Adopt ``result`` as the calibration head."""
+        self._head = result
         self._next_index = result.index + 1
-        if self._next_index < len(self._windows):
-            self._planned, self._planned_resample = \
-                self.calibrator.planned_sizes_after(
-                    result,
-                    next_window_days=self._windows[self._next_index].n_days)
-        if self._kept(self._posterior) is None:
+        if self._kept(result) is None:
             self._stash = None
 
-    def _kept(self, posterior: ParticleEnsemble | None
-              ) -> SimulatedWindow | None:
-        """The kept cloud if it was proposed from ``posterior`` (the same
-        object), else ``None``.  The posterior fixes the cloud's window and
-        planned size; :meth:`~repro.core.smc.SequentialCalibrator.\
-step_window` refuses a cloud of another window or size."""
+    def _kept(self, result: WindowResult | None) -> SimulatedWindow | None:
+        """The kept cloud if it was proposed from ``result`` (the same
+        object), else ``None``.  The result fixes the cloud's window and
+        size; :meth:`~repro.core.smc.SequentialCalibrator.step_window`
+        refuses a cloud of another window or size."""
         if self._stash is None:
             return None
         origin, cloud = self._stash
-        return cloud if origin is posterior else None
+        return cloud if origin is result else None
 
     def _next_cloud(self, result: WindowResult) -> SimulatedWindow:
-        """Window ``result.index + 1``'s cloud, proposed from ``result``'s
-        posterior at the size planned after it: the kept one if it
-        matches, else simulated now and kept for the tick that weighs it."""
-        cloud = self._kept(result.posterior)
+        """Window ``result.index + 1``'s cloud, proposed from ``result``:
+        the kept one if it matches, else simulated now and kept for the
+        tick that weighs it."""
+        cloud = self._kept(result)
         if cloud is None:
             index = result.index + 1
-            window = self._windows[index]
-            n_proposals, _ = self.calibrator.planned_sizes_after(
-                result, next_window_days=window.n_days)
             cloud = self.calibrator.simulate_window(
-                index, window, result.posterior, n_proposals=n_proposals)
-            self._stash = (result.posterior, cloud)
+                index, self._windows[index], result)
+            self._stash = (result, cloud)
         return cloud
 
     def _forecast_payload(self, result: WindowResult) -> dict:
@@ -479,8 +447,8 @@ step_window` refuses a cloud of another window or size."""
             "horizon_days": int(cfg.horizon_days),
             "n_trajectories": len(forecast),
             "channels": channels,
-            "diagnostics": _jsonify(result.diagnostics.to_dict()),
-            "posterior_summary": _jsonify(result.summary()),
+            "diagnostics": jsonable(result.diagnostics.to_dict()),
+            "posterior_summary": jsonable(result.summary()),
         }
 
     def read_forecast(self, buffer: ObservationBuffer | None = None

@@ -405,9 +405,7 @@ class ChaosCalibrator:
 
     def step_window(self, index: int, window: TimeWindow,
                     observations: ObservationSet,
-                    posterior: Any = None, *,
-                    n_proposals: int | None = None,
-                    resample_size: int | None = None,
+                    previous: WindowResult | None = None, *,
                     cloud: SimulatedWindow | None = None) -> WindowResult:
         attempt = self._calls.get(index, 0) + 1
         self._calls[index] = attempt
@@ -419,9 +417,7 @@ class ChaosCalibrator:
                     f"(window {index}, attempt {attempt})")
             self._sleep(fault.delay_seconds)
         return self._inner.step_window(index, window, observations,
-                                       posterior, n_proposals=n_proposals,
-                                       resample_size=resample_size,
-                                       cloud=cloud)
+                                       previous, cloud=cloud)
 
 
 def tear_artifact(store: ArtifactStore, window_index: int) -> None:

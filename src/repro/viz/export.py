@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..core.posterior import TrajectoryRibbon
 from ..data.series import TimeSeries
 
 __all__ = ["write_series_csv", "write_ribbon_csv", "write_density_csv",
-           "write_json"]
+           "write_json", "jsonable"]
 
 
 def write_series_csv(path: str | os.PathLike,
@@ -80,16 +80,22 @@ def write_density_csv(path: str | os.PathLike, x_edges: np.ndarray,
 
 
 def write_json(path: str | os.PathLike, payload: dict) -> None:
-    """Pretty-printed JSON dump (summaries, experiment records)."""
+    """Pretty-printed JSON dump of :func:`jsonable` ``payload``
+    (summaries, forecasts, experiment records)."""
     with open(os.fspath(path), "w") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonify)
+        json.dump(jsonable(payload), fh, indent=2)
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Sequence) and not isinstance(obj, str):
-        return list(obj)
-    raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
+def jsonable(value: Any) -> Any:
+    """``value`` with numpy arrays and scalars, tuples and other sequences
+    coerced to JSON-native types, recursively; mapping keys become
+    strings.  Anything else is returned as it is."""
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return jsonable(value.tolist())
+    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        return value.item()
+    return value

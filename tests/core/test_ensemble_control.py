@@ -10,6 +10,8 @@ cross-executor/shard invariance of adaptive runs lives in
 ``test_sharded_simulation.py``.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core import (SIZE_POLICY_NAMES, ESSTargetPolicy, ObservationModel,
 from repro.core.diagnostics import compute_diagnostics
 from repro.core.weights import normalize_log_weights
 from repro.data import PiecewiseConstant
+from repro.hpc import CheckpointStore
 from repro.seir import DiseaseParameters
 from repro.sim import make_ground_truth
 
@@ -134,7 +137,8 @@ class TestCalibratorWiring:
                                  theta_schedule=PiecewiseConstant.constant(0.30),
                                  rho_schedule=PiecewiseConstant.constant(0.7))
 
-    def run(self, truth, **config_kwargs):
+    def run(self, truth, *, progress=None, store=None, resume=False,
+            **config_kwargs):
         calib = SequentialCalibrator(
             base_params=truth.params,
             prior=paper_first_window_prior(),
@@ -142,8 +146,40 @@ class TestCalibratorWiring:
             observation_model=ObservationModel(),
             schedule=WindowSchedule.from_breaks([10, 18, 26, 34]),
             config=SMCConfig(n_parameter_draws=30, n_replicates=2,
-                             resample_size=40, base_seed=17, **config_kwargs))
-        return calib.run(truth.observations())
+                             resample_size=40, base_seed=17, **config_kwargs),
+            progress=progress)
+        return calib.run(truth.observations(), store=store, resume=resume)
+
+    def test_resize_progress_lines_pinned(self, small_truth, tmp_path):
+        """A window whose next cloud differs from its own reports it (window
+        0 against the fixed continuation size, 40, not its 60-member prior
+        cloud); a resumed run reports its computed windows alone, sized
+        from the restored window; the fixed policy never reports."""
+        options = {"target_low": 0.02, "target_high": 0.1, "n_min": 20,
+                   "n_max": 120}
+        lines = []
+        results = self.run(small_truth, progress=lines.append,
+                           store=CheckpointStore(tmp_path),
+                           size_policy="ess", size_policy_options=options)
+        assert [r.diagnostics.n_particles for r in results] == [60, 60, 30]
+        window1 = ("window 1: size policy resized next cloud 60 -> 30 "
+                   "(ESS fraction 0.17)")
+        assert [line for line in lines if "size policy" in line] == [
+            "window 0: size policy resized next cloud 40 -> 60 "
+            "(ESS fraction 0.04)", window1]
+
+        for index in (1, 2):
+            shutil.rmtree(tmp_path / f"window_{index:03d}")
+        lines.clear()
+        resumed = self.run(small_truth, progress=lines.append,
+                           store=CheckpointStore(tmp_path), resume=True,
+                           size_policy="ess", size_policy_options=options)
+        assert [r.diagnostics.n_particles for r in resumed] == [60, 60, 30]
+        assert [line for line in lines if "size policy" in line] == [window1]
+
+        lines.clear()
+        self.run(small_truth, progress=lines.append)
+        assert not [line for line in lines if "size policy" in line]
 
     def test_fixed_policy_matches_classic_sizes(self, small_truth):
         results = self.run(small_truth)

@@ -1,4 +1,4 @@
-"""Scenario axis: registry/spec units plus the parity-oracle suite.
+"""Scenario axis: table/spec units plus the parity-oracle suite.
 
 Oracle guarantees under test (``docs/scenarios.md``):
 
@@ -24,9 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.scenarios import (SCENARIO_SETS, SCENARIOS, ScenarioOverride,
-                                  ScenarioRegistry, ScenarioSpec,
-                                  get_scenario, register_scenario,
-                                  scenario_set)
+                                  ScenarioSpec, get_scenario, scenario_set)
 from repro.hpc import ProcessExecutor
 from repro.hpc.sharding import simulate_groups
 from repro.seir import CheckpointError, DiseaseParameters
@@ -158,43 +156,28 @@ class TestScenarioSpec:
 
 
 class TestScenarioRegistry:
-    def test_register_get_roundtrip(self):
-        reg = ScenarioRegistry()
-        spec = reg.register(MILD16)
-        assert reg.get("mild16") is spec
-        assert "mild16" in reg and len(reg) == 1
-
-    def test_identical_reregistration_is_noop(self):
-        reg = ScenarioRegistry()
-        reg.register(MILD16)
-        again = ScenarioSpec("mild16", overrides=(
-            ScenarioOverride("mild_fraction", 0.97, start_day=16),))
-        assert reg.register(again) is reg.get("mild16")
-
-    def test_rebinding_a_name_rejected(self):
-        reg = ScenarioRegistry()
-        reg.register(MILD16)
-        with pytest.raises(ValueError, match="cannot be rebound"):
-            reg.register(ScenarioSpec("mild16"))
+    """The read-only table of built-in scenarios."""
 
     def test_unknown_name_lists_registered(self):
-        reg = ScenarioRegistry()
-        reg.register(MILD16)
-        with pytest.raises(KeyError, match="mild16"):
-            reg.get("nope")
+        with pytest.raises(KeyError, match="unknown scenario 'nope'; "
+                           "registered: .*'baseline'"):
+            get_scenario("nope")
 
     def test_names_sorted(self):
-        reg = ScenarioRegistry()
-        reg.register(ScenarioSpec("zz"))
-        reg.register(ScenarioSpec("aa"))
-        assert reg.names() == ["aa", "zz"]
-        assert [s.name for s in reg] == ["aa", "zz"]
+        assert list(SCENARIOS) == sorted(SCENARIOS)
+        assert [s.name for s in SCENARIOS.values()] == list(SCENARIOS)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            SCENARIOS["mild16"] = MILD16
+        assert "mild16" not in SCENARIOS
 
     def test_builtins_registered(self):
         for name in ("baseline", "milder_variant_d34",
                      "late_intervention_d48", "relaxed_detection_d48"):
-            assert name in SCENARIOS
-            assert get_scenario(name) is register_scenario(get_scenario(name))
+            assert get_scenario(name) is SCENARIOS[name]
+            assert get_scenario(name).name == name
+        assert len(SCENARIOS) == 4
         assert get_scenario("baseline").is_baseline
 
     def test_default_scenario_set(self):
@@ -416,6 +399,39 @@ class TestWorldLineDedup:
         for name in ("baseline", "mild16", "detect24"):
             assert_runs_identical(results[name], other[name],
                                   f"reordered {name}")
+
+
+class TestSizePolicySweep:
+    def test_ess_sweep_matches_standalone_runs(self):
+        """Under the ``ess`` policy each line's previous result sizes its
+        next cloud: the sweep still shares windows 0-1, splits at day 34,
+        and each scenario equals its standalone run, resize reports
+        included."""
+        truth = parity_truth(horizon=48)
+        breaks = (20, 27, 34, 41, 48)
+        policy = {"size_policy": "ess",
+                  "size_policy_options": {"target_low": 0.1,
+                                          "target_high": 0.3, "n_min": 20,
+                                          "n_max": 90}}
+        lines = []
+        sweep = parity_sweep(truth, ["baseline", "milder_variant_d34"],
+                             breaks=breaks, progress=lines.append, **policy)
+        results = sweep.run(truth.observations())
+        assert (sweep.computed_windows, sweep.reused_windows) == (6, 2)
+        for name in sweep.names:
+            assert [r.diagnostics.n_particles for r in results[name]] == \
+                [60, 90, 90, 45]
+            alone = parity_calibrator(truth, scenario=get_scenario(name),
+                                      breaks=breaks, **policy)
+            assert_runs_identical(alone.run(truth.observations()),
+                                  results[name], f"ess sweep {name}")
+        assert [line for line in lines if "size policy" in line] == [
+            "[baseline] window 0: size policy resized next cloud 40 -> 90 "
+            "(ESS fraction 0.05)",
+            "[baseline] window 2: size policy resized next cloud 90 -> 45 "
+            "(ESS fraction 0.40)",
+            "[milder_variant_d34] window 2: size policy resized next cloud "
+            "90 -> 45 (ESS fraction 0.37)"]
 
 
 class TestSweepResume:

@@ -444,8 +444,7 @@ class TestSimulateGroups:
                                      n_shards=2, retry_attempts=2,
                                      progress=log.append) for log in logs]
             window = list(lines[0].schedule)[0]
-            return simulate_windows(lines, 0, window, [None, None],
-                                    [None, None])
+            return simulate_windows(lines, 0, window, [None, None])
 
         # Line 0 owns shards 0-1 of the one dispatch, line 1 shards 2-3.
         chaos = ChaosExecutor(SerialExecutor(), FaultPlan.scripted(

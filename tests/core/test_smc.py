@@ -1,5 +1,7 @@
 """Unit tests for the sequential calibrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,15 +190,12 @@ class TestSimulatedCloud:
             first = calib.step_window(0, w0, small_truth.observations())
             if plan is not None:
                 calib.executor = ChaosExecutor(calib.executor, plan)
-            cloud = (calib.simulate_window(1, w1, first.posterior,
-                                           n_proposals=40)
-                     if ahead else None)
+            cloud = calib.simulate_window(1, w1, first) if ahead else None
             if ahead:  # the next window's proposing must not leak into it
                 calib.propose_window(0, w0)
                 calib.executor = None  # and the step must not simulate
             result = calib.step_window(
-                1, w1, small_truth.observations(), first.posterior,
-                n_proposals=40, cloud=cloud)
+                1, w1, small_truth.observations(), first, cloud=cloud)
             assert isinstance(result, WindowResult)
             return result
 
@@ -220,11 +219,17 @@ class TestSimulatedCloud:
         calib = calibrator(WindowSchedule.from_breaks([10, 20, 30]),
                            small_truth)
         w0, w1 = list(calib.schedule)
-        first = calib.step_window(0, w0, small_truth.observations())
-        cloud = calib.simulate_window(1, w1, first.posterior)
-        with pytest.raises(ValueError, match="does not match"):
-            calib.step_window(1, w1, small_truth.observations(),
-                              first.posterior, n_proposals=20, cloud=cloud)
+        obs = small_truth.observations()
+        first = calib.step_window(0, w0, obs)
+        cloud = calib.simulate_window(1, w1, first)
+        # A cloud of another window, and one of another size than the
+        # previous result derives.
+        with pytest.raises(ValueError, match="does not match window 0"):
+            calib.step_window(0, w0, obs, cloud=cloud)
+        short = replace(cloud, pending=replace(
+            cloud.pending, member_seeds=cloud.pending.member_seeds[:20]))
+        with pytest.raises(ValueError, match="20 members.*at 40 proposals"):
+            calib.step_window(1, w1, obs, first, cloud=short)
 
 
 class TestPerWindowRandomness:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import shutil
 import stat
 
 import numpy as np
@@ -435,6 +436,24 @@ class TestPrune:
         assert store.prune(keep_last=2) == [997, 998, 999]
         assert store.stored_windows() == [1000, 1001]
         assert store.window_complete(1000) and store.window_complete(1001)
+
+    def test_stray_window_entries_are_ignored_and_kept(self, tmp_path,
+                                                       checkpoints):
+        """Only ``window_NNN`` directories are windows: a sealed
+        ``window_003.bak`` copy, a ``window_7`` directory and a
+        ``window_004`` file are neither listed nor pruned."""
+        store = CheckpointStore(tmp_path)
+        for w in range(3):
+            self.seal(store, w, checkpoints)
+        shutil.copytree(tmp_path / "window_002", tmp_path / "window_003.bak")
+        (tmp_path / "window_7").mkdir()
+        (tmp_path / "window_004").write_text("not a window")
+        assert store.stored_windows() == [0, 1, 2]
+        assert store.prune(keep_last=1) == [0, 1]
+        assert store.stored_windows() == [2]
+        assert (tmp_path / "window_003.bak" / "COMPLETE.json").is_file()
+        assert (tmp_path / "window_7").is_dir()
+        assert (tmp_path / "window_004").is_file()
 
     def test_prune_rejects_bad_keep_last(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -97,8 +97,7 @@ def cloud():
                          resample_size=20, n_continuations=2, base_seed=6))
     windows = list(calib.schedule)
     first = calib.step_window(0, windows[0], truth.observations())
-    return calib.simulate_window(1, windows[1], first.posterior,
-                                 n_proposals=40).ensemble
+    return calib.simulate_window(1, windows[1], first).ensemble
 
 
 class TestForecastFromCloud:

@@ -1,6 +1,7 @@
 """Crash-safe artifact publication: seals, torn reads, degradation."""
 
 import json
+import shutil
 
 import pytest
 
@@ -121,6 +122,19 @@ class TestPrune:
     def test_prune_requires_positive_keep(self, tmp_path):
         with pytest.raises(ValueError, match=">= 1"):
             ArtifactStore(tmp_path).prune(0)
+
+    def test_stray_window_entries_are_ignored_and_kept(self, tmp_path):
+        """A sealed ``window_000.old`` copy is not a window: reads serve
+        the real head, and pruning neither lists nor deletes it."""
+        store = ArtifactStore(tmp_path)
+        for i in range(3):
+            store.publish(i, payload_for(i))
+        shutil.copytree(store.window_dir(0), tmp_path / "window_000.old")
+        assert store.sealed_windows() == [0, 1, 2]
+        assert store.read_latest().payload == payload_for(2)
+        assert store.prune(keep_last=1) == [0, 1]
+        assert store.read_latest().payload == payload_for(2)
+        assert (tmp_path / "window_000.old" / "SEALED.json").is_file()
 
     def test_prune_ignores_unsealed_directories(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -12,6 +12,7 @@ Acceptance properties (see ISSUE/docs/service.md):
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core import (ObservationModel, SequentialCalibrator, SMCConfig,
 from repro.core.posterior import trajectory_ribbon
 from repro.data import PiecewiseConstant
 from repro.hpc import CheckpointStore, RetryPolicy
+from repro.inference import CalibrationConfig, calibrate
 from repro.seir import CheckpointError, DiseaseParameters
 from repro.sim import make_ground_truth
 from repro.service import (ArtifactStore, CalibrationService,
@@ -173,8 +175,8 @@ class TestNextWindowForecast:
 
     def test_payload_alone_derives_plans_and_simulates(self, baseline,
                                                        truth, tmp_path):
-        """``_forecast_payload`` works on a bare result, with no tick having
-        planned the next window: the same artifact."""
+        """``_forecast_payload`` works on a bare result, with no tick
+        before it: the result alone sizes the cloud, the same artifact."""
         _service, base_root, _events = baseline
         service = make_service(truth, tmp_path)
         cal = service.calibrator
@@ -460,6 +462,48 @@ class TestDeadline:
         assert missed == [0]
 
 
+class TestSizePolicy:
+    def test_ess_service_resumed_every_window_matches_calibrate(
+            self, truth, tmp_path):
+        """Under the ``ess`` policy a service killed after every window
+        sizes each next cloud from the restored window alone: it seals
+        the checkpoint bytes (posteriors included) of one uninterrupted
+        ``calibrate()``."""
+        breaks = (8, 12, 16, 20, 24)
+        config = CalibrationConfig(
+            window_breaks=breaks, n_parameter_draws=10, n_replicates=2,
+            resample_size=12, base_seed=11, n_shards=2, size_policy="ess",
+            size_policy_options={"target_low": 0.3, "target_high": 0.6,
+                                 "n_min": 8, "n_max": 60})
+        reference = calibrate(
+            truth.observations(), base_params=truth.params,
+            config=replace(config, checkpoint_dir=str(tmp_path / "batch")))
+        assert [w.diagnostics.n_particles for w in reference.windows] == \
+            [20, 40, 40, 20]
+        for index in range(len(breaks) - 1):
+            calibrator = SequentialCalibrator(
+                base_params=truth.params, prior=config.prior(),
+                jitter=config.jitter(),
+                observation_model=config.observation_model(),
+                schedule=config.schedule(), config=config)
+            service = CalibrationService(
+                calibrator, CheckpointStore(tmp_path / "ckpt"),
+                ArtifactStore(tmp_path / "art"),
+                ServiceConfig(horizon_days=4), sleep=lambda _s: None)
+            resumed = service.resume()
+            assert (resumed is None) == (index == 0)
+            service.tick(filled_buffer(truth, frontier=breaks[index],
+                                       up_to_day=breaks[index + 1]))
+            assert service.head == index
+            del service  # the kill: only the stores survive
+
+        def stored(root):
+            return {path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in sorted(root.rglob("*")) if path.is_file()}
+
+        assert stored(tmp_path / "ckpt") == stored(tmp_path / "batch")
+
+
 class TestRetentionAndPartialFeeds:
     def test_keep_last_prunes_both_stores_and_resume_survives(self, truth,
                                                               tmp_path):
@@ -479,6 +523,32 @@ class TestRetentionAndPartialFeeds:
         assert resumed is not None and \
             resumed.window_index == N_WINDOWS - 1
         assert second.done
+
+    def test_stray_window_copies_do_not_break_resume(self, truth, tmp_path):
+        """Copies named like windows (``window_003.bak`` among the
+        checkpoints, a sealed ``window_000.old`` among the artifacts)
+        neither break a resume, a read nor retention, and survive it."""
+        import shutil
+        config = ServiceConfig(restart=RetryPolicy(max_attempts=2),
+                               horizon_days=4, keep_last=1)
+        first = make_service(truth, tmp_path, config=config)
+        first.tick(filled_buffer(truth, up_to_day=BREAKS[1]))
+        del first
+        ckpt_copy = tmp_path / "ckpt" / "window_003.bak"
+        art_copy = tmp_path / "art" / "window_000.old"
+        shutil.copytree(tmp_path / "ckpt" / "window_000", ckpt_copy)
+        shutil.copytree(tmp_path / "art" / "window_000", art_copy)
+        second = make_service(truth, tmp_path, config=config)
+        resumed = second.resume()
+        assert resumed is not None and resumed.window_index == 0
+        assert second.read_forecast().window_index == 0
+        second.tick(filled_buffer(truth, frontier=BREAKS[1]))
+        assert second.done
+        assert second.read_forecast().window_index == N_WINDOWS - 1
+        assert CheckpointStore(tmp_path / "ckpt").stored_windows() == \
+            [N_WINDOWS - 1]
+        assert (ckpt_copy / "COMPLETE.json").is_file()
+        assert (art_copy / "SEALED.json").is_file()
 
     def test_windows_wait_for_their_data(self, truth, tmp_path):
         service = make_service(truth, tmp_path)
