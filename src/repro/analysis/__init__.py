@@ -13,10 +13,12 @@ rules over the AST, checked in one pass locally and in CI::
 Rule families
 -------------
 * ``REPRO1xx`` — **RNG confinement**: generators, seed sequences, and
-  serialised RNG state are constructed only in :mod:`repro.seir.seeding`;
-  every stream tag fed to ``mix_seed``/``ancillary_generator`` is a named
-  constant registered in the :data:`~repro.seir.seeding.STREAM_DOMAINS`
-  registry, and no two registrations share a tag.
+  serialised RNG state are constructed only in :mod:`repro.seir.seeding`,
+  and every stream tag fed to ``mix_seed``/``ancillary_generator`` is a
+  constant of that module's tables
+  (:data:`~repro.seir.seeding.STREAM_TAGS`,
+  :data:`~repro.seir.seeding.ANCILLARY_PURPOSES`), whose import-time check
+  rejects a duplicate tag.
 * ``REPRO2xx`` — **determinism hazards**: wall-clock reads and unordered
   ``set`` iteration feeding arrays inside the deterministic subsystems
   (``core/``, ``seir/``, ``hpc/``).

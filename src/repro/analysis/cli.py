@@ -1,13 +1,11 @@
 """Command-line entry point: ``python -m repro.analysis src/``.
 
 One pass over every ``*.py`` file under the given paths: each file is
-parsed once, the stream-tag registry
-(:func:`repro.analysis.registry.collect_registrations`) and the
-whole-project index (:func:`repro.analysis.flow.build_index`) are built
-once, and every rule family runs over them — the per-file rules
-(:mod:`repro.analysis.rules`), executor payload hygiene at each dispatch
-site, the cross-file duplicate-tag rule, and generator provenance and
-payload purity (:mod:`repro.analysis.flow`).  Each file's
+parsed once, the whole-project index
+(:func:`repro.analysis.flow.build_index`) is built once, and every rule
+family runs over it — the per-file rules (:mod:`repro.analysis.rules`),
+executor payload hygiene at each dispatch site, and generator provenance
+and payload purity (:mod:`repro.analysis.flow`).  Each file's
 ``# repro-allow`` waivers are then applied once, to all of its findings.
 
 Exit status is 0 when no violation survives ``--select``, 1 otherwise,
@@ -26,10 +24,8 @@ from typing import Iterable, Sequence
 
 from .flow import (build_index, check_provenance, check_purity,
                    find_dispatch_sites, infer_generator_returning)
-from .registry import collect_registrations
 from .rules import (RULES, FileContext, Violation, apply_allow_directives,
-                    check_file, dispatch_violations, parse_allow_directives,
-                    registry_violations)
+                    check_file, dispatch_violations, parse_allow_directives)
 from .sarif import to_sarif
 
 __all__ = ["classify_path", "iter_source_files", "main", "run",
@@ -123,14 +119,11 @@ def run(paths: Sequence[str], select: Sequence[str] | None = None
             continue
         sources[path_str] = source
 
-    registry = collect_registrations(trees)
-    registered = registry.constants
     index = build_index(trees, paths)
     sites = find_dispatch_sites(index)
     found = dispatch_violations(index, sites)
     for module in index.modules.values():
-        found.extend(check_file(module, classify_path(Path(module.path)),
-                                registered))
+        found.extend(check_file(module, classify_path(Path(module.path))))
     found.extend(check_provenance(index, infer_generator_returning(index),
                                   sites))
     purity_violations, certificates = check_purity(index, sites)
@@ -144,9 +137,6 @@ def run(paths: Sequence[str], select: Sequence[str] | None = None
         violations.extend(apply_allow_directives(by_path[path_str],
                                                  directives))
         violations.extend(problems)
-    # A duplicate tag is a relation between two files; no one line's
-    # directive can waive it.
-    violations.extend(registry_violations(registry))
 
     if select:
         prefixes = tuple(select)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..registry import terminal_name
+from ..rules import terminal_name
 
 __all__ = ["CallRecord", "ClassInfo", "DispatchSite", "FunctionInfo",
            "ModuleInfo", "ProjectIndex", "build_index",

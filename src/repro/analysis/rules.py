@@ -17,13 +17,11 @@ import tokenize
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .registry import StaticRegistry, is_register_call, terminal_name
-
 if TYPE_CHECKING:
     from .flow.callgraph import DispatchSite, ModuleInfo, ProjectIndex
 
 __all__ = ["FileContext", "Violation", "RULES", "check_file",
-           "dispatch_violations", "registry_violations", "violation_at",
+           "dispatch_violations", "terminal_name", "violation_at",
            "AllowDirective", "parse_allow_directives",
            "apply_allow_directives"]
 
@@ -32,10 +30,7 @@ RULES: dict[str, str] = {
     "REPRO101": "RNG construction (numpy.random.*, stdlib random) outside "
                 "seir/seeding.py",
     "REPRO102": "stream tag fed to mix_seed(s)/ancillary_generator is not a "
-                "registered named constant",
-    "REPRO103": "stream-tag constant assigned without registering it in "
-                "STREAM_DOMAINS",
-    "REPRO104": "two stream registrations claim the same (domain, tag)",
+                "table constant bound by repro.seir.seeding",
     "REPRO201": "wall-clock read (time.time, datetime.now, ...) in a "
                 "deterministic subsystem",
     "REPRO202": "unordered set iteration feeding arrays/sequences in a "
@@ -61,8 +56,8 @@ RULES: dict[str, str] = {
                 "a dispatch target",
 }
 
-#: Constant-name shapes that denote stream tags (REPRO103).
-_STREAM_CONST_RE = re.compile(r"^_[A-Z0-9_]*_STREAM$|^_PURPOSE_[A-Z0-9_]+$")
+#: The one module that binds stream tags and ancillary purposes (REPRO102).
+_SEEDING_MODULE = "repro.seir.seeding"
 
 #: Wall-clock callables rejected in deterministic subsystems (REPRO201).
 _WALL_CLOCK = {
@@ -113,6 +108,15 @@ def violation_at(path: str, node: ast.AST, rule: str,
                      message=message)
 
 
+def terminal_name(node: ast.expr) -> str | None:
+    """``f`` for ``f`` or ``x.y.f``; ``None`` for any other expression."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def _is_unordered(node: ast.expr) -> bool:
     """Set displays, set comprehensions, and bare set()/frozenset() calls."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -123,12 +127,10 @@ def _is_unordered(node: ast.expr) -> bool:
 
 
 class _FileChecker(ast.NodeVisitor):
-    """Single-file rule pass (REPRO101/102/103, 2xx, 4xx)."""
+    """Single-file rule pass (REPRO101/102, 2xx, 4xx)."""
 
-    def __init__(self, context: FileContext, registered: set[str],
-                 module: ModuleInfo) -> None:
+    def __init__(self, context: FileContext, module: ModuleInfo) -> None:
         self.ctx = context
-        self.registered = registered
         self.module = module
         self.aliases = module.aliases
         self.violations: list[Violation] = []
@@ -173,22 +175,6 @@ class _FileChecker(ast.NodeVisitor):
                        "numpy.random imported directly outside "
                        "seir/seeding.py — obtain generators from the seed "
                        "bank (repro.seir.seeding) instead")
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------ #
-    # Assignments: stream constants must be registered (REPRO103).
-    # ------------------------------------------------------------------ #
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-            if _STREAM_CONST_RE.match(name):
-                if not is_register_call(node.value):
-                    self._flag(
-                        node, "REPRO103",
-                        f"stream constant {name} is assigned without "
-                        "registration — use register_stream_tag()/"
-                        "register_ancillary_purpose() so tag uniqueness is "
-                        "enforced at import time")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
@@ -295,28 +281,36 @@ class _FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
-    def _stream_arg_ok(self, arg: ast.expr) -> bool:
-        name = terminal_name(arg)
-        return name is not None and name in self.registered
+    def _seeding_name(self, arg: ast.expr) -> str:
+        """The name ``arg`` reads when it is a :mod:`repro.seir.seeding`
+        module constant (imported, or that module's own global); ``""``
+        otherwise."""
+        if self.module.name == _SEEDING_MODULE:
+            return arg.id if isinstance(arg, ast.Name) and \
+                arg.id in self.module.toplevel else ""
+        module, _, name = (self._canonical(arg) or "").rpartition(".")
+        return name if module == _SEEDING_MODULE else ""
 
     def _check_mix_seed(self, node: ast.Call, name: str) -> None:
         if len(node.args) < 2:
             self._flag(node, "REPRO102",
                        f"{name} call carries no stream tag — pass a "
-                       "registered *_STREAM constant right after the base "
-                       "seed (the reserved method-tag position)")
+                       "STREAM_TAGS constant of repro.seir.seeding right "
+                       "after the base seed (the reserved method-tag "
+                       "position)")
             return
         tag = node.args[1]
         if isinstance(tag, ast.Constant):
             self._flag(node, "REPRO102",
                        f"integer-literal stream tag in {name} — the stream "
-                       "aliasing bug shape; register a named constant via "
-                       "register_stream_tag() and pass that")
-        elif not self._stream_arg_ok(tag):
+                       "aliasing bug shape; add the tag to STREAM_TAGS in "
+                       "repro.seir.seeding and pass its constant")
+        elif not self._seeding_name(tag).endswith("_STREAM"):
             tag_name = terminal_name(tag) or ast.dump(tag)
             self._flag(node, "REPRO102",
                        f"stream tag {tag_name!r} in {name} is not a "
-                       "registered stream constant (register_stream_tag)")
+                       "STREAM_TAGS constant (*_STREAM) of "
+                       "repro.seir.seeding")
 
     def _check_ancillary(self, node: ast.Call) -> None:
         purpose: ast.expr | None = node.args[0] if node.args else None
@@ -327,14 +321,16 @@ class _FileChecker(ast.NodeVisitor):
             return  # default purpose 0 is the documented one-shot stream
         if isinstance(purpose, ast.Constant):
             self._flag(node, "REPRO102",
-                       "integer-literal ancillary purpose — register a "
-                       "named constant via register_ancillary_purpose() so "
-                       "consumers can never silently collide")
-        elif not self._stream_arg_ok(purpose):
+                       "integer-literal ancillary purpose — add it to "
+                       "ANCILLARY_PURPOSES in repro.seir.seeding and pass "
+                       "its constant, so consumers can never silently "
+                       "collide")
+        elif not self._seeding_name(purpose).startswith("PURPOSE_"):
             name = terminal_name(purpose) or ast.dump(purpose)
             self._flag(node, "REPRO102",
-                       f"ancillary purpose {name!r} is not a registered "
-                       "purpose constant (register_ancillary_purpose)")
+                       f"ancillary purpose {name!r} is not an "
+                       "ANCILLARY_PURPOSES constant (PURPOSE_*) of "
+                       "repro.seir.seeding")
 
 
 # --------------------------------------------------------------------------- #
@@ -460,11 +456,10 @@ def apply_allow_directives(violations: list[Violation],
     return kept
 
 
-def check_file(module: ModuleInfo, context: FileContext,
-               registered: set[str]) -> list[Violation]:
+def check_file(module: ModuleInfo, context: FileContext) -> list[Violation]:
     """Run every per-file rule over one indexed module, resolving names
     through the import table of the scope each one sits in."""
-    checker = _FileChecker(context, registered, module)
+    checker = _FileChecker(context, module)
     checker.visit(module.tree)
     return checker.violations
 
@@ -504,18 +499,4 @@ def dispatch_violations(index: ProjectIndex,
                     "hpc.sharding.ShardTask) so the payload schema is "
                     "named, typed, and lintable"))
                 break
-    return out
-
-
-def registry_violations(registry: StaticRegistry) -> list[Violation]:
-    """Cross-file duplicate-tag detection (REPRO104)."""
-    out: list[Violation] = []
-    for first, second in registry.duplicate_tags():
-        out.append(Violation(
-            path=second.path, line=second.line, col=0, rule="REPRO104",
-            message=(f"stream tag {second.tag} in domain {second.domain!r} "
-                     f"is registered twice: {first.stream_name!r} at "
-                     f"{first.path}:{first.line} and "
-                     f"{second.stream_name!r} here — two names on one tag "
-                     "alias their seed streams")))
     return out

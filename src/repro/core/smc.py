@@ -83,7 +83,9 @@ from ..hpc.sharding import (GroupSpec, resolve_shard_layout,
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.parameters import DiseaseParameters, check_thetas
-from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..seir.seeding import (PURPOSE_SMC_BIAS, PURPOSE_SMC_JITTER,
+                            PURPOSE_SMC_PRIOR, PURPOSE_SMC_RESAMPLE,
+                            SeedSequenceBank)
 from .adaptive import temper_and_resample
 from .diagnostics import (DEGENERACY_THRESHOLD, WindowDiagnostics,
                           compute_diagnostics)
@@ -110,18 +112,6 @@ BIAS_PARAM = "rho"
 # member's DiseaseParameters.transmission_rate.
 _THETA_PARAM = "theta"
 _THETA_FIELD = "transmission_rate"
-
-# RNG stream purposes (see SeedSequenceBank.ancillary_generator).  Each is
-# registered in the stream-domain registry, which raises at import time if a
-# purpose value is ever reused by another consumer.
-_PURPOSE_PRIOR = register_ancillary_purpose(
-    "smc_prior", 0, description="first-window prior sampling")
-_PURPOSE_BIAS = register_ancillary_purpose(
-    "smc_bias", 1, description="per-window reporting-bias thinning")
-_PURPOSE_RESAMPLE = register_ancillary_purpose(
-    "smc_resample", 2, description="per-window resampling / tempered bridge")
-_PURPOSE_JITTER = register_ancillary_purpose(
-    "smc_jitter", 3, description="per-window proposal jitter")
 
 
 @dataclass(frozen=True)
@@ -793,7 +783,7 @@ class SequentialCalibrator:
 
     def _propose_first_window(self, window: TimeWindow) -> PendingWindow:
         cfg = self.config
-        rng_prior = self._bank.ancillary_generator(_PURPOSE_PRIOR)
+        rng_prior = self._bank.ancillary_generator(PURPOSE_SMC_PRIOR)
         draws = self.prior.sample(cfg.n_parameter_draws, rng_prior)
         seeds = self._bank.common_replicate_seeds(cfg.n_replicates)
         # Draw-major, replicate-minor member order.
@@ -828,8 +818,8 @@ class SequentialCalibrator:
             else cfg.continuation_ensemble_size
         if n < 1:
             raise ValueError("n_proposals must be >= 1")
-        rng_jitter = self._bank.ancillary_generator(_PURPOSE_JITTER,
-                                                    window_index=index)
+        rng_jitter = self._bank.ancillary_generator(PURPOSE_SMC_JITTER,
+                                                     window_index=index)
         if posterior.restart is None:
             raise ValueError(f"window {index} needs a posterior whose "
                              "particles carry checkpoints")
@@ -900,8 +890,8 @@ class SequentialCalibrator:
         if sim_days is None:
             sim_days = window.n_days
         window_obs = observations.window(window.start_day, window.end_day)
-        rng_bias = self._bank.ancillary_generator(_PURPOSE_BIAS,
-                                                  window_index=index)
+        rng_bias = self._bank.ancillary_generator(PURPOSE_SMC_BIAS,
+                                                   window_index=index)
         log_weights = self.observation_model.loglik_ensemble(
             window_obs, ensemble, ensemble.values(BIAS_PARAM), rng_bias)
 
@@ -915,8 +905,8 @@ class SequentialCalibrator:
         n_out = int(resample_size if resample_size is not None
                     else cfg.resample_size)
 
-        rng_resample = self._bank.ancillary_generator(_PURPOSE_RESAMPLE,
-                                                      window_index=index)
+        rng_resample = self._bank.ancillary_generator(
+            PURPOSE_SMC_RESAMPLE, window_index=index)
         tempered = None
         if cfg.temper_degenerate and \
                 pre_diag.ess_fraction < cfg.temper_threshold:
@@ -1130,11 +1120,10 @@ def window_loop(calibrators: Mapping[str, SequentialCalibrator],
                 f"{result.diagnostics.n_particles}"
                 + (f" (shared by {', '.join(line[1:])})"
                    if len(line) > 1 else ""))
-            if index + 1 < len(windows):
-                # Window 0's prior cloud has its own size; the policy's
-                # baseline there is the fixed continuation size.
-                current = (result.diagnostics.n_particles if index
-                           else first.config.continuation_ensemble_size)
+            if index + 1 < len(windows) and rep._size_policy is not None:
+                # The policy scales the cloud it just weighed (window 0's
+                # prior cloud included), so that is the size to compare.
+                current = result.diagnostics.n_particles
                 proposed = rep._n_proposals(result)
                 if proposed != current:
                     rep._progress(

@@ -68,7 +68,8 @@ from ..seir.checkpoint import CheckpointError, StackedLeapState
 from ..seir.compartments import N_COMPARTMENTS
 from ..seir.parameters import DiseaseParameters, check_thetas
 
-__all__ = ["CheckpointStore", "write_json_atomic", "window_indices"]
+__all__ = ["CheckpointStore", "write_json_atomic", "read_json",
+           "window_directory", "window_indices"]
 
 _RUN_META_NAME = "run_meta.json"
 _COMPLETE_NAME = "COMPLETE.json"
@@ -116,6 +117,31 @@ def write_json_atomic(path: str | os.PathLike, payload: dict, *,
     dest.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=sort_keys)
     _publish_atomic(dest, lambda fh: fh.write(text.encode()))
+
+
+def read_json(path: Path) -> dict | None:
+    """Parse a JSON object file; ``None`` when missing or unreadable.
+
+    The one metadata reader of the checkpoint and artifact stores.
+    Unreadable metadata is treated like absent metadata (the window is
+    simply not trusted) rather than an exception: restart discovery and
+    artifact reads must keep working on a store damaged by the very crash
+    they exist to survive.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def window_directory(root: Path, window_index: int) -> Path:
+    """``root/window_NNN``: the one namer of window directories, shared by
+    the checkpoint and artifact stores (:func:`window_indices` parses)."""
+    if window_index < 0:
+        raise ValueError("window_index must be >= 0")
+    return root / f"window_{window_index:03d}"
 
 
 def window_indices(root: Path) -> list[int]:
@@ -228,27 +254,7 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------ #
     def _window_dir(self, window_index: int) -> Path:
-        if window_index < 0:
-            raise ValueError("window_index must be >= 0")
-        return self._root / f"window_{window_index:03d}"
-
-    @staticmethod
-    def _read_json(path: Path) -> dict | None:
-        """Parse a JSON file; ``None`` when missing or unreadable.
-
-        Unreadable metadata is treated like absent metadata (the window is
-        simply not trusted) rather than an exception: restart discovery
-        must keep working on a store damaged by the very crash it exists
-        to survive.
-        """
-        if not path.exists():
-            return None
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            return None
-        return payload if isinstance(payload, dict) else None
+        return window_directory(self._root, window_index)
 
     def save_window_state(self, window_index: int, state: StackedLeapState,
                           meta: dict) -> None:
@@ -271,7 +277,7 @@ class CheckpointStore:
 
     def expected_count(self, window_index: int) -> int | None:
         """Particle count promised by the completion marker (None = unmarked)."""
-        payload = self._read_json(self._window_dir(window_index) / _COMPLETE_NAME)
+        payload = read_json(self._window_dir(window_index) / _COMPLETE_NAME)
         if payload is None or "n_particles" not in payload:
             return None
         try:
@@ -291,7 +297,7 @@ class CheckpointStore:
 
     def load_window_meta(self, window_index: int) -> dict[str, Any]:
         """The window's ``state.json`` metadata payload."""
-        payload = self._read_json(self._window_dir(window_index) / _STATE_NAME)
+        payload = read_json(self._window_dir(window_index) / _STATE_NAME)
         if payload is None:
             raise CheckpointError(
                 f"no state metadata stored for window {window_index}")
@@ -351,7 +357,7 @@ class CheckpointStore:
 
     def read_run_meta(self) -> dict | None:
         """The stored fingerprint, or ``None`` for a fresh store."""
-        return self._read_json(self._root / _RUN_META_NAME)
+        return read_json(self._root / _RUN_META_NAME)
 
     def validate_run_meta(self, fingerprint: dict) -> None:
         """Bind the store to one run configuration.

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:  # the pool modules load multiprocessing; serial runs skip it
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["Executor", "SerialExecutor", "ProcessExecutor", "make_executor",
            "EXECUTOR_SPECS", "TaskOutcome", "CAUSE_EXCEPTION", "CAUSE_TIMEOUT", "CAUSE_POOL_BROKEN",
@@ -187,6 +187,8 @@ class ProcessExecutor(Executor):
         the *next* dispatch gets a fresh one; a task still running after
         ``timeout`` seconds gets a ``TimeoutError`` and keeps running.
         """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         task_list: Sequence[Any] = list(tasks)
         if not task_list:
             return []
@@ -202,7 +204,7 @@ class ProcessExecutor(Executor):
         for future in futures:
             try:
                 settled.append((future.result(timeout=timeout), None))
-            except FuturesTimeoutError as exc:
+            except TimeoutError as exc:
                 future.cancel()
                 settled.append((None, exc))
             except Exception as exc:
@@ -228,11 +230,12 @@ class ProcessExecutor(Executor):
         (the stuck worker keeps running — the retry layer re-executes the
         task elsewhere, which is safe because shard outputs are pure
         functions of their payload)."""
+        from concurrent.futures.process import BrokenProcessPool
         outcomes: list[TaskOutcome] = []
         for value, exc in self._settle(fn, tasks, timeout):
             if exc is None:
                 outcomes.append(TaskOutcome(value=value))
-            elif isinstance(exc, FuturesTimeoutError):
+            elif isinstance(exc, TimeoutError):
                 outcomes.append(TaskOutcome(
                     cause=CAUSE_TIMEOUT, error=f"no result within {timeout}s"))
             elif isinstance(exc, BrokenProcessPool):

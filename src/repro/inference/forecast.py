@@ -45,16 +45,9 @@ from ..hpc.executor import Executor, SerialExecutor
 from ..hpc.sharding import GroupSpec, resolve_shard_layout, simulate_groups
 from ..seir.batch_engine import BatchTrajectory
 from ..seir.checkpoint import StackedLeapState
-from ..seir.seeding import mix_seeds, register_stream_tag
+from ..seir.seeding import FORECAST_STREAM, mix_seeds
 
 __all__ = ["Forecast", "forecast_from_posterior", "forecast_from_cloud"]
-
-# Forecast continuation seeds occupy their own registered bank stream: the
-# registry raises at import time if another consumer ever claims tag 9100,
-# and the tag rides in ``mix_seed``'s reserved position right after the base
-# seed so forecast seeds can never alias the calibrator's window streams.
-_FORECAST_STREAM = register_stream_tag(
-    "forecast", 9100, description="posterior-predictive continuation seeds")
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def _forecast_seeds(posterior: ParticleEnsemble, base_seed: int,
     particle ``j`` for the ``rep``-th time."""
     seeds = posterior.seeds()
     n = len(seeds)
-    return mix_seeds(base_seed, _FORECAST_STREAM,
+    return mix_seeds(base_seed, FORECAST_STREAM,
                      np.repeat(np.arange(n_per_particle), n),
                      np.tile(np.arange(n), n_per_particle),
                      np.tile(seeds, n_per_particle))

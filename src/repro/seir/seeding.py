@@ -18,142 +18,99 @@ comparison.
 This module is the repo's **only** RNG construction site: every generator,
 seed sequence, and serialised RNG state flows through the functions here, a
 confinement the static analysis pass (:mod:`repro.analysis`) enforces on
-every push.  Stream tags live in the :data:`STREAM_DOMAINS` registry, which
-rejects duplicate tags at import time — the PR 5
-``window_restart_seed``/``window_draw_seed`` aliasing bug class cannot
-silently return.
+every push.  It is also the only module that binds a stream tag: every tag
+and ancillary purpose is an entry of :data:`STREAM_TAGS` or
+:data:`ANCILLARY_PURPOSES`, both checked for duplicate tags at import time,
+so the ``window_restart_seed``/``window_draw_seed`` aliasing bug class
+cannot silently return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 import numpy.typing
 
 __all__ = ["SeedSequenceBank", "generator_for", "batch_generator_for",
-           "mix_seed", "mix_seeds", "StreamDomain", "StreamDomainRegistry",
-           "STREAM_DOMAINS", "register_stream_tag",
-           "register_ancillary_purpose", "rng_state_to_jsonable",
+           "mix_seed", "mix_seeds", "STREAM_TAGS", "ANCILLARY_PURPOSES",
+           "check_unique_tags", "FORECAST_STREAM", "PURPOSE_SMC_PRIOR",
+           "PURPOSE_SMC_BIAS", "PURPOSE_SMC_RESAMPLE", "PURPOSE_SMC_JITTER",
+           "PURPOSE_GROUNDTRUTH_THINNING", "PURPOSE_CHAOS_FAULTS",
+           "PURPOSE_SERVICE_CHAOS", "rng_state_to_jsonable",
            "rng_from_jsonable"]
 
 
 # --------------------------------------------------------------------------- #
-# Stream-domain registry
+# Stream tags
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class StreamDomain:
-    """One named, registered seed-stream tag.
+#: Top-level bank stream tags.  ``simulation``, ``ancillary`` and ``batch``
+#: key ``SeedSequence`` spawn/entropy domains; the ``mix_seed``-based seeders
+#: put their tag in the component position *immediately after* ``base_seed``,
+#: so no two of them can reach the same ``mix_seed`` argument tuple whatever
+#: their other components are (a restart seeder whose ``original_seed``
+#: equalled another seeder's tag once aliased that seeder's seeds exactly).
+#: Retired tags stay in the table so their values are never reused.  Values
+#: are pinned by tests/seir/test_seeding.py: changing one silently re-keys
+#: every stream it feeds.
+STREAM_TAGS: Mapping[str, int] = MappingProxyType({
+    "simulation": 0,      # common replicate seed set (spawn key)
+    "ancillary": 1,       # ancillary purpose streams (spawn key)
+    "batch": 2,           # batched whole-ensemble streams (entropy lead)
+    "window_draw": 3,     # per-(window, draw) restart seeds
+    "window_restart": 4,  # retired: per-(window, particle) restart seeds
+    "scenario": 5,        # retired: per-scenario independent stream roots
+    "forecast": 9100,     # posterior-predictive continuation seeds
+})
 
-    ``domain`` separates the two tag namespaces in use: ``"bank"`` for the
-    top-level tags that key ``SeedSequence`` spawn/entropy domains and the
-    reserved ``mix_seed`` method position, ``"ancillary"`` for the purpose
-    sub-tags under :meth:`SeedSequenceBank.ancillary_generator`.
+#: Purpose sub-tags under :meth:`SeedSequenceBank.ancillary_generator`, one
+#: per consumer, so adding a consumer never perturbs another's draws.
+ANCILLARY_PURPOSES: Mapping[str, int] = MappingProxyType({
+    "smc_prior": 0,              # first-window prior sampling
+    "smc_bias": 1,               # per-window reporting-bias thinning
+    "smc_resample": 2,           # per-window resampling / tempered bridge
+    "smc_jitter": 3,             # per-window proposal jitter
+    "groundtruth_thinning": 10,  # truth-observation binomial thinning
+    "chaos_faults": 40,          # seeded fault-plan draws (chaos testing)
+    "service_chaos": 41,         # seeded service-level fault-plan draws
+})
+
+
+def check_unique_tags(table: Mapping[str, int]) -> None:
+    """Raise ``ValueError`` if two names in ``table`` share one tag.
+
+    Two names on one tag alias their seed streams (the bug that once
+    aliased ``window_restart_seed`` and ``window_draw_seed``).  Both tables are
+    checked when this module is imported, so a clash fails the process
+    before any draw is made.
     """
-
-    name: str
-    tag: int
-    domain: str = "bank"
-    description: str = ""
-
-
-@dataclass
-class StreamDomainRegistry:
-    """Import-time uniqueness guard over every seed-stream tag.
-
-    Each random draw in the codebase lives in a documented seed domain; two
-    domains sharing one tag silently alias their streams (the shape of the
-    PR 5 ``window_restart_seed``/``window_draw_seed`` bug).  Registration
-    happens at module import, so a clashing tag — or an unnamed integer
-    literal, which the lint pass rejects — fails the process before any
-    draw is made.
-    """
-
-    _by_key: dict[tuple[str, int], StreamDomain] = field(default_factory=dict)
-    _by_name: dict[tuple[str, str], StreamDomain] = field(default_factory=dict)
-
-    def register(self, name: str, tag: int, *, domain: str = "bank",
-                 description: str = "") -> int:
-        """Register ``name -> tag`` in ``domain``; return the tag.
-
-        Raises
-        ------
-        ValueError
-            If the tag is already taken by another name in the same domain,
-            or the name is already registered (re-registering the *same*
-            ``(name, tag)`` pair is idempotent, so module reloads survive).
-        """
-        entry = StreamDomain(name=str(name), tag=int(tag), domain=str(domain),
-                             description=description)
-        key = (entry.domain, entry.tag)
-        existing = self._by_key.get(key)
-        if existing is not None and existing.name != entry.name:
+    seen: dict[int, str] = {}
+    for name, tag in table.items():
+        if tag in seen:
             raise ValueError(
-                f"stream tag {entry.tag} in domain {entry.domain!r} is "
-                f"already registered as {existing.name!r}; cannot register "
-                f"it again as {entry.name!r} — two names on one tag alias "
-                f"their seed streams")
-        named = self._by_name.get((entry.domain, entry.name))
-        if named is not None and named.tag != entry.tag:
-            raise ValueError(
-                f"stream {entry.name!r} in domain {entry.domain!r} is "
-                f"already registered with tag {named.tag}; cannot rebind it "
-                f"to {entry.tag}")
-        self._by_key[key] = entry
-        self._by_name[(entry.domain, entry.name)] = entry
-        return entry.tag
-
-    def tags(self, domain: str = "bank") -> dict[str, int]:
-        """``name -> tag`` mapping of one domain."""
-        return {d.name: d.tag for d in self._by_key.values()
-                if d.domain == domain}
+                f"stream tag {tag} is claimed by both {seen[tag]!r} and "
+                f"{name!r} — two names on one tag alias their seed streams")
+        seen[tag] = name
 
 
-#: The process-wide registry.  Modules owning a stream register it at import
-#: time next to the constant that names it; the lint pass requires every tag
-#: fed to :func:`mix_seed` / ``ancillary_generator`` to be such a constant.
-STREAM_DOMAINS = StreamDomainRegistry()
+check_unique_tags(STREAM_TAGS)
+check_unique_tags(ANCILLARY_PURPOSES)
 
+_SIMULATION_STREAM = STREAM_TAGS["simulation"]
+_ANCILLARY_STREAM = STREAM_TAGS["ancillary"]
+_BATCH_STREAM = STREAM_TAGS["batch"]
+_WINDOW_DRAW_STREAM = STREAM_TAGS["window_draw"]
+FORECAST_STREAM = STREAM_TAGS["forecast"]
 
-def register_stream_tag(name: str, tag: int, *, description: str = "") -> int:
-    """Register a top-level bank stream tag (spawn/entropy/``mix_seed``)."""
-    return STREAM_DOMAINS.register(name, tag, domain="bank",
-                                   description=description)
-
-
-def register_ancillary_purpose(name: str, purpose: int, *,
-                               description: str = "") -> int:
-    """Register an ancillary purpose sub-tag (see ``ancillary_generator``)."""
-    return STREAM_DOMAINS.register(name, purpose, domain="ancillary",
-                                   description=description)
-
-
-# Stream tags.  The first three key ``SeedSequence`` spawn/entropy domains;
-# the ``mix_seed``-based methods below additionally reserve the component
-# position *immediately after* ``base_seed`` for their method tag, so no two
-# methods can ever reach the same ``mix_seed`` argument tuple whatever their
-# caller-supplied components are (a ``window_restart_seed`` call whose
-# ``original_seed`` happens to equal another method's tag used to alias that
-# method's seeds exactly).  Tag values are pinned by regression tests —
-# changing one silently re-keys every stream it feeds.
-_SIMULATION_STREAM = register_stream_tag(
-    "simulation", 0, description="common replicate seed set (spawn key)")
-_ANCILLARY_STREAM = register_stream_tag(
-    "ancillary", 1, description="ancillary purpose streams (spawn key)")
-_BATCH_STREAM = register_stream_tag(
-    "batch", 2, description="batched whole-ensemble streams (entropy lead)")
-_WINDOW_DRAW_STREAM = register_stream_tag(
-    "window_draw", 3, description="per-(window, draw) restart seeds")
-# Retired with its only method; stays registered so tag 4 is never reused.
-_WINDOW_RESTART_STREAM = register_stream_tag(
-    "window_restart", 4,
-    description="retired per-(window, particle) restart seeds (reserved)")
-# Retired with independent-stream scenarios; stays registered so tag 5 is
-# never reused.
-_SCENARIO_STREAM = register_stream_tag(
-    "scenario", 5,
-    description="retired per-scenario independent stream roots (reserved)")
+PURPOSE_SMC_PRIOR = ANCILLARY_PURPOSES["smc_prior"]
+PURPOSE_SMC_BIAS = ANCILLARY_PURPOSES["smc_bias"]
+PURPOSE_SMC_RESAMPLE = ANCILLARY_PURPOSES["smc_resample"]
+PURPOSE_SMC_JITTER = ANCILLARY_PURPOSES["smc_jitter"]
+PURPOSE_GROUNDTRUTH_THINNING = ANCILLARY_PURPOSES["groundtruth_thinning"]
+PURPOSE_CHAOS_FAULTS = ANCILLARY_PURPOSES["chaos_faults"]
+PURPOSE_SERVICE_CHAOS = ANCILLARY_PURPOSES["service_chaos"]
 
 
 def generator_for(seed: int) -> np.random.Generator:
@@ -308,9 +265,9 @@ class SeedSequenceBank:
                             ) -> np.random.Generator:
         """An RNG stream independent of every simulation stream.
 
-        ``purpose`` distinguishes consumers (0 = prior sampling, 1 = bias
-        thinning, 2 = resampling, ...), so adding a consumer never perturbs
-        the draws of existing ones.
+        ``purpose`` distinguishes consumers (an :data:`ANCILLARY_PURPOSES`
+        entry: 0 = prior sampling, 1 = bias thinning, 2 = resampling, ...),
+        so adding a consumer never perturbs the draws of existing ones.
 
         ``window_index`` derives a further sub-stream per calibration window
         via ``spawn_key=(_ANCILLARY_STREAM, purpose, window_index)``.  Every

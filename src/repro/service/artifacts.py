@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..hpc.checkpoint_io import window_indices, write_json_atomic
+from ..hpc.checkpoint_io import (read_json, window_directory, window_indices,
+                                 write_json_atomic)
 
 __all__ = ["ArtifactStore", "ArtifactRead"]
 
@@ -77,9 +78,7 @@ class ArtifactStore:
         return self._root
 
     def window_dir(self, window_index: int) -> Path:
-        if window_index < 0:
-            raise ValueError("window_index must be >= 0")
-        return self._root / f"window_{window_index:03d}"
+        return window_directory(self._root, window_index)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -125,18 +124,9 @@ class ArtifactStore:
         sealed = self.sealed_windows()
         return sealed[-1] if sealed else None
 
-    def _read_seal(self, window_index: int) -> dict | None:
-        path = self.window_dir(window_index) / _SEAL_NAME
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
     def validate(self, window_index: int) -> bool:
         """Whether the window's seal matches the bytes on disk."""
-        seal = self._read_seal(window_index)
+        seal = read_json(self.window_dir(window_index) / _SEAL_NAME)
         if seal is None:
             return False
         files = seal.get("files")

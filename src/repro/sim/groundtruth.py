@@ -31,19 +31,12 @@ from ..data.sources import CASES, DEATHS, ObservationSet, ObservationSource
 from ..data.synthetic import binomial_thin
 from ..seir.batch_engine import BatchedBinomialLeapEngine, BatchTrajectory
 from ..seir.parameters import DiseaseParameters, chicago_defaults
-from ..seir.seeding import (SeedSequenceBank, generator_for,
-                            register_ancillary_purpose)
+from ..seir.seeding import (PURPOSE_GROUNDTRUTH_THINNING, SeedSequenceBank,
+                            generator_for)
 
 __all__ = ["GroundTruth", "make_ground_truth", "make_fig2_ground_truth"]
 
 _DEFAULT_SEED = 777
-
-# Observation thinning draws from its own registered ancillary purpose so the
-# truth trajectory is identical whether or not observations are generated
-# (value pinned by regression test; 10 leaves 4..9 free for calibrator-side
-# consumers, which allocate upward from 0).
-_PURPOSE_TRUTH_THIN = register_ancillary_purpose(
-    "groundtruth_thinning", 10, description="truth-observation binomial thinning")
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def make_ground_truth(params: DiseaseParameters | None = None,
     # Thinning uses a stream independent of the simulation stream so the
     # truth trajectory is identical whether or not observations are drawn.
     rng_thin = SeedSequenceBank(seed).ancillary_generator(
-        purpose=_PURPOSE_TRUTH_THIN)
+        purpose=PURPOSE_GROUNDTRUTH_THINNING)
     observed = binomial_thin(_row_series(batch, CASES), rho_schedule, rng_thin)
     return GroundTruth(params=base, theta_schedule=theta_schedule,
                        rho_schedule=rho_schedule, trajectory=batch,

@@ -39,19 +39,14 @@ from ..core.smc import SequentialCalibrator, SimulatedWindow, WindowResult
 from ..core.window import TimeWindow
 from ..data.sources import ObservationSet
 from ..hpc.executor import CAUSE_DROPPED, CAUSE_TIMEOUT, Executor, TaskOutcome
-from ..seir.seeding import SeedSequenceBank, register_ancillary_purpose
+from ..seir.seeding import (PURPOSE_CHAOS_FAULTS, PURPOSE_SERVICE_CHAOS,
+                            SeedSequenceBank)
 from ..service.artifacts import _FORECAST_NAME, ArtifactStore
 
 __all__ = ["Fault", "FaultPlan", "FAULT_KINDS", "ChaosExecutor",
            "ChaosInjectedError", "CorruptedResult",
            "WindowFault", "ServiceFaultPlan", "ChaosCalibrator",
            "tear_artifact", "WINDOW_FAULT_KINDS"]
-
-_PURPOSE_CHAOS = register_ancillary_purpose(
-    "chaos_faults", 40, description="seeded fault-plan draws (chaos testing)")
-_PURPOSE_SERVICE_CHAOS = register_ancillary_purpose(
-    "service_chaos", 41,
-    description="seeded service-level fault-plan draws (window steps)")
 
 
 class ChaosInjectedError(RuntimeError):
@@ -150,7 +145,8 @@ class FaultPlan:
             raise ValueError(f"unknown fault kinds in rates: {sorted(unknown)}")
         if sum(rate for _, rate in kinds) > 1.0:
             raise ValueError("fault rates must sum to <= 1")
-        rng = SeedSequenceBank(base_seed).ancillary_generator(_PURPOSE_CHAOS)
+        rng = SeedSequenceBank(base_seed).ancillary_generator(
+            PURPOSE_CHAOS_FAULTS)
         faults = []
         for shard in range(n_shards):
             for attempt in range(1, max_attempts + 1):
@@ -355,7 +351,7 @@ class ServiceFaultPlan:
         if sum(rate for _, rate in kinds) > 1.0:
             raise ValueError("fault rates must sum to <= 1")
         rng = SeedSequenceBank(base_seed).ancillary_generator(
-            _PURPOSE_SERVICE_CHAOS)
+            PURPOSE_SERVICE_CHAOS)
         faults = []
         for window in range(n_windows):
             for attempt in range(1, max_attempts + 1):

@@ -1,11 +1,11 @@
-"""Fixture reproducing the PR 5 bug shape: integer-literal and
-unregistered stream tags.  ``window_restart_seed``/``window_draw_seed``
-aliased because their tags were bare integers nothing checked; every tag
-use below must trip REPRO102, and the bare-assigned constant REPRO103."""
+"""Fixture reproducing the aliasing bug shape: integer-literal and locally
+bound stream tags.  ``window_restart_seed``/``window_draw_seed`` aliased
+because their tags were bare integers nothing checked; every tag use below
+must trip REPRO102."""
 
 from repro.seir.seeding import SeedSequenceBank, mix_seed, mix_seeds
 
-# REPRO103: a stream constant assigned without registration — exactly how
+# Tags bound here instead of in repro.seir.seeding's tables — exactly how
 # the aliasing bug survived review.
 _WINDOW_DRAW_STREAM = 3
 _PURPOSE_LOCAL = 7
@@ -17,7 +17,7 @@ def draw_seed(base_seed: int, window_index: int) -> int:
 
 
 def restart_seed(base_seed: int, window_index: int) -> int:
-    # REPRO102: named, but the constant was never registered.
+    # REPRO102: named, but bound here, not by repro.seir.seeding.
     return mix_seed(base_seed, _WINDOW_DRAW_STREAM, window_index)
 
 
@@ -27,7 +27,7 @@ def draw_seeds(base_seed: int, rows: object) -> object:
 
 
 def restart_seeds(base_seed: int, rows: object) -> object:
-    # REPRO102: unregistered constant in the vectorised mixer.
+    # REPRO102: locally bound constant in the vectorised mixer.
     return mix_seeds(base_seed, _WINDOW_DRAW_STREAM, rows)
 
 
@@ -42,5 +42,5 @@ def thinning_rng(bank: SeedSequenceBank) -> object:
 
 
 def local_purpose_rng(bank: SeedSequenceBank) -> object:
-    # REPRO102: unregistered purpose constant.
+    # REPRO102: locally bound purpose constant.
     return bank.ancillary_generator(purpose=_PURPOSE_LOCAL)

@@ -2,12 +2,12 @@
 
 The scenario axis earns its own reserved stream; the exact failure mode
 that aliased the window streams in PR 5 — a bare integer tag nothing
-checks — must keep tripping REPRO102/103 when written against the new
-tag, so scenario seeds can never silently collide with window streams."""
+checks — must keep tripping REPRO102 when written against the new tag,
+so scenario seeds can never silently collide with window streams."""
 
 from repro.seir.seeding import SeedSequenceBank, mix_seed
 
-# REPRO103: the scenario tag assigned bare instead of registered.
+# The scenario tag bound here instead of in repro.seir.seeding's table.
 _SCENARIO_STREAM = 5
 
 
@@ -17,7 +17,7 @@ def scenario_seed(base_seed: int, scenario_key: int) -> int:
 
 
 def scenario_seed_via_constant(base_seed: int, scenario_key: int) -> int:
-    # REPRO102: named, but the constant was never registered.
+    # REPRO102: named, but bound here, not by repro.seir.seeding.
     return mix_seed(base_seed, _SCENARIO_STREAM, scenario_key)
 
 

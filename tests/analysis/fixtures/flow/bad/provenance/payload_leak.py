@@ -5,15 +5,15 @@ field, a bank-derived generator embedded in the dispatched task
 expressions, and a dispatch target whose signature demands a generator
 parameter.  In every case the pickled generator state forks the stream
 per worker and breaks the ``(base_seed, shard layout)`` contract.
+
+The purpose itself is a seeding table constant, so only the leak is flagged.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seir.seeding import register_ancillary_purpose
-
-_PURPOSE_LEAK = register_ancillary_purpose("payload_leak", 7703)
+from repro.seir.seeding import PURPOSE_SMC_RESAMPLE
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ def run_with_rng(member: int, rng: np.random.Generator) -> float:
 
 
 def launch(executor, bank, n):
-    rng = bank.ancillary_generator(purpose=_PURPOSE_LEAK)
+    rng = bank.ancillary_generator(purpose=PURPOSE_SMC_RESAMPLE)
     tasks = [LeakyTask(member=i, rng=rng) for i in range(n)]
     return executor.map(run_leaky, tasks)
 

@@ -5,13 +5,13 @@ both escape shapes here turn a transient stream into cross-window state:
 the generator-typed dataclass field declares the intent, and the
 ``start`` method realises it by storing the bank-derived stream on
 ``self``.
+
+The purpose is a seeding table constant, so only the cached stream is flagged.
 """
 
 import numpy as np
 
-from repro.seir.seeding import register_ancillary_purpose
-
-_PURPOSE_SERVICE_NOISE = register_ancillary_purpose("service_noise", 7702)
+from repro.seir.seeding import PURPOSE_SERVICE_CHAOS
 
 
 class NoiseService:
@@ -19,7 +19,7 @@ class NoiseService:
 
     def start(self, bank):
         # stores the stream for the service's whole lifetime
-        self._rng = bank.ancillary_generator(purpose=_PURPOSE_SERVICE_NOISE)
+        self._rng = bank.ancillary_generator(purpose=PURPOSE_SERVICE_CHAOS)
 
     def tick(self, n):
         return self._rng.normal(size=n)

@@ -1,15 +1,11 @@
 """Helper half of the fixed PR 1 shape — identical to the bad variant.
 
 The helper was never the problem; the caller's module-level cache was.
-Registering the same ``(window_noise, 7701)`` pair as the bad fixture is
-deliberate: idempotent re-registration doubles as the cross-fixture pin.
 """
 
-from repro.seir.seeding import register_ancillary_purpose
-
-_PURPOSE_WINDOW_NOISE = register_ancillary_purpose("window_noise", 7701)
+from repro.seir.seeding import PURPOSE_SMC_JITTER
 
 
 def noise_rng(bank):
     """Derive the window-noise stream from the bank (untyped return)."""
-    return bank.ancillary_generator(purpose=_PURPOSE_WINDOW_NOISE)
+    return bank.ancillary_generator(purpose=PURPOSE_SMC_JITTER)

@@ -1,4 +1,4 @@
-"""Fixture: a fully contract-compliant module — registered stream tags,
+"""Fixture: a fully contract-compliant module — table stream tags,
 no RNG construction, dataclass executor payloads, complete annotations.
 The linter must report nothing here."""
 
@@ -7,12 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hpc.executor import Executor
-from repro.seir.seeding import (SeedSequenceBank, mix_seed,
-                                register_ancillary_purpose,
-                                register_stream_tag)
-
-_CLEAN_STREAM = register_stream_tag("clean_fixture", 9900)
-_PURPOSE_CLEAN = register_ancillary_purpose("clean_fixture_purpose", 9901)
+from repro.seir.seeding import (FORECAST_STREAM, PURPOSE_SMC_JITTER,
+                                SeedSequenceBank, mix_seed)
 
 
 @dataclass(frozen=True)
@@ -26,11 +22,11 @@ def run_member(task: MemberTask) -> int:
 
 
 def draw_seed(base_seed: int, window_index: int) -> int:
-    return mix_seed(base_seed, _CLEAN_STREAM, window_index)
+    return mix_seed(base_seed, FORECAST_STREAM, window_index)
 
 
 def purposed_rng(bank: SeedSequenceBank) -> np.random.Generator:
-    return bank.ancillary_generator(purpose=_PURPOSE_CLEAN)
+    return bank.ancillary_generator(purpose=PURPOSE_SMC_JITTER)
 
 
 def dispatch(executor: Executor, payloads: list) -> list:

@@ -42,48 +42,44 @@ class TestRuleFamilies:
         assert lines[0] <= 8  # the imports are flagged where they happen
 
     def test_literal_tag_shape_pr5(self):
-        """The PR 5 aliasing fixture: literal, unregistered, and missing
+        """The aliasing-bug fixture: literal, locally bound, and missing
         tags all trip REPRO102, in ``mix_seed`` and ``mix_seeds`` calls
-        alike; the bare constant assignment REPRO103."""
+        alike."""
         path = str(BAD / "core" / "literal_tag.py")
         v102 = run_lint([path], select=["REPRO102"])
-        v103 = run_lint([path], select=["REPRO103"])
         assert len(v102) == 7, [v.render() for v in v102]
         assert sum("in mix_seeds" in v.message for v in v102) == 2
         assert {v.rule for v in v102} == {"REPRO102"}
-        # both bare constants (stream + purpose patterns)
-        assert len(v103) == 2, [v.render() for v in v103]
+        assert all("repro.seir.seeding" in v.message for v in v102)
 
-    def test_duplicate_registration(self):
-        violations = run_lint([str(BAD / "duplicate_tags.py")],
-                              select=["REPRO104"])
-        assert len(violations) == 1
-        v = violations[0]
-        assert "41" in v.message and "alpha" in v.message \
-            and "beta" in v.message
-
-    def test_registration_in_another_file_clears_repro102_103(self,
-                                                               tmp_path):
-        """A stream tag registered in one file legitimises its constant
-        where another file uses it: the registry is collected across every
-        file before any file is checked."""
+    def test_only_seeding_constants_clear_repro102(self, tmp_path):
+        """A tag bound by any module but repro.seir.seeding trips REPRO102
+        where it is used, as does a seeding constant of the wrong table (a
+        purpose fed to ``mix_seed``); a ``STREAM_TAGS`` constant clears
+        it."""
         user = tmp_path / "user.py"
-        user.write_text(
-            "from repro.seir.seeding import mix_seed\n"
-            "from regs import _SHARED_STREAM\n"
-            "\n"
-            "\n"
-            "def derive(base):\n"
-            "    return mix_seed(base, _SHARED_STREAM)\n")
         regs = tmp_path / "regs.py"
-        regs.write_text("_SHARED_STREAM = 9\n")  # unregistered: REPRO103
-        before = run_lint([str(tmp_path)])
-        assert {v.rule for v in before} == {"REPRO102", "REPRO103"}
-        regs.write_text(
-            "from repro.seir.seeding import register_stream_tag\n"
-            "_SHARED_STREAM = register_stream_tag('shared', 9)\n")
-        after = run_lint([str(tmp_path)])
-        assert after == [], [v.render() for v in after]
+        regs.write_text("_SHARED_STREAM = 9\n")
+
+        def lint_with(import_line, tag):
+            user.write_text(
+                "from repro.seir.seeding import mix_seed\n"
+                f"{import_line}\n"
+                "\n"
+                "\n"
+                "def derive(base):\n"
+                f"    return mix_seed(base, {tag})\n")
+            return run_lint([str(tmp_path)])
+
+        for import_line, tag in (
+                ("from regs import _SHARED_STREAM", "_SHARED_STREAM"),
+                ("from repro.seir.seeding import PURPOSE_SMC_PRIOR",
+                 "PURPOSE_SMC_PRIOR")):
+            found = lint_with(import_line, tag)
+            assert [(v.rule, v.line) for v in found] == [("REPRO102", 6)]
+        clean = lint_with("from repro.seir import seeding",
+                          "seeding.FORECAST_STREAM")
+        assert clean == [], [v.render() for v in clean]
 
     def test_determinism_hazards(self):
         path = str(BAD / "core" / "wall_clock.py")
@@ -182,9 +178,9 @@ class TestCli:
 
     def test_json_output(self, capsys):
         import json
-        main([str(BAD / "duplicate_tags.py"), "--format", "json"])
+        main([str(BAD / "core" / "literal_tag.py"), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload and payload[0]["rule"] == "REPRO104"
+        assert payload and payload[0]["rule"] == "REPRO102"
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -192,7 +188,7 @@ class TestCli:
         for family in ("REPRO101", "REPRO201", "REPRO301", "REPRO401",
                        "REPRO501", "REPRO511"):
             assert family in out
-        assert len(out.splitlines()) == 17
+        assert len(out.splitlines()) == 15
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -313,15 +309,16 @@ class TestSelectValidation:
 
     def test_unknown_selector_raises(self):
         with pytest.raises(ValueError, match="REPOR1"):
-            run_lint([str(BAD / "duplicate_tags.py")], select=["REPOR1"])
+            run_lint([str(BAD / "core" / "literal_tag.py")],
+                     select=["REPOR1"])
 
     def test_unknown_selector_is_cli_exit_2(self, capsys):
-        assert main([str(BAD / "duplicate_tags.py"),
+        assert main([str(BAD / "core" / "literal_tag.py"),
                      "--select", "REPOR1"]) == 2
         assert "REPOR1" in capsys.readouterr().err
 
     def test_known_prefix_still_selects_families(self):
-        violations = run_lint([str(BAD / "duplicate_tags.py")],
+        violations = run_lint([str(BAD / "core" / "literal_tag.py")],
                               select=["REPRO1"])
         assert violations and all(v.rule.startswith("REPRO1")
                                   for v in violations)
@@ -330,7 +327,7 @@ class TestSelectValidation:
         """REPRO5xx is a family of the one catalogue; selecting it on a
         fixture with no dispatch site is a clean run, not a usage
         error."""
-        assert run_lint([str(BAD / "duplicate_tags.py")],
+        assert run_lint([str(BAD / "core" / "literal_tag.py")],
                         select=["REPRO5"]) == []
 
 
@@ -371,20 +368,21 @@ class TestDeterministicPartsExtension:
 class TestOutputFormats:
     def test_sarif_format(self, tmp_path):
         report = tmp_path / "lint.sarif"
-        assert main([str(BAD / "duplicate_tags.py"), "--format", "sarif",
+        assert main([str(BAD / "core" / "literal_tag.py"), "--format",
+                     "sarif",
                      "--output", str(report)]) == 1
         import json
         payload = json.loads(report.read_text())
         assert payload["version"] == "2.1.0"
         sarif_run = payload["runs"][0]
         assert sarif_run["tool"]["driver"]["name"] == "repro-analysis"
-        assert sarif_run["results"][0]["ruleId"] == "REPRO104"
+        assert sarif_run["results"][0]["ruleId"] == "REPRO102"
 
     def test_output_flag_writes_text_report(self, tmp_path):
         report = tmp_path / "lint.txt"
-        assert main([str(BAD / "duplicate_tags.py"),
+        assert main([str(BAD / "core" / "literal_tag.py"),
                      "--output", str(report)]) == 1
-        assert "REPRO104" in report.read_text()
+        assert "REPRO102" in report.read_text()
 
 
 class TestScenarioTagFixtures:
@@ -394,23 +392,12 @@ class TestScenarioTagFixtures:
     def test_scenario_tag_misuse_shapes(self):
         path = str(BAD / "core" / "scenario_tag.py")
         v102 = run_lint([path], select=["REPRO102"])
-        v103 = run_lint([path], select=["REPRO103"])
-        # literal mix_seed tag, unregistered constant, literal purpose
+        # literal mix_seed tag, locally bound constant, literal purpose
         assert len(v102) == 3, [v.render() for v in v102]
         assert {v.rule for v in v102} == {"REPRO102"}
-        # the bare `_SCENARIO_STREAM = 5` assignment
-        assert len(v103) == 1, [v.render() for v in v103]
-
-    def test_scenario_tag_double_claim(self):
-        violations = run_lint([str(BAD / "scenario_duplicate_tags.py")],
-                              select=["REPRO104"])
-        assert len(violations) == 1
-        message = violations[0].message
-        assert "5" in message
-        assert "scenario_x" in message and "scenario_y" in message
 
     def test_shipped_scenario_module_is_clean(self):
-        """The real implementation registers its tag properly."""
+        """The real implementation binds no stream tag of its own."""
         scenarios = Path(SRC) / "repro" / "core" / "scenarios.py"
         seeding = Path(SRC) / "repro" / "seir" / "seeding.py"
         assert run_lint([str(scenarios), str(seeding)]) == []

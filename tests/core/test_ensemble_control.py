@@ -151,10 +151,11 @@ class TestCalibratorWiring:
         return calib.run(truth.observations(), store=store, resume=resume)
 
     def test_resize_progress_lines_pinned(self, small_truth, tmp_path):
-        """A window whose next cloud differs from its own reports it (window
-        0 against the fixed continuation size, 40, not its 60-member prior
-        cloud); a resumed run reports its computed windows alone, sized
-        from the restored window; the fixed policy never reports."""
+        """A window whose next cloud differs from the cloud it weighed
+        reports it: window 0 holds its 60-member prior cloud (ESS fraction
+        inside the band), so only window 1's shrink is reported.  A resumed
+        run reports its computed windows alone, sized from the restored
+        window; the fixed policy never reports."""
         options = {"target_low": 0.02, "target_high": 0.1, "n_min": 20,
                    "n_max": 120}
         lines = []
@@ -165,8 +166,7 @@ class TestCalibratorWiring:
         window1 = ("window 1: size policy resized next cloud 60 -> 30 "
                    "(ESS fraction 0.17)")
         assert [line for line in lines if "size policy" in line] == [
-            "window 0: size policy resized next cloud 40 -> 60 "
-            "(ESS fraction 0.04)", window1]
+            window1]
 
         for index in (1, 2):
             shutil.rmtree(tmp_path / f"window_{index:03d}")

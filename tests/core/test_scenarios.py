@@ -426,7 +426,7 @@ class TestSizePolicySweep:
             assert_runs_identical(alone.run(truth.observations()),
                                   results[name], f"ess sweep {name}")
         assert [line for line in lines if "size policy" in line] == [
-            "[baseline] window 0: size policy resized next cloud 40 -> 90 "
+            "[baseline] window 0: size policy resized next cloud 60 -> 90 "
             "(ESS fraction 0.05)",
             "[baseline] window 2: size policy resized next cloud 90 -> 45 "
             "(ESS fraction 0.40)",

@@ -249,29 +249,32 @@ class TestPerWindowRandomness:
             return getattr(self._bank, name)
 
     def test_ancillary_streams_are_window_indexed(self, small_truth):
-        from repro.core.smc import (_PURPOSE_BIAS, _PURPOSE_JITTER,
-                                    _PURPOSE_RESAMPLE)
+        from repro.seir.seeding import (PURPOSE_SMC_BIAS,
+                                        PURPOSE_SMC_JITTER,
+                                        PURPOSE_SMC_RESAMPLE)
         schedule = WindowSchedule.from_breaks([10, 18, 26, 34])
         calib = calibrator(schedule, small_truth)
         spy = self.SpyBank(calib._bank)
         calib._bank = spy
         calib.run(small_truth.observations())
         windows_seen = {purpose: {w for p, w in spy.calls if p == purpose}
-                        for purpose in (_PURPOSE_BIAS, _PURPOSE_RESAMPLE,
-                                        _PURPOSE_JITTER)}
-        assert windows_seen[_PURPOSE_BIAS] == {0, 1, 2}
-        assert windows_seen[_PURPOSE_RESAMPLE] == {0, 1, 2}
-        assert windows_seen[_PURPOSE_JITTER] == {1, 2}  # no jitter in window 0
+                        for purpose in (PURPOSE_SMC_BIAS,
+                                        PURPOSE_SMC_RESAMPLE,
+                                        PURPOSE_SMC_JITTER)}
+        assert windows_seen[PURPOSE_SMC_BIAS] == {0, 1, 2}
+        assert windows_seen[PURPOSE_SMC_RESAMPLE] == {0, 1, 2}
+        # no jitter in window 0
+        assert windows_seen[PURPOSE_SMC_JITTER] == {1, 2}
 
     def test_resample_draws_differ_across_windows(self, small_truth):
         """Identical weight vectors in different windows must not resample
         to identical ancestor indices (the observable symptom of the bug)."""
-        from repro.core.smc import _PURPOSE_RESAMPLE
         from repro.core.resampling import multinomial_resample
+        from repro.seir.seeding import PURPOSE_SMC_RESAMPLE
         calib = calibrator(WindowSchedule.from_breaks([10, 20]), small_truth)
         w = np.full(50, 1 / 50)
         picks = [multinomial_resample(
-            w, 50, calib._bank.ancillary_generator(_PURPOSE_RESAMPLE,
+            w, 50, calib._bank.ancillary_generator(PURPOSE_SMC_RESAMPLE,
                                                    window_index=i))
             for i in range(3)]
         assert not np.array_equal(picks[0], picks[1])

@@ -360,11 +360,14 @@ class TestWindowCompleteness:
             store.save_window_state(0, checkpoints.take([]), META)
 
     def test_corrupt_marker_treated_as_absent(self, tmp_path, checkpoints):
+        """A truncated marker and one of non-UTF-8 bytes both read as no
+        marker."""
         store = CheckpointStore(tmp_path)
         store.save_window_state(0, checkpoints, META)
-        window_file(store, 0, "COMPLETE.json").write_text("{trunc")
-        assert not store.window_complete(0)
-        assert store.expected_count(0) is None
+        for torn in (b"{trunc", b"\xff\xfe{"):
+            window_file(store, 0, "COMPLETE.json").write_bytes(torn)
+            assert not store.window_complete(0)
+            assert store.expected_count(0) is None
 
 
 class TestRunMeta:

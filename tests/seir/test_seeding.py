@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParticleEnsemble
-from repro.inference.forecast import _FORECAST_STREAM, _forecast_seeds
+from repro.inference.forecast import _forecast_seeds
 from repro.seir import SeedSequenceBank, generator_for, mix_seed, mix_seeds
+from repro.seir.seeding import FORECAST_STREAM
 
 MASK63 = 2**63 - 1
 #: Word-count edges of SeedSequence's entropy coercion: 0 still takes one
@@ -108,7 +109,7 @@ class TestMixSeeds:
         seeds = np.array([5, 2**32, 2**62 + 11, 0], dtype=np.int64)
         posterior = ParticleEnsemble.from_columns(
             {"theta": np.full(4, 0.3)}, seeds)
-        expected = [mix_seed(9, _FORECAST_STREAM, rep, j, int(seed))
+        expected = [mix_seed(9, FORECAST_STREAM, rep, j, int(seed))
                     for rep in range(3) for j, seed in enumerate(seeds)]
         assert _forecast_seeds(posterior, 9, 3).tolist() == expected
 
@@ -225,65 +226,61 @@ class TestShardSimulationGenerators:
 
 
 class TestStreamDomainRegistry:
-    """Import-time uniqueness guard + pinned tag values.
+    """The two stream domains -- the :data:`STREAM_TAGS` bank table and the
+    :data:`ANCILLARY_PURPOSES` table -- and their import-time uniqueness
+    check.
 
     The pinned values are load-bearing: every stream a tag keys is a pure
     function of ``(base_seed, tag, components)``, so renumbering a tag
     silently re-keys that stream and breaks bit-reproducibility of every
-    committed benchmark and regression baseline.
+    committed benchmark and regression baseline.  A changed, missing or
+    extra entry here means someone re-keyed a seed stream.
     """
 
-    # (name, tag) per domain as shipped; a changed or missing entry here
-    # means someone re-keyed a seed stream.
-    PINNED_BANK_TAGS = {
-        "simulation": 0, "ancillary": 1, "batch": 2,
-        "window_draw": 3, "window_restart": 4, "scenario": 5,
-        "forecast": 9100,
-    }
-    PINNED_ANCILLARY_TAGS = {
-        "smc_prior": 0, "smc_bias": 1, "smc_resample": 2, "smc_jitter": 3,
-        "groundtruth_thinning": 10, "chaos_faults": 40, "service_chaos": 41,
-    }
-
     def test_bank_tags_pinned(self):
-        # Importing the consumers registers their tags.
-        import repro.core.smc  # noqa: F401
-        import repro.inference.forecast  # noqa: F401
-        from repro.seir.seeding import STREAM_DOMAINS
-        tags = STREAM_DOMAINS.tags("bank")
-        for name, tag in self.PINNED_BANK_TAGS.items():
-            assert tags.get(name) == tag, (name, tags.get(name))
+        """Every bank tag as shipped, the retired tags 4 and 5 included."""
+        from repro.seir.seeding import FORECAST_STREAM, STREAM_TAGS
+        assert dict(STREAM_TAGS) == {
+            "simulation": 0, "ancillary": 1, "batch": 2, "window_draw": 3,
+            "window_restart": 4, "scenario": 5, "forecast": 9100}
+        assert FORECAST_STREAM == 9100
+        with pytest.raises(TypeError):
+            STREAM_TAGS["new_stream"] = 6  # type: ignore[index]
 
     def test_ancillary_tags_pinned(self):
-        import repro.core.smc  # noqa: F401
-        import repro.sim.groundtruth  # noqa: F401
-        import repro.testing.chaos  # noqa: F401
-        from repro.seir.seeding import STREAM_DOMAINS
-        tags = STREAM_DOMAINS.tags("ancillary")
-        for name, tag in self.PINNED_ANCILLARY_TAGS.items():
-            assert tags.get(name) == tag, (name, tags.get(name))
+        from repro.seir.seeding import (ANCILLARY_PURPOSES,
+                                        PURPOSE_CHAOS_FAULTS,
+                                        PURPOSE_GROUNDTRUTH_THINNING,
+                                        PURPOSE_SERVICE_CHAOS,
+                                        PURPOSE_SMC_BIAS, PURPOSE_SMC_JITTER,
+                                        PURPOSE_SMC_PRIOR,
+                                        PURPOSE_SMC_RESAMPLE)
+        assert dict(ANCILLARY_PURPOSES) == {
+            "smc_prior": 0, "smc_bias": 1, "smc_resample": 2,
+            "smc_jitter": 3, "groundtruth_thinning": 10, "chaos_faults": 40,
+            "service_chaos": 41}
+        assert (PURPOSE_SMC_PRIOR, PURPOSE_SMC_BIAS, PURPOSE_SMC_RESAMPLE,
+                PURPOSE_SMC_JITTER, PURPOSE_GROUNDTRUTH_THINNING,
+                PURPOSE_CHAOS_FAULTS, PURPOSE_SERVICE_CHAOS) == (
+                    0, 1, 2, 3, 10, 40, 41)
+        with pytest.raises(TypeError):
+            ANCILLARY_PURPOSES["new_purpose"] = 42  # type: ignore[index]
 
     def test_tag_collision_raises(self):
-        from repro.seir.seeding import register_stream_tag
+        from repro.seir.seeding import (ANCILLARY_PURPOSES, STREAM_TAGS,
+                                        check_unique_tags)
+        check_unique_tags(STREAM_TAGS)
+        check_unique_tags(ANCILLARY_PURPOSES)
         with pytest.raises(ValueError, match="alias"):
-            register_stream_tag("not_the_simulation_stream", 0)
-
-    def test_name_rebind_raises(self):
-        from repro.seir.seeding import register_stream_tag
-        with pytest.raises(ValueError, match="rebind"):
-            register_stream_tag("simulation", 999)
-
-    def test_reregistration_is_idempotent(self):
-        from repro.seir.seeding import register_stream_tag
-        assert register_stream_tag("simulation", 0) == 0
+            check_unique_tags({**STREAM_TAGS, "not_the_simulation_stream": 0})
 
     def test_domains_are_separate_namespaces(self):
         # ancillary purpose 0 (smc_prior) coexists with bank tag 0
-        # (simulation): collisions are per-domain.
-        from repro.seir.seeding import STREAM_DOMAINS
-        import repro.core.smc  # noqa: F401
-        assert STREAM_DOMAINS.tags("bank")["simulation"] == 0
-        assert STREAM_DOMAINS.tags("ancillary")["smc_prior"] == 0
+        # (simulation): uniqueness is checked per table.
+        from repro.seir.seeding import ANCILLARY_PURPOSES, STREAM_TAGS
+        assert STREAM_TAGS["simulation"] == 0
+        assert ANCILLARY_PURPOSES["smc_prior"] == 0
+
 
 class TestRngStateHelpers:
     """The serialisation helpers live in seeding (the one sanctioned RNG

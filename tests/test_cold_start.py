@@ -1,9 +1,11 @@
 """Cold start: importing ``repro`` and running a default calibration, forecast
-and serve window must never load scipy, and the CLI must never load a test
-oracle.
+and serve window must never load scipy or multiprocessing, and the CLI must
+never load a test oracle.
 
 ``scipy.stats`` costs most of a cold ``import repro``; only the non-uniform
 prior densities and SBC helpers use it, and they import it on first call.
+``multiprocessing`` comes with the process pool, which only
+``ProcessExecutor`` builds, so a serial run never pays for it.
 The scalar engines, the per-particle weighting reference and the chaos
 harnesses live only in ``repro.testing``; no production module imports that
 package, and the CLI, ``repro.hpc`` and ``repro.service`` are checked.
@@ -26,16 +28,16 @@ import tempfile
 from pathlib import Path
 
 
-def loaded_scipy():
+def loaded_heavy():
     return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
+                  if m.split(".")[0] in ("scipy", "multiprocessing"))
 
 
 import repro
 import repro.cli
 import repro.service
 
-after_import = loaded_scipy()
+after_import = loaded_heavy()
 
 from repro.core import SequentialCalibrator
 from repro.hpc import CheckpointStore
@@ -72,7 +74,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert service.done and service.failed_window is None
 executor.close()
 
-print(json.dumps({"after_import": after_import, "after_run": loaded_scipy()}))
+print(json.dumps({"after_import": after_import, "after_run": loaded_heavy()}))
 """
 
 
