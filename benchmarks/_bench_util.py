@@ -24,6 +24,20 @@ def time_best(fn, repeats: int):
     return best, out
 
 
+def time_best_alternating(fns, repeats: int) -> list:
+    """Best-of-``repeats`` wall time of each of ``fns``, timed in turn
+    (ABAB...) so host drift lands on every side alike; returns one
+    ``(seconds, last_result)`` per function."""
+    best = [float("inf")] * len(fns)
+    out = [None] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            out[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, out))
+
+
 def write_payload(payload: dict, output: Path) -> None:
     """Write a benchmark JSON payload, creating parent directories."""
     output.parent.mkdir(parents=True, exist_ok=True)

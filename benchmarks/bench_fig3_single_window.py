@@ -22,20 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_util import once
+from bench_fig4_sequential_cases import reported_ribbon
 from repro.core import (marginal_histogram, paper_first_window_prior,
                         trajectory_ribbon)
 from repro.inference import CalibrationConfig, calibrate
-from repro.seir import BatchTrajectory, chicago_defaults
+from repro.seir import chicago_defaults
 from repro.viz import write_json, write_ribbon_csv
 
-
-def observed_scale_trajectories(posterior, window):
-    """Per-particle simulated *observed* cases: mean-thin true cases by the
-    particle's own rho (the series the paper plots against the black dots)."""
-    seg = posterior.segments.window(*window)
-    thinned = posterior.values("rho")[:, None] * seg.infections
-    zero = np.zeros_like(thinned)
-    return BatchTrajectory(seg.start_day, thinned, zero, zero, zero)
 
 WINDOW = (20, 34)
 
@@ -69,8 +62,9 @@ def test_fig3_single_window_calibration(benchmark, scale, output_dir,
     write_ribbon_csv(output_dir / "fig3_true_case_trajectories.csv",
                      true_ribbon,
                      truth=paper_truth.true_cases.window(*WINDOW))
-    ribbon = trajectory_ribbon(
-        observed_scale_trajectories(posterior, WINDOW), "cases")
+    # Simulated *observed* cases: true cases mean-thinned by each
+    # particle's own rho (the series the paper plots against the dots).
+    ribbon = reported_ribbon(posterior.segments.window(*WINDOW), rho_post)
     write_ribbon_csv(output_dir / "fig3_posterior_trajectories.csv", ribbon,
                      truth=paper_truth.observed_cases.window(*WINDOW))
     summary = {

@@ -22,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_util import once
-from repro.core import hpd_region_mass, joint_density_grid, trajectory_ribbon
+from repro.core import TrajectoryRibbon, hpd_region_mass, joint_density_grid
 from repro.inference import CalibrationConfig, calibrate
-from repro.seir import BatchTrajectory
 from repro.viz import write_density_csv, write_json, write_ribbon_csv
 
 WINDOW_MIDPOINTS = (26, 40, 54, 68)
@@ -54,14 +53,21 @@ def windowed_reported_ribbons(result):
     reported counts (window segment thinned by the window's own rho
     estimates), so the time-varying reporting probability is honoured.
     """
-    ribbons = []
-    for wr in result.windows:
-        seg = wr.posterior.segments
-        thinned = wr.posterior.values("rho")[:, None] * seg.infections
-        zero = np.zeros_like(thinned)
-        members = BatchTrajectory(seg.start_day, thinned, zero, zero, zero)
-        ribbons.append((wr.window, trajectory_ribbon(members, "cases")))
-    return ribbons
+    return [(wr.window, reported_ribbon(wr.posterior.segments,
+                                        wr.posterior.values("rho")))
+            for wr in result.windows]
+
+
+def reported_ribbon(segments, rho):
+    """Per-day quantile ribbon of the mean-thinned cases ``rho * eta``.
+
+    The thinned values are fractional, so they are not a trajectory (whose
+    channels are integer counts): the ribbon is taken over the matrix.
+    """
+    quantiles = (0.05, 0.25, 0.5, 0.75, 0.95)
+    thinned = rho[:, None] * segments.infections
+    return TrajectoryRibbon(segments.start_day, quantiles,
+                            np.quantile(thinned, quantiles, axis=0))
 
 
 def stitched_window_coverage(ribbons, observed_series):

@@ -101,13 +101,15 @@ class ModuleInfo:
     ``function_aliases`` holds, for each outermost function that imports
     anything itself, ``aliases`` overlaid with that function's imports
     (nested defs count as part of it, as everywhere in this index).  Read
-    both through :meth:`aliases_in`.
+    both through :meth:`aliases_in`.  ``siblings`` maps the bare import
+    names a script resolves in its own directory to those modules' names.
     """
 
     name: str
     path: str
     tree: ast.Module
     is_package: bool = False
+    siblings: dict[str, str] = field(default_factory=dict)
     aliases: dict[str, str] = field(default_factory=dict)
     function_aliases: dict[int, dict[str, str]] = field(default_factory=dict)
     toplevel: set[str] = field(default_factory=set)
@@ -173,11 +175,35 @@ def _module_name_for(path: Path, roots: list[Path]) -> tuple[str, bool]:
     return ".".join(rel), is_package
 
 
+def _script_siblings(paths: list[Path], roots: list[Path]
+                     ) -> dict[Path, dict[str, str]]:
+    """Per directory without an ``__init__.py``, its modules by bare name.
+
+    Python runs a file there as a script, with the file's own directory
+    first on ``sys.path``, so ``from rngtools import f`` in it imports the
+    sibling ``rngtools.py`` whatever the scan root names that module.
+    """
+    packages = {p.parent for p in paths if p.name == "__init__.py"}
+    siblings: dict[Path, dict[str, str]] = {}
+    for path in paths:
+        if path.parent not in packages:
+            siblings.setdefault(path.parent, {})[path.stem] = \
+                _module_name_for(path, roots)[0]
+    return siblings
+
+
+def _resolve_absolute(module: ModuleInfo, dotted: str) -> str:
+    """``dotted`` as imported from ``module``: a script's sibling first."""
+    head, dot, rest = dotted.partition(".")
+    return module.siblings[head] + dot + rest if head in module.siblings \
+        else dotted
+
+
 def _resolve_relative(module: ModuleInfo, imported: str | None,
                       level: int) -> str:
     """Absolute module targeted by a ``from ... import`` with ``level`` dots."""
     if level == 0:
-        return imported or ""
+        return _resolve_absolute(module, imported or "")
     parts = module.name.split(".") if module.name else []
     # For a plain module, one dot means its own package; for a package
     # (__init__), one dot means the package itself.
@@ -262,10 +288,10 @@ def _bind_import(module: ModuleInfo, node: ast.AST,
     if isinstance(node, ast.Import):
         for alias in node.names:
             if alias.asname:
-                table[alias.asname] = alias.name
+                table[alias.asname] = _resolve_absolute(module, alias.name)
             else:
                 root = alias.name.split(".")[0]
-                table[root] = root
+                table[root] = _resolve_absolute(module, root)
     elif isinstance(node, ast.ImportFrom):
         target = _resolve_relative(module, node.module, node.level)
         for alias in node.names:
@@ -353,6 +379,7 @@ def build_index(trees: dict[str, ast.Module],
     package directory (fixture trees).
     """
     root_paths = [Path(r) for r in roots]
+    siblings = _script_siblings([Path(p) for p in trees], root_paths)
     index = ProjectIndex()
     for path_str, tree in trees.items():
         name, is_package = _module_name_for(Path(path_str), root_paths)
@@ -361,7 +388,8 @@ def build_index(trees: dict[str, ast.Module],
             # name this file by its whole path so neither module is lost.
             name = ".".join(Path(path_str).with_suffix("").parts)
         module = ModuleInfo(name=name, path=path_str, tree=tree,
-                            is_package=is_package)
+                            is_package=is_package,
+                            siblings=siblings.get(Path(path_str).parent, {}))
         _collect_aliases(module)
         _collect_toplevel(module)
         index.modules[name] = module

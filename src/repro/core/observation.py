@@ -54,7 +54,9 @@ __all__ = ["ObservationModel"]
 def _thin(counts: np.ndarray, rho: np.ndarray, mode: str,
           rng: np.random.Generator | None) -> np.ndarray:
     """Simulated observed counts: each row of ``counts`` thinned with its
-    particle's ``rho`` (one binomial call in ``sample`` mode).
+    particle's ``rho`` (one binomial call in ``sample`` mode).  Integer
+    counts (a trajectory's int32 channels) are drawn on as they are; float
+    counts are rounded first.
 
     ``rho = 0`` is refused: a zero reporting rate makes every observation
     identically zero and the likelihood degenerate.
@@ -74,7 +76,8 @@ def _thin(counts: np.ndarray, rho: np.ndarray, mode: str,
         return rho[:, None] * counts
     if rng is None:
         raise ValueError("sample mode requires an rng")
-    n = np.rint(counts).astype(np.int64)
+    n = (counts.astype(np.int64) if counts.dtype.kind in "iu"
+         else np.rint(counts).astype(np.int64))
     return rng.binomial(n, rho[:, None]).astype(np.float64)
 
 
@@ -161,9 +164,8 @@ class ObservationModel:
         for source in observations:
             channel, biased = _wiring(source)
             observed = source.series
-            simulated = np.asarray(
-                ensemble.segment_matrix(channel, observed.start_day,
-                                        observed.end_day), dtype=np.float64)
+            simulated = ensemble.segment_matrix(channel, observed.start_day,
+                                                observed.end_day)
             if biased:
                 simulated = _thin(simulated, rho_arr, self.bias_mode, rng)
             if simulated.ndim != 2 or simulated.shape[1] != len(observed):

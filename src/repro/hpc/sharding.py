@@ -352,7 +352,8 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
 
     Returns, per spec and in order, its shards' trajectories and (with
     ``return_state``) restart states stacked in member order; the state
-    is ``None`` otherwise.  ``retry`` (default
+    is ``None`` otherwise.  A one-shard spec gets its shard's own batch
+    and state, not stacked copies.  ``retry`` (default
     :data:`~repro.hpc.faults.FAIL_FAST`) goes to :func:`dispatch_shards`;
     ``on_failure`` is one callable that hears every shard failure as it
     happens, or one entry per spec (``None`` to ignore) that hears only
@@ -402,8 +403,11 @@ def simulate_groups(executor: Executor, specs: Sequence[GroupSpec], *,
             sink(failure)
 
     results = dispatch_shards(executor, tasks, retry=retry, on_failure=route)
-    stacked = []
+    stacked: list[tuple[BatchTrajectory, StackedLeapState | None]] = []
     for lo, hi in spans:
+        if hi - lo == 1:  # one shard: its own arrays, not a stacked copy
+            stacked.append((results[lo].batch, results[lo].state))
+            continue
         batch = BatchTrajectory.concatenate([r.batch for r in results[lo:hi]])
         states = [r.state for r in results[lo:hi] if r.state is not None]
         stacked.append((batch, StackedLeapState.concatenate(states)

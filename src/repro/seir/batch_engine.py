@@ -92,12 +92,37 @@ _E = int(Compartment.E)
 _HOSP_COLS = np.array([int(c) for c in HOSPITAL_COMPARTMENTS], dtype=np.int64)
 _ICU_COLS = np.array([int(c) for c in ICU_COMPARTMENTS], dtype=np.int64)
 
+#: The one channel dtype.  ``DiseaseParameters.population`` is at most
+#: ``2**31 - 1``, so no daily count or census can overflow it.
+_CHANNEL_DTYPE = np.dtype(np.int32)
+_CHANNEL_RANGE = np.iinfo(_CHANNEL_DTYPE)
+
+
+def _as_channel(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as an exact int32 count matrix (no copy if it is one).
+
+    Integral input of another dtype (a scalar oracle's float recorder) is
+    converted; a non-integral or out-of-range entry is a ``ValueError``.
+    """
+    values = np.asarray(matrix)
+    if values.dtype == _CHANNEL_DTYPE:
+        return values
+    if values.dtype.kind == "f" and not np.all(np.trunc(values) == values):
+        raise ValueError("channel entries must be integral counts")
+    if values.size and (values.min() < _CHANNEL_RANGE.min
+                        or values.max() > _CHANNEL_RANGE.max):
+        raise ValueError(f"channel entries must fit {_CHANNEL_DTYPE}, got "
+                         f"[{values.min()}, {values.max()}]")
+    return values.astype(_CHANNEL_DTYPE)
+
 
 class BatchTrajectory:
     """Stacked daily outputs of a batched run over ``[start_day, end_day)``.
 
-    Channel matrices are ``(n_particles, n_days)`` float64, row ``i`` being
-    member ``i``'s record.  It is the only trajectory record: the
+    Channel matrices are ``(n_particles, n_days)`` exact int32 counts, row
+    ``i`` being member ``i``'s record; integral input of another dtype is
+    converted, and a non-integral or out-of-int32-range entry is a
+    ``ValueError``.  It is the only trajectory record: the
     calibrator's :class:`~repro.core.particle.ParticleEnsemble` keeps its
     segments and histories in this stacked form, gathered and extended
     whole, and a single run (the ground truth, a scalar oracle's) is a
@@ -108,7 +133,7 @@ class BatchTrajectory:
                  deaths: np.ndarray, hospital_census: np.ndarray,
                  icu_census: np.ndarray) -> None:
         self.start_day = int(start_day)
-        mats = [np.asarray(m, dtype=np.float64)
+        mats = [_as_channel(m)
                 for m in (infections, deaths, hospital_census, icu_census)]
         shape = mats[0].shape
         if len(shape) != 2 or any(m.shape != shape for m in mats):
@@ -365,10 +390,8 @@ class BatchedBinomialLeapEngine:
             raise ValueError(f"end_day {end_day} is before current day {self._day}")
         start = self._day
         n, n_days = self.n_particles, end_day - start
-        infections = np.zeros((n, n_days))
-        deaths = np.zeros((n, n_days))
-        hosp = np.zeros((n, n_days))
-        icu = np.zeros((n, n_days))
+        infections, deaths, hosp, icu = (
+            np.zeros((n, n_days), dtype=_CHANNEL_DTYPE) for _ in range(4))
         for d in range(n_days):
             day_inf, day_dead = self.step_day()
             infections[:, d] = day_inf

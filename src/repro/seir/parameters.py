@@ -42,6 +42,9 @@ RESTART_FIELDS: tuple[str, ...] = (
 )
 
 
+#: The largest population whose counts fit int32 trajectory channels.
+MAX_POPULATION = 2**31 - 1
+
 _PERIOD_FIELDS = ("latent_period_days", "presymptomatic_period_days",
                   "asymptomatic_period_days", "mild_period_days",
                   "severe_period_days", "hospital_period_days",
@@ -70,7 +73,8 @@ class DiseaseParameters:
     Attributes
     ----------
     population:
-        Closed population size N.
+        Closed population size N, at most ``2**31 - 1`` so every daily count
+        and census fits a trajectory's int32 channels.
     initial_exposed:
         Number of individuals seeded in E at day 0.
     transmission_rate:
@@ -136,8 +140,10 @@ class DiseaseParameters:
     detected_rel_infectiousness: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
+        if not 1 <= self.population <= MAX_POPULATION:
+            raise ValueError(
+                f"population must be in [1, {MAX_POPULATION}], got "
+                f"{self.population}")
         if not 0 <= self.initial_exposed <= self.population:
             raise ValueError("initial_exposed must be in [0, population]")
         check_thetas(self.transmission_rate)

@@ -54,6 +54,18 @@ class TestPR1CrossFile:
         assert v.path.endswith("windows.py")
         assert "_NOISE" in v.message and "PR 1" in v.message
 
+    @pytest.mark.parametrize("root", [BAD / "pr1_cross_file", BAD,
+                                      FLOW_FIXTURES, FLOW_FIXTURES.parent],
+                             ids=["own_dir", "flow_bad", "flow", "fixtures"])
+    def test_found_from_any_scan_root(self, root):
+        """``from rngtools import ...`` in a directory without an
+        ``__init__.py`` is the sibling script module, however the scan
+        root names it, so the finding does not depend on the root."""
+        violations, _ = run([str(root)])
+        found = [(v.rule, Path(v.path).name, v.line) for v in violations
+                 if Path(v.path).parent.name == "pr1_cross_file"]
+        assert found == [("REPRO501", "windows.py", 18)]
+
     def test_fixed_variant_is_clean(self):
         violations, _ = run([str(GOOD / "pr1_fixed")])
         assert violations == []

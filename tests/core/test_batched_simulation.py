@@ -144,9 +144,10 @@ class TestScalarBatchedParity:
         t_b = window["batched"][1].weighted_mean("theta")
         assert t_b == pytest.approx(t_s, abs=0.08)
 
-    #: sha256 of the oracle's window-1 segments, recorded when the oracle
-    #: restarted per-particle JSON checkpoints; restarting the same rows of
-    #: the columnar restart state must reproduce it bit for bit.
+    #: sha256 of the oracle's window-1 segments (each channel as float64),
+    #: recorded when the oracle restarted per-particle JSON checkpoints and
+    #: channels were float64; restarting the same rows of the columnar
+    #: restart state must reproduce it bit for bit.
     ORACLE_SEGMENTS_SHA256 = ("85ee58557fd8b6b3f2ccdfc1ee929232"
                               "b7f3c7eedb118cd7d846cf57a9cb466c")
 
@@ -155,7 +156,8 @@ class TestScalarBatchedParity:
         h = hashlib.sha256()
         for channel in ("infections", "deaths", "hospital_census",
                         "icu_census"):
-            h.update(getattr(segments, channel).tobytes())
+            h.update(getattr(segments, channel).astype(np.float64)
+                     .tobytes())
         assert h.hexdigest() == self.ORACLE_SEGMENTS_SHA256
 
     def test_batched_particles_carry_scalar_checkpoints(self, runs):

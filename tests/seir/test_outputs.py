@@ -46,6 +46,24 @@ class TestTrajectory:
             BatchTrajectory(0, np.zeros(4), np.zeros(4), np.zeros(4),
                             np.zeros(4))
 
+    def test_integral_input_becomes_int32(self):
+        t = make_trajectory(rows=2)
+        assert all(m.dtype == np.int32 for m in (
+            t.infections, t.deaths, t.hospital_census, t.icu_census))
+        assert t.take([1, 0]).infections.dtype == np.int32
+        assert t.window(1, 3).deaths.dtype == np.int32
+        assert BatchTrajectory.concatenate([t, t]).icu_census.dtype == \
+            np.int32
+
+    @pytest.mark.parametrize("bad", [np.array(1.5), np.array(np.nan),
+                                     np.array(2.0**31), np.array(2**31),
+                                     np.array(-2**31 - 1)])
+    def test_non_integral_or_out_of_range_refused(self, bad):
+        ok = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="channel entries"):
+            BatchTrajectory(0, np.array([[0, bad]], dtype=bad.dtype), ok, ok,
+                            ok)
+
     def test_window(self):
         t = make_trajectory(start=0, n=10)
         w = t.window(3, 7)
@@ -86,7 +104,8 @@ class TestTrajectoryBuilder:
         assert t.n_particles == 1
         assert list(t.infections[0]) == [1.0, 2.0]
         assert list(t.deaths[0]) == [0.0, 1.0]
-        assert t.infections.dtype == np.float64
+        # The float recorder's integral days become the one channel dtype.
+        assert t.infections.dtype == np.int32
         assert len(b) == 2
 
     def test_empty_build(self):

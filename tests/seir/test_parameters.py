@@ -130,6 +130,13 @@ class TestDiseaseParameters:
         with pytest.raises(ValueError):
             DiseaseParameters(population=0)
 
+    def test_population_fits_int32_channels(self):
+        """Every daily count and census is at most the population, so a
+        population past int32 could overflow a trajectory channel."""
+        assert DiseaseParameters(population=2**31 - 1).population == 2**31 - 1
+        with pytest.raises(ValueError, match="population must be in"):
+            DiseaseParameters(population=2**31)
+
     def test_initial_exposed_bounds(self):
         with pytest.raises(ValueError):
             DiseaseParameters(population=100, initial_exposed=101)
