@@ -21,22 +21,22 @@ Rule families
   rejects a duplicate tag.
 * ``REPRO2xx`` — **determinism hazards**: wall-clock reads and unordered
   ``set`` iteration feeding arrays inside the deterministic subsystems
-  (``core/``, ``seir/``, ``hpc/``).
+  (``core/``, ``seir/``, ``hpc/``, ``service/``, ``inference/``).
 * ``REPRO3xx`` — **executor payload hygiene**: work dispatched through the
   :class:`~repro.hpc.executor.Executor` protocol is a module-level function
   over declared dataclasses — never a closure, lambda, or bare
   tuple/dict payload.
-* ``REPRO4xx`` — **typed core**: the modules mypy gates in CI (``core/``,
-  ``hpc/``, ``seir/seeding.py``) carry complete signature annotations, so
-  the typed surface cannot silently erode between mypy runs.
-* ``REPRO5xx`` — **interprocedural determinism** (:mod:`.flow`, over the
-  whole-project index): generator provenance
-  (``REPRO50x`` — no ``numpy.random.Generator`` escapes into module
+* ``REPRO5xx`` — **generator provenance** (:mod:`.flow`, over the
+  whole-project index): no ``numpy.random.Generator`` escapes into module
   globals, long-lived service state, or executor payloads, even through
-  helpers in other files) and payload purity proofs (``REPRO51x`` — every
-  dispatched closure transitively avoids wall-clock, ambient RNG,
-  mutable-global writes, and undeclared filesystem access), with a
-  machine-readable purity certificate per dispatch site.
+  helpers in other files.
+
+Signature annotations of the typed core are mypy's job (CI's ``lint``
+job, configured in ``pyproject.toml``).  The one executor dispatch target,
+``repro.hpc.sharding.run_shard``, runs only code of :mod:`repro.seir` and
+:mod:`repro.hpc`; ``tests/test_layering.py`` keeps those modules free of
+module-global writes and of file access outside the checkpoint store, and
+the REPRO101/201 rules above keep ambient RNG and clock reads out.
 
 The rules are implemented on :mod:`ast` alone (no third-party
 dependencies), so the analysis runs anywhere the code itself runs.  Each

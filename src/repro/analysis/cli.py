@@ -5,7 +5,7 @@ parsed once, the whole-project index
 (:func:`repro.analysis.flow.build_index`) is built once, and every rule
 family runs over it — the per-file rules (:mod:`repro.analysis.rules`),
 executor payload hygiene at each dispatch site, and generator provenance
-and payload purity (:mod:`repro.analysis.flow`).  Each file's
+(:mod:`repro.analysis.flow`).  Each file's
 ``# repro-allow`` waivers are then applied once, to all of its findings.
 
 Exit status is 0 when no violation survives ``--select``, 1 otherwise,
@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .flow import (build_index, check_provenance, check_purity,
-                   find_dispatch_sites, infer_generator_returning)
+from .flow import (build_index, check_provenance, find_dispatch_sites,
+                   infer_generator_returning)
 from .rules import (RULES, FileContext, Violation, apply_allow_directives,
                     check_file, dispatch_violations, parse_allow_directives)
 from .sarif import to_sarif
@@ -33,12 +33,6 @@ __all__ = ["classify_path", "iter_source_files", "main", "run",
 
 #: Subsystem directories in which determinism hazards (REPRO2xx) are errors.
 _DETERMINISTIC_PARTS = {"core", "seir", "hpc", "service", "inference"}
-#: Subsystem directories whose signatures must be fully annotated
-#: (REPRO4xx); the mypy-gated ``seir`` files below join them.
-_TYPED_PARTS = {"core", "hpc"}
-#: ``seir`` files in the typed core: the seed-domain contract surface and
-#: the restart-state format's home (the state and the engine that reads it).
-_TYPED_SEIR_FILES = {"seeding.py", "checkpoint.py", "batch_engine.py"}
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
@@ -52,13 +46,11 @@ def classify_path(path: Path) -> FileContext:
     parts = path.parts
     rng_allowed = path.name == "seeding.py" and "seir" in parts
     # The chaos harness wraps the dispatch and service layers, so it is
-    # checked like them (deterministic and typed) though it is test code.
+    # checked like them though it is test code.
     harness = "testing" in parts and path.name == "chaos.py"
     deterministic = harness or any(p in _DETERMINISTIC_PARTS for p in parts)
-    typed = harness or any(p in _TYPED_PARTS for p in parts) or (
-        "seir" in parts and path.name in _TYPED_SEIR_FILES)
     return FileContext(path=str(path), rng_allowed=rng_allowed,
-                       deterministic=deterministic, typed=typed)
+                       deterministic=deterministic)
 
 
 def iter_source_files(paths: Iterable[str]) -> list[Path]:
@@ -93,14 +85,12 @@ def validate_select(select: Sequence[str]) -> None:
 
 
 def run(paths: Sequence[str], select: Sequence[str] | None = None
-        ) -> tuple[list[Violation], list[dict]]:
-    """Analyse ``paths``; returns (violations, certificates).
+        ) -> list[Violation]:
+    """Analyse ``paths``; returns the violations sorted by location.
 
-    Violations come back sorted by location.  ``select`` keeps only rules
-    whose id starts with one of the given prefixes (``["REPRO1"]`` keeps
-    the whole RNG-confinement family); unknown prefixes raise
-    :class:`ValueError`.  Certificates come back in their JSON form (one
-    dict per dispatch site) — the same shape ``--certificates`` writes.
+    ``select`` keeps only rules whose id starts with one of the given
+    prefixes (``["REPRO1"]`` keeps the whole RNG-confinement family);
+    unknown prefixes raise :class:`ValueError`.
     """
     if select:
         validate_select(select)
@@ -126,8 +116,6 @@ def run(paths: Sequence[str], select: Sequence[str] | None = None
         found.extend(check_file(module, classify_path(Path(module.path))))
     found.extend(check_provenance(index, infer_generator_returning(index),
                                   sites))
-    purity_violations, certificates = check_purity(index, sites)
-    found.extend(purity_violations)
 
     by_path: dict[str, list[Violation]] = {path: [] for path in sources}
     for v in found:
@@ -142,7 +130,7 @@ def run(paths: Sequence[str], select: Sequence[str] | None = None
         prefixes = tuple(select)
         violations = [v for v in violations if v.rule.startswith(prefixes)]
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations, [c.to_jsonable() for c in certificates]
+    return violations
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -150,8 +138,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description="Contract-aware static analysis for the calibration "
                     "codebase: RNG confinement, determinism hazards, "
-                    "executor payload hygiene, typed-core annotations, "
-                    "generator provenance and executor payload purity.")
+                    "executor payload hygiene and generator provenance.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyse "
                              "(default: src)")
@@ -164,9 +151,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="output format (default: text)")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--certificates", metavar="FILE", default=None,
-                        help="write per-dispatch-site purity certificates "
-                             "(JSON) to FILE")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue (narrowed by "
                              "--select) and exit")
@@ -180,14 +164,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if rule_id.startswith(prefixes):
                     print(f"{rule_id}  {RULES[rule_id]}")
             return 0
-        violations, certificates = run(args.paths, select=args.select)
+        violations = run(args.paths, select=args.select)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.certificates:
-        Path(args.certificates).write_text(
-            json.dumps(certificates, indent=2) + "\n", encoding="utf-8")
 
     if args.format == "json":
         rendered = json.dumps([v.__dict__ for v in violations], indent=2)

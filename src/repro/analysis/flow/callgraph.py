@@ -1,4 +1,4 @@
-"""Module/function index and call graph over parsed source trees.
+"""Module/function index over parsed source trees.
 
 The one analysis pass builds this *whole-project* view once and every rule
 family reads it:
@@ -10,17 +10,14 @@ family reads it:
 * **symbol table** — every function, method, and class, keyed by qualified
   name (``repro.hpc.sharding.run_shard``,
   ``repro.seir.parameters.DiseaseParameters.with_updates``);
-* **call records** — for every function, each call site with its canonical
-  dotted callee name (import aliases resolved, locals typed by the
-  constructors that produced them) and, where the callee is a project
-  function, the resolved edge.
+* **local facts** — per function, which locals hold project-class
+  instances and which hold generators (:class:`FunctionScanner`), with
+  callee names canonicalised through the import aliases in scope.
 
 Resolution is deliberately *partial*: calls through dynamic values (a class
-object held in a variable, an attribute of an unannotated object) are
-recorded as unresolved rather than guessed at.  The provenance and purity
-passes treat unresolved calls as the documented soundness boundary — they
-appear in purity certificates so a "pure" verdict is always explicit about
-what it could not see.
+object held in a variable, an attribute of an unannotated object) resolve
+to nothing rather than being guessed at, so the provenance rules can miss
+a leak through them but never invent one.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Iterable
 
 from ..rules import terminal_name
 
-__all__ = ["CallRecord", "ClassInfo", "DispatchSite", "FunctionInfo",
+__all__ = ["ClassInfo", "DispatchSite", "FunctionInfo",
            "ModuleInfo", "ProjectIndex", "build_index",
            "find_dispatch_sites", "GENERATOR_METHOD_NAMES",
            "GENERATOR_SOURCE_CALLS", "GENERATOR_TYPE_NAMES"]
@@ -75,7 +72,6 @@ class FunctionInfo:
     qualname: str
     module: str
     path: str
-    line: int
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None  # unqualified, for methods
 
@@ -87,8 +83,6 @@ class ClassInfo:
     qualname: str
     module: str
     path: str
-    line: int
-    node: ast.ClassDef
     fields: tuple[tuple[str, str, int], ...]  # (name, canonical type, line)
     method_names: tuple[str, ...]
 
@@ -123,23 +117,6 @@ class ModuleInfo:
 
 
 @dataclass(frozen=True)
-class CallRecord:
-    """One call site inside a function body.
-
-    ``canonical`` is the dotted callee name with aliases and local types
-    resolved (``None`` when the callee expression is dynamic);
-    ``resolved`` is the project function the call reaches, when known;
-    ``terminal_attr`` is the final attribute name for method-style calls
-    (``bank.ancillary_generator`` -> ``"ancillary_generator"``).
-    """
-
-    node: ast.Call
-    canonical: str | None
-    resolved: str | None
-    terminal_attr: str | None
-
-
-@dataclass(frozen=True)
 class DispatchSite:
     """One ``executor.map/map_each/submit`` call with its payload."""
 
@@ -147,7 +124,6 @@ class DispatchSite:
     path: str
     function: str  # qualname of the enclosing function ("" at module scope)
     node: ast.Call
-    target_expr: ast.expr | None
     target_resolved: str | None
     payload_exprs: tuple[ast.expr, ...]
 
@@ -260,15 +236,7 @@ class ProjectIndex:
 
     def resolve_function(self, canonical: str | None) -> str | None:
         """Project function qualname a canonical callee name reaches."""
-        if canonical is None:
-            return None
-        if canonical in self.functions:
-            return canonical
-        if canonical in self.classes:
-            init = f"{canonical}.__init__"
-            if init in self.functions:
-                return init
-        return None
+        return canonical if canonical in self.functions else None
 
     def is_generator_annotation(self, module: ModuleInfo,
                                 annotation: ast.expr | None,
@@ -348,7 +316,7 @@ def _collect_definitions(index: ProjectIndex, module: ModuleInfo) -> None:
             qual = f"{prefix}{stmt.name}"
             index.functions[qual] = FunctionInfo(
                 qualname=qual, module=module.name, path=module.path,
-                line=stmt.lineno, node=stmt)
+                node=stmt)
         elif isinstance(stmt, ast.ClassDef):
             cls_qual = f"{prefix}{stmt.name}"
             fields: list[tuple[str, str, int]] = []
@@ -359,15 +327,14 @@ def _collect_definitions(index: ProjectIndex, module: ModuleInfo) -> None:
                     mqual = f"{cls_qual}.{item.name}"
                     index.functions[mqual] = FunctionInfo(
                         qualname=mqual, module=module.name, path=module.path,
-                        line=item.lineno, node=item, class_name=stmt.name)
+                        node=item, class_name=stmt.name)
                 elif isinstance(item, ast.AnnAssign) and \
                         isinstance(item.target, ast.Name):
                     canon = index.canonical(module, item.annotation) or ""
                     fields.append((item.target.id, canon, item.lineno))
             index.classes[cls_qual] = ClassInfo(
                 qualname=cls_qual, module=module.name, path=module.path,
-                line=stmt.lineno, node=stmt, fields=tuple(fields),
-                method_names=tuple(methods))
+                fields=tuple(fields), method_names=tuple(methods))
 
 
 def build_index(trees: dict[str, ast.Module],
@@ -398,7 +365,7 @@ def build_index(trees: dict[str, ast.Module],
 
 
 # --------------------------------------------------------------------------- #
-# Per-function scanning: local types, generator locals, call records
+# Per-function scanning: local types and generator locals
 # --------------------------------------------------------------------------- #
 class FunctionScanner:
     """Single forward pass over one function body.
@@ -419,7 +386,6 @@ class FunctionScanner:
         self.generator_returning = generator_returning
         self.local_types: dict[str, str] = {}
         self.generator_locals: set[str] = set()
-        self.calls: list[CallRecord] = []
         self.returns_generator = False
         self._seed_parameter_facts()
 
@@ -447,14 +413,9 @@ class FunctionScanner:
     def call_is_generator_valued(self, call: ast.Call) -> bool:
         canon = self.index.canonical(self.module, call.func, self.local_types,
                                      self.info.node)
-        if canon is not None:
-            if canon in GENERATOR_SOURCE_CALLS:
-                return True
-            if canon in self.generator_returning:
-                return True
-            resolved = self.index.resolve_function(canon)
-            if resolved is not None and resolved in self.generator_returning:
-                return True
+        if canon in GENERATOR_SOURCE_CALLS or \
+                canon in self.generator_returning:
+            return True
         attr = terminal_name(call.func)
         return attr is not None and attr in GENERATOR_METHOD_NAMES \
             and isinstance(call.func, ast.Attribute)
@@ -474,9 +435,9 @@ class FunctionScanner:
         # Pass 1 (run twice so simple alias chains like ``r2 = rng`` reach
         # a fixpoint regardless of walk order): collect local bindings
         # anywhere in the body, including inside control flow and nested
-        # defs.  Pass 2: returns.  Pass 3: calls — after all bindings, so
-        # receiver types are visible wherever the construct-then-use
-        # pattern puts the construction.
+        # defs.  Pass 2: returns — after all bindings, so receiver types
+        # are visible wherever the construct-then-use pattern puts the
+        # construction.
         for _ in range(2):
             for node in ast.walk(self.info.node):
                 if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -485,12 +446,10 @@ class FunctionScanner:
                 elif isinstance(node, ast.AnnAssign) and \
                         isinstance(node.target, ast.Name):
                     self._record_ann_binding(node)
-        for node in ast.walk(self.info.node):
-            if isinstance(node, ast.Return) and node.value is not None and \
-                    self.expr_is_generator_valued(node.value):
-                self.returns_generator = True
-            elif isinstance(node, ast.Call):
-                self._record_call(node)
+        self.returns_generator = any(
+            isinstance(node, ast.Return) and node.value is not None
+            and self.expr_is_generator_valued(node.value)
+            for node in ast.walk(self.info.node))
         return self
 
     def _record_ann_binding(self, stmt: ast.AnnAssign) -> None:
@@ -530,18 +489,10 @@ class FunctionScanner:
                             ret_canon in self.index.classes:
                         self.local_types[name] = ret_canon
 
-    def _record_call(self, call: ast.Call) -> None:
-        canon = self.index.canonical(self.module, call.func, self.local_types,
-                                     self.info.node)
-        self.calls.append(CallRecord(
-            node=call, canonical=canon,
-            resolved=self.index.resolve_function(canon),
-            terminal_attr=terminal_name(call.func)))
-
 
 # --------------------------------------------------------------------------- #
-# Dispatch-site discovery (shared by the payload-hygiene, provenance and
-# purity checks)
+# Dispatch-site discovery (shared by the payload-hygiene and provenance
+# checks)
 # --------------------------------------------------------------------------- #
 def _is_dispatch(call: ast.Call) -> bool:
     """``<receiver>.map/map_each/submit(...)`` on a receiver whose name,
@@ -621,7 +572,7 @@ def find_dispatch_sites(index: ProjectIndex) -> list[DispatchSite]:
             sites.append(DispatchSite(
                 module=module.name, path=module.path,
                 function=owner.qualname if owner is not None else "",
-                node=node, target_expr=target, target_resolved=target_canon,
+                node=node, target_resolved=target_canon,
                 payload_exprs=tuple(payload)))
     sites.sort(key=lambda s: (s.path, s.node.lineno, s.node.col_offset))
     return sites

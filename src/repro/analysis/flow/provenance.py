@@ -49,15 +49,9 @@ def infer_generator_returning(index: ProjectIndex) -> frozenset[str]:
     current: set[str] = set()
     # Seed: explicit return annotations.
     for qual, info in index.functions.items():
-        module = index.modules[info.module]
-        returns = info.node.returns
-        if returns is not None and \
-                index.is_generator_annotation(module, returns):
+        if index.is_generator_annotation(index.modules[info.module],
+                                         info.node.returns):
             current.add(qual)
-        elif returns is not None:
-            canon = index.canonical(module, returns)
-            if canon is not None and canon in GENERATOR_TYPE_NAMES:
-                current.add(qual)
     # Fixpoint: returning the result of a generator-returning callee.
     while True:
         frozen = frozenset(current)
@@ -96,7 +90,7 @@ class _ModuleScopeScanner(FunctionScanner):
                                                  ast.AsyncFunctionDef,
                                                  ast.ClassDef))]
         info = FunctionInfo(qualname=f"{module_name}.<module>",
-                            module=module_name, path=module.path, line=1,
+                            module=module_name, path=module.path,
                             node=wrapper)
         super().__init__(index, module, info, generator_returning)
 

@@ -39,21 +39,12 @@ RULES: dict[str, str] = {
     "REPRO301": "lambda or nested function dispatched through an Executor",
     "REPRO302": "raw tuple/dict executor payload instead of a declared "
                 "dataclass task",
-    "REPRO401": "incomplete signature annotations in a typed-core module",
     "REPRO501": "numpy.random.Generator cached in a module global "
                 "(directly or via a helper's return value)",
     "REPRO502": "numpy.random.Generator stored on long-lived service/"
                 "supervisor state",
     "REPRO503": "numpy.random.Generator crossing an Executor payload "
                 "boundary",
-    "REPRO511": "wall-clock read reachable from an Executor dispatch "
-                "target",
-    "REPRO512": "ambient RNG (stdlib random, legacy numpy.random, "
-                "unseeded default_rng) reachable from a dispatch target",
-    "REPRO513": "mutable module-global write reachable from a dispatch "
-                "target",
-    "REPRO514": "filesystem access outside declared stores reachable from "
-                "a dispatch target",
 }
 
 #: The one module that binds stream tags and ancillary purposes (REPRO102).
@@ -82,8 +73,7 @@ class FileContext:
 
     path: str
     rng_allowed: bool = False     # the one sanctioned RNG construction site
-    deterministic: bool = False   # core/, seir/, hpc/
-    typed: bool = False           # core/, hpc/, seir/seeding.py
+    deterministic: bool = False   # core/, seir/, hpc/, service/, ...
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,7 @@ def _is_unordered(node: ast.expr) -> bool:
 
 
 class _FileChecker(ast.NodeVisitor):
-    """Single-file rule pass (REPRO101/102, 2xx, 4xx)."""
+    """Single-file rule pass (REPRO101/102, 2xx)."""
 
     def __init__(self, context: FileContext, module: ModuleInfo) -> None:
         self.ctx = context
@@ -135,7 +125,6 @@ class _FileChecker(ast.NodeVisitor):
         self.aliases = module.aliases
         self.violations: list[Violation] = []
         self._function_depth = 0
-        self._class_depth = 0
 
     # ------------------------------------------------------------------ #
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -178,59 +167,23 @@ class _FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
-    # Function scopes: annotation completeness.
+    # Function scopes: an outermost def reads its own imports.
     # ------------------------------------------------------------------ #
-    def _check_annotations(self, node: ast.FunctionDef | ast.AsyncFunctionDef
-                           ) -> None:
-        if node.name.startswith("test_"):
-            return
-        missing: list[str] = []
-        args = node.args
-        positional = list(args.posonlyargs) + list(args.args)
-        skip_first = (self._class_depth > 0 and not self._function_depth
-                      and positional
-                      and positional[0].arg in ("self", "cls")
-                      and not any(isinstance(d, ast.Name)
-                                  and d.id == "staticmethod"
-                                  for d in node.decorator_list))
-        if skip_first:
-            positional = positional[1:]
-        for arg in positional + list(args.kwonlyargs):
-            if arg.annotation is None:
-                missing.append(arg.arg)
-        for vararg, prefix in ((args.vararg, "*"), (args.kwarg, "**")):
-            if vararg is not None and vararg.annotation is None:
-                missing.append(prefix + vararg.arg)
-        if node.returns is None:
-            missing.append("return")
-        if missing:
-            self._flag(node, "REPRO401",
-                       f"def {node.name}(...) is missing annotations for: "
-                       f"{', '.join(missing)} (module is mypy-gated)")
-
     def _enter_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef
                         ) -> None:
-        if self.ctx.typed:
-            self._check_annotations(node)
-        class_depth, aliases = self._class_depth, self.aliases
-        self._class_depth = 0  # classes inside functions start fresh
+        aliases = self.aliases
         if not self._function_depth:  # an outermost def: its own imports
             self.aliases = self.module.aliases_in(node)
         self._function_depth += 1
         self.generic_visit(node)
         self._function_depth -= 1
-        self._class_depth, self.aliases = class_depth, aliases
+        self.aliases = aliases
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._enter_function(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._enter_function(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_depth += 1
-        self.generic_visit(node)
-        self._class_depth -= 1
 
     # ------------------------------------------------------------------ #
     # For loops: unordered iteration (REPRO202).

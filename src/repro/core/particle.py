@@ -241,7 +241,10 @@ class ParticleEnsemble:
 
     def unique_ancestors(self) -> int:
         """Number of distinct ancestor indices (post-resampling diversity)."""
-        return int(np.unique(self._ancestors).size)
+        # Not np.unique: it imports numpy.ma, which no calibration needs.
+        ancestors = np.sort(self._ancestors)
+        return int(ancestors.size > 0) + int(np.count_nonzero(
+            np.diff(ancestors)))
 
     def trajectory_batch(self, which: str = "segment") -> BatchTrajectory:
         """The stacked ``segment`` or ``history`` trajectories."""

@@ -222,7 +222,12 @@ def _read_window_state(path: Path, n_particles: int) -> StackedLeapState:
             f"steps_per_day {int(columns['steps_per_day'])}")
     for name in _PARAM_FIELDS:
         column = _PARAM_PREFIX + name
-        if column != _THETA_COLUMN and np.unique(columns[column]).size > 1:
+        values = columns[column]
+        # Equal to the first row, NaN equal to NaN (np.unique's semantics
+        # without its numpy.ma import).
+        if column != _THETA_COLUMN and not np.array_equal(
+                values, np.broadcast_to(values[:1], values.shape),
+                equal_nan=True):
             raise CheckpointError(
                 f"{path} column {column!r} disagrees across rows; a "
                 "window's rows share every parameter but theta")

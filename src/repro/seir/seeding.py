@@ -226,7 +226,8 @@ def mix_seeds(*components: int | np.ndarray) -> np.ndarray:
     hi = [(v >> np.uint64(32)).astype(np.uint32) for v in columns]
     layout = sum((h > 0).astype(np.int64) << k for k, h in enumerate(hi))
     out = np.empty(len(columns[0]), dtype=np.uint64)
-    for code in np.unique(layout):
+    # Ascending codes, as np.unique gives, without importing numpy.ma.
+    for code in np.flatnonzero(np.bincount(layout)):
         rows = np.flatnonzero(layout == code)
         out[rows] = _mix_words(np.stack(
             [w[rows] for k in range(len(columns))

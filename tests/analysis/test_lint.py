@@ -10,6 +10,7 @@ rather than in a future post-mortem.
 
 from __future__ import annotations
 
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -17,22 +18,39 @@ import pytest
 from repro.analysis import main, run
 from repro.analysis.cli import classify_path
 
-SRC = str(Path(__file__).parents[2] / "src")
+ROOT = Path(__file__).parents[2]
+SRC = str(ROOT / "src")
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "bad"
 GOOD = FIXTURES / "good"
 
 
-def run_lint(paths, select=None):
-    """The one pass's violations (its certificates are test_flow's)."""
-    return run(paths, select=select)[0]
+def strict_mypy_modules():
+    """The module patterns ``pyproject.toml``'s mypy overrides hold to
+    complete annotations (``disallow_untyped_defs``)."""
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    return {module for override in config["tool"]["mypy"]["overrides"]
+            if override.get("disallow_untyped_defs")
+            and override.get("disallow_incomplete_defs")
+            for module in override["module"]}
+
+
+def ci_mypy_modules():
+    """The modules CI's mypy step checks, as override patterns
+    (``-p pkg`` is ``pkg.*``, ``-m mod`` is ``mod``)."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    words = next(line.split() for line in ci.splitlines()
+                 if line.split()[:2] == ["run:", "mypy"])[2:]
+    assert set(words[::2]) <= {"-p", "-m"}, words
+    return {f"{name}.*" if flag == "-p" else name
+            for flag, name in zip(words[::2], words[1::2])}
 
 
 class TestRuleFamilies:
     def test_rogue_rng_shape_pr1(self):
         """Every RNG construction path in the PR 1 fixture trips REPRO101."""
-        violations = run_lint([str(BAD / "core" / "rogue_rng.py")],
-                              select=["REPRO101"])
+        violations = run([str(BAD / "core" / "rogue_rng.py")],
+                         select=["REPRO101"])
         lines = sorted(v.line for v in violations)
         assert all(v.rule == "REPRO101" for v in violations)
         # 2 import-level (stdlib random, numpy.random import-from) plus
@@ -46,7 +64,7 @@ class TestRuleFamilies:
         tags all trip REPRO102, in ``mix_seed`` and ``mix_seeds`` calls
         alike."""
         path = str(BAD / "core" / "literal_tag.py")
-        v102 = run_lint([path], select=["REPRO102"])
+        v102 = run([path], select=["REPRO102"])
         assert len(v102) == 7, [v.render() for v in v102]
         assert sum("in mix_seeds" in v.message for v in v102) == 2
         assert {v.rule for v in v102} == {"REPRO102"}
@@ -69,7 +87,7 @@ class TestRuleFamilies:
                 "\n"
                 "def derive(base):\n"
                 f"    return mix_seed(base, {tag})\n")
-            return run_lint([str(tmp_path)])
+            return run([str(tmp_path)])
 
         for import_line, tag in (
                 ("from regs import _SHARED_STREAM", "_SHARED_STREAM"),
@@ -83,8 +101,8 @@ class TestRuleFamilies:
 
     def test_determinism_hazards(self):
         path = str(BAD / "core" / "wall_clock.py")
-        v201 = run_lint([path], select=["REPRO201"])
-        v202 = run_lint([path], select=["REPRO202"])
+        v201 = run([path], select=["REPRO201"])
+        v202 = run([path], select=["REPRO202"])
         assert len(v201) == 2, [v.render() for v in v201]  # time + datetime
         assert len(v202) == 2, [v.render() for v in v202]  # fromiter + for
         # the sorted() path must NOT be flagged
@@ -102,63 +120,65 @@ class TestRuleFamilies:
         lines = path.read_text().splitlines()
         expected = sorted(i + 1 for i, text in enumerate(lines)
                           if ".now()" in text or ".today()" in text)
-        violations = run_lint([str(path)])
+        violations = run([str(path)])
         assert [(v.rule, v.line) for v in violations] == [
             ("REPRO201", line) for line in expected]
 
     def test_executor_hygiene(self):
         path = str(BAD / "hpc" / "closure_dispatch.py")
-        v301 = run_lint([path], select=["REPRO301"])
-        v302 = run_lint([path], select=["REPRO302"])
+        v301 = run([path], select=["REPRO301"])
+        v302 = run([path], select=["REPRO302"])
         assert len(v301) == 2, [v.render() for v in v301]  # lambda + closure
         assert len(v302) == 2, [v.render() for v in v302]  # append + comp
 
-    def test_typed_core_annotations(self):
-        violations = run_lint([str(BAD / "core" / "untyped.py")],
-                              select=["REPRO401"])
-        messages = {v.message.split("(")[0] for v in violations}
-        assert len(violations) == 3, [v.render() for v in violations]
-        assert any("missing_everything" in m for m in messages)
-        assert any("missing_return" in m for m in messages)
-        assert any("method_missing_arg" in m for m in messages)
-        # `self` must not be demanded
-        assert not any("self" in v.message for v in violations)
-
     def test_clean_fixture_is_clean(self):
-        assert run_lint([str(GOOD)]) == []
+        assert run([str(GOOD)]) == []
 
 
 class TestPathClassification:
+    """Which per-file rules apply where; "typed" is mypy's strict gate in
+    CI, which the analysis pass does not repeat."""
+
     def test_seeding_is_the_only_rng_site(self):
         ctx = classify_path(Path("src/repro/seir/seeding.py"))
-        assert ctx.rng_allowed and ctx.deterministic and ctx.typed
+        assert ctx.rng_allowed and ctx.deterministic
+        assert "repro.seir.seeding" in strict_mypy_modules()
 
     def test_core_is_typed_and_deterministic(self):
         ctx = classify_path(Path("src/repro/core/weights.py"))
-        assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+        assert not ctx.rng_allowed and ctx.deterministic
+        assert "repro.core.*" in strict_mypy_modules()
 
     def test_restart_state_home_is_typed(self):
-        for name in ("checkpoint.py", "batch_engine.py"):
-            ctx = classify_path(Path("src/repro/seir") / name)
-            assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+        assert {"repro.seir.checkpoint", "repro.seir.batch_engine",
+                "repro.hpc.*"} <= strict_mypy_modules()
 
     def test_chaos_harness_is_typed_and_deterministic(self):
         ctx = classify_path(Path("src/repro/testing/chaos.py"))
-        assert not ctx.rng_allowed and ctx.deterministic and ctx.typed
+        assert not ctx.rng_allowed and ctx.deterministic
+        assert "repro.testing.chaos" in strict_mypy_modules()
         ctx = classify_path(Path("src/repro/testing/oracle.py"))
-        assert not (ctx.rng_allowed or ctx.deterministic or ctx.typed)
+        assert not (ctx.rng_allowed or ctx.deterministic)
 
     def test_seir_is_deterministic_but_not_typed(self):
         ctx = classify_path(Path("src/repro/seir/tauleap.py"))
-        assert not ctx.rng_allowed and ctx.deterministic and not ctx.typed
+        assert not ctx.rng_allowed and ctx.deterministic
+        assert not {"repro.seir.tauleap", "repro.seir.*"} \
+            & strict_mypy_modules()
 
     def test_fixture_mirror_inherits_rules(self):
-        ctx = classify_path(BAD / "core" / "untyped.py")
-        assert ctx.typed and ctx.deterministic
+        ctx = classify_path(BAD / "core" / "wall_clock.py")
+        assert ctx.deterministic and not ctx.rng_allowed
 
     def test_outside_subsystems_gets_base_rules_only(self):
         ctx = classify_path(Path("src/repro/viz/ascii.py"))
-        assert not (ctx.rng_allowed or ctx.deterministic or ctx.typed)
+        assert not (ctx.rng_allowed or ctx.deterministic)
+
+    def test_ci_mypy_checks_exactly_the_strict_modules(self):
+        """mypy is not a tier-1 dependency, so nothing here runs it; this
+        keeps a module from leaving its CI step or its strict override
+        alone."""
+        assert ci_mypy_modules() == strict_mypy_modules()
 
 
 class TestCli:
@@ -171,10 +191,10 @@ class TestCli:
         assert "REPRO101" in out and "REPRO102" in out
 
     def test_select_filters(self, capsys):
-        assert main([str(BAD / "core" / "untyped.py"),
+        assert main([str(BAD / "core" / "wall_clock.py"),
                      "--select", "REPRO1"]) == 0
-        assert main([str(BAD / "core" / "untyped.py"),
-                     "--select", "REPRO4"]) == 1
+        assert main([str(BAD / "core" / "wall_clock.py"),
+                     "--select", "REPRO2"]) == 1
 
     def test_json_output(self, capsys):
         import json
@@ -185,20 +205,20 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for family in ("REPRO101", "REPRO201", "REPRO301", "REPRO401",
-                       "REPRO501", "REPRO511"):
+        for family in ("REPRO101", "REPRO201", "REPRO301", "REPRO501"):
             assert family in out
-        assert len(out.splitlines()) == 15
+        assert "REPRO401" not in out and "REPRO511" not in out
+        assert len(out.splitlines()) == 10
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
-            run_lint(["no/such/path"])
+            run(["no/such/path"])
 
 
 class TestSelfApplication:
     def test_repo_source_tree_is_contract_clean(self):
         """The enforced guarantee: the shipped tree has zero violations."""
-        assert run_lint([SRC]) == []
+        assert run([SRC]) == []
 
     def test_one_module_name_under_two_roots(self, tmp_path):
         """Two scan roots holding one relative module name: the project
@@ -211,14 +231,14 @@ class TestSelfApplication:
                 "import time\n\n\ndef now() -> float:\n"
                 "    return time.time()\n")
             paths.append(str(core / "clock.py"))
-        violations = run_lint(paths)
+        violations = run(paths)
         assert [(v.path, v.rule) for v in violations] == [
             (paths[0], "REPRO201"), (paths[1], "REPRO201")]
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
-        violations = run_lint([str(bad)])
+        violations = run([str(bad)])
         assert len(violations) == 1 and violations[0].rule == "REPRO000"
 
 
@@ -231,16 +251,16 @@ class TestAllowDirectives:
     def test_valid_directives_silence_exactly_their_line(self):
         """Trailing, standalone, and comment-separated directives all bind
         to the violating line; nothing else is reported."""
-        assert run_lint([str(self.ALLOWED)]) == []
+        assert run([str(self.ALLOWED)]) == []
 
     def test_broken_directives_excuse_nothing(self):
         """A reason-less, unknown-rule, or malformed directive leaves the
         underlying REPRO201 violation standing."""
-        v201 = run_lint([str(self.MISUSE)], select=["REPRO201"])
+        v201 = run([str(self.MISUSE)], select=["REPRO201"])
         assert len(v201) == 3, [v.render() for v in v201]
 
     def test_every_misuse_shape_is_flagged(self):
-        v203 = run_lint([str(self.MISUSE)], select=["REPRO203"])
+        v203 = run([str(self.MISUSE)], select=["REPRO203"])
         assert len(v203) == 5, [v.render() for v in v203]
         messages = " | ".join(v.message for v in v203)
         assert "unused" in messages
@@ -250,7 +270,7 @@ class TestAllowDirectives:
         assert "REPRO203" in messages  # the unwaivable-rule attempt
 
     def test_unused_directive_points_at_its_own_line(self):
-        v203 = run_lint([str(self.MISUSE)], select=["REPRO203"])
+        v203 = run([str(self.MISUSE)], select=["REPRO203"])
         unused = [v for v in v203 if "unused" in v.message]
         assert len(unused) == 1
         source_lines = self.MISUSE.read_text().splitlines()
@@ -276,7 +296,7 @@ class TestAllowDirectives:
             "\n"
             "def not_allowed() -> float:\n"
             "    return time.time()\n")
-        violations = run_lint([str(mod)], select=["REPRO2"])
+        violations = run([str(mod)], select=["REPRO2"])
         assert len(violations) == 1
         assert violations[0].rule == "REPRO201"
         assert violations[0].line == 10
@@ -288,7 +308,7 @@ class TestAllowDirectives:
         mod.write_text(
             "# This module documents the repro-allow mechanism in prose.\n"
             "X: int = 1\n")
-        assert run_lint([str(mod)]) == []
+        assert run([str(mod)]) == []
 
     def test_directives_inside_strings_are_not_parsed(self, tmp_path):
         core = tmp_path / "core"
@@ -296,11 +316,11 @@ class TestAllowDirectives:
         mod = core / "stringy.py"
         mod.write_text(
             'DOC: str = "# repro-allow: REPRO201 not a real directive"\n')
-        assert run_lint([str(mod)]) == []
+        assert run([str(mod)]) == []
 
     def test_service_is_a_deterministic_subsystem(self):
         ctx = classify_path(Path("src/repro/service/artifacts.py"))
-        assert ctx.deterministic and not ctx.typed
+        assert ctx.deterministic and not ctx.rng_allowed
 
 
 class TestSelectValidation:
@@ -309,8 +329,8 @@ class TestSelectValidation:
 
     def test_unknown_selector_raises(self):
         with pytest.raises(ValueError, match="REPOR1"):
-            run_lint([str(BAD / "core" / "literal_tag.py")],
-                     select=["REPOR1"])
+            run([str(BAD / "core" / "literal_tag.py")],
+                select=["REPOR1"])
 
     def test_unknown_selector_is_cli_exit_2(self, capsys):
         assert main([str(BAD / "core" / "literal_tag.py"),
@@ -318,8 +338,8 @@ class TestSelectValidation:
         assert "REPOR1" in capsys.readouterr().err
 
     def test_known_prefix_still_selects_families(self):
-        violations = run_lint([str(BAD / "core" / "literal_tag.py")],
-                              select=["REPRO1"])
+        violations = run([str(BAD / "core" / "literal_tag.py")],
+                         select=["REPRO1"])
         assert violations and all(v.rule.startswith("REPRO1")
                                   for v in violations)
 
@@ -327,8 +347,8 @@ class TestSelectValidation:
         """REPRO5xx is a family of the one catalogue; selecting it on a
         fixture with no dispatch site is a clean run, not a usage
         error."""
-        assert run_lint([str(BAD / "core" / "literal_tag.py")],
-                        select=["REPRO5"]) == []
+        assert run([str(BAD / "core" / "literal_tag.py")],
+                   select=["REPRO5"]) == []
 
 
 class TestDeterministicPartsExtension:
@@ -337,7 +357,7 @@ class TestDeterministicPartsExtension:
 
     def test_inference_is_deterministic(self):
         ctx = classify_path(Path("src/repro/inference/api.py"))
-        assert ctx.deterministic and not ctx.typed
+        assert ctx.deterministic and not ctx.rng_allowed
 
     def test_perf_counter_is_a_wall_clock_read(self, tmp_path):
         part = tmp_path / "inference"
@@ -349,7 +369,7 @@ class TestDeterministicPartsExtension:
             "\n"
             "def measure():\n"
             "    return time.perf_counter() + time.monotonic()\n")
-        violations = run_lint([str(mod)], select=["REPRO201"])
+        violations = run([str(mod)], select=["REPRO201"])
         assert len(violations) == 2, [v.render() for v in violations]
 
     def test_shipped_inference_wall_time_is_waived_with_reasons(self):
@@ -358,7 +378,7 @@ class TestDeterministicPartsExtension:
         repro-allow directives — and those must be in active use, not
         stale."""
         api = Path(SRC) / "repro" / "inference" / "api.py"
-        assert run_lint([str(api)]) == []
+        assert run([str(api)]) == []
         directives = [line for line in api.read_text().splitlines()
                       if "repro-allow: REPRO201" in line]
         assert len(directives) == 2
@@ -391,7 +411,7 @@ class TestScenarioTagFixtures:
 
     def test_scenario_tag_misuse_shapes(self):
         path = str(BAD / "core" / "scenario_tag.py")
-        v102 = run_lint([path], select=["REPRO102"])
+        v102 = run([path], select=["REPRO102"])
         # literal mix_seed tag, locally bound constant, literal purpose
         assert len(v102) == 3, [v.render() for v in v102]
         assert {v.rule for v in v102} == {"REPRO102"}
@@ -400,4 +420,4 @@ class TestScenarioTagFixtures:
         """The real implementation binds no stream tag of its own."""
         scenarios = Path(SRC) / "repro" / "core" / "scenarios.py"
         seeding = Path(SRC) / "repro" / "seir" / "seeding.py"
-        assert run_lint([str(scenarios), str(seeding)]) == []
+        assert run([str(scenarios), str(seeding)]) == []

@@ -1,11 +1,14 @@
 """Cold start: importing ``repro`` and running a default calibration, forecast
-and serve window must never load scipy or multiprocessing, and the CLI must
-never load a test oracle.
+and serve window must never load scipy or multiprocessing, a calibration
+must not load ``numpy.ma``, and the CLI must never load a test oracle.
 
 ``scipy.stats`` costs most of a cold ``import repro``; only the non-uniform
 prior densities and SBC helpers use it, and they import it on first call.
 ``multiprocessing`` comes with the process pool, which only
-``ProcessExecutor`` builds, so a serial run never pays for it.
+``ProcessExecutor`` builds, so a serial run never pays for it.  numpy's
+plain ``np.unique`` imports ``numpy.ma`` (about 1 MB of RSS), so the
+calibration path counts distinct values without it; the forecast's
+``np.quantile`` still loads it inside numpy.
 The scalar engines, the per-particle weighting reference and the chaos
 harnesses live only in ``repro.testing``; no production module imports that
 package, and the CLI, ``repro.hpc`` and ``repro.service`` are checked.
@@ -18,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,6 +58,8 @@ config = CalibrationConfig(window_breaks=(20, 27, 34), n_parameter_draws=8,
                            executor="serial")
 result = calibrate(observations, config)
 assert len(result.windows) == 2
+after_calibrate = sorted(m for m in sys.modules
+                         if m.split(".")[:2] == ["numpy", "ma"])
 
 executor = config.make_executor()
 calibrator = SequentialCalibrator(
@@ -74,7 +81,8 @@ with tempfile.TemporaryDirectory() as tmp:
     assert service.done and service.failed_window is None
 executor.close()
 
-print(json.dumps({"after_import": after_import, "after_run": loaded_heavy()}))
+print(json.dumps({"after_import": after_import, "after_run": loaded_heavy(),
+                  "after_calibrate": after_calibrate}))
 """
 
 
@@ -102,9 +110,18 @@ def _last_json_line(script):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_import_and_default_runs_never_load_scipy():
-    loaded = _last_json_line(SCRIPT)
-    assert loaded == {"after_import": [], "after_run": []}
+@pytest.fixture(scope="module")
+def default_runs():
+    return _last_json_line(SCRIPT)
+
+
+def test_import_and_default_runs_never_load_scipy(default_runs):
+    assert default_runs["after_import"] == []
+    assert default_runs["after_run"] == []
+
+
+def test_serial_calibration_never_loads_numpy_ma(default_runs):
+    assert default_runs["after_calibrate"] == []
 
 
 def test_cli_import_loads_no_test_oracle():
